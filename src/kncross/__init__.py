@@ -14,6 +14,7 @@ from .drawing import (
     EdgePathInconsistent,
     EulerViolation,
     K4Census,
+    NotGoodDrawing,
     build_drawing,
     crossing_count,
     delete_view,
@@ -61,11 +62,11 @@ __all__ = [
     "BadCrossingDegree", "BishellWitness", "CumulativeSums", "DegenerateInput",
     "DeletionView", "Drawing", "EdgePathInconsistent", "EulerViolation",
     "InvariantEdgeReport", "K4Census", "KEdgeVector", "MalformedWitness",
-    "NoGeometry", "ParseError", "Point", "ShellWitness", "TwoPageSpec",
-    "WitnessInvalid", "build_drawing", "check_bishellable", "check_s_shellable",
-    "circle_point", "crossing_count", "crossings_from_cumulative",
-    "crossings_from_k_edges", "cumulative_sums", "delete_view",
-    "double_cumulative_bound_holds", "export_svg", "gen_convex",
+    "NoGeometry", "NotGoodDrawing", "ParseError", "Point", "ShellWitness",
+    "TwoPageSpec", "WitnessInvalid", "build_drawing", "check_bishellable",
+    "check_s_shellable", "circle_point", "crossing_count",
+    "crossings_from_cumulative", "crossings_from_k_edges", "cumulative_sums",
+    "delete_view", "double_cumulative_bound_holds", "export_svg", "gen_convex",
     "gen_cylindrical", "gen_random_points", "gen_twopage", "hill_number",
     "invariant_edge_report", "is_bishellable", "is_shellable", "k4_census",
     "k_edge_vector", "k_value", "orient", "parse", "parse_witness",

@@ -15,6 +15,7 @@ from .drawing import (
     BadCrossingDegree,
     EdgePathInconsistent,
     EulerViolation,
+    NotGoodDrawing,
     k4_census,
     rotation_system,
     weak_iso_equal,
@@ -46,8 +47,8 @@ from .shelling import (
 )
 
 _INPUT_ERRORS = (ParseError, DegenerateInput, EulerViolation,
-                 BadCrossingDegree, EdgePathInconsistent, NoGeometry,
-                 MalformedWitness, OSError, ValueError)
+                 BadCrossingDegree, EdgePathInconsistent, NotGoodDrawing,
+                 NoGeometry, MalformedWitness, OSError, ValueError)
 
 
 def _load(path: str):

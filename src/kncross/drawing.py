@@ -16,6 +16,12 @@ of twin(d); every left/right statement below refers to that table.  The
 map lives on the sphere: the unbounded face of a geometric input is an
 ordinary face, merely remembered as the reference.
 
+Crossing a segment of edge e from one face into the next flips bit e of
+`face_parity`, a mask per face fixed by one walk over the dual graph.
+The masks depend on the walk (a loop around a vertex flips the bits of
+all its edges), but the parity summed over the edges of a cycle of K_n
+does not; the side-of oracle in `kedges` reads it off.
+
 Deletion of real vertices never rebuilds the map.  A DeletionView keeps
 a union-find over the base faces: removing an edge unions the two faces
 on the sides of each of its segments, and a crossing that loses one of
@@ -27,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from math import comb
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 from .geom import Point
 
@@ -42,6 +48,22 @@ class BadCrossingDegree(Exception):
 
 class EdgePathInconsistent(Exception):
     """Edge paths / rotations do not describe a coherent map."""
+
+
+class NotGoodDrawing(Exception):
+    """A coherent map whose drawing breaks a goodness condition.
+
+    `report` holds every violation; the message names the first.
+    """
+
+    def __init__(self, report: GoodnessReport):
+        first = report.violations[0]
+        edges = " and ".join(f"{u}-{v}" for u, v in first.edges)
+        more = len(report.violations) - 1
+        tail = f" (+{more} more)" if more else ""
+        super().__init__(
+            f"not a good drawing: {first.kind} of edges {edges}{tail}")
+        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +165,7 @@ class Drawing:
     reference_face: int
     seg_faces: Tuple[Tuple[Tuple[int, int], ...], ...]  # per edge: (left, right) per segment
     out_left_face: Tuple[Tuple[int, ...], ...]    # [u][w]: face left of first dart u->w
+    face_parity: Tuple[int, ...]                  # per face: edge bitmask of a dual walk from face 0
     geometry: Optional[Geometry] = None
 
     # -- basic accessors ----------------------------------------------------
@@ -208,7 +231,8 @@ def build_drawing(
     is the lexicographically smaller edge.  `reference` is a directed
     pair (u, v): the reference face is to the left of the first dart of
     that edge leaving u.  Construction fails on any inconsistency rather
-    than producing a broken map.
+    than producing a broken map, and raises NotGoodDrawing on a
+    coherent map whose drawing is not good.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -337,7 +361,25 @@ def build_drawing(
     crossing_edge_pairs = tuple(
         (min(us[0][0], us[1][0]), max(us[0][0], us[1][0])) for us in usage)
 
-    return Drawing(
+    # dual walk from face 0: stepping across a segment of edge e flips bit
+    # e.  The darts of a face's orbit have it on their right, so each leads
+    # to the face on its left.
+    dart_edge = [eid for eid, path in enumerate(paths)
+                 for _ in range(2 * (len(path) + 1))]
+    parity: List[Optional[int]] = [None] * len(face_darts)
+    parity[0] = 0
+    stack = [0]
+    while stack:
+        f = stack.pop()
+        for d in face_darts[f]:
+            g = dart_face[d]
+            if parity[g] is None:
+                parity[g] = parity[f] ^ (1 << dart_edge[d])
+                stack.append(g)
+    if None in parity:
+        raise EdgePathInconsistent("some face is not reachable from face 0")
+
+    drawing = Drawing(
         n=n,
         edges=tuple(edges),
         edge_paths=tuple(paths),
@@ -352,8 +394,13 @@ def build_drawing(
         reference_face=reference_face,
         seg_faces=seg_faces,
         out_left_face=out_left,
+        face_parity=tuple(parity),
         geometry=geometry,
     )
+    report = validate_good(drawing)
+    if not report.ok:
+        raise NotGoodDrawing(report)
+    return drawing
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +413,27 @@ def validate_good(drawing: Drawing) -> GoodnessReport:
 
     No edge crosses itself, no two adjacent edges cross, and no pair of
     edges crosses more than once.  Violations are reported with the
-    offending edges.
+    offending edges.  `build_drawing` raises NotGoodDrawing on any
+    violation, so on a constructed Drawing the report is always ok.
     """
     violations: List[GoodnessViolation] = []
-    pair_counts: Dict[Tuple[int, int], int] = {}
-    for (e1, e2) in drawing.crossing_edges:
+    seen: Set[Tuple[int, int]] = set()
+    doubled: Set[Tuple[int, int]] = set()
+    for pair in drawing.crossing_edges:
+        e1, e2 = pair
         if e1 == e2:
             violations.append(GoodnessViolation(
                 "self_cross", (drawing.edges[e1],)))
             continue
         a, b = drawing.edges[e1], drawing.edges[e2]
-        if set(a) & set(b):
+        if a[0] in b or a[1] in b:
             violations.append(GoodnessViolation("adjacent_cross", (a, b)))
-        pair_counts[(e1, e2)] = pair_counts.get((e1, e2), 0) + 1
-    for (e1, e2), cnt in sorted(pair_counts.items()):
-        if cnt > 1:
-            violations.append(GoodnessViolation(
-                "double_cross", (drawing.edges[e1], drawing.edges[e2])))
+        if pair in seen:
+            doubled.add(pair)
+        seen.add(pair)
+    for e1, e2 in sorted(doubled):
+        violations.append(GoodnessViolation(
+            "double_cross", (drawing.edges[e1], drawing.edges[e2])))
     return GoodnessReport(ok=not violations, violations=tuple(violations))
 
 

@@ -27,10 +27,10 @@ from typing import Dict, List, Mapping, Sequence, Set, Tuple
 from .drawing import (
     CylindricalGeometry,
     Drawing,
+    NotGoodDrawing,
     PointsGeometry,
     TwoPageGeometry,
     build_drawing,
-    validate_good,
 )
 from .geom import Point, circle_point
 from .planarize import DegenerateInput, planarize_points, segment_arrangement, validate_points
@@ -304,7 +304,7 @@ def gen_cylindrical(n: int) -> Drawing:
                 outer_angles, inner_angles, outer_params, inner_params,
                 reference=(0, 1),
             )
-        except (_RetryPerturbation, DegenerateInput):
+        except (_RetryPerturbation, DegenerateInput, NotGoodDrawing):
             continue
     raise RuntimeError("could not resolve cylindrical degeneracies")
 
@@ -425,13 +425,9 @@ def _assemble_cylindrical(
         angles=tuple(angles),
         lid_params=tuple(outer_params) + tuple(inner_params),
     )
-    drawing = build_drawing(
+    return build_drawing(
         n, {e: tuple(p) for e, p in paths.items()}, crossing_bits,
         rotations, reference, geometry=geometry)
-    report = validate_good(drawing)
-    if not report.ok:
-        raise _RetryPerturbation
-    return drawing
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,31 @@
 """k-edge statistics and the crossing number identities they satisfy.
 
 For a drawing with a reference face F, every edge uv and every other
-vertex w span a triangle that separates the sphere into two regions;
-w is labelled R when F lies on the left of the directed cycle u,v,w and
-L otherwise, and uv is a k-edge for k the smaller label count.  The
-labels are computed combinatorially from deletion views (keep only the
-triangle, merge everything else), so map-format inputs work without any
-coordinates.  Vectors are always taken relative to the drawing's stored
-reference face; use Drawing.with_reference to re-reference.
+vertex w span a triangle; in a good drawing it is a simple closed curve
+that separates the sphere into two regions.  w is labelled R when F
+lies on the same side of it as the face left of the first dart u->v,
+and L otherwise, and uv is a k-edge for k the smaller label count.
+
+Labels come from the per-face parity masks of `Drawing.face_parity`:
+the XOR of the masks of F and of the face left of u->v has bit e set
+when a dual path between the two faces crosses edge e an odd number of
+times.  By the Jordan curve theorem the two faces lie on the same side
+of the triangle exactly when bits uv, vw and uw sum to an even number,
+so each label is three bit tests and needs no coordinates.  Goodness,
+which the argument assumes, is checked when the drawing is built.
+Vectors are always taken relative to the drawing's stored reference
+face; use Drawing.with_reference to re-reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, FrozenSet, Iterable, List, Tuple
-from weakref import WeakKeyDictionary
+from typing import Iterable, List, Tuple
 
-from .drawing import DeletionView, Drawing
+from .drawing import Drawing
 
 Side = str  # "L" or "R"
-
-_triple_cache: "WeakKeyDictionary[Drawing, Dict[FrozenSet[int], List[int]]]" = WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -38,48 +42,30 @@ class CumulativeSums:
     double: Tuple[int, ...]   # E_{<=<=k}
 
 
-def _triple_classes(drawing: Drawing, triple: FrozenSet[int]) -> List[int]:
-    """Flattened face-class array of the view keeping only `triple`."""
-    per_drawing = _triple_cache.setdefault(drawing, {})
-    arr = per_drawing.get(triple)
-    if arr is None:
-        deleted = frozenset(range(drawing.n)) - triple
-        view = DeletionView(drawing, deleted)
-        arr = view.uf.flatten()
-        if len(set(arr)) != 2:
-            raise ValueError(
-                f"triangle {sorted(triple)} does not split the sphere in "
-                "two; the drawing is not good")
-        per_drawing[triple] = arr
-    return arr
+def _left_mask(drawing: Drawing, u: int, v: int) -> int:
+    """Edges crossed an odd number of times between the reference face
+    and the face left of the first dart u->v."""
+    parity = drawing.face_parity
+    return parity[drawing.reference_face] ^ parity[drawing.out_left_face[u][v]]
 
 
 def side_of(drawing: Drawing, u: int, v: int, w: int) -> Side:
     """Label of w relative to the directed edge u->v and the reference face.
 
-    Returns "R" exactly when the reference face falls in the class of
-    the face left of the u->v dart within the triangle subdrawing.
+    Returns "R" exactly when the reference face lies on the same side of
+    the triangle uvw as the face left of the u->v dart.
     """
     if len({u, v, w}) != 3:
         raise ValueError("u, v, w must be distinct")
-    classes = _triple_classes(drawing, frozenset((u, v, w)))
-    left = classes[drawing.out_left_face[u][v]]
-    ref = classes[drawing.reference_face]
-    return "R" if ref == left else "L"
+    mask = _left_mask(drawing, u, v)
+    eid = drawing.edge_id
+    odd = (mask >> eid(u, v) ^ mask >> eid(v, w) ^ mask >> eid(u, w)) & 1
+    return "L" if odd else "R"
 
 
 def k_value(drawing: Drawing, edge: Tuple[int, int]) -> int:
     """Smaller of the two side counts over all w outside the edge."""
-    u, v = edge
-    rights = 0
-    total = 0
-    for w in range(drawing.n):
-        if w == u or w == v:
-            continue
-        total += 1
-        if side_of(drawing, u, v, w) == "R":
-            rights += 1
-    return min(rights, total - rights)
+    return k_value_within(drawing, edge, range(drawing.n))
 
 
 def k_value_within(drawing: Drawing, edge: Tuple[int, int],
@@ -87,16 +73,20 @@ def k_value_within(drawing: Drawing, edge: Tuple[int, int],
     """k-value of an edge inside the subdrawing on `alive` vertices.
 
     Side labels are triangle-local, hence identical in the subdrawing
-    and the full drawing; only the range of w shrinks.
+    and the full drawing; only the range of w shrinks.  Each label is
+    computed as in `side_of`.
     """
     u, v = edge
+    mask = _left_mask(drawing, u, v)
+    eid = drawing.edge_id
+    mask_uv = mask >> eid(u, v)
     rights = 0
     total = 0
     for w in alive:
         if w == u or w == v:
             continue
         total += 1
-        if side_of(drawing, u, v, w) == "R":
+        if not (mask_uv ^ mask >> eid(v, w) ^ mask >> eid(u, w)) & 1:
             rights += 1
     return min(rights, total - rights)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from typing import Dict, FrozenSet, List, Tuple
 
 import pytest
 
@@ -83,6 +84,45 @@ def brute_k_vector(points) -> tuple:
         lefts = sum(1 for w in range(n)
                     if w not in (u, v) and orient(points[u], points[v], points[w]) > 0)
         counts[min(lefts, n - 2 - lefts)] += 1
+    return tuple(counts)
+
+
+# Face classes of the view that keeps only a triangle, per (map, triangle).
+# Keyed by the identity of `seg_faces`, which `with_reference` shares, so
+# re-referencing reuses the classes; the entry keeps the tuple alive.
+_triangle_classes: Dict[Tuple[int, FrozenSet[int]], Tuple[tuple, List[int]]] = {}
+
+
+def view_side_of(drawing: Drawing, u: int, v: int, w: int) -> str:
+    """Side label of w for the directed edge u->v, from a deletion view.
+
+    Deletes every vertex but u, v and w, so the faces merge into the two
+    sides of the triangle; w is "R" when the reference face falls in the
+    class of the face left of the first dart u->v.  This is the slow
+    path that `kedges.side_of` replaces.
+    """
+    triple = frozenset((u, v, w))
+    assert len(triple) == 3
+    key = (id(drawing.seg_faces), triple)
+    hit = _triangle_classes.get(key)
+    if hit is None:
+        view = delete_view(drawing, set(range(drawing.n)) - triple)
+        classes = view.uf.flatten()
+        assert len(set(classes)) == 2, "a triangle must split the sphere in two"
+        hit = _triangle_classes[key] = (drawing.seg_faces, classes)
+    classes = hit[1]
+    same = classes[drawing.reference_face] == classes[drawing.out_left_face[u][v]]
+    return "R" if same else "L"
+
+
+def view_k_vector(drawing: Drawing) -> tuple:
+    """k-edge vector from `view_side_of` labels."""
+    n = drawing.n
+    counts = [0] * (n // 2)
+    for u, v in drawing.edges:
+        rights = sum(1 for w in range(n)
+                     if w not in (u, v) and view_side_of(drawing, u, v, w) == "R")
+        counts[min(rights, n - 2 - rights)] += 1
     return tuple(counts)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kncross.cli import main
 
 
@@ -54,6 +56,35 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "error" in err
+
+
+# K4 map in which the adjacent edges 0-1 and 0-2 cross: a coherent
+# sphere map, but not a good drawing
+ADJACENT_CROSS_K4 = (
+    "kncross v1\nformat map\nn 4\nc 1\n"
+    "rot 0 : 1 2 3\nrot 1 : 0 2 3\nrot 2 : 0 3 1\nrot 3 : 0 1 2\n"
+    "e 0 1 : 0\ne 0 2 : 0\ne 0 3 :\ne 1 2 :\ne 1 3 :\ne 2 3 :\n"
+    "x 0 : -\nref 0 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze",),
+    ("check", "--mode", "shell"),
+    ("check", "--mode", "bishell", "--s", "0"),
+    ("verify", "--witness", "{witness}"),
+])
+def test_non_good_map_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "adjacent.map"
+    path.write_text(ADJACENT_CROSS_K4)
+    # the shell witness a search found on this map before goodness was
+    # checked at construction
+    witness = tmp_path / "k4.wit"
+    witness.write_text("kncross-witness v1\nshell\nface 0 3\nv: 0 2\n")
+    args = [a.format(witness=witness) for a in argv]
+    code, stdout, err = run(capsys, args[0], str(path), *args[1:])
+    assert code == 2
+    assert "adjacent_cross" in err
+    assert stdout == ""
 
 
 def test_check_and_verify_round_trip(tmp_path, capsys):

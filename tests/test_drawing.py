@@ -7,6 +7,7 @@ from kncross.drawing import (
     BadCrossingDegree,
     EdgePathInconsistent,
     EulerViolation,
+    NotGoodDrawing,
     build_drawing,
     delete_view,
     k4_census,
@@ -75,17 +76,17 @@ def test_adjacent_cross_detected():
     # vertices are forced, so only the crossing bit is free
     paths = {(0, 1): [0], (0, 2): [], (1, 2): [0]}
     rotations = [(1, 2), (0, 2), (0, 1)]
-    built = None
-    for bit in "+-":
-        try:
-            built = build_drawing(3, paths, [bit], rotations, reference=(0, 1))
-            break
-        except EulerViolation:
-            continue
-    assert built is not None, "one orientation must embed in the sphere"
-    report = validate_good(built)
+    # one orientation embeds in the sphere; that map is refused as not good
+    with pytest.raises(NotGoodDrawing) as caught:
+        for bit in "+-":
+            try:
+                build_drawing(3, paths, [bit], rotations, reference=(0, 1))
+            except EulerViolation:
+                continue
+    report = caught.value.report
     assert not report.ok
     assert any(v.kind == "adjacent_cross" for v in report.violations)
+    assert "adjacent_cross" in str(caught.value)
 
 
 def test_double_cross_detected():
@@ -97,9 +98,9 @@ def test_double_cross_detected():
     paths[(2, 3)] = [0, 1]
     paths[(0, 3)] = [2]
     rotations = [(2, 1, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2)]
-    d = build_drawing(4, paths, ["+", "-", "-"], rotations, reference=(2, 0))
-    report = validate_good(d)
-    kinds = {v.kind for v in report.violations}
+    with pytest.raises(NotGoodDrawing) as caught:
+        build_drawing(4, paths, ["+", "-", "-"], rotations, reference=(2, 0))
+    kinds = {v.kind for v in caught.value.report.violations}
     assert "double_cross" in kinds
     assert "adjacent_cross" in kinds
 

@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from kncross.drawing import k4_census
-from kncross.generators import gen_convex, gen_random_points
+from kncross.drawing import DeletionView, k4_census
+from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
 from kncross.kedges import (
     crossings_from_cumulative,
     crossings_from_k_edges,
@@ -16,7 +16,7 @@ from kncross.kedges import (
     side_of,
 )
 
-from conftest import brute_k_vector
+from conftest import brute_k_vector, view_k_vector, view_side_of
 
 
 def test_hill_number_table():
@@ -40,6 +40,36 @@ def test_side_swap_property(small_corpus):
             lhs = side_of(drawing, a, u, v)
             rhs = side_of(drawing, a, v, u)
             assert (lhs == "L") == (rhs == "R")
+
+
+def test_side_of_matches_view_oracle(small_corpus):
+    # every ordered triple at every reference face
+    drawings = [d for _name, _n, d in small_corpus]
+    drawings += [gen_random_points(10, 3), gen_cylindrical(9)]
+    for drawing in drawings:
+        triples = list(itertools.permutations(range(drawing.n), 3))
+        for face in range(drawing.face_count):
+            d = drawing.with_reference(face)
+            for u, v, w in triples:
+                assert side_of(d, u, v, w) == view_side_of(d, u, v, w)
+
+
+def test_k_edge_vector_builds_no_views(monkeypatch):
+    drawings = [gen_random_points(10, 3), gen_cylindrical(9)]
+    expected = [[view_k_vector(d.with_reference(f)) for f in range(d.face_count)]
+                for d in drawings]
+    builds = []
+
+    def refuse(self, *args, **kwargs):
+        builds.append(args)
+        raise AssertionError("k-edge vectors must not build deletion views")
+
+    monkeypatch.setattr(DeletionView, "__init__", refuse)
+    for d, per_face in zip(drawings, expected):
+        assert k_edge_vector(d).counts == per_face[d.reference_face]
+        for face, counts in enumerate(per_face):
+            assert k_edge_vector(d.with_reference(face)).counts == counts
+    assert builds == []
 
 
 def test_k_value_orientation_independent(small_corpus):
