@@ -14,20 +14,18 @@ from kncross import (
     gen_random_points,
     hill_number,
     is_bishellable,
+    rotation_key,
     rotation_system,
-    weak_iso_equal,
 )
 
 n, trials = 6, 60
 histogram = Counter()
-distinct = []
+distinct = {}  # (crossings, canonical rotation key) -> first seed
 for seed in range(trials):
     drawing = gen_random_points(n, seed)
     histogram[drawing.crossings] += 1
-    rot = rotation_system(drawing)
-    if not any(drawing.crossings == c and weak_iso_equal(rot, r, relabel=True)
-               for c, r in distinct):
-        distinct.append((drawing.crossings, rot))
+    key = (drawing.crossings, rotation_key(rotation_system(drawing)))
+    distinct.setdefault(key, seed)
 
 print(f"{trials} seeded random drawings of K{n} (H({n}) = {hill_number(n)})")
 for crossings in sorted(histogram):

@@ -17,8 +17,8 @@ from .drawing import (
     EulerViolation,
     NotGoodDrawing,
     k4_census,
+    rotation_key,
     rotation_system,
-    weak_iso_equal,
 )
 from .generators import (
     gen_convex,
@@ -168,18 +168,19 @@ def _generate(args) -> int:
 
 
 def _hunt(args) -> int:
+    if args.n < 3:
+        raise ValueError(f"--n must be at least 3, got {args.n}")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     n = args.n
     found = []
-    seen = []  # (signature bucket, rotation system) for weak-iso dedup
+    seen = set()  # (crossings, rotation key): one drawing per weak-iso class
     for trial in range(args.trials):
         drawing = gen_random_points(n, args.seed + trial)
-        rot = rotation_system(drawing)
-        sig = drawing.crossings
-        duplicate = any(sig == s and weak_iso_equal(rot, r, relabel=True)
-                        for s, r in seen)
-        if duplicate:
+        key = (drawing.crossings, rotation_key(rotation_system(drawing)))
+        if key in seen:
             continue
-        seen.append((sig, rot))
+        seen.add(key)
         if args.target == "optimal":
             if drawing.crossings == hill_number(n):
                 found.append((trial, drawing))

@@ -556,11 +556,46 @@ def _reverse_system(system: RotationSystem) -> RotationSystem:
     return tuple(_canon_cycle(tuple(reversed(cycle))) for cycle in system)
 
 
-def _relabelled(system: RotationSystem, perm: Sequence[int]) -> RotationSystem:
-    return tuple(
-        _canon_cycle([perm[w] for w in system[u]])
-        for u in sorted(range(len(system)), key=lambda u: perm[u])
-    )
+def rotation_key(system: RotationSystem) -> RotationSystem:
+    """Canonical form of a rotation system up to relabelling and reversal.
+
+    The least of the 2*n*(n-1) anchored relabellings: vertex a becomes 0
+    and its rotation, read from b, becomes 1..n-1, for every a, b and
+    both orientations.  Every relabelling of the system or of its
+    reverse that turns row 0 into (1, ..., n-1) is one of them, so two
+    systems have equal keys exactly when they are weakly isomorphic.
+    For good drawings of K_n the rotation system determines the drawing
+    up to weak isomorphism (Kyncl 2011), so the key names the class.
+    """
+    n = len(system)
+    if n < 2:
+        return tuple(tuple(cycle) for cycle in system)
+    first = tuple(range(1, n))
+    best: Optional[List[Tuple[int, ...]]] = None
+    for cycles in ([list(c) for c in system], [list(reversed(c)) for c in system]):
+        # rows[u][a]: rotation at u read from a
+        rows = [{w: tuple(cyc[i:] + cyc[:i]) for i, w in enumerate(cyc)} for cyc in cycles]
+        for a in range(n):
+            cycle = cycles[a]
+            for i in range(n - 1):
+                order = cycle[i:] + cycle[:i]          # new labels 1..n-1
+                perm = [0] * n
+                for label, w in enumerate(order, 1):
+                    perm[w] = label
+                candidate = [first]
+                smaller = best is None
+                for w in order:
+                    row = tuple([perm[x] for x in rows[w][a]])
+                    if not smaller:
+                        other = best[len(candidate)]
+                        if row > other:
+                            break
+                        smaller = row < other
+                    candidate.append(row)
+                else:
+                    if smaller:
+                        best = candidate
+    return tuple(best)
 
 
 def weak_iso_equal(r1: RotationSystem, r2: RotationSystem,
@@ -568,34 +603,11 @@ def weak_iso_equal(r1: RotationSystem, r2: RotationSystem,
     """True when the two rotation systems agree up to global reversal.
 
     With `relabel`, vertices may additionally be renamed by any
-    permutation; candidate maps are generated by aligning the rotation
-    at vertex 0, which is exhaustive for complete graphs.
+    permutation: the two `rotation_key`s are compared.
     """
-    if len(r1) != len(r2):
-        return False
-    n = len(r1)
-    variants = (r2, _reverse_system(r2))
-    if not relabel:
-        return any(r1 == v for v in variants)
-    cycle0 = r1[0]
-    for target in variants:
-        for image in range(n):
-            other = target[image]
-            for shift in range(n - 1):
-                perm = [-1] * n
-                perm[0] = image
-                ok = True
-                for k, w in enumerate(cycle0):
-                    z = other[(k + shift) % (n - 1)]
-                    if perm[w] != -1 and perm[w] != z:
-                        ok = False
-                        break
-                    perm[w] = z
-                if not ok or len(set(perm)) != n:
-                    continue
-                if _relabelled(r1, perm) == target:
-                    return True
-    return False
+    if relabel:
+        return rotation_key(r1) == rotation_key(r2)
+    return r1 == r2 or r1 == _reverse_system(r2)
 
 
 # ---------------------------------------------------------------------------

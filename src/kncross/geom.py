@@ -1,19 +1,21 @@
 """Exact rational plane geometry.
 
-Every predicate and construction here works on `fractions.Fraction`
-coordinates, so there are no epsilons anywhere: orientation, proper
-segment crossings and circle membership are decided exactly.  Degenerate
-inputs (collinear triples, tangencies, overlaps) are never "resolved";
-they simply fall on the zero branch of a predicate and it is up to the
-caller to reject them.
+Points carry `fractions.Fraction` coordinates, so stored and serialized
+coordinates are exact.  The predicates here (orientation, proper segment
+crossings) are exact too, with no epsilons anywhere; the SVG writer and
+the brute-force crossing oracle use them.  Planarization does not: it
+scales each point set to integers once and decides the same predicates
+with integer cross products (see `planarize`).  Degenerate inputs
+(collinear triples, tangencies, overlaps) are never "resolved"; they
+fall on the zero branch of a predicate and it is up to the caller to
+reject them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -72,14 +74,6 @@ def proper_intersection(a1: Point, a2: Point, b1: Point, b2: Point) -> Optional[
     return None
 
 
-def segment_parameter(a1: Point, a2: Point, p: Point) -> Fraction:
-    """Parameter t of p = a1 + t*(a2 - a1); p is assumed to lie on the line."""
-    d = a2 - a1
-    if d.x != 0:
-        return (p.x - a1.x) / d.x
-    return (p.y - a1.y) / d.y
-
-
 def circle_point(u: RationalLike) -> Point:
     """Exact rational point on the unit circle via the tangent half-angle map.
 
@@ -89,22 +83,3 @@ def circle_point(u: RationalLike) -> Point:
     u = Fraction(u)
     den = 1 + u * u
     return Point((1 - u * u) / den, 2 * u / den)
-
-
-def _direction_cmp(a: Point, b: Point) -> int:
-    # Counterclockwise order starting at angle 0 (the +x axis).
-    ha = 0 if (a.y > 0 or (a.y == 0 and a.x > 0)) else 1
-    hb = 0 if (b.y > 0 or (b.y == 0 and b.x > 0)) else 1
-    if ha != hb:
-        return ha - hb
-    return -_sign(a.cross(b))
-
-
-def ccw_order(directions: Sequence[Tuple[Point, object]]) -> list:
-    """Sort (direction, payload) pairs counterclockwise from the +x axis.
-
-    Directions must be pairwise non-parallel within a half turn; equal
-    directions would compare as ties and indicate degenerate input.
-    """
-    ordered = sorted(directions, key=cmp_to_key(lambda p, q: _direction_cmp(p[0], q[0])))
-    return [payload for _, payload in ordered]

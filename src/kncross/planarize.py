@@ -4,17 +4,28 @@ Given n points in general position, all C(n,2) segments are drawn and
 every proper pairwise crossing becomes a crossing node.  Degenerate
 configurations (coincident points, collinear triples, three segments
 through one point) are rejected, never perturbed silently.
+
+Every predicate is exact integer arithmetic.  Each function first
+multiplies its point set by the least common multiple of all coordinate
+denominators; a positive scaling changes no orientation, no crossing and
+no order along a segment.  A crossing's position along an edge is kept
+as a parameter `(num, den)` with `den > 0`, compared by
+cross-multiplication.  The `Fraction` points themselves are only
+stored, as the drawing's geometry.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from functools import cmp_to_key
+from math import lcm
+from typing import List, Sequence, Tuple
 
 from .drawing import Drawing, PointsGeometry, build_drawing
-from .geom import Point, ccw_order, orient, proper_intersection, segment_parameter
+from .geom import Point, proper_intersection
+
+IntPoint = Tuple[int, int]
 
 
 class DegenerateInput(Exception):
@@ -30,20 +41,49 @@ class DegenerateInput(Exception):
 class Arrangement:
     """Raw intersection structure of all segments among a point set."""
 
-    crossings: Tuple[Tuple[int, int, Point], ...]   # (edge a, edge b, point), a<b
+    crossings: Tuple[Tuple[int, int], ...]          # (edge a, edge b), a<b
     edge_paths: Tuple[Tuple[int, ...], ...]         # ordered crossing ids per edge
     bits: Tuple[str, ...]                           # rotation orientation per crossing
     vertex_orders: Tuple[Tuple[int, ...], ...]      # ccw neighbor order per vertex
 
 
-def validate_points(points: Sequence[Point]) -> None:
+def _integer_points(points: Sequence[Point]) -> List[IntPoint]:
+    """The points scaled by the LCM of all coordinate denominators."""
     pts = list(points)
+    scale = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+    return [(p.x.numerator * (scale // p.x.denominator),
+             p.y.numerator * (scale // p.y.denominator)) for p in pts]
+
+
+def _orient(p: IntPoint, q: IntPoint, r: IntPoint) -> int:
+    """Sign of det(q - p, r - p): +1 counterclockwise, 0 collinear, -1 clockwise."""
+    det = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (det > 0) - (det < 0)
+
+
+def validate_points(points: Sequence[Point]) -> None:
+    pts = _integer_points(points)
     for i, j in itertools.combinations(range(len(pts)), 2):
         if pts[i] == pts[j]:
             raise DegenerateInput("coincident", (i, j))
     for i, j, k in itertools.combinations(range(len(pts)), 3):
-        if orient(pts[i], pts[j], pts[k]) == 0:
+        if _orient(pts[i], pts[j], pts[k]) == 0:
             raise DegenerateInput("collinear", (i, j, k))
+
+
+def _by_parameter(h1: Tuple[int, int, int], h2: Tuple[int, int, int]) -> int:
+    # (num, den, crossing id): parameter num/den first, then the id
+    diff = h1[0] * h2[1] - h2[0] * h1[1]
+    return diff if diff else h1[2] - h2[2]
+
+
+def _by_direction(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> int:
+    # (dx, dy, payload): counterclockwise from angle 0 (the +x axis)
+    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
+    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
+    if ha != hb:
+        return ha - hb
+    return b[0] * a[1] - a[0] * b[1]
 
 
 def segment_arrangement(points: Sequence[Point]) -> Arrangement:
@@ -53,43 +93,56 @@ def segment_arrangement(points: Sequence[Point]) -> Arrangement:
     segments meet in a common interior point (detected as two crossings
     at the same parameter along one segment).
     """
-    pts = list(points)
+    pts = _integer_points(points)
     n = len(pts)
     edges = list(itertools.combinations(range(n), 2))
+    # per edge: endpoints, start point and direction
+    segs = [(a, b, pts[a][0], pts[a][1], pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
+            for a, b in edges]
 
-    crossings: List[Tuple[int, int, Point]] = []
-    per_edge: List[List[Tuple[Fraction, int]]] = [[] for _ in edges]
-    for ea, eb in itertools.combinations(range(len(edges)), 2):
-        (a, b), (c, d) = edges[ea], edges[eb]
-        if {a, b} & {c, d}:
-            continue
-        hit = proper_intersection(pts[a], pts[b], pts[c], pts[d])
-        if hit is None:
-            continue
-        k = len(crossings)
-        crossings.append((ea, eb, hit))
-        per_edge[ea].append((segment_parameter(pts[a], pts[b], hit), k))
-        per_edge[eb].append((segment_parameter(pts[c], pts[d], hit), k))
+    crossings: List[Tuple[int, int]] = []
+    bits: List[str] = []
+    per_edge: List[List[Tuple[int, int, int]]] = [[] for _ in edges]
+    for ea, (a, b, ax, ay, dx1, dy1) in enumerate(segs):
+        for eb in range(ea + 1, len(segs)):
+            c, d, cx, cy, dx2, dy2 = segs[eb]
+            if c == a or c == b or d == a or d == b:
+                continue
+            # a + t*d1 = c + s*d2 with t = tn/den, s = sn/den
+            den = dx1 * dy2 - dy1 * dx2
+            if den == 0:
+                continue  # parallel: never a proper crossing
+            wx, wy = cx - ax, cy - ay
+            tn = wx * dy2 - wy * dx2
+            sn = wx * dy1 - wy * dx1
+            # the sign of den, the turn from d1 to d2, is the crossing's bit
+            if den > 0:
+                if not (0 < tn < den and 0 < sn < den):
+                    continue
+                bits.append("+")
+            else:
+                if not (den < tn < 0 and den < sn < 0):
+                    continue
+                den, tn, sn = -den, -tn, -sn
+                bits.append("-")
+            k = len(crossings)
+            crossings.append((ea, eb))
+            per_edge[ea].append((tn, den, k))
+            per_edge[eb].append((sn, den, k))
 
     edge_paths: List[Tuple[int, ...]] = []
     for eid, hits in enumerate(per_edge):
-        hits.sort()
-        for (t1, k1), (t2, k2) in zip(hits, hits[1:]):
-            if t1 == t2:
-                u, v = edges[eid]
-                raise DegenerateInput("concurrent", ((u, v), k1, k2))
-        edge_paths.append(tuple(k for _, k in hits))
-
-    bits = []
-    for ea, eb, _ in crossings:
-        (a, b), (c, d) = edges[ea], edges[eb]
-        turn = (pts[b] - pts[a]).cross(pts[d] - pts[c])
-        bits.append("+" if turn > 0 else "-")
+        hits.sort(key=cmp_to_key(_by_parameter))
+        for (t1, d1, k1), (t2, d2, k2) in zip(hits, hits[1:]):
+            if t1 * d2 == t2 * d1:
+                raise DegenerateInput("concurrent", (edges[eid], k1, k2))
+        edge_paths.append(tuple(k for _, _, k in hits))
 
     vertex_orders = []
-    for u in range(n):
-        dirs = [(pts[w] - pts[u], w) for w in range(n) if w != u]
-        vertex_orders.append(tuple(ccw_order(dirs)))
+    for u, (ux, uy) in enumerate(pts):
+        dirs = [(x - ux, y - uy, w) for w, (x, y) in enumerate(pts) if w != u]
+        dirs.sort(key=cmp_to_key(_by_direction))
+        vertex_orders.append(tuple(w for _, _, w in dirs))
 
     return Arrangement(
         crossings=tuple(crossings),
@@ -107,13 +160,13 @@ def unbounded_reference(points: Sequence[Point]) -> Tuple[int, int]:
     unique; hull edges are never crossed, so the face left of that first
     dart is the unbounded face.
     """
-    pts = list(points)
+    pts = _integer_points(points)
     n = len(pts)
-    p = max(range(n), key=lambda i: (pts[i].x, pts[i].y))
+    p = max(range(n), key=pts.__getitem__)
     for q in range(n):
         if q == p:
             continue
-        if all(orient(pts[p], pts[q], pts[w]) < 0
+        if all(_orient(pts[p], pts[q], pts[w]) < 0
                for w in range(n) if w not in (p, q)):
             return (p, q)
     raise DegenerateInput("collinear", (p,))  # unreachable after validation

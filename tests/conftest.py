@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Tuple
+from fractions import Fraction
+from functools import cmp_to_key
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import pytest
 
@@ -17,7 +19,8 @@ from kncross.generators import (
     regenerate_subdrawing,
     twopage_all_top,
 )
-from kncross.geom import orient
+from kncross.geom import orient, proper_intersection
+from kncross.planarize import Arrangement, DegenerateInput
 
 
 # ---------------------------------------------------------------------------
@@ -176,3 +179,136 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
     assert len(set(class_to_face.values())) == len(class_to_face), "classes merged"
     assert faces_seen == set(range(sub.face_count))
     assert view.class_count() == sub.face_count
+
+
+# ---------------------------------------------------------------------------
+# exact-Fraction planarization: the slow path of `planarize`
+# ---------------------------------------------------------------------------
+
+
+def fraction_validate_points(points) -> None:
+    """General-position check with `Fraction` orientation tests."""
+    pts = list(points)
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        if pts[i] == pts[j]:
+            raise DegenerateInput("coincident", (i, j))
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        if orient(pts[i], pts[j], pts[k]) == 0:
+            raise DegenerateInput("collinear", (i, j, k))
+
+
+def _fraction_parameter(a1, a2, p) -> Fraction:
+    # t of p = a1 + t*(a2 - a1), p on the line
+    d = a2 - a1
+    if d.x != 0:
+        return (p.x - a1.x) / d.x
+    return (p.y - a1.y) / d.y
+
+
+def _fraction_direction_cmp(a, b) -> int:
+    # counterclockwise from the +x axis
+    ha = 0 if (a.y > 0 or (a.y == 0 and a.x > 0)) else 1
+    hb = 0 if (b.y > 0 or (b.y == 0 and b.x > 0)) else 1
+    if ha != hb:
+        return ha - hb
+    cross = a.cross(b)
+    return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+
+def fraction_segment_arrangement(points) -> Arrangement:
+    """`segment_arrangement` from `Fraction` crossing points and parameters."""
+    pts = list(points)
+    n = len(pts)
+    edges = list(itertools.combinations(range(n), 2))
+    crossings = []
+    per_edge: List[List[Tuple[Fraction, int]]] = [[] for _ in edges]
+    for ea, eb in itertools.combinations(range(len(edges)), 2):
+        (a, b), (c, d) = edges[ea], edges[eb]
+        if {a, b} & {c, d}:
+            continue
+        hit = proper_intersection(pts[a], pts[b], pts[c], pts[d])
+        if hit is None:
+            continue
+        k = len(crossings)
+        crossings.append((ea, eb))
+        per_edge[ea].append((_fraction_parameter(pts[a], pts[b], hit), k))
+        per_edge[eb].append((_fraction_parameter(pts[c], pts[d], hit), k))
+
+    edge_paths = []
+    for eid, hits in enumerate(per_edge):
+        hits.sort()
+        for (t1, k1), (t2, k2) in zip(hits, hits[1:]):
+            if t1 == t2:
+                raise DegenerateInput("concurrent", (edges[eid], k1, k2))
+        edge_paths.append(tuple(k for _, k in hits))
+
+    bits = []
+    for ea, eb in crossings:
+        (a, b), (c, d) = edges[ea], edges[eb]
+        bits.append("+" if (pts[b] - pts[a]).cross(pts[d] - pts[c]) > 0 else "-")
+
+    vertex_orders = []
+    for u in range(n):
+        dirs = [(pts[w] - pts[u], w) for w in range(n) if w != u]
+        dirs.sort(key=cmp_to_key(lambda p, q: _fraction_direction_cmp(p[0], q[0])))
+        vertex_orders.append(tuple(w for _, w in dirs))
+    return Arrangement(tuple(crossings), tuple(edge_paths), tuple(bits),
+                       tuple(vertex_orders))
+
+
+def fraction_unbounded_reference(points) -> Tuple[int, int]:
+    """`unbounded_reference` with `Fraction` orientation tests."""
+    pts = list(points)
+    n = len(pts)
+    p = max(range(n), key=lambda i: (pts[i].x, pts[i].y))
+    for q in range(n):
+        if q != p and all(orient(pts[p], pts[q], pts[w]) < 0
+                          for w in range(n) if w not in (p, q)):
+            return (p, q)
+    raise AssertionError("no hull edge found")
+
+
+# ---------------------------------------------------------------------------
+# weak isomorphism by candidate maps: the slow path of `rotation_key`
+# ---------------------------------------------------------------------------
+
+
+def _canon(cycle: Sequence[int]) -> Tuple[int, ...]:
+    k = list(cycle).index(min(cycle))
+    return tuple(cycle[k:]) + tuple(cycle[:k])
+
+
+def _relabelled(system, perm: Sequence[int]):
+    return tuple(_canon([perm[w] for w in system[u]])
+                 for u in sorted(range(len(system)), key=lambda u: perm[u]))
+
+
+def candidate_map_weak_iso(r1, r2) -> bool:
+    """True when some relabelling maps r1 onto r2 or onto its reverse.
+
+    Both systems must be canonically rotated (`rotation_system`).
+    Candidate maps align the rotation at vertex 0 of r1 with every
+    rotation of the target at every shift, which is exhaustive for
+    complete graphs.
+    """
+    if len(r1) != len(r2):
+        return False
+    n = len(r1)
+    reverse = tuple(_canon(tuple(reversed(cycle))) for cycle in r2)
+    cycle0 = r1[0]
+    for target in (r2, reverse):
+        for image in range(n):
+            other = target[image]
+            for shift in range(n - 1):
+                perm = [-1] * n
+                perm[0] = image
+                ok = True
+                for k, w in enumerate(cycle0):
+                    z = other[(k + shift) % (n - 1)]
+                    if perm[w] != -1 and perm[w] != z:
+                        ok = False
+                        break
+                    perm[w] = z
+                if ok and len(set(perm)) == n and _relabelled(r1, perm) == target:
+                    return True
+    return False

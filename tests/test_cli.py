@@ -176,6 +176,18 @@ def test_hunt_zero_trials(capsys):
     assert "trials=0" in stdout
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("--n", "7", "--trials", "-3"), "--trials must be non-negative"),
+    (("--n", "2", "--trials", "5"), "--n must be at least 3"),
+    (("--n", "2", "--trials", "0"), "--n must be at least 3"),
+])
+def test_hunt_rejects_bad_counts_exit_2(capsys, argv, reason):
+    code, stdout, stderr = run(capsys, "hunt", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert reason in stderr
+
+
 def test_export_svg_cli(tmp_path, capsys):
     drawing = tmp_path / "k5.pts"
     run(capsys, "generate", "convex", "--n", "5", "-o", str(drawing))

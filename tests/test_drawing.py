@@ -12,15 +12,16 @@ from kncross.drawing import (
     delete_view,
     k4_census,
     reference_class_vertices,
+    rotation_key,
     rotation_system,
     validate_good,
     weak_iso_equal,
 )
-from kncross.generators import gen_convex, gen_cylindrical
+from kncross.generators import SplitMix64, gen_convex, gen_cylindrical, gen_random_points
 from kncross.planarize import planarize_points
-from kncross.geom import circle_point
+from kncross.geom import Point, circle_point
 
-from conftest import planar_k4
+from conftest import candidate_map_weak_iso, planar_k4
 
 
 def test_planar_k4_build(k4_planar):
@@ -170,6 +171,41 @@ def test_weak_iso_mirrored_relabel():
     r1, r2 = rotation_system(d1), rotation_system(d2)
     assert weak_iso_equal(r1, r2, relabel=True)
     assert not weak_iso_equal(r1, r2) or r1 == r2
+
+
+def test_rotation_key_matches_candidate_map_oracle():
+    # 60 random K6/K7 drawings, plus relabelled and mirrored copies of a
+    # third of them, compared on every pair
+    rng = SplitMix64(23)
+    systems = []
+    for seed in range(60):
+        d = gen_random_points(6 + seed % 2, 300 + seed)
+        systems.append(rotation_system(d))
+        if seed % 3 == 0:
+            pts = d.geometry.points
+            perm = list(range(d.n))
+            for i in range(d.n - 1, 0, -1):
+                j = rng.below(i + 1)
+                perm[i], perm[j] = perm[j], perm[i]
+            copy = [None] * d.n
+            for old, new in enumerate(perm):
+                p = pts[old]
+                copy[new] = Point(-p.x, p.y) if seed % 2 else p
+            systems.append(rotation_system(planarize_points(copy)))
+    keys = [rotation_key(r) for r in systems]
+    classes = set()
+    for i, j in itertools.combinations(range(len(systems)), 2):
+        same = keys[i] == keys[j]
+        assert same == candidate_map_weak_iso(systems[i], systems[j]), (i, j)
+        if same:
+            classes.add(keys[i])
+    assert classes  # some pairs coincide, so both answers are exercised
+    for r, key in zip(systems, keys):
+        # rows of a key start at their least entry, as `rotation_system` rows do
+        assert key[0] == tuple(range(1, len(r)))
+        assert rotation_key(key) == key
+        assert candidate_map_weak_iso(key, r)
+        assert weak_iso_equal(key, r, relabel=True)
 
 
 def test_k4_census(k4_planar, k4_crossed):

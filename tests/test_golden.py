@@ -1,0 +1,63 @@
+"""Golden pins: serialized bytes and seeded CLI output of a fixed corpus.
+
+The hashes were recorded on the exact-`Fraction` planarization; any
+change to planarization, map assembly or serialization that alters a
+single byte of these files fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from kncross.cli import main
+from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
+from kncross.io import serialize
+
+GOLDEN = [
+    (gen_random_points, (7, 1), "map",
+     "742519fe404aa6131d3a98ab8d7dad7b041b7749a5c8ed8a6dac139dd76865bf"),
+    (gen_random_points, (7, 1), "points",
+     "690069aad5941847cceeae12a73d0c203d2788b34d218ab1efe6ce4aae748903"),
+    (gen_random_points, (10, 3), "map",
+     "9866dcc8efbc3b20d16156b28773f3e65d443e94a9e2ee2693a6e85555aca1db"),
+    (gen_random_points, (10, 3), "points",
+     "ff7c9782b011d7fc5ef7208d74314c9e6564a5664e9a2cdc50906d3c0fcd51e5"),
+    (gen_random_points, (12, 5), "map",
+     "1390292a23b24bb455a81489faedbcedf32921b0e62ee5df30e9dd25d49d62a6"),
+    (gen_random_points, (12, 5), "points",
+     "635d0727eeff4fafdf1c45375a0ec3c1328be3fed5f6c2536b68200a6a4e0da1"),
+    (gen_random_points, (14, 2), "map",
+     "62c6c46c2ff0e7b007d4e1c480a287b870c88eb33cff73526c70f6e91f38679c"),
+    (gen_random_points, (14, 2), "points",
+     "9e8fce53f311f14bec826e74a19b3ff88f79293402eb77e2f248684f73157aeb"),
+    (gen_convex, (6,), "map",
+     "263623ed627fae806b6326293fb9f62ee4a9d40f5da59f9002e149d0b699af5f"),
+    (gen_convex, (6,), "points",
+     "da5b9643033ffccf6efeaa2a3c751fece6cf48a609b32fc0323a8530f8bb3fd2"),
+    (gen_convex, (9,), "map",
+     "67d4711bd85f2bcbab84a5717b3bfa294b3c641d0b2ea760012601fa4ae65edb"),
+    (gen_convex, (9,), "points",
+     "2877a9a68bdc50d6b7dbc3b07280ea95de17fb2a4f1310f705284f407d99658c"),
+    (gen_convex, (12,), "map",
+     "c0b70db4f1f22dbe8a6542b098dde02356e9f9c9d334e3ebef9c41d1890a22ef"),
+    (gen_convex, (12,), "points",
+     "7d53755a9b0a24a7362893b54c491d3f19e1f12dff16f886363e13e294dc68f6"),
+    # a cylindrical drawing has no point coordinates, so only its map
+    (gen_cylindrical, (9,), "map",
+     "8b3285afcad4742bb1f07726a430f7fa49c5ec07d41c9b6cc337f4e0be48badf"),
+]
+
+
+@pytest.mark.parametrize(
+    "gen, args, fmt, digest", GOLDEN,
+    ids=[f"{gen.__name__}{args}-{fmt}" for gen, args, fmt, _ in GOLDEN])
+def test_serialized_bytes_pinned(gen, args, fmt, digest):
+    blob = serialize(gen(*args), fmt)
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_hunt_output_pinned(capsys):
+    rc = main(["hunt", "--n", "7", "--trials", "100", "--seed", "100",
+               "--target", "optimal"])
+    assert rc == 0
+    assert capsys.readouterr().out == "trials=100 distinct=37 matches=1\n  seed=113 cr=9\n"

@@ -1,13 +1,24 @@
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from kncross.drawing import validate_good
-from kncross.generators import gen_random_points
-from kncross.geom import circle_point, point
+from kncross.generators import SplitMix64, gen_random_points
+from kncross.geom import Point, circle_point, point
 from kncross.planarize import (
     DegenerateInput,
     brute_force_crossing_count,
     planarize_points,
+    segment_arrangement,
+    unbounded_reference,
     validate_points,
+)
+
+from conftest import (
+    fraction_segment_arrangement,
+    fraction_unbounded_reference,
+    fraction_validate_points,
 )
 
 
@@ -64,3 +75,69 @@ def test_unbounded_reference_face():
     from kncross.drawing import delete_view, reference_class_vertices
     d = planarize_points([circle_point(i) for i in range(7)])
     assert sorted(reference_class_vertices(delete_view(d, set()))) == list(range(7))
+
+
+# ---------------------------------------------------------------------------
+# integer predicates against the exact-Fraction slow path
+# ---------------------------------------------------------------------------
+
+
+def _outcome(validate, arrange, reference, pts):
+    try:
+        validate(pts)
+        return ("ok", arrange(pts), reference(pts))
+    except DegenerateInput as exc:
+        return ("degenerate", exc.kind, exc.witness)
+
+
+def _assert_matches_fraction_path(pts):
+    fast = _outcome(validate_points, segment_arrangement, unbounded_reference, pts)
+    slow = _outcome(fraction_validate_points, fraction_segment_arrangement,
+                    fraction_unbounded_reference, pts)
+    assert fast == slow
+    return fast[0] if fast[0] == "ok" else fast[1]
+
+
+def test_integer_arrangement_matches_fraction_on_grid_points():
+    # a 12x12 grid makes every kind of degeneracy common
+    rng = SplitMix64(7)
+    kinds = Counter()
+    for trial in range(150):
+        n = 4 + trial % 6
+        pts = [point(rng.below(12), rng.below(12)) for _ in range(n)]
+        kinds[_assert_matches_fraction_path(pts)] += 1
+    assert set(kinds) == {"ok", "coincident", "collinear", "concurrent"}
+
+
+def test_integer_arrangement_matches_fraction_on_mixed_denominators():
+    rng = SplitMix64(11)
+    denominators = (1, 3, 7, 10, 100, 1000, 10**6)
+    kinds = Counter()
+    for trial in range(120):
+        n = 4 + trial % 6
+        pts = [Point(Fraction(rng.below(2001) - 1000, denominators[rng.below(7)]),
+                     Fraction(rng.below(2001) - 1000, denominators[rng.below(7)]))
+               for _ in range(n)]
+        kinds[_assert_matches_fraction_path(pts)] += 1
+    assert kinds["ok"] >= 60, kinds
+
+
+def test_integer_arrangement_matches_fraction_on_circle_points():
+    rng = SplitMix64(5)
+    for n in range(3, 13):
+        kind = _assert_matches_fraction_path([circle_point(i) for i in range(n)])
+        params = sorted({Fraction(rng.below(4001) - 2000, rng.below(50) + 1)
+                         for _ in range(n)})
+        _assert_matches_fraction_path([circle_point(u) for u in params])
+    # twelve integer parameters put three diagonals through one point
+    assert kind == "concurrent"
+
+
+def test_integer_degeneracies_match_fraction_witnesses():
+    hexagon = [point(2, 0), point(1, 2), point(-1, 2),
+               point(-2, 0), point(-1, -2), point(1, -2)]
+    for pts in (hexagon,
+                [point(0, 0), point(1, 1), point(0, 0)],
+                [point(0, 0), point(1, 1), point(2, 2), point(0, 3)],
+                [point("1/3", 0), point(0, "1/7"), point("2/3", "-1/7")]):
+        assert _assert_matches_fraction_path(pts) != "ok"
