@@ -46,6 +46,7 @@ from .shelling import (
     WitnessInvalid,
     check_bishellable,
     check_s_shellable,
+    first_shell_witness,
     invariant_edge_report,
     is_bishellable,
     is_shellable,
@@ -67,7 +68,8 @@ __all__ = [
     "TwoPageSpec", "WitnessInvalid", "build_drawing", "check_bishellable",
     "check_s_shellable", "circle_point", "crossing_count",
     "crossings_from_cumulative", "crossings_from_k_edges", "cumulative_sums",
-    "delete_view", "double_cumulative_bound_holds", "export_svg", "gen_convex",
+    "delete_view", "double_cumulative_bound_holds", "export_svg",
+    "first_shell_witness", "gen_convex",
     "gen_cylindrical", "gen_random_points", "gen_twopage", "hill_number",
     "invariant_edge_report", "is_bishellable", "is_shellable", "k4_census",
     "k_edge_vector", "k_value", "orient", "parse", "parse_witness",

@@ -39,9 +39,11 @@ from .planarize import DegenerateInput
 from .shelling import (
     MalformedWitness,
     ShellWitness,
+    WitnessInvalid,
     bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
+    first_shell_witness,
     is_bishellable,
     shell_witness_violation,
 )
@@ -112,14 +114,17 @@ def _check(args) -> int:
                 raise ValueError(f"shell length {args.s} out of range")
             witness = check_s_shellable(drawing, args.s, face=face)
         else:
-            witness = None
-            for s in range(drawing.n // 2, drawing.n + 1):
-                witness = check_s_shellable(drawing, s, face=face)
-                if witness is not None:
-                    break
+            witness = first_shell_witness(drawing, face=face)
     if witness is None:
         print("no witness (exhaustive search)")
         return 1
+    # the independent verifier re-checks every witness before it is emitted
+    if isinstance(witness, ShellWitness):
+        violation = shell_witness_violation(drawing, witness)
+    else:
+        violation = bishell_witness_violation(drawing, witness)
+    if violation is not None:
+        raise WitnessInvalid(violation)
     blob = serialize_witness(drawing, witness)
     sys.stdout.write(blob.decode())
     if args.witness_out:

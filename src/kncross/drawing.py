@@ -31,9 +31,10 @@ its edges is implicitly smoothed (subdivision does not affect faces).
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, replace
 from math import comb
-from typing import List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .geom import Point
 
@@ -77,11 +78,6 @@ class UnionFind:
     def __init__(self, size: int):
         self.parent = list(range(size))
 
-    def clone(self) -> "UnionFind":
-        other = UnionFind.__new__(UnionFind)
-        other.parent = self.parent.copy()
-        return other
-
     def find(self, i: int) -> int:
         parent = self.parent
         while parent[i] != i:
@@ -95,7 +91,12 @@ class UnionFind:
             self.parent[rb] = ra
 
     def flatten(self) -> List[int]:
-        return [self.find(i) for i in range(len(self.parent))]
+        """Root of every element; compresses the parent array in place."""
+        parent = self.parent
+        for i, p in enumerate(parent):
+            if parent[p] != p:
+                parent[i] = self.find(p)
+        return parent.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +447,23 @@ class DeletionView:
     """A drawing together with a set of deleted real vertices.
 
     Faces of the base drawing are merged through the sides of deleted
-    segments.  Views never mutate the base; `child` clones the
-    union-find so search trees can branch cheaply.
+    segments.  Views never mutate the base; `child` and `extended` copy
+    a parent array, so search trees can branch cheaply.
+
+    Incidence is read from a table built once per view, in one pass
+    over `out_left_face`: `classes` maps every base face to its class
+    root, and `by_root` maps a root to the bitmask of the surviving
+    vertices with a surviving dart whose left face lies in that class.
+    A root no surviving vertex touches is absent.  The searches in
+    `shelling` keep only these tables, keyed by the deleted set.
     """
 
-    __slots__ = ("base", "deleted", "uf")
+    __slots__ = ("base", "deleted", "uf", "_incidence")
 
     def __init__(self, base: Drawing, deleted: frozenset = frozenset(),
                  _uf: Optional[UnionFind] = None):
         self.base = base
+        self._incidence: Optional[Incidence] = None
         if _uf is not None:
             self.deleted = deleted
             self.uf = _uf
@@ -464,6 +473,20 @@ class DeletionView:
         for v in sorted(deleted):
             self._delete(v)
             self.deleted = self.deleted | {v}
+
+    @classmethod
+    def extended(cls, base: Drawing, deleted: frozenset,
+                 parent: Sequence[int], v: int) -> "DeletionView":
+        """View of `deleted | {v}`, grown from a copy of a union-find parent
+        array of the view of `deleted` (its flattened classes will do)."""
+        if v in deleted:
+            raise ValueError(f"vertex {v} already deleted")
+        uf = UnionFind.__new__(UnionFind)
+        uf.parent = list(parent)
+        view = cls(base, deleted, _uf=uf)
+        view._delete(v)
+        view.deleted = deleted | {v}
+        return view
 
     def _delete(self, v: int) -> None:
         base = self.base
@@ -475,12 +498,7 @@ class DeletionView:
                 union(left, right)
 
     def child(self, v: int) -> "DeletionView":
-        if v in self.deleted:
-            raise ValueError(f"vertex {v} already deleted")
-        view = DeletionView(self.base, self.deleted, _uf=self.uf.clone())
-        view._delete(v)
-        view.deleted = self.deleted | {v}
-        return view
+        return DeletionView.extended(self.base, self.deleted, self.uf.parent, v)
 
     def face_class(self, face: int) -> int:
         return self.uf.find(face)
@@ -495,6 +513,37 @@ class DeletionView:
         dead = self.deleted
         return [eid for eid, (u, v) in enumerate(self.base.edges)
                 if u not in dead and v not in dead]
+
+    def incidence(self) -> "Incidence":
+        """The (classes, by_root) table of this view, built on first use."""
+        if self._incidence is None:
+            base = self.base
+            classes = self.uf.flatten()
+            alive = [u for u in range(base.n) if u not in self.deleted]
+            by_root: Dict[int, int] = {}
+            get = by_root.get
+            for u in alive:
+                bit = 1 << u
+                row = base.out_left_face[u]
+                for w in alive:
+                    if w != u:
+                        root = classes[row[w]]
+                        by_root[root] = get(root, 0) | bit
+            code = "H" if len(classes) <= 0xFFFF else "I"
+            self._incidence = Incidence(array(code, classes), by_root)
+        return self._incidence
+
+    def incident_mask(self, face: int) -> int:
+        """Bitmask of surviving vertices incident with the class of `face`."""
+        classes, by_root = self.incidence()
+        return by_root.get(classes[face], 0)
+
+
+class Incidence(NamedTuple):
+    """Class root per base face, and vertex bitmask per touched root."""
+
+    classes: array
+    by_root: Dict[int, int]
 
 
 def delete_view(drawing: Drawing, deleted: Set[int]) -> DeletionView:
@@ -514,25 +563,10 @@ def reference_class_vertices(view: DeletionView,
     class; for a surviving vertex this captures exactly the corners that
     remain after merging.
     """
-    base = view.base
     if face is None:
-        face = base.reference_face
-    find = view.uf.find
-    root = find(face)
-    out_left = base.out_left_face
-    dead = view.deleted
-    result = set()
-    for u in range(base.n):
-        if u in dead:
-            continue
-        row = out_left[u]
-        for w in range(base.n):
-            if w == u or w in dead:
-                continue
-            if find(row[w]) == root:
-                result.add(u)
-                break
-    return result
+        face = view.base.reference_face
+    mask = view.incident_mask(face)
+    return {u for u in range(view.base.n) if mask >> u & 1}
 
 
 # ---------------------------------------------------------------------------

@@ -217,14 +217,6 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
 # ---------------------------------------------------------------------------
 
 
-def _reference_pair(drawing: Drawing) -> Tuple[int, int]:
-    for u in range(drawing.n):
-        for v in range(drawing.n):
-            if u != v and drawing.out_left_face[u][v] == drawing.reference_face:
-                return (u, v)
-    raise ValueError("reference face touches no vertex; cannot serialize")
-
-
 def _face_pair(drawing: Drawing, face: int) -> Tuple[int, int]:
     for u in range(drawing.n):
         for v in range(drawing.n):
@@ -270,7 +262,7 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
             out.append(f"e {u} {v} :" + (" " + ids if ids else ""))
         for old, new in sorted(renum.items(), key=lambda kv: kv[1]):
             out.append(f"x {new} : {drawing.orientation_bits[old]}")
-        ru, rv = _reference_pair(drawing)
+        ru, rv = _face_pair(drawing, drawing.reference_face)
         out.append(f"ref {ru} {rv}")
         return ("\n".join(out) + "\n").encode()
 

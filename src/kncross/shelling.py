@@ -11,6 +11,18 @@ Searches are exhaustive and deterministic (faces ascending, candidate
 vertices ascending), so the returned witness only depends on the
 drawing.  Verification never searches: it replays the deletion views a
 witness claims and checks incidences directly.
+
+Every incidence test depends only on the set of deleted vertices, so
+searches and verifiers look it up in a memo keyed by that set (as a
+vertex bitmask) whose values are `DeletionView.incidence` tables.  One
+memo serves every face and both sequences of a bishell search, and
+every face and every s of a shell search.  A set's view is grown from
+the memoised table of the set minus one vertex when there is one.  The
+shell search fills positions outside-in on a schedule fixed by s:
+`schedule[step]` lists the pairs (r,t) first decided at that step, so
+each candidate checks only those.  `kncross check` re-verifies every
+witness with the verifier before it prints or writes it, and raises
+WitnessInvalid instead when the verifier refuses it.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .drawing import DeletionView, Drawing, reference_class_vertices
+from .drawing import DeletionView, Drawing, Incidence, reference_class_vertices
 from .kedges import k_value, k_value_within
 
 
@@ -68,27 +80,47 @@ class SufficientConditions:
 
 
 # ---------------------------------------------------------------------------
-# incidence helpers over memoized deletion classes
+# incidence tables memoised by deleted set
 # ---------------------------------------------------------------------------
 
-
-def _classes(drawing: Drawing, deleted: FrozenSet[int],
-             memo: Dict[FrozenSet[int], List[int]]) -> List[int]:
-    arr = memo.get(deleted)
-    if arr is None:
-        arr = DeletionView(drawing, deleted).uf.flatten()
-        memo[deleted] = arr
-    return arr
+# deleted-vertex bitmask -> incidence table of that deletion view
+Memo = Dict[int, Incidence]
 
 
-def _incident(drawing: Drawing, classes: List[int], face: int, u: int,
-              deleted: FrozenSet[int]) -> bool:
-    root = classes[face]
-    row = drawing.out_left_face[u]
-    for w in range(drawing.n):
-        if w != u and w not in deleted and classes[row[w]] == root:
-            return True
-    return False
+def _vertex_set(mask: int) -> FrozenSet[int]:
+    return frozenset(_bits(mask))
+
+
+def _vertex_mask(vertices: Sequence[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _incident_mask(drawing: Drawing, deleted: int, face: int, memo: Memo) -> int:
+    """Surviving vertices incident with the class of `face` once the
+    vertices of the bitmask `deleted` are gone."""
+    table = memo.get(deleted)
+    if table is None:
+        for v in _bits(deleted):
+            parent = memo.get(deleted ^ 1 << v)
+            if parent is not None:
+                view = DeletionView.extended(drawing, _vertex_set(deleted ^ 1 << v),
+                                             parent.classes, v)
+                break
+        else:
+            view = DeletionView(drawing, _vertex_set(deleted))
+        table = memo[deleted] = view.incidence()
+    return table.by_root.get(table.classes[face], 0)
 
 
 def _check_witness_face(drawing: Drawing, face: int) -> None:
@@ -139,7 +171,7 @@ def shelling_sequences(drawing: Drawing, face: int,
 
 
 def shell_witness_violation(drawing: Drawing, witness: ShellWitness,
-                            memo: Optional[dict] = None) -> Optional[str]:
+                            memo: Optional[Memo] = None) -> Optional[str]:
     """First violated pair condition, or None when the witness verifies."""
     seq = witness.seq
     s = len(seq)
@@ -150,10 +182,10 @@ def shell_witness_violation(drawing: Drawing, witness: ShellWitness,
     if memo is None:
         memo = {}
     for r, t in itertools.combinations(range(1, s + 1), 2):
-        deleted = frozenset(seq[:r - 1]) | frozenset(seq[t:])
-        classes = _classes(drawing, deleted, memo)
+        deleted = _vertex_mask(seq[:r - 1]) | _vertex_mask(seq[t:])
+        incident = _incident_mask(drawing, deleted, witness.face, memo)
         for v in (seq[r - 1], seq[t - 1]):
-            if not _incident(drawing, classes, witness.face, v, deleted):
+            if not incident >> v & 1:
                 return (f"vertex {v} not incident with the reference class "
                         f"for pair (r,t)=({r},{t})")
     return None
@@ -164,7 +196,7 @@ def verify_shell_witness(drawing: Drawing, witness: ShellWitness) -> bool:
 
 
 def bishell_witness_violation(drawing: Drawing, witness: BishellWitness,
-                              memo: Optional[dict] = None) -> Optional[str]:
+                              memo: Optional[Memo] = None) -> Optional[str]:
     """First violated condition (1)/(2)/(3), or None when it verifies."""
     a, b = witness.a_seq, witness.b_seq
     if len(a) != len(b) or not a:
@@ -177,9 +209,8 @@ def bishell_witness_violation(drawing: Drawing, witness: BishellWitness,
         memo = {}
     for name, seq in (("1", a), ("2", b)):
         for i in range(s + 1):
-            deleted = frozenset(seq[:i])
-            classes = _classes(drawing, deleted, memo)
-            if not _incident(drawing, classes, witness.face, seq[i], deleted):
+            incident = _incident_mask(drawing, _vertex_mask(seq[:i]), witness.face, memo)
+            if not incident >> seq[i] & 1:
                 return f"condition ({name}) violated at i={i}"
     for i in range(s + 1):
         for j in range(s + 1 - i):
@@ -232,53 +263,53 @@ def check_bishellable(drawing: Drawing, s: int,
     Scans all faces unless one is fixed; within a face both sequences
     are grown depth-first with the disjointness constraint applied at
     every extension (b_j is never one of a_0..a_{s-j}).  Returns the
-    first witness in the deterministic search order, or None.
+    first witness in the deterministic search order, or None.  One
+    memo of incidence tables serves both sequences and every face.
     """
     if not 0 <= s <= drawing.n - 2:
         raise ValueError(f"order s={s} out of range for n={drawing.n}")
     faces = (face,) if face is not None else range(drawing.face_count)
+    memo: Memo = {}
     for f in faces:
         _check_witness_face(drawing, f)
-        found = _bishell_at_face(drawing, s, f)
+        found = _bishell_at_face(drawing, s, f, memo)
         if found is not None:
             return found
     return None
 
 
-def _bishell_at_face(drawing: Drawing, s: int, face: int) -> Optional[BishellWitness]:
-    root = DeletionView(drawing)
+def _bishell_at_face(drawing: Drawing, s: int, face: int,
+                     memo: Memo) -> Optional[BishellWitness]:
     a_seq: List[int] = []
 
-    def extend_b(view: DeletionView, b_seq: List[int]) -> Optional[Tuple[int, ...]]:
-        if len(b_seq) == s + 1:
-            return tuple(b_seq)
+    def extend_b(deleted: int, b_seq: List[int]) -> Optional[Tuple[int, ...]]:
         j = len(b_seq)
-        forbidden = set(a_seq[:s - j + 1])
-        for v in sorted(reference_class_vertices(view, face)):
-            if v in forbidden:
-                continue
+        if j == s + 1:
+            return tuple(b_seq)
+        allowed = _incident_mask(drawing, deleted, face, memo) & ~_vertex_mask(a_seq[:s - j + 1])
+        for v in _bits(allowed):
             b_seq.append(v)
-            result = extend_b(view.child(v), b_seq)
+            result = extend_b(deleted | 1 << v, b_seq)
             if result is not None:
                 return result
             b_seq.pop()
         return None
 
-    def extend_a(view: DeletionView) -> Optional[BishellWitness]:
+    def extend_a(deleted: int) -> Optional[BishellWitness]:
         if len(a_seq) == s + 1:
-            b = extend_b(root, [])
+            b = extend_b(0, [])
             if b is not None:
                 return BishellWitness(face=face, a_seq=tuple(a_seq), b_seq=b)
             return None
-        for v in sorted(reference_class_vertices(view, face)):
+        for v in _bits(_incident_mask(drawing, deleted, face, memo)):
             a_seq.append(v)
-            result = extend_a(view.child(v))
+            result = extend_a(deleted | 1 << v)
             if result is not None:
                 return result
             a_seq.pop()
         return None
 
-    return extend_a(root)
+    return extend_a(0)
 
 
 def check_s_shellable(drawing: Drawing, s: int,
@@ -287,10 +318,49 @@ def check_s_shellable(drawing: Drawing, s: int,
 
     Sequence positions are assigned outside-in (v_1, v_s, v_2, v_{s-1},
     ...), so a pair (r,t) becomes checkable as soon as its prefix,
-    suffix and endpoints are known and failing branches die early.
+    suffix and endpoints are known and failing branches die early
+    (see `_shell_schedule`).
     """
     if not 1 <= s <= drawing.n:
         raise ValueError(f"s={s} out of range for n={drawing.n}")
+    return _shell_search(drawing, (s,), face, {})
+
+
+def first_shell_witness(drawing: Drawing,
+                        face: Optional[int] = None) -> Optional[ShellWitness]:
+    """First s-shell witness for s = floor(n/2), ..., n, or None.
+
+    The same witness as calling `check_s_shellable` for each s in turn,
+    with one memo of incidence tables shared across s.
+    """
+    return _shell_search(drawing, range(drawing.n // 2, drawing.n + 1), face, {})
+
+
+def _shell_search(drawing: Drawing, lengths: Sequence[int], face: Optional[int],
+                  memo: Memo) -> Optional[ShellWitness]:
+    faces = (face,) if face is not None else range(drawing.face_count)
+    for s in lengths:
+        fill_order, schedule = _shell_schedule(s)
+        for f in faces:
+            _check_witness_face(drawing, f)
+            seq = [0] * s
+            if _shell_dfs(drawing, f, seq, fill_order, schedule, 0, 0, memo):
+                return ShellWitness(face=f, seq=tuple(seq))
+    return None
+
+
+# A pair check of the shell schedule: the positions r-1 and t-1 of v_r and
+# v_t, and the positions deleted for the pair (prefix and suffix).
+PairCheck = Tuple[int, int, Tuple[int, ...]]
+
+
+def _shell_schedule(s: int) -> Tuple[List[int], List[List[PairCheck]]]:
+    """Outside-in fill order, and per step the pairs it makes decidable.
+
+    A pair (r,t) is decidable once v_1..v_r and v_t..v_s are assigned;
+    `schedule[step]` lists the pairs that first become decidable when
+    position `fill_order[step]` is filled, in `combinations` order.
+    """
     fill_order: List[int] = []
     lo, hi = 0, s - 1
     while lo <= hi:
@@ -299,79 +369,48 @@ def check_s_shellable(drawing: Drawing, s: int,
             fill_order.append(hi)
         lo += 1
         hi -= 1
-
-    memo: Dict[FrozenSet[int], List[int]] = {}
-    faces = (face,) if face is not None else range(drawing.face_count)
-    for f in faces:
-        _check_witness_face(drawing, f)
-        seq: List[Optional[int]] = [None] * s
-        found = _shell_dfs(drawing, f, seq, fill_order, 0, set(), memo)
-        if found is not None:
-            return ShellWitness(face=f, seq=found)
-    return None
-
-
-def _pair_decided(seq: List[Optional[int]], r: int, t: int) -> bool:
-    # needs v_1..v_r and v_t..v_s (1-indexed) assigned
-    return (all(seq[i] is not None for i in range(r))
-            and all(seq[i] is not None for i in range(t - 1, len(seq))))
+    schedule: List[List[PairCheck]] = []
+    filled: Set[int] = set()
+    pending = list(itertools.combinations(range(1, s + 1), 2))
+    for pos in fill_order:
+        filled.add(pos)
+        now = [(r, t) for r, t in pending
+               if filled.issuperset(range(r)) and filled.issuperset(range(t - 1, s))]
+        pending = [pair for pair in pending if pair not in now]
+        schedule.append([(r - 1, t - 1, tuple(range(r - 1)) + tuple(range(t, s)))
+                         for r, t in now])
+    return fill_order, schedule
 
 
-def _pair_holds(drawing: Drawing, face: int, seq: List[Optional[int]],
-                r: int, t: int, memo: dict) -> bool:
-    s = len(seq)
-    deleted = frozenset(seq[i] for i in range(r - 1)) | \
-        frozenset(seq[i] for i in range(t, s))
-    classes = _classes(drawing, deleted, memo)
-    return (_incident(drawing, classes, face, seq[r - 1], deleted)
-            and _incident(drawing, classes, face, seq[t - 1], deleted))
-
-
-def _shell_dfs(drawing: Drawing, face: int, seq: List[Optional[int]],
-               fill_order: List[int], step: int, used: Set[int],
-               memo: dict) -> Optional[Tuple[int, ...]]:
-    s = len(seq)
+def _shell_dfs(drawing: Drawing, face: int, seq: List[int], fill_order: List[int],
+               schedule: List[List[PairCheck]], step: int, used: int,
+               memo: Memo) -> bool:
+    """Fill `seq` from `step` on; True with `seq` complete on success."""
     if step == len(fill_order):
-        return tuple(seq)  # all pairs were checked along the way
+        return True  # all pairs were checked along the way
     pos = fill_order[step]
+    checks = schedule[step]
     for v in range(drawing.n):
-        if v in used:
+        if used >> v & 1:
             continue
         seq[pos] = v
-        used.add(v)
-        ok = True
-        for r, t in itertools.combinations(range(1, s + 1), 2):
-            if (_pair_decided(seq, r, t)
-                    and not _was_decided_before(seq, fill_order, step, r, t)
-                    and not _pair_holds(drawing, face, seq, r, t, memo)):
-                ok = False
+        for r, t, cut in checks:
+            deleted = 0
+            for i in cut:
+                deleted |= 1 << seq[i]
+            incident = _incident_mask(drawing, deleted, face, memo)
+            if not (incident >> seq[r] & 1 and incident >> seq[t] & 1):
                 break
-        if ok:
-            result = _shell_dfs(drawing, face, seq, fill_order, step + 1, used, memo)
-            if result is not None:
-                return result
-        used.remove(v)
-        seq[pos] = None
-    return None
-
-
-def _was_decided_before(seq: List[Optional[int]], fill_order: List[int],
-                        step: int, r: int, t: int) -> bool:
-    # replay decidability without the position filled at `step`
-    pos = fill_order[step]
-    saved = seq[pos]
-    seq[pos] = None
-    decided = _pair_decided(seq, r, t)
-    seq[pos] = saved
-    return decided
+        else:
+            if _shell_dfs(drawing, face, seq, fill_order, schedule, step + 1,
+                          used | 1 << v, memo):
+                return True
+    return False
 
 
 def is_shellable(drawing: Drawing) -> bool:
-    """s-shellable for some s >= floor(n/2); each s is tried separately."""
-    for s in range(drawing.n // 2, drawing.n + 1):
-        if check_s_shellable(drawing, s) is not None:
-            return True
-    return False
+    """s-shellable for some s >= floor(n/2)."""
+    return first_shell_witness(drawing) is not None
 
 
 def is_bishellable(drawing: Drawing) -> bool:

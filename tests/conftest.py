@@ -5,11 +5,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from kncross.drawing import Drawing, build_drawing, delete_view
+from kncross.drawing import DeletionView, Drawing, build_drawing, delete_view
 from kncross.generators import (
     TwoPageSpec,
     gen_convex,
@@ -21,6 +21,7 @@ from kncross.generators import (
 )
 from kncross.geom import orient, proper_intersection
 from kncross.planarize import Arrangement, DegenerateInput
+from kncross.shelling import BishellWitness, ShellWitness
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +313,128 @@ def candidate_map_weak_iso(r1, r2) -> bool:
                 if ok and len(set(perm)) == n and _relabelled(r1, perm) == target:
                     return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# shell and bishell searches over cloned views: the slow path of `shelling`
+# ---------------------------------------------------------------------------
+
+
+def loop_incident(drawing: Drawing, classes: List[int], face: int, u: int,
+                  deleted: FrozenSet[int]) -> bool:
+    """u has a surviving dart whose left face is in the class of `face`."""
+    root = classes[face]
+    row = drawing.out_left_face[u]
+    for w in range(drawing.n):
+        if w != u and w not in deleted and classes[row[w]] == root:
+            return True
+    return False
+
+
+def _loop_vertices(view: DeletionView, face: int) -> List[int]:
+    classes = view.uf.flatten()
+    return [u for u in range(view.base.n) if u not in view.deleted
+            and loop_incident(view.base, classes, face, u, view.deleted)]
+
+
+def child_view_bishell(drawing: Drawing, s: int,
+                       face: Optional[int] = None) -> Optional[BishellWitness]:
+    """Order-s bishell search cloning a view for every search node."""
+    faces = (face,) if face is not None else range(drawing.face_count)
+    for f in faces:
+        root = DeletionView(drawing)
+        a_seq: List[int] = []
+
+        def extend_b(view, b_seq):
+            if len(b_seq) == s + 1:
+                return tuple(b_seq)
+            forbidden = set(a_seq[:s - len(b_seq) + 1])
+            for v in _loop_vertices(view, f):
+                if v in forbidden:
+                    continue
+                b_seq.append(v)
+                result = extend_b(view.child(v), b_seq)
+                if result is not None:
+                    return result
+                b_seq.pop()
+            return None
+
+        def extend_a(view):
+            if len(a_seq) == s + 1:
+                b = extend_b(root, [])
+                return None if b is None else BishellWitness(f, tuple(a_seq), b)
+            for v in _loop_vertices(view, f):
+                a_seq.append(v)
+                result = extend_a(view.child(v))
+                if result is not None:
+                    return result
+                a_seq.pop()
+            return None
+
+        found = extend_a(root)
+        if found is not None:
+            return found
+    return None
+
+
+def replay_shell_search(drawing: Drawing, s: int,
+                        face: Optional[int] = None) -> Optional[ShellWitness]:
+    """Outside-in s-shell search that replays, for every candidate, which
+    pairs (r, t) became decidable at the current step."""
+    fill_order: List[int] = []
+    lo, hi = 0, s - 1
+    while lo <= hi:
+        fill_order.append(lo)
+        if hi != lo:
+            fill_order.append(hi)
+        lo += 1
+        hi -= 1
+    memo: Dict[FrozenSet[int], List[int]] = {}
+
+    def decided(seq, r, t):
+        return (all(seq[i] is not None for i in range(r))
+                and all(seq[i] is not None for i in range(t - 1, len(seq))))
+
+    def was_decided_before(seq, step, r, t):
+        pos = fill_order[step]
+        saved = seq[pos]
+        seq[pos] = None
+        before = decided(seq, r, t)
+        seq[pos] = saved
+        return before
+
+    def holds(f, seq, r, t):
+        deleted = frozenset(seq[i] for i in range(r - 1)) | \
+            frozenset(seq[i] for i in range(t, s))
+        classes = memo.get(deleted)
+        if classes is None:
+            classes = memo[deleted] = DeletionView(drawing, deleted).uf.flatten()
+        return (loop_incident(drawing, classes, f, seq[r - 1], deleted)
+                and loop_incident(drawing, classes, f, seq[t - 1], deleted))
+
+    def dfs(f, seq, step: int, used: Set[int]):
+        if step == len(fill_order):
+            return tuple(seq)
+        pos = fill_order[step]
+        for v in range(drawing.n):
+            if v in used:
+                continue
+            seq[pos] = v
+            used.add(v)
+            ok = all(not decided(seq, r, t) or was_decided_before(seq, step, r, t)
+                     or holds(f, seq, r, t)
+                     for r, t in itertools.combinations(range(1, s + 1), 2))
+            if ok:
+                result = dfs(f, seq, step + 1, used)
+                if result is not None:
+                    return result
+            used.remove(v)
+            seq[pos] = None
+        return None
+
+    faces = (face,) if face is not None else range(drawing.face_count)
+    for f in faces:
+        found = dfs(f, [None] * s, 0, set())
+        if found is not None:
+            return ShellWitness(face=f, seq=found)
+    return None

@@ -212,3 +212,36 @@ def test_generate_with_svg_option(tmp_path, capsys):
                      "-o", str(drawing), "--svg", str(svg))
     assert code == 0
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("mode, extra, search", [
+    ("bishell", [], "check_bishellable"),
+    ("shell", ["--s", "2"], "check_s_shellable"),
+    ("shell", [], "first_shell_witness"),
+])
+def test_check_reverifies_witness_before_emitting(tmp_path, capsys, monkeypatch,
+                                                  mode, extra, search):
+    import kncross.cli as cli
+    from kncross.io import parse
+    from kncross.shelling import (BishellWitness, ShellWitness, WitnessInvalid,
+                                  bishell_witness_violation, shell_witness_violation)
+
+    path = tmp_path / "k8.pts"
+    run(capsys, "generate", "convex", "--n", "8", "-o", str(path))
+    drawing = parse(path.read_bytes())
+    if mode == "bishell":
+        broken = BishellWitness(drawing.reference_face, (0, 1), (0, 2))
+        message = bishell_witness_violation(drawing, broken)
+    else:
+        vertexless = next(f for f in range(drawing.face_count)
+                          if not any(f in row for row in drawing.out_left_face))
+        broken = ShellWitness(vertexless, (0, 1))
+        message = shell_witness_violation(drawing, broken)
+    assert message is not None
+    monkeypatch.setattr(cli, search, lambda *args, **kwargs: broken)
+    out = tmp_path / "k8.wit"
+    with pytest.raises(WitnessInvalid) as info:
+        main(["check", str(path), "--mode", mode, *extra, "--witness-out", str(out)])
+    assert str(info.value) == message
+    assert capsys.readouterr().out == ""
+    assert not out.exists()

@@ -1,17 +1,25 @@
-"""Golden pins: serialized bytes and seeded CLI output of a fixed corpus.
+"""Golden pins: serialized bytes, search witnesses and seeded output.
 
 The hashes were recorded on the exact-`Fraction` planarization; any
 change to planarization, map assembly or serialization that alters a
-single byte of these files fails here.
+single byte of these files fails here.  The witnesses pin the
+deterministic search order of the shell and bishell searches.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from kncross.cli import main
 from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
-from kncross.io import serialize
+from kncross.io import serialize, serialize_witness
+from kncross.shelling import BishellWitness, ShellWitness, check_bishellable, check_s_shellable
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = [
     (gen_random_points, (7, 1), "map",
@@ -61,3 +69,73 @@ def test_hunt_output_pinned(capsys):
                "--target", "optimal"])
     assert rc == 0
     assert capsys.readouterr().out == "trials=100 distinct=37 matches=1\n  seed=113 cr=9\n"
+
+
+# ---------------------------------------------------------------------------
+# shell and bishell witnesses, recorded on the search that rebuilt a
+# deletion view per node and replayed pair decidability per candidate
+# ---------------------------------------------------------------------------
+
+# K_12 drawings that are 4-bishellable but not 6-shellable
+CERTIFY_WITNESSES = [
+    (502, b"kncross-witness v1\nbishell\nface 0 3\na: 0 1 3 2 4\nb: 5 8 9 2 1\n"),
+    (505, b"kncross-witness v1\nbishell\nface 2 0\na: 2 1 5 6 0\nb: 3 0 8 5 1\n"),
+    (511, b"kncross-witness v1\nbishell\nface 4 9\na: 4 2 6 0 1\nb: 9 3 0 7 2\n"),
+    (567, b"kncross-witness v1\nbishell\nface 2 3\na: 2 4 1 6 7\nb: 3 0 7 8 4\n"),
+    (629, b"kncross-witness v1\nbishell\nface 2 9\na: 2 3 10 8 0\nb: 9 5 4 7 3\n"),
+]
+
+
+@pytest.mark.parametrize("seed, blob", CERTIFY_WITNESSES,
+                         ids=[str(seed) for seed, _ in CERTIFY_WITNESSES])
+def test_certify_witnesses_pinned(seed, blob):
+    d = gen_random_points(12, seed)
+    assert serialize_witness(d, check_bishellable(d, 4)) == blob
+    assert check_s_shellable(d, 6) is None
+
+
+def test_convex_shell_witness_pinned():
+    assert check_s_shellable(gen_convex(8), 4) == ShellWitness(face=0, seq=(0, 2, 3, 1))
+
+
+CYLINDRICAL_WITNESSES = {
+    9: BishellWitness(face=0, a_seq=(0, 4, 3), b_seq=(1, 2, 3)),
+    10: BishellWitness(face=0, a_seq=(0, 4, 3, 2), b_seq=(1, 2, 3, 4)),
+    11: BishellWitness(face=0, a_seq=(0, 5, 4, 3), b_seq=(1, 2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CYLINDRICAL_WITNESSES))
+def test_cylindrical_bishell_witness_pinned(n):
+    assert check_bishellable(gen_cylindrical(n), n // 2 - 2) == CYLINDRICAL_WITNESSES[n]
+
+
+DEMO_02_STDOUT = """\
+convex K8: searching a shell witness of length floor(n/2) = 4
+  found: ShellWitness(face=0, seq=(0, 2, 3, 1)) verifies: True
+  transformed to order 2 bishell witness: BishellWitness(face=0, a_seq=(0, 2, 3), b_seq=(1, 3, 2))
+  verifies: True
+  truncated to order 1: verifies True
+  truncated to order 0: verifies True
+
+cylindrical drawings are bishellable; the k-edge bounds follow:
+  K9: witness a=(0, 4, 3) b=(1, 2, 3) E<=<= [3, 12, 30] >= [3, 12, 30] cr=36 >= H=36
+  K10: witness a=(0, 4, 3, 2) b=(1, 2, 3, 4) E<=<= [3, 12, 30, 60] >= [3, 12, 30, 60] cr=60 >= H=60
+  K11: witness a=(0, 5, 4, 3) b=(1, 2, 3, 4) E<=<= [3, 12, 30, 60] >= [3, 12, 30, 60] cr=100 >= H=100
+
+proof-accounting diagnostics for the K11 witness:
+  a0 contribution 20 >= 20; invariant edges 16 >= 10
+
+sufficient conditions from uncrossed subgraphs:
+  convex K8: longest uncrossed cycle 8, path 7 -> shellable=True, bishellable=True
+  cylindrical K10: longest uncrossed cycle 5, path 4 -> shellable=True, bishellable=True
+"""
+
+
+def test_demo_02_output_pinned(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / "02_shellability.py")],
+                            cwd=tmp_path, env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == DEMO_02_STDOUT

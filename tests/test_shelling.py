@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from kncross.drawing import delete_view, reference_class_vertices
-from kncross.generators import gen_convex, gen_cylindrical
+from kncross.drawing import DeletionView, delete_view, reference_class_vertices
+from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
 from kncross.kedges import double_cumulative_bound_holds, hill_number
 from kncross.shelling import (
     BishellWitness,
@@ -13,6 +13,7 @@ from kncross.shelling import (
     bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
+    first_shell_witness,
     invariant_edge_report,
     is_bishellable,
     is_shellable,
@@ -23,6 +24,8 @@ from kncross.shelling import (
     verify_bishell_witness,
     verify_shell_witness,
 )
+
+from conftest import child_view_bishell, loop_incident, replay_shell_search
 
 
 def naive_bishellable(drawing, s):
@@ -247,3 +250,91 @@ def test_search_is_deterministic():
     c = check_s_shellable(gen_convex(8), 4)
     d = check_s_shellable(gen_convex(8), 4)
     assert c == d
+
+
+# ---------------------------------------------------------------------------
+# the memoised searches and incidence tables against their slow paths
+# ---------------------------------------------------------------------------
+
+
+ORACLE_DRAWINGS = {
+    "convex6": lambda: gen_convex(6),
+    "convex7": lambda: gen_convex(7),
+    "cylindrical7": lambda: gen_cylindrical(7),
+    "cylindrical8": lambda: gen_cylindrical(8),
+    "random8": lambda: gen_random_points(8, 4),
+    "random9": lambda: gen_random_points(9, 2),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_DRAWINGS)
+def test_shell_search_matches_replay_oracle_at_every_face(name):
+    d = ORACLE_DRAWINGS[name]()
+    for s in (2, d.n // 2, d.n // 2 + 1):
+        for f in range(d.face_count):
+            assert check_s_shellable(d, s, face=f) == replay_shell_search(d, s, face=f)
+        assert check_s_shellable(d, s) == replay_shell_search(d, s)
+
+
+@pytest.mark.parametrize("name", ORACLE_DRAWINGS)
+def test_bishell_search_matches_child_view_oracle_at_every_face(name):
+    d = ORACLE_DRAWINGS[name]()
+    for s in range(d.n // 2):
+        for f in range(d.face_count):
+            assert check_bishellable(d, s, face=f) == child_view_bishell(d, s, face=f)
+        assert check_bishellable(d, s) == child_view_bishell(d, s)
+
+
+def test_searches_match_oracles_on_vertexless_face():
+    d6 = gen_convex(6)
+    vertexless = next(f for f in range(d6.face_count)
+                      if not any(f in row for row in d6.out_left_face))
+    for s in (2, 3, 4):
+        assert check_s_shellable(d6, s, face=vertexless) is None
+        assert replay_shell_search(d6, s, face=vertexless) is None
+    for s in (0, 1, 2):
+        assert check_bishellable(d6, s, face=vertexless) is None
+        assert child_view_bishell(d6, s, face=vertexless) is None
+
+
+def test_first_shell_witness_matches_loop_over_s():
+    for d in (gen_convex(7), gen_cylindrical(8), gen_random_points(9, 2)):
+        looped = None
+        for s in range(d.n // 2, d.n + 1):
+            looped = check_s_shellable(d, s)
+            if looped is not None:
+                break
+        assert first_shell_witness(d) == looped
+        assert is_shellable(d) == (looped is not None)
+
+
+@pytest.mark.parametrize("which", ["convex7", "random8"])
+def test_incidence_mask_matches_loop(which):
+    d = gen_convex(7) if which == "convex7" else gen_random_points(8, 4)
+    views = {}
+    for size in range(3):
+        for deleted in itertools.combinations(range(d.n), size):
+            deleted = frozenset(deleted)
+            view = views[deleted] = DeletionView(d, deleted)
+            classes = view.uf.flatten()
+            for face in range(d.face_count):
+                expect = {u for u in range(d.n) if u not in deleted
+                          and loop_incident(d, classes, face, u, deleted)}
+                mask = view.incident_mask(face)
+                assert {u for u in range(d.n) if mask >> u & 1} == expect
+                assert reference_class_vertices(view, face) == expect
+            for v in deleted:
+                rest = deleted - {v}
+                grown = DeletionView.extended(d, rest, views[rest].incidence().classes, v)
+                assert grown.deleted == deleted
+                # root labels depend on the union order; the masks do not
+                assert all(grown.incident_mask(f) == view.incident_mask(f)
+                           for f in range(d.face_count))
+
+
+def test_incidence_mask_empty_with_one_survivor():
+    d = gen_cylindrical(7)
+    for keep in range(d.n):
+        view = DeletionView(d, frozenset(range(d.n)) - {keep})
+        assert all(view.incident_mask(f) == 0 for f in range(d.face_count))
+        assert view.incidence().by_root == {}
