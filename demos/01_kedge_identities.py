@@ -28,8 +28,8 @@ from kncross import (
 def show(label, drawing):
     vec = k_edge_vector(drawing)
     sums = cumulative_sums(vec)
-    eq3 = crossings_from_k_edges(drawing)
-    eq5 = crossings_from_cumulative(drawing)
+    eq3 = crossings_from_k_edges(drawing.n, vec)
+    eq5 = crossings_from_cumulative(drawing.n, vec)
     ok = "ok" if eq3 == eq5 == drawing.crossings else "MISMATCH"
     print(f"{label:16s} cr={drawing.crossings:4d} H={hill_number(drawing.n):4d} "
           f"E={list(vec.counts)} E<=<= {list(sums.double)}  [{ok}]")
@@ -56,4 +56,4 @@ for face in range(d.face_count):
     refd = d.with_reference(face)
     vec = k_edge_vector(refd)
     print(f"  crossed K4, face {face}: E={list(vec.counts)} "
-          f"cr(identity)={crossings_from_k_edges(refd)}")
+          f"cr(identity)={crossings_from_k_edges(refd.n, vec)}")

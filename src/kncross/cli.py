@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success / property holds, 1 clean negative answer (for
-example "not bishellable"), 2 input or usage errors.
+example "not bishellable"), 2 input or usage errors, 3 internal error: a
+search produced a witness the verifier refuses.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ def _analyze(args) -> int:
     drawing = _load(args.file)
     vec = k_edge_vector(drawing)
     sums = cumulative_sums(vec)
-    eq3 = crossings_from_k_edges(drawing)
-    eq5 = crossings_from_cumulative(drawing)
+    eq3 = crossings_from_k_edges(drawing.n, vec)
+    eq5 = crossings_from_cumulative(drawing.n, vec)
     census = k4_census(drawing)
     identity = eq3 == eq5 == drawing.crossings
     if args.json:
@@ -271,6 +272,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WitnessInvalid as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

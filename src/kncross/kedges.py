@@ -119,22 +119,20 @@ def hill_number(n: int) -> int:
     return (n // 2) * ((n - 1) // 2) * ((n - 2) // 2) * ((n - 3) // 2) // 4
 
 
-def crossings_from_k_edges(drawing: Drawing) -> int:
-    """3*C(n,4) minus the weighted k-edge sum; equals the crossing count."""
-    n = drawing.n
-    vec = k_edge_vector(drawing).counts
-    weighted = sum(k * (n - 2 - k) * ek for k, ek in enumerate(vec))
+def crossings_from_k_edges(n: int, vector: KEdgeVector) -> int:
+    """3*C(n,4) minus the weighted k-edge sum; equals the crossing count
+    of the K_n drawing whose k-edge vector is `vector`."""
+    weighted = sum(k * (n - 2 - k) * ek for k, ek in enumerate(vector.counts))
     return 3 * comb(n, 4) - weighted
 
 
-def crossings_from_cumulative(drawing: Drawing) -> int:
-    """Crossing count from the double cumulative sums.
+def crossings_from_cumulative(n: int, vector: KEdgeVector) -> int:
+    """Crossing count from the double cumulative sums of `vector`.
 
     2 * sum_{k<=floor(n/2)-2} E_{<=<=k} - C(n,2)*floor((n-2)/2)/2
     - (1+(-1)^n)/2 * E_{<=<=floor(n/2)-2}.
     """
-    n = drawing.n
-    sums = cumulative_sums(k_edge_vector(drawing)).double
+    sums = cumulative_sums(vector).double
     top = n // 2 - 2
     body = 2 * sum(sums[k] for k in range(top + 1))
     middle = comb(n, 2) * ((n - 2) // 2) // 2  # always integral

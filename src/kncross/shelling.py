@@ -17,12 +17,24 @@ searches and verifiers look it up in a memo keyed by that set (as a
 vertex bitmask) whose values are `DeletionView.incidence` tables.  One
 memo serves every face and both sequences of a bishell search, and
 every face and every s of a shell search.  A set's view is grown from
-the memoised table of the set minus one vertex when there is one.  The
-shell search fills positions outside-in on a schedule fixed by s:
-`schedule[step]` lists the pairs (r,t) first decided at that step, so
-each candidate checks only those.  `kncross check` re-verifies every
-witness with the verifier before it prints or writes it, and raises
-WitnessInvalid instead when the verifier refuses it.
+the memoised table of the set minus one vertex when there is one.
+
+The shell search fills positions outside-in (v_1, v_s, v_2, ...) on a
+schedule fixed by s: `schedule[step]` lists the pairs (r,t) first
+decided at that step.  In an *early* check the new position is v_r or
+v_t, so its deleted set is fixed before the step: it is evaluated once
+per search node, fails the node when the endpoint already placed is not
+incident, and otherwise narrows the candidate mask to the incident
+vertices.  A *late* check deletes the new position; these only occur at
+the last step and run per remaining candidate.  The search also keeps
+only v_1 < v_s: reversing a witness maps pair (r,t) to (s+1-t, s+1-r)
+with the same deleted set and endpoints, so the reverse of a witness is
+one, and the first witness in fill order always has v_1 < v_s.  Neither
+rule changes which sequences are accepted or the order they are tried
+in, so the witnesses and refusals are those of trying every vertex
+against every check.  `kncross check` re-verifies every witness with
+the verifier before it prints or writes it, and exits 3 instead when
+the verifier refuses it.
 """
 
 from __future__ import annotations
@@ -349,17 +361,25 @@ def _shell_search(drawing: Drawing, lengths: Sequence[int], face: Optional[int],
     return None
 
 
-# A pair check of the shell schedule: the positions r-1 and t-1 of v_r and
-# v_t, and the positions deleted for the pair (prefix and suffix).
-PairCheck = Tuple[int, int, Tuple[int, ...]]
+# Pair checks of the shell schedule, by the positions they read.  An early
+# check's deleted set is fixed before its step, and the new position is one
+# endpoint: (position of the other endpoint, deleted positions).  A late
+# check deletes the new position: (positions of both endpoints, deleted
+# positions other than the new one).
+EarlyCheck = Tuple[int, Tuple[int, ...]]
+LateCheck = Tuple[int, int, Tuple[int, ...]]
+Step = Tuple[List[EarlyCheck], List[LateCheck]]
 
 
-def _shell_schedule(s: int) -> Tuple[List[int], List[List[PairCheck]]]:
+def _shell_schedule(s: int) -> Tuple[List[int], List[Step]]:
     """Outside-in fill order, and per step the pairs it makes decidable.
 
     A pair (r,t) is decidable once v_1..v_r and v_t..v_s are assigned;
-    `schedule[step]` lists the pairs that first become decidable when
-    position `fill_order[step]` is filled, in `combinations` order.
+    `schedule[step]` holds the pairs that first become decidable when
+    position `pos = fill_order[step]` is filled, in `combinations`
+    order, split into early checks (pos is v_r or v_t) and late checks
+    (pos is deleted).  Late checks only occur at the last step, where
+    the prefix and the suffix meet.
     """
     fill_order: List[int] = []
     lo, hi = 0, s - 1
@@ -369,7 +389,7 @@ def _shell_schedule(s: int) -> Tuple[List[int], List[List[PairCheck]]]:
             fill_order.append(hi)
         lo += 1
         hi -= 1
-    schedule: List[List[PairCheck]] = []
+    schedule: List[Step] = []
     filled: Set[int] = set()
     pending = list(itertools.combinations(range(1, s + 1), 2))
     for pos in fill_order:
@@ -377,33 +397,55 @@ def _shell_schedule(s: int) -> Tuple[List[int], List[List[PairCheck]]]:
         now = [(r, t) for r, t in pending
                if filled.issuperset(range(r)) and filled.issuperset(range(t - 1, s))]
         pending = [pair for pair in pending if pair not in now]
-        schedule.append([(r - 1, t - 1, tuple(range(r - 1)) + tuple(range(t, s)))
-                         for r, t in now])
+        early: List[EarlyCheck] = []
+        late: List[LateCheck] = []
+        for r, t in now:
+            cut = tuple(range(r - 1)) + tuple(range(t, s))
+            if pos in cut:
+                late.append((r - 1, t - 1, tuple(i for i in cut if i != pos)))
+            else:
+                early.append((t - 1 if pos == r - 1 else r - 1, cut))
+        schedule.append((early, late))
     return fill_order, schedule
 
 
 def _shell_dfs(drawing: Drawing, face: int, seq: List[int], fill_order: List[int],
-               schedule: List[List[PairCheck]], step: int, used: int,
-               memo: Memo) -> bool:
-    """Fill `seq` from `step` on; True with `seq` complete on success."""
+               schedule: List[Step], step: int, used: int, memo: Memo) -> bool:
+    """Fill `seq` from `step` on; True with `seq` complete on success.
+
+    The early checks narrow the candidates to one mask per node; only
+    the candidates left run the late checks.  Candidates are tried in
+    ascending order, so this accepts and orders them exactly as trying
+    every vertex against every check would.
+    """
     if step == len(fill_order):
         return True  # all pairs were checked along the way
+    early, late = schedule[step]
+    candidates = ~used & ((1 << drawing.n) - 1)
+    if step == 1:
+        # v_s > v_1: a witness reversed is a witness, and the first one in
+        # fill order (v_1, v_s, ...) is never the larger of the two
+        candidates &= -2 << seq[0]
+    for other, cut in early:
+        if not candidates:
+            return False
+        deleted = _vertex_mask([seq[i] for i in cut])
+        incident = _incident_mask(drawing, deleted, face, memo)
+        if not incident >> seq[other] & 1:
+            return False
+        candidates &= incident
+    late_masks = [(1 << seq[r] | 1 << seq[t], _vertex_mask([seq[i] for i in cut]))
+                  for r, t, cut in late]
     pos = fill_order[step]
-    checks = schedule[step]
-    for v in range(drawing.n):
-        if used >> v & 1:
-            continue
+    for v in _bits(candidates):
         seq[pos] = v
-        for r, t, cut in checks:
-            deleted = 0
-            for i in cut:
-                deleted |= 1 << seq[i]
-            incident = _incident_mask(drawing, deleted, face, memo)
-            if not (incident >> seq[r] & 1 and incident >> seq[t] & 1):
+        bit = 1 << v
+        for ends, deleted in late_masks:
+            if _incident_mask(drawing, deleted | bit, face, memo) & ends != ends:
                 break
         else:
             if _shell_dfs(drawing, face, seq, fill_order, schedule, step + 1,
-                          used | 1 << v, memo):
+                          used | bit, memo):
                 return True
     return False
 

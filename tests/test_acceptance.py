@@ -99,10 +99,11 @@ def test_criterion_04_crossing_identities(cylindrical_family, convex_family,
               + list(convex_family.values()) + random_family)
     for drawing in corpus:
         cr = drawing.crossings
-        assert crossings_from_k_edges(drawing) == cr
-        assert crossings_from_cumulative(drawing) == cr
+        vector = k_edge_vector(drawing)
+        assert crossings_from_k_edges(drawing.n, vector) == cr
+        assert crossings_from_cumulative(drawing.n, vector) == cr
         census = k4_census(drawing)
-        vec = k_edge_vector(drawing).counts
+        vec = vector.counts
         n = drawing.n
         weighted = sum(k * (n - 2 - k) * ek for k, ek in enumerate(vec))
         assert 3 * census.planar + 2 * census.crossed == weighted

@@ -223,7 +223,7 @@ def test_check_reverifies_witness_before_emitting(tmp_path, capsys, monkeypatch,
                                                   mode, extra, search):
     import kncross.cli as cli
     from kncross.io import parse
-    from kncross.shelling import (BishellWitness, ShellWitness, WitnessInvalid,
+    from kncross.shelling import (BishellWitness, ShellWitness,
                                   bishell_witness_violation, shell_witness_violation)
 
     path = tmp_path / "k8.pts"
@@ -240,8 +240,9 @@ def test_check_reverifies_witness_before_emitting(tmp_path, capsys, monkeypatch,
     assert message is not None
     monkeypatch.setattr(cli, search, lambda *args, **kwargs: broken)
     out = tmp_path / "k8.wit"
-    with pytest.raises(WitnessInvalid) as info:
-        main(["check", str(path), "--mode", mode, *extra, "--witness-out", str(out)])
-    assert str(info.value) == message
-    assert capsys.readouterr().out == ""
+    code, stdout, stderr = run(capsys, "check", str(path), "--mode", mode, *extra,
+                               "--witness-out", str(out))
+    assert code == 3
+    assert stderr == f"error: {message}\n"
+    assert stdout == ""
     assert not out.exists()

@@ -18,6 +18,7 @@ from kncross.shelling import (
     is_bishellable,
     is_shellable,
     shell_to_bishell,
+    shell_witness_violation,
     shelling_sequences,
     sufficient_conditions,
     truncate_bishell,
@@ -283,6 +284,47 @@ def test_bishell_search_matches_child_view_oracle_at_every_face(name):
         for f in range(d.face_count):
             assert check_bishellable(d, s, face=f) == child_view_bishell(d, s, face=f)
         assert check_bishellable(d, s) == child_view_bishell(d, s)
+
+
+@pytest.mark.parametrize("name", ORACLE_DRAWINGS)
+def test_shell_witness_reversal_symmetry(name):
+    # the search keeps only v_1 < v_s; that loses nothing because the
+    # reverse of a witness is a witness
+    d = ORACLE_DRAWINGS[name]()
+    memo = {}
+    for s in (2, d.n // 2, d.n // 2 + 1):
+        for f in range(d.face_count):
+            witness = check_s_shellable(d, s, face=f)
+            if witness is None:
+                continue
+            assert witness.seq[0] < witness.seq[-1]
+            reverse = ShellWitness(f, witness.seq[::-1])
+            assert shell_witness_violation(d, reverse, memo) is None
+
+
+def test_shell_refusals_match_replay_oracle():
+    d = gen_random_points(10, 1)
+    found = [check_s_shellable(d, 5, face=f) for f in range(d.face_count)]
+    assert found == [replay_shell_search(d, 5, face=f) for f in range(d.face_count)]
+    assert sum(w is None for w in found) == 183
+    d = gen_random_points(12, 502)
+    assert check_s_shellable(d, 6) is None
+    assert replay_shell_search(d, 6) is None
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (8, 12, 16) for seed in range(1, 6)]
+                         + [(11, None)])
+def test_sorted_points_are_an_n_shell_witness(n, seed):
+    # deleting a prefix and a suffix of the (x, y)-sorted vertices leaves
+    # v_r leftmost and v_t rightmost, both on the hull: the unbounded face
+    d = gen_convex(n) if seed is None else gen_random_points(n, seed)
+    points = d.geometry.points
+    order = tuple(sorted(range(n), key=lambda v: (points[v].x, points[v].y)))
+    assert shell_witness_violation(d, ShellWitness(d.reference_face, order)) is None
+    if n <= 10:
+        witness = check_s_shellable(d, n, face=d.reference_face)
+        assert witness is not None
+        assert shell_witness_violation(d, witness) is None
 
 
 def test_searches_match_oracles_on_vertexless_face():
