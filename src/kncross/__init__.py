@@ -16,7 +16,6 @@ from .drawing import (
     K4Census,
     NotGoodDrawing,
     build_drawing,
-    crossing_count,
     delete_view,
     k4_census,
     reference_class_vertices,
@@ -66,7 +65,7 @@ __all__ = [
     "InvariantEdgeReport", "K4Census", "KEdgeVector", "MalformedWitness",
     "NoGeometry", "NotGoodDrawing", "ParseError", "Point", "ShellWitness",
     "TwoPageSpec", "WitnessInvalid", "build_drawing", "check_bishellable",
-    "check_s_shellable", "circle_point", "crossing_count",
+    "check_s_shellable", "circle_point",
     "crossings_from_cumulative", "crossings_from_k_edges", "cumulative_sums",
     "delete_view", "double_cumulative_bound_holds", "export_svg",
     "first_shell_witness", "gen_convex",

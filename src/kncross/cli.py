@@ -8,6 +8,7 @@ search produced a witness the verifier refuses.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -209,7 +210,9 @@ def _export_svg(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args fills a fresh namespace every call
     parser = argparse.ArgumentParser(
         prog="kncross",
         description="good drawings of complete graphs: k-edges, crossing "

@@ -5,8 +5,11 @@ crossing into a degree-4 node.  Nodes are integers: real vertices are
 0..n-1 and crossing k is n+k.  Every planarized segment contributes a
 pair of twin darts; dart 2i runs along segment i of its edge in the
 stored path direction (from the smaller endpoint to the larger), dart
-2i+1 is its twin.  `rot_next` is the next dart counterclockwise around
-the origin node, and faces are the orbits of the face walk successor
+2i+1 is its twin.  `build_drawing` keeps one out-dart table, the first
+dart leaving u along uw for every u and w, reads the vertex rotations
+and the crossing orientation bits through it into `rot_next`, the next
+dart counterclockwise around the origin node, and takes faces as the
+orbits of the face walk successor
 
     succ(d) = rot_next(twin(d)).
 
@@ -16,11 +19,21 @@ of twin(d); every left/right statement below refers to that table.  The
 map lives on the sphere: the unbounded face of a geometric input is an
 ordinary face, merely remembered as the reference.
 
+`rot_next` and the orbits live only during construction.  A Drawing keeps
+what the rest of the package reads: the edges, their crossing paths and
+the crossing pairs, the dart layout (`dart_base`, `dart_count`) with
+`dart_face`, the face count, the left and right face of every segment
+(`seg_faces`), the face left of every out-dart (`out_left_face`), the
+parity masks below and the reference face.
+
 Crossing a segment of edge e from one face into the next flips bit e of
 `face_parity`, a mask per face fixed by one walk over the dual graph.
 The masks depend on the walk (a loop around a vertex flips the bits of
 all its edges), but the parity summed over the edges of a cycle of K_n
 does not; the side-of oracle in `kedges` reads it off.
+
+The K4 census counts the distinct endpoint 4-sets of the crossing pairs,
+in O(crossings).
 
 Deletion of real vertices never rebuilds the map.  A DeletionView keeps
 a union-find over the base faces: removing an edge unions the two faces
@@ -160,9 +173,8 @@ class Drawing:
     vertex_rotations: Tuple[Tuple[int, ...], ...]  # ccw neighbor cycle per vertex
     dart_base: Tuple[int, ...]                    # first dart id per edge
     dart_count: int
-    rot_next: Tuple[int, ...]
     dart_face: Tuple[int, ...]                    # face on the left of each dart
-    face_darts: Tuple[Tuple[int, ...], ...]
+    face_count: int
     reference_face: int
     seg_faces: Tuple[Tuple[Tuple[int, int], ...], ...]  # per edge: (left, right) per segment
     out_left_face: Tuple[Tuple[int, ...], ...]    # [u][w]: face left of first dart u->w
@@ -174,10 +186,6 @@ class Drawing:
     @property
     def crossings(self) -> int:
         return len(self.crossing_edges)
-
-    @property
-    def face_count(self) -> int:
-        return len(self.face_darts)
 
     def edge_id(self, u: int, v: int) -> int:
         if u > v:
@@ -199,11 +207,6 @@ class Drawing:
         if not 0 <= face < self.face_count:
             raise ValueError(f"face {face} out of range")
         return replace(self, reference_face=face)
-
-
-def crossing_count(drawing: Drawing) -> int:
-    """Number of crossing nodes of the planarized map."""
-    return drawing.crossings
 
 
 # ---------------------------------------------------------------------------
@@ -273,48 +276,41 @@ def build_drawing(
             raise EdgePathInconsistent(
                 f"rotation at {u} is not a permutation of the other vertices")
 
-    # dart layout: per edge, (forward, backward) per segment
+    # dart layout: per edge, (forward, backward) per segment.  out_dart[u][w]
+    # is the first dart leaving u along edge uw: the forward dart of the
+    # first segment when u < w, the backward dart of the last one otherwise.
     dart_base: List[int] = []
+    out_dart = [[-1] * n for _ in range(n)]
     total = 0
-    for path in paths:
+    for (u, v), path in zip(edges, paths):
         dart_base.append(total)
+        out_dart[u][v] = total
         total += 2 * (len(path) + 1)
+        out_dart[v][u] = total - 1
 
-    def fwd(eid: int, seg: int) -> int:
-        return dart_base[eid] + 2 * seg
-
-    def first_dart(u: int, w: int) -> int:
-        a, b = (u, w) if u < w else (w, u)
-        eid = a * n - a * (a + 1) // 2 + (b - a - 1)
-        if u < w:
-            return dart_base[eid]
-        return dart_base[eid] + 2 * len(paths[eid]) + 1
-
-    rot_next = [-1] * total
-
-    def set_next(d: int, e: int) -> None:
-        if rot_next[d] != -1:
-            raise EdgePathInconsistent("rotation assigns a dart twice")
-        rot_next[d] = e
-
-    for u, rot in enumerate(vertex_rotations):
-        darts = [first_dart(u, w) for w in rot]
-        for i, d in enumerate(darts):
-            set_next(d, darts[(i + 1) % len(darts)])
-
-    for k, us in enumerate(usage):
-        (e1, p1), (e2, p2) = sorted(us)
-        e_fwd = fwd(e1, p1 + 1)
-        e_bwd = fwd(e1, p1) + 1
-        f_fwd = fwd(e2, p2 + 1)
-        f_bwd = fwd(e2, p2) + 1
+    # counterclockwise dart cycles around every node; rot_next[d] is the
+    # dart after d around its origin
+    cycles = [[row[w] for w in rot]
+              for row, rot in zip(out_dart, vertex_rotations)]
+    for k, ((e1, p1), (e2, p2)) in enumerate(usage):
+        # usage[k] lists its two edges in ascending order: e1 is the first.
+        # Crossing k ends segment p of an edge and starts segment p+1, so
+        # the darts leaving it are seg + 2 (forward along p+1) and seg + 1
+        # (backward along p), seg being the forward dart of segment p.
+        e_seg = dart_base[e1] + 2 * p1
+        f_seg = dart_base[e2] + 2 * p2
         if crossing_orientations[k] == "+":
-            cycle = (e_fwd, f_fwd, e_bwd, f_bwd)
+            cycles.append((e_seg + 2, f_seg + 2, e_seg + 1, f_seg + 1))
         else:
-            cycle = (e_fwd, f_bwd, e_bwd, f_fwd)
-        for i, d in enumerate(cycle):
-            set_next(d, cycle[(i + 1) % 4])
-
+            cycles.append((e_seg + 2, f_seg + 1, e_seg + 1, f_seg + 2))
+    rot_next = [-1] * total
+    for cycle in cycles:
+        prev = cycle[-1]
+        for d in cycle:
+            if rot_next[prev] != -1:
+                raise EdgePathInconsistent("rotation assigns a dart twice")
+            rot_next[prev] = d
+            prev = d
     if -1 in rot_next:
         raise EdgePathInconsistent("some dart never appears in a rotation")
 
@@ -323,11 +319,11 @@ def build_drawing(
     # the RIGHT of its darts, so the face to the left of d is the orbit of
     # its twin.
     orbit = [-1] * total
-    face_darts: List[Tuple[int, ...]] = []
+    walks: List[List[int]] = []
     for d0 in range(total):
         if orbit[d0] != -1:
             continue
-        fid = len(face_darts)
+        fid = len(walks)
         walk = []
         d = d0
         while orbit[d] == -1:
@@ -336,43 +332,39 @@ def build_drawing(
             d = rot_next[d ^ 1]
         if d != d0:
             raise EdgePathInconsistent("face walk does not close")
-        face_darts.append(tuple(walk))
+        walks.append(walk)
     dart_face = [orbit[d ^ 1] for d in range(total)]
+    face_count = len(walks)
 
     nodes = n + c
     nedges = len(edges) + 2 * c
-    if nodes - nedges + len(face_darts) != 2:
+    if nodes - nedges + face_count != 2:
         raise EulerViolation(
-            f"V-E+F = {nodes}-{nedges}+{len(face_darts)} != 2")
+            f"V-E+F = {nodes}-{nedges}+{face_count} != 2")
 
     ru, rv = reference
     if ru == rv or not (0 <= ru < n and 0 <= rv < n):
         raise ValueError(f"bad reference dart ({ru},{rv})")
-    reference_face = dart_face[first_dart(ru, rv)]
+    reference_face = dart_face[out_dart[ru][rv]]
 
     seg_faces = tuple(
-        tuple((dart_face[fwd(eid, s)], dart_face[fwd(eid, s) + 1])
-              for s in range(len(paths[eid]) + 1))
-        for eid in range(len(edges))
+        tuple(zip(dart_face[base:end:2], dart_face[base + 1:end:2]))
+        for base, end in zip(dart_base, dart_base[1:] + [total])
     )
     out_left = tuple(
-        tuple(dart_face[first_dart(u, w)] if w != u else -1 for w in range(n))
-        for u in range(n)
-    )
-    crossing_edge_pairs = tuple(
-        (min(us[0][0], us[1][0]), max(us[0][0], us[1][0])) for us in usage)
+        tuple(dart_face[d] if d != -1 else -1 for d in row) for row in out_dart)
 
     # dual walk from face 0: stepping across a segment of edge e flips bit
     # e.  The darts of a face's orbit have it on their right, so each leads
     # to the face on its left.
     dart_edge = [eid for eid, path in enumerate(paths)
                  for _ in range(2 * (len(path) + 1))]
-    parity: List[Optional[int]] = [None] * len(face_darts)
+    parity: List[Optional[int]] = [None] * face_count
     parity[0] = 0
     stack = [0]
     while stack:
         f = stack.pop()
-        for d in face_darts[f]:
+        for d in walks[f]:
             g = dart_face[d]
             if parity[g] is None:
                 parity[g] = parity[f] ^ (1 << dart_edge[d])
@@ -384,14 +376,13 @@ def build_drawing(
         n=n,
         edges=tuple(edges),
         edge_paths=tuple(paths),
-        crossing_edges=crossing_edge_pairs,
+        crossing_edges=tuple((e1, e2) for (e1, _), (e2, _) in usage),
         orientation_bits=tuple(crossing_orientations),
         vertex_rotations=tuple(tuple(r) for r in vertex_rotations),
         dart_base=tuple(dart_base),
         dart_count=total,
-        rot_next=tuple(rot_next),
         dart_face=tuple(dart_face),
-        face_darts=tuple(face_darts),
+        face_count=face_count,
         reference_face=reference_face,
         seg_faces=seg_faces,
         out_left_face=out_left,
@@ -652,15 +643,12 @@ def weak_iso_equal(r1: RotationSystem, r2: RotationSystem,
 def k4_census(drawing: Drawing) -> K4Census:
     """Count planar vs crossed K4 subdrawings.
 
-    In a good drawing each K4 carries at most one crossing, so the
-    crossed count equals the crossing number.
+    A K4 is crossed when two of its edges cross, and those two edges
+    are disjoint, since construction refuses adjacent crossings.  So the
+    crossed K4s are the distinct endpoint 4-sets of the crossing pairs,
+    counted in O(crossings).  In a good drawing each K4 carries at most
+    one crossing, so the crossed count equals the crossing number.
     """
-    crossing_pairs = {frozenset(pair) for pair in drawing.crossing_edges}
-    eid = drawing.edge_id
-    crossed = 0
-    for a, b, c, d in itertools.combinations(range(drawing.n), 4):
-        if (frozenset((eid(a, b), eid(c, d))) in crossing_pairs
-                or frozenset((eid(a, c), eid(b, d))) in crossing_pairs
-                or frozenset((eid(a, d), eid(b, c))) in crossing_pairs):
-            crossed += 1
+    ends = [1 << u | 1 << v for u, v in drawing.edges]
+    crossed = len({ends[e1] | ends[e2] for e1, e2 in drawing.crossing_edges})
     return K4Census(planar=comb(drawing.n, 4) - crossed, crossed=crossed)

@@ -80,6 +80,14 @@ def _int(token: str, line: int) -> int:
         raise ParseError(line, f"bad integer {token!r}") from None
 
 
+def _ints(tokens: Sequence[str], line: int) -> Tuple[int, ...]:
+    """All tokens as integers; a bad one is reported as `_int` reports it."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        return tuple(_int(token, line) for token in tokens)
+
+
 def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -139,7 +147,7 @@ def _parse_twopage(n: int, body: List[Tuple[int, str]]) -> Drawing:
         if parts[0] == "order":
             if order is not None:
                 raise ParseError(no, "duplicate order line")
-            order = tuple(_int(p, no) for p in parts[1:])
+            order = _ints(parts[1:], no)
         elif parts[0] == "e":
             if len(parts) != 4 or parts[3] not in ("T", "B"):
                 raise ParseError(no, "expected 'e <u> <v> <T|B>'")
@@ -175,7 +183,7 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
             u = _int(parts[1], no)
             if u in rotations:
                 raise ParseError(no, f"duplicate rotation for {u}")
-            rotations[u] = tuple(_int(p, no) for p in parts[3:])
+            rotations[u] = _ints(parts[3:], no)
         elif parts[0] == "e":
             if len(parts) < 4 or parts[3] != ":":
                 raise ParseError(no, "expected 'e <u> <v> : <crossings>'")
@@ -184,7 +192,7 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
                 raise ParseError(no, "edge lines must be ordered u < v")
             if (u, v) in paths:
                 raise ParseError(no, f"duplicate edge line {u} {v}")
-            paths[(u, v)] = tuple(_int(p, no) for p in parts[4:])
+            paths[(u, v)] = _ints(parts[4:], no)
         elif parts[0] == "x":
             if len(parts) != 4 or parts[2] != ":" or parts[3] not in ("+", "-"):
                 raise ParseError(no, "expected 'x <k> : <+|->'")
@@ -302,7 +310,7 @@ def parse_witness(data: Union[bytes, str],
         key = parts[0][0]
         if key in seqs:
             raise ParseError(no, f"duplicate {parts[0]} line")
-        seq = tuple(_int(p, no) for p in parts[1:])
+        seq = _ints(parts[1:], no)
         if len(set(seq)) != len(seq):
             raise ParseError(no, f"duplicate vertex in {parts[0]} sequence")
         for v in seq:

@@ -92,10 +92,30 @@ def k_value_within(drawing: Drawing, edge: Tuple[int, int],
 
 
 def k_edge_vector(drawing: Drawing) -> KEdgeVector:
-    """Histogram of k-values over all edges, relative to the reference face."""
-    counts = [0] * (drawing.n // 2)
-    for edge in drawing.edges:
-        counts[k_value(drawing, edge)] += 1
+    """Histogram of k-values over all edges, relative to the reference face.
+
+    Each label is computed as in `side_of`, with edge ids from a local
+    n x n table and the reference mask read once.
+    """
+    n = drawing.n
+    edges = drawing.edges
+    eid = [[-1] * n for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        eid[u][v] = eid[v][u] = e
+    parity = drawing.face_parity
+    ref = parity[drawing.reference_face]
+    out_left = drawing.out_left_face
+    counts = [0] * (n // 2)
+    for e, (u, v) in enumerate(edges):
+        mask = ref ^ parity[out_left[u][v]]
+        mask_uv = mask >> e
+        row_u, row_v = eid[u], eid[v]
+        rights = 0
+        for w in range(n):
+            if (w != u and w != v
+                    and not (mask_uv ^ mask >> row_v[w] ^ mask >> row_u[w]) & 1):
+                rights += 1
+        counts[min(rights, n - 2 - rights)] += 1
     return KEdgeVector(counts=tuple(counts), reference_face=drawing.reference_face)
 
 
@@ -140,9 +160,9 @@ def crossings_from_cumulative(n: int, vector: KEdgeVector) -> int:
     return body - middle - parity_term
 
 
-def double_cumulative_bound_holds(drawing: Drawing, k: int) -> bool:
-    """Whether E_{<=<=k} >= 3*C(k+3,3), the bound bishellability forces."""
-    if not 0 <= k <= drawing.n // 2 - 2:
-        raise ValueError(f"k={k} out of range for n={drawing.n}")
-    sums = cumulative_sums(k_edge_vector(drawing)).double
-    return sums[k] >= 3 * comb(k + 3, 3)
+def double_cumulative_bound_holds(n: int, vector: KEdgeVector, k: int) -> bool:
+    """Whether E_{<=<=k} >= 3*C(k+3,3), the bound bishellability forces,
+    for the K_n drawing whose k-edge vector is `vector`."""
+    if not 0 <= k <= n // 2 - 2:
+        raise ValueError(f"k={k} out of range for n={n}")
+    return cumulative_sums(vector).double[k] >= 3 * comb(k + 3, 3)

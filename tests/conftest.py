@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from math import comb
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from kncross.drawing import DeletionView, Drawing, build_drawing, delete_view
+from kncross.drawing import (
+    BadCrossingDegree,
+    DeletionView,
+    Drawing,
+    EdgePathInconsistent,
+    EulerViolation,
+    Geometry,
+    K4Census,
+    NotGoodDrawing,
+    build_drawing,
+    delete_view,
+    validate_good,
+)
 from kncross.generators import (
     TwoPageSpec,
     gen_convex,
@@ -180,6 +194,215 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
     assert len(set(class_to_face.values())) == len(class_to_face), "classes merged"
     assert faces_seen == set(range(sub.face_count))
     assert view.class_count() == sub.face_count
+
+
+# ---------------------------------------------------------------------------
+# map assembly and K4 census: the slow paths of `drawing`
+# ---------------------------------------------------------------------------
+
+
+def reference_build_drawing(
+    n: int,
+    edge_paths: Mapping[Tuple[int, int], Sequence[int]],
+    crossing_orientations: Sequence[str],
+    vertex_rotations: Sequence[Sequence[int]],
+    reference: Tuple[int, int],
+    geometry: Optional[Geometry] = None,
+) -> Drawing:
+    """`build_drawing` with per-dart closures, a sorted edge pair per
+    crossing and the face orbits kept as tuples: the slow path of the
+    out-dart table.  Raises what `build_drawing` raises, with the same
+    messages."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    edges = list(itertools.combinations(range(n), 2))
+    c = len(crossing_orientations)
+    for bit in crossing_orientations:
+        if bit not in ("+", "-"):
+            raise ValueError(f"bad orientation bit {bit!r}")
+
+    paths: List[Tuple[int, ...]] = []
+    for (u, v) in edges:
+        if (u, v) not in edge_paths:
+            raise EdgePathInconsistent(f"missing path for edge ({u},{v})")
+        paths.append(tuple(edge_paths[(u, v)]))
+    if len(edge_paths) != len(edges):
+        raise EdgePathInconsistent("unexpected extra edge paths")
+
+    # each crossing must be an interior point of exactly two edges
+    usage: List[List[Tuple[int, int]]] = [[] for _ in range(c)]
+    for eid, path in enumerate(paths):
+        if len(set(path)) != len(path):
+            raise EdgePathInconsistent(
+                f"edge {edges[eid]} visits a crossing twice")
+        for pos, k in enumerate(path):
+            if not 0 <= k < c:
+                raise EdgePathInconsistent(f"crossing id {k} out of range")
+            usage[k].append((eid, pos))
+    for k, us in enumerate(usage):
+        if len(us) != 2:
+            raise BadCrossingDegree(
+                f"crossing {k} met by {len(us)} edge passes, expected 2")
+
+    if len(vertex_rotations) != n:
+        raise ValueError("need one rotation per vertex")
+    for u, rot in enumerate(vertex_rotations):
+        if sorted(rot) != [w for w in range(n) if w != u]:
+            raise EdgePathInconsistent(
+                f"rotation at {u} is not a permutation of the other vertices")
+
+    # dart layout: per edge, (forward, backward) per segment
+    dart_base: List[int] = []
+    total = 0
+    for path in paths:
+        dart_base.append(total)
+        total += 2 * (len(path) + 1)
+
+    def fwd(eid: int, seg: int) -> int:
+        return dart_base[eid] + 2 * seg
+
+    def first_dart(u: int, w: int) -> int:
+        a, b = (u, w) if u < w else (w, u)
+        eid = a * n - a * (a + 1) // 2 + (b - a - 1)
+        if u < w:
+            return dart_base[eid]
+        return dart_base[eid] + 2 * len(paths[eid]) + 1
+
+    rot_next = [-1] * total
+
+    def set_next(d: int, e: int) -> None:
+        if rot_next[d] != -1:
+            raise EdgePathInconsistent("rotation assigns a dart twice")
+        rot_next[d] = e
+
+    for u, rot in enumerate(vertex_rotations):
+        darts = [first_dart(u, w) for w in rot]
+        for i, d in enumerate(darts):
+            set_next(d, darts[(i + 1) % len(darts)])
+
+    for k, us in enumerate(usage):
+        (e1, p1), (e2, p2) = sorted(us)
+        e_fwd = fwd(e1, p1 + 1)
+        e_bwd = fwd(e1, p1) + 1
+        f_fwd = fwd(e2, p2 + 1)
+        f_bwd = fwd(e2, p2) + 1
+        if crossing_orientations[k] == "+":
+            cycle = (e_fwd, f_fwd, e_bwd, f_bwd)
+        else:
+            cycle = (e_fwd, f_bwd, e_bwd, f_fwd)
+        for i, d in enumerate(cycle):
+            set_next(d, cycle[(i + 1) % 4])
+
+    if -1 in rot_next:
+        raise EdgePathInconsistent("some dart never appears in a rotation")
+
+    # faces: orbits of succ(d) = rot_next(twin(d)), twin(d) = d ^ 1.
+    # With counterclockwise rotations such an orbit walks the face lying to
+    # the RIGHT of its darts, so the face to the left of d is the orbit of
+    # its twin.
+    orbit = [-1] * total
+    face_darts: List[Tuple[int, ...]] = []
+    for d0 in range(total):
+        if orbit[d0] != -1:
+            continue
+        fid = len(face_darts)
+        walk = []
+        d = d0
+        while orbit[d] == -1:
+            orbit[d] = fid
+            walk.append(d)
+            d = rot_next[d ^ 1]
+        if d != d0:
+            raise EdgePathInconsistent("face walk does not close")
+        face_darts.append(tuple(walk))
+    dart_face = [orbit[d ^ 1] for d in range(total)]
+
+    nodes = n + c
+    nedges = len(edges) + 2 * c
+    if nodes - nedges + len(face_darts) != 2:
+        raise EulerViolation(
+            f"V-E+F = {nodes}-{nedges}+{len(face_darts)} != 2")
+
+    ru, rv = reference
+    if ru == rv or not (0 <= ru < n and 0 <= rv < n):
+        raise ValueError(f"bad reference dart ({ru},{rv})")
+    reference_face = dart_face[first_dart(ru, rv)]
+
+    seg_faces = tuple(
+        tuple((dart_face[fwd(eid, s)], dart_face[fwd(eid, s) + 1])
+              for s in range(len(paths[eid]) + 1))
+        for eid in range(len(edges))
+    )
+    out_left = tuple(
+        tuple(dart_face[first_dart(u, w)] if w != u else -1 for w in range(n))
+        for u in range(n)
+    )
+    crossing_edge_pairs = tuple(
+        (min(us[0][0], us[1][0]), max(us[0][0], us[1][0])) for us in usage)
+
+    # dual walk from face 0: stepping across a segment of edge e flips bit
+    # e.  The darts of a face's orbit have it on their right, so each leads
+    # to the face on its left.
+    dart_edge = [eid for eid, path in enumerate(paths)
+                 for _ in range(2 * (len(path) + 1))]
+    parity: List[Optional[int]] = [None] * len(face_darts)
+    parity[0] = 0
+    stack = [0]
+    while stack:
+        f = stack.pop()
+        for d in face_darts[f]:
+            g = dart_face[d]
+            if parity[g] is None:
+                parity[g] = parity[f] ^ (1 << dart_edge[d])
+                stack.append(g)
+    if None in parity:
+        raise EdgePathInconsistent("some face is not reachable from face 0")
+
+    drawing = Drawing(
+        n=n,
+        edges=tuple(edges),
+        edge_paths=tuple(paths),
+        crossing_edges=crossing_edge_pairs,
+        orientation_bits=tuple(crossing_orientations),
+        vertex_rotations=tuple(tuple(r) for r in vertex_rotations),
+        dart_base=tuple(dart_base),
+        dart_count=total,
+        dart_face=tuple(dart_face),
+        face_count=len(face_darts),
+        reference_face=reference_face,
+        seg_faces=seg_faces,
+        out_left_face=out_left,
+        face_parity=tuple(parity),
+        geometry=geometry,
+    )
+    report = validate_good(drawing)
+    if not report.ok:
+        raise NotGoodDrawing(report)
+    return drawing
+
+
+def build_outcome(build, *args):
+    """Every field of the built Drawing, or the refusal's class, message
+    and goodness report."""
+    try:
+        drawing = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "report", None)
+    return tuple((f.name, getattr(drawing, f.name)) for f in fields(drawing))
+
+
+def loop_k4_census(drawing: Drawing) -> K4Census:
+    """K4 census by a loop over all C(n,4) vertex sets: the slow path of
+    `k4_census`."""
+    crossing_pairs = {frozenset(pair) for pair in drawing.crossing_edges}
+    eid = drawing.edge_id
+    crossed = 0
+    for a, b, c, d in itertools.combinations(range(drawing.n), 4):
+        if (frozenset((eid(a, b), eid(c, d))) in crossing_pairs
+                or frozenset((eid(a, c), eid(b, d))) in crossing_pairs
+                or frozenset((eid(a, d), eid(b, c))) in crossing_pairs):
+            crossed += 1
+    return K4Census(planar=comb(drawing.n, 4) - crossed, crossed=crossed)
 
 
 # ---------------------------------------------------------------------------

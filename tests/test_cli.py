@@ -246,3 +246,38 @@ def test_check_reverifies_witness_before_emitting(tmp_path, capsys, monkeypatch,
     assert stderr == f"error: {message}\n"
     assert stdout == ""
     assert not out.exists()
+
+
+def call(capsys, argv):
+    """Exit code, stdout and stderr of one `main` call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_carries_nothing_over(tmp_path, capsys):
+    import kncross.cli as cli
+    path = tmp_path / "k6.map"
+    run(capsys, "generate", "cylindrical", "--n", "6", "-o", str(path))
+    sequence = [
+        ("analyze", str(path), "--json", "--bogus"),   # usage error, after --json
+        ("analyze", str(path), "--json"),
+        ("analyze", str(path)),
+        ("check", str(path), "--mode", "shell", "--s", "2", "--face", "0", "1"),
+        ("check", str(path), "--mode", "shell"),
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(call(capsys, argv))
+    cli._build_parser.cache_clear()
+    reused = [call(capsys, argv) for argv in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 0]
+    assert "unrecognized arguments: --bogus" in fresh[0][2]
+    assert json.loads(fresh[1][1])["crossings"] == 3
+    assert fresh[2][1].startswith("n=6 cr=3 ")

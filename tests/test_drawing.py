@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import fields
 from math import comb
 
 import pytest
 
 from kncross.drawing import (
     BadCrossingDegree,
+    Drawing,
     EdgePathInconsistent,
     EulerViolation,
     NotGoodDrawing,
@@ -17,11 +19,24 @@ from kncross.drawing import (
     validate_good,
     weak_iso_equal,
 )
-from kncross.generators import SplitMix64, gen_convex, gen_cylindrical, gen_random_points
+from kncross.generators import (
+    SplitMix64,
+    gen_convex,
+    gen_cylindrical,
+    gen_random_points,
+    gen_twopage,
+    twopage_all_top,
+)
 from kncross.planarize import planarize_points
 from kncross.geom import Point, circle_point
 
-from conftest import candidate_map_weak_iso, planar_k4
+from conftest import (
+    build_outcome,
+    candidate_map_weak_iso,
+    loop_k4_census,
+    planar_k4,
+    reference_build_drawing,
+)
 
 
 def test_planar_k4_build(k4_planar):
@@ -41,47 +56,70 @@ def test_convex_k5_euler():
     assert d.face_count == 12   # 2 - (5+5) + (10+10)
 
 
-def test_euler_violation_detected(k4_planar):
-    # swap two neighbors in one rotation: the map no longer embeds in the sphere
+K4_ROTATIONS = [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1)]   # the planar K4's
+
+
+def _k4_paths(changes=()):
     paths = {e: [] for e in itertools.combinations(range(4), 2)}
-    rotations = [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 1, 0)]
+    paths.update(changes)
+    return paths
+
+
+# build_drawing arguments (n, paths, bits, rotations, reference) of maps
+# that construction refuses
+MALFORMED = {
+    # two neighbors swapped in one rotation: the map no longer embeds in the sphere
+    "euler": (4, _k4_paths(), [], [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 1, 0)], (1, 0)),
+    # crossing 0 met by only one edge
+    "degree": (4, _k4_paths({(0, 2): [0]}), ["+"], K4_ROTATIONS, (1, 0)),
+    "revisit": (4, _k4_paths({(0, 2): [0, 0]}), ["+"], K4_ROTATIONS, (1, 0)),
+    # K3 with edges (0,1) and (1,2) crossing once; rotations at degree-2
+    # vertices are forced, so only the crossing bit is free
+    "adjacent+": (3, {(0, 1): [0], (0, 2): [], (1, 2): [0]}, ["+"],
+                  [(1, 2), (0, 2), (0, 1)], (0, 1)),
+    "adjacent-": (3, {(0, 1): [0], (0, 2): [], (1, 2): [0]}, ["-"],
+                  [(1, 2), (0, 2), (0, 1)], (0, 1)),
+    # 0=(0,0), 1=(0,4), 2=(3,1), 3=(3,3); all edges straight except (0,1),
+    # which heads right, crosses (2,3) twice (out and back), then crosses
+    # (0,3) once on its way up to vertex 1
+    "double": (4, _k4_paths({(0, 1): [0, 1, 2], (2, 3): [0, 1], (0, 3): [2]}),
+               ["+", "-", "-"], [(2, 1, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2)], (2, 0)),
+    "bad-bit": (4, _k4_paths(), ["*"], K4_ROTATIONS, (1, 0)),
+    "missing-path": (4, {e: [] for e in itertools.combinations(range(4), 2)
+                         if e != (1, 3)}, [], K4_ROTATIONS, (1, 0)),
+    "crossing-id": (4, _k4_paths({(0, 2): [3]}), ["+"], K4_ROTATIONS, (1, 0)),
+    "rotation": (4, _k4_paths(), [], [(1, 3, 2), (2, 3, 0), (0, 3, 3), (2, 0, 1)], (1, 0)),
+    "reference": (4, _k4_paths(), [], K4_ROTATIONS, (1, 1)),
+}
+
+
+def test_euler_violation_detected():
     with pytest.raises(EulerViolation):
-        build_drawing(4, paths, [], rotations, reference=(1, 0))
+        build_drawing(*MALFORMED["euler"])
 
 
 def test_bad_crossing_degree():
-    paths = {e: [] for e in itertools.combinations(range(4), 2)}
-    paths[(0, 2)] = [0]   # crossing 0 met by only one edge
-    rotations = [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1)]
     with pytest.raises(BadCrossingDegree):
-        build_drawing(4, paths, ["+"], rotations, reference=(1, 0))
+        build_drawing(*MALFORMED["degree"])
 
 
 def test_edge_path_revisit_rejected():
-    paths = {e: [] for e in itertools.combinations(range(4), 2)}
-    paths[(0, 2)] = [0, 0]
-    rotations = [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1)]
     with pytest.raises(EdgePathInconsistent):
-        build_drawing(4, paths, ["+"], rotations, reference=(1, 0))
+        build_drawing(*MALFORMED["revisit"])
 
 
 def test_crossing_counts_by_family():
-    from kncross.drawing import crossing_count
-    assert crossing_count(planar_k4()) == 0
-    assert crossing_count(gen_convex(5)) == 5     # C(5,4)
-    assert crossing_count(gen_convex(6)) == 15    # C(6,4)
+    assert planar_k4().crossings == 0
+    assert gen_convex(5).crossings == 5     # C(5,4)
+    assert gen_convex(6).crossings == 15    # C(6,4)
 
 
 def test_adjacent_cross_detected():
-    # K3 with edges (0,1) and (1,2) crossing once; rotations at degree-2
-    # vertices are forced, so only the crossing bit is free
-    paths = {(0, 1): [0], (0, 2): [], (1, 2): [0]}
-    rotations = [(1, 2), (0, 2), (0, 1)]
     # one orientation embeds in the sphere; that map is refused as not good
     with pytest.raises(NotGoodDrawing) as caught:
         for bit in "+-":
             try:
-                build_drawing(3, paths, [bit], rotations, reference=(0, 1))
+                build_drawing(*MALFORMED["adjacent" + bit])
             except EulerViolation:
                 continue
     report = caught.value.report
@@ -91,16 +129,8 @@ def test_adjacent_cross_detected():
 
 
 def test_double_cross_detected():
-    # 0=(0,0), 1=(0,4), 2=(3,1), 3=(3,3); all edges straight except (0,1),
-    # which heads right, crosses (2,3) twice (out and back), then crosses
-    # (0,3) once on its way up to vertex 1
-    paths = {e: [] for e in itertools.combinations(range(4), 2)}
-    paths[(0, 1)] = [0, 1, 2]
-    paths[(2, 3)] = [0, 1]
-    paths[(0, 3)] = [2]
-    rotations = [(2, 1, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2)]
     with pytest.raises(NotGoodDrawing) as caught:
-        build_drawing(4, paths, ["+", "-", "-"], rotations, reference=(2, 0))
+        build_drawing(*MALFORMED["double"])
     kinds = {v.kind for v in caught.value.report.violations}
     assert "double_cross" in kinds
     assert "adjacent_cross" in kinds
@@ -224,3 +254,52 @@ def test_k4_census_crossed_equals_crossing_count(small_corpus):
         census = k4_census(drawing)
         assert census.crossed == drawing.crossings
         assert census.planar + census.crossed == comb(drawing.n, 4)
+
+
+# ---------------------------------------------------------------------------
+# the out-dart table and the O(crossings) census against their slow paths
+# ---------------------------------------------------------------------------
+
+
+def map_arguments(drawing):
+    """build_drawing arguments that describe `drawing`."""
+    paths = {edge: drawing.edge_paths[eid] for eid, edge in enumerate(drawing.edges)}
+    reference = next((u, v) for u in range(drawing.n) for v in range(drawing.n)
+                     if u != v and drawing.out_left_face[u][v] == drawing.reference_face)
+    return (drawing.n, paths, drawing.orientation_bits, drawing.vertex_rotations,
+            reference, drawing.geometry)
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus(small_corpus):
+    drawings = [drawing for _name, _n, drawing in small_corpus]
+    drawings += [gen_random_points(n, n) for n in range(7, 15)]
+    drawings += [gen_convex(n) for n in range(4, 13)]
+    drawings += [gen_cylindrical(n) for n in range(5, 12)]
+    drawings.append(gen_twopage(twopage_all_top(9)))
+    return drawings
+
+
+def test_build_matches_reference_build_field_by_field(oracle_corpus):
+    kept = {f.name for f in fields(Drawing)}
+    assert {"edges", "edge_paths", "crossing_edges", "dart_base", "dart_count",
+            "dart_face", "seg_faces", "out_left_face", "face_parity",
+            "reference_face", "face_count"} <= kept
+    assert not kept & {"rot_next", "face_darts"}
+    for drawing in oracle_corpus:
+        args = map_arguments(drawing)
+        built = build_outcome(build_drawing, *args)
+        assert built == build_outcome(reference_build_drawing, *args)
+        assert built == build_outcome(lambda: drawing)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_map_refused_as_reference_build_refuses(case):
+    outcome = build_outcome(build_drawing, *MALFORMED[case])
+    assert outcome == build_outcome(reference_build_drawing, *MALFORMED[case])
+    assert isinstance(outcome[0], type) and issubclass(outcome[0], Exception)
+
+
+def test_k4_census_matches_loop(oracle_corpus):
+    for drawing in oracle_corpus:
+        assert k4_census(drawing) == loop_k4_census(drawing)

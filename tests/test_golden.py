@@ -71,6 +71,35 @@ def test_hunt_output_pinned(capsys):
     assert capsys.readouterr().out == "trials=100 distinct=37 matches=1\n  seed=113 cr=9\n"
 
 
+# `analyze` stdout on the map files of gen_random_points(14, seed), recorded
+# before map assembly moved to one out-dart table and the K4 census to
+# one pass over the crossings
+ANALYZE_STDOUT = {
+    1: ("f7cdfd8fe26146826110e29d1a90d1ad9a9c46bbebe2011c4bf0e764084ad9aa",
+        "2c0b706220ebcd9a71e14c9efe042942dca9436f54041aaad4c33785521a4430"),
+    2: ("db41e8499de111355f95727cda1bff67dbfaa2da4f4bcbf71ac7052685c25074",
+        "12525886903a5cb023094bf72e312f91489675f44a4fe5a11d1b2568bd6f0fa7"),
+    3: ("62f21cc1b5df19f05a368906218d056b7dcb793ef3adf747757843a0a94721a5",
+        "c7df7d06c51e25df25972602c41ff6405b87641bed3e1e6ea00e446adac660df"),
+    4: ("7df32101a113cde343099923db9f64b8b0a2d879517d9991b1660633e01f7944",
+        "4a57cf036aa07d51c2ee27d0123368f86c8285f887f864793c2cd2102319dfdc"),
+    5: ("05f1b2198104e13218b4789a81b970d3baf0a61db1ac88509be611839485ae86",
+        "0aff6d45f4c4dcd22e8b58bfb1ec0fe6f614437ca6b1526f9155a0207d9acab9"),
+    6: ("1ff3312b69fa4601523c2b33d524a306b5c9f029ac55a9a8392e21210a4ac270",
+        "c9f76f505afa58df5afb3e79fb53dadf31b0d44e38307ba670c939f3d2f4442c"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ANALYZE_STDOUT))
+def test_analyze_stdout_pinned(tmp_path, capsys, seed):
+    path = tmp_path / f"k14-{seed}.map"
+    path.write_bytes(serialize(gen_random_points(14, seed), "map"))
+    for extra, digest in zip((["--json"], []), ANALYZE_STDOUT[seed]):
+        assert main(["analyze", str(path)] + extra) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # shell and bishell witnesses, recorded on the search that rebuilt a
 # deletion view per node and replayed pair decidability per candidate

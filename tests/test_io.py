@@ -1,6 +1,14 @@
 import pytest
 
-from kncross.drawing import rotation_system, weak_iso_equal
+import kncross.io
+from kncross.cli import main
+from kncross.drawing import (
+    BadCrossingDegree,
+    EdgePathInconsistent,
+    EulerViolation,
+    rotation_system,
+    weak_iso_equal,
+)
 from kncross.generators import gen_convex, gen_cylindrical, gen_random_points, gen_twopage, twopage_all_top
 from kncross.io import (
     NoGeometry,
@@ -19,6 +27,8 @@ from kncross.shelling import (
     verify_bishell_witness,
     verify_shell_witness,
 )
+
+from conftest import build_outcome, reference_build_drawing
 
 
 def test_points_round_trip():
@@ -93,18 +103,21 @@ def test_parse_errors():
         parse(bad_edge)
 
 
-def test_corrupted_orientation_bit_rejected():
-    # the orientation bits carry real information: corrupting one must
-    # break sphere embeddability for at least one crossing
-    from kncross.drawing import EulerViolation
+def _corrupted_bits():
     blob = serialize(gen_cylindrical(6), "map").decode()
-    broke = 0
     for k in range(3):
         old = f"x {k} : "
         line_start = blob.index(old)
         bit = blob[line_start + len(old)]
         flipped = "-" if bit == "+" else "+"
-        corrupted = blob[:line_start + len(old)] + flipped + blob[line_start + len(old) + 1:]
+        yield blob[:line_start + len(old)] + flipped + blob[line_start + len(old) + 1:]
+
+
+def test_corrupted_orientation_bit_rejected():
+    # the orientation bits carry real information: corrupting one must
+    # break sphere embeddability for at least one crossing
+    broke = 0
+    for corrupted in _corrupted_bits():
         try:
             parse(corrupted)
         except EulerViolation:
@@ -136,25 +149,66 @@ def test_mirror_image_map_embeds():
 def test_parser_rejects_mutations_with_declared_errors():
     # every single-line mutation either still parses or fails with one of
     # the documented exception types, never an internal error
-    from kncross.drawing import BadCrossingDegree, EdgePathInconsistent, EulerViolation
     from kncross.planarize import DegenerateInput
     declared = (ParseError, EulerViolation, BadCrossingDegree,
                 EdgePathInconsistent, DegenerateInput, ValueError)
-    blob = serialize(gen_cylindrical(6), "map").decode()
-    lines = blob.splitlines()
+    mutations = _line_mutations()
+    survived = 0
+    for mutant in mutations:
+        try:
+            parse(mutant)
+            survived += 1
+        except declared:
+            pass
+    assert survived < len(mutations)   # the mutations are not all harmless
+
+
+def _line_mutations():
+    """Single-line mutations of a cylindrical K6 map."""
+    lines = serialize(gen_cylindrical(6), "map").decode().splitlines()
     mutations = []
     for i in range(len(lines)):
         mutations.append(lines[:i] + lines[i + 1:])            # drop a line
         mutations.append(lines[:i] + [lines[i] + " 7"] + lines[i + 1:])
         mutations.append(lines[:i] + [lines[i].replace("1", "2", 1)] + lines[i + 1:])
-    survived = 0
-    for mutant in mutations:
-        try:
-            parse("\n".join(mutant) + "\n")
-            survived += 1
-        except declared:
-            pass
-    assert survived < len(mutations)   # the mutations are not all harmless
+    return ["\n".join(mutant) + "\n" for mutant in mutations]
+
+
+def test_mutated_maps_refused_as_reference_build_refuses(monkeypatch):
+    # every mutated or corrupted map reaches the same outcome, down to the
+    # exception class and message, through either map assembly
+    texts = _line_mutations() + list(_corrupted_bits())
+    outcomes = [build_outcome(parse, text) for text in texts]
+    monkeypatch.setattr(kncross.io, "build_drawing", reference_build_drawing)
+    assert outcomes == [build_outcome(parse, text) for text in texts]
+    refused = {outcome[0] for outcome in outcomes if len(outcome) == 3}
+    assert {EulerViolation, BadCrossingDegree, EdgePathInconsistent} <= refused
+
+
+# the convex K4 map, with a bad token in the middle of line 6 or line 13
+CONVEX_K4_MAP = (
+    "kncross v1\nformat map\nn 4\nc 1\n"
+    "rot 0 : 1 2 3\nrot 1 : 0 2 3\nrot 2 : 0 1 3\nrot 3 : 0 1 2\n"
+    "e 0 1 :\ne 0 2 : 0\ne 0 3 :\ne 1 2 :\ne 1 3 : 0\ne 2 3 :\n"
+    "x 0 : +\nref 0 3\n")
+BAD_TOKENS = [
+    (CONVEX_K4_MAP.replace("rot 1 : 0 2 3", "rot 1 : 0 x 3"), 6),
+    (CONVEX_K4_MAP.replace("e 1 3 : 0", "e 1 3 : 1 x 2"), 13),
+]
+
+
+@pytest.mark.parametrize("text, line", BAD_TOKENS, ids=["rot", "e"])
+def test_bad_integer_in_line_pinned(tmp_path, capsys, text, line):
+    assert parse(CONVEX_K4_MAP).crossings == 1
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert str(caught.value) == f"line {line}: bad integer 'x'"
+    assert (caught.value.line, caught.value.reason) == (line, "bad integer 'x'")
+    path = tmp_path / "bad.map"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line {line}: bad integer 'x'\n")
 
 
 def test_comments_and_blank_lines_ignored():

@@ -146,12 +146,12 @@ def test_zero_edges_on_reference_face(small_corpus):
 
 
 def test_double_cumulative_bound():
-    d = gen_convex(5)
-    assert double_cumulative_bound_holds(d, 0)     # 5 >= 3
-    d6 = gen_convex(6)
-    assert double_cumulative_bound_holds(d6, 1)    # 18 >= 12
+    vec5 = k_edge_vector(gen_convex(5))
+    assert double_cumulative_bound_holds(5, vec5, 0)     # 5 >= 3
+    vec6 = k_edge_vector(gen_convex(6))
+    assert double_cumulative_bound_holds(6, vec6, 1)     # 18 >= 12
     with pytest.raises(ValueError):
-        double_cumulative_bound_holds(d6, 5)
+        double_cumulative_bound_holds(6, vec6, 5)
 
 
 def test_vector_equal_across_weak_iso_realizations():

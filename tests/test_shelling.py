@@ -4,7 +4,7 @@ import pytest
 
 from kncross.drawing import DeletionView, delete_view, reference_class_vertices
 from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
-from kncross.kedges import double_cumulative_bound_holds, hill_number
+from kncross.kedges import double_cumulative_bound_holds, hill_number, k_edge_vector
 from kncross.shelling import (
     BishellWitness,
     MalformedWitness,
@@ -176,10 +176,10 @@ def test_bishellable_implies_lemma_bounds():
         d = gen_cylindrical(n)
         witness = check_bishellable(d, n // 2 - 2, face=d.reference_face)
         assert witness is not None
-        ref = d.with_reference(witness.face)
+        vec = k_edge_vector(d.with_reference(witness.face))
         chain = witness
         while True:
-            assert double_cumulative_bound_holds(ref, chain.order)
+            assert double_cumulative_bound_holds(n, vec, chain.order)
             if chain.order == 0:
                 break
             chain = truncate_bishell(chain)
