@@ -16,9 +16,7 @@ from .drawing import (
     K4Census,
     NotGoodDrawing,
     build_drawing,
-    delete_view,
     k4_census,
-    reference_class_vertices,
     rotation_key,
     rotation_system,
     validate_good,
@@ -67,13 +65,13 @@ __all__ = [
     "TwoPageSpec", "WitnessInvalid", "build_drawing", "check_bishellable",
     "check_s_shellable", "circle_point",
     "crossings_from_cumulative", "crossings_from_k_edges", "cumulative_sums",
-    "delete_view", "double_cumulative_bound_holds", "export_svg",
+    "double_cumulative_bound_holds", "export_svg",
     "first_shell_witness", "gen_convex",
     "gen_cylindrical", "gen_random_points", "gen_twopage", "hill_number",
     "invariant_edge_report", "is_bishellable", "is_shellable", "k4_census",
     "k_edge_vector", "k_value", "orient", "parse", "parse_witness",
     "planarize_points", "point", "proper_intersection",
-    "reference_class_vertices", "rotation_key", "rotation_system", "serialize",
+    "rotation_key", "rotation_system", "serialize",
     "serialize_witness", "shell_to_bishell", "shelling_sequences", "side_of",
     "sufficient_conditions", "truncate_bishell", "validate_good",
     "verify_bishell_witness", "verify_shell_witness", "weak_iso_equal",

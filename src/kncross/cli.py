@@ -46,7 +46,6 @@ from .shelling import (
     check_bishellable,
     check_s_shellable,
     first_shell_witness,
-    is_bishellable,
     shell_witness_violation,
 )
 
@@ -179,6 +178,11 @@ def _hunt(args) -> int:
         raise ValueError(f"--n must be at least 3, got {args.n}")
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
+    if args.target == "non-bishellable":
+        raise ValueError(
+            "--target non-bishellable cannot match: the (x, y)-sorted vertex "
+            "order is an n-shell witness of every rectilinear drawing, so "
+            "every such drawing is bishellable")
     n = args.n
     found = []
     seen = set()  # (crossings, rotation key): one drawing per weak-iso class
@@ -188,12 +192,8 @@ def _hunt(args) -> int:
         if key in seen:
             continue
         seen.add(key)
-        if args.target == "optimal":
-            if drawing.crossings == hill_number(n):
-                found.append((trial, drawing))
-        else:
-            if not is_bishellable(drawing):
-                found.append((trial, drawing))
+        if drawing.crossings == hill_number(n):
+            found.append((trial, drawing))
     print(f"trials={args.trials} distinct={len(seen)} matches={len(found)}")
     for trial, drawing in found:
         print(f"  seed={args.seed + trial} cr={drawing.crossings}")

@@ -35,10 +35,12 @@ does not; the side-of oracle in `kedges` reads it off.
 The K4 census counts the distinct endpoint 4-sets of the crossing pairs,
 in O(crossings).
 
-Deletion of real vertices never rebuilds the map.  A DeletionView keeps
-a union-find over the base faces: removing an edge unions the two faces
-on the sides of each of its segments, and a crossing that loses one of
-its edges is implicitly smoothed (subdivision does not affect faces).
+Deletion of real vertices never rebuilds the map.  A DeletionView is
+one table per deleted-vertex bitmask: the class of every base face once
+the deleted vertices' edges are gone, and per class the surviving
+vertices incident with it.  Removing an edge merges the two faces on the
+sides of each of its segments, and a crossing that loses one of its
+edges is implicitly smoothed (subdivision does not affect faces).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import itertools
 from array import array
 from dataclasses import dataclass, replace
 from math import comb
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .geom import Point
 
@@ -78,38 +80,6 @@ class NotGoodDrawing(Exception):
         super().__init__(
             f"not a good drawing: {first.kind} of edges {edges}{tail}")
         self.report = report
-
-
-# ---------------------------------------------------------------------------
-# union-find over face indices
-# ---------------------------------------------------------------------------
-
-
-class UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def flatten(self) -> List[int]:
-        """Root of every element; compresses the parent array in place."""
-        parent = self.parent
-        for i, p in enumerate(parent):
-            if parent[p] != p:
-                parent[i] = self.find(p)
-        return parent.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +164,6 @@ class Drawing:
             raise ValueError(f"bad edge ({u},{v})")
         # edges are listed lexicographically
         return u * self.n - u * (u + 1) // 2 + (v - u - 1)
-
-    def first_dart(self, u: int, w: int) -> int:
-        """Dart with origin u heading along edge (u,w)."""
-        eid = self.edge_id(u, w)
-        base = self.dart_base[eid]
-        if u < w:
-            return base
-        return base + 2 * len(self.edge_paths[eid]) + 1
 
     def with_reference(self, face: int) -> "Drawing":
         if not 0 <= face < self.face_count:
@@ -435,129 +397,83 @@ def validate_good(drawing: Drawing) -> GoodnessReport:
 
 
 class DeletionView:
-    """A drawing together with a set of deleted real vertices.
+    """The incidence table of a drawing with a set of real vertices deleted.
 
-    Faces of the base drawing are merged through the sides of deleted
-    segments.  Views never mutate the base; `child` and `extended` copy
-    a parent array, so search trees can branch cheaply.
+    `deleted` is the set as a vertex bitmask.  Deleting a vertex removes
+    its edges to the surviving vertices, which merges the two faces on
+    the sides of each of their segments.  `classes` maps every base face
+    to the root of its merged class, and `by_root` maps a root to the
+    bitmask of the surviving vertices with a surviving dart whose left
+    face lies in that class; a root no surviving vertex touches is
+    absent.  For a surviving vertex this captures exactly the corners
+    that remain after merging.
 
-    Incidence is read from a table built once per view, in one pass
-    over `out_left_face`: `classes` maps every base face to its class
-    root, and `by_root` maps a root to the bitmask of the surviving
-    vertices with a surviving dart whose left face lies in that class.
-    A root no surviving vertex touches is absent.  The searches in
-    `shelling` keep only these tables, keyed by the deleted set.
+    The table is built once, by a union-find over the base faces.  Given
+    `parent`, the view of a subset of `deleted`, the union-find starts
+    from its classes and only the vertices it lacks are deleted, so a
+    search grows each table from a smaller one.  The base is never
+    mutated and never rebuilt.
     """
 
-    __slots__ = ("base", "deleted", "uf", "_incidence")
+    __slots__ = ("deleted", "classes", "by_root")
 
-    def __init__(self, base: Drawing, deleted: frozenset = frozenset(),
-                 _uf: Optional[UnionFind] = None):
-        self.base = base
-        self._incidence: Optional[Incidence] = None
-        if _uf is not None:
-            self.deleted = deleted
-            self.uf = _uf
-            return
-        self.deleted = frozenset()
-        self.uf = UnionFind(base.face_count)
-        for v in sorted(deleted):
-            self._delete(v)
-            self.deleted = self.deleted | {v}
+    def __init__(self, base: Drawing, deleted: int,
+                 parent: Optional[DeletionView] = None):
+        n = base.n
+        if deleted >> n:  # also true of every negative mask
+            raise ValueError(
+                f"deleted mask {deleted:#x} has a vertex outside 0..{n - 1}")
+        if parent is None:
+            gone = 0
+            root = list(range(base.face_count))
+        else:
+            gone = parent.deleted
+            if gone & ~deleted:
+                raise ValueError("parent deletes a vertex this view keeps")
+            root = list(parent.classes)
 
-    @classmethod
-    def extended(cls, base: Drawing, deleted: frozenset,
-                 parent: Sequence[int], v: int) -> "DeletionView":
-        """View of `deleted | {v}`, grown from a copy of a union-find parent
-        array of the view of `deleted` (its flattened classes will do)."""
-        if v in deleted:
-            raise ValueError(f"vertex {v} already deleted")
-        uf = UnionFind.__new__(UnionFind)
-        uf.parent = list(parent)
-        view = cls(base, deleted, _uf=uf)
-        view._delete(v)
-        view.deleted = deleted | {v}
-        return view
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
 
-    def _delete(self, v: int) -> None:
-        base = self.base
-        union = self.uf.union
-        for w in range(base.n):
-            if w == v or w in self.deleted:
+        # delete the new vertices in ascending order; each removes its
+        # edges to the vertices not deleted yet
+        seg_faces, edge_id = base.seg_faces, base.edge_id
+        for v in range(n):
+            bit = 1 << v
+            if not deleted & bit or gone & bit:
                 continue
-            for left, right in base.seg_faces[base.edge_id(v, w)]:
-                union(left, right)
+            gone |= bit
+            for w in range(n):
+                if gone >> w & 1:
+                    continue
+                for left, right in seg_faces[edge_id(v, w)]:
+                    a, b = find(left), find(right)
+                    if a != b:
+                        root[b] = a
+        for i, p in enumerate(root):
+            if root[p] != p:
+                root[i] = find(p)
 
-    def child(self, v: int) -> "DeletionView":
-        return DeletionView.extended(self.base, self.deleted, self.uf.parent, v)
-
-    def face_class(self, face: int) -> int:
-        return self.uf.find(face)
-
-    def class_count(self) -> int:
-        roots = set()
-        for f in range(self.base.face_count):
-            roots.add(self.uf.find(f))
-        return len(roots)
-
-    def surviving_edges(self) -> List[int]:
-        dead = self.deleted
-        return [eid for eid, (u, v) in enumerate(self.base.edges)
-                if u not in dead and v not in dead]
-
-    def incidence(self) -> "Incidence":
-        """The (classes, by_root) table of this view, built on first use."""
-        if self._incidence is None:
-            base = self.base
-            classes = self.uf.flatten()
-            alive = [u for u in range(base.n) if u not in self.deleted]
-            by_root: Dict[int, int] = {}
-            get = by_root.get
-            for u in alive:
-                bit = 1 << u
-                row = base.out_left_face[u]
-                for w in alive:
-                    if w != u:
-                        root = classes[row[w]]
-                        by_root[root] = get(root, 0) | bit
-            code = "H" if len(classes) <= 0xFFFF else "I"
-            self._incidence = Incidence(array(code, classes), by_root)
-        return self._incidence
+        alive = [u for u in range(n) if not deleted >> u & 1]
+        by_root: Dict[int, int] = {}
+        get = by_root.get
+        for u in alive:
+            bit = 1 << u
+            row = base.out_left_face[u]
+            for w in alive:
+                if w != u:
+                    r = root[row[w]]
+                    by_root[r] = get(r, 0) | bit
+        self.deleted = deleted
+        self.classes = array("H" if len(root) <= 0xFFFF else "I", root)
+        self.by_root = by_root
 
     def incident_mask(self, face: int) -> int:
         """Bitmask of surviving vertices incident with the class of `face`."""
-        classes, by_root = self.incidence()
-        return by_root.get(classes[face], 0)
-
-
-class Incidence(NamedTuple):
-    """Class root per base face, and vertex bitmask per touched root."""
-
-    classes: array
-    by_root: Dict[int, int]
-
-
-def delete_view(drawing: Drawing, deleted: Set[int]) -> DeletionView:
-    """View of the drawing with the given real vertices removed."""
-    for v in deleted:
-        if not 0 <= v < drawing.n:
-            raise ValueError(f"vertex {v} out of range")
-    return DeletionView(drawing, frozenset(deleted))
-
-
-def reference_class_vertices(view: DeletionView,
-                             face: Optional[int] = None) -> Set[int]:
-    """Surviving vertices incident with the merged face containing `face`.
-
-    `face` defaults to the base drawing's reference face.  A vertex is
-    incident when one of its surviving darts has its left face in the
-    class; for a surviving vertex this captures exactly the corners that
-    remain after merging.
-    """
-    if face is None:
-        face = view.base.reference_face
-    mask = view.incident_mask(face)
-    return {u for u in range(view.base.n) if mask >> u & 1}
+        return self.by_root.get(self.classes[face], 0)
 
 
 # ---------------------------------------------------------------------------

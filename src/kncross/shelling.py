@@ -9,15 +9,15 @@ the complementary prefixes disjoint: a_i != b_j whenever i + j <= s.
 
 Searches are exhaustive and deterministic (faces ascending, candidate
 vertices ascending), so the returned witness only depends on the
-drawing.  Verification never searches: it replays the deletion views a
-witness claims and checks incidences directly.
+drawing.  Verification never searches: it reads the incidences of the
+deleted sets a witness claims directly.
 
 Every incidence test depends only on the set of deleted vertices, so
-searches and verifiers look it up in a memo keyed by that set (as a
-vertex bitmask) whose values are `DeletionView.incidence` tables.  One
-memo serves every face and both sequences of a bishell search, and
-every face and every s of a shell search.  A set's view is grown from
-the memoised table of the set minus one vertex when there is one.
+searches, verifiers and `shelling_sequences` look it up in a memo that
+maps the set, as a vertex bitmask, to its `DeletionView`.  One memo
+serves every face and both sequences of a bishell search, and every
+face and every s of a shell search.  A set's view is grown from the
+memoised view of the set minus one vertex when there is one.
 
 The shell search fills positions outside-in (v_1, v_s, v_2, ...) on a
 schedule fixed by s: `schedule[step]` lists the pairs (r,t) first
@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .drawing import DeletionView, Drawing, Incidence, reference_class_vertices
+from .drawing import DeletionView, Drawing
 from .kedges import k_value, k_value_within
 
 
@@ -92,15 +92,11 @@ class SufficientConditions:
 
 
 # ---------------------------------------------------------------------------
-# incidence tables memoised by deleted set
+# deletion views memoised by deleted set
 # ---------------------------------------------------------------------------
 
-# deleted-vertex bitmask -> incidence table of that deletion view
-Memo = Dict[int, Incidence]
-
-
-def _vertex_set(mask: int) -> FrozenSet[int]:
-    return frozenset(_bits(mask))
+# deleted-vertex bitmask -> the view of that set
+Memo = Dict[int, DeletionView]
 
 
 def _vertex_mask(vertices: Sequence[int]) -> int:
@@ -121,18 +117,15 @@ def _bits(mask: int) -> Iterator[int]:
 def _incident_mask(drawing: Drawing, deleted: int, face: int, memo: Memo) -> int:
     """Surviving vertices incident with the class of `face` once the
     vertices of the bitmask `deleted` are gone."""
-    table = memo.get(deleted)
-    if table is None:
+    view = memo.get(deleted)
+    if view is None:
+        parent = None
         for v in _bits(deleted):
             parent = memo.get(deleted ^ 1 << v)
             if parent is not None:
-                view = DeletionView.extended(drawing, _vertex_set(deleted ^ 1 << v),
-                                             parent.classes, v)
                 break
-        else:
-            view = DeletionView(drawing, _vertex_set(deleted))
-        table = memo[deleted] = view.incidence()
-    return table.by_root.get(table.classes[face], 0)
+        view = memo[deleted] = DeletionView(drawing, deleted, parent)
+    return view.incident_mask(face)
 
 
 def _check_witness_face(drawing: Drawing, face: int) -> None:
@@ -164,17 +157,18 @@ def shelling_sequences(drawing: Drawing, face: int,
     if length > drawing.n:
         raise ValueError("length exceeds vertex count")
     _check_witness_face(drawing, face)
+    memo: Memo = {}
 
-    def rec(view: DeletionView, seq: List[int]) -> Iterator[Tuple[int, ...]]:
+    def rec(deleted: int, seq: List[int]) -> Iterator[Tuple[int, ...]]:
         if len(seq) == length:
             yield tuple(seq)
             return
-        for v in sorted(reference_class_vertices(view, face)):
+        for v in _bits(_incident_mask(drawing, deleted, face, memo)):
             seq.append(v)
-            yield from rec(view.child(v), seq)
+            yield from rec(deleted | 1 << v, seq)
             seq.pop()
 
-    yield from rec(DeletionView(drawing), [])
+    yield from rec(0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +270,7 @@ def check_bishellable(drawing: Drawing, s: int,
     are grown depth-first with the disjointness constraint applied at
     every extension (b_j is never one of a_0..a_{s-j}).  Returns the
     first witness in the deterministic search order, or None.  One
-    memo of incidence tables serves both sequences and every face.
+    memo of deletion views serves both sequences and every face.
     """
     if not 0 <= s <= drawing.n - 2:
         raise ValueError(f"order s={s} out of range for n={drawing.n}")
@@ -343,7 +337,7 @@ def first_shell_witness(drawing: Drawing,
     """First s-shell witness for s = floor(n/2), ..., n, or None.
 
     The same witness as calling `check_s_shellable` for each s in turn,
-    with one memo of incidence tables shared across s.
+    with one memo of deletion views shared across s.
     """
     return _shell_search(drawing, range(drawing.n // 2, drawing.n + 1), face, {})
 

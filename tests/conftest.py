@@ -21,7 +21,6 @@ from kncross.drawing import (
     K4Census,
     NotGoodDrawing,
     build_drawing,
-    delete_view,
     validate_good,
 )
 from kncross.generators import (
@@ -105,10 +104,15 @@ def brute_k_vector(points) -> tuple:
     return tuple(counts)
 
 
+def vertex_mask(vertices) -> int:
+    """Bitmask of a set of vertices, as `DeletionView` takes it."""
+    return sum(1 << v for v in set(vertices))
+
+
 # Face classes of the view that keeps only a triangle, per (map, triangle).
 # Keyed by the identity of `seg_faces`, which `with_reference` shares, so
 # re-referencing reuses the classes; the entry keeps the tuple alive.
-_triangle_classes: Dict[Tuple[int, FrozenSet[int]], Tuple[tuple, List[int]]] = {}
+_triangle_classes: Dict[Tuple[int, FrozenSet[int]], Tuple[tuple, Sequence[int]]] = {}
 
 
 def view_side_of(drawing: Drawing, u: int, v: int, w: int) -> str:
@@ -124,8 +128,8 @@ def view_side_of(drawing: Drawing, u: int, v: int, w: int) -> str:
     key = (id(drawing.seg_faces), triple)
     hit = _triangle_classes.get(key)
     if hit is None:
-        view = delete_view(drawing, set(range(drawing.n)) - triple)
-        classes = view.uf.flatten()
+        kept = vertex_mask(triple)
+        classes = DeletionView(drawing, (1 << drawing.n) - 1 ^ kept).classes
         assert len(set(classes)) == 2, "a triangle must split the sphere in two"
         hit = _triangle_classes[key] = (drawing.seg_faces, classes)
     classes = hit[1]
@@ -154,8 +158,7 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
     """Face classes of a deletion view vs a fresh subdrawing, face by face."""
     survivors = set(range(drawing.n)) - set(deleted)
     sub, relabel = regenerate_subdrawing(drawing, survivors)
-    view = delete_view(drawing, set(deleted))
-    find = view.uf.find
+    classes = DeletionView(drawing, vertex_mask(deleted)).classes
 
     class_to_face = {}
     faces_seen = set()
@@ -181,7 +184,7 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
             for offset in (0, 1):
                 old_dart = old_base + 2 * seg + offset
                 new_dart = new_base + 2 * alive_prefix + offset
-                cls = find(drawing.dart_face[old_dart])
+                cls = classes[drawing.dart_face[old_dart]]
                 face = sub.dart_face[new_dart]
                 if cls in class_to_face:
                     assert class_to_face[cls] == face, "face classes split"
@@ -193,7 +196,7 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
 
     assert len(set(class_to_face.values())) == len(class_to_face), "classes merged"
     assert faces_seen == set(range(sub.face_count))
-    assert view.class_count() == sub.face_count
+    assert len(set(classes)) == sub.face_count
 
 
 # ---------------------------------------------------------------------------
@@ -554,47 +557,48 @@ def loop_incident(drawing: Drawing, classes: List[int], face: int, u: int,
     return False
 
 
-def _loop_vertices(view: DeletionView, face: int) -> List[int]:
-    classes = view.uf.flatten()
-    return [u for u in range(view.base.n) if u not in view.deleted
-            and loop_incident(view.base, classes, face, u, view.deleted)]
+def _loop_vertices(drawing: Drawing, deleted: int, face: int) -> List[int]:
+    classes = DeletionView(drawing, deleted).classes
+    gone = frozenset(u for u in range(drawing.n) if deleted >> u & 1)
+    return [u for u in range(drawing.n) if u not in gone
+            and loop_incident(drawing, classes, face, u, gone)]
 
 
 def child_view_bishell(drawing: Drawing, s: int,
                        face: Optional[int] = None) -> Optional[BishellWitness]:
-    """Order-s bishell search cloning a view for every search node."""
+    """Order-s bishell search building a view from scratch for every
+    search node."""
     faces = (face,) if face is not None else range(drawing.face_count)
     for f in faces:
-        root = DeletionView(drawing)
         a_seq: List[int] = []
 
-        def extend_b(view, b_seq):
+        def extend_b(deleted, b_seq):
             if len(b_seq) == s + 1:
                 return tuple(b_seq)
             forbidden = set(a_seq[:s - len(b_seq) + 1])
-            for v in _loop_vertices(view, f):
+            for v in _loop_vertices(drawing, deleted, f):
                 if v in forbidden:
                     continue
                 b_seq.append(v)
-                result = extend_b(view.child(v), b_seq)
+                result = extend_b(deleted | 1 << v, b_seq)
                 if result is not None:
                     return result
                 b_seq.pop()
             return None
 
-        def extend_a(view):
+        def extend_a(deleted):
             if len(a_seq) == s + 1:
-                b = extend_b(root, [])
+                b = extend_b(0, [])
                 return None if b is None else BishellWitness(f, tuple(a_seq), b)
-            for v in _loop_vertices(view, f):
+            for v in _loop_vertices(drawing, deleted, f):
                 a_seq.append(v)
-                result = extend_a(view.child(v))
+                result = extend_a(deleted | 1 << v)
                 if result is not None:
                     return result
                 a_seq.pop()
             return None
 
-        found = extend_a(root)
+        found = extend_a(0)
         if found is not None:
             return found
     return None
@@ -612,7 +616,7 @@ def replay_shell_search(drawing: Drawing, s: int,
             fill_order.append(hi)
         lo += 1
         hi -= 1
-    memo: Dict[FrozenSet[int], List[int]] = {}
+    memo: Dict[FrozenSet[int], Sequence[int]] = {}
 
     def decided(seq, r, t):
         return (all(seq[i] is not None for i in range(r))
@@ -631,7 +635,7 @@ def replay_shell_search(drawing: Drawing, s: int,
             frozenset(seq[i] for i in range(t, s))
         classes = memo.get(deleted)
         if classes is None:
-            classes = memo[deleted] = DeletionView(drawing, deleted).uf.flatten()
+            classes = memo[deleted] = DeletionView(drawing, vertex_mask(deleted)).classes
         return (loop_incident(drawing, classes, f, seq[r - 1], deleted)
                 and loop_incident(drawing, classes, f, seq[t - 1], deleted))
 

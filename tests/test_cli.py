@@ -164,10 +164,13 @@ def test_hunt_reports_and_exit_zero(tmp_path, capsys):
     assert code == 0
     assert "matches=" in stdout
     # h(5)=1 is reachable rectilinearly, so a dozen trials usually find it
-    code, stdout, _ = run(capsys, "hunt", "--n", "4", "--trials", "6",
-                          "--target", "non-bishellable")
-    assert code == 0
-    assert "matches=0" in stdout
+
+    # every rectilinear drawing is bishellable, so this hunt is refused
+    code, stdout, stderr = run(capsys, "hunt", "--n", "4", "--trials", "6",
+                               "--target", "non-bishellable")
+    assert code == 2
+    assert stdout == ""
+    assert "n-shell witness of every rectilinear drawing" in stderr
 
 
 def test_hunt_zero_trials(capsys):

@@ -6,14 +6,13 @@ import pytest
 
 from kncross.drawing import (
     BadCrossingDegree,
+    DeletionView,
     Drawing,
     EdgePathInconsistent,
     EulerViolation,
     NotGoodDrawing,
     build_drawing,
-    delete_view,
     k4_census,
-    reference_class_vertices,
     rotation_key,
     rotation_system,
     validate_good,
@@ -36,6 +35,7 @@ from conftest import (
     loop_k4_census,
     planar_k4,
     reference_build_drawing,
+    vertex_mask,
 )
 
 
@@ -137,21 +137,22 @@ def test_double_cross_detected():
 
 
 def test_delete_view_classes(k4_planar):
-    view = delete_view(k4_planar, set())
-    assert view.class_count() == 4
-    assert sorted(reference_class_vertices(view)) == [0, 1, 2]
+    view = DeletionView(k4_planar, 0)
+    assert len(set(view.classes)) == 4
+    assert view.incident_mask(k4_planar.reference_face) == vertex_mask([0, 1, 2])
 
     d5 = gen_convex(5)
-    assert sorted(reference_class_vertices(delete_view(d5, set()))) == [0, 1, 2, 3, 4]
+    assert DeletionView(d5, 0).incident_mask(d5.reference_face) == vertex_mask(range(5))
     # keep only a triangle: a simple closed curve leaves two classes
     for triple in itertools.combinations(range(5), 3):
-        view = delete_view(d5, set(range(5)) - set(triple))
-        assert view.class_count() == 2
+        view = DeletionView(d5, vertex_mask(set(range(5)) - set(triple)))
+        assert len(set(view.classes)) == 2
 
 
 def test_reference_class_after_hull_deletion():
     d6 = gen_convex(6)
-    assert sorted(reference_class_vertices(delete_view(d6, {0}))) == [1, 2, 3, 4, 5]
+    view = DeletionView(d6, vertex_mask({0}))
+    assert view.incident_mask(d6.reference_face) == vertex_mask([1, 2, 3, 4, 5])
 
 
 def test_deletion_view_matches_replanarization_exhaustive_k5():

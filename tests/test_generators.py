@@ -99,10 +99,10 @@ def test_smallest_cylindrical_drawings():
 
 def test_cylindrical_reference_is_rim_face():
     # the rim face at the reference sees outer vertices 0 and 1
-    from kncross.drawing import delete_view, reference_class_vertices
+    from kncross.drawing import DeletionView
     d = gen_cylindrical(9)
-    verts = reference_class_vertices(delete_view(d, set()))
-    assert {0, 1} <= verts
+    verts = DeletionView(d, 0).incident_mask(d.reference_face)
+    assert verts & 0b11 == 0b11
 
 
 def test_twopage_all_top_matches_convex():

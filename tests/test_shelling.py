@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from kncross.drawing import DeletionView, delete_view, reference_class_vertices
+from kncross.drawing import DeletionView
 from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
 from kncross.kedges import double_cumulative_bound_holds, hill_number, k_edge_vector
 from kncross.shelling import (
@@ -57,10 +57,10 @@ def test_shelling_sequences_planar_k4(k4_planar):
 def test_shelling_sequence_prefix_property():
     d6 = gen_convex(6)
     for seq in shelling_sequences(d6, d6.reference_face, 3):
-        view = delete_view(d6, set())
+        deleted = 0
         for v in seq:
-            assert v in reference_class_vertices(view, d6.reference_face)
-            view = view.child(v)
+            assert DeletionView(d6, deleted).incident_mask(d6.reference_face) >> v & 1
+            deleted |= 1 << v
 
 
 def test_shell_witness_hull_triple():
@@ -354,29 +354,45 @@ def test_first_shell_witness_matches_loop_over_s():
 def test_incidence_mask_matches_loop(which):
     d = gen_convex(7) if which == "convex7" else gen_random_points(8, 4)
     views = {}
-    for size in range(3):
-        for deleted in itertools.combinations(range(d.n), size):
-            deleted = frozenset(deleted)
-            view = views[deleted] = DeletionView(d, deleted)
-            classes = view.uf.flatten()
-            for face in range(d.face_count):
-                expect = {u for u in range(d.n) if u not in deleted
-                          and loop_incident(d, classes, face, u, deleted)}
-                mask = view.incident_mask(face)
-                assert {u for u in range(d.n) if mask >> u & 1} == expect
-                assert reference_class_vertices(view, face) == expect
-            for v in deleted:
-                rest = deleted - {v}
-                grown = DeletionView.extended(d, rest, views[rest].incidence().classes, v)
-                assert grown.deleted == deleted
-                # root labels depend on the union order; the masks do not
-                assert all(grown.incident_mask(f) == view.incident_mask(f)
-                           for f in range(d.face_count))
+    for mask in range(1 << d.n):  # ascending: every subset comes first
+        view = views[mask] = DeletionView(d, mask)
+        assert view.deleted == mask
+        deleted = frozenset(u for u in range(d.n) if mask >> u & 1)
+        for face in range(d.face_count):
+            expect = {u for u in range(d.n) if u not in deleted
+                      and loop_incident(d, view.classes, face, u, deleted)}
+            incident = view.incident_mask(face)
+            assert {u for u in range(d.n) if incident >> u & 1} == expect
+        partition = len(set(view.classes))
+        # grown from each one-smaller subset, and from the view of the
+        # lowest vertex alone, which lacks several vertices of a larger set
+        parents = [views[mask ^ 1 << v] for v in deleted]
+        parents.append(views[mask & -mask])
+        for parent in parents:
+            grown = DeletionView(d, mask, parent)
+            assert grown.deleted == mask
+            # root labels depend on the union order; the classes and the
+            # masks do not
+            assert len(set(zip(grown.classes, view.classes))) == partition
+            assert len(set(grown.classes)) == partition
+            assert all(grown.incident_mask(f) == view.incident_mask(f)
+                       for f in range(d.face_count))
 
 
 def test_incidence_mask_empty_with_one_survivor():
     d = gen_cylindrical(7)
+    everyone = (1 << d.n) - 1
     for keep in range(d.n):
-        view = DeletionView(d, frozenset(range(d.n)) - {keep})
+        view = DeletionView(d, everyone ^ 1 << keep)
         assert all(view.incident_mask(f) == 0 for f in range(d.face_count))
-        assert view.incidence().by_root == {}
+        assert view.by_root == {}
+
+
+def test_deletion_view_refuses_bad_masks():
+    d = gen_convex(6)
+    for mask in (1 << d.n, 1 << d.n | 0b101, -1):
+        with pytest.raises(ValueError):
+            DeletionView(d, mask)
+    # a parent must delete a subset of the view's vertices
+    with pytest.raises(ValueError):
+        DeletionView(d, 0b011, DeletionView(d, 0b100))
