@@ -33,6 +33,7 @@ from .kedges import (
     hill_number,
     k_edge_vector,
     k_value,
+    right_mask,
     side_of,
 )
 from .shelling import (
@@ -71,7 +72,7 @@ __all__ = [
     "invariant_edge_report", "is_bishellable", "is_shellable", "k4_census",
     "k_edge_vector", "k_value", "orient", "parse", "parse_witness",
     "planarize_points", "point", "proper_intersection",
-    "rotation_key", "rotation_system", "serialize",
+    "right_mask", "rotation_key", "rotation_system", "serialize",
     "serialize_witness", "shell_to_bishell", "shelling_sequences", "side_of",
     "sufficient_conditions", "truncate_bishell", "validate_good",
     "verify_bishell_witness", "verify_shell_witness", "weak_iso_equal",

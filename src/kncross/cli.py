@@ -106,16 +106,11 @@ def _check(args) -> int:
     face = _resolve_face(drawing, args.face) if args.face else None
     if args.mode == "bishell":
         s = args.s if args.s is not None else drawing.n // 2 - 2
-        if not 0 <= s <= drawing.n - 2:
-            raise ValueError(f"bishell order {s} out of range")
         witness = check_bishellable(drawing, s, face=face)
+    elif args.s is not None:
+        witness = check_s_shellable(drawing, args.s, face=face)
     else:
-        if args.s is not None:
-            if not 1 <= args.s <= drawing.n:
-                raise ValueError(f"shell length {args.s} out of range")
-            witness = check_s_shellable(drawing, args.s, face=face)
-        else:
-            witness = first_shell_witness(drawing, face=face)
+        witness = first_shell_witness(drawing, face=face)
     if witness is None:
         print("no witness (exhaustive search)")
         return 1
@@ -184,6 +179,10 @@ def _hunt(args) -> int:
             "order is an n-shell witness of every rectilinear drawing, so "
             "every such drawing is bishellable")
     n = args.n
+    if args.target == "optimal" and (n == 8 or n >= 10):
+        raise ValueError(
+            f"--target optimal cannot match at n={n}: the rectilinear crossing "
+            f"number of K_n exceeds H(n) at n = 8 and every n >= 10")
     found = []
     seen = set()  # (crossings, rotation key): one drawing per weak-iso class
     for trial in range(args.trials):

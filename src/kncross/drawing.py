@@ -14,26 +14,26 @@ orbits of the face walk successor
     succ(d) = rot_next(twin(d)).
 
 With counterclockwise rotations such an orbit walks its face keeping it
-on the right, so `dart_face[d]`, the face on the LEFT of d, is the orbit
-of twin(d); every left/right statement below refers to that table.  The
+on the right, so the face on the LEFT of a dart d is the orbit of
+twin(d); every left/right statement below follows this convention.  The
 map lives on the sphere: the unbounded face of a geometric input is an
 ordinary face, merely remembered as the reference.
 
-`rot_next` and the orbits live only during construction.  A Drawing keeps
-what the rest of the package reads: the edges, their crossing paths and
-the crossing pairs, the dart layout (`dart_base`, `dart_count`) with
-`dart_face`, the face count, the left and right face of every segment
-(`seg_faces`), the face left of every out-dart (`out_left_face`), the
-parity masks below and the reference face.
+`rot_next`, the orbits and the per-dart tables live only during
+construction.  A Drawing keeps what the rest of the package reads: the
+edges, their crossing paths and the crossing pairs, the dart and face
+counts, the faces on both sides of every segment's darts (`seg_faces`),
+the face left of every out-dart (`out_left_face`), the parity masks
+below and the reference face.  Edge ids come from `edge_ids(n)`.
 
 Crossing a segment of edge e from one face into the next flips bit e of
 `face_parity`, a mask per face fixed by one walk over the dual graph.
 The masks depend on the walk (a loop around a vertex flips the bits of
 all its edges), but the parity summed over the edges of a cycle of K_n
-does not; the side-of oracle in `kedges` reads it off.
+does not; the side-of oracle `kedges.right_mask` reads it off.
 
-The K4 census counts the distinct endpoint 4-sets of the crossing pairs,
-in O(crossings).
+The K4 census reads the crossing count: each crossing lies in exactly one
+K4, and a good K4 has at most one crossing.
 
 Deletion of real vertices never rebuilds the map.  A DeletionView is
 one table per deleted-vertex bitmask: the class of every base face once
@@ -45,6 +45,7 @@ edges is implicitly smoothed (subdivision does not affect faces).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
 from dataclasses import dataclass, replace
@@ -141,9 +142,7 @@ class Drawing:
     crossing_edges: Tuple[Tuple[int, int], ...]   # per crossing: (edge id, edge id), lex
     orientation_bits: Tuple[str, ...]             # '+' or '-' per crossing
     vertex_rotations: Tuple[Tuple[int, ...], ...]  # ccw neighbor cycle per vertex
-    dart_base: Tuple[int, ...]                    # first dart id per edge
     dart_count: int
-    dart_face: Tuple[int, ...]                    # face on the left of each dart
     face_count: int
     reference_face: int
     seg_faces: Tuple[Tuple[Tuple[int, int], ...], ...]  # per edge: (left, right) per segment
@@ -158,12 +157,9 @@ class Drawing:
         return len(self.crossing_edges)
 
     def edge_id(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        if u == v or u < 0 or v >= self.n:
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"bad edge ({u},{v})")
-        # edges are listed lexicographically
-        return u * self.n - u * (u + 1) // 2 + (v - u - 1)
+        return edge_ids(self.n)[u][v]
 
     def with_reference(self, face: int) -> "Drawing":
         if not 0 <= face < self.face_count:
@@ -176,8 +172,14 @@ class Drawing:
 # ---------------------------------------------------------------------------
 
 
-def _all_edges(n: int) -> List[Tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
+@functools.cache
+def edge_ids(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Lexicographic edge ids of K_n, the indices into `Drawing.edges`,
+    as an n x n table with -1 on the diagonal."""
+    table = [[-1] * n for _ in range(n)]
+    for e, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+        table[u][v] = table[v][u] = e
+    return tuple(map(tuple, table))
 
 
 def build_drawing(
@@ -202,7 +204,7 @@ def build_drawing(
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    edges = _all_edges(n)
+    edges = list(itertools.combinations(range(n), 2))
     c = len(crossing_orientations)
     for bit in crossing_orientations:
         if bit not in ("+", "-"):
@@ -341,9 +343,7 @@ def build_drawing(
         crossing_edges=tuple((e1, e2) for (e1, _), (e2, _) in usage),
         orientation_bits=tuple(crossing_orientations),
         vertex_rotations=tuple(tuple(r) for r in vertex_rotations),
-        dart_base=tuple(dart_base),
         dart_count=total,
-        dart_face=tuple(dart_face),
         face_count=face_count,
         reference_face=reference_face,
         seg_faces=seg_faces,
@@ -440,16 +440,17 @@ class DeletionView:
 
         # delete the new vertices in ascending order; each removes its
         # edges to the vertices not deleted yet
-        seg_faces, edge_id = base.seg_faces, base.edge_id
+        seg_faces, ids = base.seg_faces, edge_ids(n)
         for v in range(n):
             bit = 1 << v
             if not deleted & bit or gone & bit:
                 continue
             gone |= bit
+            row = ids[v]
             for w in range(n):
                 if gone >> w & 1:
                     continue
-                for left, right in seg_faces[edge_id(v, w)]:
+                for left, right in seg_faces[row[w]]:
                     a, b = find(left), find(right)
                     if a != b:
                         root[b] = a
@@ -559,12 +560,11 @@ def weak_iso_equal(r1: RotationSystem, r2: RotationSystem,
 def k4_census(drawing: Drawing) -> K4Census:
     """Count planar vs crossed K4 subdrawings.
 
-    A K4 is crossed when two of its edges cross, and those two edges
-    are disjoint, since construction refuses adjacent crossings.  So the
-    crossed K4s are the distinct endpoint 4-sets of the crossing pairs,
-    counted in O(crossings).  In a good drawing each K4 carries at most
-    one crossing, so the crossed count equals the crossing number.
+    A K4 is crossed when two of its edges cross.  Those two edges are
+    disjoint, since construction refuses adjacent crossings, so each
+    crossing lies in exactly one K4, the one on its four endpoints; and a
+    good drawing of K4 has at most one crossing.  So the crossed count is
+    the crossing count.
     """
-    ends = [1 << u | 1 << v for u, v in drawing.edges]
-    crossed = len({ends[e1] | ends[e2] for e1, e2 in drawing.crossing_edges})
+    crossed = drawing.crossings
     return K4Census(planar=comb(drawing.n, 4) - crossed, crossed=crossed)

@@ -6,24 +6,26 @@ that separates the sphere into two regions.  w is labelled R when F
 lies on the same side of it as the face left of the first dart u->v,
 and L otherwise, and uv is a k-edge for k the smaller label count.
 
-Labels come from the per-face parity masks of `Drawing.face_parity`:
-the XOR of the masks of F and of the face left of u->v has bit e set
+The one side-of oracle, `right_mask(drawing, u, v)`, is the bitmask of
+the vertices labelled R for the dart u->v.  The XOR of the parity masks
+(`Drawing.face_parity`) of F and of the face left of u->v has bit e set
 when a dual path between the two faces crosses edge e an odd number of
 times.  By the Jordan curve theorem the two faces lie on the same side
-of the triangle exactly when bits uv, vw and uw sum to an even number,
-so each label is three bit tests and needs no coordinates.  Goodness,
-which the argument assumes, is checked when the drawing is built.
-Vectors are always taken relative to the drawing's stored reference
-face; use Drawing.with_reference to re-reference.
+of the triangle uvw exactly when bits uv, vw and uw sum to an even
+number, so each label is three bit tests.  `side_of` tests one bit,
+`k_value` counts bits within a vertex bitmask, and `k_edge_vector` is a
+histogram of the counts.  Goodness, which the argument assumes, is
+checked when the drawing is built.  Vectors are always taken relative
+to the stored reference face; use Drawing.with_reference to re-reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, List, Tuple
+from typing import List, Optional, Tuple
 
-from .drawing import Drawing
+from .drawing import Drawing, edge_ids
 
 Side = str  # "L" or "R"
 
@@ -42,79 +44,59 @@ class CumulativeSums:
     double: Tuple[int, ...]   # E_{<=<=k}
 
 
-def _left_mask(drawing: Drawing, u: int, v: int) -> int:
-    """Edges crossed an odd number of times between the reference face
-    and the face left of the first dart u->v."""
+def right_mask(drawing: Drawing, u: int, v: int) -> int:
+    """Bitmask of the vertices w outside {u, v} labelled R for u->v.
+
+    w is R exactly when the reference face lies on the same side of the
+    triangle uvw as the face left of the first dart u->v.
+    """
+    n = drawing.n
+    if u == v or not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"bad dart ({u},{v})")
     parity = drawing.face_parity
-    return parity[drawing.reference_face] ^ parity[drawing.out_left_face[u][v]]
+    mask = parity[drawing.reference_face] ^ parity[drawing.out_left_face[u][v]]
+    ids = edge_ids(n)
+    row_u, row_v = ids[u], ids[v]
+    mask_uv = mask >> row_u[v]
+    rights = 0
+    for w in range(n):
+        if (w != u and w != v
+                and not (mask_uv ^ mask >> row_u[w] ^ mask >> row_v[w]) & 1):
+            rights |= 1 << w
+    return rights
 
 
 def side_of(drawing: Drawing, u: int, v: int, w: int) -> Side:
-    """Label of w relative to the directed edge u->v and the reference face.
-
-    Returns "R" exactly when the reference face lies on the same side of
-    the triangle uvw as the face left of the u->v dart.
-    """
-    if len({u, v, w}) != 3:
-        raise ValueError("u, v, w must be distinct")
-    mask = _left_mask(drawing, u, v)
-    eid = drawing.edge_id
-    odd = (mask >> eid(u, v) ^ mask >> eid(v, w) ^ mask >> eid(u, w)) & 1
-    return "L" if odd else "R"
+    """Label of w relative to the directed edge u->v and the reference face."""
+    if len({u, v, w}) != 3 or not 0 <= w < drawing.n:
+        raise ValueError("u, v, w must be distinct vertices")
+    return "R" if right_mask(drawing, u, v) >> w & 1 else "L"
 
 
-def k_value(drawing: Drawing, edge: Tuple[int, int]) -> int:
-    """Smaller of the two side counts over all w outside the edge."""
-    return k_value_within(drawing, edge, range(drawing.n))
+def k_value(drawing: Drawing, edge: Tuple[int, int],
+            alive: Optional[int] = None) -> int:
+    """k-value of an edge in the subdrawing on the `alive` vertex bitmask.
 
-
-def k_value_within(drawing: Drawing, edge: Tuple[int, int],
-                   alive: Iterable[int]) -> int:
-    """k-value of an edge inside the subdrawing on `alive` vertices.
-
-    Side labels are triangle-local, hence identical in the subdrawing
-    and the full drawing; only the range of w shrinks.  Each label is
-    computed as in `side_of`.
+    `None` means all n vertices.  Side labels are triangle-local, hence
+    identical in the subdrawing and the full drawing; only the range of
+    w shrinks.
     """
     u, v = edge
-    mask = _left_mask(drawing, u, v)
-    eid = drawing.edge_id
-    mask_uv = mask >> eid(u, v)
-    rights = 0
-    total = 0
-    for w in alive:
-        if w == u or w == v:
-            continue
-        total += 1
-        if not (mask_uv ^ mask >> eid(v, w) ^ mask >> eid(u, w)) & 1:
-            rights += 1
-    return min(rights, total - rights)
+    if alive is None:
+        alive = (1 << drawing.n) - 1
+    elif alive >> drawing.n:  # also true of every negative mask
+        raise ValueError(f"alive mask {alive:#x} out of range")
+    others = alive & ~(1 << u | 1 << v)
+    rights = (right_mask(drawing, u, v) & others).bit_count()
+    return min(rights, others.bit_count() - rights)
 
 
 def k_edge_vector(drawing: Drawing) -> KEdgeVector:
-    """Histogram of k-values over all edges, relative to the reference face.
-
-    Each label is computed as in `side_of`, with edge ids from a local
-    n x n table and the reference mask read once.
-    """
+    """Histogram of k-values over all edges, relative to the reference face."""
     n = drawing.n
-    edges = drawing.edges
-    eid = [[-1] * n for _ in range(n)]
-    for e, (u, v) in enumerate(edges):
-        eid[u][v] = eid[v][u] = e
-    parity = drawing.face_parity
-    ref = parity[drawing.reference_face]
-    out_left = drawing.out_left_face
     counts = [0] * (n // 2)
-    for e, (u, v) in enumerate(edges):
-        mask = ref ^ parity[out_left[u][v]]
-        mask_uv = mask >> e
-        row_u, row_v = eid[u], eid[v]
-        rights = 0
-        for w in range(n):
-            if (w != u and w != v
-                    and not (mask_uv ^ mask >> row_v[w] ^ mask >> row_u[w]) & 1):
-                rights += 1
+    for u, v in drawing.edges:
+        rights = right_mask(drawing, u, v).bit_count()
         counts[min(rights, n - 2 - rights)] += 1
     return KEdgeVector(counts=tuple(counts), reference_face=drawing.reference_face)
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .drawing import DeletionView, Drawing
-from .kedges import k_value, k_value_within
+from .kedges import k_value
 
 
 class MalformedWitness(Exception):
@@ -533,18 +533,13 @@ def invariant_edge_report(drawing: Drawing,
         contribution += max(0, k + 1 - j)
 
     invariant = 0
-    alive = set(range(ref.n))
-    for i in range(k + 1):
-        b_i = witness.b_seq[i]
-        without_a0 = [v for v in alive if v != a0]
-        for x in alive:
-            if x in (b_i, a0):
-                continue
-            j_full = k_value_within(ref, (b_i, x), alive)
-            j_cut = k_value_within(ref, (b_i, x), without_a0)
-            if j_full == j_cut:
+    alive = (1 << ref.n) - 1
+    for b_i in witness.b_seq[:k + 1]:
+        without_a0 = alive & ~(1 << a0)
+        for x in _bits(without_a0 & ~(1 << b_i)):
+            if k_value(ref, (b_i, x), alive) == k_value(ref, (b_i, x), without_a0):
                 invariant += 1
-        alive.remove(b_i)
+        alive &= ~(1 << b_i)
 
     return InvariantEdgeReport(order=k, a0_contribution=contribution,
                                invariant_count=invariant)

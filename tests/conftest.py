@@ -177,15 +177,14 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
                 tuple(sorted(sub.edges[e])) for e in sub.crossing_edges[new_k])
             assert old_pair == new_pair, "crossing identities differ on an edge"
 
-        old_base = drawing.dart_base[old_eid]
-        new_base = sub.dart_base[new_eid]
+        old_segs = drawing.seg_faces[old_eid]
+        new_segs = sub.seg_faces[new_eid]
         alive_prefix = 0
         for seg in range(len(old_path) + 1):
+            # offset 0 is the forward dart of the segment, 1 its twin
             for offset in (0, 1):
-                old_dart = old_base + 2 * seg + offset
-                new_dart = new_base + 2 * alive_prefix + offset
-                cls = classes[drawing.dart_face[old_dart]]
-                face = sub.dart_face[new_dart]
+                cls = classes[old_segs[seg][offset]]
+                face = new_segs[alive_prefix][offset]
                 if cls in class_to_face:
                     assert class_to_face[cls] == face, "face classes split"
                 else:
@@ -368,9 +367,7 @@ def reference_build_drawing(
         crossing_edges=crossing_edge_pairs,
         orientation_bits=tuple(crossing_orientations),
         vertex_rotations=tuple(tuple(r) for r in vertex_rotations),
-        dart_base=tuple(dart_base),
         dart_count=total,
-        dart_face=tuple(dart_face),
         face_count=len(face_darts),
         reference_face=reference_face,
         seg_faces=seg_faces,

@@ -110,12 +110,18 @@ def test_check_shell_with_explicit_s(tmp_path, capsys):
     assert "shell" in stdout
 
 
-def test_check_s_out_of_range_exit_2(tmp_path, capsys):
-    drawing = tmp_path / "k5.pts"
-    run(capsys, "generate", "convex", "--n", "5", "-o", str(drawing))
-    code, _, err = run(capsys, "check", str(drawing), "--mode", "shell",
-                       "--s", "6")
+@pytest.mark.parametrize("n, argv", [
+    (5, ("--mode", "shell", "--s", "6")),
+    (5, ("--mode", "bishell", "--s", "4")),
+    (3, ("--mode", "bishell")),  # default order n // 2 - 2 = -1
+], ids=["shell-s6", "bishell-s4", "bishell-default-k3"])
+def test_check_s_out_of_range_exit_2(tmp_path, capsys, n, argv):
+    drawing = tmp_path / f"k{n}.pts"
+    run(capsys, "generate", "convex", "--n", str(n), "-o", str(drawing))
+    code, stdout, err = run(capsys, "check", str(drawing), *argv)
     assert code == 2
+    assert stdout == ""
+    assert "out of range" in err
 
 
 def test_verify_rejects_bad_witness(tmp_path, capsys):
@@ -183,6 +189,9 @@ def test_hunt_zero_trials(capsys):
     (("--n", "7", "--trials", "-3"), "--trials must be non-negative"),
     (("--n", "2", "--trials", "5"), "--n must be at least 3"),
     (("--n", "2", "--trials", "0"), "--n must be at least 3"),
+    (("--n", "8", "--trials", "5"), "cannot match at n=8"),
+    (("--n", "10", "--trials", "5", "--target", "optimal"),
+     "cannot match at n=10"),
 ])
 def test_hunt_rejects_bad_counts_exit_2(capsys, argv, reason):
     code, stdout, stderr = run(capsys, "hunt", *argv)

@@ -283,10 +283,10 @@ def oracle_corpus(small_corpus):
 
 def test_build_matches_reference_build_field_by_field(oracle_corpus):
     kept = {f.name for f in fields(Drawing)}
-    assert {"edges", "edge_paths", "crossing_edges", "dart_base", "dart_count",
-            "dart_face", "seg_faces", "out_left_face", "face_parity",
+    assert {"edges", "edge_paths", "crossing_edges", "dart_count",
+            "seg_faces", "out_left_face", "face_parity",
             "reference_face", "face_count"} <= kept
-    assert not kept & {"rot_next", "face_darts"}
+    assert not kept & {"rot_next", "face_darts", "dart_base", "dart_face"}
     for drawing in oracle_corpus:
         args = map_arguments(drawing)
         built = build_outcome(build_drawing, *args)

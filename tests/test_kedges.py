@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from kncross.kedges import (
     hill_number,
     k_edge_vector,
     k_value,
+    right_mask,
     side_of,
 )
 
@@ -52,6 +54,51 @@ def test_side_of_matches_view_oracle(small_corpus):
             d = drawing.with_reference(face)
             for u, v, w in triples:
                 assert side_of(d, u, v, w) == view_side_of(d, u, v, w)
+
+
+def _oracle_drawings(small_corpus):
+    drawings = [d for _name, _n, d in small_corpus]
+    return drawings + [gen_random_points(10, 3), gen_cylindrical(9)]
+
+
+def test_right_mask_matches_view_oracle(small_corpus):
+    # every dart at every reference face
+    for drawing in _oracle_drawings(small_corpus):
+        n = drawing.n
+        for face in range(drawing.face_count):
+            d = drawing.with_reference(face)
+            for u, v in itertools.permutations(range(n), 2):
+                want = sum(1 << w for w in range(n) if w not in (u, v)
+                           and view_side_of(d, u, v, w) == "R")
+                assert right_mask(d, u, v) == want
+
+
+def test_k_value_over_alive_mask_matches_view_oracle(small_corpus):
+    rng = random.Random(9)
+    for d in _oracle_drawings(small_corpus):
+        n = d.n
+        masks = [rng.getrandbits(n) for _ in range(20)] + [(1 << n) - 1]
+        for u, v in d.edges:
+            for alive in masks:
+                others = [w for w in range(n) if alive >> w & 1 and w not in (u, v)]
+                rights = sum(1 for w in others if view_side_of(d, u, v, w) == "R")
+                want = min(rights, len(others) - rights)
+                assert k_value(d, (u, v), alive) == want
+                assert k_value(d, (v, u), alive) == want
+            assert k_value(d, (u, v)) == k_value(d, (u, v), (1 << n) - 1)
+
+
+def test_side_oracle_refuses_bad_vertices():
+    d = gen_convex(5)
+    for u, v in ((0, 0), (0, 5), (-1, 2)):
+        with pytest.raises(ValueError):
+            right_mask(d, u, v)
+    for w in (1, 5, -1):
+        with pytest.raises(ValueError):
+            side_of(d, 0, 1, w)
+    for alive in (1 << 5, -1):
+        with pytest.raises(ValueError):
+            k_value(d, (0, 1), alive)
 
 
 def test_k_edge_vector_builds_no_views(monkeypatch):
