@@ -19,6 +19,13 @@ twin(d); every left/right statement below follows this convention.  The
 map lives on the sphere: the unbounded face of a geometric input is an
 ordinary face, merely remembered as the reference.
 
+`build_drawing` checks its input and nothing those checks imply: every
+edge has a path, every crossing id is in range and met by two distinct
+edge passes, every vertex rotation is a permutation of the other
+vertices, every orientation bit is '+' or '-', V - E + F = 2, and the
+drawing is good.  The checks make `rot_next` a permutation, so every
+face walk closes, and the map of K_n is connected, so its dual is too.
+
 `rot_next`, the orbits and the per-dart tables live only during
 construction.  A Drawing keeps what the rest of the package reads: the
 edges, their crossing paths and the crossing pairs, the dart and face
@@ -267,16 +274,18 @@ def build_drawing(
             cycles.append((e_seg + 2, f_seg + 2, e_seg + 1, f_seg + 1))
         else:
             cycles.append((e_seg + 2, f_seg + 1, e_seg + 1, f_seg + 2))
-    rot_next = [-1] * total
+    # No dart is assigned twice or left out: the vertex rotations are
+    # permutations and every crossing is met by two distinct edge passes,
+    # so each dart leaves exactly one node and lies in exactly one cycle.
+    # rot_next, and with it the face walk successor, is then a permutation,
+    # so every face walk closes; and the map of K_n is connected, so its
+    # dual is too and the parity walk below reaches every face.
+    rot_next = [0] * total
     for cycle in cycles:
         prev = cycle[-1]
         for d in cycle:
-            if rot_next[prev] != -1:
-                raise EdgePathInconsistent("rotation assigns a dart twice")
             rot_next[prev] = d
             prev = d
-    if -1 in rot_next:
-        raise EdgePathInconsistent("some dart never appears in a rotation")
 
     # faces: orbits of succ(d) = rot_next(twin(d)), twin(d) = d ^ 1.
     # With counterclockwise rotations such an orbit walks the face lying to
@@ -294,8 +303,6 @@ def build_drawing(
             orbit[d] = fid
             walk.append(d)
             d = rot_next[d ^ 1]
-        if d != d0:
-            raise EdgePathInconsistent("face walk does not close")
         walks.append(walk)
     dart_face = [orbit[d ^ 1] for d in range(total)]
     face_count = len(walks)
@@ -333,8 +340,6 @@ def build_drawing(
             if parity[g] is None:
                 parity[g] = parity[f] ^ (1 << dart_edge[d])
                 stack.append(g)
-    if None in parity:
-        raise EdgePathInconsistent("some face is not reachable from face 0")
 
     drawing = Drawing(
         n=n,

@@ -129,10 +129,8 @@ def _validate_twopage(spec: TwoPageSpec) -> int:
     n = len(spec.order)
     if sorted(spec.order) != list(range(n)):
         raise ValueError("spine order must be a permutation of 0..n-1")
-    edges = set(itertools.combinations(range(n), 2))
-    keys = {tuple(sorted(k)) for k in spec.pages}
-    if keys != edges:
-        raise ValueError("pages must assign every edge exactly once")
+    if spec.pages.keys() != set(itertools.combinations(range(n), 2)):
+        raise ValueError("pages must assign every edge (u, v), u < v, exactly once")
     for v in spec.pages.values():
         if v not in ("T", "B"):
             raise ValueError(f"bad page {v!r}")
@@ -244,7 +242,7 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
 
     geometry = TwoPageGeometry(
         order=tuple(spec.order),
-        pages=tuple(sorted((tuple(sorted(k)), spec.pages[k]) for k in spec.pages)),
+        pages=tuple(sorted(spec.pages.items())),
         positions=tuple(positions),
     )
     return build_drawing(n, paths, bits, rotations, ref, geometry=geometry)
@@ -323,8 +321,6 @@ def _assemble_cylindrical(
     """
     M, m = len(outer_angles), len(inner_angles)
     n = M + m
-    if n < 3:
-        raise ValueError("need at least 3 vertices")
     angles = list(outer_angles) + list(inner_angles)
     if len({a % 1 for a in angles}) != n:
         raise _RetryPerturbation
@@ -338,8 +334,7 @@ def _assemble_cylindrical(
 
     # lid arrangements (exact coordinates on the circles)
     inner_points = [circle_point(u) for u in inner_params]
-    outer_points = [Point(2 * p.x, 2 * p.y)
-                    for p in (circle_point(u) for u in outer_params)]
+    outer_points = [circle_point(u) for u in outer_params]
     if m >= 2:
         validate_points(inner_points)
         inner_arr = segment_arrangement(inner_points)

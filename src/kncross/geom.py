@@ -2,13 +2,15 @@
 
 Points carry `fractions.Fraction` coordinates, so stored and serialized
 coordinates are exact.  The predicates here (orientation, proper segment
-crossings) are exact too, with no epsilons anywhere; the SVG writer and
-the brute-force crossing oracle use them.  Planarization does not: it
-scales each point set to integers once and decides the same predicates
-with integer cross products (see `planarize`).  Degenerate inputs
-(collinear triples, tangencies, overlaps) are never "resolved"; they
-fall on the zero branch of a predicate and it is up to the caller to
-reject them.
+crossings) are exact too, with no epsilons anywhere.  The SVG writer
+places crossing dots with `proper_intersection`, and the brute-force
+crossing oracle counts with it; `orient` is the public orientation
+test, used by the exact-Fraction test oracles.  Planarization uses
+neither: it scales each point set to integers and decides the same
+predicates with integer cross products (see `planarize`).  Degenerate
+inputs (collinear triples, tangencies, overlaps) are never "resolved";
+they fall on the zero branch of a predicate and it is up to the caller
+to reject them.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .drawing import (
     PointsGeometry,
     TwoPageGeometry,
     build_drawing,
+    rotation_system,
 )
 from .geom import Point, proper_intersection
 from .planarize import planarize_points
@@ -158,7 +159,7 @@ def _parse_twopage(n: int, body: List[Tuple[int, str]]) -> Drawing:
             pages[key] = parts[3]
         else:
             raise ParseError(no, f"unexpected line {line!r}")
-    if order is None or sorted(order) != list(range(n)):
+    if order is None or len(order) != max(n, 0) or sorted(order) != list(range(n)):
         raise ParseError(body[0][0] if body else 4, "order line missing or invalid")
     if len(pages) != n * (n - 1) // 2:
         raise ParseError(body[-1][0] if body else 4, "missing edge lines")
@@ -209,9 +210,11 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
     last = body[-1][0] if body else 4
     if c is None:
         raise ParseError(last, "missing crossing count")
-    if sorted(rotations) != list(range(n)):
+    # counts first: a header count far beyond the file's lines must not
+    # size a list
+    if len(rotations) != max(n, 0) or sorted(rotations) != list(range(n)):
         raise ParseError(last, "missing rotation lines")
-    if sorted(bits) != list(range(c)):
+    if len(bits) != max(c, 0) or sorted(bits) != list(range(c)):
         raise ParseError(last, "missing orientation lines")
     if ref is None:
         raise ParseError(last, "missing ref line")
@@ -256,10 +259,8 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
 
     if fmt == "map":
         out = [MAGIC, "format map", f"n {drawing.n}", f"c {drawing.crossings}"]
-        for u, rot in enumerate(drawing.vertex_rotations):
-            k = rot.index(min(rot))
-            cyc = rot[k:] + rot[:k]
-            out.append(f"rot {u} : " + " ".join(str(w) for w in cyc))
+        for u, rot in enumerate(rotation_system(drawing)):
+            out.append(f"rot {u} : " + " ".join(str(w) for w in rot))
         renum: Dict[int, int] = {}
         for eid, _ in enumerate(drawing.edges):
             for k in drawing.edge_paths[eid]:

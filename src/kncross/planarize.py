@@ -12,6 +12,13 @@ no order along a segment.  A crossing's position along an edge is kept
 as a parameter `(num, den)` with `den > 0`, compared by
 cross-multiplication.  The `Fraction` points themselves are only
 stored, as the drawing's geometry.
+
+The reference face of a planarized drawing is the unbounded face, named
+by a dart read off the arrangement.  Seen from the lexicographically
+largest point `top`, every other point lies at an angle in (90, 270]
+degrees, so the last neighbor w in the counterclockwise order at `top`
+has every other point strictly to the right of top->w.  That hull edge
+is never crossed, and the face to the left of top->w is unbounded.
 """
 
 from __future__ import annotations
@@ -152,44 +159,27 @@ def segment_arrangement(points: Sequence[Point]) -> Arrangement:
     )
 
 
-def unbounded_reference(points: Sequence[Point]) -> Tuple[int, int]:
-    """Directed hull edge whose left side is the unbounded region.
-
-    Starting from the lexicographically largest point p, the hull
-    neighbor q with every other point strictly to the right of p->q is
-    unique; hull edges are never crossed, so the face left of that first
-    dart is the unbounded face.
-    """
-    pts = _integer_points(points)
-    n = len(pts)
-    p = max(range(n), key=pts.__getitem__)
-    for q in range(n):
-        if q == p:
-            continue
-        if all(_orient(pts[p], pts[q], pts[w]) < 0
-               for w in range(n) if w not in (p, q)):
-            return (p, q)
-    raise DegenerateInput("collinear", (p,))  # unreachable after validation
-
-
 def planarize_points(points: Sequence[Point]) -> Drawing:
     """Validated Drawing of the straight-line complete graph on `points`.
 
-    The reference face is the unbounded one.
+    The reference face is the unbounded one, read off the arrangement
+    (see the module docstring).
     """
     pts = list(points)
-    if len(pts) < 3:
+    n = len(pts)
+    if n < 3:
         raise ValueError("need at least 3 points")
     validate_points(pts)
     arr = segment_arrangement(pts)
-    edges = list(itertools.combinations(range(len(pts)), 2))
+    edges = list(itertools.combinations(range(n), 2))
     paths = {edges[eid]: arr.edge_paths[eid] for eid in range(len(edges))}
+    top = max(range(n), key=lambda i: (pts[i].x, pts[i].y))
     return build_drawing(
-        n=len(pts),
+        n=n,
         edge_paths=paths,
         crossing_orientations=arr.bits,
         vertex_rotations=arr.vertex_orders,
-        reference=unbounded_reference(pts),
+        reference=(top, arr.vertex_orders[top][-1]),
         geometry=PointsGeometry(points=tuple(pts)),
     )
 

@@ -133,6 +133,14 @@ def _check_witness_face(drawing: Drawing, face: int) -> None:
         raise MalformedWitness(f"face {face} out of range")
 
 
+def _search_faces(drawing: Drawing, face: Optional[int]) -> Sequence[int]:
+    """Every face, or only the caller's `face`, checked once."""
+    if face is None:
+        return range(drawing.face_count)
+    _check_witness_face(drawing, face)
+    return (face,)
+
+
 def _check_seq(drawing: Drawing, seq: Sequence[int], what: str) -> None:
     if len(set(seq)) != len(seq):
         raise MalformedWitness(f"duplicate vertex in {what}")
@@ -274,10 +282,8 @@ def check_bishellable(drawing: Drawing, s: int,
     """
     if not 0 <= s <= drawing.n - 2:
         raise ValueError(f"order s={s} out of range for n={drawing.n}")
-    faces = (face,) if face is not None else range(drawing.face_count)
     memo: Memo = {}
-    for f in faces:
-        _check_witness_face(drawing, f)
+    for f in _search_faces(drawing, face):
         found = _bishell_at_face(drawing, s, f, memo)
         if found is not None:
             return found
@@ -344,11 +350,10 @@ def first_shell_witness(drawing: Drawing,
 
 def _shell_search(drawing: Drawing, lengths: Sequence[int], face: Optional[int],
                   memo: Memo) -> Optional[ShellWitness]:
-    faces = (face,) if face is not None else range(drawing.face_count)
+    faces = _search_faces(drawing, face)
     for s in lengths:
         fill_order, schedule = _shell_schedule(s)
         for f in faces:
-            _check_witness_face(drawing, f)
             seq = [0] * s
             if _shell_dfs(drawing, f, seq, fill_order, schedule, 0, 0, memo):
                 return ShellWitness(face=f, seq=tuple(seq))

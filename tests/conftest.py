@@ -481,7 +481,15 @@ def fraction_segment_arrangement(points) -> Arrangement:
 
 
 def fraction_unbounded_reference(points) -> Tuple[int, int]:
-    """`unbounded_reference` with `Fraction` orientation tests."""
+    """Directed hull edge whose left side is the unbounded region, by
+    `Fraction` orientation tests: the slow path of the reference dart
+    `planarize_points` reads off its arrangement.
+
+    Starting from the lexicographically largest point p, the hull
+    neighbor q with every other point strictly to the right of p->q is
+    unique; hull edges are never crossed, so the face left of that first
+    dart is the unbounded face.
+    """
     pts = list(points)
     n = len(pts)
     p = max(range(n), key=lambda i: (pts[i].x, pts[i].y))

@@ -149,6 +149,14 @@ def test_twopage_invalid_specs():
     del pages[(0, 1)]
     with pytest.raises(ValueError):
         gen_twopage(TwoPageSpec((0, 1, 2, 3), pages))
+    # every key is an edge (u, v) with u < v: a reversed key, or a doubled
+    # one whose twopage file would list the edge twice, is refused
+    pages[(1, 0)] = "T"
+    with pytest.raises(ValueError):
+        gen_twopage(TwoPageSpec((0, 1, 2, 3), pages))
+    pages[(0, 1)] = "B"
+    with pytest.raises(ValueError):
+        gen_twopage(TwoPageSpec((0, 1, 2, 3), pages))
 
 
 def test_random_points_deterministic():

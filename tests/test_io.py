@@ -1,7 +1,11 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kncross.io
-from kncross.cli import main
+from kncross.cli import _INPUT_ERRORS, main
 from kncross.drawing import (
     BadCrossingDegree,
     EdgePathInconsistent,
@@ -29,6 +33,7 @@ from kncross.shelling import (
 )
 
 from conftest import build_outcome, reference_build_drawing
+from test_cli import ADJACENT_CROSS_K4
 
 
 def test_points_round_trip():
@@ -211,6 +216,28 @@ def test_bad_integer_in_line_pinned(tmp_path, capsys, text, line):
     assert (captured.out, captured.err) == ("", f"error: line {line}: bad integer 'x'\n")
 
 
+# header counts far beyond the file's lines: refused before anything is
+# sized by them
+HUGE = 10**15
+HOSTILE_COUNTS = [
+    CONVEX_K4_MAP.replace("\nn 4\n", f"\nn {HUGE}\n"),
+    CONVEX_K4_MAP.replace("\nc 1\n", f"\nc {HUGE}\n"),
+    serialize(gen_twopage(twopage_all_top(4)), "twopage").decode().replace(
+        "\nn 4\n", f"\nn {HUGE}\n"),
+]
+
+
+@pytest.mark.parametrize("text", HOSTILE_COUNTS, ids=["map-n", "map-c", "twopage-n"])
+def test_hostile_header_counts_refused(tmp_path, capsys, text):
+    with pytest.raises(ParseError):
+        parse(text)
+    path = tmp_path / "hostile.txt"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: line ")
+
+
 def test_comments_and_blank_lines_ignored():
     d = gen_convex(4)
     text = serialize(d, "points").decode()
@@ -272,3 +299,71 @@ def test_svg_export(tmp_path):
         assert body.count("<circle") >= drawing.n
     cylinder = (tmp_path / "cylinder.svg").read_text()
     assert cylinder.count('stroke="#ccc"') >= 2   # the two guide circles
+
+
+# ---------------------------------------------------------------------------
+# fuzzing map files against the reference map assembly
+# ---------------------------------------------------------------------------
+
+FUZZ_BASES = [serialize(d, "map").decode().splitlines() for d in (
+    gen_convex(4), gen_convex(5), gen_cylindrical(5), gen_random_points(5, 3))]
+FUZZ_BASES.append(ADJACENT_CROSS_K4.splitlines())
+FUZZ_TOKENS = ["0", "1", "2", "3", "4", "5", "6", "-1", str(HUGE),
+               "+", "-", ":", "c", "e", "n", "x", "rot", "ref"]
+
+
+def _edited(lines, edits):
+    """`lines` with token and line edits; every index wraps around.
+
+    "swap" exchanges two neighbors in the list after a line's ':' (a
+    rotation or an edge path), "repeat" doubles one of its entries and
+    "flip" turns '+' into '-' and back, so that many edited files still
+    parse and reach map assembly.
+    """
+    rows = [line.split() for line in lines]
+    for kind, i, j, token in edits:
+        row = rows[i % len(rows)]
+        body = row.index(":") + 1 if ":" in row else len(row)
+        if kind == "replace" and row:
+            row[j % len(row)] = token
+        elif kind == "insert":
+            row.insert(j % (len(row) + 1), token)
+        elif kind == "delete" and row:
+            del row[j % len(row)]
+        elif kind == "swap" and len(row) - body >= 2:
+            a = body + j % (len(row) - body - 1)
+            row[a], row[a + 1] = row[a + 1], row[a]
+        elif kind == "repeat" and len(row) > body:
+            a = body + j % (len(row) - body)
+            row.insert(a, row[a])
+        elif kind == "flip":
+            row[:] = [{"+": "-", "-": "+"}.get(t, t) for t in row]
+        elif kind == "drop line" and len(rows) > 1:
+            del rows[i % len(rows)]
+        elif kind == "copy line":
+            rows.insert(j % (len(rows) + 1), list(row))
+        elif kind == "move line":
+            rows.insert(j % len(rows), rows.pop(i % len(rows)))
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+EDITS = st.tuples(
+    st.sampled_from(["replace", "insert", "delete", "swap", "repeat", "flip",
+                     "drop line", "copy line", "move line"]),
+    st.integers(0, 63), st.integers(0, 63), st.sampled_from(FUZZ_TOKENS))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(FUZZ_BASES), st.lists(EDITS, min_size=1, max_size=3))
+def test_fuzzed_maps_refused_as_reference_build_refuses(lines, edits):
+    # an edited map parses, or both map assemblies refuse it with the same
+    # class, message and goodness report; either way it exits 2, never 1
+    text = _edited(lines, edits)
+    outcome = build_outcome(parse, text)
+    with mock.patch.object(kncross.io, "build_drawing", reference_build_drawing):
+        assert build_outcome(parse, text) == outcome
+    if len(outcome) == 3:
+        assert issubclass(outcome[0], _INPUT_ERRORS), outcome
+    else:
+        blob = serialize(parse(text), "map")
+        assert serialize(parse(blob), "map") == blob

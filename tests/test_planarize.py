@@ -1,9 +1,11 @@
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from kncross.drawing import validate_good
+from kncross import planarize
+from kncross.drawing import build_drawing, validate_good
 from kncross.generators import SplitMix64, gen_random_points
 from kncross.geom import Point, circle_point, point
 from kncross.planarize import (
@@ -11,7 +13,6 @@ from kncross.planarize import (
     brute_force_crossing_count,
     planarize_points,
     segment_arrangement,
-    unbounded_reference,
     validate_points,
 )
 
@@ -82,6 +83,19 @@ def test_unbounded_reference_face():
 # ---------------------------------------------------------------------------
 
 
+def _reference_dart(pts):
+    """The reference dart `planarize_points` hands to `build_drawing`."""
+    darts = []
+
+    def spy(*args, **kwargs):
+        darts.append(kwargs["reference"])
+        return build_drawing(*args, **kwargs)
+
+    with mock.patch.object(planarize, "build_drawing", spy):
+        planarize_points(pts)
+    return darts[0]
+
+
 def _outcome(validate, arrange, reference, pts):
     try:
         validate(pts)
@@ -91,7 +105,7 @@ def _outcome(validate, arrange, reference, pts):
 
 
 def _assert_matches_fraction_path(pts):
-    fast = _outcome(validate_points, segment_arrangement, unbounded_reference, pts)
+    fast = _outcome(validate_points, segment_arrangement, _reference_dart, pts)
     slow = _outcome(fraction_validate_points, fraction_segment_arrangement,
                     fraction_unbounded_reference, pts)
     assert fast == slow

@@ -99,6 +99,13 @@ def test_malformed_witnesses_raise():
         verify_bishell_witness(d5, BishellWitness(0, (0, 1), (2,)))
     with pytest.raises(MalformedWitness):
         verify_bishell_witness(d5, BishellWitness(99, (0,), (1,)))
+    # a face given to a search is checked before the search starts
+    for search in (lambda f: check_bishellable(d5, 1, face=f),
+                   lambda f: check_s_shellable(d5, 3, face=f),
+                   lambda f: first_shell_witness(d5, face=f)):
+        for face in (-1, d5.face_count):
+            with pytest.raises(MalformedWitness):
+                search(face)
 
 
 def test_condition3_violation_reported_at_top_index():
