@@ -49,7 +49,6 @@ from .shelling import (
     is_bishellable,
     is_shellable,
     shell_to_bishell,
-    shelling_sequences,
     sufficient_conditions,
     truncate_bishell,
     verify_bishell_witness,
@@ -73,7 +72,7 @@ __all__ = [
     "k_edge_vector", "k_value", "orient", "parse", "parse_witness",
     "planarize_points", "point", "proper_intersection",
     "right_mask", "rotation_key", "rotation_system", "serialize",
-    "serialize_witness", "shell_to_bishell", "shelling_sequences", "side_of",
+    "serialize_witness", "shell_to_bishell", "side_of",
     "sufficient_conditions", "truncate_bishell", "validate_good",
     "verify_bishell_witness", "verify_shell_witness", "weak_iso_equal",
 ]

@@ -115,6 +115,8 @@ def parse(data: Union[bytes, str]) -> Drawing:
     if len(nparts) != 2 or nparts[0] != "n":
         raise ParseError(no, "expected 'n <int>'")
     n = _int(nparts[1], no)
+    if n < 0:
+        raise ParseError(no, f"negative vertex count {n}")
     body = lines[3:]
     if fmt == "points":
         return _parse_points(n, body)
@@ -159,7 +161,7 @@ def _parse_twopage(n: int, body: List[Tuple[int, str]]) -> Drawing:
             pages[key] = parts[3]
         else:
             raise ParseError(no, f"unexpected line {line!r}")
-    if order is None or len(order) != max(n, 0) or sorted(order) != list(range(n)):
+    if order is None or len(order) != n or sorted(order) != list(range(n)):
         raise ParseError(body[0][0] if body else 4, "order line missing or invalid")
     if len(pages) != n * (n - 1) // 2:
         raise ParseError(body[-1][0] if body else 4, "missing edge lines")
@@ -178,6 +180,8 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
             if c is not None or len(parts) != 2:
                 raise ParseError(no, "bad crossing count line")
             c = _int(parts[1], no)
+            if c < 0:
+                raise ParseError(no, f"negative crossing count {c}")
         elif parts[0] == "rot":
             if len(parts) < 3 or parts[2] != ":":
                 raise ParseError(no, "expected 'rot <u> : <neighbors>'")
@@ -212,9 +216,9 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
         raise ParseError(last, "missing crossing count")
     # counts first: a header count far beyond the file's lines must not
     # size a list
-    if len(rotations) != max(n, 0) or sorted(rotations) != list(range(n)):
+    if len(rotations) != n or sorted(rotations) != list(range(n)):
         raise ParseError(last, "missing rotation lines")
-    if len(bits) != max(c, 0) or sorted(bits) != list(range(c)):
+    if len(bits) != c or sorted(bits) != list(range(c)):
         raise ParseError(last, "missing orientation lines")
     if ref is None:
         raise ParseError(last, "missing ref line")

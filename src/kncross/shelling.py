@@ -13,11 +13,35 @@ drawing.  Verification never searches: it reads the incidences of the
 deleted sets a witness claims directly.
 
 Every incidence test depends only on the set of deleted vertices, so
-searches, verifiers and `shelling_sequences` look it up in a memo that
-maps the set, as a vertex bitmask, to its `DeletionView`.  One memo
-serves every face and both sequences of a bishell search, and every
-face and every s of a shell search.  A set's view is grown from the
-memoised view of the set minus one vertex when there is one.
+searches and verifiers look it up in a memo that maps the set, as a
+vertex bitmask, to its `DeletionView`.  One memo serves every face and
+both sequences of a bishell search, and every face and every s of a
+shell search.  A set's view is grown from the memoised view of the set
+minus one vertex when there is one.
+
+To *peel* is to delete a vertex incident with the class of the
+reference face.  Incidence is monotone: a vertex incident after
+deleting X stays incident after deleting one more vertex, while two
+vertices survive.  So the greedy lemma holds: with some vertices
+banned until given steps, peeling any allowed vertex at each step goes
+as far as the longest peel sequence (exchange the first vertex of a
+longest sequence that greedy did not peel for the one it did).  Two
+rules of the bishell search follow.
+
+* Greedy B.  Given a_0..a_s, b_j is the lowest vertex peelable after
+  b_0..b_{j-1} that is not one of a_0..a_{s-j}.  A b-sequence exists
+  exactly when this one is complete, and it is the first one a
+  depth-first search in ascending order finds.
+* Peel closure.  `_peel_closure_holds(s)` refutes a face unless some
+  peel sequence a_0..a_s leaves, for every i, a greedy peel of s - i + 1
+  vertices with {a_0..a_i} banned throughout; b_0..b_{s-i} of a witness
+  is such a peel.  The bishell search runs only at faces where it
+  holds, and the shell search of length s >= 2 only where it holds for
+  s - 2, since `shell_to_bishell` turns an s-shell witness into an
+  order s - 2 bishell witness at the same face.
+
+Both are necessary conditions, so a face they refute has no witness,
+and the witnesses and refusals are those of the exhaustive search.
 
 The shell search fills positions outside-in (v_1, v_s, v_2, ...) on a
 schedule fixed by s: `schedule[step]` lists the pairs (r,t) first
@@ -150,36 +174,6 @@ def _check_seq(drawing: Drawing, seq: Sequence[int], what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sequence enumeration
-# ---------------------------------------------------------------------------
-
-
-def shelling_sequences(drawing: Drawing, face: int,
-                       length: int) -> Iterator[Tuple[int, ...]]:
-    """All sequences of `length` vertices peeling away from `face`.
-
-    Each x_i must be incident with the face class of `face` after the
-    prefix x_0..x_{i-1} has been deleted.  Depth-first, children in
-    ascending vertex order.
-    """
-    if length > drawing.n:
-        raise ValueError("length exceeds vertex count")
-    _check_witness_face(drawing, face)
-    memo: Memo = {}
-
-    def rec(deleted: int, seq: List[int]) -> Iterator[Tuple[int, ...]]:
-        if len(seq) == length:
-            yield tuple(seq)
-            return
-        for v in _bits(_incident_mask(drawing, deleted, face, memo)):
-            seq.append(v)
-            yield from rec(deleted | 1 << v, seq)
-            seq.pop()
-
-    yield from rec(0, [])
-
-
-# ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
 
@@ -274,51 +268,94 @@ def check_bishellable(drawing: Drawing, s: int,
                       face: Optional[int] = None) -> Optional[BishellWitness]:
     """Exhaustive search for an order-s bishell witness.
 
-    Scans all faces unless one is fixed; within a face both sequences
-    are grown depth-first with the disjointness constraint applied at
-    every extension (b_j is never one of a_0..a_{s-j}).  Returns the
-    first witness in the deterministic search order, or None.  One
-    memo of deletion views serves both sequences and every face.
+    Scans all faces unless one is fixed, and skips a face where the
+    peel-closure condition fails (`_peel_closure_holds`).  Within a face
+    the a-sequence is grown depth-first and B is completed greedily.
+    Returns the first witness in the deterministic search order, or
+    None.  One memo of deletion views serves both sequences and every
+    face.
     """
     if not 0 <= s <= drawing.n - 2:
         raise ValueError(f"order s={s} out of range for n={drawing.n}")
     memo: Memo = {}
     for f in _search_faces(drawing, face):
-        found = _bishell_at_face(drawing, s, f, memo)
-        if found is not None:
-            return found
+        if _peel_closure_holds(drawing, s, f, memo):
+            found = _bishell_at_face(drawing, s, f, memo)
+            if found is not None:
+                return found
     return None
+
+
+def _greedy_peel(drawing: Drawing, face: int, bans: Sequence[int],
+                 memo: Memo) -> List[int]:
+    """Peel from nothing deleted: at step j the lowest incident vertex
+    outside the bitmask `bans[j]`, for as long as there is one."""
+    deleted = 0
+    peeled: List[int] = []
+    for banned in bans:
+        allowed = _incident_mask(drawing, deleted, face, memo) & ~banned
+        if not allowed:
+            break
+        low = allowed & -allowed
+        deleted |= low
+        peeled.append(low.bit_length() - 1)
+    return peeled
+
+
+def _peel_closure_holds(drawing: Drawing, s: int, face: int, memo: Memo) -> bool:
+    """The peel-closure condition PC(s) at `face`, necessary for an
+    order-s bishell witness there.
+
+    It holds when some peel sequence a_0..a_s leaves, at every i, a
+    greedy peel of at least s - i + 1 vertices with A_i = {a_0..a_i}
+    banned.  The b_0..b_{s-i} of a witness peel that far with A_i banned,
+    and by the greedy lemma the greedy peel is as long as the longest
+    one.  Whether a_0..a_i extends to a sequence that passes depends
+    only on the set A_i, so the search remembers the sets that fail, and
+    peels with each banned set at most once.
+    """
+    failed: Set[int] = set()
+
+    def holds(prefix: int, i: int) -> bool:
+        # `prefix` is A_i
+        if prefix in failed:
+            return False
+        length = s - i + 1
+        if len(_greedy_peel(drawing, face, (prefix,) * length, memo)) == length:
+            if i == s:
+                return True
+            for v in _bits(_incident_mask(drawing, prefix, face, memo)):
+                if holds(prefix | 1 << v, i + 1):
+                    return True
+        failed.add(prefix)
+        return False
+
+    return any(holds(1 << v, 0) for v in _bits(_incident_mask(drawing, 0, face, memo)))
 
 
 def _bishell_at_face(drawing: Drawing, s: int, face: int,
                      memo: Memo) -> Optional[BishellWitness]:
+    """First witness at `face`: a-sequences depth-first, each completed
+    by the greedy b-sequence, b_j the lowest vertex peelable after
+    b_0..b_{j-1} that is not one of a_0..a_{s-j}."""
     a_seq: List[int] = []
-
-    def extend_b(deleted: int, b_seq: List[int]) -> Optional[Tuple[int, ...]]:
-        j = len(b_seq)
-        if j == s + 1:
-            return tuple(b_seq)
-        allowed = _incident_mask(drawing, deleted, face, memo) & ~_vertex_mask(a_seq[:s - j + 1])
-        for v in _bits(allowed):
-            b_seq.append(v)
-            result = extend_b(deleted | 1 << v, b_seq)
-            if result is not None:
-                return result
-            b_seq.pop()
-        return None
+    prefixes: List[int] = []      # prefixes[i] = {a_0..a_i} as a bitmask
 
     def extend_a(deleted: int) -> Optional[BishellWitness]:
         if len(a_seq) == s + 1:
-            b = extend_b(0, [])
-            if b is not None:
-                return BishellWitness(face=face, a_seq=tuple(a_seq), b_seq=b)
+            b = _greedy_peel(drawing, face, prefixes[::-1], memo)
+            if len(b) == s + 1:
+                return BishellWitness(face=face, a_seq=tuple(a_seq), b_seq=tuple(b))
             return None
         for v in _bits(_incident_mask(drawing, deleted, face, memo)):
+            grown = deleted | 1 << v
             a_seq.append(v)
-            result = extend_a(deleted | 1 << v)
+            prefixes.append(grown)
+            result = extend_a(grown)
             if result is not None:
                 return result
             a_seq.pop()
+            prefixes.pop()
         return None
 
     return extend_a(0)
@@ -354,6 +391,10 @@ def _shell_search(drawing: Drawing, lengths: Sequence[int], face: Optional[int],
     for s in lengths:
         fill_order, schedule = _shell_schedule(s)
         for f in faces:
+            # a shell witness at f truncates to an order s-2 bishell
+            # witness at f (`shell_to_bishell`)
+            if s >= 2 and not _peel_closure_holds(drawing, s - 2, f, memo):
+                continue
             seq = [0] * s
             if _shell_dfs(drawing, f, seq, fill_order, schedule, 0, 0, memo):
                 return ShellWitness(face=f, seq=tuple(seq))

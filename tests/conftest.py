@@ -7,7 +7,8 @@ from dataclasses import fields
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 import pytest
 
@@ -549,6 +550,39 @@ def candidate_map_weak_iso(r1, r2) -> bool:
 # ---------------------------------------------------------------------------
 # shell and bishell searches over cloned views: the slow path of `shelling`
 # ---------------------------------------------------------------------------
+
+
+def shelling_sequences(drawing: Drawing, face: int, length: int,
+                       banned: int = 0) -> Iterator[Tuple[int, ...]]:
+    """Every sequence of `length` vertices outside the bitmask `banned`
+    peeling away from `face`: each x_i is incident with the class of
+    `face` once x_0..x_{i-1} are deleted.  Depth-first, children in
+    ascending vertex order."""
+    views: Dict[int, DeletionView] = {}
+
+    def rec(deleted: int, seq: List[int]) -> Iterator[Tuple[int, ...]]:
+        if len(seq) == length:
+            yield tuple(seq)
+            return
+        view = views.get(deleted)
+        if view is None:
+            view = views[deleted] = DeletionView(drawing, deleted)
+        incident = view.incident_mask(face) & ~banned
+        for v in range(drawing.n):
+            if incident >> v & 1:
+                seq.append(v)
+                yield from rec(deleted | 1 << v, seq)
+                seq.pop()
+
+    yield from rec(0, [])
+
+
+def longest_peel(drawing: Drawing, face: int, banned: int) -> int:
+    """Length of the longest sequence `shelling_sequences` enumerates."""
+    length = 0
+    while next(shelling_sequences(drawing, face, length + 1, banned), None) is not None:
+        length += 1
+    return length
 
 
 def loop_incident(drawing: Drawing, classes: List[int], face: int, u: int,

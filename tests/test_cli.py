@@ -35,19 +35,31 @@ def test_analyze_json(tmp_path, capsys):
     assert payload["k4_crossed"] == 5
 
 
+# map file of the planar K4; reference face is the outer triangle
+PLANAR_K4_MAP = (
+    "kncross v1\nformat map\nn 4\nc 0\n"
+    "rot 0 : 1 3 2\nrot 1 : 2 3 0\nrot 2 : 0 3 1\nrot 3 : 2 0 1\n"
+    "e 0 1 :\ne 0 2 :\ne 0 3 :\ne 1 2 :\ne 1 3 :\ne 2 3 :\n"
+    "ref 1 0\n")
+
+
 def test_analyze_planar_k4_values(tmp_path, capsys):
-    # map file of the planar K4; reference face is the outer triangle
-    blob = (
-        "kncross v1\nformat map\nn 4\nc 0\n"
-        "rot 0 : 1 3 2\nrot 1 : 2 3 0\nrot 2 : 0 3 1\nrot 3 : 2 0 1\n"
-        "e 0 1 :\ne 0 2 :\ne 0 3 :\ne 1 2 :\ne 1 3 :\ne 2 3 :\n"
-        "ref 1 0\n")
     path = tmp_path / "k4.map"
-    path.write_text(blob)
+    path.write_text(PLANAR_K4_MAP)
     code, stdout, _ = run(capsys, "analyze", str(path))
     assert code == 0
     assert "cr=0" in stdout and "H=0" in stdout and "E=[3,3]" in stdout
     assert "identity PASS" in stdout
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ("\nc 0\n", "\nc -7\n", "line 4: negative crossing count -7"),
+    ("\nn 4\n", "\nn -4\n", "line 3: negative vertex count -4"),
+], ids=["c", "n"])
+def test_negative_header_counts_exit_2(tmp_path, capsys, old, new, reason):
+    path = tmp_path / "k4.map"
+    path.write_text(PLANAR_K4_MAP.replace(old, new))
+    assert run(capsys, "analyze", str(path)) == (2, "", f"error: {reason}\n")
 
 
 def test_malformed_file_exit_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,19 @@ CYLINDRICAL_WITNESSES = {
 @pytest.mark.parametrize("n", sorted(CYLINDRICAL_WITNESSES))
 def test_cylindrical_bishell_witness_pinned(n):
     assert check_bishellable(gen_cylindrical(n), n // 2 - 2) == CYLINDRICAL_WITNESSES[n]
+
+
+def test_random_k16_bishell_witness_pinned():
+    # recorded on the search that tried every b-sequence at every face; on
+    # a 2-core x86_64 machine that search took 3 s and the one that refutes
+    # faces by peel closure 0.15 s, so the time bound catches a fall back
+    d = gen_random_points(16, 1)
+    start = time.perf_counter()
+    witness = check_bishellable(d, 6)
+    elapsed = time.perf_counter() - start
+    assert witness == BishellWitness(face=566, a_seq=(1, 3, 6, 7, 8, 0, 9),
+                                     b_seq=(2, 10, 13, 8, 7, 6, 3))
+    assert elapsed < 1.5
 
 
 DEMO_02_STDOUT = """\

@@ -33,7 +33,7 @@ from kncross.shelling import (
 )
 
 from conftest import build_outcome, reference_build_drawing
-from test_cli import ADJACENT_CROSS_K4
+from test_cli import ADJACENT_CROSS_K4, PLANAR_K4_MAP
 
 
 def test_points_round_trip():
@@ -236,6 +236,24 @@ def test_hostile_header_counts_refused(tmp_path, capsys, text):
     assert main(["analyze", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: line ")
+
+
+NEGATIVE_COUNTS = [
+    (PLANAR_K4_MAP.replace("\nc 0\n", "\nc -7\n"), 4, "negative crossing count -7"),
+    (PLANAR_K4_MAP.replace("\nn 4\n", "\nn -4\n"), 3, "negative vertex count -4"),
+    (serialize(gen_convex(4), "points").decode().replace("\nn 4\n", "\nn -1\n"), 3,
+     "negative vertex count -1"),
+]
+
+
+@pytest.mark.parametrize("text, line, reason", NEGATIVE_COUNTS, ids=["map-c", "map-n", "points-n"])
+def test_negative_header_counts_refused(text, line, reason):
+    # a negative count used to pass the parser's count checks, `c` as no
+    # crossings and `n` until map assembly
+    assert parse(PLANAR_K4_MAP).crossings == 0
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert (caught.value.line, caught.value.reason) == (line, reason)
 
 
 def test_comments_and_blank_lines_ignored():

@@ -1,6 +1,9 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kncross.drawing import DeletionView
 from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
@@ -10,6 +13,8 @@ from kncross.shelling import (
     MalformedWitness,
     ShellWitness,
     WitnessInvalid,
+    _greedy_peel,
+    _peel_closure_holds,
     bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
@@ -19,14 +24,14 @@ from kncross.shelling import (
     is_shellable,
     shell_to_bishell,
     shell_witness_violation,
-    shelling_sequences,
     sufficient_conditions,
     truncate_bishell,
     verify_bishell_witness,
     verify_shell_witness,
 )
 
-from conftest import child_view_bishell, loop_incident, replay_shell_search
+from conftest import (child_view_bishell, longest_peel, loop_incident, replay_shell_search,
+                      shelling_sequences)
 
 
 def naive_bishellable(drawing, s):
@@ -403,3 +408,94 @@ def test_deletion_view_refuses_bad_masks():
     # a parent must delete a subset of the view's vertices
     with pytest.raises(ValueError):
         DeletionView(d, 0b011, DeletionView(d, 0b100))
+
+
+# ---------------------------------------------------------------------------
+# the peel-closure refutation and the greedy B, against their oracles
+# ---------------------------------------------------------------------------
+
+
+# random (seeds 1-3), convex and cylindrical K_8..K_11
+MONOTONE_DRAWINGS = ([("random", n, seed) for n in range(8, 12) for seed in (1, 2, 3)]
+                     + [(family, n, None) for family in ("convex", "cylindrical")
+                        for n in range(8, 12)])
+
+
+@functools.lru_cache(maxsize=None)
+def _monotone_drawing(family, n, seed):
+    if family == "random":
+        return gen_random_points(n, seed)
+    return gen_convex(n) if family == "convex" else gen_cylindrical(n)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(MONOTONE_DRAWINGS), st.integers(0, (1 << 11) - 1),
+       st.integers(0, 10), st.integers(0, 10**4))
+def test_incidence_is_monotone_under_deletion(key, deleted, pick, face):
+    # u incident with the class of F in D - X stays incident in D - X - w
+    # while two vertices survive: the greedy lemma rests on this
+    d = _monotone_drawing(*key)
+    n = d.n
+    deleted &= (1 << n) - 1
+    survivors = [v for v in range(n) if not deleted >> v & 1]
+    assume(len(survivors) >= 3)
+    w = survivors[pick % len(survivors)]
+    face %= d.face_count
+    before = DeletionView(d, deleted).incident_mask(face)
+    after = DeletionView(d, deleted | 1 << w).incident_mask(face)
+    assert before & ~(1 << w) & ~after == 0
+
+
+def test_greedy_closure_is_the_longest_peel(small_corpus):
+    # with a fixed banned set, peeling the lowest allowed vertex at every
+    # step goes as far as the longest peel sequence
+    for name, n, d in small_corpus:
+        memo = {}
+        for f in range(d.face_count):
+            seq = next(shelling_sequences(d, f, longest_peel(d, f, 0)))
+            for i in range(len(seq) + 1):
+                banned = sum(1 << v for v in seq[:i])
+                greedy = _greedy_peel(d, f, (banned,) * n, memo)
+                assert len(greedy) == longest_peel(d, f, banned), (name, n, f, i)
+
+
+# the bishell oracle pays for every b-sequence of every a-sequence, so at
+# every order it only runs on drawings of up to 8 vertices
+EVERY_ORDER_DRAWINGS = {
+    "convex6": lambda: gen_convex(6),
+    "convex7": lambda: gen_convex(7),
+    "cylindrical7": lambda: gen_cylindrical(7),
+    "cylindrical8": lambda: gen_cylindrical(8),
+    "random7": lambda: gen_random_points(7, 3),
+    "random8": lambda: gen_random_points(8, 2),
+}
+
+
+@pytest.mark.parametrize("name", EVERY_ORDER_DRAWINGS)
+def test_searches_match_oracles_at_every_order_and_face(name):
+    # the closure refutes no face where the oracle finds a witness, and the
+    # searches return the oracles' first witness
+    d = EVERY_ORDER_DRAWINGS[name]()
+    memo = {}
+    for s in range(d.n - 1):
+        for f in range(d.face_count):
+            found = child_view_bishell(d, s, face=f)
+            if found is not None:
+                assert _peel_closure_holds(d, s, f, memo)
+            assert check_bishellable(d, s, face=f) == found
+    for s in range(1, d.n + 1):
+        for f in range(d.face_count):
+            found = replay_shell_search(d, s, face=f)
+            if found is not None and s >= 2:
+                assert _peel_closure_holds(d, s - 2, f, memo)
+            assert check_s_shellable(d, s, face=f) == found
+
+
+def test_peel_closure_refutes_most_faces_of_a_certify_input():
+    # the 4-bishellable, not 6-shellable K_12 of seed 502: the exact
+    # searches run at 7 of its 340 faces, the first being the witness face
+    d = gen_random_points(12, 502)
+    memo = {}
+    passing = [f for f in range(d.face_count) if _peel_closure_holds(d, 4, f, memo)]
+    assert passing == [0, 1, 30, 215, 228, 300, 306]
+    assert check_bishellable(d, 4).face == 0
