@@ -20,7 +20,6 @@ from .drawing import (
     rotation_key,
     rotation_system,
     validate_good,
-    weak_iso_equal,
 )
 from .planarize import DegenerateInput, planarize_points
 from .kedges import (
@@ -74,5 +73,5 @@ __all__ = [
     "right_mask", "rotation_key", "rotation_system", "serialize",
     "serialize_witness", "shell_to_bishell", "side_of",
     "sufficient_conditions", "truncate_bishell", "validate_good",
-    "verify_bishell_witness", "verify_shell_witness", "weak_iso_equal",
+    "verify_bishell_witness", "verify_shell_witness",
 ]

@@ -101,6 +101,13 @@ def _resolve_face(drawing, pair):
     return drawing.out_left_face[u][v]
 
 
+def _violation(drawing, witness) -> Optional[str]:
+    """The independent verifier's first violated condition, or None."""
+    if isinstance(witness, ShellWitness):
+        return shell_witness_violation(drawing, witness)
+    return bishell_witness_violation(drawing, witness)
+
+
 def _check(args) -> int:
     drawing = _load(args.file)
     face = _resolve_face(drawing, args.face) if args.face else None
@@ -115,10 +122,7 @@ def _check(args) -> int:
         print("no witness (exhaustive search)")
         return 1
     # the independent verifier re-checks every witness before it is emitted
-    if isinstance(witness, ShellWitness):
-        violation = shell_witness_violation(drawing, witness)
-    else:
-        violation = bishell_witness_violation(drawing, witness)
+    violation = _violation(drawing, witness)
     if violation is not None:
         raise WitnessInvalid(violation)
     blob = serialize_witness(drawing, witness)
@@ -133,10 +137,7 @@ def _verify(args) -> int:
     drawing = _load(args.file)
     with open(args.witness, "rb") as fh:
         witness = parse_witness(fh.read(), drawing)
-    if isinstance(witness, ShellWitness):
-        violation = shell_witness_violation(drawing, witness)
-    else:
-        violation = bishell_witness_violation(drawing, witness)
+    violation = _violation(drawing, witness)
     if violation is None:
         print("witness verifies")
         return 0

@@ -131,7 +131,7 @@ class K4Census:
 
 @dataclass(frozen=True)
 class GoodnessViolation:
-    kind: str                      # "self_cross" | "adjacent_cross" | "double_cross"
+    kind: str                      # "adjacent_cross" | "double_cross"
     edges: Tuple[Tuple[int, int], ...]
 
 
@@ -368,23 +368,19 @@ def build_drawing(
 
 
 def validate_good(drawing: Drawing) -> GoodnessReport:
-    """Check the three goodness conditions of a drawing.
+    """Check the goodness conditions of a drawing.
 
-    No edge crosses itself, no two adjacent edges cross, and no pair of
-    edges crosses more than once.  Violations are reported with the
-    offending edges.  `build_drawing` raises NotGoodDrawing on any
+    No two adjacent edges cross, and no pair of edges crosses more than
+    once.  No edge crosses itself either: `build_drawing` refuses a path
+    that visits a crossing twice, so the two passes of a crossing are on
+    distinct edges.  Violations are reported with the offending edges.  `build_drawing` raises NotGoodDrawing on any
     violation, so on a constructed Drawing the report is always ok.
     """
     violations: List[GoodnessViolation] = []
     seen: Set[Tuple[int, int]] = set()
     doubled: Set[Tuple[int, int]] = set()
     for pair in drawing.crossing_edges:
-        e1, e2 = pair
-        if e1 == e2:
-            violations.append(GoodnessViolation(
-                "self_cross", (drawing.edges[e1],)))
-            continue
-        a, b = drawing.edges[e1], drawing.edges[e2]
+        a, b = drawing.edges[pair[0]], drawing.edges[pair[1]]
         if a[0] in b or a[1] in b:
             violations.append(GoodnessViolation("adjacent_cross", (a, b)))
         if pair in seen:
@@ -499,10 +495,6 @@ def rotation_system(drawing: Drawing) -> RotationSystem:
     return tuple(_canon_cycle(rot) for rot in drawing.vertex_rotations)
 
 
-def _reverse_system(system: RotationSystem) -> RotationSystem:
-    return tuple(_canon_cycle(tuple(reversed(cycle))) for cycle in system)
-
-
 def rotation_key(system: RotationSystem) -> RotationSystem:
     """Canonical form of a rotation system up to relabelling and reversal.
 
@@ -543,18 +535,6 @@ def rotation_key(system: RotationSystem) -> RotationSystem:
                     if smaller:
                         best = candidate
     return tuple(best)
-
-
-def weak_iso_equal(r1: RotationSystem, r2: RotationSystem,
-                   relabel: bool = False) -> bool:
-    """True when the two rotation systems agree up to global reversal.
-
-    With `relabel`, vertices may additionally be renamed by any
-    permutation: the two `rotation_key`s are compared.
-    """
-    if relabel:
-        return rotation_key(r1) == rotation_key(r2)
-    return r1 == r2 or r1 == _reverse_system(r2)
 
 
 # ---------------------------------------------------------------------------

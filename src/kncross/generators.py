@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .drawing import (
     CylindricalGeometry,
@@ -33,7 +33,7 @@ from .drawing import (
     build_drawing,
 )
 from .geom import Point, circle_point
-from .planarize import DegenerateInput, planarize_points, segment_arrangement, validate_points
+from .planarize import DegenerateInput, planarize_points, segment_arrangement
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,6 +64,16 @@ class SplitMix64:
 
 class _RetryPerturbation(Exception):
     """Internal: a degeneracy survived, retry with smaller perturbations."""
+
+
+def _ordered(hits: List[Tuple[Fraction, int]]) -> List[int]:
+    """Crossing ids of one edge by their (parameter, id) hits, parameter
+    ascending; two crossings at one parameter retry."""
+    hits.sort()
+    for (x1, _), (x2, _) in zip(hits, hits[1:]):
+        if x1 == x2:
+            raise _RetryPerturbation
+    return [k for _, k in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +200,8 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
 
     paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     for eid, hits in enumerate(per_edge):
-        hits.sort()
-        for (x1, _), (x2, _) in zip(hits, hits[1:]):
-            if x1 == x2:
-                raise _RetryPerturbation
         u, v = edges[eid]
-        ordered = [k for _, k in hits]
+        ordered = _ordered(hits)
         if positions[u] > positions[v]:
             ordered.reverse()   # path runs from u to v, here right to left
         paths[(u, v)] = tuple(ordered)
@@ -272,6 +278,23 @@ def _cyclic_offset(a: Fraction, b: Fraction) -> Fraction:
     return (b - a) % 1
 
 
+def _side_crossing(d0: Fraction, slope: Fraction) -> Optional[Fraction]:
+    """Parameter t in (0, 1) where two side edges cross, or None.
+
+    Their angular difference runs from d0 at t=0 linearly to d0 + slope
+    at t=1; they cross where it passes through an integer, which happens
+    at most once since |slope| < 1.
+    """
+    if slope == 0:
+        return None
+    d1 = d0 + slope
+    lo, hi = (d0, d1) if d0 < d1 else (d1, d0)
+    level = floor(hi)
+    if not lo < level:
+        return None
+    return (level - d0) / slope
+
+
 def gen_cylindrical(n: int) -> Drawing:
     """Tin can drawing: ceil(n/2) outer and floor(n/2) inner vertices.
 
@@ -332,42 +355,22 @@ def _assemble_cylindrical(
         for j in range(m):
             delta[(i, j)] = _wrap_half(inner_angles[j] - outer_angles[i])
 
-    # lid arrangements (exact coordinates on the circles)
-    inner_points = [circle_point(u) for u in inner_params]
-    outer_points = [circle_point(u) for u in outer_params]
-    if m >= 2:
-        validate_points(inner_points)
-        inner_arr = segment_arrangement(inner_points)
-    else:
-        inner_arr = None
-    validate_points(outer_points)
-    outer_arr = segment_arrangement(outer_points)
-
-    # global edge ids
-    edges = list(itertools.combinations(range(n), 2))
-
     crossing_bits: List[str] = []
-    paths: Dict[Tuple[int, int], List[int]] = {e: [] for e in edges}
+    paths: Dict[Tuple[int, int], List[int]] = {
+        e: [] for e in itertools.combinations(range(n), 2)}
 
-    def lid_local_edges(count: int) -> List[Tuple[int, int]]:
-        return list(itertools.combinations(range(count), 2))
-
-    # inner lid: local vertex j -> global M + j, orientation kept
-    if inner_arr is not None:
-        inner_base = len(crossing_bits)
-        crossing_bits.extend(inner_arr.bits)
-        for le, (j1, j2) in enumerate(lid_local_edges(m)):
-            paths[(M + j1, M + j2)] = [
-                inner_base + local_k for local_k in inner_arr.edge_paths[le]]
-
-    # outer lid: mirrored into the region outside the circle, so every
-    # rotation there is reversed and each crossing bit flips
-    outer_base = len(crossing_bits)
-    crossing_bits.extend("-" if bit == "+" else "+" for bit in outer_arr.bits)
-    outer_local_edges = lid_local_edges(M)
-    for le, path in enumerate(outer_arr.edge_paths):
-        i1, i2 = outer_local_edges[le]
-        paths[(i1, i2)] = [outer_base + local_k for local_k in path]
+    # lid arrangements (exact coordinates on the circles).  Inner lid:
+    # local vertex j is global M + j, orientation kept.  Outer lid:
+    # mirrored into the region outside the circle, so every rotation there
+    # is reversed and each crossing bit flips.
+    for first, params, bit_of in ((M, inner_params, {"+": "+", "-": "-"}),
+                                  (0, outer_params, {"+": "-", "-": "+"})):
+        arr = segment_arrangement([circle_point(u) for u in params])
+        base = len(crossing_bits)
+        crossing_bits.extend(bit_of[bit] for bit in arr.bits)
+        local_edges = itertools.combinations(range(first, first + len(params)), 2)
+        for edge, path in zip(local_edges, arr.edge_paths):
+            paths[edge] = [base + local_k for local_k in path]
 
     # annulus: side edge pairs crossing where the angular difference
     # passes through an integer
@@ -377,16 +380,10 @@ def _assemble_cylindrical(
     for (i1, j1), (i2, j2) in itertools.combinations(side_edges, 2):
         if i1 == i2 or j1 == j2:
             continue
-        d0 = outer_angles[i1] - outer_angles[i2]
-        slope = delta[(i1, j1)] - delta[(i2, j2)]
-        if slope == 0:
+        t = _side_crossing(outer_angles[i1] - outer_angles[i2],
+                           delta[(i1, j1)] - delta[(i2, j2)])
+        if t is None:
             continue
-        d1 = d0 + slope
-        lo, hi = (d0, d1) if d0 < d1 else (d1, d0)
-        level = floor(hi)
-        if not lo < level:
-            continue
-        t = (level - d0) / slope
         k = len(crossing_bits)
         small, large = sorted(((i1, j1), (i2, j2)),
                               key=lambda e: (e[0], M + e[1]))
@@ -394,11 +391,7 @@ def _assemble_cylindrical(
         per_side[(i1, j1)].append((t, k))
         per_side[(i2, j2)].append((t, k))
     for (i, j), hits in per_side.items():
-        hits.sort()
-        for (t1, _), (t2, _) in zip(hits, hits[1:]):
-            if t1 == t2:
-                raise _RetryPerturbation
-        paths[(i, M + j)] = [k for _, k in hits]
+        paths[(i, M + j)] = _ordered(hits)
 
     # rotations
     rotations: List[Tuple[int, ...]] = []

@@ -21,7 +21,7 @@ reduced rationals printed as p/q), so equal maps produce equal bytes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import cos, floor, pi, sin, sqrt
+from math import cos, pi, sin, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .drawing import (
@@ -34,7 +34,7 @@ from .drawing import (
 )
 from .geom import Point, proper_intersection
 from .planarize import planarize_points
-from .generators import TwoPageSpec, gen_twopage, _wrap_half
+from .generators import TwoPageSpec, gen_twopage, _side_crossing, _wrap_half
 from .shelling import BishellWitness, ShellWitness
 
 MAGIC = "kncross v1"
@@ -526,20 +526,14 @@ def _cyl_crossing_marker(drawing, geom, e1, e2, at, invert):
     if kinds == [1, 1]:  # side/side: exact parameter from the angles
         o1, i1 = (u1, v1) if u1 in outer else (v1, u1)
         o2, i2 = (u2, v2) if u2 in outer else (v2, u2)
-        d0 = geom.angles[o1] - geom.angles[o2]
-        slope = (_wrap_half(geom.angles[i1] - geom.angles[o1])
-                 - _wrap_half(geom.angles[i2] - geom.angles[o2]))
-        if slope == 0:
+        delta1 = _wrap_half(geom.angles[i1] - geom.angles[o1])
+        hit = _side_crossing(geom.angles[o1] - geom.angles[o2],
+                             delta1 - _wrap_half(geom.angles[i2] - geom.angles[o2]))
+        if hit is None:
             return None
-        d1 = d0 + slope
-        lo, hi = (d0, d1) if d0 < d1 else (d1, d0)
-        level = floor(hi)
-        if not lo < level:
-            return None
-        t = float((level - d0) / slope)
+        t = float(hit)
         r = 2.0 - t
-        ang = 2 * pi * (float(geom.angles[o1])
-                        + float(_wrap_half(geom.angles[i1] - geom.angles[o1])) * t)
+        ang = 2 * pi * (float(geom.angles[o1]) + float(delta1) * t)
         return (r * cos(ang), r * sin(ang))
     hit = _segment_hit(at(u1), at(v1), at(u2), at(v2))
     if hit is None:

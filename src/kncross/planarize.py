@@ -5,11 +5,11 @@ every proper pairwise crossing becomes a crossing node.  Degenerate
 configurations (coincident points, collinear triples, three segments
 through one point) are rejected, never perturbed silently.
 
-Every predicate is exact integer arithmetic.  Each function first
-multiplies its point set by the least common multiple of all coordinate
-denominators; a positive scaling changes no orientation, no crossing and
-no order along a segment.  A crossing's position along an edge is kept
-as a parameter `(num, den)` with `den > 0`, compared by
+Every predicate is exact integer arithmetic.  `segment_arrangement`
+multiplies the point set, once, by the least common multiple of all
+coordinate denominators; a positive scaling changes no orientation, no
+crossing and no order along a segment.  A crossing's position along an
+edge is kept as a parameter `(num, den)` with `den > 0`, compared by
 cross-multiplication.  The `Fraction` points themselves are only
 stored, as the drawing's geometry.
 
@@ -68,16 +68,6 @@ def _orient(p: IntPoint, q: IntPoint, r: IntPoint) -> int:
     return (det > 0) - (det < 0)
 
 
-def validate_points(points: Sequence[Point]) -> None:
-    pts = _integer_points(points)
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        if pts[i] == pts[j]:
-            raise DegenerateInput("coincident", (i, j))
-    for i, j, k in itertools.combinations(range(len(pts)), 3):
-        if _orient(pts[i], pts[j], pts[k]) == 0:
-            raise DegenerateInput("collinear", (i, j, k))
-
-
 def _by_parameter(h1: Tuple[int, int, int], h2: Tuple[int, int, int]) -> int:
     # (num, den, crossing id): parameter num/den first, then the id
     diff = h1[0] * h2[1] - h2[0] * h1[1]
@@ -96,12 +86,18 @@ def _by_direction(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> int:
 def segment_arrangement(points: Sequence[Point]) -> Arrangement:
     """Intersect all segments of the complete graph on the given points.
 
-    Assumes `validate_points` passed.  Raises DegenerateInput when three
-    segments meet in a common interior point (detected as two crossings
-    at the same parameter along one segment).
+    Raises DegenerateInput on two coincident points, on three collinear
+    points, and when three segments meet in a common interior point
+    (detected as two crossings at the same parameter along one segment).
     """
     pts = _integer_points(points)
     n = len(pts)
+    for i, j in itertools.combinations(range(n), 2):
+        if pts[i] == pts[j]:
+            raise DegenerateInput("coincident", (i, j))
+    for i, j, k in itertools.combinations(range(n), 3):
+        if _orient(pts[i], pts[j], pts[k]) == 0:
+            raise DegenerateInput("collinear", (i, j, k))
     edges = list(itertools.combinations(range(n), 2))
     # per edge: endpoints, start point and direction
     segs = [(a, b, pts[a][0], pts[a][1], pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
@@ -169,7 +165,6 @@ def planarize_points(points: Sequence[Point]) -> Drawing:
     n = len(pts)
     if n < 3:
         raise ValueError("need at least 3 points")
-    validate_points(pts)
     arr = segment_arrangement(pts)
     edges = list(itertools.combinations(range(n), 2))
     paths = {edges[eid]: arr.edge_paths[eid] for eid in range(len(edges))}

@@ -43,22 +43,23 @@ rules of the bishell search follow.
 Both are necessary conditions, so a face they refute has no witness,
 and the witnesses and refusals are those of the exhaustive search.
 
-The shell search fills positions outside-in (v_1, v_s, v_2, ...) on a
-schedule fixed by s: `schedule[step]` lists the pairs (r,t) first
-decided at that step.  In an *early* check the new position is v_r or
-v_t, so its deleted set is fixed before the step: it is evaluated once
-per search node, fails the node when the endpoint already placed is not
-incident, and otherwise narrows the candidate mask to the incident
-vertices.  A *late* check deletes the new position; these only occur at
-the last step and run per remaining candidate.  The search also keeps
-only v_1 < v_s: reversing a witness maps pair (r,t) to (s+1-t, s+1-r)
-with the same deleted set and endpoints, so the reverse of a witness is
-one, and the first witness in fill order always has v_1 < v_s.  Neither
-rule changes which sequences are accepted or the order they are tried
-in, so the witnesses and refusals are those of trying every vertex
-against every check.  `kncross check` re-verifies every witness with
-the verifier before it prints or writes it, and exits 3 instead when
-the verifier refuses it.
+The same monotonicity reduces the pairs of a shell witness to two
+peels: v_1..v_s is one exactly when v_1..v_{s-1} peels from the front
+(v_r is incident once v_1..v_{r-1} are deleted) and v_s..v_2 peels from
+the back (v_t is incident once v_{t+1}..v_s are deleted).  Pair (r,t)
+deletes a superset of what pairs (r,s) and (1,t) delete, and v_r and v_t
+survive it, so both stay incident.  Equivalently, `shell_to_bishell` of
+the sequence meets bishell conditions (1) and (2).  The shell search
+fills positions outside-in (v_1, v_s, v_2, v_{s-1}, ...) and narrows
+each position's candidates by the peel whose deleted vertices are
+placed (`_shell_at_face`).  It also keeps only v_1 < v_s: reversing a
+witness maps pair (r,t) to (s+1-t, s+1-r) with the same deleted set and
+endpoints, so the reverse of a witness is one, and the first witness in
+fill order always has v_1 < v_s.  Neither rule changes which sequences
+are accepted or the order they are tried in, so the witnesses and
+refusals are those of trying every vertex against every pair.  The verifier still checks every pair.  `kncross
+check` re-verifies every witness with the verifier before it prints or
+writes it, and exits 3 instead when the verifier refuses it.
 """
 
 from __future__ import annotations
@@ -366,9 +367,7 @@ def check_s_shellable(drawing: Drawing, s: int,
     """Exhaustive backtracking search for an s-shell witness.
 
     Sequence positions are assigned outside-in (v_1, v_s, v_2, v_{s-1},
-    ...), so a pair (r,t) becomes checkable as soon as its prefix,
-    suffix and endpoints are known and failing branches die early
-    (see `_shell_schedule`).
+    ...), each from the candidates its peel leaves (`_shell_at_face`).
     """
     if not 1 <= s <= drawing.n:
         raise ValueError(f"s={s} out of range for n={drawing.n}")
@@ -389,105 +388,67 @@ def _shell_search(drawing: Drawing, lengths: Sequence[int], face: Optional[int],
                   memo: Memo) -> Optional[ShellWitness]:
     faces = _search_faces(drawing, face)
     for s in lengths:
-        fill_order, schedule = _shell_schedule(s)
         for f in faces:
             # a shell witness at f truncates to an order s-2 bishell
             # witness at f (`shell_to_bishell`)
             if s >= 2 and not _peel_closure_holds(drawing, s - 2, f, memo):
                 continue
-            seq = [0] * s
-            if _shell_dfs(drawing, f, seq, fill_order, schedule, 0, 0, memo):
-                return ShellWitness(face=f, seq=tuple(seq))
+            found = _shell_at_face(drawing, s, f, memo)
+            if found is not None:
+                return found
     return None
 
 
-# Pair checks of the shell schedule, by the positions they read.  An early
-# check's deleted set is fixed before its step, and the new position is one
-# endpoint: (position of the other endpoint, deleted positions).  A late
-# check deletes the new position: (positions of both endpoints, deleted
-# positions other than the new one).
-EarlyCheck = Tuple[int, Tuple[int, ...]]
-LateCheck = Tuple[int, int, Tuple[int, ...]]
-Step = Tuple[List[EarlyCheck], List[LateCheck]]
+def _shell_at_face(drawing: Drawing, s: int, face: int,
+                   memo: Memo) -> Optional[ShellWitness]:
+    """First s-shell witness at `face`: v_1..v_{s-1} peels from the front
+    and v_s..v_2 from the back.
 
-
-def _shell_schedule(s: int) -> Tuple[List[int], List[Step]]:
-    """Outside-in fill order, and per step the pairs it makes decidable.
-
-    A pair (r,t) is decidable once v_1..v_r and v_t..v_s are assigned;
-    `schedule[step]` holds the pairs that first become decidable when
-    position `pos = fill_order[step]` is filled, in `combinations`
-    order, split into early checks (pos is v_r or v_t) and late checks
-    (pos is deleted).  Late checks only occur at the last step, where
-    the prefix and the suffix meet.
+    Positions are filled outside-in, front and back in turn (v_1, v_s,
+    v_2, v_{s-1}, ...), candidates ascending.  Before a position is
+    filled from the front its prefix is placed, and before it is filled
+    from the back its suffix, so that peel narrows its candidates to one
+    incident mask; at the last step both sides are placed.  The other
+    peels are checked once the sequence is complete, innermost first.
     """
-    fill_order: List[int] = []
-    lo, hi = 0, s - 1
-    while lo <= hi:
-        fill_order.append(lo)
-        if hi != lo:
-            fill_order.append(hi)
-        lo += 1
-        hi -= 1
-    schedule: List[Step] = []
-    filled: Set[int] = set()
-    pending = list(itertools.combinations(range(1, s + 1), 2))
-    for pos in fill_order:
-        filled.add(pos)
-        now = [(r, t) for r, t in pending
-               if filled.issuperset(range(r)) and filled.issuperset(range(t - 1, s))]
-        pending = [pair for pair in pending if pair not in now]
-        early: List[EarlyCheck] = []
-        late: List[LateCheck] = []
-        for r, t in now:
-            cut = tuple(range(r - 1)) + tuple(range(t, s))
-            if pos in cut:
-                late.append((r - 1, t - 1, tuple(i for i in cut if i != pos)))
-            else:
-                early.append((t - 1 if pos == r - 1 else r - 1, cut))
-        schedule.append((early, late))
-    return fill_order, schedule
+    seq = [0] * s
 
+    def position(step: int) -> int:
+        return step // 2 if step % 2 == 0 else s - 1 - step // 2
 
-def _shell_dfs(drawing: Drawing, face: int, seq: List[int], fill_order: List[int],
-               schedule: List[Step], step: int, used: int, memo: Memo) -> bool:
-    """Fill `seq` from `step` on; True with `seq` complete on success.
+    def other_peels_hold() -> bool:
+        # innermost first; the last step checked both of its peels, and
+        # v_1 and v_s (steps 0 and 1) have one each
+        for step in range(s - 2, 1, -1):
+            pos = position(step)
+            deleted = seq[pos + 1:] if step % 2 == 0 else seq[:pos]
+            if not _incident_mask(drawing, _vertex_mask(deleted), face, memo) >> seq[pos] & 1:
+                return False
+        return True
 
-    The early checks narrow the candidates to one mask per node; only
-    the candidates left run the late checks.  Candidates are tried in
-    ascending order, so this accepts and orders them exactly as trying
-    every vertex against every check would.
-    """
-    if step == len(fill_order):
-        return True  # all pairs were checked along the way
-    early, late = schedule[step]
-    candidates = ~used & ((1 << drawing.n) - 1)
-    if step == 1:
-        # v_s > v_1: a witness reversed is a witness, and the first one in
-        # fill order (v_1, v_s, ...) is never the larger of the two
-        candidates &= -2 << seq[0]
-    for other, cut in early:
-        if not candidates:
-            return False
-        deleted = _vertex_mask([seq[i] for i in cut])
-        incident = _incident_mask(drawing, deleted, face, memo)
-        if not incident >> seq[other] & 1:
-            return False
-        candidates &= incident
-    late_masks = [(1 << seq[r] | 1 << seq[t], _vertex_mask([seq[i] for i in cut]))
-                  for r, t, cut in late]
-    pos = fill_order[step]
-    for v in _bits(candidates):
-        seq[pos] = v
-        bit = 1 << v
-        for ends, deleted in late_masks:
-            if _incident_mask(drawing, deleted | bit, face, memo) & ends != ends:
-                break
-        else:
-            if _shell_dfs(drawing, face, seq, fill_order, schedule, step + 1,
-                          used | bit, memo):
+    def fill(step: int, front: int, back: int) -> bool:
+        # front, back: the vertices placed from either end, as bitmasks
+        if step == s:
+            return other_peels_hold()
+        pos = position(step)
+        candidates = ~(front | back) & ((1 << drawing.n) - 1)
+        if step == 1:
+            # v_s > v_1: a witness reversed is a witness, and the first one
+            # in fill order (v_1, v_s, ...) is never the larger of the two
+            candidates &= -2 << seq[0]
+        last = step == s - 1
+        if pos < s - 1 and (step % 2 == 0 or last):   # v_s has no front peel
+            candidates &= _incident_mask(drawing, front, face, memo)
+        if pos > 0 and (step % 2 == 1 or last):       # v_1 has no back peel
+            candidates &= _incident_mask(drawing, back, face, memo)
+        for v in _bits(candidates):
+            seq[pos] = v
+            if (fill(step + 1, front | 1 << v, back) if step % 2 == 0
+                    else fill(step + 1, front, back | 1 << v)):
                 return True
-    return False
+        return False
+
+    return ShellWitness(face=face, seq=tuple(seq)) if fill(0, 0, 0) else None
 
 
 def is_shellable(drawing: Drawing) -> bool:

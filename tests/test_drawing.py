@@ -16,7 +16,6 @@ from kncross.drawing import (
     rotation_key,
     rotation_system,
     validate_good,
-    weak_iso_equal,
 )
 from kncross.generators import (
     SplitMix64,
@@ -163,16 +162,19 @@ def test_deletion_view_matches_replanarization_exhaustive_k5():
             assert_view_matches_replanarization(d5, set(deleted))
 
 
+def _mirrored(system):
+    """Every row of a `rotation_system` reversed, still from its least entry."""
+    return tuple((row[0],) + row[:0:-1] for row in system)
+
+
 def test_rotation_system_weak_iso():
     d5 = gen_convex(5)
     r = rotation_system(d5)
-    assert weak_iso_equal(r, r)
     reversed_r = tuple(tuple(reversed(c)) for c in r)
-    assert weak_iso_equal(r, reversed_r)
-    assert not weak_iso_equal(rotation_system(gen_convex(5)),
-                              rotation_system(gen_cylindrical(5)))
-    assert not weak_iso_equal(rotation_system(gen_convex(5)),
-                              rotation_system(gen_cylindrical(5)), relabel=True)
+    assert rotation_key(r) == rotation_key(reversed_r)
+    convex, cylindrical = rotation_system(gen_convex(5)), rotation_system(gen_cylindrical(5))
+    assert cylindrical not in (convex, _mirrored(convex))
+    assert rotation_key(convex) != rotation_key(cylindrical)
 
 
 def test_weak_iso_relabel():
@@ -183,12 +185,12 @@ def test_weak_iso_relabel():
     pts2 = [pts[perm.index(i)] for i in range(5)]
     d2 = planarize_points(pts2)
     r1, r2 = rotation_system(d1), rotation_system(d2)
-    assert weak_iso_equal(r1, r2, relabel=True)
+    assert rotation_key(r1) == rotation_key(r2)
 
 
 def test_weak_iso_mirrored_relabel():
     # mirroring reverses every rotation; combined with a relabelling it
-    # must still be recognized, and unmirrored relabel=False must fail
+    # must still be recognized, and the rows alone must not match
     from kncross.geom import Point
     from kncross.generators import gen_random_points
     d1 = gen_random_points(6, 17)
@@ -200,8 +202,8 @@ def test_weak_iso_mirrored_relabel():
         mirrored[new] = Point(p.x, -p.y)
     d2 = planarize_points(mirrored)
     r1, r2 = rotation_system(d1), rotation_system(d2)
-    assert weak_iso_equal(r1, r2, relabel=True)
-    assert not weak_iso_equal(r1, r2) or r1 == r2
+    assert rotation_key(r1) == rotation_key(r2)
+    assert r1 == r2 or r1 != _mirrored(r2)
 
 
 def test_rotation_key_matches_candidate_map_oracle():
@@ -236,7 +238,6 @@ def test_rotation_key_matches_candidate_map_oracle():
         assert key[0] == tuple(range(1, len(r)))
         assert rotation_key(key) == key
         assert candidate_map_weak_iso(key, r)
-        assert weak_iso_equal(key, r, relabel=True)
 
 
 def test_k4_census(k4_planar, k4_crossed):

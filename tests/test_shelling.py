@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kncross.drawing import DeletionView
-from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
+from kncross.generators import SplitMix64, gen_convex, gen_cylindrical, gen_random_points
 from kncross.kedges import double_cumulative_bound_holds, hill_number, k_edge_vector
 from kncross.shelling import (
     BishellWitness,
@@ -31,7 +31,7 @@ from kncross.shelling import (
 )
 
 from conftest import (child_view_bishell, longest_peel, loop_incident, replay_shell_search,
-                      shelling_sequences)
+                      shelling_sequences, vertex_mask)
 
 
 def naive_bishellable(drawing, s):
@@ -444,6 +444,42 @@ def test_incidence_is_monotone_under_deletion(key, deleted, pick, face):
     before = DeletionView(d, deleted).incident_mask(face)
     after = DeletionView(d, deleted | 1 << w).incident_mask(face)
     assert before & ~(1 << w) & ~after == 0
+
+
+def _peels(d, face, seq):
+    """Whether every vertex of `seq` is incident once those before it are
+    deleted, each on a fresh view."""
+    return all(DeletionView(d, vertex_mask(seq[:i])).incident_mask(face) >> v & 1
+               for i, v in enumerate(seq))
+
+
+def test_shell_witness_is_a_front_and_a_back_peel():
+    # v_1..v_s verifies exactly when v_1..v_{s-1} peels from the front and
+    # v_s..v_2 from the back.  The prefix is drawn as a random front peel,
+    # so that both answers are common.
+    rng = SplitMix64(41)
+    drawings = [family(n) for n in range(6, 11)
+                for family in (gen_convex, gen_cylindrical,
+                               lambda n: gen_random_points(n, n))]
+    outcomes = set()
+    for trial in range(1000):
+        d = drawings[trial % len(drawings)]
+        # a face at a vertex: the left face of a random dart
+        u = rng.below(d.n)
+        face = d.out_left_face[u][(u + 1 + rng.below(d.n - 1)) % d.n]
+        s = 2 + rng.below(min(6, d.n - 1))   # 2..7, at most n
+        seq = []
+        for i in range(s):
+            # v_s is drawn from the vertices incident with nothing deleted
+            unused = [v for v in range(d.n) if v not in seq]
+            incident = DeletionView(d, vertex_mask(seq if i < s - 1 else ())).incident_mask(face)
+            pool = [v for v in unused if incident >> v & 1] or unused
+            seq.append(pool[rng.below(len(pool))])
+        peels = _peels(d, face, seq[:-1]) and _peels(d, face, seq[:0:-1])
+        verifies = shell_witness_violation(d, ShellWitness(face, tuple(seq))) is None
+        assert verifies == peels, (d.n, face, seq)
+        outcomes.add(verifies)
+    assert outcomes == {True, False}
 
 
 def test_greedy_closure_is_the_longest_peel(small_corpus):
