@@ -20,9 +20,9 @@ from .drawing import (
     NotGoodDrawing,
     k4_census,
     rotation_key,
-    rotation_system,
 )
 from .generators import (
+    _random_arrangement,
     gen_convex,
     gen_cylindrical,
     gen_random_points,
@@ -37,7 +37,7 @@ from .kedges import (
     hill_number,
     k_edge_vector,
 )
-from .planarize import DegenerateInput
+from .planarize import DegenerateInput, planarize_arrangement
 from .shelling import (
     MalformedWitness,
     ShellWitness,
@@ -187,13 +187,14 @@ def _hunt(args) -> int:
     found = []
     seen = set()  # (crossings, rotation key): one drawing per weak-iso class
     for trial in range(args.trials):
-        drawing = gen_random_points(n, args.seed + trial)
-        key = (drawing.crossings, rotation_key(rotation_system(drawing)))
+        # the class is read off the arrangement; only a match gets a map
+        points, arr = _random_arrangement(n, args.seed + trial)
+        key = (len(arr.crossings), rotation_key(arr.vertex_orders))
         if key in seen:
             continue
         seen.add(key)
-        if drawing.crossings == hill_number(n):
-            found.append((trial, drawing))
+        if key[0] == hill_number(n):
+            found.append((trial, planarize_arrangement(points, arr)))
     print(f"trials={args.trials} distinct={len(seen)} matches={len(found)}")
     for trial, drawing in found:
         print(f"  seed={args.seed + trial} cr={drawing.crossings}")

@@ -14,6 +14,11 @@ Vertex angles and disk coordinates carry small distinct rational
 perturbations; whenever a degeneracy survives (a half-turn side edge,
 two crossings at one parameter, three concurrent chords) the whole
 construction retries with smaller perturbations.
+
+Random point sets are drawn in one seeded retry loop,
+`_random_arrangement`, which returns the points with their segment
+arrangement.  The arrangement already holds the crossing count and the
+rotation system, so `hunt` classifies a draw before any map is built.
 """
 
 from __future__ import annotations
@@ -33,7 +38,13 @@ from .drawing import (
     build_drawing,
 )
 from .geom import Point, circle_point
-from .planarize import DegenerateInput, planarize_points, segment_arrangement
+from .planarize import (
+    Arrangement,
+    DegenerateInput,
+    planarize_arrangement,
+    planarize_points,
+    segment_arrangement,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -102,23 +113,34 @@ def gen_convex(n: int) -> Drawing:
 _GRID = 1_000_000
 
 
-def gen_random_points(n: int, seed: int) -> Drawing:
-    """Seeded random rectilinear drawing on a 10^6 grid.
+def _random_arrangement(n: int, seed: int) -> Tuple[List[Point], Arrangement]:
+    """The random point set of (n, seed) and its segment arrangement.
 
     Coordinates are consecutive SplitMix64 outputs reduced mod 10^6
-    (x then y per point); degenerate configurations are rejected and the
-    stream continues, so the result is a pure function of (n, seed).
+    (x then y per point); a degenerate draw is rejected and the stream
+    continues.  This is the one place random points are drawn:
+    `gen_random_points` planarizes the result, and `hunt` reads each
+    trial's class off the arrangement before building any map.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
     rng = SplitMix64(seed)
     while True:
         points = [Point(Fraction(rng.below(_GRID)), Fraction(rng.below(_GRID)))
                   for _ in range(n)]
         try:
-            return planarize_points(points)
+            return points, segment_arrangement(points)
         except DegenerateInput:
             continue
+
+
+def gen_random_points(n: int, seed: int) -> Drawing:
+    """Seeded random rectilinear drawing on a 10^6 grid.
+
+    The points are those of `_random_arrangement`, so the result is a
+    pure function of (n, seed).
+    """
+    if n < 3:
+        raise ValueError("need n >= 3")
+    return planarize_arrangement(*_random_arrangement(n, seed))
 
 
 # ---------------------------------------------------------------------------

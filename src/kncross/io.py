@@ -20,6 +20,7 @@ reduced rationals printed as p/q), so equal maps produce equal bytes.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import cos, pi, sin, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -67,7 +68,14 @@ def _lines(data: Union[bytes, str]) -> List[Tuple[int, str]]:
     return out
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _fraction(token: str, line: int) -> Fraction:
+    """`p/q` or an integer, nothing else: `Fraction` alone would also take
+    an exponent such as `1e10000000`, whose expansion can run for hours."""
+    if not _RATIONAL.fullmatch(token):
+        raise ParseError(line, f"bad rational {token!r}")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):

@@ -19,6 +19,11 @@ largest point `top`, every other point lies at an angle in (90, 270]
 degrees, so the last neighbor w in the counterclockwise order at `top`
 has every other point strictly to the right of top->w.  That hull edge
 is never crossed, and the face to the left of top->w is unbounded.
+
+`planarize_points` is `segment_arrangement` followed by
+`planarize_arrangement`, which builds the map.  A caller that already
+holds a point set's arrangement (the random generator, `hunt`) passes it
+to `planarize_arrangement` and the segments are not intersected again.
 """
 
 from __future__ import annotations
@@ -156,16 +161,21 @@ def segment_arrangement(points: Sequence[Point]) -> Arrangement:
 
 
 def planarize_points(points: Sequence[Point]) -> Drawing:
-    """Validated Drawing of the straight-line complete graph on `points`.
+    """Validated Drawing of the straight-line complete graph on `points`."""
+    pts = list(points)
+    if len(pts) < 3:
+        raise ValueError("need at least 3 points")
+    return planarize_arrangement(pts, segment_arrangement(pts))
+
+
+def planarize_arrangement(points: Sequence[Point], arr: Arrangement) -> Drawing:
+    """The map of `points` from their already computed `segment_arrangement`.
 
     The reference face is the unbounded one, read off the arrangement
     (see the module docstring).
     """
-    pts = list(points)
+    pts = tuple(points)
     n = len(pts)
-    if n < 3:
-        raise ValueError("need at least 3 points")
-    arr = segment_arrangement(pts)
     edges = list(itertools.combinations(range(n), 2))
     paths = {edges[eid]: arr.edge_paths[eid] for eid in range(len(edges))}
     top = max(range(n), key=lambda i: (pts[i].x, pts[i].y))
@@ -175,7 +185,7 @@ def planarize_points(points: Sequence[Point]) -> Drawing:
         crossing_orientations=arr.bits,
         vertex_rotations=arr.vertex_orders,
         reference=(top, arr.vertex_orders[top][-1]),
-        geometry=PointsGeometry(points=tuple(pts)),
+        geometry=PointsGeometry(points=pts),
     )
 
 

@@ -1,8 +1,13 @@
 import json
+import time
+from unittest import mock
 
 import pytest
 
+from kncross import planarize
 from kncross.cli import main
+from kncross.drawing import build_drawing
+from kncross.generators import gen_random_points
 
 
 def run(capsys, *argv):
@@ -68,6 +73,18 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_exponent_coordinate_exit_2_at_once(tmp_path, capsys):
+    # `Fraction` would expand 10**10000000 before any check could run
+    path = tmp_path / "k4.pts"
+    path.write_text("kncross v1\nformat points\nn 4\nv 0 0/1 0/1\n"
+                    "v 1 1e10000000 0/1\nv 2 0/1 1/1\nv 3 1/1 1/1\n")
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "analyze", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (2, "")
+    assert err == "error: line 5: bad rational '1e10000000'\n"
 
 
 # K4 map in which the adjacent edges 0-1 and 0-2 cross: a coherent
@@ -189,6 +206,28 @@ def test_hunt_reports_and_exit_zero(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert "n-shell witness of every rectilinear drawing" in stderr
+
+
+def test_hunt_builds_a_map_only_for_a_match(tmp_path, capsys):
+    # every trial is classified off its arrangement; the one match of
+    # this window (seed 113, pinned in test_golden) is the only map built
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(kwargs["geometry"].points)
+        return build_drawing(*args, **kwargs)
+
+    found = tmp_path / "hunt.points"
+    with mock.patch.object(planarize, "build_drawing", spy):
+        code, stdout, _ = run(capsys, "hunt", "--n", "7", "--trials", "100",
+                              "--seed", "100", "-o", str(found))
+    assert code == 0
+    assert stdout.endswith("matches=1\n  seed=113 cr=9\n")
+    assert built == [gen_random_points(7, 113).geometry.points]
+    generated = tmp_path / "generated.points"
+    run(capsys, "generate", "random", "--n", "7", "--seed", "113",
+        "-o", str(generated))
+    assert found.read_bytes() == generated.read_bytes()
 
 
 def test_hunt_zero_trials(capsys):

@@ -7,6 +7,7 @@ from kncross.drawing import rotation_key, rotation_system, validate_good
 from kncross.generators import (
     SplitMix64,
     TwoPageSpec,
+    _random_arrangement,
     gen_convex,
     gen_cylindrical,
     gen_random_points,
@@ -164,6 +165,18 @@ def test_random_points_deterministic():
     b = gen_random_points(5, 1)
     assert serialize(a, "points") == serialize(b, "points")
     assert a.crossings == b.crossings
+
+
+def test_arrangement_key_matches_drawing_key():
+    # `hunt` keys a trial by its arrangement; the slow path builds the
+    # map and reads the same two facts off it
+    for n in range(3, 10):
+        for seed in range(40):
+            points, arr = _random_arrangement(n, seed)
+            d = gen_random_points(n, seed)
+            assert d.geometry.points == tuple(points)
+            assert ((len(arr.crossings), rotation_key(arr.vertex_orders))
+                    == (d.crossings, rotation_key(rotation_system(d))))
 
 
 def test_random_points_crossing_bounds():

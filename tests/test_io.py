@@ -1,3 +1,6 @@
+import time
+from datetime import timedelta
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -10,6 +13,8 @@ from kncross.drawing import (
     BadCrossingDegree,
     EdgePathInconsistent,
     EulerViolation,
+    PointsGeometry,
+    TwoPageGeometry,
     rotation_system,
 )
 from kncross.generators import gen_convex, gen_cylindrical, gen_random_points, gen_twopage, twopage_all_top
@@ -217,6 +222,28 @@ def test_bad_integer_in_line_pinned(tmp_path, capsys, text, line):
     assert (captured.out, captured.err) == ("", f"error: line {line}: bad integer 'x'\n")
 
 
+K4_POINTS = "kncross v1\nformat points\nn 4\nv 0 0/1 0/1\nv 1 {} 0/1\nv 2 0/1 1/1\nv 3 1/1 1/1\n"
+
+
+@pytest.mark.parametrize("token, x", [
+    ("2/1", Fraction(2)), ("-3/4", Fraction(-3, 4)), ("+5", Fraction(5)),
+    ("10/4", Fraction(5, 2)), ("007", Fraction(7))])
+def test_rational_tokens_are_integers_or_p_over_q(token, x):
+    assert parse(K4_POINTS.format(token)).geometry.points[1].x == x
+
+
+@pytest.mark.parametrize("token", [
+    "1e10000000", "1E5", "1e-100000", "0.5", ".5", "5.", "1_000", "1/0",
+    "1/-2", "1//2", "inf", "nan", "0x10", "\u0663"])
+def test_other_rational_tokens_refused_at_their_line(token):
+    # exponents are refused before `Fraction` could expand them
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as caught:
+        parse(K4_POINTS.format(token))
+    assert time.perf_counter() - start < 1.0
+    assert (caught.value.line, caught.value.reason) == (5, f"bad rational {token!r}")
+
+
 # header counts far beyond the file's lines: refused before anything is
 # sized by them
 HUGE = 10**15
@@ -337,14 +364,18 @@ def _edited(lines, edits):
     "swap" exchanges two neighbors in the list after a line's ':' (a
     rotation or an edge path), "repeat" doubles one of its entries and
     "flip" turns '+' into '-' and back, so that many edited files still
-    parse and reach map assembly.
+    parse and reach map assembly.  "renumber" replaces one of a line's
+    numbers, so that a coordinate or a vertex id takes the token.
     """
     rows = [line.split() for line in lines]
     for kind, i, j, token in edits:
         row = rows[i % len(rows)]
         body = row.index(":") + 1 if ":" in row else len(row)
+        numbers = [a for a, t in enumerate(row) if t.lstrip("+-").replace("/", "").isdigit()]
         if kind == "replace" and row:
             row[j % len(row)] = token
+        elif kind == "renumber" and numbers:
+            row[numbers[j % len(numbers)]] = token
         elif kind == "insert":
             row.insert(j % (len(row) + 1), token)
         elif kind == "delete" and row:
@@ -386,3 +417,43 @@ def test_fuzzed_maps_refused_as_reference_build_refuses(lines, edits):
     else:
         blob = serialize(parse(text), "map")
         assert serialize(parse(blob), "map") == blob
+
+
+# ---------------------------------------------------------------------------
+# fuzzing points and twopage files
+# ---------------------------------------------------------------------------
+
+FILE_BASES = [serialize(d, fmt).decode().splitlines() for d, fmt in (
+    [(gen_convex(n), "points") for n in (4, 5, 6)]
+    + [(gen_random_points(n, n), "points") for n in (4, 5, 6)]
+    + [(gen_twopage(twopage_all_top(n)), "twopage") for n in (4, 5, 6)])]
+# numbers in every form `Fraction` takes, and the words of both formats
+FILE_NUMBERS = ["0", "1", "2", "3", "5", "-1", "+4", "1/2", "-3/7", "0/1",
+                "1/0", str(HUGE), f"1/{HUGE}", f"{HUGE**20}/{HUGE**19 + 1}",
+                "9" * 5000, "0.5", "-1.25", "1e100000", "1e-100000", "2E3",
+                "1_000", "inf"]
+FILE_WORDS = ["v", "e", "T", "B", "order", "n", "format", "points", "twopage", "map"]
+FILE_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["replace", "insert", "delete", "drop line",
+                               "copy line", "move line"]),
+              st.integers(0, 63), st.integers(0, 63),
+              st.sampled_from(FILE_NUMBERS + FILE_WORDS)),
+    st.tuples(st.just("renumber"), st.integers(0, 63), st.integers(0, 63),
+              st.sampled_from(FILE_NUMBERS)))
+
+
+# a deadline per example: on a parser that expands `1e-100000` the
+# example takes seconds, and the test fails
+@settings(max_examples=400, deadline=timedelta(seconds=1), database=None,
+          derandomize=True)
+@given(st.sampled_from(FILE_BASES), st.lists(FILE_EDITS, min_size=1, max_size=3))
+def test_fuzzed_points_and_twopage_files_refused_or_fixed_points(lines, edits):
+    text = _edited(lines, edits)
+    try:
+        drawing = parse(text)
+    except _INPUT_ERRORS:
+        return
+    fmt = {PointsGeometry: "points", TwoPageGeometry: "twopage"}.get(
+        type(drawing.geometry), "map")
+    blob = serialize(drawing, fmt)
+    assert serialize(parse(blob), fmt) == blob
