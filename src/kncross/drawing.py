@@ -6,27 +6,28 @@ crossing into a degree-4 node.  Nodes are integers: real vertices are
 pair of twin darts; dart 2i runs along segment i of its edge in the
 stored path direction (from the smaller endpoint to the larger), dart
 2i+1 is its twin.  `build_drawing` keeps one out-dart table, the first
-dart leaving u along uw for every u and w, reads the vertex rotations
-and the crossing orientation bits through it into `rot_next`, the next
-dart counterclockwise around the origin node, and takes faces as the
-orbits of the face walk successor
+dart leaving u along uw for every u and w, and reads the vertex
+rotations and the crossing orientation bits through it into the face
+walk successor
 
-    succ(d) = rot_next(twin(d)).
+    succ(d) = rot_next(twin(d)),
 
-With counterclockwise rotations such an orbit walks its face keeping it
-on the right, so the face on the LEFT of a dart d is the orbit of
-twin(d); every left/right statement below follows this convention.  The
-map lives on the sphere: the unbounded face of a geometric input is an
-ordinary face, merely remembered as the reference.
+rot_next(d) being the next dart counterclockwise around the origin
+node of d.  Faces are the orbits of succ.  With counterclockwise
+rotations such an orbit walks its face keeping it on the right, so the
+face on the LEFT of a dart d is the orbit of twin(d); every left/right
+statement below follows this convention.  The map lives on the sphere:
+the unbounded face of a geometric input is an ordinary face, merely
+remembered as the reference.
 
 `build_drawing` checks its input and nothing those checks imply: every
 edge has a path, every crossing id is in range and met by two distinct
 edge passes, every vertex rotation is a permutation of the other
 vertices, every orientation bit is '+' or '-', V - E + F = 2, and the
-drawing is good.  The checks make `rot_next` a permutation, so every
-face walk closes, and the map of K_n is connected, so its dual is too.
+drawing is good.  The checks make succ a permutation, so every face
+walk closes, and the map of K_n is connected, so its dual is too.
 
-`rot_next`, the orbits and the per-dart tables live only during
+succ, the face walks and the per-dart tables live only during
 construction.  A Drawing keeps what the rest of the package reads: the
 edges, their crossing paths and the crossing pairs, the dart and face
 counts, the faces on both sides of every segment's darts (`seg_faces`),
@@ -44,10 +45,11 @@ K4, and a good K4 has at most one crossing.
 
 Deletion of real vertices never rebuilds the map.  A DeletionView is
 one table per deleted-vertex bitmask: the class of every base face once
-the deleted vertices' edges are gone, and per class the surviving
-vertices incident with it.  Removing an edge merges the two faces on the
-sides of each of its segments, and a crossing that loses one of its
-edges is implicitly smoothed (subdivision does not affect faces).
+the deleted vertices' edges are gone, named by its least face, and per
+class the surviving vertices incident with it.  Removing an edge merges
+the two faces on the sides of each of its segments, and a crossing that
+loses one of its edges is implicitly smoothed (subdivision does not
+affect faces).
 """
 
 from __future__ import annotations
@@ -225,20 +227,47 @@ def build_drawing(
     if len(edge_paths) != len(edges):
         raise EdgePathInconsistent("unexpected extra edge paths")
 
-    # each crossing must be an interior point of exactly two edges
-    usage: List[List[Tuple[int, int]]] = [[] for _ in range(c)]
-    for eid, path in enumerate(paths):
-        if len(set(path)) != len(path):
-            raise EdgePathInconsistent(
-                f"edge {edges[eid]} visits a crossing twice")
-        for pos, k in enumerate(path):
-            if not 0 <= k < c:
-                raise EdgePathInconsistent(f"crossing id {k} out of range")
-            usage[k].append((eid, pos))
-    for k, us in enumerate(usage):
-        if len(us) != 2:
-            raise BadCrossingDegree(
-                f"crossing {k} met by {len(us)} edge passes, expected 2")
+    # One pass over the paths lays out the darts, per edge (forward,
+    # backward) per segment, and records the edge of every dart and the
+    # two passes of every crossing, each as the forward dart of the segment
+    # that ends there.  out_dart[u][w] is the first dart leaving u along
+    # edge uw: the forward dart of the first segment when u < w, the
+    # backward dart of the last one otherwise.  The path checks report
+    # what checking each path whole, in edge order, would: a revisit
+    # before an id out of range, and a crossing met by other than two
+    # passes (the least such crossing) only once every path is checked.
+    out_dart = [[-1] * n for _ in range(n)]
+    dart_base: List[int] = []
+    dart_edge: List[int] = []
+    first = [-1] * c
+    second = [-1] * c
+    crowded: Dict[int, int] = {}  # passes of a crossing met more than twice
+    for eid, ((u, v), path) in enumerate(zip(edges, paths)):
+        base = d = len(dart_edge)
+        for k in path:
+            if not 0 <= k < c or second[k] >= 0 or first[k] >= base:
+                # out of range, a third pass, or a second pass of this edge
+                if len(set(path)) != len(path):
+                    raise EdgePathInconsistent(
+                        f"edge {edges[eid]} visits a crossing twice")
+                if not 0 <= k < c:
+                    raise EdgePathInconsistent(f"crossing id {k} out of range")
+                crowded[k] = crowded.get(k, 2) + 1
+            elif first[k] < 0:
+                first[k] = d
+            else:
+                second[k] = d
+            d += 2
+        dart_base.append(base)
+        dart_edge += [eid] * (d + 2 - base)
+        out_dart[u][v] = base
+        out_dart[v][u] = d + 1
+    if crowded or -1 in second:
+        for k in range(c):
+            passes = crowded.get(k, 2) if second[k] >= 0 else int(first[k] >= 0)
+            if passes != 2:
+                raise BadCrossingDegree(
+                    f"crossing {k} met by {passes} edge passes, expected 2")
 
     if len(vertex_rotations) != n:
         raise ValueError("need one rotation per vertex")
@@ -247,64 +276,58 @@ def build_drawing(
             raise EdgePathInconsistent(
                 f"rotation at {u} is not a permutation of the other vertices")
 
-    # dart layout: per edge, (forward, backward) per segment.  out_dart[u][w]
-    # is the first dart leaving u along edge uw: the forward dart of the
-    # first segment when u < w, the backward dart of the last one otherwise.
-    dart_base: List[int] = []
-    out_dart = [[-1] * n for _ in range(n)]
-    total = 0
-    for (u, v), path in zip(edges, paths):
-        dart_base.append(total)
-        out_dart[u][v] = total
-        total += 2 * (len(path) + 1)
-        out_dart[v][u] = total - 1
-
-    # counterclockwise dart cycles around every node; rot_next[d] is the
-    # dart after d around its origin
-    cycles = [[row[w] for w in rot]
-              for row, rot in zip(out_dart, vertex_rotations)]
-    for k, ((e1, p1), (e2, p2)) in enumerate(usage):
-        # usage[k] lists its two edges in ascending order: e1 is the first.
+    # The face walk successor succ[d] = rot_next[d ^ 1], rot_next[d] being
+    # the dart after d counterclockwise around its origin, straight from
+    # the vertex rotations and the crossings.  No dart is assigned twice or
+    # left out: the vertex rotations are permutations and every crossing
+    # is met by two distinct edge passes, so each dart leaves exactly one
+    # node.  succ is then a permutation, so every face walk closes; and
+    # the map of K_n is connected, so its dual is too and the parity walk
+    # below reaches every face.
+    total = len(dart_edge)
+    succ = [0] * total
+    for row, rot in zip(out_dart, vertex_rotations):
+        prev = row[rot[-1]] ^ 1
+        for w in rot:
+            d = row[w]
+            succ[prev] = d
+            prev = d ^ 1
+    for e, f, bit in zip(first, second, crossing_orientations):
         # Crossing k ends segment p of an edge and starts segment p+1, so
-        # the darts leaving it are seg + 2 (forward along p+1) and seg + 1
-        # (backward along p), seg being the forward dart of segment p.
-        e_seg = dart_base[e1] + 2 * p1
-        f_seg = dart_base[e2] + 2 * p2
-        if crossing_orientations[k] == "+":
-            cycles.append((e_seg + 2, f_seg + 2, e_seg + 1, f_seg + 1))
+        # the darts leaving it are e + 2 (forward along p+1) and e + 1
+        # (backward along p), e being the forward dart of segment p and
+        # e + 3 and e their twins.  Counterclockwise they read (e + 2,
+        # f + 2, e + 1, f + 1) on '+' and (e + 2, f + 1, e + 1, f + 2) on
+        # '-'.  e is the first pass, so on the first edge: the paths are
+        # read in edge order.
+        if bit == "+":
+            succ[e + 3] = f + 2
+            succ[f + 3] = e + 1
+            succ[e] = f + 1
+            succ[f] = e + 2
         else:
-            cycles.append((e_seg + 2, f_seg + 1, e_seg + 1, f_seg + 2))
-    # No dart is assigned twice or left out: the vertex rotations are
-    # permutations and every crossing is met by two distinct edge passes,
-    # so each dart leaves exactly one node and lies in exactly one cycle.
-    # rot_next, and with it the face walk successor, is then a permutation,
-    # so every face walk closes; and the map of K_n is connected, so its
-    # dual is too and the parity walk below reaches every face.
-    rot_next = [0] * total
-    for cycle in cycles:
-        prev = cycle[-1]
-        for d in cycle:
-            rot_next[prev] = d
-            prev = d
+            succ[e + 3] = f + 1
+            succ[f] = e + 1
+            succ[e] = f + 2
+            succ[f + 3] = e + 2
 
-    # faces: orbits of succ(d) = rot_next(twin(d)), twin(d) = d ^ 1.
-    # With counterclockwise rotations such an orbit walks the face lying to
-    # the RIGHT of its darts, so the face to the left of d is the orbit of
-    # its twin.
-    orbit = [-1] * total
+    # faces: orbits of succ, walked from ascending least darts.  With
+    # counterclockwise rotations such an orbit walks the face lying to the
+    # RIGHT of its darts, so the face to the left of d is the orbit of its
+    # twin; the walk writes it as it goes.
+    dart_face = [-1] * total
     walks: List[List[int]] = []
     for d0 in range(total):
-        if orbit[d0] != -1:
+        if dart_face[d0 ^ 1] >= 0:
             continue
         fid = len(walks)
         walk = []
         d = d0
-        while orbit[d] == -1:
-            orbit[d] = fid
+        while dart_face[d ^ 1] < 0:
+            dart_face[d ^ 1] = fid
             walk.append(d)
-            d = rot_next[d ^ 1]
+            d = succ[d]
         walks.append(walk)
-    dart_face = [orbit[d ^ 1] for d in range(total)]
     face_count = len(walks)
 
     nodes = n + c
@@ -323,13 +346,11 @@ def build_drawing(
         for base, end in zip(dart_base, dart_base[1:] + [total])
     )
     out_left = tuple(
-        tuple(dart_face[d] if d != -1 else -1 for d in row) for row in out_dart)
+        tuple([dart_face[d] if d >= 0 else -1 for d in row]) for row in out_dart)
 
     # dual walk from face 0: stepping across a segment of edge e flips bit
     # e.  The darts of a face's orbit have it on their right, so each leads
     # to the face on its left.
-    dart_edge = [eid for eid, path in enumerate(paths)
-                 for _ in range(2 * (len(path) + 1))]
     parity: List[Optional[int]] = [None] * face_count
     parity[0] = 0
     stack = [0]
@@ -345,7 +366,8 @@ def build_drawing(
         n=n,
         edges=tuple(edges),
         edge_paths=tuple(paths),
-        crossing_edges=tuple((e1, e2) for (e1, _), (e2, _) in usage),
+        crossing_edges=tuple(zip(map(dart_edge.__getitem__, first),
+                                 map(dart_edge.__getitem__, second))),
         orientation_bits=tuple(crossing_orientations),
         vertex_rotations=tuple(tuple(r) for r in vertex_rotations),
         dart_count=total,
@@ -373,8 +395,9 @@ def validate_good(drawing: Drawing) -> GoodnessReport:
     No two adjacent edges cross, and no pair of edges crosses more than
     once.  No edge crosses itself either: `build_drawing` refuses a path
     that visits a crossing twice, so the two passes of a crossing are on
-    distinct edges.  Violations are reported with the offending edges.  `build_drawing` raises NotGoodDrawing on any
-    violation, so on a constructed Drawing the report is always ok.
+    distinct edges.  Violations are reported with the offending edges.
+    `build_drawing` raises NotGoodDrawing on any violation, so on a
+    constructed Drawing the report is always ok.
     """
     violations: List[GoodnessViolation] = []
     seen: Set[Tuple[int, int]] = set()
@@ -403,17 +426,21 @@ class DeletionView:
     `deleted` is the set as a vertex bitmask.  Deleting a vertex removes
     its edges to the surviving vertices, which merges the two faces on
     the sides of each of their segments.  `classes` maps every base face
-    to the root of its merged class, and `by_root` maps a root to the
-    bitmask of the surviving vertices with a surviving dart whose left
-    face lies in that class; a root no surviving vertex touches is
-    absent.  For a surviving vertex this captures exactly the corners
-    that remain after merging.
+    to the least face of its merged class, and `by_root` maps such a
+    least face to the bitmask of the surviving vertices with a surviving
+    dart whose left face lies in that class; a class no surviving vertex
+    touches is absent, and so is every class when fewer than two
+    vertices survive.  For a surviving vertex this captures exactly the
+    corners that remain after merging.
 
-    The table is built once, by a union-find over the base faces.  Given
-    `parent`, the view of a subset of `deleted`, the union-find starts
-    from its classes and only the vertices it lacks are deleted, so a
-    search grows each table from a smaller one.  The base is never
-    mutated and never rebuilt.
+    The table is built once, by a union-find over the base faces that
+    unites two classes under the smaller face, so every face's parent is
+    a smaller face and one ascending pass resolves each face to the
+    least face of its class.  Given `parent`, the view of a subset of
+    `deleted`, the union-find starts from its classes and only the
+    vertices it lacks are deleted, so a search grows each table from a
+    smaller one; the classes do not depend on the parent.  The base is
+    never mutated and never rebuilt.
     """
 
     __slots__ = ("deleted", "classes", "by_root")
@@ -431,13 +458,7 @@ class DeletionView:
             gone = parent.deleted
             if gone & ~deleted:
                 raise ValueError("parent deletes a vertex this view keeps")
-            root = list(parent.classes)
-
-        def find(i: int) -> int:
-            while root[i] != i:
-                root[i] = root[root[i]]
-                i = root[i]
-            return i
+            root = parent.classes.tolist()
 
         # delete the new vertices in ascending order; each removes its
         # edges to the vertices not deleted yet
@@ -451,13 +472,22 @@ class DeletionView:
             for w in range(n):
                 if gone >> w & 1:
                     continue
-                for left, right in seg_faces[row[w]]:
-                    a, b = find(left), find(right)
-                    if a != b:
+                for a, b in seg_faces[row[w]]:
+                    while root[a] != a:
+                        root[a] = root[root[a]]
+                        a = root[a]
+                    while root[b] != b:
+                        root[b] = root[root[b]]
+                        b = root[b]
+                    if a < b:
                         root[b] = a
+                    elif b < a:
+                        root[a] = b
+        # a union hangs the larger root below the smaller and path halving
+        # moves a face below a smaller one, so every face's parent is a
+        # smaller face and, ascending, is resolved before the face itself
         for i, p in enumerate(root):
-            if root[p] != p:
-                root[i] = find(p)
+            root[i] = root[p]
 
         alive = [u for u in range(n) if not deleted >> u & 1]
         by_root: Dict[int, int] = {}
@@ -470,7 +500,8 @@ class DeletionView:
                     r = root[row[w]]
                     by_root[r] = get(r, 0) | bit
         self.deleted = deleted
-        self.classes = array("H" if len(root) <= 0xFFFF else "I", root)
+        # "I": built from a list several times faster than "H"
+        self.classes = array("I", root)
         self.by_root = by_root
 
     def incident_mask(self, face: int) -> int:

@@ -83,18 +83,27 @@ def _fraction(token: str, line: int) -> Fraction:
 
 
 def _int(token: str, line: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line, f"bad integer {token!r}") from None
+    """`[+-]?[0-9]+`, nothing else: `int` alone would also take `1_0` and
+    non-ASCII decimal digits.  A token has no whitespace, so with those
+    two ruled out `int` takes exactly that syntax."""
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(line, f"bad integer {token!r}")
 
 
 def _ints(tokens: Sequence[str], line: int) -> Tuple[int, ...]:
-    """All tokens as integers; a bad one is reported as `_int` reports it."""
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:
-        return tuple(_int(token, line) for token in tokens)
+    """All tokens as integers, as `_int` takes them; a bad one is reported
+    as `_int` reports it.  The tokens are screened together, once."""
+    text = " ".join(tokens)
+    if text.isascii() and "_" not in text:
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    return tuple(_int(token, line) for token in tokens)
 
 
 def _frac_str(value: Fraction) -> str:
@@ -184,7 +193,15 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
     ref: Optional[Tuple[int, int]] = None
     for no, line in body:
         parts = line.split()
-        if parts[0] == "c":
+        # orientation lines first: they are most of a map's lines
+        if parts[0] == "x":
+            if len(parts) != 4 or parts[2] != ":" or parts[3] not in ("+", "-"):
+                raise ParseError(no, "expected 'x <k> : <+|->'")
+            k = _int(parts[1], no)
+            if k in bits:
+                raise ParseError(no, f"duplicate orientation for crossing {k}")
+            bits[k] = parts[3]
+        elif parts[0] == "c":
             if c is not None or len(parts) != 2:
                 raise ParseError(no, "bad crossing count line")
             c = _int(parts[1], no)
@@ -206,13 +223,6 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
             if (u, v) in paths:
                 raise ParseError(no, f"duplicate edge line {u} {v}")
             paths[(u, v)] = _ints(parts[4:], no)
-        elif parts[0] == "x":
-            if len(parts) != 4 or parts[2] != ":" or parts[3] not in ("+", "-"):
-                raise ParseError(no, "expected 'x <k> : <+|->'")
-            k = _int(parts[1], no)
-            if k in bits:
-                raise ParseError(no, f"duplicate orientation for crossing {k}")
-            bits[k] = parts[3]
         elif parts[0] == "ref":
             if ref is not None or len(parts) != 3:
                 raise ParseError(no, "bad ref line")

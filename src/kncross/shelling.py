@@ -57,9 +57,10 @@ witness maps pair (r,t) to (s+1-t, s+1-r) with the same deleted set and
 endpoints, so the reverse of a witness is one, and the first witness in
 fill order always has v_1 < v_s.  Neither rule changes which sequences
 are accepted or the order they are tried in, so the witnesses and
-refusals are those of trying every vertex against every pair.  The verifier still checks every pair.  `kncross
-check` re-verifies every witness with the verifier before it prints or
-writes it, and exits 3 instead when the verifier refuses it.
+refusals are those of trying every vertex against every pair.  The
+verifier still checks every pair.  `kncross check` re-verifies every
+witness with the verifier before it prints or writes it, and exits 3
+instead when the verifier refuses it.
 """
 
 from __future__ import annotations

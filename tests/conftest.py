@@ -22,6 +22,7 @@ from kncross.drawing import (
     K4Census,
     NotGoodDrawing,
     build_drawing,
+    edge_ids,
     validate_good,
 )
 from kncross.generators import (
@@ -197,6 +198,64 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
     assert len(set(class_to_face.values())) == len(class_to_face), "classes merged"
     assert faces_seen == set(range(sub.face_count))
     assert len(set(classes)) == sub.face_count
+
+
+# ---------------------------------------------------------------------------
+# deletion views by a union-find with a find closure: the slow path of
+# `DeletionView`
+# ---------------------------------------------------------------------------
+
+
+def reference_deletion_view(base: Drawing,
+                            deleted: int) -> Tuple[List[int], Dict[int, int]]:
+    """`(classes, by_root)` of the vertex bitmask `deleted`, from a
+    union-find that hangs the right side's root below the left side's and
+    then resolves every face whose parent is not a root.  A class is named
+    by whichever face the union order leaves at its root, so only the
+    partition and the incidence of each face,
+    `by_root.get(classes[face], 0)`, compare with `DeletionView`."""
+    n = base.n
+    if deleted >> n:  # also true of every negative mask
+        raise ValueError(
+            f"deleted mask {deleted:#x} has a vertex outside 0..{n - 1}")
+    gone = 0
+    root = list(range(base.face_count))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    # delete the new vertices in ascending order; each removes its edges
+    # to the vertices not deleted yet
+    seg_faces, ids = base.seg_faces, edge_ids(n)
+    for v in range(n):
+        bit = 1 << v
+        if not deleted & bit or gone & bit:
+            continue
+        gone |= bit
+        row = ids[v]
+        for w in range(n):
+            if gone >> w & 1:
+                continue
+            for left, right in seg_faces[row[w]]:
+                a, b = find(left), find(right)
+                if a != b:
+                    root[b] = a
+    for i, p in enumerate(root):
+        if root[p] != p:
+            root[i] = find(p)
+
+    alive = [u for u in range(n) if not deleted >> u & 1]
+    by_root: Dict[int, int] = {}
+    for u in alive:
+        row = base.out_left_face[u]
+        for w in alive:
+            if w != u:
+                r = root[row[w]]
+                by_root[r] = by_root.get(r, 0) | 1 << u
+    return root, by_root
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from dataclasses import fields
 from math import comb
 
@@ -34,6 +35,7 @@ from conftest import (
     loop_k4_census,
     planar_k4,
     reference_build_drawing,
+    reference_deletion_view,
     vertex_mask,
 )
 
@@ -89,6 +91,17 @@ MALFORMED = {
     "crossing-id": (4, _k4_paths({(0, 2): [3]}), ["+"], K4_ROTATIONS, (1, 0)),
     "rotation": (4, _k4_paths(), [], [(1, 3, 2), (2, 3, 0), (0, 3, 3), (2, 0, 1)], (1, 0)),
     "reference": (4, _k4_paths(), [], K4_ROTATIONS, (1, 1)),
+    # crossing 1 met by three passes, crossing 0 by one: the least is named
+    "degree-least": (4, _k4_paths({(0, 1): [1], (0, 2): [1], (1, 3): [1], (2, 3): [0]}),
+                     ["+", "+"], K4_ROTATIONS, (1, 0)),
+    # crossing 0 met by three passes, crossing 1 by one
+    "degree-crowded": (4, _k4_paths({(0, 1): [0], (0, 2): [0], (1, 3): [0], (2, 3): [1]}),
+                       ["+", "+"], K4_ROTATIONS, (1, 0)),
+    # a third pass of crossing 0, then an id out of range on a later edge
+    "crowded-then-id": (4, _k4_paths({(0, 1): [0], (0, 2): [0], (0, 3): [0], (1, 2): [5]}),
+                        ["+"], K4_ROTATIONS, (1, 0)),
+    # an id out of range before the revisit on the same edge
+    "id-then-revisit": (4, _k4_paths({(0, 2): [3, 0, 0]}), ["+"], K4_ROTATIONS, (1, 0)),
 }
 
 
@@ -288,7 +301,10 @@ def test_build_matches_reference_build_field_by_field(oracle_corpus):
             "seg_faces", "out_left_face", "face_parity",
             "reference_face", "face_count"} <= kept
     assert not kept & {"rot_next", "face_darts", "dart_base", "dart_face"}
-    for drawing in oracle_corpus:
+    # and the maps the benchmark loads: random K_12 and K_14
+    benchmark_maps = [gen_random_points(12, seed) for seed in (502, 505, 511, 567, 629)]
+    benchmark_maps += [gen_random_points(14, seed) for seed in range(1, 7)]
+    for drawing in oracle_corpus + benchmark_maps:
         args = map_arguments(drawing)
         built = build_outcome(build_drawing, *args)
         assert built == build_outcome(reference_build_drawing, *args)
@@ -300,6 +316,34 @@ def test_malformed_map_refused_as_reference_build_refuses(case):
     outcome = build_outcome(build_drawing, *MALFORMED[case])
     assert outcome == build_outcome(reference_build_drawing, *MALFORMED[case])
     assert isinstance(outcome[0], type) and issubclass(outcome[0], Exception)
+
+
+def test_deletion_view_matches_reference_view(oracle_corpus):
+    rng = random.Random(14)
+    for drawing in oracle_corpus:
+        n, faces = drawing.n, range(drawing.face_count)
+        everyone = (1 << n) - 1
+        masks = [0, everyone, everyone ^ 1, everyone ^ 1 << n - 1]
+        masks += [rng.getrandbits(n) for _ in range(6)]
+        for mask in masks:
+            view = DeletionView(drawing, mask)
+            classes, by_root = reference_deletion_view(drawing, mask)
+            assert ([view.incident_mask(f) for f in faces]
+                    == [by_root.get(classes[f], 0) for f in faces])
+            partition = len(set(classes))
+            assert len(set(view.classes)) == len(set(zip(view.classes, classes))) == partition
+            # each class is named by its least face
+            assert all(view.classes[f] <= f for f in faces)
+            assert all(view.classes[view.classes[f]] == view.classes[f] for f in faces)
+            # grown one vertex at a time, and at once from the empty set
+            chain = DeletionView(drawing, 0)
+            for v in range(n):
+                if mask >> v & 1:
+                    chain = DeletionView(drawing, chain.deleted | 1 << v, chain)
+            for grown in (chain, DeletionView(drawing, mask, DeletionView(drawing, 0))):
+                assert grown.deleted == mask
+                assert grown.classes == view.classes
+                assert grown.by_root == view.by_root
 
 
 def test_k4_census_matches_loop(oracle_corpus):

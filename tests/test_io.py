@@ -244,6 +244,52 @@ def test_other_rational_tokens_refused_at_their_line(token):
     assert (caught.value.line, caught.value.reason) == (5, f"bad rational {token!r}")
 
 
+# One integer token of the convex K4 map per site: (text with the token
+# replaced by {}, its line, its value).  `rot-neighbor` and `e-crossing`
+# are read through `_ints`, the others through `_int`.
+INTEGER_SITES = {
+    "n": (CONVEX_K4_MAP.replace("\nn 4\n", "\nn {}\n"), 3, 4),
+    "c": (CONVEX_K4_MAP.replace("\nc 1\n", "\nc {}\n"), 4, 1),
+    "rot-vertex": (CONVEX_K4_MAP.replace("rot 2 :", "rot {} :"), 7, 2),
+    "rot-neighbor": (CONVEX_K4_MAP.replace("rot 1 : 0 2 3", "rot 1 : 0 {} 3"), 6, 2),
+    "e-endpoint": (CONVEX_K4_MAP.replace("e 1 2 :", "e 1 {} :"), 12, 2),
+    "e-crossing": (CONVEX_K4_MAP.replace("e 0 2 : 0", "e 0 2 : {}"), 10, 0),
+    "x": (CONVEX_K4_MAP.replace("x 0 :", "x {} :"), 15, 0),
+    "ref": (CONVEX_K4_MAP.replace("ref 0 3", "ref 0 {}"), 16, 3),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+@pytest.mark.parametrize("spell", ["{}", "+{}", "0{}"], ids=["plain", "plus", "zero"])
+def test_integer_tokens_are_signed_ascii_digits(site, spell):
+    text, _, value = INTEGER_SITES[site]
+    expected = serialize(parse(CONVEX_K4_MAP), "map")
+    assert serialize(parse(text.format(spell.format(value))), "map") == expected
+
+
+# spellings of a value that `int` would take, or would refuse anyway
+OTHER_INTEGER_SPELLINGS = {
+    "underscore": lambda v: f"0_{v}",
+    "arabic-indic": lambda v: chr(0x660 + v),
+    "fullwidth": lambda v: chr(0xFF10 + v),
+    "devanagari": lambda v: chr(0x966 + v),
+    "decimal-point": lambda v: f"{v}.0",
+    "exponent": lambda v: f"{v}e0",
+    "hex": lambda v: f"0x{v}",
+    "double-sign": lambda v: f"+-{v}",
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+@pytest.mark.parametrize("spelling", sorted(OTHER_INTEGER_SPELLINGS))
+def test_other_integer_tokens_refused_at_their_line(site, spelling):
+    text, line, value = INTEGER_SITES[site]
+    token = OTHER_INTEGER_SPELLINGS[spelling](value)
+    with pytest.raises(ParseError) as caught:
+        parse(text.format(token))
+    assert (caught.value.line, caught.value.reason) == (line, f"bad integer {token!r}")
+
+
 # header counts far beyond the file's lines: refused before anything is
 # sized by them
 HUGE = 10**15
