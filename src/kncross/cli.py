@@ -126,10 +126,10 @@ def _check(args) -> int:
     if violation is not None:
         raise WitnessInvalid(violation)
     blob = serialize_witness(drawing, witness)
-    sys.stdout.write(blob.decode())
     if args.witness_out:
         with open(args.witness_out, "wb") as fh:
             fh.write(blob)
+    sys.stdout.write(blob.decode())
     return 0
 
 
@@ -195,12 +195,12 @@ def _hunt(args) -> int:
         seen.add(key)
         if key[0] == hill_number(n):
             found.append((trial, planarize_arrangement(points, arr)))
-    print(f"trials={args.trials} distinct={len(seen)} matches={len(found)}")
-    for trial, drawing in found:
-        print(f"  seed={args.seed + trial} cr={drawing.crossings}")
     if args.out and found:
         with open(args.out, "wb") as fh:
             fh.write(serialize(found[0][1], "points"))
+    print(f"trials={args.trials} distinct={len(seen)} matches={len(found)}")
+    for trial, drawing in found:
+        print(f"  seed={args.seed + trial} cr={drawing.crossings}")
     return 0
 
 

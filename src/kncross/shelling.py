@@ -32,16 +32,16 @@ rules of the bishell search follow.
   b_0..b_{j-1} that is not one of a_0..a_{s-j}.  A b-sequence exists
   exactly when this one is complete, and it is the first one a
   depth-first search in ascending order finds.
-* Peel closure.  `_peel_closure_holds(s)` refutes a face unless some
-  peel sequence a_0..a_s leaves, for every i, a greedy peel of s - i + 1
-  vertices with {a_0..a_i} banned throughout; b_0..b_{s-i} of a witness
-  is such a peel.  The bishell search runs only at faces where it
-  holds, and the shell search of length s >= 2 only where it holds for
-  s - 2, since `shell_to_bishell` turns an s-shell witness into an
-  order s - 2 bishell witness at the same face.
+* Peel closure.  The a-sequence walk extends a prefix A_i = {a_0..a_i}
+  only while a greedy peel with A_i banned throughout takes s - i + 1
+  vertices, since b_0..b_{s-i} of a witness through A_i is such a peel.
+  A face where no a-sequence passes is refused without completing any
+  B.  The shell search of length s >= 2 runs only at faces with an
+  order s - 2 bishell witness, since `shell_to_bishell` turns an s-shell
+  witness into one at the same face.
 
-Both are necessary conditions, so a face they refute has no witness,
-and the witnesses and refusals are those of the exhaustive search.
+Neither rule drops a witness or reorders the a-sequences, so the
+witnesses and refusals are those of the exhaustive search.
 
 The same monotonicity reduces the pairs of a shell witness to two
 peels: v_1..v_s is one exactly when v_1..v_{s-1} peels from the front
@@ -270,9 +270,9 @@ def check_bishellable(drawing: Drawing, s: int,
                       face: Optional[int] = None) -> Optional[BishellWitness]:
     """Exhaustive search for an order-s bishell witness.
 
-    Scans all faces unless one is fixed, and skips a face where the
-    peel-closure condition fails (`_peel_closure_holds`).  Within a face
-    the a-sequence is grown depth-first and B is completed greedily.
+    Scans all faces unless one is fixed.  Within a face the a-sequence
+    is grown depth-first, pruned by peel closure, and B is completed
+    greedily (`_bishell_at_face`).
     Returns the first witness in the deterministic search order, or
     None.  One memo of deletion views serves both sequences and every
     face.
@@ -281,10 +281,9 @@ def check_bishellable(drawing: Drawing, s: int,
         raise ValueError(f"order s={s} out of range for n={drawing.n}")
     memo: Memo = {}
     for f in _search_faces(drawing, face):
-        if _peel_closure_holds(drawing, s, f, memo):
-            found = _bishell_at_face(drawing, s, f, memo)
-            if found is not None:
-                return found
+        found = _bishell_at_face(drawing, s, f, memo)
+        if found is not None:
+            return found
     return None
 
 
@@ -304,53 +303,37 @@ def _greedy_peel(drawing: Drawing, face: int, bans: Sequence[int],
     return peeled
 
 
-def _peel_closure_holds(drawing: Drawing, s: int, face: int, memo: Memo) -> bool:
-    """The peel-closure condition PC(s) at `face`, necessary for an
-    order-s bishell witness there.
-
-    It holds when some peel sequence a_0..a_s leaves, at every i, a
-    greedy peel of at least s - i + 1 vertices with A_i = {a_0..a_i}
-    banned.  The b_0..b_{s-i} of a witness peel that far with A_i banned,
-    and by the greedy lemma the greedy peel is as long as the longest
-    one.  Whether a_0..a_i extends to a sequence that passes depends
-    only on the set A_i, so the search remembers the sets that fail, and
-    peels with each banned set at most once.
-    """
-    failed: Set[int] = set()
-
-    def holds(prefix: int, i: int) -> bool:
-        # `prefix` is A_i
-        if prefix in failed:
-            return False
-        length = s - i + 1
-        if len(_greedy_peel(drawing, face, (prefix,) * length, memo)) == length:
-            if i == s:
-                return True
-            for v in _bits(_incident_mask(drawing, prefix, face, memo)):
-                if holds(prefix | 1 << v, i + 1):
-                    return True
-        failed.add(prefix)
-        return False
-
-    return any(holds(1 << v, 0) for v in _bits(_incident_mask(drawing, 0, face, memo)))
-
-
 def _bishell_at_face(drawing: Drawing, s: int, face: int,
                      memo: Memo) -> Optional[BishellWitness]:
     """First witness at `face`: a-sequences depth-first, each completed
     by the greedy b-sequence, b_j the lowest vertex peelable after
-    b_0..b_{j-1} that is not one of a_0..a_{s-j}."""
+    b_0..b_{j-1} that is not one of a_0..a_{s-j}.
+
+    A prefix A_i = {a_0..a_i} is extended only while a greedy peel with
+    A_i banned throughout takes s - i + 1 vertices: b_0..b_{s-i} of a
+    witness through A_i is such a peel, and by the greedy lemma the
+    greedy peel is as long as the longest one.  The test depends only
+    on the set A_i, so the search remembers the sets that fail it.
+    """
     a_seq: List[int] = []
     prefixes: List[int] = []      # prefixes[i] = {a_0..a_i} as a bitmask
+    failed: Set[int] = set()      # prefixes that fail the peel test
 
     def extend_a(deleted: int) -> Optional[BishellWitness]:
-        if len(a_seq) == s + 1:
+        i = len(a_seq)
+        if i == s + 1:
             b = _greedy_peel(drawing, face, prefixes[::-1], memo)
             if len(b) == s + 1:
                 return BishellWitness(face=face, a_seq=tuple(a_seq), b_seq=tuple(b))
             return None
+        length = s - i + 1
         for v in _bits(_incident_mask(drawing, deleted, face, memo)):
             grown = deleted | 1 << v
+            if grown in failed:
+                continue
+            if len(_greedy_peel(drawing, face, (grown,) * length, memo)) < length:
+                failed.add(grown)
+                continue
             a_seq.append(v)
             prefixes.append(grown)
             result = extend_a(grown)
@@ -392,7 +375,7 @@ def _shell_search(drawing: Drawing, lengths: Sequence[int], face: Optional[int],
         for f in faces:
             # a shell witness at f truncates to an order s-2 bishell
             # witness at f (`shell_to_bishell`)
-            if s >= 2 and not _peel_closure_holds(drawing, s - 2, f, memo):
+            if s >= 2 and _bishell_at_face(drawing, s - 2, f, memo) is None:
                 continue
             found = _shell_at_face(drawing, s, f, memo)
             if found is not None:

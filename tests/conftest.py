@@ -36,7 +36,7 @@ from kncross.generators import (
 )
 from kncross.geom import orient, proper_intersection
 from kncross.planarize import Arrangement, DegenerateInput
-from kncross.shelling import BishellWitness, ShellWitness
+from kncross.shelling import BishellWitness, ShellWitness, _bits, _greedy_peel, _incident_mask
 
 
 # ---------------------------------------------------------------------------
@@ -762,4 +762,60 @@ def replay_shell_search(drawing: Drawing, s: int,
         found = dfs(f, [None] * s, 0, set())
         if found is not None:
             return ShellWitness(face=f, seq=found)
+    return None
+
+
+def peel_closure_holds(drawing: Drawing, s: int, face: int, memo: Dict) -> bool:
+    """The peel-closure condition PC(s) at `face` as its own search: some
+    peel sequence a_0..a_s leaves, at every i, a greedy peel of
+    s - i + 1 vertices with A_i = {a_0..a_i} banned throughout.  Failed
+    sets are remembered, since passing depends only on the set A_i."""
+    failed: Set[int] = set()
+
+    def holds(prefix: int, i: int) -> bool:
+        if prefix in failed:
+            return False
+        length = s - i + 1
+        if len(_greedy_peel(drawing, face, (prefix,) * length, memo)) == length:
+            if i == s:
+                return True
+            for v in _bits(_incident_mask(drawing, prefix, face, memo)):
+                if holds(prefix | 1 << v, i + 1):
+                    return True
+        failed.add(prefix)
+        return False
+
+    return any(holds(1 << v, 0) for v in _bits(_incident_mask(drawing, 0, face, memo)))
+
+
+def two_pass_bishell(drawing: Drawing, s: int,
+                     face: Optional[int] = None) -> Optional[BishellWitness]:
+    """Order-s bishell search that first refutes faces by
+    `peel_closure_holds` and then walks every a-sequence of a face
+    unpruned, completing B greedily."""
+    memo: Dict = {}
+    faces = (face,) if face is not None else range(drawing.face_count)
+    for f in faces:
+        if not peel_closure_holds(drawing, s, f, memo):
+            continue
+        a_seq: List[int] = []
+        prefixes: List[int] = []
+
+        def extend_a(deleted: int) -> Optional[BishellWitness]:
+            if len(a_seq) == s + 1:
+                b = _greedy_peel(drawing, f, prefixes[::-1], memo)
+                return BishellWitness(f, tuple(a_seq), tuple(b)) if len(b) == s + 1 else None
+            for v in _bits(_incident_mask(drawing, deleted, f, memo)):
+                a_seq.append(v)
+                prefixes.append(deleted | 1 << v)
+                result = extend_a(deleted | 1 << v)
+                if result is not None:
+                    return result
+                a_seq.pop()
+                prefixes.pop()
+            return None
+
+        found = extend_a(0)
+        if found is not None:
+            return found
     return None

@@ -130,6 +130,18 @@ def test_check_and_verify_round_trip(tmp_path, capsys):
     assert "verifies" in stdout
 
 
+def test_check_unwritable_witness_out_exit_2_before_printing(tmp_path, capsys):
+    drawing = tmp_path / "k6.pts"
+    run(capsys, "generate", "convex", "--n", "6", "-o", str(drawing))
+    witness = tmp_path / "missing" / "k6.wit"
+    code, stdout, err = run(capsys, "check", str(drawing), "--mode", "bishell",
+                            "--witness-out", str(witness))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert not witness.exists()
+
+
 def test_check_shell_with_explicit_s(tmp_path, capsys):
     drawing = tmp_path / "k8.pts"
     run(capsys, "generate", "convex", "--n", "8", "-o", str(drawing))
@@ -228,6 +240,17 @@ def test_hunt_builds_a_map_only_for_a_match(tmp_path, capsys):
     run(capsys, "generate", "random", "--n", "7", "--seed", "113",
         "-o", str(generated))
     assert found.read_bytes() == generated.read_bytes()
+
+
+def test_hunt_unwritable_out_exit_2_before_printing(tmp_path, capsys):
+    # the window of `test_hunt_builds_a_map_only_for_a_match`, which matches
+    found = tmp_path / "missing" / "hunt.points"
+    code, stdout, err = run(capsys, "hunt", "--n", "7", "--trials", "100",
+                            "--seed", "100", "-o", str(found))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert not found.exists()
 
 
 def test_hunt_zero_trials(capsys):

@@ -18,7 +18,8 @@ import pytest
 from kncross.cli import main
 from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
 from kncross.io import serialize, serialize_witness
-from kncross.shelling import BishellWitness, ShellWitness, check_bishellable, check_s_shellable
+from kncross.shelling import (BishellWitness, ShellWitness, bishell_witness_violation,
+                              check_bishellable, check_s_shellable)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -151,6 +152,30 @@ def test_random_k16_bishell_witness_pinned():
     assert witness == BishellWitness(face=566, a_seq=(1, 3, 6, 7, 8, 0, 9),
                                      b_seq=(2, 10, 13, 8, 7, 6, 3))
     assert elapsed < 1.5
+
+
+# witness-face pins beyond the paper's order: recorded on the search that
+# walked every a-sequence of a face after refuting faces by peel closure;
+# on a 2-core x86_64 machine that search took 13 s and 1.9 s, the one that
+# prunes each a-prefix by peel closure 0.02 s and 0.03 s
+WITNESS_FACE_PINS = [
+    (16, 10, BishellWitness(face=566, a_seq=(1, 3, 6, 8, 0, 9, 7, 10, 11, 4, 13),
+                            b_seq=(2, 13, 15, 5, 10, 7, 4, 11, 8, 6, 3))),
+    (20, 8, BishellWitness(face=1288, a_seq=(1, 3, 6, 7, 8, 0, 9, 10, 15),
+                           b_seq=(2, 15, 10, 17, 18, 8, 7, 4, 3))),
+]
+
+
+@pytest.mark.parametrize("n, s, pinned", WITNESS_FACE_PINS,
+                         ids=[f"K{n}-order{s}" for n, s, _ in WITNESS_FACE_PINS])
+def test_witness_face_bishell_witness_pinned(n, s, pinned):
+    d = gen_random_points(n, 1)
+    start = time.perf_counter()
+    witness = check_bishellable(d, s)
+    elapsed = time.perf_counter() - start
+    assert witness == pinned
+    assert bishell_witness_violation(d, witness) is None
+    assert elapsed < 1.0
 
 
 DEMO_02_STDOUT = """\

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import time
 from datetime import timedelta
 from fractions import Fraction
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kncross.io
-from kncross.cli import _INPUT_ERRORS, main
+from kncross.cli import _INPUT_ERRORS, _violation, main
 from kncross.drawing import (
     BadCrossingDegree,
     EdgePathInconsistent,
@@ -32,6 +34,7 @@ from kncross.shelling import (
     ShellWitness,
     check_bishellable,
     check_s_shellable,
+    first_shell_witness,
     verify_bishell_witness,
     verify_shell_witness,
 )
@@ -503,3 +506,64 @@ def test_fuzzed_points_and_twopage_files_refused_or_fixed_points(lines, edits):
         type(drawing.geometry), "map")
     blob = serialize(drawing, fmt)
     assert serialize(parse(blob), fmt) == blob
+
+
+# ---------------------------------------------------------------------------
+# fuzzing witness files
+# ---------------------------------------------------------------------------
+
+WITNESS_DRAWINGS = {
+    "convex6": (gen_convex(6), "points"),
+    "cylindrical7": (gen_cylindrical(7), "map"),
+    "random8": (gen_random_points(8, 1), "points"),
+}
+# a bishell witness of the paper's order, a first-shell and a 3-shell
+# witness of every drawing
+WITNESS_BASES = [(name, serialize_witness(d, w).decode().splitlines())
+                 for name, (d, _) in WITNESS_DRAWINGS.items()
+                 for w in (check_bishellable(d, d.n // 2 - 2), first_shell_witness(d),
+                           check_s_shellable(d, 3))]
+# vertex numbers in and out of range, and the words of the format
+WITNESS_NUMBERS = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "-1", "+2", "1/2", str(HUGE)]
+WITNESS_WORDS = ["kncross-witness", "v1", "shell", "bishell", "face", "v:", "a:", "b:", ":"]
+WITNESS_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["replace", "insert", "delete", "drop line",
+                               "copy line", "move line"]),
+              st.integers(0, 63), st.integers(0, 63),
+              st.sampled_from(WITNESS_NUMBERS + WITNESS_WORDS)),
+    st.tuples(st.just("renumber"), st.integers(0, 63), st.integers(0, 63),
+              st.sampled_from(WITNESS_NUMBERS)))
+
+
+@pytest.fixture(scope="module")
+def witness_drawing_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("witness-fuzz")
+    files = {}
+    for name, (d, fmt) in WITNESS_DRAWINGS.items():
+        path = root / f"{name}.{fmt}"
+        path.write_bytes(serialize(d, fmt))
+        files[name] = (parse(path.read_bytes()), path)
+    return root, files
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(WITNESS_BASES), st.lists(WITNESS_EDITS, min_size=1, max_size=3))
+def test_fuzzed_witness_files_refused_or_judged(witness_drawing_files, base, edits):
+    # an edited witness file is refused as bad input (exit 2) or judged by
+    # the verifier (exit 0 or 1); `verify` never exits 3
+    root, files = witness_drawing_files
+    name, lines = base
+    drawing, drawing_path = files[name]
+    text = _edited(lines, edits)
+    try:
+        violation = _violation(drawing, parse_witness(text, drawing))
+    except _INPUT_ERRORS:
+        expected = 2
+    else:
+        assert violation is None or isinstance(violation, str)
+        expected = 0 if violation is None else 1
+    witness_path = root / "edited.wit"
+    witness_path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(drawing_path), "--witness", str(witness_path)])
+    assert code == expected

@@ -14,7 +14,6 @@ from kncross.shelling import (
     ShellWitness,
     WitnessInvalid,
     _greedy_peel,
-    _peel_closure_holds,
     bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
@@ -30,8 +29,8 @@ from kncross.shelling import (
     verify_shell_witness,
 )
 
-from conftest import (child_view_bishell, longest_peel, loop_incident, replay_shell_search,
-                      shelling_sequences, vertex_mask)
+from conftest import (child_view_bishell, longest_peel, loop_incident, peel_closure_holds,
+                      replay_shell_search, shelling_sequences, two_pass_bishell, vertex_mask)
 
 
 def naive_bishellable(drawing, s):
@@ -513,21 +512,36 @@ def test_searches_match_oracles_at_every_order_and_face(name):
         for f in range(d.face_count):
             found = child_view_bishell(d, s, face=f)
             if found is not None:
-                assert _peel_closure_holds(d, s, f, memo)
+                assert peel_closure_holds(d, s, f, memo)
             assert check_bishellable(d, s, face=f) == found
     for s in range(1, d.n + 1):
         for f in range(d.face_count):
             found = replay_shell_search(d, s, face=f)
             if found is not None and s >= 2:
-                assert _peel_closure_holds(d, s - 2, f, memo)
+                assert peel_closure_holds(d, s - 2, f, memo)
             assert check_s_shellable(d, s, face=f) == found
 
 
 def test_peel_closure_refutes_most_faces_of_a_certify_input():
-    # the 4-bishellable, not 6-shellable K_12 of seed 502: the exact
-    # searches run at 7 of its 340 faces, the first being the witness face
+    # the 4-bishellable, not 6-shellable K_12 of seed 502: 7 of its 340
+    # faces pass PC(4), and they are exactly the faces with a 4-bishell
+    # witness, the first being face 0
     d = gen_random_points(12, 502)
     memo = {}
-    passing = [f for f in range(d.face_count) if _peel_closure_holds(d, 4, f, memo)]
-    assert passing == [0, 1, 30, 215, 228, 300, 306]
+    witness_faces = [f for f in range(d.face_count)
+                     if check_bishellable(d, 4, face=f) is not None]
+    assert witness_faces == [0, 1, 30, 215, 228, 300, 306]
+    passing = [f for f in range(d.face_count) if peel_closure_holds(d, 4, f, memo)]
+    assert passing == witness_faces
     assert check_bishellable(d, 4).face == 0
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (11, 12) for seed in range(1, 5)]
+                         + [(12, seed) for seed in (502, 505, 511, 567, 629)])
+def test_bishell_search_matches_two_pass_search_at_every_face(n, seed):
+    # pruning each a-prefix by peel closure returns the witness, or the
+    # refusal, of refuting faces first and then walking every a-sequence
+    d = gen_random_points(n, seed)
+    for s in range(n // 2 - 2, n // 2 + 1):
+        for f in range(d.face_count):
+            assert check_bishellable(d, s, face=f) == two_pass_bishell(d, s, face=f), (s, f)
