@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -29,7 +30,8 @@ from .generators import (
     gen_twopage,
     twopage_all_top,
 )
-from .io import NoGeometry, ParseError, export_svg, parse, parse_witness, serialize, serialize_witness
+from .io import (NoGeometry, ParseError, export_svg, parse, parse_witness, serialize,
+                 serialize_witness, svg_document)
 from .kedges import (
     crossings_from_cumulative,
     crossings_from_k_edges,
@@ -161,10 +163,19 @@ def _generate(args) -> int:
         else:
             drawing = gen_twopage(twopage_all_top(n))
         fmt = "twopage"
+    # both files are built before either is written, and a failed second
+    # write removes the first, so an error leaves no file behind
+    blob = serialize(drawing, fmt)
+    doc = svg_document(drawing) if args.svg else None
     with open(args.out, "wb") as fh:
-        fh.write(serialize(drawing, fmt))
-    if args.svg:
-        export_svg(drawing, args.svg)
+        fh.write(blob)
+    if doc is not None:
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError:
+            os.remove(args.out)
+            raise
     print(f"cr={drawing.crossings} H={hill_number(drawing.n)}")
     return 0
 
@@ -184,6 +195,7 @@ def _hunt(args) -> int:
         raise ValueError(
             f"--target optimal cannot match at n={n}: the rectilinear crossing "
             f"number of K_n exceeds H(n) at n = 8 and every n >= 10")
+    hill = hill_number(n)
     found = []
     seen = set()  # (crossings, rotation key): one drawing per weak-iso class
     for trial in range(args.trials):
@@ -193,7 +205,7 @@ def _hunt(args) -> int:
         if key in seen:
             continue
         seen.add(key)
-        if key[0] == hill_number(n):
+        if key[0] == hill:
             found.append((trial, planarize_arrangement(points, arr)))
     if args.out and found:
         with open(args.out, "wb") as fh:

@@ -536,35 +536,54 @@ def rotation_key(system: RotationSystem) -> RotationSystem:
     systems have equal keys exactly when they are weakly isomorphic.
     For good drawings of K_n the rotation system determines the drawing
     up to weak isomorphism (Kyncl 2011), so the key names the class.
+
+    Row 1 of an anchor is the rotation at b read from a, so it is
+    (0, label of c, ...) with c the neighbour after a at b.  The least
+    relabelling minimises that label, which costs O(1) per anchor; only
+    the anchors that reach the least label are relabelled and compared.
     """
     n = len(system)
     if n < 2:
         return tuple(tuple(cycle) for cycle in system)
+    m = n - 1
     first = tuple(range(1, n))
-    best: Optional[List[Tuple[int, ...]]] = None
+    anchors = []
     for cycles in ([list(c) for c in system], [list(reversed(c)) for c in system]):
-        # rows[u][a]: rotation at u read from a
-        rows = [{w: tuple(cyc[i:] + cyc[:i]) for i, w in enumerate(cyc)} for cyc in cycles]
+        # pos[u][w]: index of w in the rotation at u; twice[u]: that rotation twice
+        pos = [[0] * n for _ in range(n)]
+        for u, cycle in enumerate(cycles):
+            row = pos[u]
+            for j, w in enumerate(cycle):
+                row[w] = j
+        twice = [cycle + cycle for cycle in cycles]
         for a in range(n):
-            cycle = cycles[a]
-            for i in range(n - 1):
-                order = cycle[i:] + cycle[:i]          # new labels 1..n-1
-                perm = [0] * n
-                for label, w in enumerate(order, 1):
-                    perm[w] = label
-                candidate = [first]
-                smaller = best is None
-                for w in order:
-                    row = tuple([perm[x] for x in rows[w][a]])
-                    if not smaller:
-                        other = best[len(candidate)]
-                        if row > other:
-                            break
-                        smaller = row < other
-                    candidate.append(row)
-                else:
-                    if smaller:
-                        best = candidate
+            pa = pos[a]
+            for i, b in enumerate(cycles[a]):
+                c = twice[b][pos[b][a] + 1]
+                anchors.append(((pa[c] - i) % m + 1, pos, twice, a, i))
+    least = min(anchor[0] for anchor in anchors)
+    best: Optional[List[Tuple[int, ...]]] = None
+    for label_c, pos, twice, a, i in anchors:
+        if label_c != least:
+            continue
+        order = twice[a][i:i + m]                 # new labels 1..n-1
+        perm = [0] * n
+        for label, w in enumerate(order, 1):
+            perm[w] = label
+        candidate = [first]
+        smaller = best is None
+        for w in order:
+            p = pos[w][a]
+            row = tuple([perm[x] for x in twice[w][p:p + m]])
+            if not smaller:
+                other = best[len(candidate)]
+                if row > other:
+                    break
+                smaller = row < other
+            candidate.append(row)
+        else:
+            if smaller:
+                best = candidate
     return tuple(best)
 
 

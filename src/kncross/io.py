@@ -427,20 +427,24 @@ def _transform(points: Sequence[Tuple[float, float]], size: float = 600.0,
     return to_screen
 
 
-def export_svg(drawing: Drawing, path: str) -> None:
-    """Render a drawing with geometric provenance to an SVG file.
+def svg_document(drawing: Drawing) -> str:
+    """The SVG text of a drawing with geometric provenance.
 
     Map-format drawings carry no coordinates and are rejected.
     """
     geom = drawing.geometry
     if isinstance(geom, PointsGeometry):
-        doc = _svg_points(drawing, geom)
-    elif isinstance(geom, TwoPageGeometry):
-        doc = _svg_twopage(drawing, geom)
-    elif isinstance(geom, CylindricalGeometry):
-        doc = _svg_cylindrical(drawing, geom)
-    else:
-        raise NoGeometry("map-format drawings carry no coordinates")
+        return _svg_points(drawing, geom)
+    if isinstance(geom, TwoPageGeometry):
+        return _svg_twopage(drawing, geom)
+    if isinstance(geom, CylindricalGeometry):
+        return _svg_cylindrical(drawing, geom)
+    raise NoGeometry("map-format drawings carry no coordinates")
+
+
+def export_svg(drawing: Drawing, path: str) -> None:
+    """Write `svg_document(drawing)` to an SVG file."""
+    doc = svg_document(drawing)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(doc)
 

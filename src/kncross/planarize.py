@@ -9,9 +9,18 @@ Every predicate is exact integer arithmetic.  `segment_arrangement`
 multiplies the point set, once, by the least common multiple of all
 coordinate denominators; a positive scaling changes no orientation, no
 crossing and no order along a segment.  A crossing's position along an
-edge is kept as a parameter `(num, den)` with `den > 0`, compared by
-cross-multiplication.  The `Fraction` points themselves are only
-stored, as the drawing's geometry.
+edge is kept as a parameter t = num/den with 0 < num < den.  Let D
+bound every such den; 2 * width * height of the scaled point set does,
+since den is the cross product of two segment directions.  Two distinct
+parameters with denominators at most D differ by at least 1/D^2, so
+the floor of t*D^2, `num * D*D // den`, is strictly monotone on
+distinct parameters and equal on equal ones.  An edge's crossings sort
+by that integer key, and two crossings at one parameter are two
+adjacent equal keys.  The directions around a vertex sort the same
+way: by the ray or open half-plane they lie in, then by the floor of
+-cot(angle) * D^2, with D = height bounding every |dy|; the cotangent
+falls as the angle grows within each open half-plane.  The `Fraction`
+points themselves are only stored, as the drawing's geometry.
 
 The reference face of a planarized drawing is the unbounded face, named
 by a dart read off the arrangement.  Seen from the lexicographically
@@ -30,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import lcm
 from typing import List, Sequence, Tuple
 
@@ -73,21 +81,6 @@ def _orient(p: IntPoint, q: IntPoint, r: IntPoint) -> int:
     return (det > 0) - (det < 0)
 
 
-def _by_parameter(h1: Tuple[int, int, int], h2: Tuple[int, int, int]) -> int:
-    # (num, den, crossing id): parameter num/den first, then the id
-    diff = h1[0] * h2[1] - h2[0] * h1[1]
-    return diff if diff else h1[2] - h2[2]
-
-
-def _by_direction(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> int:
-    # (dx, dy, payload): counterclockwise from angle 0 (the +x axis)
-    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
-    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
-    if ha != hb:
-        return ha - hb
-    return b[0] * a[1] - a[0] * b[1]
-
-
 def segment_arrangement(points: Sequence[Point]) -> Arrangement:
     """Intersect all segments of the complete graph on the given points.
 
@@ -108,9 +101,16 @@ def segment_arrangement(points: Sequence[Point]) -> Arrangement:
     segs = [(a, b, pts[a][0], pts[a][1], pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
             for a, b in edges]
 
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    width = max(xs, default=0) - min(xs, default=0)
+    height = max(ys, default=0) - min(ys, default=0)
+    # D*D for the floor keys (module docstring): |d1 x d2| <= 2*width*height
+    t_scale = (2 * width * height) ** 2
+
     crossings: List[Tuple[int, int]] = []
     bits: List[str] = []
-    per_edge: List[List[Tuple[int, int, int]]] = [[] for _ in edges]
+    per_edge: List[List[Tuple[int, int]]] = [[] for _ in edges]
     for ea, (a, b, ax, ay, dx1, dy1) in enumerate(segs):
         for eb in range(ea + 1, len(segs)):
             c, d, cx, cy, dx2, dy2 = segs[eb]
@@ -135,22 +135,34 @@ def segment_arrangement(points: Sequence[Point]) -> Arrangement:
                 bits.append("-")
             k = len(crossings)
             crossings.append((ea, eb))
-            per_edge[ea].append((tn, den, k))
-            per_edge[eb].append((sn, den, k))
+            per_edge[ea].append((tn * t_scale // den, k))
+            per_edge[eb].append((sn * t_scale // den, k))
 
     edge_paths: List[Tuple[int, ...]] = []
     for eid, hits in enumerate(per_edge):
-        hits.sort(key=cmp_to_key(_by_parameter))
-        for (t1, d1, k1), (t2, d2, k2) in zip(hits, hits[1:]):
-            if t1 * d2 == t2 * d1:
+        hits.sort()
+        for (t1, k1), (t2, k2) in zip(hits, hits[1:]):
+            if t1 == t2:
                 raise DegenerateInput("concurrent", (edges[eid], k1, k2))
-        edge_paths.append(tuple(k for _, _, k in hits))
+        edge_paths.append(tuple([k for _, k in hits]))
 
+    # counterclockwise from the +x axis: the ray at angle 0, the upper
+    # half-plane by floor(-cot * D^2) with D = height, the ray at 180
+    # degrees, the lower half-plane
+    cot_scale = height * height
     vertex_orders = []
     for u, (ux, uy) in enumerate(pts):
-        dirs = [(x - ux, y - uy, w) for w, (x, y) in enumerate(pts) if w != u]
-        dirs.sort(key=cmp_to_key(_by_direction))
-        vertex_orders.append(tuple(w for _, _, w in dirs))
+        dirs = []
+        for w, (x, y) in enumerate(pts):
+            dy = y - uy
+            if dy > 0:
+                dirs.append((1, (ux - x) * cot_scale // dy, w))
+            elif dy < 0:
+                dirs.append((3, (ux - x) * cot_scale // dy, w))
+            elif w != u:
+                dirs.append((0 if x > ux else 2, 0, w))
+        dirs.sort()
+        vertex_orders.append(tuple([w for _, _, w in dirs]))
 
     return Arrangement(
         crossings=tuple(crossings),

@@ -606,6 +606,31 @@ def candidate_map_weak_iso(r1, r2) -> bool:
     return False
 
 
+def reference_rotation_key(system) -> Tuple[Tuple[int, ...], ...]:
+    """`rotation_key` by relabelling and comparing every one of the
+    2*n*(n-1) anchors, with no filter on the first entries of row 1."""
+    n = len(system)
+    if n < 2:
+        return tuple(tuple(cycle) for cycle in system)
+    first = tuple(range(1, n))
+    best = None
+    for cycles in ([list(c) for c in system], [list(reversed(c)) for c in system]):
+        # rows[u][a]: rotation at u read from a
+        rows = [{w: tuple(cyc[i:] + cyc[:i]) for i, w in enumerate(cyc)} for cyc in cycles]
+        for a in range(n):
+            cycle = cycles[a]
+            for i in range(n - 1):
+                order = cycle[i:] + cycle[:i]          # new labels 1..n-1
+                perm = [0] * n
+                for label, w in enumerate(order, 1):
+                    perm[w] = label
+                candidate = tuple([first] + [tuple(perm[x] for x in rows[w][a])
+                                             for w in order])
+                if best is None or candidate < best:
+                    best = candidate
+    return best
+
+
 # ---------------------------------------------------------------------------
 # shell and bishell searches over cloned views: the slow path of `shelling`
 # ---------------------------------------------------------------------------

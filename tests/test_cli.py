@@ -300,6 +300,29 @@ def test_generate_with_svg_option(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_generate_unwritable_svg_exit_2_leaves_no_file(tmp_path, capsys):
+    drawing = tmp_path / "k6.pts"
+    code, stdout, err = run(capsys, "generate", "convex", "--n", "6", "-o", str(drawing),
+                            "--svg", str(tmp_path / "missing" / "k6.svg"))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert not drawing.exists()
+
+
+def test_generate_twopage_from_map_spec_exit_2_leaves_no_file(tmp_path, capsys):
+    # a map file has no spine order, pages or coordinates to write or render
+    spec = tmp_path / "k6.map"
+    run(capsys, "generate", "cylindrical", "--n", "6", "-o", str(spec))
+    out, svg = tmp_path / "k6.2p", tmp_path / "k6.svg"
+    code, stdout, err = run(capsys, "generate", "twopage", "--n", "6", "--spec", str(spec),
+                            "-o", str(out), "--svg", str(svg))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert not out.exists() and not svg.exists()
+
+
 @pytest.mark.parametrize("mode, extra, search", [
     ("bishell", [], "check_bishellable"),
     ("shell", ["--s", "2"], "check_s_shellable"),

@@ -36,6 +36,7 @@ from conftest import (
     planar_k4,
     reference_build_drawing,
     reference_deletion_view,
+    reference_rotation_key,
     vertex_mask,
 )
 
@@ -239,6 +240,7 @@ def test_rotation_key_matches_candidate_map_oracle():
                 copy[new] = Point(-p.x, p.y) if seed % 2 else p
             systems.append(rotation_system(planarize_points(copy)))
     keys = [rotation_key(r) for r in systems]
+    assert keys == [reference_rotation_key(r) for r in systems]
     classes = set()
     for i, j in itertools.combinations(range(len(systems)), 2):
         same = keys[i] == keys[j]
@@ -251,6 +253,31 @@ def test_rotation_key_matches_candidate_map_oracle():
         assert key[0] == tuple(range(1, len(r)))
         assert rotation_key(key) == key
         assert candidate_map_weak_iso(key, r)
+
+
+def test_rotation_key_values_match_full_enumeration():
+    # the anchor filter keeps the key's value, not only its classes: every
+    # system and every relabelled or mirrored copy gets the reference tuple
+    rng = random.Random(16)
+    systems = [(), ((),), ((1,), (0,)), ((1, 2), (0, 2), (0, 1))]
+    systems += [rotation_system(gen_random_points(n, seed))
+                for n in range(3, 11) for seed in range(1, 6)]
+    systems += [rotation_system(gen(n)) for n in range(3, 10)
+                for gen in (gen_convex, gen_cylindrical)]
+    copies = []
+    for k, system in enumerate(systems):
+        n = len(system)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        copy = [None] * n
+        for u in range(n):
+            cycle = [perm[w] for w in system[u]]
+            copy[perm[u]] = tuple(reversed(cycle) if k % 2 else cycle)
+        copies.append(tuple(copy))
+    for system, copy in zip(systems, copies):
+        key = rotation_key(system)
+        assert key == reference_rotation_key(system), system
+        assert rotation_key(copy) == key, copy
 
 
 def test_k4_census(k4_planar, k4_crossed):

@@ -73,6 +73,18 @@ def test_hunt_output_pinned(capsys):
     assert capsys.readouterr().out == "trials=100 distinct=37 matches=1\n  seed=113 cr=9\n"
 
 
+# `hunt` stdout at a smaller and a larger n, recorded before the rotation
+# key filtered its anchors and the arrangement sorted by integer keys
+@pytest.mark.parametrize("n, seed, out", [
+    (6, 100, "trials=100 distinct=12 matches=1\n  seed=113 cr=3\n"),
+    (9, 3, "trials=100 distinct=98 matches=0\n"),
+], ids=["n6", "n9"])
+def test_hunt_output_pinned_at_other_n(capsys, n, seed, out):
+    rc = main(["hunt", "--n", str(n), "--trials", "100", "--seed", str(seed)])
+    assert rc == 0
+    assert capsys.readouterr().out == out
+
+
 # `analyze` stdout on the map files of gen_random_points(14, seed), recorded
 # before map assembly moved to one out-dart table and the K4 census to
 # one pass over the crossings

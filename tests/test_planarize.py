@@ -157,3 +157,68 @@ def test_integer_degeneracies_match_fraction_witnesses():
                 [point(0, 0), point(1, 1), point(2, 2), point(0, 3)],
                 [point("1/3", 0), point(0, "1/7"), point("2/3", "-1/7")]):
         assert _assert_matches_fraction_path(pts) != "ok"
+
+
+# ---------------------------------------------------------------------------
+# near ties and planted ties for the floor sort keys
+# ---------------------------------------------------------------------------
+
+
+def _farey_pair(p1: int, q1: int):
+    """(p2, q2) with p2*q1 - p1*q2 == 1 and q2 > q1: p2/q2 - p1/q1 == 1/(q1*q2)."""
+    p2 = pow(q1, -1, p1)
+    q2 = (p2 * q1 - 1) // p1
+    return p2 + p1, q2 + q1
+
+
+@pytest.mark.parametrize("q1", [10**12 + 39, 10**15 + 37, 2**61 - 1])
+@pytest.mark.parametrize("shift", [(0, 1), (Fraction(1, 7), 3), (Fraction(-5, 11), 1000)])
+def test_near_tie_parameters_on_one_edge_match_fraction(q1, shift):
+    # A->B is crossed only by C->D1 and C->D2, at x = p1/q1 and p2/q2,
+    # which differ by exactly 1/(q1*q2); at C the directions to D1 and D2
+    # are as close.  Both stored denominators exceed 10^12.
+    p1 = q1 // 3 + 1
+    p2, q2 = _farey_pair(p1, q1)
+    assert p2 * q1 - p1 * q2 == 1 and min(q1, q2) > 10**12
+    offset, scale = shift
+    pts = [Point(offset + Fraction(x, scale), offset + Fraction(y, scale))
+           for x, y in ((0, 0), (1, 0), (0, -1), (p1, q1 - 1), (p2, q2 - 1))]
+    assert _assert_matches_fraction_path(pts) == "ok"
+    arr = segment_arrangement(pts)
+    assert [arr.crossings[k] for k in arr.edge_paths[0]] == [(0, 7), (0, 8)]
+    assert arr.vertex_orders[2] == (1, 4, 3, 0)
+
+
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (8, 7), (1, 5), (6, 1), (0, 6), (7, 0)],
+    [(0, 0), (9, 4), (2, 3), (7, 0), (1, 3), (6, 1)],
+    [(0, 0), (9, 7), (0, 6), (7, 0), (1, 4), (8, 1)],
+])
+def test_crossing_denominators_up_to_twice_the_box_area(pts):
+    # the diagonal 0->1 of a width x height box is crossed twice, with
+    # denominators above width*height (up to 2*width*height) and parameters
+    # 1/(den1*den2) apart: a key scale of (width*height)^2 would tie them
+    assert _assert_matches_fraction_path([point(x, y) for x, y in pts]) == "ok"
+
+
+def test_planted_concurrencies_match_fraction_witnesses():
+    # three segments through one point near 10^9, endpoints at mixed
+    # rational distances; nudging one endpoint by 10^-9 breaks the tie
+    rng = SplitMix64(16)
+    kinds = Counter()
+    for trial in range(40):
+        cx = Fraction(rng.below(2 * 10**9) - 10**9, 1 + rng.below(97))
+        cy = Fraction(rng.below(2 * 10**9) - 10**9, 1 + rng.below(89))
+        pts = []
+        for _ in range(3):
+            vx, vy = rng.below(2001) - 1000, rng.below(2001) - 1000
+            for sign in (1, -1):
+                f = sign * Fraction(1 + rng.below(10**4), 1 + rng.below(10**3))
+                pts.append(Point(cx + f * vx, cy + f * vy))
+        pts.append(Point(Fraction(rng.below(2 * 10**9) - 10**9, 1 + rng.below(50)),
+                         Fraction(rng.below(2 * 10**9) - 10**9, 1 + rng.below(50))))
+        kinds[_assert_matches_fraction_path(pts)] += 1
+        nudged = list(pts)
+        nudged[0] = Point(pts[0].x + Fraction(1, 10**9), pts[0].y)
+        kinds["nudged " + _assert_matches_fraction_path(nudged)] += 1
+    assert kinds["concurrent"] == 40 and kinds["nudged ok"] >= 30, kinds
