@@ -19,7 +19,6 @@ from .drawing import (
     k4_census,
     rotation_key,
     rotation_system,
-    validate_good,
 )
 from .planarize import DegenerateInput, planarize_points
 from .kedges import (
@@ -72,6 +71,6 @@ __all__ = [
     "planarize_points", "point", "proper_intersection",
     "right_mask", "rotation_key", "rotation_system", "serialize",
     "serialize_witness", "shell_to_bishell", "side_of",
-    "sufficient_conditions", "truncate_bishell", "validate_good",
+    "sufficient_conditions", "truncate_bishell",
     "verify_bishell_witness", "verify_shell_witness",
 ]

@@ -8,11 +8,12 @@ search produced a witness the verifier refuses.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .drawing import (
     BadCrossingDegree,
@@ -147,8 +148,40 @@ def _verify(args) -> int:
     return 1
 
 
+def _write_all(outputs: List[Tuple[str, bytes]]) -> None:
+    """Write every (path, data) pair or none.
+
+    Each data goes to a temporary file in its target's directory, and the
+    temporaries replace the targets only once every write has succeeded;
+    on a failure they are removed, and every existing file is unchanged.
+    """
+    temps: List[str] = []
+    replaced = 0
+    try:
+        for path, data in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            head, tail = os.path.split(path)
+            temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            try:
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:  # name the file asked for, not the temporary
+                raise OSError(exc.errno, exc.strerror, path) from None
+            temps.append(temp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+        for temp, (path, _) in zip(temps, outputs):
+            os.replace(temp, path)
+            replaced += 1
+    finally:
+        for temp in temps[replaced:]:
+            os.remove(temp)
+
+
 def _generate(args) -> int:
     n = args.n
+    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
+        raise ValueError(f"-o and --svg name the same file {args.out!r}")
     if args.family == "convex":
         drawing, fmt = gen_convex(n), "points"
     elif args.family == "cylindrical":
@@ -163,19 +196,11 @@ def _generate(args) -> int:
         else:
             drawing = gen_twopage(twopage_all_top(n))
         fmt = "twopage"
-    # both files are built before either is written, and a failed second
-    # write removes the first, so an error leaves no file behind
-    blob = serialize(drawing, fmt)
-    doc = svg_document(drawing) if args.svg else None
-    with open(args.out, "wb") as fh:
-        fh.write(blob)
-    if doc is not None:
-        try:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-        except OSError:
-            os.remove(args.out)
-            raise
+    # both files are built before either is written, and written together
+    outputs = [(args.out, serialize(drawing, fmt))]
+    if args.svg:
+        outputs.append((args.svg, svg_document(drawing).encode("utf-8")))
+    _write_all(outputs)
     print(f"cr={drawing.crossings} H={hill_number(drawing.n)}")
     return 0
 

@@ -24,8 +24,9 @@ remembered as the reference.
 edge has a path, every crossing id is in range and met by two distinct
 edge passes, every vertex rotation is a permutation of the other
 vertices, every orientation bit is '+' or '-', V - E + F = 2, and the
-drawing is good.  The checks make succ a permutation, so every face
-walk closes, and the map of K_n is connected, so its dual is too.
+drawing is good; no other code checks goodness.  The checks make succ
+a permutation, so every face walk closes, and the map of K_n is
+connected, so its dual is too.
 
 succ, the face walks and the per-dart tables live only during
 construction.  A Drawing keeps what the rest of the package reads: the
@@ -79,17 +80,17 @@ class EdgePathInconsistent(Exception):
 class NotGoodDrawing(Exception):
     """A coherent map whose drawing breaks a goodness condition.
 
-    `report` holds every violation; the message names the first.
+    `violations` holds every violation; the message names the first.
     """
 
-    def __init__(self, report: GoodnessReport):
-        first = report.violations[0]
+    def __init__(self, violations: Tuple[GoodnessViolation, ...]):
+        first = violations[0]
         edges = " and ".join(f"{u}-{v}" for u, v in first.edges)
-        more = len(report.violations) - 1
+        more = len(violations) - 1
         tail = f" (+{more} more)" if more else ""
         super().__init__(
             f"not a good drawing: {first.kind} of edges {edges}{tail}")
-        self.report = report
+        self.violations = violations
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +136,6 @@ class K4Census:
 class GoodnessViolation:
     kind: str                      # "adjacent_cross" | "double_cross"
     edges: Tuple[Tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class GoodnessReport:
-    ok: bool
-    violations: Tuple[GoodnessViolation, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,32 +373,22 @@ def build_drawing(
         face_parity=tuple(parity),
         geometry=geometry,
     )
-    report = validate_good(drawing)
-    if not report.ok:
-        raise NotGoodDrawing(report)
+    violations = _goodness_violations(edges, drawing.crossing_edges)
+    if violations:
+        raise NotGoodDrawing(violations)
     return drawing
 
 
-# ---------------------------------------------------------------------------
-# goodness
-# ---------------------------------------------------------------------------
-
-
-def validate_good(drawing: Drawing) -> GoodnessReport:
-    """Check the goodness conditions of a drawing.
-
-    No two adjacent edges cross, and no pair of edges crosses more than
-    once.  No edge crosses itself either: `build_drawing` refuses a path
-    that visits a crossing twice, so the two passes of a crossing are on
-    distinct edges.  Violations are reported with the offending edges.
-    `build_drawing` raises NotGoodDrawing on any violation, so on a
-    constructed Drawing the report is always ok.
-    """
+def _goodness_violations(edges: Sequence[Tuple[int, int]],
+                         crossing_edges: Sequence[Tuple[int, int]]) -> tuple:
+    """The adjacent crossings in crossing order, then the pairs of edges
+    crossed more than once, sorted.  No edge crosses itself: a path that
+    visits a crossing twice is refused before."""
     violations: List[GoodnessViolation] = []
     seen: Set[Tuple[int, int]] = set()
     doubled: Set[Tuple[int, int]] = set()
-    for pair in drawing.crossing_edges:
-        a, b = drawing.edges[pair[0]], drawing.edges[pair[1]]
+    for pair in crossing_edges:
+        a, b = edges[pair[0]], edges[pair[1]]
         if a[0] in b or a[1] in b:
             violations.append(GoodnessViolation("adjacent_cross", (a, b)))
         if pair in seen:
@@ -411,8 +396,8 @@ def validate_good(drawing: Drawing) -> GoodnessReport:
         seen.add(pair)
     for e1, e2 in sorted(doubled):
         violations.append(GoodnessViolation(
-            "double_cross", (drawing.edges[e1], drawing.edges[e2])))
-    return GoodnessReport(ok=not violations, violations=tuple(violations))
+            "double_cross", (edges[e1], edges[e2])))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------

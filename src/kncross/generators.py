@@ -10,10 +10,11 @@ angular difference passes through an integer number of turns, which
 happens at a rational parameter; each side edge takes the strictly
 shorter angular direction, so any pair crosses at most once.
 
-Vertex angles and disk coordinates carry small distinct rational
-perturbations; whenever a degeneracy survives (a half-turn side edge,
-two crossings at one parameter, three concurrent chords) the whole
-construction retries with smaller perturbations.
+Vertex angles, spine positions and disk coordinates carry small
+distinct rational perturbations; whenever a DegenerateInput survives (two
+coincident angles, a half-turn side edge, two crossings at one parameter
+as `planarize.crossing_path` refuses them, three concurrent chords) the
+whole construction retries with smaller perturbations.
 
 Random point sets are drawn in one seeded retry loop,
 `_random_arrangement`, which returns the points with their segment
@@ -41,6 +42,7 @@ from .geom import Point, circle_point
 from .planarize import (
     Arrangement,
     DegenerateInput,
+    crossing_path,
     planarize_arrangement,
     planarize_points,
     segment_arrangement,
@@ -71,20 +73,6 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         return self.next() % bound
-
-
-class _RetryPerturbation(Exception):
-    """Internal: a degeneracy survived, retry with smaller perturbations."""
-
-
-def _ordered(hits: List[Tuple[Fraction, int]]) -> List[int]:
-    """Crossing ids of one edge by their (parameter, id) hits, parameter
-    ascending; two crossings at one parameter retry."""
-    hits.sort()
-    for (x1, _), (x2, _) in zip(hits, hits[1:]):
-        if x1 == x2:
-            raise _RetryPerturbation
-    return [k for _, k in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +177,7 @@ def gen_twopage(spec: TwoPageSpec) -> Drawing:
             positions[v] = Fraction(slot) + Fraction((slot + 1) ** 2, base)
         try:
             return _assemble_twopage(spec, positions)
-        except _RetryPerturbation:
+        except DegenerateInput:
             continue
     raise RuntimeError("could not resolve semicircle concurrences")
 
@@ -221,12 +209,10 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
         per_edge[eb].append((x, k))
 
     paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for eid, hits in enumerate(per_edge):
-        u, v = edges[eid]
-        ordered = _ordered(hits)
-        if positions[u] > positions[v]:
-            ordered.reverse()   # path runs from u to v, here right to left
-        paths[(u, v)] = tuple(ordered)
+    for (u, v), hits in zip(edges, per_edge):
+        ordered = crossing_path(hits, (u, v))
+        # the path runs from u to v, right to left when u lies to the right
+        paths[(u, v)] = ordered[::-1] if positions[u] > positions[v] else ordered
 
     bits: List[str] = []
     for ea, eb, x in crossings:
@@ -288,10 +274,10 @@ def twopage_all_top(n: int) -> TwoPageSpec:
 
 
 def _wrap_half(x: Fraction) -> Fraction:
-    """Representative of x mod 1 in (-1/2, 1/2); exactly 1/2 retries."""
+    """Representative of x mod 1 in (-1/2, 1/2); a half turn has none."""
     f = x % 1
     if f == Fraction(1, 2):
-        raise _RetryPerturbation
+        raise DegenerateInput("half-turn", (x,))
     return f if f < Fraction(1, 2) else f - 1
 
 
@@ -344,10 +330,8 @@ def gen_cylindrical(n: int) -> Drawing:
                         for j in range(m_inner)]
         try:
             return _assemble_cylindrical(
-                outer_angles, inner_angles, outer_params, inner_params,
-                reference=(0, 1),
-            )
-        except (_RetryPerturbation, DegenerateInput, NotGoodDrawing):
+                outer_angles, inner_angles, outer_params, inner_params)
+        except (DegenerateInput, NotGoodDrawing):
             continue
     raise RuntimeError("could not resolve cylindrical degeneracies")
 
@@ -357,18 +341,18 @@ def _assemble_cylindrical(
     inner_angles: Sequence[Fraction],
     outer_params: Sequence[Fraction],
     inner_params: Sequence[Fraction],
-    reference: Tuple[int, int],
 ) -> Drawing:
     """Stitch the two lids and the annulus into one combinatorial map.
 
     Vertices are numbered: outer 0..M-1 in the given (ccw) order, inner
-    M..M+m-1 likewise.
+    M..M+m-1 likewise.  The reference face is left of the dart 0->1.
     """
     M, m = len(outer_angles), len(inner_angles)
     n = M + m
     angles = list(outer_angles) + list(inner_angles)
-    if len({a % 1 for a in angles}) != n:
-        raise _RetryPerturbation
+    for u, v in itertools.combinations(range(n), 2):
+        if (angles[u] - angles[v]) % 1 == 0:
+            raise DegenerateInput("coincident", (u, v))
 
     # side edges: (outer i, inner j), parametrized from the outer circle
     # (t=0, r=2) to the inner circle (t=1, r=1); theta(t) = A_i + delta*t
@@ -378,8 +362,7 @@ def _assemble_cylindrical(
             delta[(i, j)] = _wrap_half(inner_angles[j] - outer_angles[i])
 
     crossing_bits: List[str] = []
-    paths: Dict[Tuple[int, int], List[int]] = {
-        e: [] for e in itertools.combinations(range(n), 2)}
+    paths: Dict[Tuple[int, int], Sequence[int]] = {}
 
     # lid arrangements (exact coordinates on the circles).  Inner lid:
     # local vertex j is global M + j, orientation kept.  Outer lid:
@@ -413,7 +396,7 @@ def _assemble_cylindrical(
         per_side[(i1, j1)].append((t, k))
         per_side[(i2, j2)].append((t, k))
     for (i, j), hits in per_side.items():
-        paths[(i, M + j)] = _ordered(hits)
+        paths[(i, M + j)] = crossing_path(hits, (i, M + j))
 
     # rotations
     rotations: List[Tuple[int, ...]] = []
@@ -435,9 +418,8 @@ def _assemble_cylindrical(
         angles=tuple(angles),
         lid_params=tuple(outer_params) + tuple(inner_params),
     )
-    return build_drawing(
-        n, {e: tuple(p) for e, p in paths.items()}, crossing_bits,
-        rotations, reference, geometry=geometry)
+    return build_drawing(n, paths, crossing_bits, rotations, (0, 1),
+                         geometry=geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +456,11 @@ def regenerate_subdrawing(drawing: Drawing,
     if isinstance(geom, CylindricalGeometry):
         outer_keep = [v for v in geom.outer if v in survivors]
         inner_keep = [v for v in geom.inner if v in survivors]
-        sub = _assemble_cylindrical(
+        return _assemble_cylindrical(
             [geom.angles[v] for v in outer_keep],
             [geom.angles[v] for v in inner_keep],
             [geom.lid_params[v] for v in outer_keep],
             [geom.lid_params[v] for v in inner_keep],
-            reference=(0, 1),
-        )
-        return sub, relabel
+        ), relabel
 
     raise ValueError("drawing has no geometric provenance")

@@ -3,7 +3,9 @@
 Given n points in general position, all C(n,2) segments are drawn and
 every proper pairwise crossing becomes a crossing node.  Degenerate
 configurations (coincident points, collinear triples, three segments
-through one point) are rejected, never perturbed silently.
+through one point) are rejected, never perturbed silently.  Every
+drawing family orders the crossings along an edge through
+`crossing_path`, which refuses two at one position as `concurrent`.
 
 Every predicate is exact integer arithmetic.  `segment_arrangement`
 multiplies the point set, once, by the least common multiple of all
@@ -40,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from .drawing import Drawing, PointsGeometry, build_drawing
 from .geom import Point, proper_intersection
@@ -52,7 +54,7 @@ class DegenerateInput(Exception):
     """Input violates general position; `kind` names the failure."""
 
     def __init__(self, kind: str, witness: tuple):
-        self.kind = kind          # "coincident" | "collinear" | "concurrent"
+        self.kind = kind  # "coincident" | "collinear" | "concurrent" | "half-turn"
         self.witness = witness
         super().__init__(f"{kind}: {witness}")
 
@@ -65,6 +67,17 @@ class Arrangement:
     edge_paths: Tuple[Tuple[int, ...], ...]         # ordered crossing ids per edge
     bits: Tuple[str, ...]                           # rotation orientation per crossing
     vertex_orders: Tuple[Tuple[int, ...], ...]      # ccw neighbor order per vertex
+
+
+def crossing_path(hits: List[Tuple[Any, int]], edge: Tuple[int, int]) -> Tuple[int, ...]:
+    """The crossing ids of `edge` by their (position, id) `hits`, sorted in
+    place, position ascending; two crossings at one position are three
+    curves through one point, refused with the witness (edge, k1, k2)."""
+    hits.sort()
+    for (t1, k1), (t2, k2) in zip(hits, hits[1:]):
+        if t1 == t2:
+            raise DegenerateInput("concurrent", (edge, k1, k2))
+    return tuple([k for _, k in hits])
 
 
 def _integer_points(points: Sequence[Point]) -> List[IntPoint]:
@@ -138,13 +151,7 @@ def segment_arrangement(points: Sequence[Point]) -> Arrangement:
             per_edge[ea].append((tn * t_scale // den, k))
             per_edge[eb].append((sn * t_scale // den, k))
 
-    edge_paths: List[Tuple[int, ...]] = []
-    for eid, hits in enumerate(per_edge):
-        hits.sort()
-        for (t1, k1), (t2, k2) in zip(hits, hits[1:]):
-            if t1 == t2:
-                raise DegenerateInput("concurrent", (edges[eid], k1, k2))
-        edge_paths.append(tuple([k for _, k in hits]))
+    edge_paths = [crossing_path(hits, edge) for edge, hits in zip(edges, per_edge)]
 
     # counterclockwise from the +x axis: the ray at angle 0, the upper
     # half-plane by floor(-cot * D^2) with D = height, the ray at 180

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from functools import cmp_to_key
@@ -19,11 +20,11 @@ from kncross.drawing import (
     EdgePathInconsistent,
     EulerViolation,
     Geometry,
+    GoodnessViolation,
     K4Census,
     NotGoodDrawing,
     build_drawing,
     edge_ids,
-    validate_good,
 )
 from kncross.generators import (
     TwoPageSpec,
@@ -435,19 +436,36 @@ def reference_build_drawing(
         face_parity=tuple(parity),
         geometry=geometry,
     )
-    report = validate_good(drawing)
-    if not report.ok:
-        raise NotGoodDrawing(report)
+    violations = goodness_violations(drawing)
+    if violations:
+        raise NotGoodDrawing(violations)
     return drawing
+
+
+def goodness_violations(drawing: Drawing) -> Tuple[GoodnessViolation, ...]:
+    """The goodness violations of a map by a loop over its crossings, then
+    a count per edge pair over all pairs: the slow path of `build_drawing`'s
+    goodness check.  Adjacent crossings come in crossing order, then every
+    pair crossed more than once in edge-pair order."""
+    edges = drawing.edges
+    found = []
+    for e1, e2 in drawing.crossing_edges:
+        if set(edges[e1]) & set(edges[e2]):
+            found.append(GoodnessViolation("adjacent_cross", (edges[e1], edges[e2])))
+    times = Counter(tuple(sorted(pair)) for pair in drawing.crossing_edges)
+    for e1, e2 in itertools.combinations(range(len(edges)), 2):
+        if times[(e1, e2)] > 1:
+            found.append(GoodnessViolation("double_cross", (edges[e1], edges[e2])))
+    return tuple(found)
 
 
 def build_outcome(build, *args):
     """Every field of the built Drawing, or the refusal's class, message
-    and goodness report."""
+    and goodness violations."""
     try:
         drawing = build(*args)
     except Exception as exc:
-        return type(exc), str(exc), getattr(exc, "report", None)
+        return type(exc), str(exc), getattr(exc, "violations", None)
     return tuple((f.name, getattr(drawing, f.name)) for f in fields(drawing))
 
 

@@ -310,6 +310,58 @@ def test_generate_unwritable_svg_exit_2_leaves_no_file(tmp_path, capsys):
     assert not drawing.exists()
 
 
+@pytest.mark.parametrize("svg", ["missing/k6.svg", "sub"])
+def test_generate_failed_svg_keeps_existing_out_unchanged(tmp_path, capsys,
+                                                          monkeypatch, svg):
+    # a directory that does not exist, or an --svg that is a directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    old = b"kncross v1\nan earlier file\n"
+    (tmp_path / "k6.pts").write_bytes(old)
+    code, stdout, err = run(capsys, "generate", "convex", "--n", "6",
+                            "-o", "k6.pts", "--svg", svg)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and repr(svg) in err
+    assert (tmp_path / "k6.pts").read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k6.pts", "sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+@pytest.mark.parametrize("out, svg", [
+    ("a.pts", "a.pts"),
+    ("a.pts", "./a.pts"),
+    ("sub/../a.pts", "a.pts"),
+    ("a.pts", "link.pts"),
+])
+def test_generate_same_out_and_svg_exit_2(tmp_path, capsys, monkeypatch, out, svg):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    old = b"kncross v1\nan earlier file\n"
+    (tmp_path / "a.pts").write_bytes(old)
+    (tmp_path / "link.pts").symlink_to("a.pts")
+    code, stdout, err = run(capsys, "generate", "convex", "--n", "6",
+                            "-o", out, "--svg", svg)
+    assert code == 2
+    assert stdout == ""
+    assert "same file" in err
+    assert (tmp_path / "a.pts").read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pts", "link.pts", "sub"]
+
+
+def test_generate_replaces_existing_files_without_leftovers(tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k6.pts").write_bytes(b"old\n")
+    (tmp_path / "k6.svg").write_bytes(b"old\n")
+    code, _, _ = run(capsys, "generate", "convex", "--n", "6",
+                     "-o", "k6.pts", "--svg", "k6.svg")
+    assert code == 0
+    assert (tmp_path / "k6.pts").read_bytes().startswith(b"kncross v1\nformat points\n")
+    assert (tmp_path / "k6.svg").read_text().startswith("<svg")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k6.pts", "k6.svg"]
+
+
 def test_generate_twopage_from_map_spec_exit_2_leaves_no_file(tmp_path, capsys):
     # a map file has no spine order, pages or coordinates to write or render
     spec = tmp_path / "k6.map"

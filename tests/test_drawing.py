@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import fields
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,11 +13,11 @@ from kncross.drawing import (
     EdgePathInconsistent,
     EulerViolation,
     NotGoodDrawing,
+    _goodness_violations,
     build_drawing,
     k4_census,
     rotation_key,
     rotation_system,
-    validate_good,
 )
 from kncross.generators import (
     SplitMix64,
@@ -32,6 +33,7 @@ from kncross.geom import Point, circle_point
 from conftest import (
     build_outcome,
     candidate_map_weak_iso,
+    goodness_violations,
     loop_k4_census,
     planar_k4,
     reference_build_drawing,
@@ -44,7 +46,7 @@ from conftest import (
 def test_planar_k4_build(k4_planar):
     assert k4_planar.face_count == 4
     assert k4_planar.crossings == 0
-    assert validate_good(k4_planar).ok
+    assert goodness_violations(k4_planar) == ()
 
 
 def test_crossed_k4_build(k4_crossed):
@@ -135,18 +137,32 @@ def test_adjacent_cross_detected():
                 build_drawing(*MALFORMED["adjacent" + bit])
             except EulerViolation:
                 continue
-    report = caught.value.report
-    assert not report.ok
-    assert any(v.kind == "adjacent_cross" for v in report.violations)
+    violations = caught.value.violations
+    assert violations
+    assert any(v.kind == "adjacent_cross" for v in violations)
     assert "adjacent_cross" in str(caught.value)
 
 
 def test_double_cross_detected():
     with pytest.raises(NotGoodDrawing) as caught:
         build_drawing(*MALFORMED["double"])
-    kinds = {v.kind for v in caught.value.report.violations}
+    kinds = {v.kind for v in caught.value.violations}
     assert "double_cross" in kinds
     assert "adjacent_cross" in kinds
+
+
+def test_goodness_violations_match_oracle_on_crossing_lists():
+    # the check reads only the edges and the crossing pairs, so any list
+    # of edge pairs exercises it, also with many violations in any order
+    rng = random.Random(4)
+    edges = list(itertools.combinations(range(7), 2))
+    for trial in range(300):
+        pairs = [tuple(sorted(rng.sample(range(len(edges)), 2)))
+                 for _ in range(rng.randrange(12))]
+        pairs += rng.sample(pairs, min(len(pairs), rng.randrange(4)))
+        rng.shuffle(pairs)
+        stub = SimpleNamespace(edges=tuple(edges), crossing_edges=tuple(pairs))
+        assert _goodness_violations(edges, pairs) == goodness_violations(stub)
 
 
 def test_delete_view_classes(k4_planar):

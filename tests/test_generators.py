@@ -1,13 +1,17 @@
 import itertools
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from kncross.drawing import rotation_key, rotation_system, validate_good
+from kncross.drawing import rotation_key, rotation_system
 from kncross.generators import (
     SplitMix64,
     TwoPageSpec,
+    _assemble_cylindrical,
+    _assemble_twopage,
     _random_arrangement,
+    _wrap_half,
     gen_convex,
     gen_cylindrical,
     gen_random_points,
@@ -17,8 +21,9 @@ from kncross.generators import (
 )
 from kncross.kedges import hill_number
 from kncross.io import serialize
+from kncross.planarize import DegenerateInput
 
-from conftest import assert_view_matches_replanarization
+from conftest import assert_view_matches_replanarization, goodness_violations
 
 
 def test_splitmix64_reference_values():
@@ -52,12 +57,12 @@ def test_cylindrical_beyond_the_checked_range():
     for n in (13, 14):
         d = gen_cylindrical(n)
         assert d.crossings == hill_number(n)
-        assert validate_good(d).ok
+        assert goodness_violations(d) == ()
 
 
 def test_generated_drawings_are_good(small_corpus):
     for _name, _n, drawing in small_corpus:
-        assert validate_good(drawing).ok
+        assert goodness_violations(drawing) == ()
 
 
 def test_cylindrical_outer_cycle_uncrossed():
@@ -129,18 +134,47 @@ def test_twopage_spine_order_matters():
     assert len(d.edge_paths[e01]) == 1
 
 
-def test_twopage_concurrency_resolved():
-    # [3,8], [2,6], [0,5] are concurrent at (4,2) on integer positions;
-    # the deterministic perturbation must split them into three crossings
-    n = 9
-    pages = {e: "B" for e in itertools.combinations(range(n), 2)}
+def _concurrent_twopage_spec() -> TwoPageSpec:
+    # [3,8], [2,6], [0,5] are concurrent at (4,2) on integer positions
+    pages = {e: "B" for e in itertools.combinations(range(9), 2)}
     for e in ((3, 8), (2, 6), (0, 5)):
         pages[e] = "T"
-    d = gen_twopage(TwoPageSpec(tuple(range(n)), pages))
+    return TwoPageSpec(tuple(range(9)), pages)
+
+
+def test_twopage_concurrency_resolved():
+    # the deterministic perturbation must split them into three crossings
+    d = gen_twopage(_concurrent_twopage_spec())
     eids = [d.edge_id(*e) for e in ((3, 8), (2, 6), (0, 5))]
     tops = [k for eid in eids for k in d.edge_paths[eid]]
     assert len(set(tops)) == 3
-    assert validate_good(d).ok
+    assert goodness_violations(d) == ()
+
+
+def test_unperturbed_twopage_concurrency_refused():
+    spec = _concurrent_twopage_spec()
+    with pytest.raises(DegenerateInput) as caught:
+        _assemble_twopage(spec, [Fraction(v) for v in range(9)])
+    assert caught.value.kind == "concurrent"
+    edge, k1, k2 = caught.value.witness
+    assert edge == (0, 5) and k1 < k2
+    # the perturbation keeps the crossing set, so the crossing ids agree
+    d = gen_twopage(spec)
+    crossed = [tuple(d.edges[e] for e in d.crossing_edges[k]) for k in (k1, k2)]
+    assert crossed == [((0, 5), (2, 6)), ((0, 5), (3, 8))]
+
+
+def test_cylindrical_degeneracies_refused():
+    for x in (Fraction(1, 2), Fraction(-1, 2), Fraction(7, 2)):
+        with pytest.raises(DegenerateInput) as caught:
+            _wrap_half(x)
+        assert (caught.value.kind, caught.value.witness) == ("half-turn", (x,))
+    assert _wrap_half(Fraction(3, 4)) == Fraction(-1, 4)
+    # outer vertex 0 and inner vertex 2 sit at one angle mod 1
+    with pytest.raises(DegenerateInput) as caught:
+        _assemble_cylindrical([Fraction(0), Fraction(1, 3)], [Fraction(1)],
+                              [Fraction(0), Fraction(1)], [Fraction(0)])
+    assert (caught.value.kind, caught.value.witness) == ("coincident", (0, 2))
 
 
 def test_twopage_invalid_specs():
@@ -205,7 +239,7 @@ def test_regenerate_subdrawing_families(small_corpus):
             continue
         sub, relabel = regenerate_subdrawing(drawing, set(range(n)) - {1})
         assert sub.n == n - 1
-        assert validate_good(sub).ok
+        assert goodness_violations(sub) == ()
 
 
 def test_deletion_view_oracle_per_family():

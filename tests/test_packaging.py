@@ -1,9 +1,12 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and its public names
+resolve."""
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+import kncross
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +30,10 @@ def test_package_imports_only_stdlib():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"(?m)^dependencies = \[\]$", text)
+
+
+def test_public_names_resolve_once():
+    names = kncross.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(kncross, name), f"kncross.__all__ names missing {name}"

@@ -5,12 +5,13 @@ from unittest import mock
 import pytest
 
 from kncross import planarize
-from kncross.drawing import build_drawing, validate_good
+from kncross.drawing import build_drawing
 from kncross.generators import SplitMix64, gen_random_points
 from kncross.geom import Point, circle_point, point
 from kncross.planarize import (
     DegenerateInput,
     brute_force_crossing_count,
+    crossing_path,
     planarize_points,
     segment_arrangement,
 )
@@ -19,6 +20,7 @@ from conftest import (
     fraction_segment_arrangement,
     fraction_unbounded_reference,
     fraction_validate_points,
+    goodness_violations,
 )
 
 
@@ -67,7 +69,7 @@ def test_crossing_count_matches_brute_force_on_random_inputs():
 def test_planarized_drawings_are_good():
     for seed in range(8):
         d = gen_random_points(6, seed + 100)
-        assert validate_good(d).ok
+        assert goodness_violations(d) == ()
 
 
 def test_unbounded_reference_face():
@@ -147,6 +149,28 @@ def test_integer_arrangement_matches_fraction_on_circle_points():
         _assert_matches_fraction_path([circle_point(u) for u in params])
     # twelve integer parameters put three diagonals through one point
     assert kind == "concurrent"
+
+
+def test_crossing_path_is_a_sort_by_position():
+    rng = SplitMix64(17)
+    for trial in range(200):
+        m = rng.below(9)
+        ints = {rng.below(10**6) for _ in range(m)}
+        fracs = {Fraction(rng.below(10**6), 1 + rng.below(10**6)) for _ in range(m)}
+        for positions in (list(ints), list(fracs)):
+            order = sorted(range(len(positions)), key=positions.__getitem__)
+            hits = [(t, k) for k, t in enumerate(positions)]
+            assert crossing_path(hits, (0, 1)) == tuple(order)
+
+
+@pytest.mark.parametrize("hits, witness", [
+    ([(5, 3), (2, 1), (5, 0)], ((2, 7), 0, 3)),
+    ([(Fraction(1, 2), 4), (Fraction(1, 3), 6), (Fraction(2, 6), 2)], ((2, 7), 2, 6)),
+])
+def test_crossing_path_refuses_two_crossings_at_one_position(hits, witness):
+    with pytest.raises(DegenerateInput) as caught:
+        crossing_path(hits, (2, 7))
+    assert (caught.value.kind, caught.value.witness) == ("concurrent", witness)
 
 
 def test_integer_degeneracies_match_fraction_witnesses():
