@@ -24,6 +24,7 @@ from .drawing import (
     rotation_key,
 )
 from .generators import (
+    _grid_points,
     _random_arrangement,
     gen_convex,
     gen_cylindrical,
@@ -130,8 +131,7 @@ def _check(args) -> int:
         raise WitnessInvalid(violation)
     blob = serialize_witness(drawing, witness)
     if args.witness_out:
-        with open(args.witness_out, "wb") as fh:
-            fh.write(blob)
+        _write_all([(args.witness_out, blob)])
     sys.stdout.write(blob.decode())
     return 0
 
@@ -231,10 +231,9 @@ def _hunt(args) -> int:
             continue
         seen.add(key)
         if key[0] == hill:
-            found.append((trial, planarize_arrangement(points, arr)))
+            found.append((trial, planarize_arrangement(_grid_points(points), arr)))
     if args.out and found:
-        with open(args.out, "wb") as fh:
-            fh.write(serialize(found[0][1], "points"))
+        _write_all([(args.out, serialize(found[0][1], "points"))])
     print(f"trials={args.trials} distinct={len(seen)} matches={len(found)}")
     for trial, drawing in found:
         print(f"  seed={args.seed + trial} cr={drawing.crossings}")

@@ -532,7 +532,10 @@ def rotation_key(system: RotationSystem) -> RotationSystem:
         return tuple(tuple(cycle) for cycle in system)
     m = n - 1
     first = tuple(range(1, n))
-    anchors = []
+    # labels[(o*n + a)*m + i]: the label of c for orientation o and the
+    # anchor a, b = cycles[a][i]
+    labels: List[int] = []
+    tables = []
     for cycles in ([list(c) for c in system], [list(reversed(c)) for c in system]):
         # pos[u][w]: index of w in the rotation at u; twice[u]: that rotation twice
         pos = [[0] * n for _ in range(n)]
@@ -541,16 +544,19 @@ def rotation_key(system: RotationSystem) -> RotationSystem:
             for j, w in enumerate(cycle):
                 row[w] = j
         twice = [cycle + cycle for cycle in cycles]
+        tables.append((pos, twice))
         for a in range(n):
             pa = pos[a]
             for i, b in enumerate(cycles[a]):
-                c = twice[b][pos[b][a] + 1]
-                anchors.append(((pa[c] - i) % m + 1, pos, twice, a, i))
-    least = min(anchor[0] for anchor in anchors)
+                labels.append((pa[twice[b][pos[b][a] + 1]] - i) % m + 1)
+    least = min(labels)
     best: Optional[List[Tuple[int, ...]]] = None
-    for label_c, pos, twice, a, i in anchors:
+    for index, label_c in enumerate(labels):
         if label_c != least:
             continue
+        o, i = divmod(index, m)
+        o, a = divmod(o, n)
+        pos, twice = tables[o]
         order = twice[a][i:i + m]                 # new labels 1..n-1
         perm = [0] * n
         for label, w in enumerate(order, 1):

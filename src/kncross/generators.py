@@ -17,9 +17,10 @@ as `planarize.crossing_path` refuses them, three concurrent chords) the
 whole construction retries with smaller perturbations.
 
 Random point sets are drawn in one seeded retry loop,
-`_random_arrangement`, which returns the points with their segment
-arrangement.  The arrangement already holds the crossing count and the
-rotation system, so `hunt` classifies a draw before any map is built.
+`_random_arrangement`, which returns the integer points with their
+segment arrangement.  The arrangement already holds the crossing count
+and the rotation system, so `hunt` classifies a draw before any map is
+built.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ from .drawing import (
     TwoPageGeometry,
     build_drawing,
 )
-from .geom import Point, circle_point
+from .geom import Point, circle_point, point
 from .planarize import (
     Arrangement,
     DegenerateInput,
+    IntPoint,
     crossing_path,
+    integer_arrangement,
     planarize_arrangement,
     planarize_points,
     segment_arrangement,
@@ -101,23 +104,29 @@ def gen_convex(n: int) -> Drawing:
 _GRID = 1_000_000
 
 
-def _random_arrangement(n: int, seed: int) -> Tuple[List[Point], Arrangement]:
-    """The random point set of (n, seed) and its segment arrangement.
+def _random_arrangement(n: int, seed: int) -> Tuple[List[IntPoint], Arrangement]:
+    """The random integer point set of (n, seed) and its segment arrangement.
 
     Coordinates are consecutive SplitMix64 outputs reduced mod 10^6
     (x then y per point); a degenerate draw is rejected and the stream
-    continues.  This is the one place random points are drawn:
+    continues.  The draws stay integers and go straight to
+    `integer_arrangement`; `_grid_points` makes the `Fraction` points a
+    drawing stores.  This is the one place random points are drawn:
     `gen_random_points` planarizes the result, and `hunt` reads each
-    trial's class off the arrangement before building any map.
+    trial's class off the arrangement and builds a map only for a match.
     """
     rng = SplitMix64(seed)
     while True:
-        points = [Point(Fraction(rng.below(_GRID)), Fraction(rng.below(_GRID)))
-                  for _ in range(n)]
+        points = [(rng.below(_GRID), rng.below(_GRID)) for _ in range(n)]
         try:
-            return points, segment_arrangement(points)
+            return points, integer_arrangement(points)
         except DegenerateInput:
             continue
+
+
+def _grid_points(points: Sequence[IntPoint]) -> List[Point]:
+    """The `Fraction` points of integer coordinates, as a drawing stores them."""
+    return [point(x, y) for x, y in points]
 
 
 def gen_random_points(n: int, seed: int) -> Drawing:
@@ -128,7 +137,8 @@ def gen_random_points(n: int, seed: int) -> Drawing:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    return planarize_arrangement(*_random_arrangement(n, seed))
+    points, arr = _random_arrangement(n, seed)
+    return planarize_arrangement(_grid_points(points), arr)
 
 
 # ---------------------------------------------------------------------------

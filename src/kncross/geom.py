@@ -7,10 +7,10 @@ places crossing dots with `proper_intersection`, and the brute-force
 crossing oracle counts with it; `orient` is the public orientation
 test, used by the exact-Fraction test oracles.  Planarization uses
 neither: it scales each point set to integers and decides the same
-predicates with integer cross products (see `planarize`).  Degenerate
-inputs (collinear triples, tangencies, overlaps) are never "resolved";
-they fall on the zero branch of a predicate and it is up to the caller
-to reject them.
+predicates from one integer signed area per point triple (see
+`planarize`).  Degenerate inputs (collinear triples, tangencies,
+overlaps) are never "resolved"; they fall on the zero branch of a
+predicate and it is up to the caller to reject them.
 """
 
 from __future__ import annotations

@@ -10,10 +10,25 @@ drawing family orders the crossings along an edge through
 Every predicate is exact integer arithmetic.  `segment_arrangement`
 multiplies the point set, once, by the least common multiple of all
 coordinate denominators; a positive scaling changes no orientation, no
-crossing and no order along a segment.  A crossing's position along an
-edge is kept as a parameter t = num/den with 0 < num < den.  Let D
-bound every such den; 2 * width * height of the scaled point set does,
-since den is the cross product of two segment directions.  Two distinct
+crossing and no order along a segment.  `integer_arrangement`, which it
+calls and which random draws call directly, computes the signed area
+det(i, j, k) = (p_j - p_i) x (p_k - p_i) of each triple i < j < k once,
+in the loop that refuses collinear triples, and keeps it in a table of
+n * C(n,2) values: row (a, b), a < b, holds det(a, b, k) for every k,
+filled from det(i,j,k) = det(j,k,i) = -det(i,k,j).  Every crossing
+predicate reads that table.  For vertex-disjoint edges ab and cd:
+
+- they cross exactly when det(a,b,c) and det(a,b,d) differ in sign and
+  det(c,d,a) and det(c,d,b) differ in sign;
+- a + t*(b - a) = c + s*(d - c) at t = tn/den and s = sn/den with
+  den = det(a,b,d) - det(a,b,c) = (b - a) x (d - c),
+  tn = det(a,c,d) and sn = -det(a,b,c);
+- the sign of den, the turn from ab to cd, is the crossing's bit.
+
+A crossing's position along an edge is kept as a parameter
+t = num/den with 0 < num < den.  Let D bound every such den;
+2 * width * height of the scaled point set does, since den is the
+cross product of two segment directions.  Two distinct
 parameters with denominators at most D differ by at least 1/D^2, so
 the floor of t*D^2, `num * D*D // den`, is strictly monotone on
 distinct parameters and equal on equal ones.  An edge's crossings sort
@@ -34,7 +49,8 @@ is never crossed, and the face to the left of top->w is unbounded.
 `planarize_points` is `segment_arrangement` followed by
 `planarize_arrangement`, which builds the map.  A caller that already
 holds a point set's arrangement (the random generator, `hunt`) passes it
-to `planarize_arrangement` and the segments are not intersected again.
+to `planarize_arrangement` with the `Fraction` points, and the segments
+are not intersected again.
 """
 
 from __future__ import annotations
@@ -73,6 +89,8 @@ def crossing_path(hits: List[Tuple[Any, int]], edge: Tuple[int, int]) -> Tuple[i
     """The crossing ids of `edge` by their (position, id) `hits`, sorted in
     place, position ascending; two crossings at one position are three
     curves through one point, refused with the witness (edge, k1, k2)."""
+    if len(hits) < 2:
+        return tuple([k for _, k in hits])
     hits.sort()
     for (t1, k1), (t2, k2) in zip(hits, hits[1:]):
         if t1 == t2:
@@ -88,12 +106,6 @@ def _integer_points(points: Sequence[Point]) -> List[IntPoint]:
              p.y.numerator * (scale // p.y.denominator)) for p in pts]
 
 
-def _orient(p: IntPoint, q: IntPoint, r: IntPoint) -> int:
-    """Sign of det(q - p, r - p): +1 counterclockwise, 0 collinear, -1 clockwise."""
-    det = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    return (det > 0) - (det < 0)
-
-
 def segment_arrangement(points: Sequence[Point]) -> Arrangement:
     """Intersect all segments of the complete graph on the given points.
 
@@ -101,18 +113,39 @@ def segment_arrangement(points: Sequence[Point]) -> Arrangement:
     points, and when three segments meet in a common interior point
     (detected as two crossings at the same parameter along one segment).
     """
-    pts = _integer_points(points)
+    return integer_arrangement(_integer_points(points))
+
+
+def integer_arrangement(pts: Sequence[IntPoint]) -> Arrangement:
+    """`segment_arrangement` of integer points, decided by one signed area
+    per point triple (see the module docstring)."""
     n = len(pts)
-    for i, j in itertools.combinations(range(n), 2):
-        if pts[i] == pts[j]:
-            raise DegenerateInput("coincident", (i, j))
-    for i, j, k in itertools.combinations(range(n), 3):
-        if _orient(pts[i], pts[j], pts[k]) == 0:
-            raise DegenerateInput("collinear", (i, j, k))
+    if len(set(pts)) < n:
+        for i, j in itertools.combinations(range(n), 2):
+            if pts[i] == pts[j]:
+                raise DegenerateInput("coincident", (i, j))
     edges = list(itertools.combinations(range(n), 2))
-    # per edge: endpoints, start point and direction
-    segs = [(a, b, pts[a][0], pts[a][1], pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
-            for a, b in edges]
+    eid = [[0] * n for _ in range(n)]
+    for e, (a, b) in enumerate(edges):
+        eid[a][b] = e
+    # area[e][k] = det(a, b, k) for edge e = (a, b): twice the signed area
+    # of the triangle a, b, k, positive when k lies left of a->b
+    area = [[0] * n for _ in edges]
+    for i, (xi, yi) in enumerate(pts):
+        row_i = eid[i]
+        for j in range(i + 1, n):
+            xj, yj = pts[j]
+            dx, dy = xj - xi, yj - yi
+            ij = area[row_i[j]]
+            row_j = eid[j]
+            for k in range(j + 1, n):
+                xk, yk = pts[k]
+                det = dx * (yk - yi) - dy * (xk - xi)
+                if det == 0:
+                    raise DegenerateInput("collinear", (i, j, k))
+                ij[k] = det
+                area[row_i[k]][j] = -det
+                area[row_j[k]][i] = det
 
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
@@ -124,31 +157,35 @@ def segment_arrangement(points: Sequence[Point]) -> Arrangement:
     crossings: List[Tuple[int, int]] = []
     bits: List[str] = []
     per_edge: List[List[Tuple[int, int]]] = [[] for _ in edges]
-    for ea, (a, b, ax, ay, dx1, dy1) in enumerate(segs):
-        for eb in range(ea + 1, len(segs)):
-            c, d, cx, cy, dx2, dy2 = segs[eb]
-            if c == a or c == b or d == a or d == b:
+    # the vertex-disjoint pairs ea < eb, in that order: the edges after
+    # ab = edges[ea] with first endpoint above a start at ea + n - b
+    indexed = list(enumerate(edges))
+    for ea, (a, b) in indexed:
+        ab = area[ea]
+        hits_a = per_edge[ea]
+        for eb, (c, d) in indexed[ea + n - b:]:
+            if c == b or d == b:
                 continue
-            # a + t*d1 = c + s*d2 with t = tn/den, s = sn/den
-            den = dx1 * dy2 - dy1 * dx2
-            if den == 0:
-                continue  # parallel: never a proper crossing
-            wx, wy = cx - ax, cy - ay
-            tn = wx * dy2 - wy * dx2
-            sn = wx * dy1 - wy * dx1
-            # the sign of den, the turn from d1 to d2, is the crossing's bit
+            abc = ab[c]
+            abd = ab[d]
+            if (abc > 0) == (abd > 0):
+                continue  # c and d on one side of ab
+            cd = area[eb]
+            cda = cd[a]
+            if (cda > 0) == (cd[b] > 0):
+                continue  # a and b on one side of cd
+            # a + t*(b-a) = c + s*(d-c), t = tn/den and s = sn/den; the
+            # sign of den, the turn from ab to cd, is the crossing's bit
+            den = abd - abc
             if den > 0:
-                if not (0 < tn < den and 0 < sn < den):
-                    continue
+                tn, sn = cda, -abc
                 bits.append("+")
             else:
-                if not (den < tn < 0 and den < sn < 0):
-                    continue
-                den, tn, sn = -den, -tn, -sn
+                den, tn, sn = -den, -cda, abc
                 bits.append("-")
             k = len(crossings)
             crossings.append((ea, eb))
-            per_edge[ea].append((tn * t_scale // den, k))
+            hits_a.append((tn * t_scale // den, k))
             per_edge[eb].append((sn * t_scale // den, k))
 
     edge_paths = [crossing_path(hits, edge) for edge, hits in zip(edges, per_edge)]

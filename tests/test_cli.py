@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -7,7 +11,10 @@ import pytest
 from kncross import planarize
 from kncross.cli import main
 from kncross.drawing import build_drawing
-from kncross.generators import gen_random_points
+from kncross.generators import gen_convex, gen_random_points
+from kncross.io import serialize
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -251,6 +258,35 @@ def test_hunt_unwritable_out_exit_2_before_printing(tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("error: ")
     assert not found.exists()
+
+
+# a write that fails part way: the child may write files of at most 16
+# bytes, and Python ignores SIGXFSZ, so a longer write raises EFBIG
+_FSIZE_CHILD = """
+import resource, sys
+from kncross.cli import main
+resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "k6.pts", "--mode", "bishell", "--witness-out", "out"],
+    ["hunt", "--n", "7", "--trials", "14", "--seed", "100", "-o", "out"],
+], ids=["check-witness-out", "hunt-out"])
+def test_failed_write_keeps_existing_file(tmp_path, argv):
+    (tmp_path / "k6.pts").write_bytes(serialize(gen_convex(6), "points"))
+    old = b"an earlier file of more than sixteen bytes\n"
+    (tmp_path / "out").write_bytes(old)
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run([sys.executable, "-c", _FSIZE_CHILD, *argv],
+                            cwd=tmp_path, env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert (tmp_path / "out").read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k6.pts", "out"]
 
 
 def test_hunt_zero_trials(capsys):

@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from kncross import generators
 from kncross.drawing import rotation_key, rotation_system
 from kncross.generators import (
     SplitMix64,
@@ -19,11 +21,17 @@ from kncross.generators import (
     regenerate_subdrawing,
     twopage_all_top,
 )
+from kncross.geom import Point
 from kncross.kedges import hill_number
 from kncross.io import serialize
 from kncross.planarize import DegenerateInput
 
-from conftest import assert_view_matches_replanarization, goodness_violations
+from conftest import (
+    assert_view_matches_replanarization,
+    fraction_segment_arrangement,
+    fraction_validate_points,
+    goodness_violations,
+)
 
 
 def test_splitmix64_reference_values():
@@ -208,9 +216,35 @@ def test_arrangement_key_matches_drawing_key():
         for seed in range(40):
             points, arr = _random_arrangement(n, seed)
             d = gen_random_points(n, seed)
-            assert d.geometry.points == tuple(points)
+            assert d.geometry.points == tuple(Point(Fraction(x), Fraction(y))
+                                              for x, y in points)
             assert ((len(arr.crossings), rotation_key(arr.vertex_orders))
                     == (d.crossings, rotation_key(rotation_system(d))))
+
+
+def test_random_arrangement_skips_rejected_draws(monkeypatch):
+    # on a 12x12 grid most draws are degenerate, so the retry loop runs
+    # and skips every kind of refusal
+    monkeypatch.setattr(generators, "_GRID", 12)
+    rejected = Counter()
+    for n in range(4, 10):
+        for seed in range(200):
+            rng = SplitMix64(seed)
+            while True:
+                pts = [Point(Fraction(rng.below(12)), Fraction(rng.below(12)))
+                       for _ in range(n)]
+                try:
+                    fraction_validate_points(pts)
+                    arr = fraction_segment_arrangement(pts)
+                except DegenerateInput as exc:
+                    rejected[exc.kind] += 1
+                    continue
+                break
+            points, fast = _random_arrangement(n, seed)
+            assert [Point(Fraction(x), Fraction(y)) for x, y in points] == pts
+            assert fast == arr
+    assert set(rejected) == {"coincident", "collinear", "concurrent"}
+    assert sum(rejected.values()) > 3000
 
 
 def test_random_points_crossing_bounds():

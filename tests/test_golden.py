@@ -52,6 +52,12 @@ GOLDEN = [
      "c0b70db4f1f22dbe8a6542b098dde02356e9f9c9d334e3ebef9c41d1890a22ef"),
     (gen_convex, (12,), "points",
      "7d53755a9b0a24a7362893b54c491d3f19e1f12dff16f886363e13e294dc68f6"),
+    # the first perturbation retry: 674-bit integer coordinates after
+    # scaling, so every signed area is a big integer
+    (gen_convex, (24,), "map",
+     "57e5f825238bb41a1610384d78b6db2f8ef771c3d1c1e09ceeae5027eaa1005e"),
+    (gen_convex, (24,), "points",
+     "d3027c459ccc6e935f6169d22d24923b1f234b5914c60ae85d43a32334da79c9"),
     # a cylindrical drawing has no point coordinates, so only its map
     (gen_cylindrical, (9,), "map",
      "8b3285afcad4742bb1f07726a430f7fa49c5ec07d41c9b6cc337f4e0be48badf"),
@@ -71,6 +77,15 @@ def test_hunt_output_pinned(capsys):
                "--target", "optimal"])
     assert rc == 0
     assert capsys.readouterr().out == "trials=100 distinct=37 matches=1\n  seed=113 cr=9\n"
+
+
+# `hunt` stdout at the other window starts of the benchmark, recorded
+# before the arrangement was decided by one signed area per point triple
+@pytest.mark.parametrize("seed, distinct", [(0, 41), (200, 42), (300, 45), (400, 47)])
+def test_hunt_output_pinned_at_benchmark_windows(capsys, seed, distinct):
+    rc = main(["hunt", "--n", "7", "--trials", "100", "--seed", str(seed)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"trials=100 distinct={distinct} matches=0\n"
 
 
 # `hunt` stdout at a smaller and a larger n, recorded before the rotation
