@@ -8,12 +8,11 @@ search produced a witness the verifier refuses.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .drawing import (
     BadCrossingDegree,
@@ -33,7 +32,7 @@ from .generators import (
     twopage_all_top,
 )
 from .io import (NoGeometry, ParseError, export_svg, parse, parse_witness, serialize,
-                 serialize_witness, svg_document)
+                 serialize_witness, svg_document, write_all)
 from .kedges import (
     crossings_from_cumulative,
     crossings_from_k_edges,
@@ -131,7 +130,7 @@ def _check(args) -> int:
         raise WitnessInvalid(violation)
     blob = serialize_witness(drawing, witness)
     if args.witness_out:
-        _write_all([(args.witness_out, blob)])
+        write_all([(args.witness_out, blob)])
     sys.stdout.write(blob.decode())
     return 0
 
@@ -146,36 +145,6 @@ def _verify(args) -> int:
         return 0
     print(violation)
     return 1
-
-
-def _write_all(outputs: List[Tuple[str, bytes]]) -> None:
-    """Write every (path, data) pair or none.
-
-    Each data goes to a temporary file in its target's directory, and the
-    temporaries replace the targets only once every write has succeeded;
-    on a failure they are removed, and every existing file is unchanged.
-    """
-    temps: List[str] = []
-    replaced = 0
-    try:
-        for path, data in outputs:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            head, tail = os.path.split(path)
-            temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-            try:
-                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            except OSError as exc:  # name the file asked for, not the temporary
-                raise OSError(exc.errno, exc.strerror, path) from None
-            temps.append(temp)
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-        for temp, (path, _) in zip(temps, outputs):
-            os.replace(temp, path)
-            replaced += 1
-    finally:
-        for temp in temps[replaced:]:
-            os.remove(temp)
 
 
 def _generate(args) -> int:
@@ -200,7 +169,7 @@ def _generate(args) -> int:
     outputs = [(args.out, serialize(drawing, fmt))]
     if args.svg:
         outputs.append((args.svg, svg_document(drawing).encode("utf-8")))
-    _write_all(outputs)
+    write_all(outputs)
     print(f"cr={drawing.crossings} H={hill_number(drawing.n)}")
     return 0
 
@@ -233,7 +202,7 @@ def _hunt(args) -> int:
         if key[0] == hill:
             found.append((trial, planarize_arrangement(_grid_points(points), arr)))
     if args.out and found:
-        _write_all([(args.out, serialize(found[0][1], "points"))])
+        write_all([(args.out, serialize(found[0][1], "points"))])
     print(f"trials={args.trials} distinct={len(seen)} matches={len(found)}")
     for trial, drawing in found:
         print(f"  seed={args.seed + trial} cr={drawing.crossings}")

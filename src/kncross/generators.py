@@ -193,83 +193,74 @@ def gen_twopage(spec: TwoPageSpec) -> Drawing:
 
 
 def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawing:
+    """The semicircle map of `spec` with vertex v at spine abscissa positions[v].
+
+    The positions must be distinct and increase along `spec.order`.  Two
+    edges that share an endpoint then share an end of their spine
+    intervals, so they never interleave strictly and never cross.
+    """
     n = len(spec.order)
     edges = list(itertools.combinations(range(n), 2))
+    pages = [spec.pages[edge] for edge in edges]
+    # an edge runs from u to v, right to left when u lies to the right
+    backward = [positions[u] > positions[v] for u, v in edges]
+    spans = [(positions[v], positions[u]) if back else (positions[u], positions[v])
+             for (u, v), back in zip(edges, backward)]
 
-    def interval(eid: int) -> Tuple[Fraction, Fraction]:
-        u, v = edges[eid]
-        a, b = positions[u], positions[v]
-        return (a, b) if a < b else (b, a)
-
-    crossings: List[Tuple[int, int, Fraction]] = []   # (edge a, edge b, abscissa)
+    crossings: List[Tuple[int, int]] = []
     per_edge: List[List[Tuple[Fraction, int]]] = [[] for _ in edges]
     for ea, eb in itertools.combinations(range(len(edges)), 2):
-        (u1, v1), (u2, v2) = edges[ea], edges[eb]
-        if {u1, v1} & {u2, v2}:
+        if pages[ea] != pages[eb]:
             continue
-        if spec.page(u1, v1) != spec.page(u2, v2):
-            continue
-        (l1, r1), (l2, r2) = interval(ea), interval(eb)
+        (l1, r1), (l2, r2) = spans[ea], spans[eb]
         if not (l1 < l2 < r1 < r2 or l2 < l1 < r2 < r1):
             continue
         x = (l1 * r1 - l2 * r2) / ((l1 + r1) - (l2 + r2))
         k = len(crossings)
-        crossings.append((ea, eb, x))
+        crossings.append((ea, eb))
         per_edge[ea].append((x, k))
         per_edge[eb].append((x, k))
 
     paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for (u, v), hits in zip(edges, per_edge):
-        ordered = crossing_path(hits, (u, v))
-        # the path runs from u to v, right to left when u lies to the right
-        paths[(u, v)] = ordered[::-1] if positions[u] > positions[v] else ordered
+    for edge, hits, back in zip(edges, per_edge, backward):
+        ordered = crossing_path(hits, edge)
+        paths[edge] = ordered[::-1] if back else ordered
 
+    # '+' when the first edge's midpoint lies left of the second's; an
+    # edge running right to left and the bottom page each flip the bit
     bits: List[str] = []
-    for ea, eb, x in crossings:
-        (u1, v1), (u2, v2) = edges[ea], edges[eb]
-        c1 = (positions[u1] + positions[v1]) / 2
-        c2 = (positions[u2] + positions[v2]) / 2
-        sign = 1 if c2 > c1 else -1
-        if positions[u1] > positions[v1]:
-            sign = -sign
-        if positions[u2] > positions[v2]:
-            sign = -sign
-        if spec.page(u1, v1) == "B":
-            sign = -sign
-        bits.append("+" if sign > 0 else "-")
+    for ea, eb in crossings:
+        (l1, r1), (l2, r2) = spans[ea], spans[eb]
+        flips = backward[ea] + backward[eb] + (pages[ea] == "B")
+        bits.append("+" if (l1 + r1 < l2 + r2) == (flips % 2 == 0) else "-")
 
+    # counterclockwise from the +x axis: top page to the right, then to
+    # the left, each left to right; bottom page to the left, then to the
+    # right, each right to left
     rotations: List[Tuple[int, ...]] = []
-    for v in range(n):
-        x_v = positions[v]
-        others = [w for w in range(n) if w != v]
-        tr = sorted((w for w in others
-                     if spec.page(v, w) == "T" and positions[w] > x_v),
-                    key=lambda w: positions[w])
-        tl = sorted((w for w in others
-                     if spec.page(v, w) == "T" and positions[w] < x_v),
-                    key=lambda w: positions[w])
-        bl = sorted((w for w in others
-                     if spec.page(v, w) == "B" and positions[w] < x_v),
-                    key=lambda w: positions[w], reverse=True)
-        br = sorted((w for w in others
-                     if spec.page(v, w) == "B" and positions[w] > x_v),
-                    key=lambda w: positions[w], reverse=True)
-        rotations.append(tuple(tr + tl + bl + br))
+    for v, x_v in enumerate(positions):
+        keyed = []
+        for w, x in enumerate(positions):
+            if w == v:
+                continue
+            if spec.page(v, w) == "T":
+                keyed.append((0 if x > x_v else 1, x, w))
+            else:
+                keyed.append((2 if x < x_v else 3, -x, w))
+        keyed.sort()
+        rotations.append(tuple([w for _, _, w in keyed]))
 
+    # the leftmost vertex's last top-page neighbour (its last neighbour
+    # when it has none) bounds the outer face
     v0 = spec.order[0]
-    tops = [w for w in range(n) if w != v0 and spec.page(v0, w) == "T"]
-    if tops:
-        ref = (v0, max(tops, key=lambda w: positions[w]))
-    else:
-        bottoms = [w for w in range(n) if w != v0]
-        ref = (v0, min(bottoms, key=lambda w: positions[w]))
-
+    tops = sum(spec.page(v0, w) == "T" for w in rotations[v0])
     geometry = TwoPageGeometry(
         order=tuple(spec.order),
-        pages=tuple(sorted(spec.pages.items())),
+        pages=tuple(zip(edges, pages)),
         positions=tuple(positions),
     )
-    return build_drawing(n, paths, bits, rotations, ref, geometry=geometry)
+    return build_drawing(n, paths, bits, rotations, (v0, rotations[v0][tops - 1]),
+                         geometry=geometry)
 
 
 def twopage_all_top(n: int) -> TwoPageSpec:
@@ -289,11 +280,6 @@ def _wrap_half(x: Fraction) -> Fraction:
     if f == Fraction(1, 2):
         raise DegenerateInput("half-turn", (x,))
     return f if f < Fraction(1, 2) else f - 1
-
-
-def _cyclic_offset(a: Fraction, b: Fraction) -> Fraction:
-    """(b - a) mod 1 in (0, 1)."""
-    return (b - a) % 1
 
 
 def _side_crossing(d0: Fraction, slope: Fraction) -> Optional[Fraction]:
@@ -354,8 +340,11 @@ def _assemble_cylindrical(
 ) -> Drawing:
     """Stitch the two lids and the annulus into one combinatorial map.
 
-    Vertices are numbered: outer 0..M-1 in the given (ccw) order, inner
-    M..M+m-1 likewise.  The reference face is left of the dart 0->1.
+    Vertices are numbered: outer 0..M-1 in the given order, inner
+    M..M+m-1 likewise.  Each list of angles must run once around its
+    circle counterclockwise, (a_i - a_0) mod 1 increasing with i, so the
+    index order is the cyclic order.  The reference face is left of the
+    dart 0->1.
     """
     M, m = len(outer_angles), len(inner_angles)
     n = M + m
@@ -400,27 +389,23 @@ def _assemble_cylindrical(
         if t is None:
             continue
         k = len(crossing_bits)
-        small, large = sorted(((i1, j1), (i2, j2)),
-                              key=lambda e: (e[0], M + e[1]))
-        crossing_bits.append("+" if delta[small] > delta[large] else "-")
+        crossing_bits.append("+" if delta[(i1, j1)] > delta[(i2, j2)] else "-")
         per_side[(i1, j1)].append((t, k))
         per_side[(i2, j2)].append((t, k))
     for (i, j), hits in per_side.items():
         paths[(i, M + j)] = crossing_path(hits, (i, M + j))
 
-    # rotations
+    # rotations: the chords at a vertex follow the circle, clockwise from
+    # an outer vertex (its lid is mirrored), counterclockwise from an inner one
     rotations: List[Tuple[int, ...]] = []
     for i in range(M):
-        chords = sorted((k for k in range(M) if k != i),
-                        key=lambda k: _cyclic_offset(outer_angles[i], outer_angles[k]),
-                        reverse=True)
+        chords = [(i - d) % M for d in range(1, M)]
         sides = sorted(range(m), key=lambda j: delta[(i, j)], reverse=True)
         rotations.append(tuple(chords + [M + j for j in sides]))
     for j in range(m):
         sides = sorted(range(M), key=lambda i: delta[(i, j)], reverse=True)
-        chords = sorted((k for k in range(m) if k != j),
-                        key=lambda k: _cyclic_offset(inner_angles[j], inner_angles[k]))
-        rotations.append(tuple(sides + [M + k for k in chords]))
+        chords = [M + (j + d) % m for d in range(1, m)]
+        rotations.append(tuple(sides + chords))
 
     geometry = CylindricalGeometry(
         outer=tuple(range(M)),

@@ -16,10 +16,16 @@ edge leaving u.
 Serialization is canonical (crossings renumbered by first appearance
 along lexicographic edges, rotations started at the smallest neighbor,
 reduced rationals printed as p/q), so equal maps produce equal bytes.
+
+Files are written through `write_all`: a temporary file per target,
+renamed over it only once every write has succeeded, so a failed write
+leaves an existing file unchanged.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 import re
 from fractions import Fraction
 from math import cos, pi, sin, sqrt
@@ -443,10 +449,38 @@ def svg_document(drawing: Drawing) -> str:
 
 
 def export_svg(drawing: Drawing, path: str) -> None:
-    """Write `svg_document(drawing)` to an SVG file."""
-    doc = svg_document(drawing)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    """Write `svg_document(drawing)` to an SVG file through `write_all`."""
+    write_all([(path, svg_document(drawing).encode("utf-8"))])
+
+
+def write_all(outputs: List[Tuple[str, bytes]]) -> None:
+    """Write every (path, data) pair or none.
+
+    Each data goes to a temporary file in its target's directory, and the
+    temporaries replace the targets only once every write has succeeded;
+    on a failure they are removed, and every existing file is unchanged.
+    """
+    temps: List[str] = []
+    replaced = 0
+    try:
+        for path, data in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            head, tail = os.path.split(path)
+            temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            try:
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:  # name the file asked for, not the temporary
+                raise OSError(exc.errno, exc.strerror, path) from None
+            temps.append(temp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+        for temp, (path, _) in zip(temps, outputs):
+            os.replace(temp, path)
+            replaced += 1
+    finally:
+        for temp in temps[replaced:]:
+            os.remove(temp)
 
 
 def _svg_points(drawing: Drawing, geom: PointsGeometry) -> str:

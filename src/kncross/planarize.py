@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Any, List, Sequence, Tuple
 
-from .drawing import Drawing, PointsGeometry, build_drawing
+from .drawing import Drawing, PointsGeometry, build_drawing, edge_ids
 from .geom import Point, proper_intersection
 
 IntPoint = Tuple[int, int]
@@ -125,9 +125,7 @@ def integer_arrangement(pts: Sequence[IntPoint]) -> Arrangement:
             if pts[i] == pts[j]:
                 raise DegenerateInput("coincident", (i, j))
     edges = list(itertools.combinations(range(n), 2))
-    eid = [[0] * n for _ in range(n)]
-    for e, (a, b) in enumerate(edges):
-        eid[a][b] = e
+    eid = edge_ids(n)
     # area[e][k] = det(a, b, k) for edge e = (a, b): twice the signed area
     # of the triangle a, b, k, positive when k lies left of a->b
     area = [[0] * n for _ in edges]

@@ -158,6 +158,18 @@ def test_check_shell_with_explicit_s(tmp_path, capsys):
     assert "shell" in stdout
 
 
+def test_check_negative_answer_exit_1_writes_no_witness(tmp_path, capsys):
+    # a K_12 map that is 4-bishellable but not 6-shellable
+    drawing = tmp_path / "k12.map"
+    drawing.write_bytes(serialize(gen_random_points(12, 502), "map"))
+    witness = tmp_path / "w"
+    code, stdout, _ = run(capsys, "check", str(drawing), "--mode", "shell",
+                          "--s", "6", "--witness-out", str(witness))
+    assert code == 1
+    assert stdout == "no witness (exhaustive search)\n"
+    assert not witness.exists()
+
+
 @pytest.mark.parametrize("n, argv", [
     (5, ("--mode", "shell", "--s", "6")),
     (5, ("--mode", "bishell", "--s", "4")),
@@ -273,7 +285,8 @@ sys.exit(main(sys.argv[1:]))
 @pytest.mark.parametrize("argv", [
     ["check", "k6.pts", "--mode", "bishell", "--witness-out", "out"],
     ["hunt", "--n", "7", "--trials", "14", "--seed", "100", "-o", "out"],
-], ids=["check-witness-out", "hunt-out"])
+    ["export-svg", "k6.pts", "-o", "out"],
+], ids=["check-witness-out", "hunt-out", "export-svg-out"])
 def test_failed_write_keeps_existing_file(tmp_path, argv):
     (tmp_path / "k6.pts").write_bytes(serialize(gen_convex(6), "points"))
     old = b"an earlier file of more than sixteen bytes\n"

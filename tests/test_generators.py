@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -22,8 +23,8 @@ from kncross.generators import (
     twopage_all_top,
 )
 from kncross.geom import Point
-from kncross.kedges import hill_number
-from kncross.io import serialize
+from kncross.kedges import hill_number, k_edge_vector
+from kncross.io import parse, serialize, svg_document
 from kncross.planarize import DegenerateInput
 
 from conftest import (
@@ -140,6 +141,59 @@ def test_twopage_spine_order_matters():
     assert d.crossings == 1
     e01 = d.edge_id(0, 1)
     assert len(d.edge_paths[e01]) == 1
+
+
+def _shuffled_twopage_spec(seed: int) -> TwoPageSpec:
+    """A spec on 3..9 vertices with a shuffled spine and random pages; at
+    every fifth seed each edge of the first spine vertex is on the bottom
+    page."""
+    rng = SplitMix64(seed)
+    n = 3 + seed % 7
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    pages = {e: "TB"[rng.below(2)] for e in itertools.combinations(range(n), 2)}
+    if seed % 5 == 0:
+        for e in pages:
+            if order[0] in e:
+                pages[e] = "B"
+    return TwoPageSpec(tuple(order), pages)
+
+
+# recorded before the rotations were sorted in one pass by quadrant
+SHUFFLED_TWOPAGE_DIGEST = (
+    "b9bc8b7d943d4c4a43f44189041d527e1d8d086f0156d7a3754a7a2b46190b5c")
+
+
+def test_shuffled_twopage_specs_match_identity_spine():
+    # a shuffled spine makes crossed edges that run right to left, and
+    # an all-bottom first vertex takes its reference dart off the bottom
+    # page; relabelling every vertex by its spine slot changes neither
+    digest = hashlib.sha256()
+    right_to_left = bottom_first = 0
+    for seed in range(200):
+        spec = _shuffled_twopage_spec(seed)
+        d = gen_twopage(spec)
+        slot = {v: i for i, v in enumerate(spec.order)}
+        pages = {tuple(sorted((slot[u], slot[v]))): page
+                 for (u, v), page in spec.pages.items()}
+        identity = gen_twopage(TwoPageSpec(tuple(range(d.n)), pages))
+        assert d.crossings == identity.crossings
+        assert d.face_count == identity.face_count
+        assert (rotation_key(rotation_system(d))
+                == rotation_key(rotation_system(identity)))
+        assert k_edge_vector(d).counts == k_edge_vector(identity).counts
+        blob = serialize(d, "twopage")
+        assert serialize(parse(blob), "twopage") == blob
+        digest.update(serialize(d, "map"))
+        digest.update(svg_document(d).encode("utf-8"))
+        right_to_left += any(d.edge_paths[d.edge_id(u, v)] and slot[u] > slot[v]
+                             for u, v in d.edges)
+        bottom_first += all(spec.page(spec.order[0], w) == "B"
+                            for w in range(d.n) if w != spec.order[0])
+    assert (right_to_left, bottom_first) == (148, 54)
+    assert digest.hexdigest() == SHUFFLED_TWOPAGE_DIGEST
 
 
 def _concurrent_twopage_spec() -> TwoPageSpec:

@@ -17,7 +17,7 @@ import pytest
 
 from kncross.cli import main
 from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
-from kncross.io import serialize, serialize_witness
+from kncross.io import serialize, serialize_witness, svg_document
 from kncross.shelling import (BishellWitness, ShellWitness, bishell_witness_violation,
                               check_bishellable, check_s_shellable)
 
@@ -61,6 +61,12 @@ GOLDEN = [
     # a cylindrical drawing has no point coordinates, so only its map
     (gen_cylindrical, (9,), "map",
      "8b3285afcad4742bb1f07726a430f7fa49c5ec07d41c9b6cc337f4e0be48badf"),
+    # lids of 6 and 8 vertices: their chord crossing orders depend on the
+    # lid parameters, not on the cyclic order alone as at K_9
+    (gen_cylindrical, (12,), "map",
+     "d00e074636ad4c403dd8fe3ca3d82e900f4572bf2812b17ce5fb36036d2d9a5d"),
+    (gen_cylindrical, (16,), "map",
+     "7b83a82cbc5e22d0560b303709b0ca5f809f05d317ae3ed175517e2735e954cf"),
 ]
 
 
@@ -70,6 +76,20 @@ GOLDEN = [
 def test_serialized_bytes_pinned(gen, args, fmt, digest):
     blob = serialize(gen(*args), fmt)
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# the SVG of a drawing, recorded before the cylindrical rotations were
+# read off the vertex index order
+SVG_GOLDEN = {
+    12: "8f52fbfcf5382fb213648ee6cfdfb97e3abfb9c9d5b04a0fcdc6d2863d230d73",
+    16: "c210a2208928f51856762993a72871572d18fba2e5b4e1b0ad7d2472cbf0ad6f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SVG_GOLDEN))
+def test_cylindrical_svg_pinned(n):
+    svg = svg_document(gen_cylindrical(n)).encode("utf-8")
+    assert hashlib.sha256(svg).hexdigest() == SVG_GOLDEN[n]
 
 
 def test_hunt_output_pinned(capsys):
