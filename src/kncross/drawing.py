@@ -45,19 +45,22 @@ The K4 census reads the crossing count: each crossing lies in exactly one
 K4, and a good K4 has at most one crossing.
 
 Deletion of real vertices never rebuilds the map.  A DeletionView is
-one table per deleted-vertex bitmask: the class of every base face once
-the deleted vertices' edges are gone, named by its least face, and per
-class the surviving vertices incident with it.  Removing an edge merges
-the two faces on the sides of each of its segments, and a crossing that
+one table per deleted-vertex bitmask: a union-find over the base faces
+whose roots are the least faces of the classes left once the deleted
+vertices' edges are gone, and per root a corner mask, the vertices with
+a dart whose left face lies in the class.  Removing an edge merges the
+two faces on the sides of each of its segments, and a crossing that
 loses one of its edges is implicitly smoothed (subdivision does not
-affect faces).
+affect faces).  A dart to a deleted vertex lies in a class some dart to
+a survivor also lies in, so the corner mask masked by the survivors is
+the incidence; a view grown from a parent runs only its new vertices'
+unions, and reads halve the paths of its table in place.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from array import array
 from dataclasses import dataclass, replace
 from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -410,25 +413,47 @@ class DeletionView:
 
     `deleted` is the set as a vertex bitmask.  Deleting a vertex removes
     its edges to the surviving vertices, which merges the two faces on
-    the sides of each of their segments.  `classes` maps every base face
-    to the least face of its merged class, and `by_root` maps such a
-    least face to the bitmask of the surviving vertices with a surviving
-    dart whose left face lies in that class; a class no surviving vertex
-    touches is absent, and so is every class when fewer than two
-    vertices survive.  For a surviving vertex this captures exactly the
-    corners that remain after merging.
+    the sides of each of their segments.  A surviving vertex u is
+    incident with a class when one of its darts to a surviving vertex
+    has its left face in the class: that captures exactly the corners
+    of u that remain after merging.  `incident_mask(face)` is the
+    bitmask of the surviving vertices incident with the class of
+    `face`, 0 when fewer than two vertices survive, and
+    `class_of(face)` names that class by its least face.
 
-    The table is built once, by a union-find over the base faces that
-    unites two classes under the smaller face, so every face's parent is
-    a smaller face and one ascending pass resolves each face to the
-    least face of its class.  Given `parent`, the view of a subset of
-    `deleted`, the union-find starts from its classes and only the
-    vertices it lacks are deleted, so a search grows each table from a
-    smaller one; the classes do not depend on the parent.  The base is
+    The table is a union-find over the base faces, `root`, that unites
+    two classes under the smaller face, so the root of a class is its
+    least face, and `corners`, which maps every root to the bitmask of
+    the vertices with any dart, to a survivor or not, whose left face
+    lies in its class.  A view without a parent fills `corners` from
+    `out_left_face`; a union ORs the absorbed root's mask into the
+    surviving root's.  `incident_mask` is then `corners` at the class's
+    root masked by the survivors, by this lemma.
+
+    Lemma.  While two vertices survive, the left face of a surviving
+    vertex u's dart to a deleted vertex w is in the class of the left
+    face of u's next surviving dart clockwise.  Proof: with
+    counterclockwise rotations the left face of a dart d leaving u is
+    the corner of u between d and the next dart counterclockwise, so
+    the face right of d is the left face of the next dart clockwise.
+    Deleting w removes the edge uw, which merges the faces on both
+    sides of its first segment, the left faces of d and of that next
+    dart.  Going on clockwise past every dart to a deleted vertex
+    reaches a dart to a survivor, since one survives besides u.  So a
+    dart to a deleted vertex adds no class to u's survivors' darts, and
+    masking `corners` by the survivors gives the incidence.
+
+    Given `parent`, the view of a subset of `deleted`, the view copies
+    its two lists and runs only the unions of the vertices it lacks, so
+    a search grows each table from a smaller one; the classes and the
+    masks do not depend on the parent.  Reads halve the paths they
+    walk, so they rewrite `root` in place, but every face still points
+    at a smaller face of its class and no root moves: reading a view,
+    before or after it is grown from, changes no answer.  The base is
     never mutated and never rebuilt.
     """
 
-    __slots__ = ("deleted", "classes", "by_root")
+    __slots__ = ("deleted", "root", "corners", "survivors")
 
     def __init__(self, base: Drawing, deleted: int,
                  parent: Optional[DeletionView] = None):
@@ -439,14 +464,22 @@ class DeletionView:
         if parent is None:
             gone = 0
             root = list(range(base.face_count))
+            corners = [0] * base.face_count
+            for u, row in enumerate(base.out_left_face):
+                bit = 1 << u
+                for w, f in enumerate(row):
+                    if w != u:
+                        corners[f] |= bit
         else:
             gone = parent.deleted
             if gone & ~deleted:
                 raise ValueError("parent deletes a vertex this view keeps")
-            root = parent.classes.tolist()
+            root = parent.root[:]
+            corners = parent.corners[:]
 
         # delete the new vertices in ascending order; each removes its
-        # edges to the vertices not deleted yet
+        # edges to the vertices not deleted yet, and a union hangs the
+        # larger root below the smaller and takes over its corners
         seg_faces, ids = base.seg_faces, edge_ids(n)
         for v in range(n):
             bit = 1 << v
@@ -466,32 +499,28 @@ class DeletionView:
                         b = root[b]
                     if a < b:
                         root[b] = a
+                        corners[a] |= corners[b]
                     elif b < a:
                         root[a] = b
-        # a union hangs the larger root below the smaller and path halving
-        # moves a face below a smaller one, so every face's parent is a
-        # smaller face and, ascending, is resolved before the face itself
-        for i, p in enumerate(root):
-            root[i] = root[p]
-
-        alive = [u for u in range(n) if not deleted >> u & 1]
-        by_root: Dict[int, int] = {}
-        get = by_root.get
-        for u in alive:
-            bit = 1 << u
-            row = base.out_left_face[u]
-            for w in alive:
-                if w != u:
-                    r = root[row[w]]
-                    by_root[r] = get(r, 0) | bit
+                        corners[b] |= corners[a]
+        survivors = (1 << n) - 1 ^ deleted
         self.deleted = deleted
-        # "I": built from a list several times faster than "H"
-        self.classes = array("I", root)
-        self.by_root = by_root
+        self.root = root
+        self.corners = corners
+        # 0 when fewer than two vertices survive: no surviving dart is left
+        self.survivors = survivors if survivors & survivors - 1 else 0
+
+    def class_of(self, face: int) -> int:
+        """The least face of the class of `face`."""
+        root = self.root
+        while root[face] != face:
+            root[face] = root[root[face]]
+            face = root[face]
+        return face
 
     def incident_mask(self, face: int) -> int:
         """Bitmask of surviving vertices incident with the class of `face`."""
-        return self.by_root.get(self.classes[face], 0)
+        return self.corners[self.class_of(face)] & self.survivors
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ searches and verifiers look it up in a memo that maps the set, as a
 vertex bitmask, to its `DeletionView`.  One memo serves every face and
 both sequences of a bishell search, and every face and every s of a
 shell search.  A set's view is grown from the memoised view of the set
-minus one vertex when there is one.
+minus one vertex when there is one: it copies that view's union-find
+and corner masks (per class, the vertices with a dart into it) and runs
+only the new vertex's unions.  A read halves the union-find paths it
+walks in place, which moves no class root, so a view answers the same
+before and after it is read or grown from.
 
 To *peel* is to delete a vertex incident with the class of the
 reference face.  Incidence is monotone: a vertex incident after

@@ -112,6 +112,11 @@ def vertex_mask(vertices) -> int:
     return sum(1 << v for v in set(vertices))
 
 
+def view_classes(drawing: Drawing, view: DeletionView) -> List[int]:
+    """The least face of the class of every base face in `view`."""
+    return [view.class_of(face) for face in range(drawing.face_count)]
+
+
 # Face classes of the view that keeps only a triangle, per (map, triangle).
 # Keyed by the identity of `seg_faces`, which `with_reference` shares, so
 # re-referencing reuses the classes; the entry keeps the tuple alive.
@@ -132,7 +137,7 @@ def view_side_of(drawing: Drawing, u: int, v: int, w: int) -> str:
     hit = _triangle_classes.get(key)
     if hit is None:
         kept = vertex_mask(triple)
-        classes = DeletionView(drawing, (1 << drawing.n) - 1 ^ kept).classes
+        classes = view_classes(drawing, DeletionView(drawing, (1 << drawing.n) - 1 ^ kept))
         assert len(set(classes)) == 2, "a triangle must split the sphere in two"
         hit = _triangle_classes[key] = (drawing.seg_faces, classes)
     classes = hit[1]
@@ -161,7 +166,7 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
     """Face classes of a deletion view vs a fresh subdrawing, face by face."""
     survivors = set(range(drawing.n)) - set(deleted)
     sub, relabel = regenerate_subdrawing(drawing, survivors)
-    classes = DeletionView(drawing, vertex_mask(deleted)).classes
+    classes = view_classes(drawing, DeletionView(drawing, vertex_mask(deleted)))
 
     class_to_face = {}
     faces_seen = set()
@@ -699,7 +704,7 @@ def loop_incident(drawing: Drawing, classes: List[int], face: int, u: int,
 
 
 def _loop_vertices(drawing: Drawing, deleted: int, face: int) -> List[int]:
-    classes = DeletionView(drawing, deleted).classes
+    classes = view_classes(drawing, DeletionView(drawing, deleted))
     gone = frozenset(u for u in range(drawing.n) if deleted >> u & 1)
     return [u for u in range(drawing.n) if u not in gone
             and loop_incident(drawing, classes, face, u, gone)]
@@ -776,7 +781,8 @@ def replay_shell_search(drawing: Drawing, s: int,
             frozenset(seq[i] for i in range(t, s))
         classes = memo.get(deleted)
         if classes is None:
-            classes = memo[deleted] = DeletionView(drawing, vertex_mask(deleted)).classes
+            classes = memo[deleted] = view_classes(
+                drawing, DeletionView(drawing, vertex_mask(deleted)))
         return (loop_incident(drawing, classes, f, seq[r - 1], deleted)
                 and loop_incident(drawing, classes, f, seq[t - 1], deleted))
 

@@ -40,6 +40,7 @@ from conftest import (
     reference_deletion_view,
     reference_rotation_key,
     vertex_mask,
+    view_classes,
 )
 
 
@@ -167,7 +168,7 @@ def test_goodness_violations_match_oracle_on_crossing_lists():
 
 def test_delete_view_classes(k4_planar):
     view = DeletionView(k4_planar, 0)
-    assert len(set(view.classes)) == 4
+    assert len(set(view_classes(k4_planar, view))) == 4
     assert view.incident_mask(k4_planar.reference_face) == vertex_mask([0, 1, 2])
 
     d5 = gen_convex(5)
@@ -175,7 +176,7 @@ def test_delete_view_classes(k4_planar):
     # keep only a triangle: a simple closed curve leaves two classes
     for triple in itertools.combinations(range(5), 3):
         view = DeletionView(d5, vertex_mask(set(range(5)) - set(triple)))
-        assert len(set(view.classes)) == 2
+        assert len(set(view_classes(d5, view))) == 2
 
 
 def test_reference_class_after_hull_deletion():
@@ -361,8 +362,25 @@ def test_malformed_map_refused_as_reference_build_refuses(case):
     assert isinstance(outcome[0], type) and issubclass(outcome[0], Exception)
 
 
+def reference_answers(drawing, mask):
+    """The least face of every face's class and every face's incident
+    mask, from `reference_deletion_view`."""
+    classes, by_root = reference_deletion_view(drawing, mask)
+    least = {}
+    for face, root in enumerate(classes):
+        least.setdefault(root, face)
+    return ([least[root] for root in classes],
+            [by_root.get(root, 0) for root in classes])
+
+
+def view_answers(drawing, view):
+    faces = range(drawing.face_count)
+    return view_classes(drawing, view), [view.incident_mask(f) for f in faces]
+
+
 def test_deletion_view_matches_reference_view(oracle_corpus):
     rng = random.Random(14)
+    subsets = random.Random(20)
     for drawing in oracle_corpus:
         n, faces = drawing.n, range(drawing.face_count)
         everyone = (1 << n) - 1
@@ -374,10 +392,11 @@ def test_deletion_view_matches_reference_view(oracle_corpus):
             assert ([view.incident_mask(f) for f in faces]
                     == [by_root.get(classes[f], 0) for f in faces])
             partition = len(set(classes))
-            assert len(set(view.classes)) == len(set(zip(view.classes, classes))) == partition
+            view_cls = view_classes(drawing, view)
+            assert len(set(view_cls)) == len(set(zip(view_cls, classes))) == partition
             # each class is named by its least face
-            assert all(view.classes[f] <= f for f in faces)
-            assert all(view.classes[view.classes[f]] == view.classes[f] for f in faces)
+            assert all(view_cls[f] <= f for f in faces)
+            assert all(view_cls[view_cls[f]] == view_cls[f] for f in faces)
             # grown one vertex at a time, and at once from the empty set
             chain = DeletionView(drawing, 0)
             for v in range(n):
@@ -385,8 +404,54 @@ def test_deletion_view_matches_reference_view(oracle_corpus):
                     chain = DeletionView(drawing, chain.deleted | 1 << v, chain)
             for grown in (chain, DeletionView(drawing, mask, DeletionView(drawing, 0))):
                 assert grown.deleted == mask
-                assert grown.classes == view.classes
-                assert grown.by_root == view.by_root
+                assert view_answers(drawing, grown) == view_answers(drawing, view)
+            # reads halve the paths of a view's own table, so a parent read
+            # at every face before it is grown must give the same view as a
+            # fresh parent and as a view built without a parent, and growing
+            # must leave the parent's answers as they were
+            sub = mask & subsets.getrandbits(n)
+            read = DeletionView(drawing, sub)
+            expect_sub = reference_answers(drawing, sub)
+            assert view_answers(drawing, read) == expect_sub
+            expect = reference_answers(drawing, mask)
+            for grown in (DeletionView(drawing, mask, read),
+                          DeletionView(drawing, mask, DeletionView(drawing, sub)),
+                          DeletionView(drawing, mask)):
+                assert grown.deleted == mask
+                assert view_answers(drawing, grown) == expect
+            assert view_answers(drawing, read) == expect_sub
+
+
+def _lemma_deleted_sets(n, rng):
+    """Deleted sets leaving at least two survivors: all of them up to
+    n = 8, a sample above."""
+    everyone = (1 << n) - 1
+    if n <= 8:
+        masks = range(1 << n)
+    else:
+        masks = [rng.getrandbits(n) for _ in range(60)]
+        masks += [everyone ^ (1 << a | 1 << b)
+                  for a, b in rng.sample(list(itertools.combinations(range(n), 2)), 6)]
+    return [mask for mask in masks if bin(everyone ^ mask).count("1") >= 2]
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_darts_to_deleted_vertices_touch_no_new_class(n):
+    # the lemma behind `DeletionView.corners`: while two vertices
+    # survive, a survivor's darts to all n - 1 neighbours touch the same
+    # classes as its darts to survivors; read off the reference view alone
+    rng = random.Random(n)
+    for drawing in (gen_convex(n), gen_cylindrical(n), gen_random_points(n, n)):
+        for mask in _lemma_deleted_sets(n, rng):
+            classes, _by_root = reference_deletion_view(drawing, mask)
+            for u in range(n):
+                if mask >> u & 1:
+                    continue
+                row = drawing.out_left_face[u]
+                every = {classes[row[w]] for w in range(n) if w != u}
+                kept = {classes[row[w]] for w in range(n)
+                        if w != u and not mask >> w & 1}
+                assert every == kept
 
 
 def test_k4_census_matches_loop(oracle_corpus):

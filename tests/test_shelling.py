@@ -30,7 +30,8 @@ from kncross.shelling import (
 )
 
 from conftest import (child_view_bishell, longest_peel, loop_incident, peel_closure_holds,
-                      replay_shell_search, shelling_sequences, two_pass_bishell, vertex_mask)
+                      replay_shell_search, shelling_sequences, two_pass_bishell, vertex_mask,
+                      view_classes)
 
 
 def naive_bishellable(drawing, s):
@@ -369,9 +370,10 @@ def test_incidence_mask_matches_loop(which):
         view = views[mask] = DeletionView(d, mask)
         assert view.deleted == mask
         deleted = frozenset(u for u in range(d.n) if mask >> u & 1)
+        classes = view_classes(d, view)
         for face in range(d.face_count):
             expect = {u for u in range(d.n) if u not in deleted
-                      and loop_incident(d, view.classes, face, u, deleted)}
+                      and loop_incident(d, classes, face, u, deleted)}
             incident = view.incident_mask(face)
             assert {u for u in range(d.n) if incident >> u & 1} == expect
         # grown from each one-smaller subset, and from the view of the
@@ -382,8 +384,9 @@ def test_incidence_mask_matches_loop(which):
         for parent in parents:
             grown = DeletionView(d, mask, parent)
             assert grown.deleted == mask
-            assert grown.classes == view.classes
-            assert grown.by_root == view.by_root
+            assert view_classes(d, grown) == classes
+            assert ([grown.incident_mask(f) for f in range(d.face_count)]
+                    == [view.incident_mask(f) for f in range(d.face_count)])
 
 
 def test_incidence_mask_empty_with_one_survivor():
@@ -392,7 +395,8 @@ def test_incidence_mask_empty_with_one_survivor():
     for keep in range(d.n):
         view = DeletionView(d, everyone ^ 1 << keep)
         assert all(view.incident_mask(f) == 0 for f in range(d.face_count))
-        assert view.by_root == {}
+        # no class, named by its least face, is touched by the survivor
+        assert {view.incident_mask(view.class_of(f)) for f in range(d.face_count)} == {0}
 
 
 def test_deletion_view_refuses_bad_masks():
