@@ -23,7 +23,6 @@ from .drawing import (
     rotation_key,
 )
 from .generators import (
-    _grid_points,
     _random_arrangement,
     gen_convex,
     gen_cylindrical,
@@ -40,7 +39,7 @@ from .kedges import (
     hill_number,
     k_edge_vector,
 )
-from .planarize import DegenerateInput, planarize_arrangement
+from .planarize import DegenerateInput
 from .shelling import (
     MalformedWitness,
     ShellWitness,
@@ -190,22 +189,22 @@ def _hunt(args) -> int:
             f"--target optimal cannot match at n={n}: the rectilinear crossing "
             f"number of K_n exceeds H(n) at n = 8 and every n >= 10")
     hill = hill_number(n)
-    found = []
+    found = []  # the seeds of the matches
     seen = set()  # (crossings, rotation key): one drawing per weak-iso class
-    for trial in range(args.trials):
-        # the class is read off the arrangement; only a match gets a map
-        points, arr = _random_arrangement(n, args.seed + trial)
+    for seed in range(args.seed, args.seed + args.trials):
+        # the class is read off the arrangement; only a match for -o gets a map
+        _, arr = _random_arrangement(n, seed)
         key = (len(arr.crossings), rotation_key(arr.vertex_orders))
         if key in seen:
             continue
         seen.add(key)
         if key[0] == hill:
-            found.append((trial, planarize_arrangement(_grid_points(points), arr)))
+            found.append(seed)
     if args.out and found:
-        write_all([(args.out, serialize(found[0][1], "points"))])
+        write_all([(args.out, serialize(gen_random_points(n, found[0]), "points"))])
     print(f"trials={args.trials} distinct={len(seen)} matches={len(found)}")
-    for trial, drawing in found:
-        print(f"  seed={args.seed + trial} cr={drawing.crossings}")
+    for seed in found:
+        print(f"  seed={seed} cr={hill}")
     return 0
 
 

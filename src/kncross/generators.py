@@ -113,7 +113,8 @@ def _random_arrangement(n: int, seed: int) -> Tuple[List[IntPoint], Arrangement]
     `integer_arrangement`; `_grid_points` makes the `Fraction` points a
     drawing stores.  This is the one place random points are drawn:
     `gen_random_points` planarizes the result, and `hunt` reads each
-    trial's class off the arrangement and builds a map only for a match.
+    trial's class off the arrangement and builds a map only for the match
+    it writes.
     """
     rng = SplitMix64(seed)
     while True:

@@ -20,6 +20,9 @@ reduced rationals printed as p/q), so equal maps produce equal bytes.
 Files are written through `write_all`: a temporary file per target,
 renamed over it only once every write has succeeded, so a failed write
 leaves an existing file unchanged.
+
+SVG pictures have one writer, `_picture`; each family gives it only its
+edge samples, crossing marks, vertex positions and backdrop.
 """
 
 from __future__ import annotations
@@ -379,55 +382,49 @@ def serialize_witness(drawing: Drawing,
 # ---------------------------------------------------------------------------
 
 
+_XY = Tuple[float, float]
+
+
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-class _Svg:
-    def __init__(self) -> None:
-        self.parts: List[str] = []
-
-    def polyline(self, pts: Sequence[Tuple[float, float]], color: str = "#222",
-                 width: float = 1.2) -> None:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
+def _polyline(pts: Sequence[_XY], color: str = "#222", width: float = 1.2) -> str:
+    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    return (f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>')
 
-    def line(self, a, b, color="#222", width=1.2):
-        self.polyline([a, b], color, width)
 
-    def circle(self, c, r, color="#222", fill="none", width=1.0):
-        self.parts.append(
-            f'<circle cx="{_fmt(c[0])}" cy="{_fmt(c[1])}" r="{_fmt(r)}" '
-            f'fill="{fill}" stroke="{color}" stroke-width="{width}"/>')
-
-    def dot(self, c, r, fill):
-        self.parts.append(
-            f'<circle cx="{_fmt(c[0])}" cy="{_fmt(c[1])}" r="{_fmt(r)}" '
-            f'fill="{fill}" stroke="none"/>')
-
-    def label(self, c, text):
-        self.parts.append(
-            f'<text x="{_fmt(c[0] + 6)}" y="{_fmt(c[1] - 6)}" '
-            f'font-size="11" font-family="sans-serif">{text}</text>')
-
-    def document(self, width: float, height: float) -> str:
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-                f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">')
-        bg = f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>'
-        return "\n".join([head, bg] + self.parts + ["</svg>"]) + "\n"
+def _circle(c: _XY, r: float, paint: str) -> str:
+    return f'<circle cx="{_fmt(c[0])}" cy="{_fmt(c[1])}" r="{_fmt(r)}" {paint}/>'
 
 
-def _transform(points: Sequence[Tuple[float, float]], size: float = 600.0,
-               margin: float = 40.0):
+def _picture(size: float, backdrop: List[str], curves: Sequence[Sequence[_XY]],
+             marks: Sequence[_XY], vertices: Sequence[_XY]) -> str:
+    """The SVG text of a size x size picture, all points on screen: on white,
+    the `backdrop` elements, a polyline through each edge's samples in
+    `curves`, a red dot per crossing mark and a labelled blue dot per vertex."""
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+             f'viewBox="0 0 {_fmt(size)} {_fmt(size)}">',
+             f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="white"/>']
+    parts += backdrop
+    parts += [_polyline(samples) for samples in curves]
+    parts += [_circle(c, 3.0, 'fill="#c22" stroke="none"') for c in marks]
+    for v, c in enumerate(vertices):
+        parts.append(_circle(c, 4.0, 'fill="#06c" stroke="none"'))
+        parts.append(f'<text x="{_fmt(c[0] + 6)}" y="{_fmt(c[1] - 6)}" '
+                     f'font-size="11" font-family="sans-serif">{v}</text>')
+    return "\n".join(parts + ["</svg>"]) + "\n"
+
+
+def _transform(points: Sequence[_XY], size: float = 600.0, margin: float = 40.0):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
     scale = (size - 2 * margin) / span
     x0, y1 = min(xs), max(ys)
 
-    def to_screen(p: Tuple[float, float]) -> Tuple[float, float]:
+    def to_screen(p: _XY) -> _XY:
         return (margin + (p[0] - x0) * scale, margin + (y1 - p[1]) * scale)
 
     return to_screen
@@ -486,36 +483,30 @@ def write_all(outputs: List[Tuple[str, bytes]]) -> None:
 def _svg_points(drawing: Drawing, geom: PointsGeometry) -> str:
     pts = [(float(p.x), float(p.y)) for p in geom.points]
     to = _transform(pts)
-    svg = _Svg()
-    for (u, v) in drawing.edges:
-        svg.line(to(pts[u]), to(pts[v]))
+    curves = [(to(pts[u]), to(pts[v])) for u, v in drawing.edges]
+    marks = []
     for e1, e2 in drawing.crossing_edges:
         (a, b), (c, d) = drawing.edges[e1], drawing.edges[e2]
         hit = proper_intersection(*(geom.points[i] for i in (a, b, c, d)))
-        if hit is not None:
-            svg.dot(to((float(hit.x), float(hit.y))), 3.0, "#c22")
-    for i, p in enumerate(pts):
-        svg.dot(to(p), 4.0, "#06c")
-        svg.label(to(p), str(i))
-    return svg.document(600, 600)
+        marks.append(to((float(hit.x), float(hit.y))))
+    return _picture(600, [], curves, marks, [to(p) for p in pts])
 
 
 def _svg_twopage(drawing: Drawing, geom: TwoPageGeometry) -> str:
     pos = [float(x) for x in geom.positions]
     lo, hi = min(pos), max(pos)
     rad = (hi - lo) / 2 or 1.0
-    corners = [(lo - 1, -rad - 1), (hi + 1, rad + 1)]
-    to = _transform(corners, size=700)
-    svg = _Svg()
-    svg.line(to((lo - 0.5, 0)), to((hi + 0.5, 0)), color="#bbb", width=0.8)
+    to = _transform([(lo - 1, -rad - 1), (hi + 1, rad + 1)], size=700)
+    spine = _polyline([to((lo - 0.5, 0)), to((hi + 0.5, 0))], "#bbb", 0.8)
     pages = dict(geom.pages)
+    curves = []
     for (u, v) in drawing.edges:
         a, b = sorted((pos[u], pos[v]))
         c, r = (a + b) / 2, (b - a) / 2
         sign = 1.0 if pages[(u, v)] == "T" else -1.0
-        samples = [(c + r * cos(pi * k / 32), sign * r * sin(pi * k / 32))
-                   for k in range(33)]
-        svg.polyline([to(p) for p in samples])
+        curves.append([to((c + r * cos(pi * k / 32), sign * r * sin(pi * k / 32)))
+                       for k in range(33)])
+    marks = []
     for e1, e2 in drawing.crossing_edges:
         (u1, v1), (u2, v2) = drawing.edges[e1], drawing.edges[e2]
         l1, r1 = sorted((pos[u1], pos[v1]))
@@ -523,90 +514,67 @@ def _svg_twopage(drawing: Drawing, geom: TwoPageGeometry) -> str:
         x = (l1 * r1 - l2 * r2) / ((l1 + r1) - (l2 + r2))
         y = sqrt(max(0.0, -(x - l1) * (x - r1)))
         sign = 1.0 if pages[(u1, v1)] == "T" else -1.0
-        svg.dot(to((x, sign * y)), 3.0, "#c22")
-    for v in range(drawing.n):
-        svg.dot(to((pos[v], 0)), 4.0, "#06c")
-        svg.label(to((pos[v], 0)), str(v))
-    return svg.document(700, 700)
+        marks.append(to((x, sign * y)))
+    return _picture(700, [spine], curves, marks, [to((x, 0)) for x in pos])
 
 
 def _svg_cylindrical(drawing: Drawing, geom: CylindricalGeometry) -> str:
-    def at(vertex: int) -> Tuple[float, float]:
-        r = 2.0 if vertex in geom.outer else 1.0
-        ang = 2 * pi * float(geom.angles[vertex])
+    angles = geom.angles
+    outer = set(geom.outer)
+
+    def at(vertex: int) -> _XY:
+        r = 2.0 if vertex in outer else 1.0
+        ang = 2 * pi * float(angles[vertex])
         return (r * cos(ang), r * sin(ang))
 
-    def invert(p: Tuple[float, float]) -> Tuple[float, float]:
+    def invert(p: _XY) -> _XY:
         s = 4.0 / (p[0] * p[0] + p[1] * p[1])
         return (p[0] * s, p[1] * s)
 
-    corners = [(-3.2, -3.2), (3.2, 3.2)]
-    to = _transform(corners, size=700)
-    svg = _Svg()
-    svg.circle(to((0.0, 0.0)), abs(to((1.0, 0.0))[0] - to((0.0, 0.0))[0]),
-               color="#ccc", width=0.8)
-    svg.circle(to((0.0, 0.0)), abs(to((2.0, 0.0))[0] - to((0.0, 0.0))[0]),
-               color="#ccc", width=0.8)
-    outer = set(geom.outer)
+    def chord(u: int, v: int, t: float) -> _XY:
+        """The point at parameter t of the straight chord from u to v."""
+        (x0, y0), (x1, y1) = at(u), at(v)
+        return (x0 + (x1 - x0) * t, y0 + (y1 - y0) * t)
+
+    def spiral(u: int, v: int) -> Tuple[Fraction, Fraction]:
+        """Side edge u-v as the angle of its outer end and its turn from
+        there to its inner end."""
+        o, i = (u, v) if u in outer else (v, u)
+        return angles[o], _wrap_half(angles[i] - angles[o])
+
+    def side(angle: Fraction, turn: Fraction, t: float) -> _XY:
+        """The point at parameter t of a side edge, from its outer end (t = 0,
+        radius 2) to its inner end (t = 1, radius 1)."""
+        ang = 2 * pi * (float(angle) + float(turn) * t)
+        return ((2.0 - t) * cos(ang), (2.0 - t) * sin(ang))
+
+    to = _transform([(-3.2, -3.2), (3.2, 3.2)], size=700)
+    rims = [_circle(to((0.0, 0.0)), abs(to((r, 0.0))[0] - to((0.0, 0.0))[0]),
+                    'fill="none" stroke="#ccc" stroke-width="0.8"') for r in (1.0, 2.0)]
+    curves = []
     for (u, v) in drawing.edges:
+        # lid chords (the first two branches) run between the vertex angles,
+        # but the map orders a chord's crossings at `circle_point(lid_params)`:
+        # on a chord crossed twice or more they may come in another order
         if u in outer and v in outer:
-            chord = [_lerp(at(u), at(v), k / 32) for k in range(33)]
-            svg.polyline([to(invert(p)) for p in chord])
+            curves.append([to(invert(chord(u, v, k / 32))) for k in range(33)])
         elif u not in outer and v not in outer:
-            svg.line(to(at(u)), to(at(v)))
+            curves.append([to(at(u)), to(at(v))])
         else:
-            o, i = (u, v) if u in outer else (v, u)
-            a0 = float(geom.angles[o])
-            dlt = float(_wrap_half(geom.angles[i] - geom.angles[o]))
-            samples = []
-            for k in range(33):
-                t = k / 32
-                r = 2.0 - t
-                ang = 2 * pi * (a0 + dlt * t)
-                samples.append((r * cos(ang), r * sin(ang)))
-            svg.polyline([to(p) for p in samples])
+            angle, turn = spiral(u, v)
+            curves.append([to(side(angle, turn, k / 32)) for k in range(33)])
+    marks = []
     for e1, e2 in drawing.crossing_edges:
-        hit = _cyl_crossing_marker(drawing, geom, e1, e2, at, invert)
-        if hit is not None:
-            svg.dot(to(hit), 3.0, "#c22")
-    for v in range(drawing.n):
-        svg.dot(to(at(v)), 4.0, "#06c")
-        svg.label(to(at(v)), str(v))
-    return svg.document(700, 700)
-
-
-def _cyl_crossing_marker(drawing, geom, e1, e2, at, invert):
-    outer = set(geom.outer)
-    (u1, v1), (u2, v2) = drawing.edges[e1], drawing.edges[e2]
-    kinds = [sum(1 for w in e if w in outer) for e in ((u1, v1), (u2, v2))]
-    if kinds == [1, 1]:  # side/side: exact parameter from the angles
-        o1, i1 = (u1, v1) if u1 in outer else (v1, u1)
-        o2, i2 = (u2, v2) if u2 in outer else (v2, u2)
-        delta1 = _wrap_half(geom.angles[i1] - geom.angles[o1])
-        hit = _side_crossing(geom.angles[o1] - geom.angles[o2],
-                             delta1 - _wrap_half(geom.angles[i2] - geom.angles[o2]))
-        if hit is None:
-            return None
-        t = float(hit)
-        r = 2.0 - t
-        ang = 2 * pi * (float(geom.angles[o1]) + float(delta1) * t)
-        return (r * cos(ang), r * sin(ang))
-    hit = _segment_hit(at(u1), at(v1), at(u2), at(v2))
-    if hit is None:
-        return None
-    return invert(hit) if kinds == [2, 2] else hit
-
-
-def _segment_hit(a1, a2, b1, b2):
-    d1 = (a2[0] - a1[0], a2[1] - a1[1])
-    d2 = (b2[0] - b1[0], b2[1] - b1[1])
-    den = d1[0] * d2[1] - d1[1] * d2[0]
-    if den == 0:
-        return None
-    w = (b1[0] - a1[0], b1[1] - a1[1])
-    t = (w[0] * d2[1] - w[1] * d2[0]) / den
-    return (a1[0] + t * d1[0], a1[1] + t * d1[1])
-
-
-def _lerp(a: Tuple[float, float], b: Tuple[float, float], t: float):
-    return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
+        (u1, v1), (u2, v2) = drawing.edges[e1], drawing.edges[e2]
+        if (u1 in outer) != (v1 in outer):  # side/side: exact parameter from the angles
+            (a1, turn1), (a2, turn2) = spiral(u1, v1), spiral(u2, v2)
+            t = float(_side_crossing(a1 - a2, turn1 - turn2))
+            marks.append(to(side(a1, turn1, t)))
+        else:  # two chords of one lid
+            (x1, y1), (x2, y2) = at(u1), at(v1)
+            (x3, y3), (x4, y4) = at(u2), at(v2)
+            t = (((x3 - x1) * (y4 - y3) - (y3 - y1) * (x4 - x3))
+                 / ((x2 - x1) * (y4 - y3) - (y2 - y1) * (x4 - x3)))
+            hit = chord(u1, v1, t)
+            marks.append(to(invert(hit) if u1 in outer else hit))
+    return _picture(700, rims, curves, marks, [to(at(v)) for v in range(drawing.n)])

@@ -27,6 +27,7 @@ from kncross.drawing import (
     edge_ids,
 )
 from kncross.generators import (
+    SplitMix64,
     TwoPageSpec,
     gen_convex,
     gen_cylindrical,
@@ -85,6 +86,24 @@ def small_corpus():
     for n, seed in ((5, 11), (6, 5), (7, 3)):
         drawings.append(("random", n, gen_random_points(n, seed)))
     return drawings
+
+
+def shuffled_twopage_spec(seed: int) -> TwoPageSpec:
+    """A spec on 3..9 vertices with a shuffled spine and random pages; at
+    every fifth seed each edge of the first spine vertex is on the bottom
+    page."""
+    rng = SplitMix64(seed)
+    n = 3 + seed % 7
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    pages = {e: "TB"[rng.below(2)] for e in itertools.combinations(range(n), 2)}
+    if seed % 5 == 0:
+        for e in pages:
+            if order[0] in e:
+                pages[e] = "B"
+    return TwoPageSpec(tuple(order), pages)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,22 @@ def test_hunt_builds_a_map_only_for_a_match(tmp_path, capsys):
     assert found.read_bytes() == generated.read_bytes()
 
 
+def test_hunt_without_out_builds_no_map(capsys):
+    # the same window as above: without -o the match is printed, not built
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(kwargs["geometry"].points)
+        return build_drawing(*args, **kwargs)
+
+    with mock.patch.object(planarize, "build_drawing", spy):
+        code, stdout, _ = run(capsys, "hunt", "--n", "7", "--trials", "100",
+                              "--seed", "100")
+    assert code == 0
+    assert stdout.endswith("matches=1\n  seed=113 cr=9\n")
+    assert built == []
+
+
 def test_hunt_unwritable_out_exit_2_before_printing(tmp_path, capsys):
     # the window of `test_hunt_builds_a_map_only_for_a_match`, which matches
     found = tmp_path / "missing" / "hunt.points"

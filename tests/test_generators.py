@@ -32,6 +32,7 @@ from conftest import (
     fraction_segment_arrangement,
     fraction_validate_points,
     goodness_violations,
+    shuffled_twopage_spec,
 )
 
 
@@ -143,24 +144,6 @@ def test_twopage_spine_order_matters():
     assert len(d.edge_paths[e01]) == 1
 
 
-def _shuffled_twopage_spec(seed: int) -> TwoPageSpec:
-    """A spec on 3..9 vertices with a shuffled spine and random pages; at
-    every fifth seed each edge of the first spine vertex is on the bottom
-    page."""
-    rng = SplitMix64(seed)
-    n = 3 + seed % 7
-    order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
-        order[i], order[j] = order[j], order[i]
-    pages = {e: "TB"[rng.below(2)] for e in itertools.combinations(range(n), 2)}
-    if seed % 5 == 0:
-        for e in pages:
-            if order[0] in e:
-                pages[e] = "B"
-    return TwoPageSpec(tuple(order), pages)
-
-
 # recorded before the rotations were sorted in one pass by quadrant
 SHUFFLED_TWOPAGE_DIGEST = (
     "b9bc8b7d943d4c4a43f44189041d527e1d8d086f0156d7a3754a7a2b46190b5c")
@@ -173,7 +156,7 @@ def test_shuffled_twopage_specs_match_identity_spine():
     digest = hashlib.sha256()
     right_to_left = bottom_first = 0
     for seed in range(200):
-        spec = _shuffled_twopage_spec(seed)
+        spec = shuffled_twopage_spec(seed)
         d = gen_twopage(spec)
         slot = {v: i for i, v in enumerate(spec.order)}
         pages = {tuple(sorted((slot[u], slot[v]))): page

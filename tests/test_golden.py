@@ -16,10 +16,13 @@ from pathlib import Path
 import pytest
 
 from kncross.cli import main
-from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
+from kncross.generators import (gen_convex, gen_cylindrical, gen_random_points, gen_twopage,
+                                twopage_all_top)
 from kncross.io import serialize, serialize_witness, svg_document
 from kncross.shelling import (BishellWitness, ShellWitness, bishell_witness_violation,
                               check_bishellable, check_s_shellable)
+
+from conftest import shuffled_twopage_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,6 +93,24 @@ SVG_GOLDEN = {
 def test_cylindrical_svg_pinned(n):
     svg = svg_document(gen_cylindrical(n)).encode("utf-8")
     assert hashlib.sha256(svg).hexdigest() == SVG_GOLDEN[n]
+
+
+# one sha256 over the SVG of 184 drawings of every family with a picture,
+# recorded before the three renderers shared one SVG writer
+SVG_CORPUS_DIGEST = "436135254daeff6eefc799241881ef244829b634fb59b56e74c5b15b12782020"
+
+
+def test_svg_corpus_pinned():
+    drawings = ([gen_convex(n) for n in range(3, 15)]
+                + [gen_cylindrical(n) for n in range(3, 17)]
+                + [gen_random_points(n, seed) for n in range(3, 13) for seed in (1, 2, 3)]
+                + [gen_twopage(shuffled_twopage_spec(seed)) for seed in range(120)]
+                + [gen_twopage(twopage_all_top(n)) for n in range(3, 11)])
+    assert len(drawings) == 184
+    digest = hashlib.sha256()
+    for d in drawings:
+        digest.update(svg_document(d).encode("utf-8"))
+    assert digest.hexdigest() == SVG_CORPUS_DIGEST
 
 
 def test_hunt_output_pinned(capsys):
