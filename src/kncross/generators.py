@@ -34,7 +34,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from .drawing import (
     CylindricalGeometry,
     Drawing,
-    NotGoodDrawing,
     PointsGeometry,
     TwoPageGeometry,
     build_drawing,
@@ -328,7 +327,7 @@ def gen_cylindrical(n: int) -> Drawing:
         try:
             return _assemble_cylindrical(
                 outer_angles, inner_angles, outer_params, inner_params)
-        except (DegenerateInput, NotGoodDrawing):
+        except DegenerateInput:
             continue
     raise RuntimeError("could not resolve cylindrical degeneracies")
 

@@ -33,18 +33,26 @@ longest sequence that greedy did not peel for the one it did).  Two
 rules of the bishell search follow.
 
 * Greedy B.  Given a_0..a_s, b_j is the lowest vertex peelable after
-  b_0..b_{j-1} that is not one of a_0..a_{s-j}.  A b-sequence exists
-  exactly when this one is complete, and it is the first one a
+  b_0..b_{j-1} that is not one of a_0..a_{s-j}: the first b-sequence a
   depth-first search in ascending order finds.
 * Peel closure.  The a-sequence walk extends a prefix A_i = {a_0..a_i}
   only while a greedy peel with A_i banned throughout takes s - i + 1
   vertices, since b_0..b_{s-i} of a witness through A_i is such a peel.
-  A face where no a-sequence passes is refused without completing any
-  B.  The shell search of length s >= 2 runs only at faces with an
-  order s - 2 bishell witness, since `shell_to_bishell` turns an s-shell
-  witness into one at the same face.
 
-Neither rule drops a witness or reorders the a-sequences, so the
+The closure is also sufficient: B always completes once every prefix
+of a_0..a_s passes.  Given peels P_i of s - i + 1 vertices avoiding
+A_i, build W for k = s, ..., 0 by appending the first vertex of P_k not
+yet in W.  It is peelable after W by monotonicity (its predecessors in
+P_k are in W, and |W| = s - k <= n - 2), and it avoids A_k, as every
+earlier entry came from a P_k' with k' > k.  So w_j is not in A_{s-j}:
+W is a b-sequence, and greedy B is complete.  Whether a witness runs
+through A_i thus depends only on the set A_i, so the walk searches over
+prefix sets and tests none twice at a face.  The shell search of
+length s >= 2 runs only at faces with an order s - 2 bishell witness,
+since `shell_to_bishell` turns an s-shell witness into one at the same
+face.
+
+None of this drops a witness or reorders the a-sequences, so the
 witnesses and refusals are those of the exhaustive search.
 
 The same monotonicity reduces the pairs of a shell witness to two
@@ -309,42 +317,31 @@ def _greedy_peel(drawing: Drawing, face: int, bans: Sequence[int],
 
 def _bishell_at_face(drawing: Drawing, s: int, face: int,
                      memo: Memo) -> Optional[BishellWitness]:
-    """First witness at `face`: a-sequences depth-first, each completed
-    by the greedy b-sequence, b_j the lowest vertex peelable after
-    b_0..b_{j-1} that is not one of a_0..a_{s-j}.
-
-    A prefix A_i = {a_0..a_i} is extended only while a greedy peel with
-    A_i banned throughout takes s - i + 1 vertices: b_0..b_{s-i} of a
-    witness through A_i is such a peel, and by the greedy lemma the
-    greedy peel is as long as the longest one.  The test depends only
-    on the set A_i, so the search remembers the sets that fail it.
-    """
-    a_seq: List[int] = []
+    """First witness at `face`: a-sequences depth-first, each prefix set
+    peel-tested at most once and skipped once its subtree holds no
+    witness; greedy B finishes a complete one (module docstring)."""
     prefixes: List[int] = []      # prefixes[i] = {a_0..a_i} as a bitmask
-    failed: Set[int] = set()      # prefixes that fail the peel test
+    failed: Set[int] = set()      # prefix sets no witness runs through
 
     def extend_a(deleted: int) -> Optional[BishellWitness]:
-        i = len(a_seq)
+        i = len(prefixes)
         if i == s + 1:
+            a = [(grown ^ prev).bit_length() - 1
+                 for prev, grown in zip([0] + prefixes, prefixes)]
             b = _greedy_peel(drawing, face, prefixes[::-1], memo)
-            if len(b) == s + 1:
-                return BishellWitness(face=face, a_seq=tuple(a_seq), b_seq=tuple(b))
-            return None
+            return BishellWitness(face=face, a_seq=tuple(a), b_seq=tuple(b))
         length = s - i + 1
         for v in _bits(_incident_mask(drawing, deleted, face, memo)):
             grown = deleted | 1 << v
             if grown in failed:
                 continue
-            if len(_greedy_peel(drawing, face, (grown,) * length, memo)) < length:
-                failed.add(grown)
-                continue
-            a_seq.append(v)
-            prefixes.append(grown)
-            result = extend_a(grown)
-            if result is not None:
-                return result
-            a_seq.pop()
-            prefixes.pop()
+            if len(_greedy_peel(drawing, face, (grown,) * length, memo)) == length:
+                prefixes.append(grown)
+                result = extend_a(grown)
+                if result is not None:
+                    return result
+                prefixes.pop()
+            failed.add(grown)
         return None
 
     return extend_a(0)

@@ -207,6 +207,15 @@ def test_verify_witness_vertex_out_of_range_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("face", [("2", "2"), ("0", "6")], ids=["loop", "out-of-range"])
+def test_check_bad_face_dart_exit_2(tmp_path, capsys, face):
+    drawing = tmp_path / "k6.pts"
+    run(capsys, "generate", "convex", "--n", "6", "-o", str(drawing))
+    code, stdout, err = run(capsys, "check", str(drawing), "--mode", "bishell", "--face", *face)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: bad face dart ({face[0]},{face[1]})\n"
+
+
 def test_generate_random_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.pts", tmp_path / "b.pts"
     run(capsys, "generate", "random", "--n", "5", "--seed", "7", "-o", str(a))
@@ -437,6 +446,16 @@ def test_generate_twopage_from_map_spec_exit_2_leaves_no_file(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: ")
+    assert not out.exists() and not svg.exists()
+
+
+def test_generate_twopage_spec_of_other_n_exit_2_leaves_no_file(tmp_path, capsys):
+    spec = tmp_path / "k5.2p"
+    run(capsys, "generate", "twopage", "--n", "5", "-o", str(spec))
+    out, svg = tmp_path / "k6.2p", tmp_path / "k6.svg"
+    code, stdout, err = run(capsys, "generate", "twopage", "--n", "6", "--spec", str(spec),
+                            "-o", str(out), "--svg", str(svg))
+    assert (code, stdout, err) == (2, "", "error: spec file disagrees with --n\n")
     assert not out.exists() and not svg.exists()
 
 

@@ -106,6 +106,10 @@ MALFORMED = {
                         ["+"], K4_ROTATIONS, (1, 0)),
     # an id out of range before the revisit on the same edge
     "id-then-revisit": (4, _k4_paths({(0, 2): [3, 0, 0]}), ["+"], K4_ROTATIONS, (1, 0)),
+    # a path for a pair that is not an edge of K_4
+    "extra-path": (4, _k4_paths({(0, 4): []}), [], K4_ROTATIONS, (1, 0)),
+    "rotation-count": (4, _k4_paths(), [], K4_ROTATIONS[:3], (1, 0)),
+    "small-n": (2, {(0, 1): []}, [], [(1,), (0,)], (0, 1)),
 }
 
 

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from kncross import generators
-from kncross.drawing import rotation_key, rotation_system
+from kncross.drawing import GoodnessViolation, NotGoodDrawing, rotation_key, rotation_system
 from kncross.generators import (
     SplitMix64,
     TwoPageSpec,
@@ -282,6 +282,21 @@ def test_random_arrangement_skips_rejected_draws(monkeypatch):
             assert fast == arr
     assert set(rejected) == {"coincident", "collinear", "concurrent"}
     assert sum(rejected.values()) > 3000
+
+
+def test_cylindrical_retries_only_degenerate_input(monkeypatch):
+    # a perturbation resolves a degeneracy, not a defect of the
+    # construction: a non-good map reaches the caller from the first try
+    attempts = []
+
+    def not_good(*args):
+        attempts.append(args)
+        raise NotGoodDrawing((GoodnessViolation("double_cross", ((0, 1), (2, 3))),))
+
+    monkeypatch.setattr(generators, "_assemble_cylindrical", not_good)
+    with pytest.raises(NotGoodDrawing):
+        gen_cylindrical(7)
+    assert len(attempts) == 1
 
 
 def test_random_points_crossing_bounds():

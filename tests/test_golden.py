@@ -20,7 +20,7 @@ from kncross.generators import (gen_convex, gen_cylindrical, gen_random_points, 
                                 twopage_all_top)
 from kncross.io import serialize, serialize_witness, svg_document
 from kncross.shelling import (BishellWitness, ShellWitness, bishell_witness_violation,
-                              check_bishellable, check_s_shellable)
+                              check_bishellable, check_s_shellable, first_shell_witness)
 
 from conftest import shuffled_twopage_spec
 
@@ -244,6 +244,29 @@ def test_witness_face_bishell_witness_pinned(n, s, pinned):
     assert witness == pinned
     assert bishell_witness_violation(d, witness) is None
     assert elapsed < 1.0
+
+
+# one sha256 over the answers of 42,149 searches on 37 drawings: the
+# bishell search at every face and order, the shell search at every
+# length and the first shell witness; recorded on the search that
+# returned None when the greedy b-sequence of an a-sequence fell short
+SEARCH_CORPUS_DIGEST = "79fec62379bdbe9f673316a9c080dc7a419ad533806cd67aa235d0c125e82331"
+
+
+def test_search_answers_corpus_pinned():
+    drawings = ([gen_convex(n) for n in range(5, 10)]
+                + [gen_cylindrical(n) for n in range(5, 11)]
+                + [gen_random_points(n, seed) for n in range(5, 12) for seed in (1, 2, 3)]
+                + [gen_random_points(12, seed) for seed, _ in CERTIFY_WITNESSES])
+    digest = hashlib.sha256()
+    for d in drawings:
+        answers = [check_bishellable(d, s, face=f)
+                   for s in range(d.n - 1) for f in range(d.face_count)]
+        answers += [check_s_shellable(d, s) for s in range(1, d.n + 1)]
+        answers.append(first_shell_witness(d))
+        for answer in answers:
+            digest.update(repr(answer).encode())
+    assert digest.hexdigest() == SEARCH_CORPUS_DIGEST
 
 
 DEMO_02_STDOUT = """\

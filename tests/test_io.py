@@ -61,6 +61,14 @@ def test_twopage_round_trip():
     assert rotation_system(again) == rotation_system(d)
 
 
+def test_twopage_duplicate_order_line_refused():
+    text = serialize(gen_twopage(twopage_all_top(4)), "twopage").decode()
+    text = text.replace("order 0 1 2 3\n", "order 0 1 2 3\norder 3 2 1 0\n")
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert (caught.value.line, caught.value.reason) == (5, "duplicate order line")
+
+
 def test_map_round_trip_all_families(small_corpus):
     for _name, _n, drawing in small_corpus:
         blob = serialize(drawing, "map")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kncross import shelling
 from kncross.drawing import DeletionView
 from kncross.generators import SplitMix64, gen_convex, gen_cylindrical, gen_random_points
 from kncross.kedges import double_cumulative_bound_holds, hill_number, k_edge_vector
@@ -508,15 +509,14 @@ EVERY_ORDER_DRAWINGS = {
 
 @pytest.mark.parametrize("name", EVERY_ORDER_DRAWINGS)
 def test_searches_match_oracles_at_every_order_and_face(name):
-    # the closure refutes no face where the oracle finds a witness, and the
-    # searches return the oracles' first witness
+    # peel closure holds exactly at the faces where the oracle finds a
+    # witness, and the searches return the oracles' first witness
     d = EVERY_ORDER_DRAWINGS[name]()
     memo = {}
     for s in range(d.n - 1):
         for f in range(d.face_count):
             found = child_view_bishell(d, s, face=f)
-            if found is not None:
-                assert peel_closure_holds(d, s, f, memo)
+            assert peel_closure_holds(d, s, f, memo) == (found is not None), (s, f)
             assert check_bishellable(d, s, face=f) == found
     for s in range(1, d.n + 1):
         for f in range(d.face_count):
@@ -538,6 +538,23 @@ def test_peel_closure_refutes_most_faces_of_a_certify_input():
     passing = [f for f in range(d.face_count) if peel_closure_holds(d, 4, f, memo)]
     assert passing == witness_faces
     assert check_bishellable(d, 4).face == 0
+
+
+def test_bishell_search_peel_tests_each_prefix_set_once(monkeypatch):
+    # whether a witness runs through a prefix depends only on its set, so
+    # a face search peel-tests no set twice; the one call that completes
+    # B bans a different set at every step
+    tested = []
+
+    def spy(drawing, face, bans, memo):
+        if len(set(bans)) == 1:
+            tested.append(bans[0])
+        return _greedy_peel(drawing, face, bans, memo)
+
+    monkeypatch.setattr(shelling, "_greedy_peel", spy)
+    d = gen_random_points(8, 20)
+    check_bishellable(d, 6, face=79)
+    assert len(tested) == len(set(tested)) == 32
 
 
 @pytest.mark.parametrize("n, seed", [(n, seed) for n in (11, 12) for seed in range(1, 5)]
