@@ -14,14 +14,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .drawing import (
-    BadCrossingDegree,
-    EdgePathInconsistent,
-    EulerViolation,
-    NotGoodDrawing,
-    k4_census,
-    rotation_key,
-)
+from .drawing import k4_census, rotation_key
 from .generators import (
     _random_arrangement,
     gen_convex,
@@ -30,8 +23,8 @@ from .generators import (
     gen_twopage,
     twopage_all_top,
 )
-from .io import (NoGeometry, ParseError, export_svg, parse, parse_witness, serialize,
-                 serialize_witness, svg_document, write_all)
+from .io import (export_svg, parse, parse_witness, serialize, serialize_witness,
+                 svg_document, write_all)
 from .kedges import (
     crossings_from_cumulative,
     crossings_from_k_edges,
@@ -39,9 +32,7 @@ from .kedges import (
     hill_number,
     k_edge_vector,
 )
-from .planarize import DegenerateInput
 from .shelling import (
-    MalformedWitness,
     ShellWitness,
     WitnessInvalid,
     bishell_witness_violation,
@@ -51,9 +42,8 @@ from .shelling import (
     shell_witness_violation,
 )
 
-_INPUT_ERRORS = (ParseError, DegenerateInput, EulerViolation,
-                 BadCrossingDegree, EdgePathInconsistent, NotGoodDrawing,
-                 NoGeometry, MalformedWitness, OSError, ValueError)
+# every refusal of bad input in the package is a ValueError
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def _load(path: str):
@@ -96,13 +86,6 @@ def _analyze(args) -> int:
     return 0
 
 
-def _resolve_face(drawing, pair):
-    u, v = pair
-    if not (0 <= u < drawing.n and 0 <= v < drawing.n) or u == v:
-        raise ValueError(f"bad face dart ({u},{v})")
-    return drawing.out_left_face[u][v]
-
-
 def _violation(drawing, witness) -> Optional[str]:
     """The independent verifier's first violated condition, or None."""
     if isinstance(witness, ShellWitness):
@@ -112,7 +95,7 @@ def _violation(drawing, witness) -> Optional[str]:
 
 def _check(args) -> int:
     drawing = _load(args.file)
-    face = _resolve_face(drawing, args.face) if args.face else None
+    face = drawing.face_left_of(*args.face) if args.face else None
     if args.mode == "bishell":
         s = args.s if args.s is not None else drawing.n // 2 - 2
         witness = check_bishellable(drawing, s, face=face)

@@ -24,16 +24,19 @@ remembered as the reference.
 edge has a path, every crossing id is in range and met by two distinct
 edge passes, every vertex rotation is a permutation of the other
 vertices, every orientation bit is '+' or '-', V - E + F = 2, and the
-drawing is good; no other code checks goodness.  The checks make succ
-a permutation, so every face walk closes, and the map of K_n is
-connected, so its dual is too.
+drawing is good; no other code checks goodness.  Each refusal is a
+`ValueError`, as is every refusal of input in the package.  The checks
+make succ a permutation, so every face walk closes, and the map of K_n
+is connected, so its dual is too.
 
 succ, the face walks and the per-dart tables live only during
 construction.  A Drawing keeps what the rest of the package reads: the
 edges, their crossing paths and the crossing pairs, the dart and face
 counts, the faces on both sides of every segment's darts (`seg_faces`),
 the face left of every out-dart (`out_left_face`), the parity masks
-below and the reference face.  Edge ids come from `edge_ids(n)`.
+below and the reference face.  Edge ids come from `edge_ids(n)`.  Other
+modules name a face by a dart, through `face_left_of(u, v)` and its
+inverse `face_dart(face)`, the least dart with `face` on its left.
 
 Crossing a segment of edge e from one face into the next flips bit e of
 `face_parity`, a mask per face fixed by one walk over the dual graph.
@@ -68,19 +71,19 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from .geom import Point
 
 
-class EulerViolation(Exception):
+class EulerViolation(ValueError):
     """Face count inconsistent with a sphere embedding."""
 
 
-class BadCrossingDegree(Exception):
+class BadCrossingDegree(ValueError):
     """A crossing node is not met by exactly two edge passes."""
 
 
-class EdgePathInconsistent(Exception):
+class EdgePathInconsistent(ValueError):
     """Edge paths / rotations do not describe a coherent map."""
 
 
-class NotGoodDrawing(Exception):
+class NotGoodDrawing(ValueError):
     """A coherent map whose drawing breaks a goodness condition.
 
     `violations` holds every violation; the message names the first.
@@ -172,6 +175,21 @@ class Drawing:
         if not 0 <= face < self.face_count:
             raise ValueError(f"face {face} out of range")
         return replace(self, reference_face=face)
+
+    def face_left_of(self, u: int, v: int) -> int:
+        """The face left of the first dart u->v."""
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"bad face dart ({u},{v})")
+        return self.out_left_face[u][v]
+
+    def face_dart(self, face: int) -> Tuple[int, int]:
+        """The least dart (u, v) whose left face is `face`, the pair that
+        names the face in files; a face no vertex touches has none."""
+        for u, row in enumerate(self.out_left_face):
+            for v, left in enumerate(row):
+                if left == face and u != v:
+                    return (u, v)
+        raise ValueError(f"face {face} touches no vertex; cannot serialize")
 
 
 # ---------------------------------------------------------------------------

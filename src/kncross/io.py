@@ -10,8 +10,10 @@ the rotation at the crossing reads (first edge forward, second edge
 forward, first edge backward, second edge backward) counterclockwise,
 "first" being the lexicographically smaller edge and "forward" its
 stored direction.  Reference faces and witness faces are named by a
-directed pair ``u v``: the face to the left of the first dart of that
-edge leaving u.
+directed pair ``u v``, read with `Drawing.face_left_of(u, v)` and
+written with `Drawing.face_dart`: the face to the left of the first dart
+of that edge leaving u.  A file that breaks its format is refused with
+a `ParseError`, a `ValueError` that names the line.
 
 Serialization is canonical (crossings renumbered by first appearance
 along lexicographic edges, rotations started at the smallest neighbor,
@@ -30,8 +32,9 @@ from __future__ import annotations
 import errno
 import os
 import re
+from bisect import bisect_right
 from fractions import Fraction
-from math import cos, pi, sin, sqrt
+from math import atan2, cos, hypot, pi, sin, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .drawing import (
@@ -42,7 +45,7 @@ from .drawing import (
     build_drawing,
     rotation_system,
 )
-from .geom import Point, proper_intersection
+from .geom import Point, circle_point, proper_intersection
 from .planarize import planarize_points
 from .generators import TwoPageSpec, gen_twopage, _side_crossing, _wrap_half
 from .shelling import BishellWitness, ShellWitness
@@ -51,14 +54,14 @@ MAGIC = "kncross v1"
 WITNESS_MAGIC = "kncross-witness v1"
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, line: int, reason: str):
         self.line = line
         self.reason = reason
         super().__init__(f"line {line}: {reason}")
 
 
-class NoGeometry(Exception):
+class NoGeometry(ValueError):
     """Operation needs coordinates the drawing does not carry."""
 
 
@@ -67,13 +70,20 @@ class NoGeometry(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _lines(data: Union[bytes, str]) -> List[Tuple[int, str]]:
+def _lines(data: Union[bytes, str], magic: str,
+           truncated: str) -> List[Tuple[int, str]]:
+    """The numbered non-blank lines of a file, comments stripped; the first
+    must be `magic`, and fewer than three lines are refused as `truncated`."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             out.append((no, line))
+    if not out or out[0][1] != magic:
+        raise ParseError(out[0][0] if out else 1, f"expected {magic!r}")
+    if len(out) < 3:
+        raise ParseError(1, truncated)
     return out
 
 
@@ -126,11 +136,7 @@ def _frac_str(value: Fraction) -> str:
 
 def parse(data: Union[bytes, str]) -> Drawing:
     """Parse any of the three drawing formats into a validated Drawing."""
-    lines = _lines(data)
-    if not lines or lines[0][1] != MAGIC:
-        raise ParseError(lines[0][0] if lines else 1, f"expected {MAGIC!r}")
-    if len(lines) < 3:
-        raise ParseError(1, "truncated header")
+    lines = _lines(data, MAGIC, "truncated header")
     no, fmt_line = lines[1]
     parts = fmt_line.split()
     if len(parts) != 2 or parts[0] != "format":
@@ -143,14 +149,11 @@ def parse(data: Union[bytes, str]) -> Drawing:
     n = _int(nparts[1], no)
     if n < 0:
         raise ParseError(no, f"negative vertex count {n}")
-    body = lines[3:]
-    if fmt == "points":
-        return _parse_points(n, body)
-    if fmt == "twopage":
-        return _parse_twopage(n, body)
-    if fmt == "map":
-        return _parse_map(n, body)
-    raise ParseError(no, f"unknown format {fmt!r}")
+    parse_body = {"points": _parse_points, "twopage": _parse_twopage,
+                  "map": _parse_map}.get(fmt)
+    if parse_body is None:
+        raise ParseError(no, f"unknown format {fmt!r}")
+    return parse_body(n, lines[3:])
 
 
 def _parse_points(n: int, body: List[Tuple[int, str]]) -> Drawing:
@@ -259,14 +262,6 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
 # ---------------------------------------------------------------------------
 
 
-def _face_pair(drawing: Drawing, face: int) -> Tuple[int, int]:
-    for u in range(drawing.n):
-        for v in range(drawing.n):
-            if u != v and drawing.out_left_face[u][v] == face:
-                return (u, v)
-    raise ValueError(f"face {face} touches no vertex; cannot serialize")
-
-
 def serialize(drawing: Drawing, fmt: str) -> bytes:
     """Canonical byte serialization in the requested format."""
     if fmt == "points":
@@ -302,7 +297,7 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
             out.append(f"e {u} {v} :" + (" " + ids if ids else ""))
         for old, new in sorted(renum.items(), key=lambda kv: kv[1]):
             out.append(f"x {new} : {drawing.orientation_bits[old]}")
-        ru, rv = _face_pair(drawing, drawing.reference_face)
+        ru, rv = drawing.face_dart(drawing.reference_face)
         out.append(f"ref {ru} {rv}")
         return ("\n".join(out) + "\n").encode()
 
@@ -317,11 +312,7 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
 def parse_witness(data: Union[bytes, str],
                   drawing: Drawing) -> Union[ShellWitness, BishellWitness]:
     """Parse a witness certificate; the face is resolved on `drawing`."""
-    lines = _lines(data)
-    if not lines or lines[0][1] != WITNESS_MAGIC:
-        raise ParseError(lines[0][0] if lines else 1, f"expected {WITNESS_MAGIC!r}")
-    if len(lines) < 3:
-        raise ParseError(1, "truncated witness")
+    lines = _lines(data, WITNESS_MAGIC, "truncated witness")
     no, kind = lines[1]
     if kind not in ("shell", "bishell"):
         raise ParseError(no, f"unknown witness kind {kind!r}")
@@ -330,9 +321,10 @@ def parse_witness(data: Union[bytes, str],
     if len(parts) != 3 or parts[0] != "face":
         raise ParseError(no, "expected 'face <u> <v>'")
     fu, fv = _int(parts[1], no), _int(parts[2], no)
-    if not (0 <= fu < drawing.n and 0 <= fv < drawing.n) or fu == fv:
-        raise ParseError(no, f"bad face dart ({fu},{fv})")
-    face = drawing.out_left_face[fu][fv]
+    try:
+        face = drawing.face_left_of(fu, fv)
+    except ValueError as exc:  # a bad dart, named at its line
+        raise ParseError(no, str(exc)) from None
 
     seqs: Dict[str, Tuple[int, ...]] = {}
     for no, line in lines[3:]:
@@ -363,15 +355,12 @@ def parse_witness(data: Union[bytes, str],
 
 def serialize_witness(drawing: Drawing,
                       witness: Union[ShellWitness, BishellWitness]) -> bytes:
-    fu, fv = _face_pair(drawing, witness.face)
-    out = [WITNESS_MAGIC]
-    if isinstance(witness, ShellWitness):
-        out.append("shell")
-        out.append(f"face {fu} {fv}")
+    fu, fv = drawing.face_dart(witness.face)
+    shell = isinstance(witness, ShellWitness)
+    out = [WITNESS_MAGIC, "shell" if shell else "bishell", f"face {fu} {fv}"]
+    if shell:
         out.append("v: " + " ".join(str(v) for v in witness.seq))
     else:
-        out.append("bishell")
-        out.append(f"face {fu} {fv}")
         out.append("a: " + " ".join(str(v) for v in witness.a_seq))
         out.append("b: " + " ".join(str(v) for v in witness.b_seq))
     return ("\n".join(out) + "\n").encode()
@@ -521,6 +510,8 @@ def _svg_twopage(drawing: Drawing, geom: TwoPageGeometry) -> str:
 def _svg_cylindrical(drawing: Drawing, geom: CylindricalGeometry) -> str:
     angles = geom.angles
     outer = set(geom.outer)
+    lid = [circle_point(u) for u in geom.lid_params]  # the map's lid points
+    lid_xy = [(float(p.x), float(p.y)) for p in lid]
 
     def at(vertex: int) -> _XY:
         r = 2.0 if vertex in outer else 1.0
@@ -531,10 +522,34 @@ def _svg_cylindrical(drawing: Drawing, geom: CylindricalGeometry) -> str:
         s = 4.0 / (p[0] * p[0] + p[1] * p[1])
         return (p[0] * s, p[1] * s)
 
-    def chord(u: int, v: int, t: float) -> _XY:
-        """The point at parameter t of the straight chord from u to v."""
-        (x0, y0), (x1, y1) = at(u), at(v)
-        return (x0 + (x1 - x0) * t, y0 + (y1 - y0) * t)
+    def lid_warp(circle: Sequence[int]):
+        """The angle map of one lid, in turns: piecewise linear, from each
+        vertex's lid point angle to its vertex angle (both run once around
+        counterclockwise)."""
+        lid_turns = [atan2(lid_xy[v][1], lid_xy[v][0]) / (2 * pi) for v in circle]
+        a0, b0 = lid_turns[0], float(angles[circle[0]])
+        xs = [(a - a0) % 1 for a in lid_turns] + [1.0]
+        ys = [(float(angles[v]) - b0) % 1 for v in circle] + [1.0]
+
+        def warp(turn: float) -> float:
+            x = (turn - a0) % 1
+            k = bisect_right(xs, x, 0, len(circle)) - 1
+            return b0 + ys[k] + (x - xs[k]) * (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+
+        return warp
+
+    warps = {}
+    for circle in (geom.outer, geom.inner):
+        if circle:  # a circle of a subdrawing may have kept no vertex
+            warps.update(dict.fromkeys(circle, lid_warp(circle)))
+
+    def on_lid(vertex: int, p: _XY) -> _XY:
+        """Point p of the unit disc of vertex's lid, in the picture: its angle
+        warped, its radius kept; the outer lid is scaled by 2 and inverted."""
+        ang = 2 * pi * warps[vertex](atan2(p[1], p[0]) / (2 * pi))
+        r = (2.0 if vertex in outer else 1.0) * hypot(*p)
+        q = (r * cos(ang), r * sin(ang))
+        return invert(q) if vertex in outer else q
 
     def spiral(u: int, v: int) -> Tuple[Fraction, Fraction]:
         """Side edge u-v as the angle of its outer end and its turn from
@@ -553,13 +568,10 @@ def _svg_cylindrical(drawing: Drawing, geom: CylindricalGeometry) -> str:
                     'fill="none" stroke="#ccc" stroke-width="0.8"') for r in (1.0, 2.0)]
     curves = []
     for (u, v) in drawing.edges:
-        # lid chords (the first two branches) run between the vertex angles,
-        # but the map orders a chord's crossings at `circle_point(lid_params)`:
-        # on a chord crossed twice or more they may come in another order
-        if u in outer and v in outer:
-            curves.append([to(invert(chord(u, v, k / 32))) for k in range(33)])
-        elif u not in outer and v not in outer:
-            curves.append([to(at(u)), to(at(v))])
+        if (u in outer) == (v in outer):  # a lid chord: the map's straight chord, warped
+            (x0, y0), (x1, y1) = lid_xy[u], lid_xy[v]
+            curves.append([to(on_lid(u, (x0 + (x1 - x0) * k / 32, y0 + (y1 - y0) * k / 32)))
+                           for k in range(33)])
         else:
             angle, turn = spiral(u, v)
             curves.append([to(side(angle, turn, k / 32)) for k in range(33)])
@@ -570,11 +582,7 @@ def _svg_cylindrical(drawing: Drawing, geom: CylindricalGeometry) -> str:
             (a1, turn1), (a2, turn2) = spiral(u1, v1), spiral(u2, v2)
             t = float(_side_crossing(a1 - a2, turn1 - turn2))
             marks.append(to(side(a1, turn1, t)))
-        else:  # two chords of one lid
-            (x1, y1), (x2, y2) = at(u1), at(v1)
-            (x3, y3), (x4, y4) = at(u2), at(v2)
-            t = (((x3 - x1) * (y4 - y3) - (y3 - y1) * (x4 - x3))
-                 / ((x2 - x1) * (y4 - y3) - (y2 - y1) * (x4 - x3)))
-            hit = chord(u1, v1, t)
-            marks.append(to(invert(hit) if u1 in outer else hit))
+        else:  # two chords of one lid, crossing where the map's chords cross
+            hit = proper_intersection(lid[u1], lid[v1], lid[u2], lid[v2])
+            marks.append(to(on_lid(u1, (float(hit.x), float(hit.y)))))
     return _picture(700, rims, curves, marks, [to(at(v)) for v in range(drawing.n)])

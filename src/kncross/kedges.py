@@ -50,11 +50,9 @@ def right_mask(drawing: Drawing, u: int, v: int) -> int:
     w is R exactly when the reference face lies on the same side of the
     triangle uvw as the face left of the first dart u->v.
     """
-    n = drawing.n
-    if u == v or not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"bad dart ({u},{v})")
     parity = drawing.face_parity
-    mask = parity[drawing.reference_face] ^ parity[drawing.out_left_face[u][v]]
+    mask = parity[drawing.reference_face] ^ parity[drawing.face_left_of(u, v)]
+    n = drawing.n
     ids = edge_ids(n)
     row_u, row_v = ids[u], ids[v]
     mask_uv = mask >> row_u[v]

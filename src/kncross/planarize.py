@@ -66,7 +66,7 @@ from .geom import Point, proper_intersection
 IntPoint = Tuple[int, int]
 
 
-class DegenerateInput(Exception):
+class DegenerateInput(ValueError):
     """Input violates general position; `kind` names the failure."""
 
     def __init__(self, kind: str, witness: tuple):

@@ -85,7 +85,7 @@ from .drawing import DeletionView, Drawing
 from .kedges import k_value
 
 
-class MalformedWitness(Exception):
+class MalformedWitness(ValueError):
     """Witness is structurally broken (duplicates, ranges, lengths)."""
 
 

@@ -319,6 +319,26 @@ def test_k4_census_crossed_equals_crossing_count(small_corpus):
         assert census.planar + census.crossed == comb(drawing.n, 4)
 
 
+def test_faces_named_by_darts(small_corpus):
+    # face_dart inverts face_left_of on every face a vertex touches, and
+    # names each such face by its least dart
+    for _name, n, drawing in small_corpus:
+        darts = [(u, v) for u in range(n) for v in range(n) if u != v]
+        touched = {drawing.face_left_of(u, v) for u, v in darts}
+        for face in range(drawing.face_count):
+            if face in touched:
+                assert drawing.face_left_of(*drawing.face_dart(face)) == face
+            else:
+                with pytest.raises(ValueError, match="touches no vertex"):
+                    drawing.face_dart(face)
+        for u, v in darts:
+            assert drawing.face_dart(drawing.face_left_of(u, v)) <= (u, v)
+    d = gen_convex(5)
+    for u, v in ((0, 0), (0, 5), (-1, 2)):
+        with pytest.raises(ValueError, match=rf"^bad face dart \({u},{v}\)$"):
+            d.face_left_of(u, v)
+
+
 # ---------------------------------------------------------------------------
 # the out-dart table and the O(crossings) census against their slow paths
 # ---------------------------------------------------------------------------

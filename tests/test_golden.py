@@ -81,11 +81,11 @@ def test_serialized_bytes_pinned(gen, args, fmt, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
-# the SVG of a drawing, recorded before the cylindrical rotations were
-# read off the vertex index order
+# the SVG of a drawing, re-recorded when the lid chords became the map's
+# own straight chords between its lid points, warped to the vertex angles
 SVG_GOLDEN = {
-    12: "8f52fbfcf5382fb213648ee6cfdfb97e3abfb9c9d5b04a0fcdc6d2863d230d73",
-    16: "c210a2208928f51856762993a72871572d18fba2e5b4e1b0ad7d2472cbf0ad6f",
+    12: "93b6420f9c4b74b4f9a4c4c5ba4bb84f5528fe538faa79db9a59cd9eabcf8e64",
+    16: "fcda511b5d3fff5a694233628c657dad2f170797da3a5b682c6da1d9b6b2a10d",
 }
 
 
@@ -95,22 +95,43 @@ def test_cylindrical_svg_pinned(n):
     assert hashlib.sha256(svg).hexdigest() == SVG_GOLDEN[n]
 
 
-# one sha256 over the SVG of 184 drawings of every family with a picture,
-# recorded before the three renderers shared one SVG writer
-SVG_CORPUS_DIGEST = "436135254daeff6eefc799241881ef244829b634fb59b56e74c5b15b12782020"
+def _svg_corpus(cylindrical):
+    """The 184 drawings of every family with a picture, or the 170 without
+    the cylindrical ones."""
+    return ([gen_convex(n) for n in range(3, 15)]
+            + ([gen_cylindrical(n) for n in range(3, 17)] if cylindrical else [])
+            + [gen_random_points(n, seed) for n in range(3, 13) for seed in (1, 2, 3)]
+            + [gen_twopage(shuffled_twopage_spec(seed)) for seed in range(120)]
+            + [gen_twopage(twopage_all_top(n)) for n in range(3, 11)])
 
 
-def test_svg_corpus_pinned():
-    drawings = ([gen_convex(n) for n in range(3, 15)]
-                + [gen_cylindrical(n) for n in range(3, 17)]
-                + [gen_random_points(n, seed) for n in range(3, 13) for seed in (1, 2, 3)]
-                + [gen_twopage(shuffled_twopage_spec(seed)) for seed in range(120)]
-                + [gen_twopage(twopage_all_top(n)) for n in range(3, 11)])
-    assert len(drawings) == 184
+def _corpus_digest(drawings):
     digest = hashlib.sha256()
     for d in drawings:
         digest.update(svg_document(d).encode("utf-8"))
-    assert digest.hexdigest() == SVG_CORPUS_DIGEST
+    return digest.hexdigest()
+
+
+# one sha256 over the SVG of the 184 drawings, re-recorded with the
+# cylindrical lid chords above
+SVG_CORPUS_DIGEST = "1c171af95c4692f78046ae6447c0f38df16fc72508b054cf3303974b17d52b38"
+
+
+def test_svg_corpus_pinned():
+    drawings = _svg_corpus(cylindrical=True)
+    assert len(drawings) == 184
+    assert _corpus_digest(drawings) == SVG_CORPUS_DIGEST
+
+
+# one sha256 over the SVG of the 170 convex, random and two-page drawings,
+# recorded before the cylindrical lid chords were redrawn
+SVG_NONCYLINDRICAL_DIGEST = "63810de07016b20b5ed820ccb1000f240165759b530b8d2364fe1c0baa637169"
+
+
+def test_noncylindrical_svg_corpus_pinned():
+    drawings = _svg_corpus(cylindrical=False)
+    assert len(drawings) == 170
+    assert _corpus_digest(drawings) == SVG_NONCYLINDRICAL_DIGEST
 
 
 def test_hunt_output_pinned(capsys):

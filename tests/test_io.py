@@ -1,8 +1,10 @@
 import contextlib
 import io
+import re
 import time
 from datetime import timedelta
 from fractions import Fraction
+from math import hypot
 from unittest import mock
 
 import pytest
@@ -19,7 +21,8 @@ from kncross.drawing import (
     TwoPageGeometry,
     rotation_system,
 )
-from kncross.generators import gen_convex, gen_cylindrical, gen_random_points, gen_twopage, twopage_all_top
+from kncross.generators import (gen_convex, gen_cylindrical, gen_random_points, gen_twopage,
+                                regenerate_subdrawing, twopage_all_top)
 from kncross.io import (
     NoGeometry,
     ParseError,
@@ -28,6 +31,7 @@ from kncross.io import (
     parse_witness,
     serialize,
     serialize_witness,
+    svg_document,
 )
 from kncross.kedges import k_edge_vector
 from kncross.shelling import (
@@ -383,6 +387,16 @@ def test_witness_parse_errors():
         parse_witness("kncross v1\nshell\nface 0 1\nv: 1\n", d)
 
 
+def test_face_without_a_dart_refused():
+    # face 4 of the convex K_5 is the central pentagon: no vertex touches
+    # it, so no dart names it in a map or a witness file
+    d = gen_convex(5)
+    with pytest.raises(ValueError, match=r"^face 4 touches no vertex; cannot serialize$"):
+        serialize(d.with_reference(4), "map")
+    with pytest.raises(ValueError, match=r"^face 4 touches no vertex; cannot serialize$"):
+        serialize_witness(d, ShellWitness(face=4, seq=(0, 1, 2)))
+
+
 def test_svg_export(tmp_path):
     targets = [
         (gen_convex(5), "convex.svg"),
@@ -398,6 +412,50 @@ def test_svg_export(tmp_path):
         assert body.count("<circle") >= drawing.n
     cylinder = (tmp_path / "cylinder.svg").read_text()
     assert cylinder.count('stroke="#ccc"') >= 2   # the two guide circles
+
+
+def _drawn_position(curve, mark):
+    """Arc length along the polyline `curve` of its point nearest `mark`."""
+    best, position, run = None, 0.0, 0.0
+    for (x0, y0), (x1, y1) in zip(curve, curve[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        length = hypot(dx, dy)
+        t = 0.0 if length == 0 else ((mark[0] - x0) * dx + (mark[1] - y0) * dy) / length ** 2
+        t = min(1.0, max(0.0, t))
+        distance = hypot(x0 + t * dx - mark[0], y0 + t * dy - mark[1])
+        if best is None or distance < best:
+            best, position = distance, run + t * length
+        run += length
+    return position
+
+
+# cylindrical drawings by (n, deleted vertices): K_9..K_16, a subdrawing
+# of K_16, and the two subdrawings of K_9 that keep one circle only
+LID_DRAWINGS = ([(n, ()) for n in range(9, 17)]
+                + [(16, (2, 11)), (9, (5, 6, 7, 8)), (9, (0, 1, 2, 3, 4))])
+
+
+@pytest.mark.parametrize("n, deleted", LID_DRAWINGS,
+                         ids=[f"K{n}-{'-'.join(map(str, gone))}" if gone else f"K{n}"
+                              for n, gone in LID_DRAWINGS])
+def test_cylindrical_lid_marks_in_edge_path_order(n, deleted):
+    # the picture draws the map: along every drawn lid chord the red marks
+    # come in the order of the chord's crossings in the map
+    drawing = gen_cylindrical(n)
+    if deleted:
+        drawing, _ = regenerate_subdrawing(drawing, set(range(n)) - set(deleted))
+    svg = svg_document(drawing)
+    curves = [[tuple(map(float, xy.split(","))) for xy in points.split()]
+              for points in re.findall(r'<polyline points="([^"]*)"', svg)]
+    red = r'<circle cx="([^"]*)" cy="([^"]*)" r="[^"]*" fill="#c22"'
+    marks = [(float(x), float(y)) for x, y in re.findall(red, svg)]
+    assert (len(curves), len(marks)) == (len(drawing.edges), drawing.crossings)
+    outer = set(drawing.geometry.outer)
+    for e, (u, v) in enumerate(drawing.edges):
+        if (u in outer) == (v in outer):
+            path = drawing.edge_paths[e]
+            drawn = sorted(path, key=lambda k: _drawn_position(curves[e], marks[k]))
+            assert tuple(drawn) == path, (u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,8 @@ def test_k_value_over_alive_mask_matches_view_oracle(small_corpus):
 
 def test_side_oracle_refuses_bad_vertices():
     d = gen_convex(5)
+    with pytest.raises(ValueError, match=r"^bad face dart \(0,0\)$"):
+        right_mask(d, 0, 0)
     for u, v in ((0, 0), (0, 5), (-1, 2)):
         with pytest.raises(ValueError):
             right_mask(d, u, v)

@@ -37,3 +37,12 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(kncross, name), f"kncross.__all__ names missing {name}"
+
+
+def test_refusals_are_value_errors():
+    # bad input of any kind is caught by `except ValueError`; only the
+    # internal error of a refused search witness is not a refusal
+    classes = [getattr(kncross, name) for name in kncross.__all__]
+    errors = [c for c in classes if isinstance(c, type) and issubclass(c, Exception)]
+    assert len(errors) == 9
+    assert [c.__name__ for c in errors if not issubclass(c, ValueError)] == ["WitnessInvalid"]
