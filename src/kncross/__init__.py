@@ -8,15 +8,10 @@ bishellability with machine-checkable witnesses.
 
 from .geom import Point, circle_point, orient, point, proper_intersection
 from .drawing import (
-    BadCrossingDegree,
     DeletionView,
     Drawing,
-    EdgePathInconsistent,
-    EulerViolation,
-    K4Census,
     NotGoodDrawing,
     build_drawing,
-    k4_census,
     rotation_key,
     rotation_system,
 )
@@ -37,7 +32,6 @@ from .kedges import (
 from .shelling import (
     BishellWitness,
     InvariantEdgeReport,
-    MalformedWitness,
     ShellWitness,
     WitnessInvalid,
     check_bishellable,
@@ -53,20 +47,18 @@ from .shelling import (
     verify_shell_witness,
 )
 from .generators import gen_convex, gen_cylindrical, gen_random_points, gen_twopage, TwoPageSpec
-from .io import NoGeometry, ParseError, export_svg, parse, parse_witness, serialize, serialize_witness
+from .io import ParseError, export_svg, parse, parse_witness, serialize, serialize_witness
 
 __all__ = [
-    "BadCrossingDegree", "BishellWitness", "CumulativeSums", "DegenerateInput",
-    "DeletionView", "Drawing", "EdgePathInconsistent", "EulerViolation",
-    "InvariantEdgeReport", "K4Census", "KEdgeVector", "MalformedWitness",
-    "NoGeometry", "NotGoodDrawing", "ParseError", "Point", "ShellWitness",
-    "TwoPageSpec", "WitnessInvalid", "build_drawing", "check_bishellable",
-    "check_s_shellable", "circle_point",
+    "BishellWitness", "CumulativeSums", "DegenerateInput", "DeletionView",
+    "Drawing", "InvariantEdgeReport", "KEdgeVector", "NotGoodDrawing",
+    "ParseError", "Point", "ShellWitness", "TwoPageSpec", "WitnessInvalid",
+    "build_drawing", "check_bishellable", "check_s_shellable", "circle_point",
     "crossings_from_cumulative", "crossings_from_k_edges", "cumulative_sums",
     "double_cumulative_bound_holds", "export_svg",
     "first_shell_witness", "gen_convex",
     "gen_cylindrical", "gen_random_points", "gen_twopage", "hill_number",
-    "invariant_edge_report", "is_bishellable", "is_shellable", "k4_census",
+    "invariant_edge_report", "is_bishellable", "is_shellable",
     "k_edge_vector", "k_value", "orient", "parse", "parse_witness",
     "planarize_points", "point", "proper_intersection",
     "right_mask", "rotation_key", "rotation_system", "serialize",

@@ -25,16 +25,17 @@ edge has a path, every crossing id is in range and met by two distinct
 edge passes, every vertex rotation is a permutation of the other
 vertices, every orientation bit is '+' or '-', V - E + F = 2, and the
 drawing is good; no other code checks goodness.  Each refusal is a
-`ValueError`, as is every refusal of input in the package.  The checks
-make succ a permutation, so every face walk closes, and the map of K_n
-is connected, so its dual is too.
+`ValueError`, as is every refusal of input in the package; only a map
+that is not good gets its own class, `NotGoodDrawing`, which lists the
+violations.  The checks make succ a permutation, so every face walk
+closes, and the map of K_n is connected, so its dual is too.
 
 succ, the face walks and the per-dart tables live only during
 construction.  A Drawing keeps what the rest of the package reads: the
 edges, their crossing paths and the crossing pairs, the dart and face
 counts, the faces on both sides of every segment's darts (`seg_faces`),
 the face left of every out-dart (`out_left_face`), the parity masks
-below and the reference face.  Edge ids come from `edge_ids(n)`.  Other
+below and the reference face.  Edge uv has id `edge_ids(n)[u][v]`.  Other
 modules name a face by a dart, through `face_left_of(u, v)` and its
 inverse `face_dart(face)`, the least dart with `face` on its left.
 
@@ -43,9 +44,6 @@ Crossing a segment of edge e from one face into the next flips bit e of
 The masks depend on the walk (a loop around a vertex flips the bits of
 all its edges), but the parity summed over the edges of a cycle of K_n
 does not; the side-of oracle `kedges.right_mask` reads it off.
-
-The K4 census reads the crossing count: each crossing lies in exactly one
-K4, and a good K4 has at most one crossing.
 
 Deletion of real vertices never rebuilds the map.  A DeletionView is
 one table per deleted-vertex bitmask: a union-find over the base faces
@@ -65,22 +63,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .geom import Point
-
-
-class EulerViolation(ValueError):
-    """Face count inconsistent with a sphere embedding."""
-
-
-class BadCrossingDegree(ValueError):
-    """A crossing node is not met by exactly two edge passes."""
-
-
-class EdgePathInconsistent(ValueError):
-    """Edge paths / rotations do not describe a coherent map."""
 
 
 class NotGoodDrawing(ValueError):
@@ -133,12 +118,6 @@ Geometry = object  # one of the provenance classes above, or None
 
 
 @dataclass(frozen=True)
-class K4Census:
-    planar: int
-    crossed: int
-
-
-@dataclass(frozen=True)
 class GoodnessViolation:
     kind: str                      # "adjacent_cross" | "double_cross"
     edges: Tuple[Tuple[int, int], ...]
@@ -165,11 +144,6 @@ class Drawing:
     @property
     def crossings(self) -> int:
         return len(self.crossing_edges)
-
-    def edge_id(self, u: int, v: int) -> int:
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"bad edge ({u},{v})")
-        return edge_ids(self.n)[u][v]
 
     def with_reference(self, face: int) -> "Drawing":
         if not 0 <= face < self.face_count:
@@ -223,9 +197,9 @@ def build_drawing(
     edge backward, second edge backward) counterclockwise, where "first"
     is the lexicographically smaller edge.  `reference` is a directed
     pair (u, v): the reference face is to the left of the first dart of
-    that edge leaving u.  Construction fails on any inconsistency rather
-    than producing a broken map, and raises NotGoodDrawing on a
-    coherent map whose drawing is not good.
+    that edge leaving u.  Construction raises ValueError on any
+    inconsistency rather than producing a broken map, and NotGoodDrawing
+    on a coherent map whose drawing is not good.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -238,10 +212,10 @@ def build_drawing(
     paths: List[Tuple[int, ...]] = []
     for (u, v) in edges:
         if (u, v) not in edge_paths:
-            raise EdgePathInconsistent(f"missing path for edge ({u},{v})")
+            raise ValueError(f"missing path for edge ({u},{v})")
         paths.append(tuple(edge_paths[(u, v)]))
     if len(edge_paths) != len(edges):
-        raise EdgePathInconsistent("unexpected extra edge paths")
+        raise ValueError("unexpected extra edge paths")
 
     # One pass over the paths lays out the darts, per edge (forward,
     # backward) per segment, and records the edge of every dart and the
@@ -264,10 +238,9 @@ def build_drawing(
             if not 0 <= k < c or second[k] >= 0 or first[k] >= base:
                 # out of range, a third pass, or a second pass of this edge
                 if len(set(path)) != len(path):
-                    raise EdgePathInconsistent(
-                        f"edge {edges[eid]} visits a crossing twice")
+                    raise ValueError(f"edge {edges[eid]} visits a crossing twice")
                 if not 0 <= k < c:
-                    raise EdgePathInconsistent(f"crossing id {k} out of range")
+                    raise ValueError(f"crossing id {k} out of range")
                 crowded[k] = crowded.get(k, 2) + 1
             elif first[k] < 0:
                 first[k] = d
@@ -282,14 +255,14 @@ def build_drawing(
         for k in range(c):
             passes = crowded.get(k, 2) if second[k] >= 0 else int(first[k] >= 0)
             if passes != 2:
-                raise BadCrossingDegree(
+                raise ValueError(
                     f"crossing {k} met by {passes} edge passes, expected 2")
 
     if len(vertex_rotations) != n:
         raise ValueError("need one rotation per vertex")
     for u, rot in enumerate(vertex_rotations):
         if sorted(rot) != [w for w in range(n) if w != u]:
-            raise EdgePathInconsistent(
+            raise ValueError(
                 f"rotation at {u} is not a permutation of the other vertices")
 
     # The face walk successor succ[d] = rot_next[d ^ 1], rot_next[d] being
@@ -349,8 +322,7 @@ def build_drawing(
     nodes = n + c
     nedges = len(edges) + 2 * c
     if nodes - nedges + face_count != 2:
-        raise EulerViolation(
-            f"V-E+F = {nodes}-{nedges}+{face_count} != 2")
+        raise ValueError(f"V-E+F = {nodes}-{nedges}+{face_count} != 2")
 
     ru, rv = reference
     if ru == rv or not (0 <= ru < n and 0 <= rv < n):
@@ -624,20 +596,3 @@ def rotation_key(system: RotationSystem) -> RotationSystem:
                 best = candidate
     return tuple(best)
 
-
-# ---------------------------------------------------------------------------
-# K4 census
-# ---------------------------------------------------------------------------
-
-
-def k4_census(drawing: Drawing) -> K4Census:
-    """Count planar vs crossed K4 subdrawings.
-
-    A K4 is crossed when two of its edges cross.  Those two edges are
-    disjoint, since construction refuses adjacent crossings, so each
-    crossing lies in exactly one K4, the one on its four endpoints; and a
-    good drawing of K4 has at most one crossing.  So the crossed count is
-    the crossing count.
-    """
-    crossed = drawing.crossings
-    return K4Census(planar=comb(drawing.n, 4) - crossed, crossed=crossed)

@@ -61,10 +61,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {reason}")
 
 
-class NoGeometry(ValueError):
-    """Operation needs coordinates the drawing does not carry."""
-
-
 # ---------------------------------------------------------------------------
 # low-level line handling
 # ---------------------------------------------------------------------------
@@ -137,10 +133,10 @@ def _frac_str(value: Fraction) -> str:
 def parse(data: Union[bytes, str]) -> Drawing:
     """Parse any of the three drawing formats into a validated Drawing."""
     lines = _lines(data, MAGIC, "truncated header")
-    no, fmt_line = lines[1]
+    fmt_no, fmt_line = lines[1]
     parts = fmt_line.split()
     if len(parts) != 2 or parts[0] != "format":
-        raise ParseError(no, "expected 'format points|twopage|map'")
+        raise ParseError(fmt_no, "expected 'format points|twopage|map'")
     fmt = parts[1]
     no, n_line = lines[2]
     nparts = n_line.split()
@@ -152,7 +148,7 @@ def parse(data: Union[bytes, str]) -> Drawing:
     parse_body = {"points": _parse_points, "twopage": _parse_twopage,
                   "map": _parse_map}.get(fmt)
     if parse_body is None:
-        raise ParseError(no, f"unknown format {fmt!r}")
+        raise ParseError(fmt_no, f"unknown format {fmt!r}")
     return parse_body(n, lines[3:])
 
 
@@ -267,7 +263,7 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
     if fmt == "points":
         geom = drawing.geometry
         if not isinstance(geom, PointsGeometry):
-            raise NoGeometry("drawing has no point coordinates")
+            raise ValueError("drawing has no point coordinates")
         out = [MAGIC, "format points", f"n {drawing.n}"]
         for i, p in enumerate(geom.points):
             out.append(f"v {i} {_frac_str(p.x)} {_frac_str(p.y)}")
@@ -276,7 +272,7 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
     if fmt == "twopage":
         geom = drawing.geometry
         if not isinstance(geom, TwoPageGeometry):
-            raise NoGeometry("drawing has no 2-page structure")
+            raise ValueError("drawing has no 2-page structure")
         out = [MAGIC, "format twopage", f"n {drawing.n}"]
         out.append("order " + " ".join(str(v) for v in geom.order))
         for (u, v), page in geom.pages:
@@ -431,7 +427,7 @@ def svg_document(drawing: Drawing) -> str:
         return _svg_twopage(drawing, geom)
     if isinstance(geom, CylindricalGeometry):
         return _svg_cylindrical(drawing, geom)
-    raise NoGeometry("map-format drawings carry no coordinates")
+    raise ValueError("map-format drawings carry no coordinates")
 
 
 def export_svg(drawing: Drawing, path: str) -> None:

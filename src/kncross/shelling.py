@@ -73,6 +73,22 @@ refusals are those of trying every vertex against every pair.  The
 verifier still checks every pair.  `kncross check` re-verifies every
 witness with the verifier before it prints or writes it, and exits 3
 instead when the verifier refuses it.
+
+A triangle flip changes no answer at a face a vertex touches.  At a
+face bounded by three crossing segments, a flip moves one of the three
+edges across the crossing of the other two: the triangle's two
+crossings trade places on each of the three paths, and each crossing
+keeps its orientation.  Outside a small disk around the triangle
+nothing changes, and inside it each of the six regions around the
+triangle keeps its arc of the disk's boundary, so every face but the
+triangle keeps its identity and its vertex corners.  The same holds
+once any set X of vertices is deleted: if the three edges survive, the
+flip happens in D - X too, and otherwise it is only an isotopy there.
+So every incidence of every deletion view is unchanged, and with it
+every shell and bishell answer and the k-edge vector at each face a
+vertex touches.  Flips connect all good drawings of K_n with the same
+rotation system (Gioan), so these answers depend only on the rotation
+system, and keeping one drawing per `rotation_key` loses none of them.
 """
 
 from __future__ import annotations
@@ -85,12 +101,9 @@ from .drawing import DeletionView, Drawing
 from .kedges import k_value
 
 
-class MalformedWitness(ValueError):
-    """Witness is structurally broken (duplicates, ranges, lengths)."""
-
-
 class WitnessInvalid(Exception):
-    """Witness fails verification where a verified one is required."""
+    """A search produced a witness the verifier refuses: an internal
+    error, not a refusal of input, so not a ValueError."""
 
 
 @dataclass(frozen=True)
@@ -168,7 +181,7 @@ def _incident_mask(drawing: Drawing, deleted: int, face: int, memo: Memo) -> int
 
 def _check_witness_face(drawing: Drawing, face: int) -> None:
     if not 0 <= face < drawing.face_count:
-        raise MalformedWitness(f"face {face} out of range")
+        raise ValueError(f"face {face} out of range")
 
 
 def _search_faces(drawing: Drawing, face: Optional[int]) -> Sequence[int]:
@@ -181,10 +194,10 @@ def _search_faces(drawing: Drawing, face: Optional[int]) -> Sequence[int]:
 
 def _check_seq(drawing: Drawing, seq: Sequence[int], what: str) -> None:
     if len(set(seq)) != len(seq):
-        raise MalformedWitness(f"duplicate vertex in {what}")
+        raise ValueError(f"duplicate vertex in {what}")
     for v in seq:
         if not 0 <= v < drawing.n:
-            raise MalformedWitness(f"vertex {v} out of range in {what}")
+            raise ValueError(f"vertex {v} out of range in {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +211,7 @@ def shell_witness_violation(drawing: Drawing, witness: ShellWitness,
     seq = witness.seq
     s = len(seq)
     if not 1 <= s <= drawing.n:
-        raise MalformedWitness(f"sequence length {s} out of range")
+        raise ValueError(f"sequence length {s} out of range")
     _check_seq(drawing, seq, "v-sequence")
     _check_witness_face(drawing, witness.face)
     if memo is None:
@@ -222,7 +235,7 @@ def bishell_witness_violation(drawing: Drawing, witness: BishellWitness,
     """First violated condition (1)/(2)/(3), or None when it verifies."""
     a, b = witness.a_seq, witness.b_seq
     if len(a) != len(b) or not a:
-        raise MalformedWitness("a- and b-sequences must have equal length >= 1")
+        raise ValueError("a- and b-sequences must have equal length >= 1")
     _check_seq(drawing, a, "a-sequence")
     _check_seq(drawing, b, "b-sequence")
     _check_witness_face(drawing, witness.face)
@@ -258,7 +271,7 @@ def shell_to_bishell(witness: ShellWitness) -> BishellWitness:
     seq = witness.seq
     s = len(seq)
     if s < 2:
-        raise WitnessInvalid("need a shell witness of length >= 2")
+        raise ValueError("need a shell witness of length >= 2")
     a = seq[:s - 1]
     b = tuple(seq[s - 1 - i] for i in range(s - 1))
     return BishellWitness(face=witness.face, a_seq=a, b_seq=b)
@@ -267,7 +280,7 @@ def shell_to_bishell(witness: ShellWitness) -> BishellWitness:
 def truncate_bishell(witness: BishellWitness) -> BishellWitness:
     """Drop a_s and b_s, reducing the order by one."""
     if witness.order < 1:
-        raise WitnessInvalid("cannot truncate an order-0 witness")
+        raise ValueError("cannot truncate an order-0 witness")
     return BishellWitness(face=witness.face,
                           a_seq=witness.a_seq[:-1],
                           b_seq=witness.b_seq[:-1])
@@ -511,7 +524,7 @@ def invariant_edge_report(drawing: Drawing,
     whose j-value is the same in D_i and D_i - a_0.
     """
     if not verify_bishell_witness(drawing, witness):
-        raise WitnessInvalid("witness does not verify")
+        raise ValueError("witness does not verify")
     ref = (drawing if drawing.reference_face == witness.face
            else drawing.with_reference(witness.face))
     k = witness.order

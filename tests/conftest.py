@@ -14,14 +14,10 @@ from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence
 import pytest
 
 from kncross.drawing import (
-    BadCrossingDegree,
     DeletionView,
     Drawing,
-    EdgePathInconsistent,
-    EulerViolation,
     Geometry,
     GoodnessViolation,
-    K4Census,
     NotGoodDrawing,
     build_drawing,
     edge_ids,
@@ -190,8 +186,8 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
     class_to_face = {}
     faces_seen = set()
     for u, v in itertools.combinations(sorted(survivors), 2):
-        old_eid = drawing.edge_id(u, v)
-        new_eid = sub.edge_id(relabel[u], relabel[v])
+        old_eid = edge_ids(drawing.n)[u][v]
+        new_eid = edge_ids(sub.n)[relabel[u]][relabel[v]]
         old_path = drawing.edge_paths[old_eid]
         new_path = sub.edge_paths[new_eid]
         surviving = [k for k in old_path if _crossing_alive(drawing, k, survivors)]
@@ -311,31 +307,31 @@ def reference_build_drawing(
     paths: List[Tuple[int, ...]] = []
     for (u, v) in edges:
         if (u, v) not in edge_paths:
-            raise EdgePathInconsistent(f"missing path for edge ({u},{v})")
+            raise ValueError(f"missing path for edge ({u},{v})")
         paths.append(tuple(edge_paths[(u, v)]))
     if len(edge_paths) != len(edges):
-        raise EdgePathInconsistent("unexpected extra edge paths")
+        raise ValueError("unexpected extra edge paths")
 
     # each crossing must be an interior point of exactly two edges
     usage: List[List[Tuple[int, int]]] = [[] for _ in range(c)]
     for eid, path in enumerate(paths):
         if len(set(path)) != len(path):
-            raise EdgePathInconsistent(
+            raise ValueError(
                 f"edge {edges[eid]} visits a crossing twice")
         for pos, k in enumerate(path):
             if not 0 <= k < c:
-                raise EdgePathInconsistent(f"crossing id {k} out of range")
+                raise ValueError(f"crossing id {k} out of range")
             usage[k].append((eid, pos))
     for k, us in enumerate(usage):
         if len(us) != 2:
-            raise BadCrossingDegree(
+            raise ValueError(
                 f"crossing {k} met by {len(us)} edge passes, expected 2")
 
     if len(vertex_rotations) != n:
         raise ValueError("need one rotation per vertex")
     for u, rot in enumerate(vertex_rotations):
         if sorted(rot) != [w for w in range(n) if w != u]:
-            raise EdgePathInconsistent(
+            raise ValueError(
                 f"rotation at {u} is not a permutation of the other vertices")
 
     # dart layout: per edge, (forward, backward) per segment
@@ -359,7 +355,7 @@ def reference_build_drawing(
 
     def set_next(d: int, e: int) -> None:
         if rot_next[d] != -1:
-            raise EdgePathInconsistent("rotation assigns a dart twice")
+            raise ValueError("rotation assigns a dart twice")
         rot_next[d] = e
 
     for u, rot in enumerate(vertex_rotations):
@@ -381,7 +377,7 @@ def reference_build_drawing(
             set_next(d, cycle[(i + 1) % 4])
 
     if -1 in rot_next:
-        raise EdgePathInconsistent("some dart never appears in a rotation")
+        raise ValueError("some dart never appears in a rotation")
 
     # faces: orbits of succ(d) = rot_next(twin(d)), twin(d) = d ^ 1.
     # With counterclockwise rotations such an orbit walks the face lying to
@@ -400,14 +396,14 @@ def reference_build_drawing(
             walk.append(d)
             d = rot_next[d ^ 1]
         if d != d0:
-            raise EdgePathInconsistent("face walk does not close")
+            raise ValueError("face walk does not close")
         face_darts.append(tuple(walk))
     dart_face = [orbit[d ^ 1] for d in range(total)]
 
     nodes = n + c
     nedges = len(edges) + 2 * c
     if nodes - nedges + len(face_darts) != 2:
-        raise EulerViolation(
+        raise ValueError(
             f"V-E+F = {nodes}-{nedges}+{len(face_darts)} != 2")
 
     ru, rv = reference
@@ -443,7 +439,7 @@ def reference_build_drawing(
                 parity[g] = parity[f] ^ (1 << dart_edge[d])
                 stack.append(g)
     if None in parity:
-        raise EdgePathInconsistent("some face is not reachable from face 0")
+        raise ValueError("some face is not reachable from face 0")
 
     drawing = Drawing(
         n=n,
@@ -483,6 +479,18 @@ def goodness_violations(drawing: Drawing) -> Tuple[GoodnessViolation, ...]:
     return tuple(found)
 
 
+# build_drawing's refusals of an incoherent map, by message
+MAP_REFUSALS = {
+    "euler": r"^V-E\+F = \d+-\d+\+\d+ != 2$",
+    "crossing degree": r"^crossing \d+ met by \d+ edge passes, expected 2$",
+    "path/rotation": (r"^(missing path for edge \(\d+,\d+\)"
+                      r"|unexpected extra edge paths"
+                      r"|edge \(\d+, \d+\) visits a crossing twice"
+                      r"|crossing id -?\d+ out of range"
+                      r"|rotation at \d+ is not a permutation of the other vertices)$"),
+}
+
+
 def build_outcome(build, *args):
     """Every field of the built Drawing, or the refusal's class, message
     and goodness violations."""
@@ -493,18 +501,65 @@ def build_outcome(build, *args):
     return tuple((f.name, getattr(drawing, f.name)) for f in fields(drawing))
 
 
-def loop_k4_census(drawing: Drawing) -> K4Census:
-    """K4 census by a loop over all C(n,4) vertex sets: the slow path of
-    `k4_census`."""
+def loop_k4_census(drawing: Drawing) -> Tuple[int, int]:
+    """The (planar, crossed) K4 counts by a loop over all C(n,4) vertex
+    sets, a K4 being crossed when two of its edges cross: the slow path
+    of the census `kncross analyze` reads off the crossing count."""
     crossing_pairs = {frozenset(pair) for pair in drawing.crossing_edges}
-    eid = drawing.edge_id
+    eid = edge_ids(drawing.n)
     crossed = 0
     for a, b, c, d in itertools.combinations(range(drawing.n), 4):
-        if (frozenset((eid(a, b), eid(c, d))) in crossing_pairs
-                or frozenset((eid(a, c), eid(b, d))) in crossing_pairs
-                or frozenset((eid(a, d), eid(b, c))) in crossing_pairs):
+        if (frozenset((eid[a][b], eid[c][d])) in crossing_pairs
+                or frozenset((eid[a][c], eid[b][d])) in crossing_pairs
+                or frozenset((eid[a][d], eid[b][c])) in crossing_pairs):
             crossed += 1
-    return K4Census(planar=comb(drawing.n, 4) - crossed, crossed=crossed)
+    return comb(drawing.n, 4) - crossed, crossed
+
+
+# ---------------------------------------------------------------------------
+# triangle flips
+# ---------------------------------------------------------------------------
+
+
+def crossing_triangles(drawing: Drawing) -> List[FrozenSet[int]]:
+    """The crossings around each face bounded by three crossing segments,
+    in face order.  A face walk turns at every crossing onto the other
+    edge, so the three sides lie on three edges that cross pairwise at
+    the corners."""
+    sides: Dict[int, List[Tuple[int, int]]] = {}
+    for eid, segs in enumerate(drawing.seg_faces):
+        for seg, pair in enumerate(segs):
+            for face in pair:
+                sides.setdefault(face, []).append((eid, seg))
+    triangles = []
+    for face in sorted(sides):
+        found = sides[face]
+        if len(found) == 3 and all(0 < seg < len(drawing.edge_paths[eid])
+                                   for eid, seg in found):
+            triangles.append(frozenset(
+                k for eid, seg in found for k in drawing.edge_paths[eid][seg - 1:seg + 1]))
+    return triangles
+
+
+def flip_triangle(drawing: Drawing, triangle: FrozenSet[int]) -> Drawing:
+    """Move one side of the triangle bounded by the crossings `triangle`
+    across the crossing of the other two (a Reidemeister III move): on
+    each of the three paths the triangle's two crossings are adjacent and
+    trade places, and every orientation bit stays.  `build_drawing`
+    rebuilds the map without geometry; the same crossings bound a face of
+    the result, so flipping them again restores the map."""
+    paths = {}
+    for edge, path in zip(drawing.edges, drawing.edge_paths):
+        spots = [i for i, k in enumerate(path) if k in triangle]
+        path = list(path)
+        if spots:
+            i, j = spots
+            assert j == i + 1, "a side of the triangle is not one segment"
+            path[i], path[j] = path[j], path[i]
+        paths[edge] = path
+    return build_drawing(drawing.n, paths, drawing.orientation_bits,
+                         drawing.vertex_rotations,
+                         drawing.face_dart(drawing.reference_face))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,20 @@
 import itertools
+import json
 import random
+import re
 from dataclasses import fields
 from math import comb
 from types import SimpleNamespace
 
 import pytest
 
+from kncross import cli
 from kncross.drawing import (
-    BadCrossingDegree,
     DeletionView,
     Drawing,
-    EdgePathInconsistent,
-    EulerViolation,
     NotGoodDrawing,
     _goodness_violations,
     build_drawing,
-    k4_census,
     rotation_key,
     rotation_system,
 )
@@ -27,10 +26,12 @@ from kncross.generators import (
     gen_twopage,
     twopage_all_top,
 )
+from kncross.io import serialize
 from kncross.planarize import planarize_points
 from kncross.geom import Point, circle_point
 
 from conftest import (
+    MAP_REFUSALS,
     build_outcome,
     candidate_map_weak_iso,
     goodness_violations,
@@ -114,17 +115,17 @@ MALFORMED = {
 
 
 def test_euler_violation_detected():
-    with pytest.raises(EulerViolation):
+    with pytest.raises(ValueError, match=MAP_REFUSALS["euler"]):
         build_drawing(*MALFORMED["euler"])
 
 
 def test_bad_crossing_degree():
-    with pytest.raises(BadCrossingDegree):
+    with pytest.raises(ValueError, match=MAP_REFUSALS["crossing degree"]):
         build_drawing(*MALFORMED["degree"])
 
 
 def test_edge_path_revisit_rejected():
-    with pytest.raises(EdgePathInconsistent):
+    with pytest.raises(ValueError, match=r"^edge \(0, 2\) visits a crossing twice$"):
         build_drawing(*MALFORMED["revisit"])
 
 
@@ -140,8 +141,9 @@ def test_adjacent_cross_detected():
         for bit in "+-":
             try:
                 build_drawing(*MALFORMED["adjacent" + bit])
-            except EulerViolation:
-                continue
+            except ValueError as exc:
+                if not re.search(MAP_REFUSALS["euler"], str(exc)):
+                    raise
     violations = caught.value.violations
     assert violations
     assert any(v.kind == "adjacent_cross" for v in violations)
@@ -302,21 +304,19 @@ def test_rotation_key_values_match_full_enumeration():
 
 
 def test_k4_census(k4_planar, k4_crossed):
-    census0 = k4_census(k4_planar)
-    assert (census0.planar, census0.crossed) == (1, 0)
-    census = k4_census(k4_crossed)
-    assert (census.planar, census.crossed) == (0, 1)
-    census5 = k4_census(gen_convex(5))
-    assert (census5.planar, census5.crossed) == (0, 5)
-    cyl5 = k4_census(gen_cylindrical(5))
-    assert (cyl5.planar, cyl5.crossed) == (comb(5, 4) - 1, 1)
+    assert loop_k4_census(k4_planar) == (1, 0)
+    assert loop_k4_census(k4_crossed) == (0, 1)
+    assert loop_k4_census(gen_convex(5)) == (0, 5)
+    assert loop_k4_census(gen_cylindrical(5)) == (comb(5, 4) - 1, 1)
 
 
 def test_k4_census_crossed_equals_crossing_count(small_corpus):
+    # each crossing lies in exactly one K4 and a good K4 has at most one,
+    # which is what lets `analyze` print the census from the crossing count
     for _name, _n, drawing in small_corpus:
-        census = k4_census(drawing)
-        assert census.crossed == drawing.crossings
-        assert census.planar + census.crossed == comb(drawing.n, 4)
+        planar, crossed = loop_k4_census(drawing)
+        assert crossed == drawing.crossings
+        assert planar + crossed == comb(drawing.n, 4)
 
 
 def test_faces_named_by_darts(small_corpus):
@@ -478,6 +478,11 @@ def test_darts_to_deleted_vertices_touch_no_new_class(n):
                 assert every == kept
 
 
-def test_k4_census_matches_loop(oracle_corpus):
+def test_k4_census_matches_loop(oracle_corpus, tmp_path, capsys):
+    # the census `analyze --json` prints is the loop's count
+    path = tmp_path / "drawing.map"
     for drawing in oracle_corpus:
-        assert k4_census(drawing) == loop_k4_census(drawing)
+        path.write_bytes(serialize(drawing, "map"))
+        assert cli.main(["analyze", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["k4_planar"], report["k4_crossed"]) == loop_k4_census(drawing)

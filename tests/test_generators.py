@@ -7,7 +7,8 @@ from math import comb
 import pytest
 
 from kncross import generators
-from kncross.drawing import GoodnessViolation, NotGoodDrawing, rotation_key, rotation_system
+from kncross.drawing import (GoodnessViolation, NotGoodDrawing, edge_ids, rotation_key,
+                             rotation_system)
 from kncross.generators import (
     SplitMix64,
     TwoPageSpec,
@@ -81,7 +82,7 @@ def test_cylindrical_outer_cycle_uncrossed():
         m_outer = (n + 1) // 2
         for i in range(m_outer):
             j = (i + 1) % m_outer
-            eid = d.edge_id(min(i, j), max(i, j))
+            eid = edge_ids(n)[i][j]
             assert d.edge_paths[eid] == ()
 
 
@@ -140,7 +141,7 @@ def test_twopage_spine_order_matters():
     d = gen_twopage(TwoPageSpec((0, 2, 1, 3), pages))
     # intervals on the spine decide crossings: now (0,1) x (2,3) interleave
     assert d.crossings == 1
-    e01 = d.edge_id(0, 1)
+    e01 = edge_ids(4)[0][1]
     assert len(d.edge_paths[e01]) == 1
 
 
@@ -171,8 +172,8 @@ def test_shuffled_twopage_specs_match_identity_spine():
         assert serialize(parse(blob), "twopage") == blob
         digest.update(serialize(d, "map"))
         digest.update(svg_document(d).encode("utf-8"))
-        right_to_left += any(d.edge_paths[d.edge_id(u, v)] and slot[u] > slot[v]
-                             for u, v in d.edges)
+        right_to_left += any(path and slot[u] > slot[v]
+                             for (u, v), path in zip(d.edges, d.edge_paths))
         bottom_first += all(spec.page(spec.order[0], w) == "B"
                             for w in range(d.n) if w != spec.order[0])
     assert (right_to_left, bottom_first) == (148, 54)
@@ -190,7 +191,7 @@ def _concurrent_twopage_spec() -> TwoPageSpec:
 def test_twopage_concurrency_resolved():
     # the deterministic perturbation must split them into three crossings
     d = gen_twopage(_concurrent_twopage_spec())
-    eids = [d.edge_id(*e) for e in ((3, 8), (2, 6), (0, 5))]
+    eids = [edge_ids(9)[u][v] for u, v in ((3, 8), (2, 6), (0, 5))]
     tops = [k for eid in eids for k in d.edge_paths[eid]]
     assert len(set(tops)) == 3
     assert goodness_violations(d) == ()

@@ -14,9 +14,6 @@ from hypothesis import strategies as st
 import kncross.io
 from kncross.cli import _INPUT_ERRORS, _violation, main
 from kncross.drawing import (
-    BadCrossingDegree,
-    EdgePathInconsistent,
-    EulerViolation,
     PointsGeometry,
     TwoPageGeometry,
     rotation_system,
@@ -24,7 +21,6 @@ from kncross.drawing import (
 from kncross.generators import (gen_convex, gen_cylindrical, gen_random_points, gen_twopage,
                                 regenerate_subdrawing, twopage_all_top)
 from kncross.io import (
-    NoGeometry,
     ParseError,
     export_svg,
     parse,
@@ -44,7 +40,7 @@ from kncross.shelling import (
     verify_shell_witness,
 )
 
-from conftest import build_outcome, reference_build_drawing
+from conftest import MAP_REFUSALS, build_outcome, reference_build_drawing
 from test_cli import ADJACENT_CROSS_K4, PLANAR_K4_MAP
 
 
@@ -102,11 +98,23 @@ def test_map_round_trip_large_drawings():
 
 def test_geometry_required_for_points_format():
     d = gen_cylindrical(6)
-    with pytest.raises(NoGeometry):
+    with pytest.raises(ValueError, match=r"^drawing has no point coordinates$"):
         serialize(d, "points")
     reparsed = parse(serialize(d, "map"))
-    with pytest.raises(NoGeometry):
+    with pytest.raises(ValueError, match=r"^map-format drawings carry no coordinates$"):
         export_svg(reparsed, "/tmp/should_not_exist.svg")
+
+
+def test_unknown_format_refused_at_format_line(tmp_path, capsys):
+    text = "kncross v1\nformat foo\nn 4\n"
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert (caught.value.line, caught.value.reason) == (2, "unknown format 'foo'")
+    path = tmp_path / "foo.txt"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: line 2: unknown format 'foo'\n")
 
 
 def test_parse_errors():
@@ -140,7 +148,9 @@ def test_corrupted_orientation_bit_rejected():
     for corrupted in _corrupted_bits():
         try:
             parse(corrupted)
-        except EulerViolation:
+        except ValueError as exc:
+            if not re.search(MAP_REFUSALS["euler"], str(exc)):
+                raise
             broke += 1
     assert broke > 0
 
@@ -169,18 +179,15 @@ def test_mirror_image_map_embeds():
 
 
 def test_parser_rejects_mutations_with_declared_errors():
-    # every single-line mutation either still parses or fails with one of
-    # the documented exception types, never an internal error
-    from kncross.planarize import DegenerateInput
-    declared = (ParseError, EulerViolation, BadCrossingDegree,
-                EdgePathInconsistent, DegenerateInput, ValueError)
+    # every single-line mutation either still parses or is refused with a
+    # ValueError, never an internal error
     mutations = _line_mutations()
     survived = 0
     for mutant in mutations:
         try:
             parse(mutant)
             survived += 1
-        except declared:
+        except ValueError:
             pass
     assert survived < len(mutations)   # the mutations are not all harmless
 
@@ -203,8 +210,11 @@ def test_mutated_maps_refused_as_reference_build_refuses(monkeypatch):
     outcomes = [build_outcome(parse, text) for text in texts]
     monkeypatch.setattr(kncross.io, "build_drawing", reference_build_drawing)
     assert outcomes == [build_outcome(parse, text) for text in texts]
-    refused = {outcome[0] for outcome in outcomes if len(outcome) == 3}
-    assert {EulerViolation, BadCrossingDegree, EdgePathInconsistent} <= refused
+    # the corpus reaches each of build_drawing's map refusals
+    refused = {kind for outcome in outcomes if len(outcome) == 3
+               for kind, message in MAP_REFUSALS.items()
+               if outcome[0] is ValueError and re.search(message, outcome[1])}
+    assert refused == set(MAP_REFUSALS)
 
 
 # the convex K4 map, with a bad token in the middle of line 6 or line 13

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from kncross.drawing import DeletionView, k4_census
+from kncross.drawing import DeletionView
 from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
 from kncross.kedges import (
     crossings_from_cumulative,
@@ -18,7 +18,7 @@ from kncross.kedges import (
     side_of,
 )
 
-from conftest import brute_k_vector, view_k_vector, view_side_of
+from conftest import brute_k_vector, loop_k4_census, view_k_vector, view_side_of
 
 
 def test_hill_number_table():
@@ -178,12 +178,12 @@ def test_crossing_identities(small_corpus):
 
 
 def test_weighted_pair_count_identity(small_corpus):
-    # 3P + 2N equals the weighted k-edge sum
+    # 3P + 2N equals the weighted k-edge sum, P and N counted K4 by K4
     for _name, n, drawing in small_corpus:
-        census = k4_census(drawing)
+        planar, crossed = loop_k4_census(drawing)
         vec = k_edge_vector(drawing).counts
         weighted = sum(k * (n - 2 - k) * ek for k, ek in enumerate(vec))
-        assert 3 * census.planar + 2 * census.crossed == weighted
+        assert 3 * planar + 2 * crossed == weighted
 
 
 def test_zero_edges_on_reference_face(small_corpus):

@@ -6,14 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kncross import shelling
-from kncross.drawing import DeletionView
+from kncross.drawing import DeletionView, rotation_key, rotation_system
 from kncross.generators import SplitMix64, gen_convex, gen_cylindrical, gen_random_points
+from kncross.io import serialize
 from kncross.kedges import double_cumulative_bound_holds, hill_number, k_edge_vector
 from kncross.shelling import (
     BishellWitness,
-    MalformedWitness,
     ShellWitness,
-    WitnessInvalid,
     _greedy_peel,
     bishell_witness_violation,
     check_bishellable,
@@ -30,9 +29,9 @@ from kncross.shelling import (
     verify_shell_witness,
 )
 
-from conftest import (child_view_bishell, longest_peel, loop_incident, peel_closure_holds,
-                      replay_shell_search, shelling_sequences, two_pass_bishell, vertex_mask,
-                      view_classes)
+from conftest import (child_view_bishell, crossing_triangles, flip_triangle, longest_peel,
+                      loop_incident, peel_closure_holds, replay_shell_search,
+                      shelling_sequences, two_pass_bishell, vertex_mask, view_classes)
 
 
 def naive_bishellable(drawing, s):
@@ -97,21 +96,66 @@ def test_shell_search_negative_face():
 
 def test_malformed_witnesses_raise():
     d5 = gen_convex(5)
-    with pytest.raises(MalformedWitness):
+    with pytest.raises(ValueError, match=r"^duplicate vertex in v-sequence$"):
         verify_shell_witness(d5, ShellWitness(0, (1, 1)))
-    with pytest.raises(MalformedWitness):
+    with pytest.raises(ValueError, match=r"^vertex 7 out of range in v-sequence$"):
         verify_shell_witness(d5, ShellWitness(0, (7,)))
-    with pytest.raises(MalformedWitness):
+    with pytest.raises(ValueError,
+                       match=r"^a- and b-sequences must have equal length >= 1$"):
         verify_bishell_witness(d5, BishellWitness(0, (0, 1), (2,)))
-    with pytest.raises(MalformedWitness):
+    with pytest.raises(ValueError, match=r"^face 99 out of range$"):
         verify_bishell_witness(d5, BishellWitness(99, (0,), (1,)))
     # a face given to a search is checked before the search starts
     for search in (lambda f: check_bishellable(d5, 1, face=f),
                    lambda f: check_s_shellable(d5, 3, face=f),
                    lambda f: first_shell_witness(d5, face=f)):
         for face in (-1, d5.face_count):
-            with pytest.raises(MalformedWitness):
+            with pytest.raises(ValueError, match=rf"^face {face} out of range$"):
                 search(face)
+
+
+def test_bad_caller_input_is_a_value_error():
+    # every public search, verifier and witness transformation refuses bad
+    # input with a plain ValueError; WitnessInvalid is only the CLI's
+    # internal error, a search witness its verifier refuses
+    d5 = gen_convex(5)
+    n, faces = d5.n, d5.face_count
+    face = check_bishellable(d5, 1).face
+    refusals = [
+        (shell_to_bishell, (ShellWitness(0, (3,)),),
+         r"^need a shell witness of length >= 2$"),
+        (truncate_bishell, (BishellWitness(0, (0,), (1,)),),
+         r"^cannot truncate an order-0 witness$"),
+        (invariant_edge_report, (d5, BishellWitness(face, (0, 1), (0, 1))),
+         r"^witness does not verify$"),
+        (check_bishellable, (d5, -1), rf"^order s=-1 out of range for n={n}$"),
+        (check_bishellable, (d5, n - 1), rf"^order s={n - 1} out of range for n={n}$"),
+        (check_s_shellable, (d5, 0), rf"^s=0 out of range for n={n}$"),
+        (check_s_shellable, (d5, n + 1), rf"^s={n + 1} out of range for n={n}$"),
+        (check_bishellable, (d5, 1, faces), rf"^face {faces} out of range$"),
+        (check_s_shellable, (d5, 3, faces), rf"^face {faces} out of range$"),
+        (first_shell_witness, (d5, -1), r"^face -1 out of range$"),
+    ]
+    for verify in (verify_shell_witness, shell_witness_violation):
+        refusals += [
+            (verify, (d5, ShellWitness(0, ())), r"^sequence length 0 out of range$"),
+            (verify, (d5, ShellWitness(0, (0, 0))), r"^duplicate vertex in v-sequence$"),
+            (verify, (d5, ShellWitness(faces, (0, 1))), rf"^face {faces} out of range$"),
+        ]
+    for verify in (verify_bishell_witness, bishell_witness_violation,
+                   invariant_edge_report):
+        refusals += [
+            (verify, (d5, BishellWitness(0, (), ())),
+             r"^a- and b-sequences must have equal length >= 1$"),
+            (verify, (d5, BishellWitness(0, (0, 5), (1, 2))),
+             r"^vertex 5 out of range in a-sequence$"),
+            (verify, (d5, BishellWitness(0, (0, 1), (2, 2))),
+             r"^duplicate vertex in b-sequence$"),
+        ]
+    for call, args, message in refusals:
+        with pytest.raises(ValueError, match=message) as caught:
+            call(*args)
+        assert caught.type is ValueError, call.__name__
 
 
 def test_condition3_violation_reported_at_top_index():
@@ -145,7 +189,7 @@ def test_truncation_chain():
         if bishell.order == 0:
             break
         bishell = truncate_bishell(bishell)
-    with pytest.raises(WitnessInvalid):
+    with pytest.raises(ValueError, match=r"^cannot truncate an order-0 witness$"):
         truncate_bishell(bishell)
 
 
@@ -231,7 +275,7 @@ def test_invariant_edge_report_bounds():
 def test_invariant_edge_report_rejects_bad_witness():
     d6 = gen_convex(6)
     bad = BishellWitness(d6.reference_face, (0, 1), (0, 1))
-    with pytest.raises(WitnessInvalid):
+    with pytest.raises(ValueError, match=r"^witness does not verify$"):
         invariant_edge_report(d6, bad)
 
 
@@ -566,3 +610,54 @@ def test_bishell_search_matches_two_pass_search_at_every_face(n, seed):
     for s in range(n // 2 - 2, n // 2 + 1):
         for f in range(d.face_count):
             assert check_bishellable(d, s, face=f) == two_pass_bishell(d, s, face=f), (s, f)
+
+
+def _answers_by_dart(drawing):
+    """Per face a vertex touches, keyed by the dart that names it: the
+    sequences of every bishell and shell search at that face, None for a
+    refusal, the k-edge vector with that face as reference, and the
+    incident mask of its class once any one or two vertices are deleted."""
+    n = drawing.n
+    views = [DeletionView(drawing, 1 << u | 1 << v)
+             for u in range(n) for v in range(u, n)]
+    answers = {}
+    for face in range(drawing.face_count):
+        try:
+            dart = drawing.face_dart(face)
+        except ValueError:
+            continue
+        bishells = [check_bishellable(drawing, s, face=face) for s in range(n - 1)]
+        shells = [check_s_shellable(drawing, s, face=face) for s in range(1, n + 1)]
+        answers[dart] = (
+            [w and (w.a_seq, w.b_seq) for w in bishells],
+            [w and w.seq for w in shells],
+            k_edge_vector(drawing.with_reference(face)).counts,
+            [view.incident_mask(face) for view in views],
+        )
+    return answers
+
+
+def test_triangle_flips_preserve_every_answer(small_corpus):
+    # a flip moves one edge across the crossing of two others; every face
+    # a vertex touches keeps its darts, and every search answer and k-edge
+    # vector there stays (the triangle flip lemma in the shelling module)
+    rng = SplitMix64(9)
+    starts = [d for _name, _n, d in small_corpus if crossing_triangles(d)]
+    starts.append(gen_random_points(9, 0))
+    assert len(starts) == 7
+    for drawing in starts:
+        answers = _answers_by_dart(drawing)
+        key = rotation_key(rotation_system(drawing))
+        for _step in range(5):
+            triangles = crossing_triangles(drawing)
+            triangle = triangles[rng.below(len(triangles))]
+            flipped = flip_triangle(drawing, triangle)
+            blob = serialize(drawing, "map")
+            assert serialize(flipped, "map") != blob
+            assert triangle in crossing_triangles(flipped)
+            assert serialize(flip_triangle(flipped, triangle), "map") == blob
+            assert rotation_key(rotation_system(flipped)) == key
+            assert flipped.crossings == drawing.crossings
+            assert flipped.face_count == drawing.face_count
+            assert _answers_by_dart(flipped) == answers
+            drawing = flipped
