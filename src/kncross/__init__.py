@@ -14,6 +14,7 @@ from .drawing import (
     build_drawing,
     rotation_key,
     rotation_system,
+    subdrawing,
 )
 from .planarize import DegenerateInput, planarize_points
 from .kedges import (
@@ -62,7 +63,7 @@ __all__ = [
     "k_edge_vector", "k_value", "orient", "parse", "parse_witness",
     "planarize_points", "point", "proper_intersection",
     "right_mask", "rotation_key", "rotation_system", "serialize",
-    "serialize_witness", "shell_to_bishell", "side_of",
+    "serialize_witness", "shell_to_bishell", "side_of", "subdrawing",
     "sufficient_conditions", "truncate_bishell",
     "verify_bishell_witness", "verify_shell_witness",
 ]

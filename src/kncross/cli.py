@@ -138,6 +138,8 @@ def _generate(args) -> int:
     n = args.n
     if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
         raise ValueError(f"-o and --svg name the same file {args.out!r}")
+    if args.spec and args.family != "twopage":
+        raise ValueError(f"--spec applies only to the twopage family, not {args.family}")
     if args.family == "convex":
         drawing, fmt = gen_convex(n), "points"
     elif args.family == "cylindrical":

@@ -55,7 +55,9 @@ loses one of its edges is implicitly smoothed (subdivision does not
 affect faces).  A dart to a deleted vertex lies in a class some dart to
 a survivor also lies in, so the corner mask masked by the survivors is
 the incidence; a view grown from a parent runs only its new vertices'
-unions, and reads halve the paths of its table in place.
+unions, and reads halve the paths of its table in place.  When a caller
+needs the map of D - X itself, `subdrawing` restricts the paths, bits
+and rotations of D and takes its reference face from a view.
 """
 
 from __future__ import annotations
@@ -511,6 +513,41 @@ class DeletionView:
     def incident_mask(self, face: int) -> int:
         """Bitmask of surviving vertices incident with the class of `face`."""
         return self.corners[self.class_of(face)] & self.survivors
+
+
+def subdrawing(drawing: Drawing, alive: int) -> Drawing:
+    """The drawing on the vertices of the bitmask `alive`, from the map alone.
+
+    The survivors are relabelled in ascending order, which keeps every
+    crossing's first and second edge and every path's direction, so each
+    crossing of two surviving edges keeps its orientation bit; rotations
+    are restricted.  The reference face is the class of the old one once
+    the other vertices are deleted, named by the least surviving dart
+    whose left face lies in it, and refused when no surviving dart has it
+    on its left.  `build_drawing` checks the result, which has no geometry.
+    """
+    n = drawing.n
+    if alive >> n:  # also true of every negative mask
+        raise ValueError(f"alive mask {alive:#x} has a vertex outside 0..{n - 1}")
+    keep = [v for v in range(n) if alive >> v & 1]
+    if len(keep) < 3:
+        raise ValueError(f"need at least 3 alive vertices, got {len(keep)}")
+    new = {v: i for i, v in enumerate(keep)}
+    live = [alive >> u & alive >> v & 1 for u, v in drawing.edges]
+    kept = [k for k, (e, f) in enumerate(drawing.crossing_edges) if live[e] and live[f]]
+    renum = {k: i for i, k in enumerate(kept)}
+    paths = {(new[u], new[v]): [renum[k] for k in path if k in renum]
+             for (u, v), path, on in zip(drawing.edges, drawing.edge_paths, live) if on}
+    rotations = [[new[w] for w in drawing.vertex_rotations[u] if alive >> w & 1]
+                 for u in keep]
+    bits = [drawing.orientation_bits[k] for k in kept]
+    view = DeletionView(drawing, (1 << n) - 1 ^ alive)
+    target = view.class_of(drawing.reference_face)
+    for u, w in itertools.permutations(keep, 2):
+        if view.class_of(drawing.out_left_face[u][w]) == target:
+            return build_drawing(len(keep), paths, bits, rotations, (new[u], new[w]))
+    raise ValueError(f"reference face {drawing.reference_face} touches no alive "
+                     f"vertex once the others are deleted")
 
 
 # ---------------------------------------------------------------------------

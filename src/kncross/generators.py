@@ -21,6 +21,9 @@ Random point sets are drawn in one seeded retry loop,
 segment arrangement.  The arrangement already holds the crossing count
 and the rotation system, so `hunt` classifies a draw before any map is
 built.
+
+A subdrawing of any family comes from its map, by `drawing.subdrawing`;
+no construction is re-run on a subset of its coordinates.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .drawing import (
     CylindricalGeometry,
     Drawing,
-    PointsGeometry,
     TwoPageGeometry,
     build_drawing,
 )
@@ -416,46 +418,3 @@ def _assemble_cylindrical(
     return build_drawing(n, paths, crossing_bits, rotations, (0, 1),
                          geometry=geometry)
 
-
-# ---------------------------------------------------------------------------
-# subdrawing regeneration (oracle support)
-# ---------------------------------------------------------------------------
-
-
-def regenerate_subdrawing(drawing: Drawing,
-                          survivors: Set[int]) -> Tuple[Drawing, Dict[int, int]]:
-    """Fresh drawing of the subgraph on `survivors`, from the provenance.
-
-    Returns the rebuilt drawing together with the old-to-new vertex
-    relabelling (order preserving).  Requires geometric provenance.
-    """
-    geom = drawing.geometry
-    keep = sorted(survivors)
-    if len(keep) < 3:
-        raise ValueError("need at least 3 survivors")
-    relabel = {old: new for new, old in enumerate(keep)}
-
-    if isinstance(geom, PointsGeometry):
-        return planarize_points([geom.points[v] for v in keep]), relabel
-
-    if isinstance(geom, TwoPageGeometry):
-        order = tuple(relabel[v] for v in geom.order if v in survivors)
-        pages = {}
-        for (u, v), page in geom.pages:
-            if u in survivors and v in survivors:
-                pages[(relabel[u], relabel[v])] = page
-        positions = [geom.positions[v] for v in keep]
-        spec = TwoPageSpec(order=order, pages=pages)
-        return _assemble_twopage(spec, positions), relabel
-
-    if isinstance(geom, CylindricalGeometry):
-        outer_keep = [v for v in geom.outer if v in survivors]
-        inner_keep = [v for v in geom.inner if v in survivors]
-        return _assemble_cylindrical(
-            [geom.angles[v] for v in outer_keep],
-            [geom.angles[v] for v in inner_keep],
-            [geom.lid_params[v] for v in outer_keep],
-            [geom.lid_params[v] for v in inner_keep],
-        ), relabel
-
-    raise ValueError("drawing has no geometric provenance")

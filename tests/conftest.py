@@ -14,26 +14,31 @@ from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence
 import pytest
 
 from kncross.drawing import (
+    CylindricalGeometry,
     DeletionView,
     Drawing,
     Geometry,
     GoodnessViolation,
     NotGoodDrawing,
+    PointsGeometry,
+    TwoPageGeometry,
     build_drawing,
     edge_ids,
+    subdrawing,
 )
 from kncross.generators import (
     SplitMix64,
     TwoPageSpec,
+    _assemble_cylindrical,
+    _assemble_twopage,
     gen_convex,
     gen_cylindrical,
     gen_random_points,
     gen_twopage,
-    regenerate_subdrawing,
     twopage_all_top,
 )
 from kncross.geom import orient, proper_intersection
-from kncross.planarize import Arrangement, DegenerateInput
+from kncross.planarize import Arrangement, DegenerateInput, planarize_points
 from kncross.shelling import BishellWitness, ShellWitness, _bits, _greedy_peel, _incident_mask
 
 
@@ -177,10 +182,61 @@ def _crossing_alive(drawing: Drawing, k: int, survivors: set) -> bool:
                for e in (e1, e2) for v in drawing.edges[e])
 
 
+# ---------------------------------------------------------------------------
+# subdrawings by re-running a family's construction on the surviving
+# coordinates: the slow path of `subdrawing`
+# ---------------------------------------------------------------------------
+
+
+def regenerate_subdrawing(drawing: Drawing,
+                          survivors: Set[int]) -> Tuple[Drawing, Dict[int, int]]:
+    """Fresh drawing of the subgraph on `survivors`, from the provenance.
+
+    Returns the rebuilt drawing together with the old-to-new vertex
+    relabelling (order preserving).  Requires geometric provenance.
+    """
+    geom = drawing.geometry
+    keep = sorted(survivors)
+    if len(keep) < 3:
+        raise ValueError("need at least 3 survivors")
+    relabel = {old: new for new, old in enumerate(keep)}
+
+    if isinstance(geom, PointsGeometry):
+        return planarize_points([geom.points[v] for v in keep]), relabel
+
+    if isinstance(geom, TwoPageGeometry):
+        order = tuple(relabel[v] for v in geom.order if v in survivors)
+        pages = {}
+        for (u, v), page in geom.pages:
+            if u in survivors and v in survivors:
+                pages[(relabel[u], relabel[v])] = page
+        positions = [geom.positions[v] for v in keep]
+        spec = TwoPageSpec(order=order, pages=pages)
+        return _assemble_twopage(spec, positions), relabel
+
+    if isinstance(geom, CylindricalGeometry):
+        outer_keep = [v for v in geom.outer if v in survivors]
+        inner_keep = [v for v in geom.inner if v in survivors]
+        return _assemble_cylindrical(
+            [geom.angles[v] for v in outer_keep],
+            [geom.angles[v] for v in inner_keep],
+            [geom.lid_params[v] for v in outer_keep],
+            [geom.lid_params[v] for v in inner_keep],
+        ), relabel
+
+    raise ValueError("drawing has no geometric provenance")
+
+
 def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
-    """Face classes of a deletion view vs a fresh subdrawing, face by face."""
+    """Face classes of a deletion view vs the faces of `subdrawing`, face
+    by face.  The reference plays no part in the classes, so the
+    subdrawing is taken with the reference at the least surviving dart,
+    which it never refuses."""
     survivors = set(range(drawing.n)) - set(deleted)
-    sub, relabel = regenerate_subdrawing(drawing, survivors)
+    keep = sorted(survivors)
+    relabel = {old: new for new, old in enumerate(keep)}
+    sub = subdrawing(drawing.with_reference(drawing.face_left_of(keep[0], keep[1])),
+                     vertex_mask(survivors))
     classes = view_classes(drawing, DeletionView(drawing, vertex_mask(deleted)))
 
     class_to_face = {}

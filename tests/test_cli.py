@@ -459,6 +459,18 @@ def test_generate_twopage_spec_of_other_n_exit_2_leaves_no_file(tmp_path, capsys
     assert not out.exists() and not svg.exists()
 
 
+@pytest.mark.parametrize("family", ["convex", "cylindrical", "random"])
+def test_generate_spec_outside_twopage_exit_2_leaves_no_file(tmp_path, capsys, family):
+    # only the twopage family reads a spec; the refusal comes before the
+    # spec is opened
+    out = tmp_path / "k5.out"
+    code, stdout, err = run(capsys, "generate", family, "--n", "5",
+                            "--spec", str(tmp_path / "anything"), "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --spec applies only to the twopage family, not {family}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode, extra, search", [
     ("bishell", [], "check_bishellable"),
     ("shell", ["--s", "2"], "check_s_shellable"),

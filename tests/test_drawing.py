@@ -10,6 +10,7 @@ import pytest
 
 from kncross import cli
 from kncross.drawing import (
+    CylindricalGeometry,
     DeletionView,
     Drawing,
     NotGoodDrawing,
@@ -17,6 +18,7 @@ from kncross.drawing import (
     build_drawing,
     rotation_key,
     rotation_system,
+    subdrawing,
 )
 from kncross.generators import (
     SplitMix64,
@@ -26,20 +28,25 @@ from kncross.generators import (
     gen_twopage,
     twopage_all_top,
 )
-from kncross.io import serialize
+from kncross.io import parse, serialize
 from kncross.planarize import planarize_points
 from kncross.geom import Point, circle_point
 
 from conftest import (
     MAP_REFUSALS,
+    assert_view_matches_replanarization,
     build_outcome,
     candidate_map_weak_iso,
+    crossing_triangles,
+    flip_triangle,
     goodness_violations,
     loop_k4_census,
     planar_k4,
     reference_build_drawing,
     reference_deletion_view,
     reference_rotation_key,
+    regenerate_subdrawing,
+    shuffled_twopage_spec,
     vertex_mask,
     view_classes,
 )
@@ -192,11 +199,84 @@ def test_reference_class_after_hull_deletion():
 
 
 def test_deletion_view_matches_replanarization_exhaustive_k5():
-    from conftest import assert_view_matches_replanarization
     d5 = gen_convex(5)
     for size in (0, 1, 2):
         for deleted in itertools.combinations(range(5), size):
             assert_view_matches_replanarization(d5, set(deleted))
+
+
+def _alive_masks(rng, n, count):
+    """`count` seeded vertex bitmasks of n vertices with at least 3 set."""
+    masks = []
+    while len(masks) < count:
+        alive = rng.below(1 << n)
+        if alive.bit_count() >= 3:
+            masks.append(alive)
+    return masks
+
+
+def test_subdrawing_matches_regenerated_oracle(small_corpus):
+    # the map alone gives the bytes of re-running the family's construction
+    # on the surviving coordinates; the cylindrical construction names its
+    # reference left of the new 0->1, where subdrawing keeps the class of
+    # the old reference face
+    drawings = [d for _name, _n, d in small_corpus]
+    for n in (8, 11, 14):
+        drawings += [gen_convex(n), gen_cylindrical(n), gen_random_points(n, n)]
+    drawings += [gen_twopage(shuffled_twopage_spec(seed)) for seed in range(3, 43, 2)]
+    drawings.append(gen_twopage(twopage_all_top(12)))
+    rng = SplitMix64(28)
+    checked = 0
+    for drawing in drawings:
+        n = drawing.n
+        assert serialize(subdrawing(drawing, (1 << n) - 1), "map") == serialize(drawing, "map")
+        for alive in _alive_masks(rng, n, 16):
+            sub = subdrawing(drawing, alive)
+            oracle, _ = regenerate_subdrawing(
+                drawing, {v for v in range(n) if alive >> v & 1})
+            if isinstance(drawing.geometry, CylindricalGeometry):
+                sub = sub.with_reference(
+                    sub.face_left_of(*oracle.face_dart(oracle.reference_face)))
+            assert sub.geometry is None
+            assert serialize(sub, "map") == serialize(oracle, "map"), (n, alive)
+            checked += 1
+    assert checked >= 600
+
+
+def test_subdrawing_refusals():
+    d5 = gen_convex(5)
+    for alive in (0, 0b11, 0b10100):
+        with pytest.raises(ValueError, match="need at least 3 alive vertices"):
+            subdrawing(d5, alive)
+    for alive in (1 << 5 | 0b111, -1, -8):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            subdrawing(d5, alive)
+    # the central pentagon of the convex K_5 touches no vertex
+    with pytest.raises(ValueError, match="reference face 4 touches no alive vertex"):
+        subdrawing(d5.with_reference(4), 0b11111)
+
+
+def test_deletion_views_of_map_only_drawings(small_corpus):
+    # flipped drawings and parsed map files carry no geometry, so only
+    # subdrawing can rebuild their subdrawings
+    starts = [d for _name, _n, d in small_corpus if crossing_triangles(d)]
+    starts.append(gen_random_points(9, 0))
+    rng = SplitMix64(28)
+    drawings = [parse(serialize(gen_cylindrical(9), "map"))]
+    for drawing in starts:
+        for _step in range(4):
+            triangles = crossing_triangles(drawing)
+            drawing = flip_triangle(drawing, triangles[rng.below(len(triangles))])
+            drawings.append(drawing)
+    checked = 0
+    for drawing in drawings:
+        assert drawing.geometry is None
+        n = drawing.n
+        for alive in _alive_masks(rng, n, 27):
+            assert_view_matches_replanarization(
+                drawing, {v for v in range(n) if not alive >> v & 1})
+            checked += 1
+    assert checked >= 750
 
 
 def _mirrored(system):

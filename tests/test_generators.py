@@ -20,7 +20,6 @@ from kncross.generators import (
     gen_cylindrical,
     gen_random_points,
     gen_twopage,
-    regenerate_subdrawing,
     twopage_all_top,
 )
 from kncross.geom import Point
@@ -33,6 +32,7 @@ from conftest import (
     fraction_segment_arrangement,
     fraction_validate_points,
     goodness_violations,
+    regenerate_subdrawing,
     shuffled_twopage_spec,
 )
 

@@ -19,7 +19,7 @@ from kncross.drawing import (
     rotation_system,
 )
 from kncross.generators import (gen_convex, gen_cylindrical, gen_random_points, gen_twopage,
-                                regenerate_subdrawing, twopage_all_top)
+                                twopage_all_top)
 from kncross.io import (
     ParseError,
     export_svg,
@@ -40,7 +40,7 @@ from kncross.shelling import (
     verify_shell_witness,
 )
 
-from conftest import MAP_REFUSALS, build_outcome, reference_build_drawing
+from conftest import MAP_REFUSALS, build_outcome, reference_build_drawing, regenerate_subdrawing
 from test_cli import ADJACENT_CROSS_K4, PLANAR_K4_MAP
 
 

@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
-from kncross.drawing import DeletionView
-from kncross.generators import gen_convex, gen_cylindrical, gen_random_points
+from kncross.drawing import DeletionView, subdrawing
+from kncross.generators import SplitMix64, gen_convex, gen_cylindrical, gen_random_points
 from kncross.kedges import (
     crossings_from_cumulative,
     crossings_from_k_edges,
@@ -86,6 +86,30 @@ def test_k_value_over_alive_mask_matches_view_oracle(small_corpus):
                 assert k_value(d, (u, v), alive) == want
                 assert k_value(d, (v, u), alive) == want
             assert k_value(d, (u, v)) == k_value(d, (u, v), (1 << n) - 1)
+
+
+def test_k_value_over_alive_mask_equals_k_value_in_subdrawing(small_corpus):
+    # side labels are triangle-local: the k-value within a mask is the
+    # k-value in the rebuilt subdrawing, whose reference is the class of
+    # the old one
+    rng = SplitMix64(28)
+    checked = 0
+    for _name, n, drawing in small_corpus:
+        for _ in range(10):
+            d = drawing.with_reference(rng.below(drawing.face_count))
+            alive = rng.below(1 << n)
+            keep = [v for v in range(n) if alive >> v & 1]
+            if len(keep) < 3:
+                continue
+            try:
+                sub = subdrawing(d, alive)
+            except ValueError as exc:
+                assert "touches no alive vertex" in str(exc)
+                continue
+            for (u, v) in itertools.combinations(keep, 2):
+                assert k_value(sub, (keep.index(u), keep.index(v))) == k_value(d, (u, v), alive)
+                checked += 1
+    assert checked >= 400
 
 
 def test_side_oracle_refuses_bad_vertices():
