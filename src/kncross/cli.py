@@ -47,6 +47,12 @@ from .shelling import (
 _INPUT_ERRORS = (ValueError, OSError)
 
 
+def _refuse_same_file(path: str, other: str, names: str) -> None:
+    """Refuse, before any work, two paths that name one file."""
+    if os.path.realpath(path) == os.path.realpath(other):
+        raise ValueError(f"{names} name the same file {path!r}")
+
+
 def _load(path: str):
     with open(path, "rb") as fh:
         return parse(fh.read())
@@ -99,6 +105,8 @@ def _violation(drawing, witness) -> Optional[str]:
 
 
 def _check(args) -> int:
+    if args.witness_out:
+        _refuse_same_file(args.witness_out, args.file, "--witness-out and the drawing")
     drawing = _load(args.file)
     face = drawing.face_left_of(*args.face) if args.face else None
     if args.mode == "bishell":
@@ -136,8 +144,8 @@ def _verify(args) -> int:
 
 def _generate(args) -> int:
     n = args.n
-    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
-        raise ValueError(f"-o and --svg name the same file {args.out!r}")
+    if args.svg:
+        _refuse_same_file(args.out, args.svg, "-o and --svg")
     if args.spec and args.family != "twopage":
         raise ValueError(f"--spec applies only to the twopage family, not {args.family}")
     if args.family == "convex":
@@ -199,6 +207,7 @@ def _hunt(args) -> int:
 
 
 def _export_svg(args) -> int:
+    _refuse_same_file(args.out, args.file, "-o and the drawing")
     drawing = _load(args.file)
     export_svg(drawing, args.out)
     print(f"wrote {args.out}")

@@ -47,10 +47,14 @@ P_k are in W, and |W| = s - k <= n - 2), and it avoids A_k, as every
 earlier entry came from a P_k' with k' > k.  So w_j is not in A_{s-j}:
 W is a b-sequence, and greedy B is complete.  Whether a witness runs
 through A_i thus depends only on the set A_i, so the walk searches over
-prefix sets and tests none twice at a face.  The shell search of
-length s >= 2 runs only at faces with an order s - 2 bishell witness,
-since `shell_to_bishell` turns an s-shell witness into one at the same
-face.
+prefix sets and tests none twice at a face.
+
+Both searches visit only the faces that two vertices touch with nothing
+deleted, read off the view of the empty set.  A bishell witness of any
+order has a_0 != b_0 (condition (3) at i = j = 0), and both are peeled
+with nothing deleted; pair (1, s) of a shell witness of length s >= 2
+deletes nothing and needs v_1 != v_s incident.  Length 1 has no pair,
+so every face has the 1-shell witness (0,) and keeps its search.
 
 None of this drops a witness or reorders the a-sequences, so the
 witnesses and refusals are those of the exhaustive search.
@@ -64,15 +68,21 @@ survive it, so both stay incident.  Equivalently, `shell_to_bishell` of
 the sequence meets bishell conditions (1) and (2).  The shell search
 fills positions outside-in (v_1, v_s, v_2, v_{s-1}, ...) and narrows
 each position's candidates by the peel whose deleted vertices are
-placed (`_shell_at_face`).  It also keeps only v_1 < v_s: reversing a
-witness maps pair (r,t) to (s+1-t, s+1-r) with the same deleted set and
-endpoints, so the reverse of a witness is one, and the first witness in
-fill order always has v_1 < v_s.  Neither rule changes which sequences
-are accepted or the order they are tried in, so the witnesses and
-refusals are those of trying every vertex against every pair.  The
-verifier still checks every pair.  `kncross check` re-verifies every
-witness with the verifier before it prints or writes it, and exits 3
-instead when the verifier refuses it.
+placed (`_shell_at_face`).  The peels left pending are checked once
+the sequence is complete.  A pending front position's back peel
+deletes a superset of the back part placed before the last step, whose
+incident mask the last step holds; a pending back position's front
+peel likewise deletes a superset of the front part.  By monotonicity a
+vertex incident there stays incident, so a view of its whole suffix
+(or prefix) is built only when that test fails.  The search also keeps
+only v_1 < v_s: reversing a witness maps pair (r,t) to (s+1-t, s+1-r)
+with the same deleted set and endpoints, so the reverse of a witness
+is one, and the first witness in fill order always has v_1 < v_s.  No
+rule changes which sequences are accepted or the order they are tried
+in, so the witnesses and refusals are those of trying every vertex
+against every pair.  The verifier still checks every pair.  `kncross
+check` re-verifies every witness with the verifier before it prints or
+writes it, and exits 3 instead when the verifier refuses it.
 
 A triangle flip changes no answer at a face a vertex touches.  At a
 face bounded by three crossing segments, a flip moves one of the three
@@ -165,9 +175,9 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _incident_mask(drawing: Drawing, deleted: int, face: int, memo: Memo) -> int:
-    """Surviving vertices incident with the class of `face` once the
-    vertices of the bitmask `deleted` are gone."""
+def _view(drawing: Drawing, deleted: int, memo: Memo) -> DeletionView:
+    """The view of the bitmask `deleted`, grown from a memoised view of
+    the set minus one vertex when there is one."""
     view = memo.get(deleted)
     if view is None:
         parent = None
@@ -176,7 +186,13 @@ def _incident_mask(drawing: Drawing, deleted: int, face: int, memo: Memo) -> int
             if parent is not None:
                 break
         view = memo[deleted] = DeletionView(drawing, deleted, parent)
-    return view.incident_mask(face)
+    return view
+
+
+def _incident_mask(drawing: Drawing, deleted: int, face: int, memo: Memo) -> int:
+    """Surviving vertices incident with the class of `face` once the
+    vertices of the bitmask `deleted` are gone."""
+    return _view(drawing, deleted, memo).incident_mask(face)
 
 
 def _check_witness_face(drawing: Drawing, face: int) -> None:
@@ -190,6 +206,16 @@ def _search_faces(drawing: Drawing, face: Optional[int]) -> Sequence[int]:
         return range(drawing.face_count)
     _check_witness_face(drawing, face)
     return (face,)
+
+
+def _touched_faces(drawing: Drawing, faces: Sequence[int], memo: Memo) -> List[int]:
+    """The faces of `faces` that two vertices touch with nothing deleted:
+    the only ones with a bishell witness, or a shell witness of length
+    s >= 2 (module docstring)."""
+    # with nothing deleted every face is its own class, and every vertex
+    # survives: the corner mask of f is its incident mask
+    corners = _view(drawing, 0, memo).corners
+    return [f for f in faces if corners[f] & corners[f] - 1]
 
 
 def _check_seq(drawing: Drawing, seq: Sequence[int], what: str) -> None:
@@ -295,9 +321,11 @@ def check_bishellable(drawing: Drawing, s: int,
                       face: Optional[int] = None) -> Optional[BishellWitness]:
     """Exhaustive search for an order-s bishell witness.
 
-    Scans all faces unless one is fixed.  Within a face the a-sequence
-    is grown depth-first, pruned by peel closure, and B is completed
-    greedily (`_bishell_at_face`).
+    Scans all faces unless one is fixed, skipping those that fewer than
+    two vertices touch: a_0 and b_0 are distinct and both incident with
+    nothing deleted.  Within a face the a-sequence is grown depth-first,
+    pruned by peel closure, and B is completed greedily
+    (`_bishell_at_face`).
     Returns the first witness in the deterministic search order, or
     None.  One memo of deletion views serves both sequences and every
     face.
@@ -305,7 +333,7 @@ def check_bishellable(drawing: Drawing, s: int,
     if not 0 <= s <= drawing.n - 2:
         raise ValueError(f"order s={s} out of range for n={drawing.n}")
     memo: Memo = {}
-    for f in _search_faces(drawing, face):
+    for f in _touched_faces(drawing, _search_faces(drawing, face), memo):
         found = _bishell_at_face(drawing, s, f, memo)
         if found is not None:
             return found
@@ -384,13 +412,14 @@ def first_shell_witness(drawing: Drawing,
 
 def _shell_search(drawing: Drawing, lengths: Sequence[int], face: Optional[int],
                   memo: Memo) -> Optional[ShellWitness]:
+    """First witness over `lengths`, then faces.  A length s >= 2 visits
+    only the faces two vertices touch, since pair (1, s) deletes nothing
+    and needs v_1 != v_s incident; length 1 has no pair and visits every
+    face."""
     faces = _search_faces(drawing, face)
+    touched = _touched_faces(drawing, faces, memo)
     for s in lengths:
-        for f in faces:
-            # a shell witness at f truncates to an order s-2 bishell
-            # witness at f (`shell_to_bishell`)
-            if s >= 2 and _bishell_at_face(drawing, s - 2, f, memo) is None:
-                continue
+        for f in faces if s == 1 else touched:
             found = _shell_at_face(drawing, s, f, memo)
             if found is not None:
                 return found
@@ -407,42 +436,63 @@ def _shell_at_face(drawing: Drawing, s: int, face: int,
     filled from the front its prefix is placed, and before it is filled
     from the back its suffix, so that peel narrows its candidates to one
     incident mask; at the last step both sides are placed.  The other
-    peels are checked once the sequence is complete, innermost first.
+    peels are checked once the sequence is complete, innermost first:
+    first against the mask the last step read for the other end, and
+    only when that fails on a view of the whole suffix or prefix (module
+    docstring).  Each deleted set's mask is read once per face.
     """
+    if s == 1:      # no pair to check: every face has the witness (0,)
+        return ShellWitness(face=face, seq=(0,))
     seq = [0] * s
+    order = [step // 2 if step % 2 == 0 else s - 1 - step // 2 for step in range(s)]
+    masks: Dict[int, int] = {}    # deleted bitmask -> incident mask at face
 
-    def position(step: int) -> int:
-        return step // 2 if step % 2 == 0 else s - 1 - step // 2
+    def incident(deleted: int) -> int:
+        mask = masks.get(deleted)
+        if mask is None:
+            mask = masks[deleted] = _incident_mask(drawing, deleted, face, memo)
+        return mask
 
-    def other_peels_hold() -> bool:
+    def other_peels_hold(front: int, back: int) -> bool:
         # innermost first; the last step checked both of its peels, and
-        # v_1 and v_s (steps 0 and 1) have one each
+        # v_1 and v_s (steps 0 and 1) have one each.  front, back: the
+        # parts the last step read, inside every pending prefix and
+        # suffix, so by monotonicity a vertex incident there passes
         for step in range(s - 2, 1, -1):
-            pos = position(step)
-            deleted = seq[pos + 1:] if step % 2 == 0 else seq[:pos]
-            if not _incident_mask(drawing, _vertex_mask(deleted), face, memo) >> seq[pos] & 1:
+            pos = order[step]
+            v = seq[pos]
+            if step % 2 == 0:
+                held, deleted = back, seq[pos + 1:]
+            else:
+                held, deleted = front, seq[:pos]
+            if not (incident(held) >> v & 1
+                    or incident(_vertex_mask(deleted)) >> v & 1):
                 return False
         return True
 
     def fill(step: int, front: int, back: int) -> bool:
         # front, back: the vertices placed from either end, as bitmasks
-        if step == s:
-            return other_peels_hold()
-        pos = position(step)
+        pos = order[step]
         candidates = ~(front | back) & ((1 << drawing.n) - 1)
         if step == 1:
             # v_s > v_1: a witness reversed is a witness, and the first one
             # in fill order (v_1, v_s, ...) is never the larger of the two
             candidates &= -2 << seq[0]
+        candidates &= incident(front if step % 2 == 0 else back)
         last = step == s - 1
-        if pos < s - 1 and (step % 2 == 0 or last):   # v_s has no front peel
-            candidates &= _incident_mask(drawing, front, face, memo)
-        if pos > 0 and (step % 2 == 1 or last):       # v_1 has no back peel
-            candidates &= _incident_mask(drawing, back, face, memo)
-        for v in _bits(candidates):
-            seq[pos] = v
-            if (fill(step + 1, front | 1 << v, back) if step % 2 == 0
-                    else fill(step + 1, front, back | 1 << v)):
+        if last and step >= 2 and candidates:
+            # the last step's other peel (v_s, step 1, has none): its part
+            # is the one the previous step grew, so it is read only if needed
+            candidates &= incident(back if step % 2 == 0 else front)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            seq[pos] = low.bit_length() - 1
+            if last:
+                if other_peels_hold(front, back):
+                    return True
+            elif (fill(step + 1, front | low, back) if step % 2 == 0
+                    else fill(step + 1, front, back | low)):
                 return True
         return False
 

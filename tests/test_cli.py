@@ -423,6 +423,28 @@ def test_generate_same_out_and_svg_exit_2(tmp_path, capsys, monkeypatch, out, sv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pts", "link.pts", "sub"]
 
 
+@pytest.mark.parametrize("spelling", ["d.pts", "./d.pts", "sub/../d.pts", "link.pts"])
+@pytest.mark.parametrize("command", [
+    ("check", "d.pts", "--mode", "bishell", "--witness-out"),
+    ("export-svg", "d.pts", "-o"),
+], ids=["check", "export-svg"])
+def test_output_naming_the_input_exit_2(tmp_path, capsys, monkeypatch, command, spelling):
+    # the witness or the picture would replace the drawing it came from
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.pts").symlink_to("d.pts")
+    blob = serialize(gen_convex(8), "points")
+    (tmp_path / "d.pts").write_bytes(blob)
+    with mock.patch("kncross.cli.parse") as parse:
+        code, stdout, err = run(capsys, *command, spelling)
+    assert code == 2
+    assert stdout == ""
+    assert "same file" in err
+    assert not parse.called
+    assert (tmp_path / "d.pts").read_bytes() == blob
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.pts", "link.pts", "sub"]
+
+
 def test_generate_replaces_existing_files_without_leftovers(tmp_path, capsys,
                                                             monkeypatch):
     monkeypatch.chdir(tmp_path)

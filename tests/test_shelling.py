@@ -396,6 +396,30 @@ def test_searches_match_oracles_on_vertexless_face():
         assert child_view_bishell(d6, s, face=vertexless) is None
 
 
+def test_faces_fewer_than_two_vertices_touch_have_no_witness(small_corpus):
+    # the searches skip these faces: a bishell witness needs a_0 != b_0
+    # and a shell witness of length s >= 2 needs v_1 != v_s, all incident
+    # with nothing deleted; a 1-shell witness has no pair.  At K_9 the
+    # child-view oracle stops at order n - 4: orders 6 and 7 take it over
+    # 20 s, and a witness of a higher order truncates to one of order 5
+    drawings = [d for _name, _n, d in small_corpus] + [gen_random_points(9, 2)]
+    screened = 0
+    for d in drawings:
+        view = DeletionView(d, 0)
+        orders = range(d.n - 1) if d.n < 9 else range(d.n - 3)
+        for f in range(d.face_count):
+            touching = view.incident_mask(f)
+            if touching & touching - 1:
+                continue
+            screened += 1
+            for s in orders:
+                assert child_view_bishell(d, s, face=f) is None, (s, f)
+            for s in range(2, d.n + 1):
+                assert replay_shell_search(d, s, face=f) is None, (s, f)
+            assert check_s_shellable(d, 1, face=f) == ShellWitness(f, (0,))
+    assert screened == 257
+
+
 def test_first_shell_witness_matches_loop_over_s():
     for d in (gen_convex(7), gen_cylindrical(8), gen_random_points(9, 2)):
         looped = None
@@ -610,6 +634,54 @@ def test_bishell_search_matches_two_pass_search_at_every_face(n, seed):
     for s in range(n // 2 - 2, n // 2 + 1):
         for f in range(d.face_count):
             assert check_bishellable(d, s, face=f) == two_pass_bishell(d, s, face=f), (s, f)
+
+
+CERTIFY_SEEDS = (502, 505, 511, 567, 629)
+
+
+def test_six_shell_refusals_build_pinned_view_counts():
+    # views are deterministic, so the search's work is a count: on the
+    # certify benchmark's K_12 inputs the refusals built 76, 98, 89, 72
+    # and 68 views when every face ran an order-4 bishell search first
+    counts = []
+    for seed in CERTIFY_SEEDS:
+        memo = {}
+        assert shelling._shell_search(gen_random_points(12, seed), (6,), None, memo) is None
+        counts.append(len(memo))
+    assert counts == [60, 94, 78, 66, 47]
+
+
+# views built by the shell search for s = 2..n, then by first_shell_witness,
+# when every face ran an order s - 2 bishell search first
+SHELL_VIEWS_WITH_BISHELL_PREPASS = {
+    ("convex", 9, 0): [1, 4, 10, 17, 25, 34, 44, 55, 10],
+    ("convex", 12, 0): [1, 4, 10, 17, 25, 34, 44, 55, 67, 80, 94, 25],
+    ("cylindrical", 9, 0): [1, 10, 15, 7, 46, 60, 17, 20, 15],
+    ("cylindrical", 12, 0): [1, 13, 25, 37, 9, 61, 79, 97, 115, 131, 149, 9],
+    ("random", 10, 0): [1, 3, 6, 11, 18, 27, 36, 47, 84, 11],
+    ("random", 10, 1): [1, 3, 6, 11, 18, 25, 39, 125, 72, 11],
+    ("random", 10, 2): [1, 5, 8, 14, 22, 31, 41, 51, 67, 14],
+    ("random", 11, 0): [1, 3, 5, 9, 17, 26, 25, 43, 46, 43, 9],
+    ("random", 11, 1): [1, 4, 8, 14, 22, 30, 40, 70, 118, 133, 14],
+    ("random", 11, 2): [1, 5, 8, 14, 22, 31, 43, 55, 67, 95, 14],
+    ("random", 13, 0): [1, 4, 8, 14, 24, 119, 93, 99, 128, 158, 120, 83, 24],
+    ("random", 13, 1): [1, 4, 8, 14, 22, 30, 40, 84, 335, 445, 223, 193, 22],
+    ("random", 13, 2): [1, 4, 10, 17, 25, 33, 42, 49, 152, 232, 248, 162, 25],
+}
+
+
+@pytest.mark.parametrize("key", SHELL_VIEWS_WITH_BISHELL_PREPASS,
+                         ids=lambda key: "-".join(map(str, key)))
+def test_shell_search_builds_no_more_views_than_with_a_bishell_prepass(key):
+    family, n, seed = key
+    d = {"convex": lambda: gen_convex(n), "cylindrical": lambda: gen_cylindrical(n),
+         "random": lambda: gen_random_points(n, seed)}[family]()
+    counts = []
+    for lengths in [(s,) for s in range(2, n + 1)] + [range(n // 2, n + 1)]:
+        memo = {}
+        shelling._shell_search(d, lengths, None, memo)
+        counts.append(len(memo))
+    assert all(c <= p for c, p in zip(counts, SHELL_VIEWS_WITH_BISHELL_PREPASS[key])), counts
 
 
 def _answers_by_dart(drawing):
