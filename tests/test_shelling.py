@@ -681,7 +681,9 @@ def test_shell_search_builds_no_more_views_than_with_a_bishell_prepass(key):
         memo = {}
         shelling._shell_search(d, lengths, None, memo)
         counts.append(len(memo))
-    assert all(c <= p for c, p in zip(counts, SHELL_VIEWS_WITH_BISHELL_PREPASS[key])), counts
+    before = SHELL_VIEWS_WITH_BISHELL_PREPASS[key]
+    assert len(counts) == len(before)
+    assert all(c <= b for c, b in zip(counts, before)), counts
 
 
 def _answers_by_dart(drawing):
