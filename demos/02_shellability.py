@@ -11,6 +11,7 @@ bounds and hence at least H(n) crossings, which this script checks live.
 from math import comb
 
 from kncross import (
+    bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
     cumulative_sums,
@@ -20,25 +21,24 @@ from kncross import (
     invariant_edge_report,
     k_edge_vector,
     shell_to_bishell,
+    shell_witness_violation,
     sufficient_conditions,
     truncate_bishell,
-    verify_bishell_witness,
-    verify_shell_witness,
 )
 
 d = gen_convex(8)
 print("convex K8: searching a shell witness of length floor(n/2) = 4")
 shell = check_s_shellable(d, 4)
-print("  found:", shell, "verifies:", verify_shell_witness(d, shell))
+print("  found:", shell, "verifies:", shell_witness_violation(d, shell) is None)
 
 bishell = shell_to_bishell(shell)
 print("  transformed to order", bishell.order, "bishell witness:", bishell)
-print("  verifies:", verify_bishell_witness(d, bishell))
+print("  verifies:", bishell_witness_violation(d, bishell) is None)
 chain = bishell
 while chain.order > 0:
     chain = truncate_bishell(chain)
     print(f"  truncated to order {chain.order}: verifies",
-          verify_bishell_witness(d, chain))
+          bishell_witness_violation(d, chain) is None)
 
 print()
 print("cylindrical drawings are bishellable; the k-edge bounds follow:")

@@ -28,13 +28,13 @@ from .kedges import (
     k_edge_vector,
     k_value,
     right_mask,
-    side_of,
 )
 from .shelling import (
     BishellWitness,
     InvariantEdgeReport,
     ShellWitness,
     WitnessInvalid,
+    bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
     first_shell_witness,
@@ -42,10 +42,9 @@ from .shelling import (
     is_bishellable,
     is_shellable,
     shell_to_bishell,
+    shell_witness_violation,
     sufficient_conditions,
     truncate_bishell,
-    verify_bishell_witness,
-    verify_shell_witness,
 )
 from .generators import gen_convex, gen_cylindrical, gen_random_points, gen_twopage, TwoPageSpec
 from .io import ParseError, export_svg, parse, parse_witness, serialize, serialize_witness
@@ -54,7 +53,8 @@ __all__ = [
     "BishellWitness", "CumulativeSums", "DegenerateInput", "DeletionView",
     "Drawing", "InvariantEdgeReport", "KEdgeVector", "NotGoodDrawing",
     "ParseError", "Point", "ShellWitness", "TwoPageSpec", "WitnessInvalid",
-    "build_drawing", "check_bishellable", "check_s_shellable", "circle_point",
+    "bishell_witness_violation", "build_drawing", "check_bishellable",
+    "check_s_shellable", "circle_point",
     "crossings_from_cumulative", "crossings_from_k_edges", "cumulative_sums",
     "double_cumulative_bound_holds", "export_svg",
     "first_shell_witness", "gen_convex",
@@ -63,7 +63,6 @@ __all__ = [
     "k_edge_vector", "k_value", "orient", "parse", "parse_witness",
     "planarize_points", "point", "proper_intersection",
     "right_mask", "rotation_key", "rotation_system", "serialize",
-    "serialize_witness", "shell_to_bishell", "side_of", "subdrawing",
-    "sufficient_conditions", "truncate_bishell",
-    "verify_bishell_witness", "verify_shell_witness",
+    "serialize_witness", "shell_to_bishell", "shell_witness_violation",
+    "subdrawing", "sufficient_conditions", "truncate_bishell",
 ]

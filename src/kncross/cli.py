@@ -146,6 +146,10 @@ def _generate(args) -> int:
     n = args.n
     if args.svg:
         _refuse_same_file(args.out, args.svg, "-o and --svg")
+    if args.spec:
+        _refuse_same_file(args.out, args.spec, "-o and --spec")
+        if args.svg:
+            _refuse_same_file(args.svg, args.spec, "--svg and --spec")
     if args.spec and args.family != "twopage":
         raise ValueError(f"--spec applies only to the twopage family, not {args.family}")
     if args.family == "convex":
@@ -176,13 +180,8 @@ def _hunt(args) -> int:
         raise ValueError(f"--n must be at least 3, got {args.n}")
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative, got {args.trials}")
-    if args.target == "non-bishellable":
-        raise ValueError(
-            "--target non-bishellable cannot match: the (x, y)-sorted vertex "
-            "order is an n-shell witness of every rectilinear drawing, so "
-            "every such drawing is bishellable")
     n = args.n
-    if args.target == "optimal" and (n == 8 or n >= 10):
+    if n == 8 or n >= 10:
         raise ValueError(
             f"--target optimal cannot match at n={n}: the rectilinear crossing "
             f"number of K_n exceeds H(n) at n = 8 and every n >= 10")
@@ -258,8 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target", choices=("optimal", "non-bishellable"),
-                   default="optimal")
+    p.add_argument("--target", choices=("optimal",), default="optimal")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_hunt)
 

@@ -34,10 +34,11 @@ succ, the face walks and the per-dart tables live only during
 construction.  A Drawing keeps what the rest of the package reads: the
 edges, their crossing paths and the crossing pairs, the dart and face
 counts, the faces on both sides of every segment's darts (`seg_faces`),
-the face left of every out-dart (`out_left_face`), the parity masks
-below and the reference face.  Edge uv has id `edge_ids(n)[u][v]`.  Other
-modules name a face by a dart, through `face_left_of(u, v)` and its
-inverse `face_dart(face)`, the least dart with `face` on its left.
+the parity masks below and the reference face.  The edges are
+`edge_list(n)`, shared by every drawing of K_n; edge uv has id
+`edge_ids(n)[u][v]`.  Other modules name a face by a dart, through
+`face_left_of(u, v)`, read off `seg_faces`, and its inverse
+`face_dart(face)`, the least dart with `face` on its left.
 
 Crossing a segment of edge e from one face into the next flips bit e of
 `face_parity`, a mask per face fixed by one walk over the dual graph.
@@ -137,7 +138,6 @@ class Drawing:
     face_count: int
     reference_face: int
     seg_faces: Tuple[Tuple[Tuple[int, int], ...], ...]  # per edge: (left, right) per segment
-    out_left_face: Tuple[Tuple[int, ...], ...]    # [u][w]: face left of first dart u->w
     face_parity: Tuple[int, ...]                  # per face: edge bitmask of a dual walk from face 0
     geometry: Optional[Geometry] = None
 
@@ -156,15 +156,16 @@ class Drawing:
         """The face left of the first dart u->v."""
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"bad face dart ({u},{v})")
-        return self.out_left_face[u][v]
+        # the forward dart of uv's first segment, or the backward of its last
+        segments = self.seg_faces[edge_ids(self.n)[u][v]]
+        return segments[0][0] if u < v else segments[-1][1]
 
     def face_dart(self, face: int) -> Tuple[int, int]:
         """The least dart (u, v) whose left face is `face`, the pair that
         names the face in files; a face no vertex touches has none."""
-        for u, row in enumerate(self.out_left_face):
-            for v, left in enumerate(row):
-                if left == face and u != v:
-                    return (u, v)
+        for u, v in itertools.permutations(range(self.n), 2):
+            if self.face_left_of(u, v) == face:
+                return (u, v)
         raise ValueError(f"face {face} touches no vertex; cannot serialize")
 
 
@@ -174,11 +175,18 @@ class Drawing:
 
 
 @functools.cache
+def edge_list(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The edges (u, v), u < v, of K_n in lexicographic order, the id of
+    an edge being its index; `Drawing.edges` of every drawing of K_n."""
+    return tuple(itertools.combinations(range(n), 2))
+
+
+@functools.cache
 def edge_ids(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Lexicographic edge ids of K_n, the indices into `Drawing.edges`,
+    """Lexicographic edge ids of K_n, the indices into `edge_list(n)`,
     as an n x n table with -1 on the diagonal."""
     table = [[-1] * n for _ in range(n)]
-    for e, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+    for e, (u, v) in enumerate(edge_list(n)):
         table[u][v] = table[v][u] = e
     return tuple(map(tuple, table))
 
@@ -205,7 +213,7 @@ def build_drawing(
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    edges = list(itertools.combinations(range(n), 2))
+    edges = edge_list(n)
     c = len(crossing_orientations)
     for bit in crossing_orientations:
         if bit not in ("+", "-"):
@@ -335,8 +343,6 @@ def build_drawing(
         tuple(zip(dart_face[base:end:2], dart_face[base + 1:end:2]))
         for base, end in zip(dart_base, dart_base[1:] + [total])
     )
-    out_left = tuple(
-        tuple([dart_face[d] if d >= 0 else -1 for d in row]) for row in out_dart)
 
     # dual walk from face 0: stepping across a segment of edge e flips bit
     # e.  The darts of a face's orbit have it on their right, so each leads
@@ -354,7 +360,7 @@ def build_drawing(
 
     drawing = Drawing(
         n=n,
-        edges=tuple(edges),
+        edges=edges,
         edge_paths=tuple(paths),
         crossing_edges=tuple(zip(map(dart_edge.__getitem__, first),
                                  map(dart_edge.__getitem__, second))),
@@ -364,7 +370,6 @@ def build_drawing(
         face_count=face_count,
         reference_face=reference_face,
         seg_faces=seg_faces,
-        out_left_face=out_left,
         face_parity=tuple(parity),
         geometry=geometry,
     )
@@ -418,7 +423,8 @@ class DeletionView:
     least face, and `corners`, which maps every root to the bitmask of
     the vertices with any dart, to a survivor or not, whose left face
     lies in its class.  A view without a parent fills `corners` from
-    `out_left_face`; a union ORs the absorbed root's mask into the
+    the ends of every edge in `seg_faces`, the left faces of its two
+    first darts; a union ORs the absorbed root's mask into the
     surviving root's.  `incident_mask` is then `corners` at the class's
     root masked by the survivors, by this lemma.
 
@@ -457,11 +463,9 @@ class DeletionView:
             gone = 0
             root = list(range(base.face_count))
             corners = [0] * base.face_count
-            for u, row in enumerate(base.out_left_face):
-                bit = 1 << u
-                for w, f in enumerate(row):
-                    if w != u:
-                        corners[f] |= bit
+            for (u, v), segments in zip(base.edges, base.seg_faces):
+                corners[segments[0][0]] |= 1 << u
+                corners[segments[-1][1]] |= 1 << v
         else:
             gone = parent.deleted
             if gone & ~deleted:
@@ -544,7 +548,7 @@ def subdrawing(drawing: Drawing, alive: int) -> Drawing:
     view = DeletionView(drawing, (1 << n) - 1 ^ alive)
     target = view.class_of(drawing.reference_face)
     for u, w in itertools.permutations(keep, 2):
-        if view.class_of(drawing.out_left_face[u][w]) == target:
+        if view.class_of(drawing.face_left_of(u, w)) == target:
             return build_drawing(len(keep), paths, bits, rotations, (new[u], new[w]))
     raise ValueError(f"reference face {drawing.reference_face} touches no alive "
                      f"vertex once the others are deleted")

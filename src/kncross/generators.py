@@ -39,8 +39,9 @@ from .drawing import (
     Drawing,
     TwoPageGeometry,
     build_drawing,
+    edge_list,
 )
-from .geom import Point, circle_point, point
+from .geom import circle_point, point
 from .planarize import (
     Arrangement,
     DegenerateInput,
@@ -111,11 +112,10 @@ def _random_arrangement(n: int, seed: int) -> Tuple[List[IntPoint], Arrangement]
     Coordinates are consecutive SplitMix64 outputs reduced mod 10^6
     (x then y per point); a degenerate draw is rejected and the stream
     continues.  The draws stay integers and go straight to
-    `integer_arrangement`; `_grid_points` makes the `Fraction` points a
-    drawing stores.  This is the one place random points are drawn:
-    `gen_random_points` planarizes the result, and `hunt` reads each
-    trial's class off the arrangement and builds a map only for the match
-    it writes.
+    `integer_arrangement`.  This is the one place random points are
+    drawn: `gen_random_points` planarizes the result with the `Fraction`
+    points a drawing stores, and `hunt` reads each trial's class off the
+    arrangement and builds a map only for the match it writes.
     """
     rng = SplitMix64(seed)
     while True:
@@ -124,11 +124,6 @@ def _random_arrangement(n: int, seed: int) -> Tuple[List[IntPoint], Arrangement]
             return points, integer_arrangement(points)
         except DegenerateInput:
             continue
-
-
-def _grid_points(points: Sequence[IntPoint]) -> List[Point]:
-    """The `Fraction` points of integer coordinates, as a drawing stores them."""
-    return [point(x, y) for x, y in points]
 
 
 def gen_random_points(n: int, seed: int) -> Drawing:
@@ -140,7 +135,7 @@ def gen_random_points(n: int, seed: int) -> Drawing:
     if n < 3:
         raise ValueError("need n >= 3")
     points, arr = _random_arrangement(n, seed)
-    return planarize_arrangement(_grid_points(points), arr)
+    return planarize_arrangement([point(x, y) for x, y in points], arr)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +197,7 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
     intervals, so they never interleave strictly and never cross.
     """
     n = len(spec.order)
-    edges = list(itertools.combinations(range(n), 2))
+    edges = edge_list(n)
     pages = [spec.pages[edge] for edge in edges]
     # an edge runs from u to v, right to left when u lies to the right
     backward = [positions[u] > positions[v] for u, v in edges]

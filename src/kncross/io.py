@@ -536,7 +536,7 @@ def _svg_cylindrical(drawing: Drawing, geom: CylindricalGeometry) -> str:
 
     warps = {}
     for circle in (geom.outer, geom.inner):
-        if circle:  # a circle of a subdrawing may have kept no vertex
+        if circle:  # empty only when `_assemble_cylindrical` got no angles for it
             warps.update(dict.fromkeys(circle, lid_warp(circle)))
 
     def on_lid(vertex: int, p: _XY) -> _XY:

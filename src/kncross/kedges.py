@@ -12,11 +12,11 @@ the vertices labelled R for the dart u->v.  The XOR of the parity masks
 when a dual path between the two faces crosses edge e an odd number of
 times.  By the Jordan curve theorem the two faces lie on the same side
 of the triangle uvw exactly when bits uv, vw and uw sum to an even
-number, so each label is three bit tests.  `side_of` tests one bit,
-`k_value` counts bits within a vertex bitmask, and `k_edge_vector` is a
-histogram of the counts.  Goodness, which the argument assumes, is
-checked when the drawing is built.  Vectors are always taken relative
-to the stored reference face; use Drawing.with_reference to re-reference.
+number, so each label is three bit tests.  `k_value` counts the R bits
+within a vertex bitmask, and `k_edge_vector` is a histogram of the
+counts.  Goodness, which the argument assumes, is checked when the
+drawing is built.  Vectors are always taken relative to the stored
+reference face; use Drawing.with_reference to re-reference.
 """
 
 from __future__ import annotations
@@ -27,15 +27,12 @@ from typing import List, Optional, Tuple
 
 from .drawing import Drawing, edge_ids
 
-Side = str  # "L" or "R"
-
 
 @dataclass(frozen=True)
 class KEdgeVector:
-    """Counts E_0 .. E_{floor(n/2)-1} relative to `reference_face`."""
+    """Counts E_0 .. E_{floor(n/2)-1} relative to the drawing's reference face."""
 
     counts: Tuple[int, ...]
-    reference_face: int
 
 
 @dataclass(frozen=True)
@@ -64,13 +61,6 @@ def right_mask(drawing: Drawing, u: int, v: int) -> int:
     return rights
 
 
-def side_of(drawing: Drawing, u: int, v: int, w: int) -> Side:
-    """Label of w relative to the directed edge u->v and the reference face."""
-    if len({u, v, w}) != 3 or not 0 <= w < drawing.n:
-        raise ValueError("u, v, w must be distinct vertices")
-    return "R" if right_mask(drawing, u, v) >> w & 1 else "L"
-
-
 def k_value(drawing: Drawing, edge: Tuple[int, int],
             alive: Optional[int] = None) -> int:
     """k-value of an edge in the subdrawing on the `alive` vertex bitmask.
@@ -96,7 +86,7 @@ def k_edge_vector(drawing: Drawing) -> KEdgeVector:
     for u, v in drawing.edges:
         rights = right_mask(drawing, u, v).bit_count()
         counts[min(rights, n - 2 - rights)] += 1
-    return KEdgeVector(counts=tuple(counts), reference_face=drawing.reference_face)
+    return KEdgeVector(counts=tuple(counts))
 
 
 def cumulative_sums(vector: KEdgeVector) -> CumulativeSums:

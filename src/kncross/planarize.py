@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Any, List, Sequence, Tuple
 
-from .drawing import Drawing, PointsGeometry, build_drawing, edge_ids
+from .drawing import Drawing, PointsGeometry, build_drawing, edge_ids, edge_list
 from .geom import Point, proper_intersection
 
 IntPoint = Tuple[int, int]
@@ -124,7 +124,7 @@ def integer_arrangement(pts: Sequence[IntPoint]) -> Arrangement:
         for i, j in itertools.combinations(range(n), 2):
             if pts[i] == pts[j]:
                 raise DegenerateInput("coincident", (i, j))
-    edges = list(itertools.combinations(range(n), 2))
+    edges = edge_list(n)
     eid = edge_ids(n)
     # area[e][k] = det(a, b, k) for edge e = (a, b): twice the signed area
     # of the triangle a, b, k, positive when k lies left of a->b
@@ -230,8 +230,7 @@ def planarize_arrangement(points: Sequence[Point], arr: Arrangement) -> Drawing:
     """
     pts = tuple(points)
     n = len(pts)
-    edges = list(itertools.combinations(range(n), 2))
-    paths = {edges[eid]: arr.edge_paths[eid] for eid in range(len(edges))}
+    paths = dict(zip(edge_list(n), arr.edge_paths))
     top = max(range(n), key=lambda i: (pts[i].x, pts[i].y))
     return build_drawing(
         n=n,

@@ -189,12 +189,6 @@ def _view(drawing: Drawing, deleted: int, memo: Memo) -> DeletionView:
     return view
 
 
-def _incident_mask(drawing: Drawing, deleted: int, face: int, memo: Memo) -> int:
-    """Surviving vertices incident with the class of `face` once the
-    vertices of the bitmask `deleted` are gone."""
-    return _view(drawing, deleted, memo).incident_mask(face)
-
-
 def _check_witness_face(drawing: Drawing, face: int) -> None:
     if not 0 <= face < drawing.face_count:
         raise ValueError(f"face {face} out of range")
@@ -244,16 +238,12 @@ def shell_witness_violation(drawing: Drawing, witness: ShellWitness,
         memo = {}
     for r, t in itertools.combinations(range(1, s + 1), 2):
         deleted = _vertex_mask(seq[:r - 1]) | _vertex_mask(seq[t:])
-        incident = _incident_mask(drawing, deleted, witness.face, memo)
+        incident = _view(drawing, deleted, memo).incident_mask(witness.face)
         for v in (seq[r - 1], seq[t - 1]):
             if not incident >> v & 1:
                 return (f"vertex {v} not incident with the reference class "
                         f"for pair (r,t)=({r},{t})")
     return None
-
-
-def verify_shell_witness(drawing: Drawing, witness: ShellWitness) -> bool:
-    return shell_witness_violation(drawing, witness) is None
 
 
 def bishell_witness_violation(drawing: Drawing, witness: BishellWitness,
@@ -270,18 +260,14 @@ def bishell_witness_violation(drawing: Drawing, witness: BishellWitness,
         memo = {}
     for name, seq in (("1", a), ("2", b)):
         for i in range(s + 1):
-            incident = _incident_mask(drawing, _vertex_mask(seq[:i]), witness.face, memo)
-            if not incident >> seq[i] & 1:
+            view = _view(drawing, _vertex_mask(seq[:i]), memo)
+            if not view.incident_mask(witness.face) >> seq[i] & 1:
                 return f"condition ({name}) violated at i={i}"
     for i in range(s + 1):
         for j in range(s + 1 - i):
             if a[i] == b[j]:
                 return f"condition (3) violated at i={s - j}"
     return None
-
-
-def verify_bishell_witness(drawing: Drawing, witness: BishellWitness) -> bool:
-    return bishell_witness_violation(drawing, witness) is None
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +333,7 @@ def _greedy_peel(drawing: Drawing, face: int, bans: Sequence[int],
     deleted = 0
     peeled: List[int] = []
     for banned in bans:
-        allowed = _incident_mask(drawing, deleted, face, memo) & ~banned
+        allowed = _view(drawing, deleted, memo).incident_mask(face) & ~banned
         if not allowed:
             break
         low = allowed & -allowed
@@ -372,7 +358,7 @@ def _bishell_at_face(drawing: Drawing, s: int, face: int,
             b = _greedy_peel(drawing, face, prefixes[::-1], memo)
             return BishellWitness(face=face, a_seq=tuple(a), b_seq=tuple(b))
         length = s - i + 1
-        for v in _bits(_incident_mask(drawing, deleted, face, memo)):
+        for v in _bits(_view(drawing, deleted, memo).incident_mask(face)):
             grown = deleted | 1 << v
             if grown in failed:
                 continue
@@ -450,7 +436,7 @@ def _shell_at_face(drawing: Drawing, s: int, face: int,
     def incident(deleted: int) -> int:
         mask = masks.get(deleted)
         if mask is None:
-            mask = masks[deleted] = _incident_mask(drawing, deleted, face, memo)
+            mask = masks[deleted] = _view(drawing, deleted, memo).incident_mask(face)
         return mask
 
     def other_peels_hold(front: int, back: int) -> bool:
@@ -573,7 +559,7 @@ def invariant_edge_report(drawing: Drawing,
     totals, over the chain D_i = D - {b_0..b_{i-1}}, the edges at b_i
     whose j-value is the same in D_i and D_i - a_0.
     """
-    if not verify_bishell_witness(drawing, witness):
+    if bishell_witness_violation(drawing, witness) is not None:
         raise ValueError("witness does not verify")
     ref = (drawing if drawing.reference_face == witness.face
            else drawing.with_reference(witness.face))

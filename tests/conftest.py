@@ -39,7 +39,7 @@ from kncross.generators import (
 )
 from kncross.geom import orient, proper_intersection
 from kncross.planarize import Arrangement, DegenerateInput, planarize_points
-from kncross.shelling import BishellWitness, ShellWitness, _bits, _greedy_peel, _incident_mask
+from kncross.shelling import BishellWitness, ShellWitness, _bits, _greedy_peel, _view
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,12 @@ def vertex_mask(vertices) -> int:
     return sum(1 << v for v in set(vertices))
 
 
+def vertex_faces(drawing: Drawing) -> Set[int]:
+    """The faces some vertex touches: the left faces of the first darts."""
+    return {drawing.face_left_of(u, v)
+            for u, v in itertools.permutations(range(drawing.n), 2)}
+
+
 def view_classes(drawing: Drawing, view: DeletionView) -> List[int]:
     """The least face of the class of every base face in `view`."""
     return [view.class_of(face) for face in range(drawing.face_count)]
@@ -143,13 +149,13 @@ def view_classes(drawing: Drawing, view: DeletionView) -> List[int]:
 _triangle_classes: Dict[Tuple[int, FrozenSet[int]], Tuple[tuple, Sequence[int]]] = {}
 
 
-def view_side_of(drawing: Drawing, u: int, v: int, w: int) -> str:
+def view_side(drawing: Drawing, u: int, v: int, w: int) -> str:
     """Side label of w for the directed edge u->v, from a deletion view.
 
     Deletes every vertex but u, v and w, so the faces merge into the two
     sides of the triangle; w is "R" when the reference face falls in the
     class of the face left of the first dart u->v.  This is the slow
-    path that `kedges.side_of` replaces.
+    path that `kedges.right_mask` replaces.
     """
     triple = frozenset((u, v, w))
     assert len(triple) == 3
@@ -161,17 +167,17 @@ def view_side_of(drawing: Drawing, u: int, v: int, w: int) -> str:
         assert len(set(classes)) == 2, "a triangle must split the sphere in two"
         hit = _triangle_classes[key] = (drawing.seg_faces, classes)
     classes = hit[1]
-    same = classes[drawing.reference_face] == classes[drawing.out_left_face[u][v]]
+    same = classes[drawing.reference_face] == classes[drawing.face_left_of(u, v)]
     return "R" if same else "L"
 
 
 def view_k_vector(drawing: Drawing) -> tuple:
-    """k-edge vector from `view_side_of` labels."""
+    """k-edge vector from `view_side` labels."""
     n = drawing.n
     counts = [0] * (n // 2)
     for u, v in drawing.edges:
         rights = sum(1 for w in range(n)
-                     if w not in (u, v) and view_side_of(drawing, u, v, w) == "R")
+                     if w not in (u, v) and view_side(drawing, u, v, w) == "R")
         counts[min(rights, n - 2 - rights)] += 1
     return tuple(counts)
 
@@ -327,10 +333,9 @@ def reference_deletion_view(base: Drawing,
     alive = [u for u in range(n) if not deleted >> u & 1]
     by_root: Dict[int, int] = {}
     for u in alive:
-        row = base.out_left_face[u]
         for w in alive:
             if w != u:
-                r = root[row[w]]
+                r = root[base.face_left_of(u, w)]
                 by_root[r] = by_root.get(r, 0) | 1 << u
     return root, by_root
 
@@ -351,7 +356,8 @@ def reference_build_drawing(
     """`build_drawing` with per-dart closures, a sorted edge pair per
     crossing and the face orbits kept as tuples: the slow path of the
     out-dart table.  Raises what `build_drawing` raises, with the same
-    messages."""
+    messages.  Its own table of the face left of every first dart is
+    asserted equal to `face_left_of`, which reads `seg_faces`."""
     if n < 3:
         raise ValueError("need n >= 3")
     edges = list(itertools.combinations(range(n), 2))
@@ -508,10 +514,11 @@ def reference_build_drawing(
         face_count=len(face_darts),
         reference_face=reference_face,
         seg_faces=seg_faces,
-        out_left_face=out_left,
         face_parity=tuple(parity),
         geometry=geometry,
     )
+    assert all(out_left[u][w] == drawing.face_left_of(u, w)
+               for u, w in itertools.permutations(range(n), 2))
     violations = goodness_violations(drawing)
     if violations:
         raise NotGoodDrawing(violations)
@@ -826,9 +833,8 @@ def loop_incident(drawing: Drawing, classes: List[int], face: int, u: int,
                   deleted: FrozenSet[int]) -> bool:
     """u has a surviving dart whose left face is in the class of `face`."""
     root = classes[face]
-    row = drawing.out_left_face[u]
     for w in range(drawing.n):
-        if w != u and w not in deleted and classes[row[w]] == root:
+        if w != u and w not in deleted and classes[drawing.face_left_of(u, w)] == root:
             return True
     return False
 
@@ -958,13 +964,13 @@ def peel_closure_holds(drawing: Drawing, s: int, face: int, memo: Dict) -> bool:
         if len(_greedy_peel(drawing, face, (prefix,) * length, memo)) == length:
             if i == s:
                 return True
-            for v in _bits(_incident_mask(drawing, prefix, face, memo)):
+            for v in _bits(_view(drawing, prefix, memo).incident_mask(face)):
                 if holds(prefix | 1 << v, i + 1):
                     return True
         failed.add(prefix)
         return False
 
-    return any(holds(1 << v, 0) for v in _bits(_incident_mask(drawing, 0, face, memo)))
+    return any(holds(1 << v, 0) for v in _bits(_view(drawing, 0, memo).incident_mask(face)))
 
 
 def two_pass_bishell(drawing: Drawing, s: int,
@@ -984,7 +990,7 @@ def two_pass_bishell(drawing: Drawing, s: int,
             if len(a_seq) == s + 1:
                 b = _greedy_peel(drawing, f, prefixes[::-1], memo)
                 return BishellWitness(f, tuple(a_seq), tuple(b)) if len(b) == s + 1 else None
-            for v in _bits(_incident_mask(drawing, deleted, f, memo)):
+            for v in _bits(_view(drawing, deleted, memo).incident_mask(f)):
                 a_seq.append(v)
                 prefixes.append(deleted | 1 << v)
                 result = extend_a(deleted | 1 << v)

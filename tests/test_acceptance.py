@@ -25,13 +25,13 @@ from kncross.kedges import (
     k_value,
 )
 from kncross.shelling import (
+    bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
     invariant_edge_report,
     shell_to_bishell,
+    shell_witness_violation,
     truncate_bishell,
-    verify_bishell_witness,
-    verify_shell_witness,
 )
 
 from conftest import assert_view_matches_replanarization, loop_k4_census
@@ -147,14 +147,14 @@ def test_criterion_07_shellability_chain(convex_family):
         drawing = convex_family[n]
         witness = check_s_shellable(drawing, n // 2)
         assert witness is not None, f"no shell witness for convex K{n}"
-        assert verify_shell_witness(drawing, witness)
+        assert shell_witness_violation(drawing, witness) is None
         bishell = shell_to_bishell(witness)
-        assert verify_bishell_witness(drawing, bishell)
+        assert bishell_witness_violation(drawing, bishell) is None
         _WITNESS_STASH.append((drawing, bishell))
         chain = bishell
         while chain.order > 0:
             chain = truncate_bishell(chain)
-            assert verify_bishell_witness(drawing, chain)
+            assert bishell_witness_violation(drawing, chain) is None
             _WITNESS_STASH.append((drawing, chain))
     _report(7, time.time() - start, 120.0,
             "convex shell witnesses at s=floor(n/2), transforms verify")
@@ -167,7 +167,7 @@ def test_criterion_08_bishellability_and_bounds(cylindrical_family):
         s = n // 2 - 2
         witness = check_bishellable(drawing, s)
         assert witness is not None, f"cylindrical K{n} not bishellable"
-        assert verify_bishell_witness(drawing, witness)
+        assert bishell_witness_violation(drawing, witness) is None
         _WITNESS_STASH.append((drawing, witness))
         sums = cumulative_sums(k_edge_vector(drawing)).double
         for k in range(s + 1):

@@ -14,6 +14,8 @@ from kncross.drawing import build_drawing
 from kncross.generators import gen_convex, gen_random_points
 from kncross.io import serialize
 
+from conftest import vertex_faces
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -240,12 +242,13 @@ def test_hunt_reports_and_exit_zero(tmp_path, capsys):
     assert "matches=" in stdout
     # h(5)=1 is reachable rectilinearly, so a dozen trials usually find it
 
-    # every rectilinear drawing is bishellable, so this hunt is refused
-    code, stdout, stderr = run(capsys, "hunt", "--n", "4", "--trials", "6",
-                               "--target", "non-bishellable")
-    assert code == 2
+    # optimal is the only target: every rectilinear drawing is bishellable
+    with pytest.raises(SystemExit) as exited:
+        main(["hunt", "--n", "4", "--trials", "6", "--target", "non-bishellable"])
+    assert exited.value.code == 2
+    stdout, stderr = capsys.readouterr()
     assert stdout == ""
-    assert "n-shell witness of every rectilinear drawing" in stderr
+    assert "argument --target: invalid choice" in stderr and "non-bishellable" in stderr
 
 
 def test_hunt_builds_a_map_only_for_a_match(tmp_path, capsys):
@@ -445,6 +448,27 @@ def test_output_naming_the_input_exit_2(tmp_path, capsys, monkeypatch, command, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.pts", "link.pts", "sub"]
 
 
+@pytest.mark.parametrize("spelling", ["spec.2p", "./spec.2p", "link.2p"])
+@pytest.mark.parametrize("flag", ["-o", "--svg"])
+def test_generate_output_naming_the_spec_exit_2(tmp_path, capsys, monkeypatch, flag, spelling):
+    # the drawing or the picture would replace the spec it came from
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.2p").symlink_to("spec.2p")
+    run(capsys, "generate", "twopage", "--n", "5", "-o", "spec.2p")
+    blob = (tmp_path / "spec.2p").read_bytes()
+    outputs = {"-o": "out.2p", "--svg": "out.svg"}
+    outputs[flag] = spelling
+    with mock.patch("kncross.cli.parse") as parse:
+        code, stdout, err = run(capsys, "generate", "twopage", "--n", "5", "--spec", "spec.2p",
+                                "-o", outputs["-o"], "--svg", outputs["--svg"])
+    assert code == 2
+    assert stdout == ""
+    assert f"{flag} and --spec name the same file" in err
+    assert not parse.called
+    assert (tmp_path / "spec.2p").read_bytes() == blob
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.2p", "spec.2p"]
+
+
 def test_generate_replaces_existing_files_without_leftovers(tmp_path, capsys,
                                                             monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -513,7 +537,7 @@ def test_check_reverifies_witness_before_emitting(tmp_path, capsys, monkeypatch,
         message = bishell_witness_violation(drawing, broken)
     else:
         vertexless = next(f for f in range(drawing.face_count)
-                          if not any(f in row for row in drawing.out_left_face))
+                          if f not in vertex_faces(drawing))
         broken = ShellWitness(vertexless, (0, 1))
         message = shell_witness_violation(drawing, broken)
     assert message is not None

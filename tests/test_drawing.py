@@ -16,6 +16,8 @@ from kncross.drawing import (
     NotGoodDrawing,
     _goodness_violations,
     build_drawing,
+    edge_ids,
+    edge_list,
     rotation_key,
     rotation_system,
     subdrawing,
@@ -427,10 +429,8 @@ def test_faces_named_by_darts(small_corpus):
 def map_arguments(drawing):
     """build_drawing arguments that describe `drawing`."""
     paths = {edge: drawing.edge_paths[eid] for eid, edge in enumerate(drawing.edges)}
-    reference = next((u, v) for u in range(drawing.n) for v in range(drawing.n)
-                     if u != v and drawing.out_left_face[u][v] == drawing.reference_face)
     return (drawing.n, paths, drawing.orientation_bits, drawing.vertex_rotations,
-            reference, drawing.geometry)
+            drawing.face_dart(drawing.reference_face), drawing.geometry)
 
 
 @pytest.fixture(scope="module")
@@ -446,9 +446,10 @@ def oracle_corpus(small_corpus):
 def test_build_matches_reference_build_field_by_field(oracle_corpus):
     kept = {f.name for f in fields(Drawing)}
     assert {"edges", "edge_paths", "crossing_edges", "dart_count",
-            "seg_faces", "out_left_face", "face_parity",
-            "reference_face", "face_count"} <= kept
+            "seg_faces", "face_parity", "reference_face", "face_count"} <= kept
     assert not kept & {"rot_next", "face_darts", "dart_base", "dart_face"}
+    # no first-dart face table either: `face_left_of` reads `seg_faces`
+    assert len(kept) == 12
     # and the maps the benchmark loads: random K_12 and K_14
     benchmark_maps = [gen_random_points(12, seed) for seed in (502, 505, 511, 567, 629)]
     benchmark_maps += [gen_random_points(14, seed) for seed in range(1, 7)]
@@ -457,6 +458,20 @@ def test_build_matches_reference_build_field_by_field(oracle_corpus):
         built = build_outcome(build_drawing, *args)
         assert built == build_outcome(reference_build_drawing, *args)
         assert built == build_outcome(lambda: drawing)
+
+
+def test_edges_are_one_tuple_per_n_indexed_by_edge_ids(oracle_corpus, tmp_path):
+    # every drawing of K_n, built, parsed or re-referenced, shares `edge_list(n)`
+    path = tmp_path / "drawing.map"
+    for drawing in oracle_corpus:
+        n = drawing.n
+        path.write_bytes(serialize(drawing, "map"))
+        for same_n in (drawing, parse(path.read_bytes()), drawing.with_reference(0)):
+            assert same_n.edges is edge_list(n)
+        assert drawing.edges == tuple(itertools.combinations(range(n), 2))
+        ids = edge_ids(n)
+        assert [ids[u][v] for u, v in drawing.edges] == list(range(len(drawing.edges)))
+        assert [ids[v][u] for u, v in drawing.edges] == list(range(len(drawing.edges)))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -551,9 +566,8 @@ def test_darts_to_deleted_vertices_touch_no_new_class(n):
             for u in range(n):
                 if mask >> u & 1:
                     continue
-                row = drawing.out_left_face[u]
-                every = {classes[row[w]] for w in range(n) if w != u}
-                kept = {classes[row[w]] for w in range(n)
+                every = {classes[drawing.face_left_of(u, w)] for w in range(n) if w != u}
+                kept = {classes[drawing.face_left_of(u, w)] for w in range(n)
                         if w != u and not mask >> w & 1}
                 assert every == kept
 

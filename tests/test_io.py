@@ -33,11 +33,11 @@ from kncross.kedges import k_edge_vector
 from kncross.shelling import (
     BishellWitness,
     ShellWitness,
+    bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
     first_shell_witness,
-    verify_bishell_witness,
-    verify_shell_witness,
+    shell_witness_violation,
 )
 
 from conftest import MAP_REFUSALS, build_outcome, reference_build_drawing, regenerate_subdrawing
@@ -365,7 +365,7 @@ def test_witness_round_trip_shell():
     again = parse_witness(blob, d)
     assert isinstance(again, ShellWitness)
     assert again == witness
-    assert verify_shell_witness(d, again)
+    assert shell_witness_violation(d, again) is None
 
 
 def test_witness_round_trip_bishell():
@@ -375,7 +375,7 @@ def test_witness_round_trip_bishell():
     again = parse_witness(blob, d)
     assert isinstance(again, BishellWitness)
     assert again == witness
-    assert verify_bishell_witness(d, again)
+    assert bishell_witness_violation(d, again) is None
 
 
 def test_witness_example_format():
@@ -384,7 +384,7 @@ def test_witness_example_format():
     witness = parse_witness(text, d)
     assert witness.order == 1
     assert witness.a_seq == (0, 1) and witness.b_seq == (3, 2)
-    assert witness.face == d.out_left_face[0][1]
+    assert witness.face == d.face_left_of(0, 1)
 
 
 def test_witness_parse_errors():

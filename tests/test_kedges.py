@@ -15,10 +15,9 @@ from kncross.kedges import (
     k_edge_vector,
     k_value,
     right_mask,
-    side_of,
 )
 
-from conftest import brute_k_vector, loop_k4_census, view_k_vector, view_side_of
+from conftest import brute_k_vector, loop_k4_census, view_k_vector, view_side
 
 
 def test_hill_number_table():
@@ -28,10 +27,11 @@ def test_hill_number_table():
     assert hill_number(3) == 0 and hill_number(4) == 0
 
 
-def test_side_of_convex_k5():
+def test_right_mask_convex_k5():
+    # 2 is L for 0->1, and 1 is R for 0->2
     d = gen_convex(5)
-    assert side_of(d, 0, 1, 2) == "L"
-    assert side_of(d, 0, 2, 1) == "R"
+    assert not right_mask(d, 0, 1) >> 2 & 1
+    assert right_mask(d, 0, 2) >> 1 & 1
 
 
 def test_side_swap_property(small_corpus):
@@ -39,21 +39,9 @@ def test_side_swap_property(small_corpus):
     # then u is R for a->v
     for _name, n, drawing in small_corpus[:6]:
         for a, u, v in itertools.permutations(range(min(n, 5)), 3):
-            lhs = side_of(drawing, a, u, v)
-            rhs = side_of(drawing, a, v, u)
-            assert (lhs == "L") == (rhs == "R")
-
-
-def test_side_of_matches_view_oracle(small_corpus):
-    # every ordered triple at every reference face
-    drawings = [d for _name, _n, d in small_corpus]
-    drawings += [gen_random_points(10, 3), gen_cylindrical(9)]
-    for drawing in drawings:
-        triples = list(itertools.permutations(range(drawing.n), 3))
-        for face in range(drawing.face_count):
-            d = drawing.with_reference(face)
-            for u, v, w in triples:
-                assert side_of(d, u, v, w) == view_side_of(d, u, v, w)
+            lhs = right_mask(drawing, a, u) >> v & 1
+            rhs = right_mask(drawing, a, v) >> u & 1
+            assert lhs != rhs
 
 
 def _oracle_drawings(small_corpus):
@@ -69,7 +57,7 @@ def test_right_mask_matches_view_oracle(small_corpus):
             d = drawing.with_reference(face)
             for u, v in itertools.permutations(range(n), 2):
                 want = sum(1 << w for w in range(n) if w not in (u, v)
-                           and view_side_of(d, u, v, w) == "R")
+                           and view_side(d, u, v, w) == "R")
                 assert right_mask(d, u, v) == want
 
 
@@ -81,7 +69,7 @@ def test_k_value_over_alive_mask_matches_view_oracle(small_corpus):
         for u, v in d.edges:
             for alive in masks:
                 others = [w for w in range(n) if alive >> w & 1 and w not in (u, v)]
-                rights = sum(1 for w in others if view_side_of(d, u, v, w) == "R")
+                rights = sum(1 for w in others if view_side(d, u, v, w) == "R")
                 want = min(rights, len(others) - rights)
                 assert k_value(d, (u, v), alive) == want
                 assert k_value(d, (v, u), alive) == want
@@ -119,9 +107,6 @@ def test_side_oracle_refuses_bad_vertices():
     for u, v in ((0, 0), (0, 5), (-1, 2)):
         with pytest.raises(ValueError):
             right_mask(d, u, v)
-    for w in (1, 5, -1):
-        with pytest.raises(ValueError):
-            side_of(d, 0, 1, w)
     for alive in (1 << 5, -1):
         with pytest.raises(ValueError):
             k_value(d, (0, 1), alive)

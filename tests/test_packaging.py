@@ -47,3 +47,11 @@ def test_refusals_are_value_errors():
     assert sorted(c.__name__ for c in errors) == [
         "DegenerateInput", "NotGoodDrawing", "ParseError", "WitnessInvalid"]
     assert [c.__name__ for c in errors if not issubclass(c, ValueError)] == ["WitnessInvalid"]
+
+
+def test_readme_library_example_runs(capsys):
+    # the Library section's code block runs against the current public names
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("(")

@@ -25,13 +25,12 @@ from kncross.shelling import (
     shell_witness_violation,
     sufficient_conditions,
     truncate_bishell,
-    verify_bishell_witness,
-    verify_shell_witness,
 )
 
 from conftest import (child_view_bishell, crossing_triangles, flip_triangle, longest_peel,
                       loop_incident, peel_closure_holds, replay_shell_search,
-                      shelling_sequences, two_pass_bishell, vertex_mask, view_classes)
+                      shelling_sequences, two_pass_bishell, vertex_faces, vertex_mask,
+                      view_classes)
 
 
 def naive_bishellable(drawing, s):
@@ -70,8 +69,8 @@ def test_shelling_sequence_prefix_property():
 
 def test_shell_witness_hull_triple():
     d6 = gen_convex(6)
-    assert verify_shell_witness(d6, ShellWitness(d6.reference_face, (0, 1, 2)))
-    assert verify_shell_witness(d6, ShellWitness(d6.reference_face, (3, 4, 5)))
+    assert shell_witness_violation(d6, ShellWitness(d6.reference_face, (0, 1, 2))) is None
+    assert shell_witness_violation(d6, ShellWitness(d6.reference_face, (3, 4, 5))) is None
 
 
 def test_shell_search_convex():
@@ -79,7 +78,7 @@ def test_shell_search_convex():
         d = gen_convex(n)
         witness = check_s_shellable(d, s)
         assert witness is not None
-        assert verify_shell_witness(d, witness)
+        assert shell_witness_violation(d, witness) is None
 
 
 def test_shell_search_negative_face():
@@ -87,7 +86,7 @@ def test_shell_search_negative_face():
     d6 = gen_convex(6)
     vertexless = None
     for face in range(d6.face_count):
-        if not any(face in row for row in d6.out_left_face):
+        if face not in vertex_faces(d6):
             vertexless = face
             break
     assert vertexless is not None
@@ -97,14 +96,14 @@ def test_shell_search_negative_face():
 def test_malformed_witnesses_raise():
     d5 = gen_convex(5)
     with pytest.raises(ValueError, match=r"^duplicate vertex in v-sequence$"):
-        verify_shell_witness(d5, ShellWitness(0, (1, 1)))
+        shell_witness_violation(d5, ShellWitness(0, (1, 1)))
     with pytest.raises(ValueError, match=r"^vertex 7 out of range in v-sequence$"):
-        verify_shell_witness(d5, ShellWitness(0, (7,)))
+        shell_witness_violation(d5, ShellWitness(0, (7,)))
     with pytest.raises(ValueError,
                        match=r"^a- and b-sequences must have equal length >= 1$"):
-        verify_bishell_witness(d5, BishellWitness(0, (0, 1), (2,)))
+        bishell_witness_violation(d5, BishellWitness(0, (0, 1), (2,)))
     with pytest.raises(ValueError, match=r"^face 99 out of range$"):
-        verify_bishell_witness(d5, BishellWitness(99, (0,), (1,)))
+        bishell_witness_violation(d5, BishellWitness(99, (0,), (1,)))
     # a face given to a search is checked before the search starts
     for search in (lambda f: check_bishellable(d5, 1, face=f),
                    lambda f: check_s_shellable(d5, 3, face=f),
@@ -135,15 +134,14 @@ def test_bad_caller_input_is_a_value_error():
         (check_bishellable, (d5, 1, faces), rf"^face {faces} out of range$"),
         (check_s_shellable, (d5, 3, faces), rf"^face {faces} out of range$"),
         (first_shell_witness, (d5, -1), r"^face -1 out of range$"),
+        (shell_witness_violation, (d5, ShellWitness(0, ())),
+         r"^sequence length 0 out of range$"),
+        (shell_witness_violation, (d5, ShellWitness(0, (0, 0))),
+         r"^duplicate vertex in v-sequence$"),
+        (shell_witness_violation, (d5, ShellWitness(faces, (0, 1))),
+         rf"^face {faces} out of range$"),
     ]
-    for verify in (verify_shell_witness, shell_witness_violation):
-        refusals += [
-            (verify, (d5, ShellWitness(0, ())), r"^sequence length 0 out of range$"),
-            (verify, (d5, ShellWitness(0, (0, 0))), r"^duplicate vertex in v-sequence$"),
-            (verify, (d5, ShellWitness(faces, (0, 1))), rf"^face {faces} out of range$"),
-        ]
-    for verify in (verify_bishell_witness, bishell_witness_violation,
-                   invariant_edge_report):
+    for verify in (bishell_witness_violation, invariant_edge_report):
         refusals += [
             (verify, (d5, BishellWitness(0, (), ())),
              r"^a- and b-sequences must have equal length >= 1$"),
@@ -168,11 +166,11 @@ def test_condition3_violation_reported_at_top_index():
 def test_shell_to_bishell_rule():
     d6 = gen_convex(6)
     shell = ShellWitness(d6.reference_face, (0, 1, 2, 3))
-    assert verify_shell_witness(d6, shell)
+    assert shell_witness_violation(d6, shell) is None
     bishell = shell_to_bishell(shell)
     assert bishell.a_seq == (0, 1, 2)
     assert bishell.b_seq == (3, 2, 1)
-    assert verify_bishell_witness(d6, bishell)
+    assert bishell_witness_violation(d6, bishell) is None
 
     degenerate = shell_to_bishell(ShellWitness(d6.reference_face, (0, 1)))
     assert degenerate.order == 0
@@ -185,7 +183,7 @@ def test_truncation_chain():
     assert witness is not None
     bishell = shell_to_bishell(witness)
     while True:
-        assert verify_bishell_witness(d8, bishell)
+        assert bishell_witness_violation(d8, bishell) is None
         if bishell.order == 0:
             break
         bishell = truncate_bishell(bishell)
@@ -198,7 +196,7 @@ def test_bishell_order0_needs_two_vertices_on_a_face():
     witness = check_bishellable(d, 0)
     assert witness is not None
     assert witness.a_seq[0] != witness.b_seq[0]
-    assert verify_bishell_witness(d, witness)
+    assert bishell_witness_violation(d, witness) is None
 
 
 def test_check_bishellable_agrees_with_naive():
@@ -387,7 +385,7 @@ def test_sorted_points_are_an_n_shell_witness(n, seed):
 def test_searches_match_oracles_on_vertexless_face():
     d6 = gen_convex(6)
     vertexless = next(f for f in range(d6.face_count)
-                      if not any(f in row for row in d6.out_left_face))
+                      if f not in vertex_faces(d6))
     for s in (2, 3, 4):
         assert check_s_shellable(d6, s, face=vertexless) is None
         assert replay_shell_search(d6, s, face=vertexless) is None
@@ -534,7 +532,7 @@ def test_shell_witness_is_a_front_and_a_back_peel():
         d = drawings[trial % len(drawings)]
         # a face at a vertex: the left face of a random dart
         u = rng.below(d.n)
-        face = d.out_left_face[u][(u + 1 + rng.below(d.n - 1)) % d.n]
+        face = d.face_left_of(u, (u + 1 + rng.below(d.n - 1)) % d.n)
         s = 2 + rng.below(min(6, d.n - 1))   # 2..7, at most n
         seq = []
         for i in range(s):
