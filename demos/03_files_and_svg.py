@@ -11,7 +11,6 @@ import pathlib
 from kncross import (
     bishell_witness_violation,
     check_bishellable,
-    export_svg,
     gen_convex,
     gen_cylindrical,
     gen_random_points,
@@ -20,6 +19,7 @@ from kncross import (
     parse_witness,
     serialize,
     serialize_witness,
+    svg_document,
 )
 from kncross.generators import twopage_all_top
 
@@ -53,7 +53,7 @@ for name, drawing in (("k6_convex.svg", convex),
                       ("k9_cylindrical.svg", cylinder),
                       ("k6_twopage.svg", book),
                       ("k7_random.svg", random7)):
-    export_svg(drawing, str(out / name))
+    (out / name).write_text(svg_document(drawing), encoding="utf-8")
     print("rendered", name)
 
 print()

@@ -11,11 +11,10 @@ typical rectilinear drawings and the conjectured optimum H(n).
 from collections import Counter
 
 from kncross import (
+    check_bishellable,
     gen_random_points,
     hill_number,
-    is_bishellable,
     rotation_key,
-    rotation_system,
 )
 
 n, trials = 6, 60
@@ -24,7 +23,7 @@ distinct = {}  # (crossings, canonical rotation key) -> first seed
 for seed in range(trials):
     drawing = gen_random_points(n, seed)
     histogram[drawing.crossings] += 1
-    key = (drawing.crossings, rotation_key(rotation_system(drawing)))
+    key = (drawing.crossings, rotation_key(drawing.vertex_rotations))
     distinct.setdefault(key, seed)
 
 print(f"{trials} seeded random drawings of K{n} (H({n}) = {hill_number(n)})")
@@ -42,4 +41,4 @@ print("bishellability of the first few drawings:")
 for seed in range(5):
     drawing = gen_random_points(n, seed)
     print(f"  seed {seed}: cr={drawing.crossings} "
-          f"bishellable={is_bishellable(drawing)}")
+          f"bishellable={check_bishellable(drawing) is not None}")

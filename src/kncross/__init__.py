@@ -13,7 +13,6 @@ from .drawing import (
     NotGoodDrawing,
     build_drawing,
     rotation_key,
-    rotation_system,
     subdrawing,
 )
 from .planarize import DegenerateInput, planarize_points
@@ -37,17 +36,14 @@ from .shelling import (
     bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
-    first_shell_witness,
     invariant_edge_report,
-    is_bishellable,
-    is_shellable,
     shell_to_bishell,
     shell_witness_violation,
     sufficient_conditions,
     truncate_bishell,
 )
 from .generators import gen_convex, gen_cylindrical, gen_random_points, gen_twopage, TwoPageSpec
-from .io import ParseError, export_svg, parse, parse_witness, serialize, serialize_witness
+from .io import ParseError, parse, parse_witness, serialize, serialize_witness, svg_document
 
 __all__ = [
     "BishellWitness", "CumulativeSums", "DegenerateInput", "DeletionView",
@@ -56,13 +52,11 @@ __all__ = [
     "bishell_witness_violation", "build_drawing", "check_bishellable",
     "check_s_shellable", "circle_point",
     "crossings_from_cumulative", "crossings_from_k_edges", "cumulative_sums",
-    "double_cumulative_bound_holds", "export_svg",
-    "first_shell_witness", "gen_convex",
+    "double_cumulative_bound_holds", "gen_convex",
     "gen_cylindrical", "gen_random_points", "gen_twopage", "hill_number",
-    "invariant_edge_report", "is_bishellable", "is_shellable",
-    "k_edge_vector", "k_value", "orient", "parse", "parse_witness",
+    "invariant_edge_report", "k_edge_vector", "k_value", "orient", "parse", "parse_witness",
     "planarize_points", "point", "proper_intersection",
-    "right_mask", "rotation_key", "rotation_system", "serialize",
-    "serialize_witness", "shell_to_bishell", "shell_witness_violation",
-    "subdrawing", "sufficient_conditions", "truncate_bishell",
+    "right_mask", "rotation_key", "serialize", "serialize_witness",
+    "shell_to_bishell", "shell_witness_violation", "subdrawing",
+    "sufficient_conditions", "svg_document", "truncate_bishell",
 ]

@@ -24,8 +24,7 @@ from .generators import (
     gen_twopage,
     twopage_all_top,
 )
-from .io import (export_svg, parse, parse_witness, serialize, serialize_witness,
-                 svg_document, write_all)
+from .io import parse, parse_witness, serialize, serialize_witness, svg_document, write_all
 from .kedges import (
     crossings_from_cumulative,
     crossings_from_k_edges,
@@ -39,7 +38,6 @@ from .shelling import (
     bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
-    first_shell_witness,
     shell_witness_violation,
 )
 
@@ -109,13 +107,8 @@ def _check(args) -> int:
         _refuse_same_file(args.witness_out, args.file, "--witness-out and the drawing")
     drawing = _load(args.file)
     face = drawing.face_left_of(*args.face) if args.face else None
-    if args.mode == "bishell":
-        s = args.s if args.s is not None else drawing.n // 2 - 2
-        witness = check_bishellable(drawing, s, face=face)
-    elif args.s is not None:
-        witness = check_s_shellable(drawing, args.s, face=face)
-    else:
-        witness = first_shell_witness(drawing, face=face)
+    search = check_bishellable if args.mode == "bishell" else check_s_shellable
+    witness = search(drawing, args.s, face=face)
     if witness is None:
         print("no witness (exhaustive search)")
         return 1
@@ -146,12 +139,6 @@ def _generate(args) -> int:
     n = args.n
     if args.svg:
         _refuse_same_file(args.out, args.svg, "-o and --svg")
-    if args.spec:
-        _refuse_same_file(args.out, args.spec, "-o and --spec")
-        if args.svg:
-            _refuse_same_file(args.svg, args.spec, "--svg and --spec")
-    if args.spec and args.family != "twopage":
-        raise ValueError(f"--spec applies only to the twopage family, not {args.family}")
     if args.family == "convex":
         drawing, fmt = gen_convex(n), "points"
     elif args.family == "cylindrical":
@@ -159,13 +146,7 @@ def _generate(args) -> int:
     elif args.family == "random":
         drawing, fmt = gen_random_points(n, args.seed), "points"
     else:
-        if args.spec:
-            drawing = _load(args.spec)
-            if drawing.n != n:
-                raise ValueError("spec file disagrees with --n")
-        else:
-            drawing = gen_twopage(twopage_all_top(n))
-        fmt = "twopage"
+        drawing, fmt = gen_twopage(twopage_all_top(n)), "twopage"
     # both files are built before either is written, and written together
     outputs = [(args.out, serialize(drawing, fmt))]
     if args.svg:
@@ -208,7 +189,7 @@ def _hunt(args) -> int:
 def _export_svg(args) -> int:
     _refuse_same_file(args.out, args.file, "-o and the drawing")
     drawing = _load(args.file)
-    export_svg(drawing, args.out)
+    write_all([(args.out, svg_document(drawing).encode("utf-8"))])
     print(f"wrote {args.out}")
     return 0
 
@@ -244,8 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=("convex", "cylindrical", "twopage", "random"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spec", default=None,
-                   help="twopage drawing file supplying spine order and pages")
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--svg", default=None,
                    help="also render the generated drawing (before any "

@@ -32,7 +32,9 @@ closes, and the map of K_n is connected, so its dual is too.
 
 succ, the face walks and the per-dart tables live only during
 construction.  A Drawing keeps what the rest of the package reads: the
-edges, their crossing paths and the crossing pairs, the dart and face
+edges, their crossing paths and the crossing pairs, the vertex
+rotations, each started at its least neighbour as files write them (a
+rotation is a cycle, so the start changes no face), the dart and face
 counts, the faces on both sides of every segment's darts (`seg_faces`),
 the parity masks below and the reference face.  The edges are
 `edge_list(n)`, shared by every drawing of K_n; edge uv has id
@@ -133,7 +135,7 @@ class Drawing:
     edge_paths: Tuple[Tuple[int, ...], ...]       # crossing ids, smaller->larger endpoint
     crossing_edges: Tuple[Tuple[int, int], ...]   # per crossing: (edge id, edge id), lex
     orientation_bits: Tuple[str, ...]             # '+' or '-' per crossing
-    vertex_rotations: Tuple[Tuple[int, ...], ...]  # ccw neighbor cycle per vertex
+    vertex_rotations: Tuple[Tuple[int, ...], ...]  # ccw neighbor cycle per vertex, least first
     dart_count: int
     face_count: int
     reference_face: int
@@ -270,10 +272,13 @@ def build_drawing(
 
     if len(vertex_rotations) != n:
         raise ValueError("need one rotation per vertex")
+    rotations: List[Tuple[int, ...]] = []
     for u, rot in enumerate(vertex_rotations):
         if sorted(rot) != [w for w in range(n) if w != u]:
             raise ValueError(
                 f"rotation at {u} is not a permutation of the other vertices")
+        k = rot.index(0 if u else 1)  # from the least neighbour
+        rotations.append((*rot[k:], *rot[:k]))
 
     # The face walk successor succ[d] = rot_next[d ^ 1], rot_next[d] being
     # the dart after d counterclockwise around its origin, straight from
@@ -285,7 +290,7 @@ def build_drawing(
     # below reaches every face.
     total = len(dart_edge)
     succ = [0] * total
-    for row, rot in zip(out_dart, vertex_rotations):
+    for row, rot in zip(out_dart, rotations):
         prev = row[rot[-1]] ^ 1
         for w in rot:
             d = row[w]
@@ -365,7 +370,7 @@ def build_drawing(
         crossing_edges=tuple(zip(map(dart_edge.__getitem__, first),
                                  map(dart_edge.__getitem__, second))),
         orientation_bits=tuple(crossing_orientations),
-        vertex_rotations=tuple(tuple(r) for r in vertex_rotations),
+        vertex_rotations=tuple(rotations),
         dart_count=total,
         face_count=face_count,
         reference_face=reference_face,
@@ -561,20 +566,13 @@ def subdrawing(drawing: Drawing, alive: int) -> Drawing:
 RotationSystem = Tuple[Tuple[int, ...], ...]
 
 
-def _canon_cycle(cycle: Sequence[int]) -> Tuple[int, ...]:
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:]) + tuple(cycle[:k])
-
-
-def rotation_system(drawing: Drawing) -> RotationSystem:
-    """Cyclic ccw neighbor order at every vertex, canonically rotated."""
-    return tuple(_canon_cycle(rot) for rot in drawing.vertex_rotations)
-
-
 def rotation_key(system: RotationSystem) -> RotationSystem:
     """Canonical form of a rotation system up to relabelling and reversal.
 
-    The least of the 2*n*(n-1) anchored relabellings: vertex a becomes 0
+    `system` is a counterclockwise neighbour cycle per vertex, from any
+    start: `Drawing.vertex_rotations`, or the vertex orders of a segment
+    arrangement.  The key is the least of the 2*n*(n-1) anchored
+    relabellings, each row from its least entry: vertex a becomes 0
     and its rotation, read from b, becomes 1..n-1, for every a, b and
     both orientations.  Every relabelling of the system or of its
     reverse that turns row 0 into (1, ..., n-1) is one of them, so two

@@ -43,7 +43,6 @@ from .drawing import (
     PointsGeometry,
     TwoPageGeometry,
     build_drawing,
-    rotation_system,
 )
 from .geom import Point, circle_point, proper_intersection
 from .planarize import planarize_points
@@ -181,6 +180,8 @@ def _parse_twopage(n: int, body: List[Tuple[int, str]]) -> Drawing:
                 raise ParseError(no, "expected 'e <u> <v> <T|B>'")
             u, v = _int(parts[1], no), _int(parts[2], no)
             key = (min(u, v), max(u, v))
+            if key[0] < 0 or key[1] >= n:
+                raise ParseError(no, f"vertex {key[0] if key[0] < 0 else key[1]} out of range")
             if u == v or key in pages:
                 raise ParseError(no, f"bad or repeated edge {u} {v}")
             pages[key] = parts[3]
@@ -219,6 +220,8 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
             if len(parts) < 3 or parts[2] != ":":
                 raise ParseError(no, "expected 'rot <u> : <neighbors>'")
             u = _int(parts[1], no)
+            if not 0 <= u < n:
+                raise ParseError(no, f"vertex {u} out of range")
             if u in rotations:
                 raise ParseError(no, f"duplicate rotation for {u}")
             rotations[u] = _ints(parts[3:], no)
@@ -228,6 +231,8 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
             u, v = _int(parts[1], no), _int(parts[2], no)
             if not u < v:
                 raise ParseError(no, "edge lines must be ordered u < v")
+            if u < 0 or v >= n:
+                raise ParseError(no, f"vertex {u if u < 0 else v} out of range")
             if (u, v) in paths:
                 raise ParseError(no, f"duplicate edge line {u} {v}")
             paths[(u, v)] = _ints(parts[4:], no)
@@ -245,6 +250,11 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
     if len(rotations) != n or sorted(rotations) != list(range(n)):
         raise ParseError(last, "missing rotation lines")
     if len(bits) != c or sorted(bits) != list(range(c)):
+        # c may follow the x lines, so their ids are range-checked only here
+        for no, line in body:
+            parts = line.split()
+            if parts[0] == "x" and not 0 <= int(parts[1]) < c:
+                raise ParseError(no, f"crossing id {int(parts[1])} out of range")
         raise ParseError(last, "missing orientation lines")
     if ref is None:
         raise ParseError(last, "missing ref line")
@@ -281,7 +291,7 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
 
     if fmt == "map":
         out = [MAGIC, "format map", f"n {drawing.n}", f"c {drawing.crossings}"]
-        for u, rot in enumerate(rotation_system(drawing)):
+        for u, rot in enumerate(drawing.vertex_rotations):
             out.append(f"rot {u} : " + " ".join(str(w) for w in rot))
         renum: Dict[int, int] = {}
         for eid, _ in enumerate(drawing.edges):
@@ -428,11 +438,6 @@ def svg_document(drawing: Drawing) -> str:
     if isinstance(geom, CylindricalGeometry):
         return _svg_cylindrical(drawing, geom)
     raise ValueError("map-format drawings carry no coordinates")
-
-
-def export_svg(drawing: Drawing, path: str) -> None:
-    """Write `svg_document(drawing)` to an SVG file through `write_all`."""
-    write_all([(path, svg_document(drawing).encode("utf-8"))])
 
 
 def write_all(outputs: List[Tuple[str, bytes]]) -> None:

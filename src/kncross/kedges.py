@@ -65,17 +65,20 @@ def k_value(drawing: Drawing, edge: Tuple[int, int],
             alive: Optional[int] = None) -> int:
     """k-value of an edge in the subdrawing on the `alive` vertex bitmask.
 
-    `None` means all n vertices.  Side labels are triangle-local, hence
-    identical in the subdrawing and the full drawing; only the range of
-    w shrinks.
+    `None` means all n vertices; an edge with an endpoint outside it is
+    refused.  Side labels are triangle-local, hence identical in the
+    subdrawing and the full drawing; only the range of w shrinks.
     """
     u, v = edge
     if alive is None:
         alive = (1 << drawing.n) - 1
     elif alive >> drawing.n:  # also true of every negative mask
         raise ValueError(f"alive mask {alive:#x} out of range")
+    mask = right_mask(drawing, u, v)  # refuses a bad u or v first
+    if not alive >> u & alive >> v & 1:
+        raise ValueError(f"edge ({u},{v}) is not in the subdrawing on {alive:#x}")
     others = alive & ~(1 << u | 1 << v)
-    rights = (right_mask(drawing, u, v) & others).bit_count()
+    rights = (mask & others).bit_count()
     return min(rights, others.bit_count() - rights)
 
 

@@ -7,6 +7,11 @@ suffix v_{t+1}..v_s.  A bishell witness of order s consists of two
 sequences a_0..a_s and b_0..b_s growing away from the same face, with
 the complementary prefixes disjoint: a_i != b_j whenever i + j <= s.
 
+The thresholds of the crossing bound H(n) are the searches' defaults,
+written nowhere else: `s=None` asks `check_s_shellable` for some
+s >= floor(n/2) (Abrego et al.) and `check_bishellable` for order
+floor(n/2) - 2 (the paper's main result).
+
 Searches are exhaustive and deterministic (faces ascending, candidate
 vertices ascending), so the returned witness only depends on the
 drawing.  Verification never searches: it reads the incidences of the
@@ -303,9 +308,10 @@ def truncate_bishell(witness: BishellWitness) -> BishellWitness:
 # ---------------------------------------------------------------------------
 
 
-def check_bishellable(drawing: Drawing, s: int,
+def check_bishellable(drawing: Drawing, s: Optional[int] = None,
                       face: Optional[int] = None) -> Optional[BishellWitness]:
-    """Exhaustive search for an order-s bishell witness.
+    """Exhaustive search for an order-s bishell witness, by default of
+    order floor(n/2) - 2.
 
     Scans all faces unless one is fixed, skipping those that fewer than
     two vertices touch: a_0 and b_0 are distinct and both incident with
@@ -316,6 +322,8 @@ def check_bishellable(drawing: Drawing, s: int,
     None.  One memo of deletion views serves both sequences and every
     face.
     """
+    if s is None:
+        s = drawing.n // 2 - 2
     if not 0 <= s <= drawing.n - 2:
         raise ValueError(f"order s={s} out of range for n={drawing.n}")
     memo: Memo = {}
@@ -374,26 +382,19 @@ def _bishell_at_face(drawing: Drawing, s: int, face: int,
     return extend_a(0)
 
 
-def check_s_shellable(drawing: Drawing, s: int,
+def check_s_shellable(drawing: Drawing, s: Optional[int] = None,
                       face: Optional[int] = None) -> Optional[ShellWitness]:
-    """Exhaustive backtracking search for an s-shell witness.
+    """Exhaustive backtracking search for an s-shell witness, by default
+    the first for s = floor(n/2), ..., n, with one memo of deletion
+    views shared across s.
 
     Sequence positions are assigned outside-in (v_1, v_s, v_2, v_{s-1},
     ...), each from the candidates its peel leaves (`_shell_at_face`).
     """
-    if not 1 <= s <= drawing.n:
+    if s is not None and not 1 <= s <= drawing.n:
         raise ValueError(f"s={s} out of range for n={drawing.n}")
-    return _shell_search(drawing, (s,), face, {})
-
-
-def first_shell_witness(drawing: Drawing,
-                        face: Optional[int] = None) -> Optional[ShellWitness]:
-    """First s-shell witness for s = floor(n/2), ..., n, or None.
-
-    The same witness as calling `check_s_shellable` for each s in turn,
-    with one memo of deletion views shared across s.
-    """
-    return _shell_search(drawing, range(drawing.n // 2, drawing.n + 1), face, {})
+    lengths = range(drawing.n // 2, drawing.n + 1) if s is None else (s,)
+    return _shell_search(drawing, lengths, face, {})
 
 
 def _shell_search(drawing: Drawing, lengths: Sequence[int], face: Optional[int],
@@ -483,19 +484,6 @@ def _shell_at_face(drawing: Drawing, s: int, face: int,
         return False
 
     return ShellWitness(face=face, seq=tuple(seq)) if fill(0, 0, 0) else None
-
-
-def is_shellable(drawing: Drawing) -> bool:
-    """s-shellable for some s >= floor(n/2)."""
-    return first_shell_witness(drawing) is not None
-
-
-def is_bishellable(drawing: Drawing) -> bool:
-    """(floor(n/2) - 2)-bishellable; vacuously true when that is negative."""
-    s = drawing.n // 2 - 2
-    if s < 0:
-        return True
-    return check_bishellable(drawing, s) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -356,8 +356,9 @@ def reference_build_drawing(
     """`build_drawing` with per-dart closures, a sorted edge pair per
     crossing and the face orbits kept as tuples: the slow path of the
     out-dart table.  Raises what `build_drawing` raises, with the same
-    messages.  Its own table of the face left of every first dart is
-    asserted equal to `face_left_of`, which reads `seg_faces`."""
+    messages, and keeps each rotation from its least neighbour, as
+    `build_drawing` does.  Its own table of the face left of every first
+    dart is asserted equal to `face_left_of`, which reads `seg_faces`."""
     if n < 3:
         raise ValueError("need n >= 3")
     edges = list(itertools.combinations(range(n), 2))
@@ -509,7 +510,7 @@ def reference_build_drawing(
         edge_paths=tuple(paths),
         crossing_edges=crossing_edge_pairs,
         orientation_bits=tuple(crossing_orientations),
-        vertex_rotations=tuple(tuple(r) for r in vertex_rotations),
+        vertex_rotations=tuple(_canon(r) for r in vertex_rotations),
         dart_count=total,
         face_count=len(face_darts),
         reference_face=reference_face,
@@ -738,7 +739,8 @@ def _relabelled(system, perm: Sequence[int]):
 def candidate_map_weak_iso(r1, r2) -> bool:
     """True when some relabelling maps r1 onto r2 or onto its reverse.
 
-    Both systems must be canonically rotated (`rotation_system`).
+    Both systems must have every row from its least entry, as
+    `Drawing.vertex_rotations` does.
     Candidate maps align the rotation at vertex 0 of r1 with every
     rotation of the target at every shift, which is exhaustive for
     complete graphs.

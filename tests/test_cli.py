@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,8 +13,8 @@ import pytest
 from kncross import planarize
 from kncross.cli import main
 from kncross.drawing import build_drawing
-from kncross.generators import gen_convex, gen_random_points
-from kncross.io import serialize
+from kncross.generators import TwoPageSpec, gen_convex, gen_random_points, gen_twopage
+from kncross.io import serialize, svg_document
 
 from conftest import vertex_faces
 
@@ -225,16 +227,6 @@ def test_generate_random_deterministic_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_generate_twopage_with_spec(tmp_path, capsys):
-    spec = tmp_path / "spec.2p"
-    run(capsys, "generate", "twopage", "--n", "4", "-o", str(spec))
-    out = tmp_path / "echo.2p"
-    code, stdout, _ = run(capsys, "generate", "twopage", "--n", "4",
-                          "--spec", str(spec), "-o", str(out))
-    assert code == 0
-    assert out.read_bytes() == spec.read_bytes()
-
-
 def test_hunt_reports_and_exit_zero(tmp_path, capsys):
     code, stdout, _ = run(capsys, "hunt", "--n", "5", "--trials", "12",
                           "--seed", "3", "--target", "optimal")
@@ -368,6 +360,23 @@ def test_export_svg_map_format_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_export_svg_renders_a_written_twopage_file(tmp_path, capsys):
+    # a page assignment of one's own is a twopage file, in any line order
+    # and with comments, and export-svg renders it
+    pages = {(u, v): "TB"[(u * v + u) % 2] for u, v in itertools.combinations(range(7), 2)}
+    spec = TwoPageSpec(order=(3, 0, 6, 1, 5, 2, 4), pages=pages)
+    lines = [f"e {v} {u} {page}" if u % 2 else f"e {u} {v} {page}"
+             for (u, v), page in pages.items()]
+    random.Random(35).shuffle(lines)
+    path, svg = tmp_path / "mine.2p", tmp_path / "mine.svg"
+    path.write_text("kncross v1\nformat twopage\nn 7  # seven vertices\n"
+                    "order 3 0 6 1 5 2 4\n# the pages, shuffled\n" + "\n".join(lines) + "\n")
+    code, stdout, err = run(capsys, "export-svg", str(path), "-o", str(svg))
+    assert (code, stdout, err) == (0, f"wrote {svg}\n", "")
+    assert svg.read_bytes() == svg_document(gen_twopage(spec)).encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mine.2p", "mine.svg"]
+
+
 def test_generate_with_svg_option(tmp_path, capsys):
     drawing = tmp_path / "k6.map"
     svg = tmp_path / "k6.svg"
@@ -448,27 +457,6 @@ def test_output_naming_the_input_exit_2(tmp_path, capsys, monkeypatch, command, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.pts", "link.pts", "sub"]
 
 
-@pytest.mark.parametrize("spelling", ["spec.2p", "./spec.2p", "link.2p"])
-@pytest.mark.parametrize("flag", ["-o", "--svg"])
-def test_generate_output_naming_the_spec_exit_2(tmp_path, capsys, monkeypatch, flag, spelling):
-    # the drawing or the picture would replace the spec it came from
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "link.2p").symlink_to("spec.2p")
-    run(capsys, "generate", "twopage", "--n", "5", "-o", "spec.2p")
-    blob = (tmp_path / "spec.2p").read_bytes()
-    outputs = {"-o": "out.2p", "--svg": "out.svg"}
-    outputs[flag] = spelling
-    with mock.patch("kncross.cli.parse") as parse:
-        code, stdout, err = run(capsys, "generate", "twopage", "--n", "5", "--spec", "spec.2p",
-                                "-o", outputs["-o"], "--svg", outputs["--svg"])
-    assert code == 2
-    assert stdout == ""
-    assert f"{flag} and --spec name the same file" in err
-    assert not parse.called
-    assert (tmp_path / "spec.2p").read_bytes() == blob
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.2p", "spec.2p"]
-
-
 def test_generate_replaces_existing_files_without_leftovers(tmp_path, capsys,
                                                             monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -482,45 +470,10 @@ def test_generate_replaces_existing_files_without_leftovers(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k6.pts", "k6.svg"]
 
 
-def test_generate_twopage_from_map_spec_exit_2_leaves_no_file(tmp_path, capsys):
-    # a map file has no spine order, pages or coordinates to write or render
-    spec = tmp_path / "k6.map"
-    run(capsys, "generate", "cylindrical", "--n", "6", "-o", str(spec))
-    out, svg = tmp_path / "k6.2p", tmp_path / "k6.svg"
-    code, stdout, err = run(capsys, "generate", "twopage", "--n", "6", "--spec", str(spec),
-                            "-o", str(out), "--svg", str(svg))
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith("error: ")
-    assert not out.exists() and not svg.exists()
-
-
-def test_generate_twopage_spec_of_other_n_exit_2_leaves_no_file(tmp_path, capsys):
-    spec = tmp_path / "k5.2p"
-    run(capsys, "generate", "twopage", "--n", "5", "-o", str(spec))
-    out, svg = tmp_path / "k6.2p", tmp_path / "k6.svg"
-    code, stdout, err = run(capsys, "generate", "twopage", "--n", "6", "--spec", str(spec),
-                            "-o", str(out), "--svg", str(svg))
-    assert (code, stdout, err) == (2, "", "error: spec file disagrees with --n\n")
-    assert not out.exists() and not svg.exists()
-
-
-@pytest.mark.parametrize("family", ["convex", "cylindrical", "random"])
-def test_generate_spec_outside_twopage_exit_2_leaves_no_file(tmp_path, capsys, family):
-    # only the twopage family reads a spec; the refusal comes before the
-    # spec is opened
-    out = tmp_path / "k5.out"
-    code, stdout, err = run(capsys, "generate", family, "--n", "5",
-                            "--spec", str(tmp_path / "anything"), "-o", str(out))
-    assert (code, stdout) == (2, "")
-    assert err == f"error: --spec applies only to the twopage family, not {family}\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("mode, extra, search", [
     ("bishell", [], "check_bishellable"),
     ("shell", ["--s", "2"], "check_s_shellable"),
-    ("shell", [], "first_shell_witness"),
+    ("shell", [], "check_s_shellable"),
 ])
 def test_check_reverifies_witness_before_emitting(tmp_path, capsys, monkeypatch,
                                                   mode, extra, search):

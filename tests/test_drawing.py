@@ -19,7 +19,6 @@ from kncross.drawing import (
     edge_ids,
     edge_list,
     rotation_key,
-    rotation_system,
     subdrawing,
 )
 from kncross.generators import (
@@ -282,16 +281,16 @@ def test_deletion_views_of_map_only_drawings(small_corpus):
 
 
 def _mirrored(system):
-    """Every row of a `rotation_system` reversed, still from its least entry."""
+    """Every row of a rotation system reversed, still from its least entry."""
     return tuple((row[0],) + row[:0:-1] for row in system)
 
 
 def test_rotation_system_weak_iso():
     d5 = gen_convex(5)
-    r = rotation_system(d5)
+    r = d5.vertex_rotations
     reversed_r = tuple(tuple(reversed(c)) for c in r)
     assert rotation_key(r) == rotation_key(reversed_r)
-    convex, cylindrical = rotation_system(gen_convex(5)), rotation_system(gen_cylindrical(5))
+    convex, cylindrical = gen_convex(5).vertex_rotations, gen_cylindrical(5).vertex_rotations
     assert cylindrical not in (convex, _mirrored(convex))
     assert rotation_key(convex) != rotation_key(cylindrical)
 
@@ -303,7 +302,7 @@ def test_weak_iso_relabel():
     perm = [(i + 2) % 5 for i in range(5)]
     pts2 = [pts[perm.index(i)] for i in range(5)]
     d2 = planarize_points(pts2)
-    r1, r2 = rotation_system(d1), rotation_system(d2)
+    r1, r2 = d1.vertex_rotations, d2.vertex_rotations
     assert rotation_key(r1) == rotation_key(r2)
 
 
@@ -320,7 +319,7 @@ def test_weak_iso_mirrored_relabel():
         p = pts[old]
         mirrored[new] = Point(p.x, -p.y)
     d2 = planarize_points(mirrored)
-    r1, r2 = rotation_system(d1), rotation_system(d2)
+    r1, r2 = d1.vertex_rotations, d2.vertex_rotations
     assert rotation_key(r1) == rotation_key(r2)
     assert r1 == r2 or r1 != _mirrored(r2)
 
@@ -332,7 +331,7 @@ def test_rotation_key_matches_candidate_map_oracle():
     systems = []
     for seed in range(60):
         d = gen_random_points(6 + seed % 2, 300 + seed)
-        systems.append(rotation_system(d))
+        systems.append(d.vertex_rotations)
         if seed % 3 == 0:
             pts = d.geometry.points
             perm = list(range(d.n))
@@ -343,7 +342,7 @@ def test_rotation_key_matches_candidate_map_oracle():
             for old, new in enumerate(perm):
                 p = pts[old]
                 copy[new] = Point(-p.x, p.y) if seed % 2 else p
-            systems.append(rotation_system(planarize_points(copy)))
+            systems.append(planarize_points(copy).vertex_rotations)
     keys = [rotation_key(r) for r in systems]
     assert keys == [reference_rotation_key(r) for r in systems]
     classes = set()
@@ -354,7 +353,7 @@ def test_rotation_key_matches_candidate_map_oracle():
             classes.add(keys[i])
     assert classes  # some pairs coincide, so both answers are exercised
     for r, key in zip(systems, keys):
-        # rows of a key start at their least entry, as `rotation_system` rows do
+        # rows of a key start at their least entry, as `vertex_rotations` rows do
         assert key[0] == tuple(range(1, len(r)))
         assert rotation_key(key) == key
         assert candidate_map_weak_iso(key, r)
@@ -365,9 +364,9 @@ def test_rotation_key_values_match_full_enumeration():
     # system and every relabelled or mirrored copy gets the reference tuple
     rng = random.Random(16)
     systems = [(), ((),), ((1,), (0,)), ((1, 2), (0, 2), (0, 1))]
-    systems += [rotation_system(gen_random_points(n, seed))
+    systems += [gen_random_points(n, seed).vertex_rotations
                 for n in range(3, 11) for seed in range(1, 6)]
-    systems += [rotation_system(gen(n)) for n in range(3, 10)
+    systems += [gen(n).vertex_rotations for n in range(3, 10)
                 for gen in (gen_convex, gen_cylindrical)]
     copies = []
     for k, system in enumerate(systems):
@@ -458,6 +457,21 @@ def test_build_matches_reference_build_field_by_field(oracle_corpus):
         built = build_outcome(build_drawing, *args)
         assert built == build_outcome(reference_build_drawing, *args)
         assert built == build_outcome(lambda: drawing)
+
+
+def test_rotations_are_stored_from_their_least_neighbour(small_corpus):
+    # a rotation is a cycle: where a row starts changes no field of the map
+    drawings = [drawing for _name, _n, drawing in small_corpus]
+    drawings += [gen_convex(n) for n in range(4, 11)]
+    drawings += [gen_cylindrical(n) for n in range(5, 11)]
+    drawings += [gen_twopage(twopage_all_top(n)) for n in range(4, 10)]
+    for drawing in drawings:
+        assert all(row[0] == min(row) for row in drawing.vertex_rotations)
+        n, paths, bits, rotations, ref, geometry = map_arguments(drawing)
+        built = build_outcome(lambda: drawing)
+        for shift in range(1, n - 1):
+            shifted = [list(row[shift:] + row[:shift]) for row in rotations]
+            assert build_outcome(build_drawing, n, paths, bits, shifted, ref, geometry) == built
 
 
 def test_edges_are_one_tuple_per_n_indexed_by_edge_ids(oracle_corpus, tmp_path):

@@ -7,8 +7,7 @@ from math import comb
 import pytest
 
 from kncross import generators
-from kncross.drawing import (GoodnessViolation, NotGoodDrawing, edge_ids, rotation_key,
-                             rotation_system)
+from kncross.drawing import GoodnessViolation, NotGoodDrawing, edge_ids, rotation_key
 from kncross.generators import (
     SplitMix64,
     TwoPageSpec,
@@ -126,8 +125,8 @@ def test_twopage_all_top_matches_convex():
     for n in range(4, 8):
         tp = gen_twopage(twopage_all_top(n))
         assert tp.crossings == comb(n, 4)
-        assert (rotation_key(rotation_system(tp))
-                == rotation_key(rotation_system(gen_convex(n))))
+        assert (rotation_key(tp.vertex_rotations)
+                == rotation_key(gen_convex(n).vertex_rotations))
 
 
 def test_twopage_page_split():
@@ -165,8 +164,8 @@ def test_shuffled_twopage_specs_match_identity_spine():
         identity = gen_twopage(TwoPageSpec(tuple(range(d.n)), pages))
         assert d.crossings == identity.crossings
         assert d.face_count == identity.face_count
-        assert (rotation_key(rotation_system(d))
-                == rotation_key(rotation_system(identity)))
+        assert (rotation_key(d.vertex_rotations)
+                == rotation_key(identity.vertex_rotations))
         assert k_edge_vector(d).counts == k_edge_vector(identity).counts
         blob = serialize(d, "twopage")
         assert serialize(parse(blob), "twopage") == blob
@@ -257,7 +256,7 @@ def test_arrangement_key_matches_drawing_key():
             assert d.geometry.points == tuple(Point(Fraction(x), Fraction(y))
                                               for x, y in points)
             assert ((len(arr.crossings), rotation_key(arr.vertex_orders))
-                    == (d.crossings, rotation_key(rotation_system(d))))
+                    == (d.crossings, rotation_key(d.vertex_rotations)))
 
 
 def test_random_arrangement_skips_rejected_draws(monkeypatch):

@@ -20,7 +20,7 @@ from kncross.generators import (gen_convex, gen_cylindrical, gen_random_points, 
                                 twopage_all_top)
 from kncross.io import serialize, serialize_witness, svg_document
 from kncross.shelling import (BishellWitness, ShellWitness, bishell_witness_violation,
-                              check_bishellable, check_s_shellable, first_shell_witness)
+                              check_bishellable, check_s_shellable)
 
 from conftest import shuffled_twopage_spec
 
@@ -284,7 +284,7 @@ def test_search_answers_corpus_pinned():
         answers = [check_bishellable(d, s, face=f)
                    for s in range(d.n - 1) for f in range(d.face_count)]
         answers += [check_s_shellable(d, s) for s in range(1, d.n + 1)]
-        answers.append(first_shell_witness(d))
+        answers.append(check_s_shellable(d))
         for answer in answers:
             digest.update(repr(answer).encode())
     assert digest.hexdigest() == SEARCH_CORPUS_DIGEST

@@ -16,13 +16,11 @@ from kncross.cli import _INPUT_ERRORS, _violation, main
 from kncross.drawing import (
     PointsGeometry,
     TwoPageGeometry,
-    rotation_system,
 )
 from kncross.generators import (gen_convex, gen_cylindrical, gen_random_points, gen_twopage,
                                 twopage_all_top)
 from kncross.io import (
     ParseError,
-    export_svg,
     parse,
     parse_witness,
     serialize,
@@ -36,7 +34,6 @@ from kncross.shelling import (
     bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
-    first_shell_witness,
     shell_witness_violation,
 )
 
@@ -50,7 +47,7 @@ def test_points_round_trip():
     again = parse(blob)
     assert serialize(again, "points") == blob
     assert again.crossings == d.crossings
-    assert rotation_system(again) == rotation_system(d)
+    assert again.vertex_rotations == d.vertex_rotations
 
 
 def test_twopage_round_trip():
@@ -58,7 +55,7 @@ def test_twopage_round_trip():
     blob = serialize(d, "twopage")
     again = parse(blob)
     assert serialize(again, "twopage") == blob
-    assert rotation_system(again) == rotation_system(d)
+    assert again.vertex_rotations == d.vertex_rotations
 
 
 def test_twopage_duplicate_order_line_refused():
@@ -69,6 +66,40 @@ def test_twopage_duplicate_order_line_refused():
     assert (caught.value.line, caught.value.reason) == (5, "duplicate order line")
 
 
+MAP7 = serialize(gen_cylindrical(7), "map").decode().splitlines()
+TWOPAGE4 = serialize(gen_twopage(twopage_all_top(4)), "twopage").decode().splitlines()
+
+
+@pytest.mark.parametrize("lines, prefix, new, inserted, reason", [
+    (MAP7, "rot 6 :", "rot 9 :", False, "vertex 9 out of range"),
+    (MAP7, "e 0 1 :", "e 0 9 :", False, "vertex 9 out of range"),
+    (MAP7, "e 0 1 :", "e 0 9 :", True, "vertex 9 out of range"),
+    (MAP7, "x 0 :", "x 999 :", False, "crossing id 999 out of range"),
+    (TWOPAGE4, "e 0 1 T", "e 0 7 T", False, "vertex 7 out of range"),
+    (TWOPAGE4, "e 0 1 T", "e -1 1 T", False, "vertex -1 out of range"),
+], ids=["map-rot", "map-edge", "map-extra-edge", "map-crossing", "twopage-edge-high",
+        "twopage-edge-negative"])
+def test_out_of_range_id_refused_at_its_line(lines, prefix, new, inserted, reason):
+    # the first line starting with `prefix` gets `new` as its start, or,
+    # when `inserted`, is followed by a line `new`
+    at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    edited = lines[:at + 1] + [new] if inserted else lines[:at] + [new + lines[at][len(prefix):]]
+    with pytest.raises(ParseError) as caught:
+        parse("\n".join(edited + lines[at + 1:]) + "\n")
+    assert (caught.value.line, caught.value.reason) == (at + 1 + inserted, reason)
+
+
+def test_crossing_id_out_of_range_refused_when_c_follows_the_x_lines():
+    # the x lines are range-checked once the crossing count is known
+    count = next(line for line in MAP7 if line.startswith("c "))
+    lines = [line for line in MAP7 if line != count] + [count]
+    at = next(i for i, line in enumerate(lines) if line.startswith("x 2 :"))
+    lines[at] = "x -2" + lines[at][3:]
+    with pytest.raises(ParseError) as caught:
+        parse("\n".join(lines) + "\n")
+    assert (caught.value.line, caught.value.reason) == (at + 1, "crossing id -2 out of range")
+
+
 def test_map_round_trip_all_families(small_corpus):
     for _name, _n, drawing in small_corpus:
         blob = serialize(drawing, "map")
@@ -76,7 +107,7 @@ def test_map_round_trip_all_families(small_corpus):
         assert serialize(again, "map") == blob
         assert again.crossings == drawing.crossings
         assert again.face_count == drawing.face_count
-        assert rotation_system(again) == rotation_system(drawing)
+        assert again.vertex_rotations == drawing.vertex_rotations
         assert again.reference_face == drawing.reference_face
         assert k_edge_vector(again).counts == k_edge_vector(drawing).counts
 
@@ -102,7 +133,7 @@ def test_geometry_required_for_points_format():
         serialize(d, "points")
     reparsed = parse(serialize(d, "map"))
     with pytest.raises(ValueError, match=r"^map-format drawings carry no coordinates$"):
-        export_svg(reparsed, "/tmp/should_not_exist.svg")
+        svg_document(reparsed)
 
 
 def test_unknown_format_refused_at_format_line(tmp_path, capsys):
@@ -174,8 +205,8 @@ def test_mirror_image_map_embeds():
     assert mirrored.crossings == d.crossings
     assert mirrored.face_count == d.face_count
     # the same labels with every rotation reversed
-    assert rotation_system(mirrored) == tuple(
-        (row[0],) + row[:0:-1] for row in rotation_system(d))
+    assert mirrored.vertex_rotations == tuple(
+        (row[0],) + row[:0:-1] for row in d.vertex_rotations)
 
 
 def test_parser_rejects_mutations_with_declared_errors():
@@ -407,20 +438,14 @@ def test_face_without_a_dart_refused():
         serialize_witness(d, ShellWitness(face=4, seq=(0, 1, 2)))
 
 
-def test_svg_export(tmp_path):
-    targets = [
-        (gen_convex(5), "convex.svg"),
-        (gen_twopage(twopage_all_top(5)), "twopage.svg"),
-        (gen_cylindrical(6), "cylinder.svg"),
-        (gen_random_points(5, 3), "random.svg"),
-    ]
-    for drawing, name in targets:
-        path = tmp_path / name
-        export_svg(drawing, str(path))
-        body = path.read_text()
+def test_svg_export():
+    targets = [gen_convex(5), gen_twopage(twopage_all_top(5)), gen_cylindrical(6),
+               gen_random_points(5, 3)]
+    for drawing in targets:
+        body = svg_document(drawing)
         assert body.startswith("<svg")
         assert body.count("<circle") >= drawing.n
-    cylinder = (tmp_path / "cylinder.svg").read_text()
+    cylinder = svg_document(targets[2])
     assert cylinder.count('stroke="#ccc"') >= 2   # the two guide circles
 
 
@@ -593,7 +618,7 @@ WITNESS_DRAWINGS = {
 # witness of every drawing
 WITNESS_BASES = [(name, serialize_witness(d, w).decode().splitlines())
                  for name, (d, _) in WITNESS_DRAWINGS.items()
-                 for w in (check_bishellable(d, d.n // 2 - 2), first_shell_witness(d),
+                 for w in (check_bishellable(d), check_s_shellable(d),
                            check_s_shellable(d, 3))]
 # vertex numbers in and out of range, and the words of the format
 WITNESS_NUMBERS = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "-1", "+2", "1/2", str(HUGE)]

@@ -68,6 +68,11 @@ def test_k_value_over_alive_mask_matches_view_oracle(small_corpus):
         masks = [rng.getrandbits(n) for _ in range(20)] + [(1 << n) - 1]
         for u, v in d.edges:
             for alive in masks:
+                if not alive >> u & alive >> v & 1:  # not an edge of the subdrawing
+                    for edge in ((u, v), (v, u)):
+                        with pytest.raises(ValueError, match=r"is not in the subdrawing"):
+                            k_value(d, edge, alive)
+                    continue
                 others = [w for w in range(n) if alive >> w & 1 and w not in (u, v)]
                 rights = sum(1 for w in others if view_side(d, u, v, w) == "R")
                 want = min(rights, len(others) - rights)
@@ -110,6 +115,17 @@ def test_side_oracle_refuses_bad_vertices():
     for alive in (1 << 5, -1):
         with pytest.raises(ValueError):
             k_value(d, (0, 1), alive)
+
+
+@pytest.mark.parametrize("alive", [0b110, 0b1, 0b10, 0])
+def test_k_value_refuses_an_edge_outside_the_subdrawing(alive):
+    # edge 0-1 has an endpoint outside each mask, so it is no edge of D[alive]
+    d = gen_cylindrical(7)
+    for edge in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match=rf"^edge \({edge[0]},{edge[1]}\) is not in "
+                                             rf"the subdrawing on {alive:#x}$"):
+            k_value(d, edge, alive)
+    assert k_value(d, (0, 1), 0b11) == 0
 
 
 def test_k_edge_vector_builds_no_views(monkeypatch):

@@ -3,6 +3,7 @@ resolve."""
 
 import ast
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -55,3 +56,27 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("(")
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # every call of the Command line section exits 0, `[--json]` both ways,
+    # and a `# prints` comment is the call's whole output
+    from kncross.cli import main
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    calls, printed = 0, 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        variants = ([command.replace("[--json]", ""), command.replace("[--json]", "--json")]
+                    if "[--json]" in command else [command])
+        for variant in variants:
+            argv = shlex.split(variant)
+            assert argv[0] == "kncross"
+            assert main(argv[1:]) == 0, variant
+            out = capsys.readouterr().out
+            if comment.strip().startswith("prints "):
+                assert out == comment.strip()[len("prints "):] + "\n"
+                printed += 1
+            calls += 1
+    assert (calls, printed) == (9, 1)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kncross import shelling
-from kncross.drawing import DeletionView, rotation_key, rotation_system
+from kncross.drawing import DeletionView, rotation_key
 from kncross.generators import SplitMix64, gen_convex, gen_cylindrical, gen_random_points
 from kncross.io import serialize
 from kncross.kedges import double_cumulative_bound_holds, hill_number, k_edge_vector
@@ -17,10 +17,7 @@ from kncross.shelling import (
     bishell_witness_violation,
     check_bishellable,
     check_s_shellable,
-    first_shell_witness,
     invariant_edge_report,
-    is_bishellable,
-    is_shellable,
     shell_to_bishell,
     shell_witness_violation,
     sufficient_conditions,
@@ -107,7 +104,7 @@ def test_malformed_witnesses_raise():
     # a face given to a search is checked before the search starts
     for search in (lambda f: check_bishellable(d5, 1, face=f),
                    lambda f: check_s_shellable(d5, 3, face=f),
-                   lambda f: first_shell_witness(d5, face=f)):
+                   lambda f: check_s_shellable(d5, face=f)):
         for face in (-1, d5.face_count):
             with pytest.raises(ValueError, match=rf"^face {face} out of range$"):
                 search(face)
@@ -133,7 +130,8 @@ def test_bad_caller_input_is_a_value_error():
         (check_s_shellable, (d5, n + 1), rf"^s={n + 1} out of range for n={n}$"),
         (check_bishellable, (d5, 1, faces), rf"^face {faces} out of range$"),
         (check_s_shellable, (d5, 3, faces), rf"^face {faces} out of range$"),
-        (first_shell_witness, (d5, -1), r"^face -1 out of range$"),
+        (check_s_shellable, (d5, None, -1), r"^face -1 out of range$"),
+        (check_bishellable, (gen_convex(3),), r"^order s=-1 out of range for n=3$"),
         (shell_witness_violation, (d5, ShellWitness(0, ())),
          r"^sequence length 0 out of range$"),
         (shell_witness_violation, (d5, ShellWitness(0, (0, 0))),
@@ -212,17 +210,17 @@ def test_check_bishellable_agrees_with_naive():
 def test_is_shellable_is_bishellable_families():
     for n in (6, 7, 8):
         dc = gen_convex(n)
-        assert is_shellable(dc)
-        assert is_bishellable(dc)
+        assert check_s_shellable(dc) is not None
+        assert check_bishellable(dc) is not None
     for n in (7, 9):
         dcyl = gen_cylindrical(n)
-        assert is_shellable(dcyl)
-        assert is_bishellable(dcyl)
+        assert check_s_shellable(dcyl) is not None
+        assert check_bishellable(dcyl) is not None
 
 
 def test_shellable_implies_hill_bound(small_corpus):
     for _name, n, drawing in small_corpus:
-        if n <= 6 and is_shellable(drawing):
+        if n <= 6 and check_s_shellable(drawing) is not None:
             assert drawing.crossings >= hill_number(n)
 
 
@@ -288,7 +286,7 @@ def test_small_rectilinear_drawings_always_shellable():
             sc = sufficient_conditions(d)
             assert sc.uncrossed_cycle_len >= 3
             assert sc.implies_shellable
-            assert is_bishellable(d)
+            assert check_bishellable(d) is not None
 
 
 def test_fixed_face_scope_restricts_search():
@@ -425,8 +423,8 @@ def test_first_shell_witness_matches_loop_over_s():
             looped = check_s_shellable(d, s)
             if looped is not None:
                 break
-        assert first_shell_witness(d) == looped
-        assert is_shellable(d) == (looped is not None)
+        assert check_s_shellable(d) == looped
+        assert check_bishellable(d) == check_bishellable(d, d.n // 2 - 2)
 
 
 @pytest.mark.parametrize("which", ["convex7", "random8"])
@@ -649,7 +647,7 @@ def test_six_shell_refusals_build_pinned_view_counts():
     assert counts == [60, 94, 78, 66, 47]
 
 
-# views built by the shell search for s = 2..n, then by first_shell_witness,
+# views built by the shell search for s = 2..n, then by check_s_shellable(d),
 # when every face ran an order s - 2 bishell search first
 SHELL_VIEWS_WITH_BISHELL_PREPASS = {
     ("convex", 9, 0): [1, 4, 10, 17, 25, 34, 44, 55, 10],
@@ -719,7 +717,7 @@ def test_triangle_flips_preserve_every_answer(small_corpus):
     assert len(starts) == 7
     for drawing in starts:
         answers = _answers_by_dart(drawing)
-        key = rotation_key(rotation_system(drawing))
+        key = rotation_key(drawing.vertex_rotations)
         for _step in range(5):
             triangles = crossing_triangles(drawing)
             triangle = triangles[rng.below(len(triangles))]
@@ -728,7 +726,7 @@ def test_triangle_flips_preserve_every_answer(small_corpus):
             assert serialize(flipped, "map") != blob
             assert triangle in crossing_triangles(flipped)
             assert serialize(flip_triangle(flipped, triangle), "map") == blob
-            assert rotation_key(rotation_system(flipped)) == key
+            assert rotation_key(flipped.vertex_rotations) == key
             assert flipped.crossings == drawing.crossings
             assert flipped.face_count == drawing.face_count
             assert _answers_by_dart(flipped) == answers
