@@ -27,12 +27,12 @@ from kncross import (
 
 def show(label, drawing):
     vec = k_edge_vector(drawing)
-    sums = cumulative_sums(vec)
+    _, double = cumulative_sums(vec)
     eq3 = crossings_from_k_edges(drawing.n, vec)
     eq5 = crossings_from_cumulative(drawing.n, vec)
     ok = "ok" if eq3 == eq5 == drawing.crossings else "MISMATCH"
     print(f"{label:16s} cr={drawing.crossings:4d} H={hill_number(drawing.n):4d} "
-          f"E={list(vec.counts)} E<=<= {list(sums.double)}  [{ok}]")
+          f"E={list(vec)} E<=<= {list(double)}  [{ok}]")
 
 
 print("convex drawings: every K4 is crossed, so cr = C(n,4)")
@@ -55,5 +55,5 @@ d = gen_convex(4)
 for face in range(d.face_count):
     refd = d.with_reference(face)
     vec = k_edge_vector(refd)
-    print(f"  crossed K4, face {face}: E={list(vec.counts)} "
+    print(f"  crossed K4, face {face}: E={list(vec)} "
           f"cr(identity)={crossings_from_k_edges(refd.n, vec)}")

@@ -46,7 +46,7 @@ for n in (9, 10, 11):
     d = gen_cylindrical(n)
     s = n // 2 - 2
     witness = check_bishellable(d, s)
-    sums = cumulative_sums(k_edge_vector(d)).double
+    _, sums = cumulative_sums(k_edge_vector(d))
     bounds = [3 * comb(k + 3, 3) for k in range(s + 1)]
     print(f"  K{n}: witness a={witness.a_seq} b={witness.b_seq} "
           f"E<=<= {list(sums[:s+1])} >= {bounds} "

@@ -6,7 +6,7 @@ number identities they satisfy, and decides shellability and
 bishellability with machine-checkable witnesses.
 """
 
-from .geom import Point, circle_point, orient, point, proper_intersection
+from .geom import Point, circle_point, point, proper_intersection
 from .drawing import (
     DeletionView,
     Drawing,
@@ -17,8 +17,6 @@ from .drawing import (
 )
 from .planarize import DegenerateInput, planarize_points
 from .kedges import (
-    CumulativeSums,
-    KEdgeVector,
     crossings_from_cumulative,
     crossings_from_k_edges,
     cumulative_sums,
@@ -46,15 +44,15 @@ from .generators import gen_convex, gen_cylindrical, gen_random_points, gen_twop
 from .io import ParseError, parse, parse_witness, serialize, serialize_witness, svg_document
 
 __all__ = [
-    "BishellWitness", "CumulativeSums", "DegenerateInput", "DeletionView",
-    "Drawing", "InvariantEdgeReport", "KEdgeVector", "NotGoodDrawing",
+    "BishellWitness", "DegenerateInput", "DeletionView",
+    "Drawing", "InvariantEdgeReport", "NotGoodDrawing",
     "ParseError", "Point", "ShellWitness", "TwoPageSpec", "WitnessInvalid",
     "bishell_witness_violation", "build_drawing", "check_bishellable",
     "check_s_shellable", "circle_point",
     "crossings_from_cumulative", "crossings_from_k_edges", "cumulative_sums",
     "double_cumulative_bound_holds", "gen_convex",
     "gen_cylindrical", "gen_random_points", "gen_twopage", "hill_number",
-    "invariant_edge_report", "k_edge_vector", "k_value", "orient", "parse", "parse_witness",
+    "invariant_edge_report", "k_edge_vector", "k_value", "parse", "parse_witness",
     "planarize_points", "point", "proper_intersection",
     "right_mask", "rotation_key", "serialize", "serialize_witness",
     "shell_to_bishell", "shell_witness_violation", "subdrawing",

@@ -59,7 +59,7 @@ def _load(path: str):
 def _analyze(args) -> int:
     drawing = _load(args.file)
     vec = k_edge_vector(drawing)
-    sums = cumulative_sums(vec)
+    single, double = cumulative_sums(vec)
     eq3 = crossings_from_k_edges(drawing.n, vec)
     eq5 = crossings_from_cumulative(drawing.n, vec)
     identity = eq3 == eq5 == drawing.crossings
@@ -73,9 +73,9 @@ def _analyze(args) -> int:
             "n": drawing.n,
             "crossings": drawing.crossings,
             "h": hill_number(drawing.n),
-            "k_edge_vector": list(vec.counts),
-            "e_le": list(sums.single),
-            "e_lele": list(sums.double),
+            "k_edge_vector": list(vec),
+            "e_le": list(single),
+            "e_lele": list(double),
             "cr_from_k_edges": eq3,
             "cr_from_cumulative": eq5,
             "identity_pass": identity,
@@ -84,12 +84,12 @@ def _analyze(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        e = "[" + ",".join(str(x) for x in vec.counts) + "]"
+        e = "[" + ",".join(str(x) for x in vec) + "]"
         verdict = "PASS" if identity else "FAIL"
         print(f"n={drawing.n} cr={drawing.crossings} H={hill_number(drawing.n)} "
               f"E={e} identity {verdict}")
-        print("E<=  = [" + ",".join(str(x) for x in sums.single) + "]")
-        print("E<<= = [" + ",".join(str(x) for x in sums.double) + "]")
+        print("E<=  = [" + ",".join(str(x) for x in single) + "]")
+        print("E<<= = [" + ",".join(str(x) for x in double) + "]")
         print(f"eq3={eq3} eq5={eq5}")
         print(f"K4 census: planar={planar} crossed={crossed}")
     return 0
@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_generate)
 
     p = sub.add_parser("hunt", help="exploratory random search, never exhaustive "
-                                    "(n <= 9 recommended)")
+                                    "(n = 3..7 or 9)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

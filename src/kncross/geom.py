@@ -1,16 +1,13 @@
 """Exact rational plane geometry.
 
 Points carry `fractions.Fraction` coordinates, so stored and serialized
-coordinates are exact.  The predicates here (orientation, proper segment
-crossings) are exact too, with no epsilons anywhere.  The SVG writer
-places crossing dots with `proper_intersection`, and the brute-force
-crossing oracle counts with it; `orient` is the public orientation
-test, used by the exact-Fraction test oracles.  Planarization uses
-neither: it scales each point set to integers and decides the same
-predicates from one integer signed area per point triple (see
-`planarize`).  Degenerate inputs (collinear triples, tangencies,
-overlaps) are never "resolved"; they fall on the zero branch of a
-predicate and it is up to the caller to reject them.
+coordinates are exact.  `proper_intersection`, the one predicate here,
+is exact too, with no epsilons anywhere; the SVG writer places crossing
+dots with it.  Planarization does not use it: it scales each point set
+to integers and decides every predicate from one integer signed area
+per point triple (see `planarize`).  Degenerate inputs (collinear
+triples, tangencies, overlaps) are never "resolved"; they fall on the
+zero branch of a predicate and it is up to the caller to reject them.
 """
 
 from __future__ import annotations
@@ -32,9 +29,6 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
     def cross(self, other: "Point") -> Fraction:
         return self.x * other.y - self.y * other.x
 
@@ -42,19 +36,6 @@ class Point:
 def point(x: RationalLike, y: RationalLike) -> Point:
     """Convenience constructor coercing ints/strings to Fractions."""
     return Point(Fraction(x), Fraction(y))
-
-
-def _sign(value: Fraction) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
-def orient(p: Point, q: Point, r: Point) -> int:
-    """Sign of det(q - p, r - p): +1 counterclockwise, 0 collinear, -1 clockwise."""
-    return _sign((q - p).cross(r - p))
 
 
 def proper_intersection(a1: Point, a2: Point, b1: Point, b2: Point) -> Optional[Point]:

@@ -175,6 +175,8 @@ def _parse_twopage(n: int, body: List[Tuple[int, str]]) -> Drawing:
             if order is not None:
                 raise ParseError(no, "duplicate order line")
             order = _ints(parts[1:], no)
+            if len(order) != n or sorted(order) != list(range(n)):
+                raise ParseError(no, "order line missing or invalid")
         elif parts[0] == "e":
             if len(parts) != 4 or parts[3] not in ("T", "B"):
                 raise ParseError(no, "expected 'e <u> <v> <T|B>'")
@@ -187,7 +189,7 @@ def _parse_twopage(n: int, body: List[Tuple[int, str]]) -> Drawing:
             pages[key] = parts[3]
         else:
             raise ParseError(no, f"unexpected line {line!r}")
-    if order is None or len(order) != n or sorted(order) != list(range(n)):
+    if order is None:
         raise ParseError(body[0][0] if body else 4, "order line missing or invalid")
     if len(pages) != n * (n - 1) // 2:
         raise ParseError(body[-1][0] if body else 4, "missing edge lines")
@@ -250,17 +252,35 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
     if len(rotations) != n or sorted(rotations) != list(range(n)):
         raise ParseError(last, "missing rotation lines")
     if len(bits) != c or sorted(bits) != list(range(c)):
-        # c may follow the x lines, so their ids are range-checked only here
-        for no, line in body:
-            parts = line.split()
-            if parts[0] == "x" and not 0 <= int(parts[1]) < c:
-                raise ParseError(no, f"crossing id {int(parts[1])} out of range")
+        _refuse_bad_id(n, c, body)
         raise ParseError(last, "missing orientation lines")
     if ref is None:
         raise ParseError(last, "missing ref line")
-    return build_drawing(
-        n, paths, [bits[k] for k in range(c)],
-        [rotations[u] for u in range(n)], ref)
+    try:
+        return build_drawing(
+            n, paths, [bits[k] for k in range(c)],
+            [rotations[u] for u in range(n)], ref)
+    except ValueError:
+        _refuse_bad_id(n, c, body)
+        raise
+
+
+def _refuse_bad_id(n: int, c: int, body: List[Tuple[int, str]]) -> None:
+    """Raise a ParseError at the first map line with an id `build_drawing`
+    refuses; c may follow the lines, so they are rescanned only on an error."""
+    for no, line in body:
+        kind, *tokens = line.replace(":", " ").split()
+        if kind == "rot" and sorted(map(int, tokens)) != list(range(n)):
+            raise ParseError(no, f"rotation at {int(tokens[0])} is not a "
+                                 f"permutation of the other vertices")
+        crossings = {"x": tokens[:1], "e": tokens[2:]}.get(kind, ())
+        for k in map(int, crossings):
+            if not 0 <= k < c:
+                raise ParseError(no, f"crossing id {k} out of range")
+        if kind == "ref":
+            ru, rv = map(int, tokens)
+            if ru == rv or not (0 <= ru < n and 0 <= rv < n):
+                raise ParseError(no, f"bad reference dart ({ru},{rv})")
 
 
 # ---------------------------------------------------------------------------

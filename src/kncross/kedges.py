@@ -14,31 +14,20 @@ times.  By the Jordan curve theorem the two faces lie on the same side
 of the triangle uvw exactly when bits uv, vw and uw sum to an even
 number, so each label is three bit tests.  `k_value` counts the R bits
 within a vertex bitmask, and `k_edge_vector` is a histogram of the
-counts.  Goodness, which the argument assumes, is checked when the
-drawing is built.  Vectors are always taken relative to the stored
-reference face; use Drawing.with_reference to re-reference.
+counts, the tuple E_0 .. E_{floor(n/2)-1}; the identities below are
+functions of n and that tuple alone.  Goodness, which the argument
+assumes, is checked when the drawing is built.  Vectors are always
+taken relative to the stored reference face; use Drawing.with_reference
+to re-reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .drawing import Drawing, edge_ids
-
-
-@dataclass(frozen=True)
-class KEdgeVector:
-    """Counts E_0 .. E_{floor(n/2)-1} relative to the drawing's reference face."""
-
-    counts: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CumulativeSums:
-    single: Tuple[int, ...]   # E_{<=k}
-    double: Tuple[int, ...]   # E_{<=<=k}
 
 
 def right_mask(drawing: Drawing, u: int, v: int) -> int:
@@ -82,27 +71,20 @@ def k_value(drawing: Drawing, edge: Tuple[int, int],
     return min(rights, others.bit_count() - rights)
 
 
-def k_edge_vector(drawing: Drawing) -> KEdgeVector:
-    """Histogram of k-values over all edges, relative to the reference face."""
+def k_edge_vector(drawing: Drawing) -> Tuple[int, ...]:
+    """E_0 .. E_{floor(n/2)-1}, relative to the reference face."""
     n = drawing.n
     counts = [0] * (n // 2)
     for u, v in drawing.edges:
         rights = right_mask(drawing, u, v).bit_count()
         counts[min(rights, n - 2 - rights)] += 1
-    return KEdgeVector(counts=tuple(counts))
+    return tuple(counts)
 
 
-def cumulative_sums(vector: KEdgeVector) -> CumulativeSums:
-    single: List[int] = []
-    double: List[int] = []
-    run = 0
-    run2 = 0
-    for count in vector.counts:
-        run += count
-        single.append(run)
-        run2 += run
-        double.append(run2)
-    return CumulativeSums(single=tuple(single), double=tuple(double))
+def cumulative_sums(vector: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The pair (E_{<=k}, E_{<=<=k}) of running sums of a k-edge vector."""
+    single = tuple(accumulate(vector))
+    return single, tuple(accumulate(single))
 
 
 def hill_number(n: int) -> int:
@@ -112,20 +94,20 @@ def hill_number(n: int) -> int:
     return (n // 2) * ((n - 1) // 2) * ((n - 2) // 2) * ((n - 3) // 2) // 4
 
 
-def crossings_from_k_edges(n: int, vector: KEdgeVector) -> int:
+def crossings_from_k_edges(n: int, vector: Tuple[int, ...]) -> int:
     """3*C(n,4) minus the weighted k-edge sum; equals the crossing count
     of the K_n drawing whose k-edge vector is `vector`."""
-    weighted = sum(k * (n - 2 - k) * ek for k, ek in enumerate(vector.counts))
+    weighted = sum(k * (n - 2 - k) * ek for k, ek in enumerate(vector))
     return 3 * comb(n, 4) - weighted
 
 
-def crossings_from_cumulative(n: int, vector: KEdgeVector) -> int:
+def crossings_from_cumulative(n: int, vector: Tuple[int, ...]) -> int:
     """Crossing count from the double cumulative sums of `vector`.
 
     2 * sum_{k<=floor(n/2)-2} E_{<=<=k} - C(n,2)*floor((n-2)/2)/2
     - (1+(-1)^n)/2 * E_{<=<=floor(n/2)-2}.
     """
-    sums = cumulative_sums(vector).double
+    _, sums = cumulative_sums(vector)
     top = n // 2 - 2
     body = 2 * sum(sums[k] for k in range(top + 1))
     middle = comb(n, 2) * ((n - 2) // 2) // 2  # always integral
@@ -133,9 +115,9 @@ def crossings_from_cumulative(n: int, vector: KEdgeVector) -> int:
     return body - middle - parity_term
 
 
-def double_cumulative_bound_holds(n: int, vector: KEdgeVector, k: int) -> bool:
+def double_cumulative_bound_holds(n: int, vector: Tuple[int, ...], k: int) -> bool:
     """Whether E_{<=<=k} >= 3*C(k+3,3), the bound bishellability forces,
     for the K_n drawing whose k-edge vector is `vector`."""
     if not 0 <= k <= n // 2 - 2:
         raise ValueError(f"k={k} out of range for n={n}")
-    return cumulative_sums(vector).double[k] >= 3 * comb(k + 3, 3)
+    return cumulative_sums(vector)[1][k] >= 3 * comb(k + 3, 3)

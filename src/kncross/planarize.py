@@ -37,7 +37,8 @@ adjacent equal keys.  The directions around a vertex sort the same
 way: by the ray or open half-plane they lie in, then by the floor of
 -cot(angle) * D^2, with D = height bounding every |dy|; the cotangent
 falls as the angle grows within each open half-plane.  The `Fraction`
-points themselves are only stored, as the drawing's geometry.
+points themselves are only stored, as the drawing's geometry; no `geom`
+predicate runs here.
 
 The reference face of a planarized drawing is the unbounded face, named
 by a dart read off the arrangement.  Seen from the lexicographically
@@ -48,7 +49,7 @@ is never crossed, and the face to the left of top->w is unbounded.
 
 `planarize_points` is `segment_arrangement` followed by
 `planarize_arrangement`, which builds the map.  A caller that already
-holds a point set's arrangement (the random generator, `hunt`) passes it
+holds a point set's arrangement (the random generator) passes it
 to `planarize_arrangement` with the `Fraction` points, and the segments
 are not intersected again.
 """
@@ -61,7 +62,7 @@ from math import lcm
 from typing import Any, List, Sequence, Tuple
 
 from .drawing import Drawing, PointsGeometry, build_drawing, edge_ids, edge_list
-from .geom import Point, proper_intersection
+from .geom import Point
 
 IntPoint = Tuple[int, int]
 
@@ -241,15 +242,3 @@ def planarize_arrangement(points: Sequence[Point], arr: Arrangement) -> Drawing:
         geometry=PointsGeometry(points=pts),
     )
 
-
-def brute_force_crossing_count(points: Sequence[Point]) -> int:
-    """Independent double loop over segment pairs; test oracle."""
-    pts = list(points)
-    edges = list(itertools.combinations(range(len(pts)), 2))
-    count = 0
-    for (a, b), (c, d) in itertools.combinations(edges, 2):
-        if {a, b} & {c, d}:
-            continue
-        if proper_intersection(pts[a], pts[b], pts[c], pts[d]) is not None:
-            count += 1
-    return count

@@ -37,7 +37,7 @@ from kncross.generators import (
     gen_twopage,
     twopage_all_top,
 )
-from kncross.geom import orient, proper_intersection
+from kncross.geom import Point, proper_intersection
 from kncross.planarize import Arrangement, DegenerateInput, planarize_points
 from kncross.shelling import BishellWitness, ShellWitness, _bits, _greedy_peel, _view
 
@@ -110,6 +110,32 @@ def shuffled_twopage_spec(seed: int) -> TwoPageSpec:
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
+
+
+def _sign(value: Fraction) -> int:
+    if value > 0:
+        return 1
+    if value < 0:
+        return -1
+    return 0
+
+
+def orient(p: Point, q: Point, r: Point) -> int:
+    """Sign of det(q - p, r - p): +1 counterclockwise, 0 collinear, -1 clockwise."""
+    return _sign((q - p).cross(r - p))
+
+
+def brute_force_crossing_count(points: Sequence[Point]) -> int:
+    """Independent double loop over segment pairs."""
+    pts = list(points)
+    edges = list(itertools.combinations(range(len(pts)), 2))
+    count = 0
+    for (a, b), (c, d) in itertools.combinations(edges, 2):
+        if {a, b} & {c, d}:
+            continue
+        if proper_intersection(pts[a], pts[b], pts[c], pts[d]) is not None:
+            count += 1
+    return count
 
 
 def brute_k_vector(points) -> tuple:

@@ -102,9 +102,8 @@ def test_criterion_04_crossing_identities(cylindrical_family, convex_family,
         assert crossings_from_k_edges(drawing.n, vector) == cr
         assert crossings_from_cumulative(drawing.n, vector) == cr
         planar, crossed = loop_k4_census(drawing)
-        vec = vector.counts
         n = drawing.n
-        weighted = sum(k * (n - 2 - k) * ek for k, ek in enumerate(vec))
+        weighted = sum(k * (n - 2 - k) * ek for k, ek in enumerate(vector))
         assert 3 * planar + 2 * crossed == weighted
     _report(4, time.time() - start, 60.0,
             f"both crossing identities and 3P+2N on {len(corpus)} drawings")
@@ -114,11 +113,11 @@ def test_criterion_05_k4_appendix_cases():
     start = time.time()
     from conftest import planar_k4
     planar = planar_k4()
-    assert k_edge_vector(planar).counts == (3, 3)
+    assert k_edge_vector(planar) == (3, 3)
     crossed = gen_convex(4)
-    vectors = [k_edge_vector(crossed.with_reference(f)).counts
+    vectors = [k_edge_vector(crossed.with_reference(f))
                for f in range(crossed.face_count)]
-    outer = k_edge_vector(crossed).counts
+    outer = k_edge_vector(crossed)
     assert outer == (4, 2)
     assert all(v == (4, 2) for v in vectors)
     _report(5, time.time() - start, 5.0,
@@ -169,7 +168,7 @@ def test_criterion_08_bishellability_and_bounds(cylindrical_family):
         assert witness is not None, f"cylindrical K{n} not bishellable"
         assert bishell_witness_violation(drawing, witness) is None
         _WITNESS_STASH.append((drawing, witness))
-        sums = cumulative_sums(k_edge_vector(drawing)).double
+        _, sums = cumulative_sums(k_edge_vector(drawing))
         for k in range(s + 1):
             assert sums[k] >= 3 * comb(k + 3, 3), (n, k)
         assert drawing.crossings >= hill_number(n)

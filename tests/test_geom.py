@@ -1,7 +1,9 @@
 from fractions import Fraction
 
-from kncross.geom import Point, circle_point, orient, point, proper_intersection
+from kncross.geom import Point, circle_point, point, proper_intersection
 from kncross.generators import SplitMix64
+
+from conftest import orient
 
 
 def test_orient_basic():
@@ -20,7 +22,8 @@ def test_orient_antisymmetric_and_translation_invariant():
     for _ in range(200):
         p, q, r, shift = rand_point(), rand_point(), rand_point(), rand_point()
         assert orient(p, q, r) == -orient(p, r, q)
-        assert orient(p, q, r) == orient(p + shift, q + shift, r + shift)
+        moved = (Point(a.x + shift.x, a.y + shift.y) for a in (p, q, r))
+        assert orient(p, q, r) == orient(*moved)
 
 
 def test_proper_intersection_examples():

@@ -68,6 +68,11 @@ def test_twopage_duplicate_order_line_refused():
 
 MAP7 = serialize(gen_cylindrical(7), "map").decode().splitlines()
 TWOPAGE4 = serialize(gen_twopage(twopage_all_top(4)), "twopage").decode().splitlines()
+# the same files with the crossing count, or the order line, moved to the end
+MAP7_C_LAST = ([line for line in MAP7 if not line.startswith("c ")]
+               + [line for line in MAP7 if line.startswith("c ")])
+TWOPAGE4_ORDER_LAST = ([line for line in TWOPAGE4 if not line.startswith("order")]
+                       + [line for line in TWOPAGE4 if line.startswith("order")])
 
 
 @pytest.mark.parametrize("lines, prefix, new, inserted, reason", [
@@ -77,8 +82,17 @@ TWOPAGE4 = serialize(gen_twopage(twopage_all_top(4)), "twopage").decode().splitl
     (MAP7, "x 0 :", "x 999 :", False, "crossing id 999 out of range"),
     (TWOPAGE4, "e 0 1 T", "e 0 7 T", False, "vertex 7 out of range"),
     (TWOPAGE4, "e 0 1 T", "e -1 1 T", False, "vertex -1 out of range"),
+    (MAP7, "e 0 1 :", "e 0 1 : 999", False, "crossing id 999 out of range"),
+    (MAP7_C_LAST, "e 0 2 : 0", "e 0 2 : -1", False, "crossing id -1 out of range"),
+    (MAP7, "rot 0 :", "rot 0 : 9", False,
+     "rotation at 0 is not a permutation of the other vertices"),
+    (MAP7, "ref 0 1", "ref 0 99", False, "bad reference dart (0,99)"),
+    (MAP7, "ref 0 1", "ref 2 2", False, "bad reference dart (2,2)"),
+    (TWOPAGE4_ORDER_LAST, "order 0 1 2 3", "order 0 1 2 2", False,
+     "order line missing or invalid"),
 ], ids=["map-rot", "map-edge", "map-extra-edge", "map-crossing", "twopage-edge-high",
-        "twopage-edge-negative"])
+        "twopage-edge-negative", "map-path-crossing", "map-path-crossing-c-last",
+        "map-rot-not-permutation", "map-ref-vertex", "map-ref-loop", "twopage-order-last"])
 def test_out_of_range_id_refused_at_its_line(lines, prefix, new, inserted, reason):
     # the first line starting with `prefix` gets `new` as its start, or,
     # when `inserted`, is followed by a line `new`
@@ -109,7 +123,7 @@ def test_map_round_trip_all_families(small_corpus):
         assert again.face_count == drawing.face_count
         assert again.vertex_rotations == drawing.vertex_rotations
         assert again.reference_face == drawing.reference_face
-        assert k_edge_vector(again).counts == k_edge_vector(drawing).counts
+        assert k_edge_vector(again) == k_edge_vector(drawing)
 
 
 def test_map_serialization_is_deterministic():

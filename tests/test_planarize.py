@@ -10,13 +10,13 @@ from kncross.generators import SplitMix64, gen_random_points
 from kncross.geom import Point, circle_point, point
 from kncross.planarize import (
     DegenerateInput,
-    brute_force_crossing_count,
     crossing_path,
     planarize_points,
     segment_arrangement,
 )
 
 from conftest import (
+    brute_force_crossing_count,
     fraction_segment_arrangement,
     fraction_unbounded_reference,
     fraction_validate_points,

@@ -1,15 +1,17 @@
 import functools
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kncross import shelling
-from kncross.drawing import DeletionView, rotation_key
+from kncross.drawing import CylindricalGeometry, DeletionView, rotation_key
 from kncross.generators import SplitMix64, gen_convex, gen_cylindrical, gen_random_points
 from kncross.io import serialize
-from kncross.kedges import double_cumulative_bound_holds, hill_number, k_edge_vector
+from kncross.kedges import (cumulative_sums, double_cumulative_bound_holds, hill_number,
+                            k_edge_vector)
 from kncross.shelling import (
     BishellWitness,
     ShellWitness,
@@ -225,17 +227,32 @@ def test_shellable_implies_hill_bound(small_corpus):
 
 
 def test_bishellable_implies_lemma_bounds():
-    for n in (6, 8, 10):
-        d = gen_cylindrical(n)
-        witness = check_bishellable(d, n // 2 - 2, face=d.reference_face)
-        assert witness is not None
-        vec = k_edge_vector(d.with_reference(witness.face))
-        chain = witness
-        while True:
-            assert double_cumulative_bound_holds(n, vec, chain.order)
-            if chain.order == 0:
-                break
-            chain = truncate_bishell(chain)
+    # the paper's lemma: a bishell witness of order s at face F gives
+    # E_<=<=k(D, F) >= 3*C(k+3,3) for every k <= s, checked at every face
+    # with a witness of the default order
+    drawings = ([gen_cylindrical(n) for n in (6, 8, 9, 10, 11, 12)]
+                + [gen_convex(n) for n in (9, 10)]
+                + [gen_random_points(n, seed) for n in (9, 10, 11) for seed in (1, 2, 3)]
+                + [gen_random_points(12, seed) for seed in (502, 505, 511, 567, 629)])
+    for d in drawings:
+        n = d.n
+        witnesses = [check_bishellable(d, face=face) for face in range(d.face_count)]
+        # every cylindrical drawing is bishellable at its reference face
+        assert (witnesses[d.reference_face] is not None
+                or not isinstance(d.geometry, CylindricalGeometry))
+        for face, witness in enumerate(witnesses):
+            if witness is None:
+                continue
+            vec = k_edge_vector(d.with_reference(face))
+            _, double = cumulative_sums(vec)
+            chain = witness
+            while True:
+                k = chain.order
+                assert double[k] >= 3 * comb(k + 3, 3), (n, face, k)
+                assert double_cumulative_bound_holds(n, vec, k)
+                if k == 0:
+                    break
+                chain = truncate_bishell(chain)
 
 
 def test_sufficient_conditions():
@@ -257,7 +274,6 @@ def test_sufficient_conditions():
 
 
 def test_invariant_edge_report_bounds():
-    from math import comb
     for drawing in (gen_convex(6), gen_cylindrical(8), gen_cylindrical(9)):
         s = drawing.n // 2 - 2
         witness = check_bishellable(drawing, s)
@@ -701,7 +717,7 @@ def _answers_by_dart(drawing):
         answers[dart] = (
             [w and (w.a_seq, w.b_seq) for w in bishells],
             [w and w.seq for w in shells],
-            k_edge_vector(drawing.with_reference(face)).counts,
+            k_edge_vector(drawing.with_reference(face)),
             [view.incident_mask(face) for view in views],
         )
     return answers
