@@ -31,7 +31,9 @@ violations.  The checks make succ a permutation, so every face walk
 closes, and the map of K_n is connected, so its dual is too.
 
 succ, the face walks and the per-dart tables live only during
-construction.  A Drawing keeps what the rest of the package reads: the
+construction.  A Drawing is a NamedTuple, like every record of the
+package, so it is immutable and compares and hashes by value.  It keeps
+what the rest of the package reads: the
 edges, their crossing paths and the crossing pairs, the vertex
 rotations, each started at its least neighbour as files write them (a
 rotation is a cycle, so the start changes no face), the dart and face
@@ -67,8 +69,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .geom import Point
 
@@ -94,20 +95,17 @@ class NotGoodDrawing(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointsGeometry:
+class PointsGeometry(NamedTuple):
     points: Tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class TwoPageGeometry:
+class TwoPageGeometry(NamedTuple):
     order: Tuple[int, ...]                       # spine order, left to right
     pages: Tuple[Tuple[Tuple[int, int], str], ...]  # ((u,v), "T"|"B") sorted
     positions: Tuple  # x coordinate per vertex id (Fractions)
 
 
-@dataclass(frozen=True)
-class CylindricalGeometry:
+class CylindricalGeometry(NamedTuple):
     outer: Tuple[int, ...]      # vertex ids on the outer circle, ccw
     inner: Tuple[int, ...]      # vertex ids on the inner circle, ccw
     angles: Tuple               # angle in turns per vertex id (Fractions)
@@ -122,14 +120,12 @@ Geometry = object  # one of the provenance classes above, or None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoodnessViolation:
+class GoodnessViolation(NamedTuple):
     kind: str                      # "adjacent_cross" | "double_cross"
     edges: Tuple[Tuple[int, int], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class Drawing:
+class Drawing(NamedTuple):
     n: int
     edges: Tuple[Tuple[int, int], ...]            # lexicographic, id = index
     edge_paths: Tuple[Tuple[int, ...], ...]       # crossing ids, smaller->larger endpoint
@@ -152,7 +148,7 @@ class Drawing:
     def with_reference(self, face: int) -> "Drawing":
         if not 0 <= face < self.face_count:
             raise ValueError(f"face {face} out of range")
-        return replace(self, reference_face=face)
+        return self._replace(reference_face=face)
 
     def face_left_of(self, u: int, v: int) -> int:
         """The face left of the first dart u->v."""

@@ -29,10 +29,9 @@ no construction is re-run on a subset of its coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .drawing import (
     CylindricalGeometry,
@@ -143,8 +142,7 @@ def gen_random_points(n: int, seed: int) -> Drawing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoPageSpec:
+class TwoPageSpec(NamedTuple):
     order: Tuple[int, ...]                      # spine order, left to right
     pages: Mapping[Tuple[int, int], str]        # (u,v) u<v -> "T" | "B"
 

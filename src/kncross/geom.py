@@ -12,16 +12,17 @@ zero branch of a predicate and it is up to the caller to reject them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 RationalLike = Union[int, str, Fraction]
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of the plane with exact rational coordinates."""
+class Point(NamedTuple):
+    """A point of the plane with exact rational coordinates.
+
+    A NamedTuple: `-` is the vector difference, but `+` and `*` are the
+    tuple operations."""
 
     x: Fraction
     y: Fraction

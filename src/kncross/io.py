@@ -267,14 +267,19 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
 
 def _refuse_bad_id(n: int, c: int, body: List[Tuple[int, str]]) -> None:
     """Raise a ParseError at the first map line with an id `build_drawing`
-    refuses; c may follow the lines, so they are rescanned only on an error."""
+    refuses, or an edge path that names a crossing twice; c may follow the
+    lines, so they are rescanned only on an error.  Within a line the
+    checks run in `build_drawing`'s order: a revisit before the id range."""
     for no, line in body:
         kind, *tokens = line.replace(":", " ").split()
         if kind == "rot" and sorted(map(int, tokens)) != list(range(n)):
             raise ParseError(no, f"rotation at {int(tokens[0])} is not a "
                                  f"permutation of the other vertices")
-        crossings = {"x": tokens[:1], "e": tokens[2:]}.get(kind, ())
-        for k in map(int, crossings):
+        crossings = [int(k) for k in {"x": tokens[:1], "e": tokens[2:]}.get(kind, ())]
+        if kind == "e" and len(set(crossings)) != len(crossings):
+            edge = (int(tokens[0]), int(tokens[1]))
+            raise ParseError(no, f"edge {edge} visits a crossing twice")
+        for k in crossings:
             if not 0 <= k < c:
                 raise ParseError(no, f"crossing id {k} out of range")
         if kind == "ref":

@@ -15,7 +15,8 @@ of the triangle uvw exactly when bits uv, vw and uw sum to an even
 number, so each label is three bit tests.  `k_value` counts the R bits
 within a vertex bitmask, and `k_edge_vector` is a histogram of the
 counts, the tuple E_0 .. E_{floor(n/2)-1}; the identities below are
-functions of n and that tuple alone.  Goodness, which the argument
+functions of n and that tuple alone, and each refuses a tuple that does
+not have floor(n/2) entries.  Goodness, which the argument
 assumes, is checked when the drawing is built.  Vectors are always
 taken relative to the stored reference face; use Drawing.with_reference
 to re-reference.
@@ -94,9 +95,16 @@ def hill_number(n: int) -> int:
     return (n // 2) * ((n - 1) // 2) * ((n - 2) // 2) * ((n - 3) // 2) // 4
 
 
+def _check_length(n: int, vector: Tuple[int, ...]) -> None:
+    if len(vector) != n // 2:
+        raise ValueError(f"a k-edge vector of K_{n} has {n // 2} entries, "
+                         f"not {len(vector)}")
+
+
 def crossings_from_k_edges(n: int, vector: Tuple[int, ...]) -> int:
     """3*C(n,4) minus the weighted k-edge sum; equals the crossing count
     of the K_n drawing whose k-edge vector is `vector`."""
+    _check_length(n, vector)
     weighted = sum(k * (n - 2 - k) * ek for k, ek in enumerate(vector))
     return 3 * comb(n, 4) - weighted
 
@@ -107,6 +115,7 @@ def crossings_from_cumulative(n: int, vector: Tuple[int, ...]) -> int:
     2 * sum_{k<=floor(n/2)-2} E_{<=<=k} - C(n,2)*floor((n-2)/2)/2
     - (1+(-1)^n)/2 * E_{<=<=floor(n/2)-2}.
     """
+    _check_length(n, vector)
     _, sums = cumulative_sums(vector)
     top = n // 2 - 2
     body = 2 * sum(sums[k] for k in range(top + 1))
@@ -118,6 +127,7 @@ def crossings_from_cumulative(n: int, vector: Tuple[int, ...]) -> int:
 def double_cumulative_bound_holds(n: int, vector: Tuple[int, ...], k: int) -> bool:
     """Whether E_{<=<=k} >= 3*C(k+3,3), the bound bishellability forces,
     for the K_n drawing whose k-edge vector is `vector`."""
+    _check_length(n, vector)
     if not 0 <= k <= n // 2 - 2:
         raise ValueError(f"k={k} out of range for n={n}")
     return cumulative_sums(vector)[1][k] >= 3 * comb(k + 3, 3)

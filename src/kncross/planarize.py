@@ -57,9 +57,8 @@ are not intersected again.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from .drawing import Drawing, PointsGeometry, build_drawing, edge_ids, edge_list
 from .geom import Point
@@ -76,8 +75,7 @@ class DegenerateInput(ValueError):
         super().__init__(f"{kind}: {witness}")
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(NamedTuple):
     """Raw intersection structure of all segments among a point set."""
 
     crossings: Tuple[Tuple[int, int], ...]          # (edge a, edge b), a<b

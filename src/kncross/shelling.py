@@ -6,6 +6,8 @@ the face containing F after deleting the prefix v_1..v_{r-1} and the
 suffix v_{t+1}..v_s.  A bishell witness of order s consists of two
 sequences a_0..a_s and b_0..b_s growing away from the same face, with
 the complementary prefixes disjoint: a_i != b_j whenever i + j <= s.
+The witnesses and the two diagnostic reports, `InvariantEdgeReport` and
+`SufficientConditions`, are NamedTuples.
 
 The thresholds of the crossing bound H(n) are the searches' defaults,
 written nowhere else: `s=None` asks `check_s_shellable` for some
@@ -109,8 +111,7 @@ system, and keeping one drawing per `rotation_key` loses none of them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .drawing import DeletionView, Drawing
 from .kedges import k_value
@@ -121,8 +122,7 @@ class WitnessInvalid(Exception):
     error, not a refusal of input, so not a ValueError."""
 
 
-@dataclass(frozen=True)
-class ShellWitness:
+class ShellWitness(NamedTuple):
     face: int
     seq: Tuple[int, ...]          # v_1 .. v_s
 
@@ -131,8 +131,7 @@ class ShellWitness:
         return len(self.seq)
 
 
-@dataclass(frozen=True)
-class BishellWitness:
+class BishellWitness(NamedTuple):
     face: int
     a_seq: Tuple[int, ...]        # a_0 .. a_s
     b_seq: Tuple[int, ...]        # b_0 .. b_s (b_0 first)
@@ -142,15 +141,13 @@ class BishellWitness:
         return len(self.a_seq) - 1
 
 
-@dataclass(frozen=True)
-class InvariantEdgeReport:
+class InvariantEdgeReport(NamedTuple):
     order: int
     a0_contribution: int
     invariant_count: int
 
 
-@dataclass(frozen=True)
-class SufficientConditions:
+class SufficientConditions(NamedTuple):
     uncrossed_cycle_len: int      # edges of the longest uncrossed simple cycle
     uncrossed_path_len: int       # edges of the longest uncrossed simple path
     implies_shellable: bool

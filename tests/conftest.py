@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb
@@ -588,7 +587,7 @@ def build_outcome(build, *args):
         drawing = build(*args)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "violations", None)
-    return tuple((f.name, getattr(drawing, f.name)) for f in fields(drawing))
+    return tuple((name, getattr(drawing, name)) for name in drawing._fields)
 
 
 def loop_k4_census(drawing: Drawing) -> Tuple[int, int]:

@@ -90,9 +90,15 @@ TWOPAGE4_ORDER_LAST = ([line for line in TWOPAGE4 if not line.startswith("order"
     (MAP7, "ref 0 1", "ref 2 2", False, "bad reference dart (2,2)"),
     (TWOPAGE4_ORDER_LAST, "order 0 1 2 3", "order 0 1 2 2", False,
      "order line missing or invalid"),
+    (MAP7, "e 0 5 : 2 3 4", "e 0 5 : 2 3 2", False, "edge (0, 5) visits a crossing twice"),
+    (MAP7_C_LAST, "e 0 5 : 2 3 4", "e 0 5 : 2 3 4 4", False,
+     "edge (0, 5) visits a crossing twice"),
+    # as in build_drawing, a revisit is named before an id out of range
+    (MAP7, "e 0 5 : 2 3 4", "e 0 5 : 999 3 3", False, "edge (0, 5) visits a crossing twice"),
 ], ids=["map-rot", "map-edge", "map-extra-edge", "map-crossing", "twopage-edge-high",
         "twopage-edge-negative", "map-path-crossing", "map-path-crossing-c-last",
-        "map-rot-not-permutation", "map-ref-vertex", "map-ref-loop", "twopage-order-last"])
+        "map-rot-not-permutation", "map-ref-vertex", "map-ref-loop", "twopage-order-last",
+        "map-path-revisit", "map-path-revisit-c-last", "map-path-revisit-before-range"])
 def test_out_of_range_id_refused_at_its_line(lines, prefix, new, inserted, reason):
     # the first line starting with `prefix` gets `new` as its start, or,
     # when `inserted`, is followed by a line `new`

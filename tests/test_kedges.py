@@ -226,6 +226,22 @@ def test_double_cumulative_bound():
         double_cumulative_bound_holds(6, vec6, 5)
 
 
+@pytest.mark.parametrize("identity", [
+    crossings_from_k_edges,
+    crossings_from_cumulative,
+    lambda n, vector: double_cumulative_bound_holds(n, vector, 0),
+], ids=["k-edges", "cumulative", "double-bound"])
+@pytest.mark.parametrize("n, vector", [
+    (7, (1, 2)), (8, (1,)), (8, ()), (7, (1, 2, 3, 4, 5)), (8, (1, 2, 3, 4, 5)),
+], ids=["7-short", "8-short", "8-empty", "7-long", "8-long"])
+def test_identities_refuse_a_vector_of_the_wrong_length(identity, n, vector):
+    # a K_n vector has floor(n/2) entries; the message names both lengths
+    with pytest.raises(ValueError) as caught:
+        identity(n, vector)
+    assert str(caught.value) == (f"a k-edge vector of K_{n} has {n // 2} entries, "
+                                 f"not {len(vector)}")
+
+
 def test_vector_equal_across_weak_iso_realizations():
     # the all-top book drawing and the convex drawing are the same map up
     # to relabelling, with matching unbounded reference faces, so their

@@ -4,6 +4,7 @@ resolve."""
 import ast
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,20 +13,42 @@ import kncross
 ROOT = Path(__file__).resolve().parent.parent
 
 
+SRC = ROOT / "src"
+MODULES = sorted((SRC / "kncross").glob("*.py"))
+
+
+def _absolute_imports(path: Path):
+    """The module names of `path`'s absolute imports."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
 def test_package_imports_only_stdlib():
-    modules = sorted((ROOT / "src" / "kncross").glob("*.py"))
-    assert modules
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.split(".")[0]
-                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+    assert MODULES
+    for path in MODULES:
+        for name in _absolute_imports(path):
+            top = name.split(".")[0]
+            assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples; dataclasses would add milliseconds to
+    # every command's start-up
+    for path in MODULES:
+        for name in _absolute_imports(path):
+            assert name.split(".")[0] != "dataclasses", f"{path.name} imports {name}"
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # a fresh interpreter without site: only the package's own imports count
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import kncross, kncross.cli; "
+            f"print(sorted({{'dataclasses', 'inspect'}} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_pyproject_declares_no_dependencies():
