@@ -10,12 +10,13 @@ dart leaving u along uw for every u and w, and reads the vertex
 rotations and the crossing orientation bits through it into the face
 walk successor
 
-    succ(d) = rot_next(twin(d)),
+    succ(d) = twin(rot_next(d)),
 
 rot_next(d) being the next dart counterclockwise around the origin
-node of d.  Faces are the orbits of succ.  With counterclockwise
-rotations such an orbit walks its face keeping it on the right, so the
-face on the LEFT of a dart d is the orbit of twin(d); every left/right
+node of d.  With counterclockwise rotations the face on the LEFT of a
+dart d leaving u is the corner of u between d and rot_next(d), which is
+also on the left of twin(rot_next(d)); so the faces are the orbits of
+succ, each the darts with one face on their left.  Every left/right
 statement below follows this convention.  The map lives on the sphere:
 the unbounded face of a geometric input is an ordinary face, merely
 remembered as the reference.
@@ -30,18 +31,21 @@ that is not good gets its own class, `NotGoodDrawing`, which lists the
 violations.  The checks make succ a permutation, so every face walk
 closes, and the map of K_n is connected, so its dual is too.
 
-succ, the face walks and the per-dart tables live only during
-construction.  A Drawing is a NamedTuple, like every record of the
+succ and the per-dart tables live only during construction, and of
+the face walks only each face's first dart, to walk it again for the
+parity masks.  A Drawing is a NamedTuple, like every record of the
 package, so it is immutable and compares and hashes by value.  It keeps
-what the rest of the package reads: the
-edges, their crossing paths and the crossing pairs, the vertex
-rotations, each started at its least neighbour as files write them (a
-rotation is a cycle, so the start changes no face), the dart and face
-counts, the faces on both sides of every segment's darts (`seg_faces`),
-the parity masks below and the reference face.  The edges are
-`edge_list(n)`, shared by every drawing of K_n; edge uv has id
-`edge_ids(n)[u][v]`.  Other modules name a face by a dart, through
-`face_left_of(u, v)`, read off `seg_faces`, and its inverse
+what the rest of the package reads: the edges and their crossing paths,
+the vertex rotations, each started at its least neighbour as files
+write them (a rotation is a cycle, so the start changes no face), the
+dart and face counts, the parity masks below, the reference face and
+two flat tables.  `dart_faces[e]` holds the left face of each dart of
+edge e in dart order, forward then backward per segment, so a segment's
+two sides are a consecutive pair; `crossed_edges` holds the first and
+the second edge of every crossing in turn, 2 * `crossings` ids.  The
+edges are `edge_list(n)`, shared by every drawing of K_n; edge uv has
+id `edge_ids(n)[u][v]`.  Other modules name a face by a dart, through
+`face_left_of(u, v)`, read off `dart_faces`, and its inverse
 `face_dart(face)`, the least dart with `face` on its left.
 
 Crossing a segment of edge e from one face into the next flips bit e of
@@ -69,7 +73,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .geom import Point
 
@@ -129,13 +133,13 @@ class Drawing(NamedTuple):
     n: int
     edges: Tuple[Tuple[int, int], ...]            # lexicographic, id = index
     edge_paths: Tuple[Tuple[int, ...], ...]       # crossing ids, smaller->larger endpoint
-    crossing_edges: Tuple[Tuple[int, int], ...]   # per crossing: (edge id, edge id), lex
+    crossed_edges: Tuple[int, ...]                # first, second edge id of crossing 0, 1, ...
     orientation_bits: Tuple[str, ...]             # '+' or '-' per crossing
     vertex_rotations: Tuple[Tuple[int, ...], ...]  # ccw neighbor cycle per vertex, least first
     dart_count: int
     face_count: int
     reference_face: int
-    seg_faces: Tuple[Tuple[Tuple[int, int], ...], ...]  # per edge: (left, right) per segment
+    dart_faces: Tuple[Tuple[int, ...], ...]       # per edge: left face of each dart, in dart order
     face_parity: Tuple[int, ...]                  # per face: edge bitmask of a dual walk from face 0
     geometry: Optional[Geometry] = None
 
@@ -143,7 +147,7 @@ class Drawing(NamedTuple):
 
     @property
     def crossings(self) -> int:
-        return len(self.crossing_edges)
+        return len(self.orientation_bits)
 
     def with_reference(self, face: int) -> "Drawing":
         if not 0 <= face < self.face_count:
@@ -155,8 +159,8 @@ class Drawing(NamedTuple):
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"bad face dart ({u},{v})")
         # the forward dart of uv's first segment, or the backward of its last
-        segments = self.seg_faces[edge_ids(self.n)[u][v]]
-        return segments[0][0] if u < v else segments[-1][1]
+        faces = self.dart_faces[edge_ids(self.n)[u][v]]
+        return faces[0] if u < v else faces[-1]
 
     def face_dart(self, face: int) -> Tuple[int, int]:
         """The least dart (u, v) whose left face is `face`, the pair that
@@ -276,59 +280,58 @@ def build_drawing(
         k = rot.index(0 if u else 1)  # from the least neighbour
         rotations.append((*rot[k:], *rot[:k]))
 
-    # The face walk successor succ[d] = rot_next[d ^ 1], rot_next[d] being
-    # the dart after d counterclockwise around its origin, straight from
-    # the vertex rotations and the crossings.  No dart is assigned twice or
-    # left out: the vertex rotations are permutations and every crossing
-    # is met by two distinct edge passes, so each dart leaves exactly one
-    # node.  succ is then a permutation, so every face walk closes; and
-    # the map of K_n is connected, so its dual is too and the parity walk
-    # below reaches every face.
+    # The face walk successor succ[d] = rot_next[d] ^ 1, rot_next[d]
+    # being the dart after d counterclockwise around its origin, straight
+    # from the vertex rotations and the crossings; d and succ[d] have one
+    # face on their left.  No dart is assigned twice or left out: the
+    # vertex rotations are permutations and every crossing is met by two
+    # distinct edge passes, so each dart leaves exactly one node.  succ is
+    # then a permutation, so every face walk closes; and the map of K_n is
+    # connected, so its dual is too and the parity walk below reaches
+    # every face.
     total = len(dart_edge)
     succ = [0] * total
     for row, rot in zip(out_dart, rotations):
-        prev = row[rot[-1]] ^ 1
+        prev = row[rot[-1]]
         for w in rot:
             d = row[w]
-            succ[prev] = d
-            prev = d ^ 1
+            succ[prev] = d ^ 1
+            prev = d
     for e, f, bit in zip(first, second, crossing_orientations):
         # Crossing k ends segment p of an edge and starts segment p+1, so
         # the darts leaving it are e + 2 (forward along p+1) and e + 1
         # (backward along p), e being the forward dart of segment p and
         # e + 3 and e their twins.  Counterclockwise they read (e + 2,
         # f + 2, e + 1, f + 1) on '+' and (e + 2, f + 1, e + 1, f + 2) on
-        # '-'.  e is the first pass, so on the first edge: the paths are
-        # read in edge order.
+        # '-', and succ takes each to the twin of the next.  e is the first
+        # pass, so on the first edge: the paths are read in edge order.
         if bit == "+":
-            succ[e + 3] = f + 2
-            succ[f + 3] = e + 1
-            succ[e] = f + 1
-            succ[f] = e + 2
+            succ[e + 2] = f + 3
+            succ[f + 2] = e
+            succ[e + 1] = f
+            succ[f + 1] = e + 3
         else:
-            succ[e + 3] = f + 1
-            succ[f] = e + 1
-            succ[e] = f + 2
-            succ[f + 3] = e + 2
+            succ[e + 2] = f
+            succ[f + 1] = e
+            succ[e + 1] = f + 3
+            succ[f + 2] = e + 3
 
-    # faces: orbits of succ, walked from ascending least darts.  With
-    # counterclockwise rotations such an orbit walks the face lying to the
-    # RIGHT of its darts, so the face to the left of d is the orbit of its
-    # twin; the walk writes it as it goes.
+    # faces: the orbits of succ, each the darts with one face on their
+    # left.  A face is walked from d ^ 1 for ascending d, so the faces are
+    # numbered by the least dart with the face on its right; only each
+    # face's first dart is kept.
     dart_face = [-1] * total
-    walks: List[List[int]] = []
-    for d0 in range(total):
-        if dart_face[d0 ^ 1] >= 0:
+    starts: List[int] = []
+    for d in range(total):
+        d ^= 1
+        if dart_face[d] >= 0:
             continue
-        fid = len(walks)
-        walk = []
-        d = d0
-        while dart_face[d ^ 1] < 0:
-            dart_face[d ^ 1] = fid
-            walk.append(d)
+        fid = len(starts)
+        starts.append(d)
+        while dart_face[d] < 0:
+            dart_face[d] = fid
             d = succ[d]
-        walks.append(walk)
-    face_count = len(walks)
+    face_count = len(starts)
 
     nodes = n + c
     nedges = len(edges) + 2 * c
@@ -340,55 +343,56 @@ def build_drawing(
         raise ValueError(f"bad reference dart ({ru},{rv})")
     reference_face = dart_face[out_dart[ru][rv]]
 
-    seg_faces = tuple(
-        tuple(zip(dart_face[base:end:2], dart_face[base + 1:end:2]))
-        for base, end in zip(dart_base, dart_base[1:] + [total])
-    )
-
-    # dual walk from face 0: stepping across a segment of edge e flips bit
-    # e.  The darts of a face's orbit have it on their right, so each leads
-    # to the face on its left.
+    # dual walk from face 0, re-walking each face from its first dart:
+    # stepping across a segment of edge e flips bit e, and the twin of a
+    # dart with face f on its left has the next face on its left.
     parity: List[Optional[int]] = [None] * face_count
     parity[0] = 0
     stack = [0]
     while stack:
         f = stack.pop()
-        for d in walks[f]:
-            g = dart_face[d]
+        d = d0 = starts[f]
+        while True:
+            g = dart_face[d ^ 1]
             if parity[g] is None:
                 parity[g] = parity[f] ^ (1 << dart_edge[d])
                 stack.append(g)
+            d = succ[d]
+            if d == d0:
+                break
 
     drawing = Drawing(
         n=n,
         edges=edges,
         edge_paths=tuple(paths),
-        crossing_edges=tuple(zip(map(dart_edge.__getitem__, first),
-                                 map(dart_edge.__getitem__, second))),
+        crossed_edges=tuple(dart_edge[d] for pair in zip(first, second) for d in pair),
         orientation_bits=tuple(crossing_orientations),
         vertex_rotations=tuple(rotations),
         dart_count=total,
         face_count=face_count,
         reference_face=reference_face,
-        seg_faces=seg_faces,
+        dart_faces=tuple(tuple(dart_face[base:end])
+                         for base, end in zip(dart_base, dart_base[1:] + [total])),
         face_parity=tuple(parity),
         geometry=geometry,
     )
-    violations = _goodness_violations(edges, drawing.crossing_edges)
+    violations = _goodness_violations(
+        edges, zip(drawing.crossed_edges[::2], drawing.crossed_edges[1::2]))
     if violations:
         raise NotGoodDrawing(violations)
     return drawing
 
 
 def _goodness_violations(edges: Sequence[Tuple[int, int]],
-                         crossing_edges: Sequence[Tuple[int, int]]) -> tuple:
+                         crossing_pairs: Iterable[Tuple[int, int]]) -> tuple:
     """The adjacent crossings in crossing order, then the pairs of edges
-    crossed more than once, sorted.  No edge crosses itself: a path that
+    crossed more than once, sorted; `crossing_pairs` holds the (first,
+    second) edge ids of every crossing.  No edge crosses itself: a path that
     visits a crossing twice is refused before."""
     violations: List[GoodnessViolation] = []
     seen: Set[Tuple[int, int]] = set()
     doubled: Set[Tuple[int, int]] = set()
-    for pair in crossing_edges:
+    for pair in crossing_pairs:
         a, b = edges[pair[0]], edges[pair[1]]
         if a[0] in b or a[1] in b:
             violations.append(GoodnessViolation("adjacent_cross", (a, b)))
@@ -424,7 +428,7 @@ class DeletionView:
     least face, and `corners`, which maps every root to the bitmask of
     the vertices with any dart, to a survivor or not, whose left face
     lies in its class.  A view without a parent fills `corners` from
-    the ends of every edge in `seg_faces`, the left faces of its two
+    the ends of every edge in `dart_faces`, the left faces of its two
     first darts; a union ORs the absorbed root's mask into the
     surviving root's.  `incident_mask` is then `corners` at the class's
     root masked by the survivors, by this lemma.
@@ -464,9 +468,9 @@ class DeletionView:
             gone = 0
             root = list(range(base.face_count))
             corners = [0] * base.face_count
-            for (u, v), segments in zip(base.edges, base.seg_faces):
-                corners[segments[0][0]] |= 1 << u
-                corners[segments[-1][1]] |= 1 << v
+            for (u, v), faces in zip(base.edges, base.dart_faces):
+                corners[faces[0]] |= 1 << u
+                corners[faces[-1]] |= 1 << v
         else:
             gone = parent.deleted
             if gone & ~deleted:
@@ -475,31 +479,35 @@ class DeletionView:
             corners = parent.corners[:]
 
         # delete the new vertices in ascending order; each removes its
-        # edges to the vertices not deleted yet, and a union hangs the
-        # larger root below the smaller and takes over its corners
-        seg_faces, ids = base.seg_faces, edge_ids(n)
-        for v in range(n):
-            bit = 1 << v
-            if not deleted & bit or gone & bit:
-                continue
+        # edges to the vertices not deleted yet, which merges the two sides
+        # of each of their segments, the left faces of its two darts: a
+        # pair of consecutive entries in `faces`, the edges' rows of
+        # `dart_faces` strung together.  A find points each face it passes
+        # at its grandparent, and a union hangs the larger root below the
+        # smaller and takes over its corners.
+        dart_faces, ids = base.dart_faces, edge_ids(n)
+        new = deleted & ~gone
+        while new:
+            bit = new & -new
+            new ^= bit
             gone |= bit
-            row = ids[v]
+            row = ids[bit.bit_length() - 1]
+            faces: List[int] = []
             for w in range(n):
-                if gone >> w & 1:
-                    continue
-                for a, b in seg_faces[row[w]]:
-                    while root[a] != a:
-                        root[a] = root[root[a]]
-                        a = root[a]
-                    while root[b] != b:
-                        root[b] = root[root[b]]
-                        b = root[b]
-                    if a < b:
-                        root[b] = a
-                        corners[a] |= corners[b]
-                    elif b < a:
-                        root[a] = b
-                        corners[b] |= corners[a]
+                if not gone >> w & 1:
+                    faces += dart_faces[row[w]]
+            it = iter(faces)
+            for a, b in zip(it, it):
+                while root[a] != a:
+                    root[a] = a = root[root[a]]
+                while root[b] != b:
+                    root[b] = b = root[root[b]]
+                if a < b:
+                    root[b] = a
+                    corners[a] |= corners[b]
+                elif b < a:
+                    root[a] = b
+                    corners[b] |= corners[a]
         survivors = (1 << n) - 1 ^ deleted
         self.deleted = deleted
         self.root = root
@@ -511,8 +519,7 @@ class DeletionView:
         """The least face of the class of `face`."""
         root = self.root
         while root[face] != face:
-            root[face] = root[root[face]]
-            face = root[face]
+            root[face] = face = root[root[face]]
         return face
 
     def incident_mask(self, face: int) -> int:
@@ -539,7 +546,9 @@ def subdrawing(drawing: Drawing, alive: int) -> Drawing:
         raise ValueError(f"need at least 3 alive vertices, got {len(keep)}")
     new = {v: i for i, v in enumerate(keep)}
     live = [alive >> u & alive >> v & 1 for u, v in drawing.edges]
-    kept = [k for k, (e, f) in enumerate(drawing.crossing_edges) if live[e] and live[f]]
+    crossed = drawing.crossed_edges
+    kept = [k for k, (e, f) in enumerate(zip(crossed[::2], crossed[1::2]))
+            if live[e] and live[f]]
     renum = {k: i for i, k in enumerate(kept)}
     paths = {(new[u], new[v]): [renum[k] for k in path if k in renum]
              for (u, v), path, on in zip(drawing.edges, drawing.edge_paths, live) if on}

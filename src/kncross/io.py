@@ -256,6 +256,8 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
         raise ParseError(last, "missing orientation lines")
     if ref is None:
         raise ParseError(last, "missing ref line")
+    if len(paths) != n * (n - 1) // 2:  # the lines are in range and distinct
+        raise ParseError(last, "missing edge lines")
     try:
         return build_drawing(
             n, paths, [bits[k] for k in range(c)],
@@ -500,7 +502,7 @@ def _svg_points(drawing: Drawing, geom: PointsGeometry) -> str:
     to = _transform(pts)
     curves = [(to(pts[u]), to(pts[v])) for u, v in drawing.edges]
     marks = []
-    for e1, e2 in drawing.crossing_edges:
+    for e1, e2 in zip(drawing.crossed_edges[::2], drawing.crossed_edges[1::2]):
         (a, b), (c, d) = drawing.edges[e1], drawing.edges[e2]
         hit = proper_intersection(*(geom.points[i] for i in (a, b, c, d)))
         marks.append(to((float(hit.x), float(hit.y))))
@@ -522,7 +524,7 @@ def _svg_twopage(drawing: Drawing, geom: TwoPageGeometry) -> str:
         curves.append([to((c + r * cos(pi * k / 32), sign * r * sin(pi * k / 32)))
                        for k in range(33)])
     marks = []
-    for e1, e2 in drawing.crossing_edges:
+    for e1, e2 in zip(drawing.crossed_edges[::2], drawing.crossed_edges[1::2]):
         (u1, v1), (u2, v2) = drawing.edges[e1], drawing.edges[e2]
         l1, r1 = sorted((pos[u1], pos[v1]))
         l2, r2 = sorted((pos[u2], pos[v2]))
@@ -602,7 +604,7 @@ def _svg_cylindrical(drawing: Drawing, geom: CylindricalGeometry) -> str:
             angle, turn = spiral(u, v)
             curves.append([to(side(angle, turn, k / 32)) for k in range(33)])
     marks = []
-    for e1, e2 in drawing.crossing_edges:
+    for e1, e2 in zip(drawing.crossed_edges[::2], drawing.crossed_edges[1::2]):
         (u1, v1), (u2, v2) = drawing.edges[e1], drawing.edges[e2]
         if (u1 in outer) != (v1 in outer):  # side/side: exact parameter from the angles
             (a1, turn1), (a2, turn2) = spiral(u1, v1), spiral(u2, v2)

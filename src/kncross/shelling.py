@@ -158,8 +158,10 @@ class SufficientConditions(NamedTuple):
 # deletion views memoised by deleted set
 # ---------------------------------------------------------------------------
 
-# deleted-vertex bitmask -> the view of that set
-Memo = Dict[int, DeletionView]
+# deleted-vertex bitmask -> the view of that set; the class is named by a
+# string, since typing caches every subscription for good and a class held
+# there would keep its module alive after the package is re-imported
+Memo = Dict[int, "DeletionView"]
 
 
 def _vertex_mask(vertices: Sequence[int]) -> int:

@@ -169,7 +169,7 @@ def view_classes(drawing: Drawing, view: DeletionView) -> List[int]:
 
 
 # Face classes of the view that keeps only a triangle, per (map, triangle).
-# Keyed by the identity of `seg_faces`, which `with_reference` shares, so
+# Keyed by the identity of `dart_faces`, which `with_reference` shares, so
 # re-referencing reuses the classes; the entry keeps the tuple alive.
 _triangle_classes: Dict[Tuple[int, FrozenSet[int]], Tuple[tuple, Sequence[int]]] = {}
 
@@ -184,13 +184,13 @@ def view_side(drawing: Drawing, u: int, v: int, w: int) -> str:
     """
     triple = frozenset((u, v, w))
     assert len(triple) == 3
-    key = (id(drawing.seg_faces), triple)
+    key = (id(drawing.dart_faces), triple)
     hit = _triangle_classes.get(key)
     if hit is None:
         kept = vertex_mask(triple)
         classes = view_classes(drawing, DeletionView(drawing, (1 << drawing.n) - 1 ^ kept))
         assert len(set(classes)) == 2, "a triangle must split the sphere in two"
-        hit = _triangle_classes[key] = (drawing.seg_faces, classes)
+        hit = _triangle_classes[key] = (drawing.dart_faces, classes)
     classes = hit[1]
     same = classes[drawing.reference_face] == classes[drawing.face_left_of(u, v)]
     return "R" if same else "L"
@@ -208,7 +208,7 @@ def view_k_vector(drawing: Drawing) -> tuple:
 
 
 def _crossing_alive(drawing: Drawing, k: int, survivors: set) -> bool:
-    e1, e2 = drawing.crossing_edges[k]
+    e1, e2 = drawing.crossed_edges[2 * k:2 * k + 2]
     return all(v in survivors
                for e in (e1, e2) for v in drawing.edges[e])
 
@@ -282,19 +282,21 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
         for old_k, new_k in zip(surviving, new_path):
             old_pair = sorted(
                 tuple(sorted((relabel[a], relabel[b])))
-                for a, b in (drawing.edges[e] for e in drawing.crossing_edges[old_k]))
+                for a, b in (drawing.edges[e]
+                             for e in drawing.crossed_edges[2 * old_k:2 * old_k + 2]))
             new_pair = sorted(
-                tuple(sorted(sub.edges[e])) for e in sub.crossing_edges[new_k])
+                tuple(sorted(sub.edges[e]))
+                for e in sub.crossed_edges[2 * new_k:2 * new_k + 2])
             assert old_pair == new_pair, "crossing identities differ on an edge"
 
-        old_segs = drawing.seg_faces[old_eid]
-        new_segs = sub.seg_faces[new_eid]
+        old_faces = drawing.dart_faces[old_eid]
+        new_faces = sub.dart_faces[new_eid]
         alive_prefix = 0
         for seg in range(len(old_path) + 1):
             # offset 0 is the forward dart of the segment, 1 its twin
             for offset in (0, 1):
-                cls = classes[old_segs[seg][offset]]
-                face = new_segs[alive_prefix][offset]
+                cls = classes[old_faces[2 * seg + offset]]
+                face = new_faces[2 * alive_prefix + offset]
                 if cls in class_to_face:
                     assert class_to_face[cls] == face, "face classes split"
                 else:
@@ -337,7 +339,7 @@ def reference_deletion_view(base: Drawing,
 
     # delete the new vertices in ascending order; each removes its edges
     # to the vertices not deleted yet
-    seg_faces, ids = base.seg_faces, edge_ids(n)
+    dart_faces, ids = base.dart_faces, edge_ids(n)
     for v in range(n):
         bit = 1 << v
         if not deleted & bit or gone & bit:
@@ -347,7 +349,8 @@ def reference_deletion_view(base: Drawing,
         for w in range(n):
             if gone >> w & 1:
                 continue
-            for left, right in seg_faces[row[w]]:
+            faces = dart_faces[row[w]]
+            for left, right in zip(faces[::2], faces[1::2]):
                 a, b = find(left), find(right)
                 if a != b:
                     root[b] = a
@@ -383,7 +386,7 @@ def reference_build_drawing(
     out-dart table.  Raises what `build_drawing` raises, with the same
     messages, and keeps each rotation from its least neighbour, as
     `build_drawing` does.  Its own table of the face left of every first
-    dart is asserted equal to `face_left_of`, which reads `seg_faces`."""
+    dart is asserted equal to `face_left_of`, which reads `dart_faces`."""
     if n < 3:
         raise ValueError("need n >= 3")
     edges = list(itertools.combinations(range(n), 2))
@@ -499,17 +502,17 @@ def reference_build_drawing(
         raise ValueError(f"bad reference dart ({ru},{rv})")
     reference_face = dart_face[first_dart(ru, rv)]
 
-    seg_faces = tuple(
-        tuple((dart_face[fwd(eid, s)], dart_face[fwd(eid, s) + 1])
-              for s in range(len(paths[eid]) + 1))
+    dart_faces = tuple(
+        tuple(dart_face[fwd(eid, s) + offset]
+              for s in range(len(paths[eid]) + 1) for offset in (0, 1))
         for eid in range(len(edges))
     )
     out_left = tuple(
         tuple(dart_face[first_dart(u, w)] if w != u else -1 for w in range(n))
         for u in range(n)
     )
-    crossing_edge_pairs = tuple(
-        (min(us[0][0], us[1][0]), max(us[0][0], us[1][0])) for us in usage)
+    crossed_edges = tuple(
+        e for us in usage for e in (min(us[0][0], us[1][0]), max(us[0][0], us[1][0])))
 
     # dual walk from face 0: stepping across a segment of edge e flips bit
     # e.  The darts of a face's orbit have it on their right, so each leads
@@ -533,13 +536,13 @@ def reference_build_drawing(
         n=n,
         edges=tuple(edges),
         edge_paths=tuple(paths),
-        crossing_edges=crossing_edge_pairs,
+        crossed_edges=crossed_edges,
         orientation_bits=tuple(crossing_orientations),
         vertex_rotations=tuple(_canon(r) for r in vertex_rotations),
         dart_count=total,
         face_count=len(face_darts),
         reference_face=reference_face,
-        seg_faces=seg_faces,
+        dart_faces=dart_faces,
         face_parity=tuple(parity),
         geometry=geometry,
     )
@@ -557,11 +560,12 @@ def goodness_violations(drawing: Drawing) -> Tuple[GoodnessViolation, ...]:
     goodness check.  Adjacent crossings come in crossing order, then every
     pair crossed more than once in edge-pair order."""
     edges = drawing.edges
+    pairs = list(zip(drawing.crossed_edges[::2], drawing.crossed_edges[1::2]))
     found = []
-    for e1, e2 in drawing.crossing_edges:
+    for e1, e2 in pairs:
         if set(edges[e1]) & set(edges[e2]):
             found.append(GoodnessViolation("adjacent_cross", (edges[e1], edges[e2])))
-    times = Counter(tuple(sorted(pair)) for pair in drawing.crossing_edges)
+    times = Counter(tuple(sorted(pair)) for pair in pairs)
     for e1, e2 in itertools.combinations(range(len(edges)), 2):
         if times[(e1, e2)] > 1:
             found.append(GoodnessViolation("double_cross", (edges[e1], edges[e2])))
@@ -594,7 +598,8 @@ def loop_k4_census(drawing: Drawing) -> Tuple[int, int]:
     """The (planar, crossed) K4 counts by a loop over all C(n,4) vertex
     sets, a K4 being crossed when two of its edges cross: the slow path
     of the census `kncross analyze` reads off the crossing count."""
-    crossing_pairs = {frozenset(pair) for pair in drawing.crossing_edges}
+    crossing_pairs = {frozenset(pair) for pair in zip(drawing.crossed_edges[::2],
+                                                      drawing.crossed_edges[1::2])}
     eid = edge_ids(drawing.n)
     crossed = 0
     for a, b, c, d in itertools.combinations(range(drawing.n), 4):
@@ -616,10 +621,9 @@ def crossing_triangles(drawing: Drawing) -> List[FrozenSet[int]]:
     edge, so the three sides lie on three edges that cross pairwise at
     the corners."""
     sides: Dict[int, List[Tuple[int, int]]] = {}
-    for eid, segs in enumerate(drawing.seg_faces):
-        for seg, pair in enumerate(segs):
-            for face in pair:
-                sides.setdefault(face, []).append((eid, seg))
+    for eid, faces in enumerate(drawing.dart_faces):
+        for dart, face in enumerate(faces):
+            sides.setdefault(face, []).append((eid, dart // 2))
     triangles = []
     for face in sorted(sides):
         found = sides[face]

@@ -132,8 +132,8 @@ def test_criterion_06_zero_edge_observation(cylindrical_family, convex_family,
     checked = 0
     for drawing in corpus:
         ref = drawing.reference_face
-        for eid, segs in enumerate(drawing.seg_faces):
-            if any(ref in pair for pair in segs):
+        for eid, faces in enumerate(drawing.dart_faces):
+            if ref in faces:
                 assert k_value(drawing, drawing.edges[eid]) == 0
                 checked += 1
     _report(6, time.time() - start, 60.0,

@@ -175,7 +175,8 @@ def test_goodness_violations_match_oracle_on_crossing_lists():
                  for _ in range(rng.randrange(12))]
         pairs += rng.sample(pairs, min(len(pairs), rng.randrange(4)))
         rng.shuffle(pairs)
-        stub = SimpleNamespace(edges=tuple(edges), crossing_edges=tuple(pairs))
+        stub = SimpleNamespace(edges=tuple(edges),
+                               crossed_edges=tuple(e for pair in pairs for e in pair))
         assert _goodness_violations(edges, pairs) == goodness_violations(stub)
 
 
@@ -443,10 +444,10 @@ def oracle_corpus(small_corpus):
 
 def test_build_matches_reference_build_field_by_field(oracle_corpus):
     kept = set(Drawing._fields)
-    assert {"edges", "edge_paths", "crossing_edges", "dart_count",
-            "seg_faces", "face_parity", "reference_face", "face_count"} <= kept
+    assert {"edges", "edge_paths", "crossed_edges", "dart_count",
+            "dart_faces", "face_parity", "reference_face", "face_count"} <= kept
     assert not kept & {"rot_next", "face_darts", "dart_base", "dart_face"}
-    # no first-dart face table either: `face_left_of` reads `seg_faces`
+    # no first-dart face table either: `face_left_of` reads `dart_faces`
     assert len(kept) == 12
     # and the maps the benchmark loads: random K_12 and K_14
     benchmark_maps = [gen_random_points(12, seed) for seed in (502, 505, 511, 567, 629)]
@@ -456,6 +457,28 @@ def test_build_matches_reference_build_field_by_field(oracle_corpus):
         built = build_outcome(build_drawing, *args)
         assert built == build_outcome(reference_build_drawing, *args)
         assert built == build_outcome(lambda: drawing)
+
+
+def test_flat_tables_follow_the_dart_layout_and_the_paths(small_corpus):
+    # per edge, the left face of each dart; per crossing, the edges of its
+    # first and second pass, the paths read in edge order
+    drawings = [drawing for _name, _n, drawing in small_corpus]
+    drawings += [gen_random_points(14, seed) for seed in range(1, 7)]
+    for drawing in drawings:
+        assert len(drawing.dart_faces) == len(drawing.edges)
+        for path, faces in zip(drawing.edge_paths, drawing.dart_faces):
+            assert type(faces) is tuple and len(faces) == 2 * (len(path) + 1)
+            assert all(type(face) is int for face in faces)
+            assert all(0 <= face < drawing.face_count for face in faces)
+        assert sum(map(len, drawing.dart_faces)) == drawing.dart_count
+        crossed = drawing.crossed_edges
+        assert type(crossed) is tuple and len(crossed) == 2 * drawing.crossings
+        assert all(type(e) is int for e in crossed)
+        passes = [[] for _ in range(drawing.crossings)]
+        for eid, path in enumerate(drawing.edge_paths):
+            for k in path:
+                passes[k].append(eid)
+        assert list(zip(crossed[::2], crossed[1::2])) == [tuple(p) for p in passes]
 
 
 def test_rotations_are_stored_from_their_least_neighbour(small_corpus):

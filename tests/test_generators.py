@@ -93,7 +93,7 @@ def test_cylindrical_region_crossing_split():
         m_outer, m_inner = (n + 1) // 2, n // 2
         outer = set(range(m_outer))
         lid_outer = lid_inner = annulus = 0
-        for e1, e2 in d.crossing_edges:
+        for e1, e2 in zip(d.crossed_edges[::2], d.crossed_edges[1::2]):
             ends = set(d.edges[e1]) | set(d.edges[e2])
             if ends <= outer:
                 lid_outer += 1
@@ -205,7 +205,7 @@ def test_unperturbed_twopage_concurrency_refused():
     assert edge == (0, 5) and k1 < k2
     # the perturbation keeps the crossing set, so the crossing ids agree
     d = gen_twopage(spec)
-    crossed = [tuple(d.edges[e] for e in d.crossing_edges[k]) for k in (k1, k2)]
+    crossed = [tuple(d.edges[e] for e in d.crossed_edges[2 * k:2 * k + 2]) for k in (k1, k2)]
     assert crossed == [((0, 5), (2, 6)), ((0, 5), (3, 8))]
 
 

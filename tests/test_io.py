@@ -109,6 +109,22 @@ def test_out_of_range_id_refused_at_its_line(lines, prefix, new, inserted, reaso
     assert (caught.value.line, caught.value.reason) == (at + 1 + inserted, reason)
 
 
+@pytest.mark.parametrize("prefix, reason", [
+    ("c ", "missing crossing count"),
+    ("rot 3 :", "missing rotation lines"),
+    ("x 0 :", "missing orientation lines"),
+    ("ref ", "missing ref line"),
+    ("e 0 1 :", "missing edge lines"),
+    ("e 5 6 :", "missing edge lines"),
+], ids=["c", "rot", "x", "ref", "e-first", "e-last"])
+def test_missing_map_line_refused_at_the_last_line(prefix, reason):
+    lines = [line for line in MAP7 if not line.startswith(prefix)]
+    assert len(lines) == len(MAP7) - 1
+    with pytest.raises(ParseError) as caught:
+        parse("\n".join(lines) + "\n")
+    assert (caught.value.line, caught.value.reason) == (len(lines), reason)
+
+
 def test_crossing_id_out_of_range_refused_when_c_follows_the_x_lines():
     # the x lines are range-checked once the crossing count is known
     count = next(line for line in MAP7 if line.startswith("c "))
@@ -258,13 +274,23 @@ def test_mutated_maps_refused_as_reference_build_refuses(monkeypatch):
     # every mutated or corrupted map reaches the same outcome, down to the
     # exception class and message, through either map assembly
     texts = _line_mutations() + list(_corrupted_bits())
+    build, raised = kncross.io.build_drawing, []
+
+    def recording_build(*args):
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(kncross.io, "build_drawing", recording_build)
     outcomes = [build_outcome(parse, text) for text in texts]
     monkeypatch.setattr(kncross.io, "build_drawing", reference_build_drawing)
     assert outcomes == [build_outcome(parse, text) for text in texts]
-    # the corpus reaches each of build_drawing's map refusals
-    refused = {kind for outcome in outcomes if len(outcome) == 3
-               for kind, message in MAP_REFUSALS.items()
-               if outcome[0] is ValueError and re.search(message, outcome[1])}
+    # the corpus reaches each of build_drawing's map refusals, which
+    # `parse` may then name at a line
+    refused = {kind for exc in raised for kind, message in MAP_REFUSALS.items()
+               if type(exc) is ValueError and re.search(message, str(exc))}
     assert refused == set(MAP_REFUSALS)
 
 

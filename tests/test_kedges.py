@@ -212,8 +212,8 @@ def test_weighted_pair_count_identity(small_corpus):
 def test_zero_edges_on_reference_face(small_corpus):
     for _name, _n, drawing in small_corpus:
         ref = drawing.reference_face
-        for eid, segs in enumerate(drawing.seg_faces):
-            if any(ref in pair for pair in segs):
+        for eid, faces in enumerate(drawing.dart_faces):
+            if ref in faces:
                 assert k_value(drawing, drawing.edges[eid]) == 0
 
 

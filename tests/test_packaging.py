@@ -51,6 +51,24 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     assert done.stdout == "[]\n"
 
 
+def test_reimport_frees_the_first_import():
+    # a module-level object that holds a package class, such as a typing
+    # subscription, which typing caches for good, would keep the first
+    # copy of every module alive after the package is imported again
+    code = (f"import gc, sys, weakref; sys.path.insert(0, {str(SRC)!r})\n"
+            f"import kncross, kncross.cli\n"
+            f"first = weakref.ref(kncross.DeletionView)\n"
+            f"for name in [m for m in sys.modules if m.split('.')[0] == 'kncross']:\n"
+            f"    del sys.modules[name]\n"
+            f"del kncross\n"
+            f"import kncross, kncross.cli\n"
+            f"gc.collect()\n"
+            f"print(first() is None)")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "True\n"
+
+
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"(?m)^dependencies = \[\]$", text)
