@@ -31,6 +31,12 @@ that is not good gets its own class, `NotGoodDrawing`, which lists the
 violations.  The checks make succ a permutation, so every face walk
 closes, and the map of K_n is connected, so its dual is too.
 
+The orientation bits are redundant: the rotation system of a good
+drawing fixes its crossings (Kyncl 2011), so each bit is one lookup in
+the rotation at the least end of its crossing's four, the K_4 rule of
+`orientation_bits`.  Every generator derives its bits by that rule;
+`build_drawing` still takes them, and `parse` trusts a map's `x` lines.
+
 succ and the per-dart tables live only during construction, and of
 the face walks only each face's first dart, to walk it again for the
 parity masks.  A Drawing is a NamedTuple, like every record of the
@@ -381,6 +387,43 @@ def build_drawing(
     if violations:
         raise NotGoodDrawing(violations)
     return drawing
+
+
+def orientation_bits(
+    n: int,
+    edge_paths: Mapping[Tuple[int, int], Sequence[int]],
+    vertex_rotations: Sequence[Sequence[int]],
+) -> Tuple[str, ...]:
+    """The orientation bit of every crossing of a good drawing of K_n, in
+    crossing id order, from its paths and rotations alone.
+
+    `edge_paths` is `build_drawing`'s: every crossing is met by two passes
+    of vertex-disjoint edges, first edge ab < cd, so a is the least of the
+    four ends.  The bit is '+' exactly when these differ: b is the second
+    or the fourth smallest end, and a's rotation, read from the least of
+    b, c and d, lists the three in ascending order.
+
+    Why it holds (Kyncl 2011): the four ends span a good drawing of K_4
+    with at most one crossing, whose rotations and crossing are those of
+    the whole drawing restricted to them.  Of the 16 rotation systems of
+    K_4, exactly the 8 in which an even number of the four vertices list
+    their neighbours ascending, read from the least, are realizable, each
+    in exactly one way; the pair of edges that crosses picks b, and the
+    rotation at a then fixes the bit, as the rule reads it.
+    """
+    passes: Dict[int, List[Tuple[int, int]]] = {}
+    for edge in edge_list(n):
+        for k in edge_paths[edge]:
+            passes.setdefault(k, []).append(edge)
+    where = [{w: i for i, w in enumerate(rot)} for rot in vertex_rotations]
+    bits: List[str] = []
+    for k in range(len(passes)):
+        (a, b), (c, d) = passes[k]
+        x, y, z = sorted((b, c, d))
+        at = where[a]
+        ascending = (at[x] < at[y]) + (at[y] < at[z]) + (at[z] < at[x]) == 2
+        bits.append("+" if ascending != (b != y) else "-")
+    return tuple(bits)
 
 
 def _goodness_violations(edges: Sequence[Tuple[int, int]],

@@ -39,6 +39,7 @@ from .drawing import (
     TwoPageGeometry,
     build_drawing,
     edge_list,
+    orientation_bits,
 )
 from .geom import circle_point, point
 from .planarize import (
@@ -202,7 +203,7 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
     spans = [(positions[v], positions[u]) if back else (positions[u], positions[v])
              for (u, v), back in zip(edges, backward)]
 
-    crossings: List[Tuple[int, int]] = []
+    k = 0
     per_edge: List[List[Tuple[Fraction, int]]] = [[] for _ in edges]
     for ea, eb in itertools.combinations(range(len(edges)), 2):
         if pages[ea] != pages[eb]:
@@ -211,23 +212,14 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
         if not (l1 < l2 < r1 < r2 or l2 < l1 < r2 < r1):
             continue
         x = (l1 * r1 - l2 * r2) / ((l1 + r1) - (l2 + r2))
-        k = len(crossings)
-        crossings.append((ea, eb))
         per_edge[ea].append((x, k))
         per_edge[eb].append((x, k))
+        k += 1
 
     paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     for edge, hits, back in zip(edges, per_edge, backward):
         ordered = crossing_path(hits, edge)
         paths[edge] = ordered[::-1] if back else ordered
-
-    # '+' when the first edge's midpoint lies left of the second's; an
-    # edge running right to left and the bottom page each flip the bit
-    bits: List[str] = []
-    for ea, eb in crossings:
-        (l1, r1), (l2, r2) = spans[ea], spans[eb]
-        flips = backward[ea] + backward[eb] + (pages[ea] == "B")
-        bits.append("+" if (l1 + r1 < l2 + r2) == (flips % 2 == 0) else "-")
 
     # counterclockwise from the +x axis: top page to the right, then to
     # the left, each left to right; bottom page to the left, then to the
@@ -254,8 +246,8 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
         pages=tuple(zip(edges, pages)),
         positions=tuple(positions),
     )
-    return build_drawing(n, paths, bits, rotations, (v0, rotations[v0][tops - 1]),
-                         geometry=geometry)
+    return build_drawing(n, paths, orientation_bits(n, paths, rotations), rotations,
+                         (v0, rotations[v0][tops - 1]), geometry=geometry)
 
 
 def twopage_all_top(n: int) -> TwoPageSpec:
@@ -355,21 +347,19 @@ def _assemble_cylindrical(
         for j in range(m):
             delta[(i, j)] = _wrap_half(inner_angles[j] - outer_angles[i])
 
-    crossing_bits: List[str] = []
+    crossings = 0
     paths: Dict[Tuple[int, int], Sequence[int]] = {}
 
     # lid arrangements (exact coordinates on the circles).  Inner lid:
     # local vertex j is global M + j, orientation kept.  Outer lid:
     # mirrored into the region outside the circle, so every rotation there
-    # is reversed and each crossing bit flips.
-    for first, params, bit_of in ((M, inner_params, {"+": "+", "-": "-"}),
-                                  (0, outer_params, {"+": "-", "-": "+"})):
+    # is reversed.
+    for first, params in ((M, inner_params), (0, outer_params)):
         arr = segment_arrangement([circle_point(u) for u in params])
-        base = len(crossing_bits)
-        crossing_bits.extend(bit_of[bit] for bit in arr.bits)
         local_edges = itertools.combinations(range(first, first + len(params)), 2)
         for edge, path in zip(local_edges, arr.edge_paths):
-            paths[edge] = [base + local_k for local_k in path]
+            paths[edge] = [crossings + local_k for local_k in path]
+        crossings += len(arr.crossings)
 
     # annulus: side edge pairs crossing where the angular difference
     # passes through an integer
@@ -383,10 +373,9 @@ def _assemble_cylindrical(
                            delta[(i1, j1)] - delta[(i2, j2)])
         if t is None:
             continue
-        k = len(crossing_bits)
-        crossing_bits.append("+" if delta[(i1, j1)] > delta[(i2, j2)] else "-")
-        per_side[(i1, j1)].append((t, k))
-        per_side[(i2, j2)].append((t, k))
+        per_side[(i1, j1)].append((t, crossings))
+        per_side[(i2, j2)].append((t, crossings))
+        crossings += 1
     for (i, j), hits in per_side.items():
         paths[(i, M + j)] = crossing_path(hits, (i, M + j))
 
@@ -408,6 +397,6 @@ def _assemble_cylindrical(
         angles=tuple(angles),
         lid_params=tuple(outer_params) + tuple(inner_params),
     )
-    return build_drawing(n, paths, crossing_bits, rotations, (0, 1),
-                         geometry=geometry)
+    return build_drawing(n, paths, orientation_bits(n, paths, rotations), rotations,
+                         (0, 1), geometry=geometry)
 

@@ -43,6 +43,7 @@ from .drawing import (
     PointsGeometry,
     TwoPageGeometry,
     build_drawing,
+    orientation_bits,
 )
 from .geom import Point, circle_point, proper_intersection
 from .planarize import planarize_points
@@ -271,16 +272,39 @@ def _refuse_bad_id(n: int, c: int, body: List[Tuple[int, str]]) -> None:
     """Raise a ParseError at the first map line with an id `build_drawing`
     refuses, or an edge path that names a crossing twice; c may follow the
     lines, so they are rescanned only on an error.  Within a line the
-    checks run in `build_drawing`'s order: a revisit before the id range."""
+    checks run in `build_drawing`'s order: a revisit before the id range.
+
+    With every id in range, every crossing met by two passes of
+    vertex-disjoint edges and no two crossings of one pair of edges, the
+    rotations fix every orientation bit (`orientation_bits`): raise at the
+    first `x` line that disagrees.  A bit is blamed only where the
+    rotations agree with the paths on which edges cross, so a fault in a
+    rotation or a path keeps its own refusal.  They agree when, for the
+    ends q0 < q1 < q2 < q3 of every crossing of edges ab < cd, with beta_v
+    true when v's rotation lists the other three ascending, read from the
+    least, the betas have even parity and (beta_q0 != beta_q1, beta_q0 !=
+    beta_q2) is (1, 1), (0, 0) or (0, 1) as b is q1, q2 or q3: the K_4
+    table of good drawings.
+    """
+    rotations: Dict[int, List[int]] = {}
+    paths: Dict[Tuple[int, int], List[int]] = {}
+    passes: Dict[int, List[Tuple[int, int]]] = {}
+    orientations: List[Tuple[int, int, str]] = []
     for no, line in body:
         kind, *tokens = line.replace(":", " ").split()
-        if kind == "rot" and sorted(map(int, tokens)) != list(range(n)):
-            raise ParseError(no, f"rotation at {int(tokens[0])} is not a "
-                                 f"permutation of the other vertices")
+        if kind == "rot":
+            if sorted(map(int, tokens)) != list(range(n)):
+                raise ParseError(no, f"rotation at {int(tokens[0])} is not a "
+                                     f"permutation of the other vertices")
+            rotations[int(tokens[0])] = [int(w) for w in tokens[1:]]
         crossings = [int(k) for k in {"x": tokens[:1], "e": tokens[2:]}.get(kind, ())]
-        if kind == "e" and len(set(crossings)) != len(crossings):
+        if kind == "e":
             edge = (int(tokens[0]), int(tokens[1]))
-            raise ParseError(no, f"edge {edge} visits a crossing twice")
+            if len(set(crossings)) != len(crossings):
+                raise ParseError(no, f"edge {edge} visits a crossing twice")
+            paths[edge] = crossings
+            for k in crossings:
+                passes.setdefault(k, []).append(edge)
         for k in crossings:
             if not 0 <= k < c:
                 raise ParseError(no, f"crossing id {k} out of range")
@@ -288,6 +312,29 @@ def _refuse_bad_id(n: int, c: int, body: List[Tuple[int, str]]) -> None:
             ru, rv = map(int, tokens)
             if ru == rv or not (0 <= ru < n and 0 <= rv < n):
                 raise ParseError(no, f"bad reference dart ({ru},{rv})")
+        elif kind == "x":
+            orientations.append((no, crossings[0], tokens[1]))
+    pairs = {tuple(sorted(edges)) for edges in passes.values()}
+    if (len(paths) < n * (n - 1) // 2 or len(pairs) < c
+            or any(len(pair) != 2 or set(pair[0]) & set(pair[1]) for pair in pairs)):
+        return
+    where = [{w: i for i, w in enumerate(rotations[u])} for u in range(n)]
+    for (a, b), other in pairs:
+        quad = sorted((a, b) + other)
+        beta = []
+        for v in quad:
+            x, y, z = [w for w in quad if w != v]
+            at = where[v]
+            beta.append((at[x] < at[y]) + (at[y] < at[z]) + (at[z] < at[x]) == 2)
+        if (sum(beta) % 2 or (beta[0] != beta[1]) != (b == quad[1])
+                or (beta[0] != beta[2]) != (b != quad[2])):
+            return
+    bits = orientation_bits(n, paths, [rotations[u] for u in range(n)])
+    for no, k, bit in orientations:
+        if bit != bits[k]:
+            ends = " ".join(map(str, sorted(passes[k][0] + passes[k][1])))
+            raise ParseError(no, f"orientation of crossing {k} disagrees with "
+                                 f"the rotations at {ends}")
 
 
 # ---------------------------------------------------------------------------

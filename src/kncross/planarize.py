@@ -22,8 +22,7 @@ predicate reads that table.  For vertex-disjoint edges ab and cd:
   det(c,d,a) and det(c,d,b) differ in sign;
 - a + t*(b - a) = c + s*(d - c) at t = tn/den and s = sn/den with
   den = det(a,b,d) - det(a,b,c) = (b - a) x (d - c),
-  tn = det(a,c,d) and sn = -det(a,b,c);
-- the sign of den, the turn from ab to cd, is the crossing's bit.
+  tn = det(a,c,d) and sn = -det(a,b,c).
 
 A crossing's position along an edge is kept as a parameter
 t = num/den with 0 < num < den.  Let D bound every such den;
@@ -60,7 +59,7 @@ import itertools
 from math import lcm
 from typing import Any, List, NamedTuple, Sequence, Tuple
 
-from .drawing import Drawing, PointsGeometry, build_drawing, edge_ids, edge_list
+from .drawing import Drawing, PointsGeometry, build_drawing, edge_ids, edge_list, orientation_bits
 from .geom import Point
 
 IntPoint = Tuple[int, int]
@@ -80,7 +79,6 @@ class Arrangement(NamedTuple):
 
     crossings: Tuple[Tuple[int, int], ...]          # (edge a, edge b), a<b
     edge_paths: Tuple[Tuple[int, ...], ...]         # ordered crossing ids per edge
-    bits: Tuple[str, ...]                           # rotation orientation per crossing
     vertex_orders: Tuple[Tuple[int, ...], ...]      # ccw neighbor order per vertex
 
 
@@ -152,7 +150,6 @@ def integer_arrangement(pts: Sequence[IntPoint]) -> Arrangement:
     t_scale = (2 * width * height) ** 2
 
     crossings: List[Tuple[int, int]] = []
-    bits: List[str] = []
     per_edge: List[List[Tuple[int, int]]] = [[] for _ in edges]
     # the vertex-disjoint pairs ea < eb, in that order: the edges after
     # ab = edges[ea] with first endpoint above a start at ea + n - b
@@ -171,15 +168,13 @@ def integer_arrangement(pts: Sequence[IntPoint]) -> Arrangement:
             cda = cd[a]
             if (cda > 0) == (cd[b] > 0):
                 continue  # a and b on one side of cd
-            # a + t*(b-a) = c + s*(d-c), t = tn/den and s = sn/den; the
-            # sign of den, the turn from ab to cd, is the crossing's bit
+            # a + t*(b-a) = c + s*(d-c), t = tn/den and s = sn/den, signs
+            # normalised to a positive den
             den = abd - abc
             if den > 0:
                 tn, sn = cda, -abc
-                bits.append("+")
             else:
                 den, tn, sn = -den, -cda, abc
-                bits.append("-")
             k = len(crossings)
             crossings.append((ea, eb))
             hits_a.append((tn * t_scale // den, k))
@@ -208,7 +203,6 @@ def integer_arrangement(pts: Sequence[IntPoint]) -> Arrangement:
     return Arrangement(
         crossings=tuple(crossings),
         edge_paths=tuple(edge_paths),
-        bits=tuple(bits),
         vertex_orders=tuple(vertex_orders),
     )
 
@@ -234,7 +228,7 @@ def planarize_arrangement(points: Sequence[Point], arr: Arrangement) -> Drawing:
     return build_drawing(
         n=n,
         edge_paths=paths,
-        crossing_orientations=arr.bits,
+        crossing_orientations=orientation_bits(n, paths, arr.vertex_orders),
         vertex_rotations=arr.vertex_orders,
         reference=(top, arr.vertex_orders[top][-1]),
         geometry=PointsGeometry(points=pts),

@@ -610,6 +610,38 @@ def loop_k4_census(drawing: Drawing) -> Tuple[int, int]:
     return comb(drawing.n, 4) - crossed, crossed
 
 
+# which pair of a 4-set a < b < c < d crosses, by (beta_a ^ beta_b, beta_a ^ beta_c)
+K4_CROSSING = {(1, 0): None, (1, 1): ((0, 1), (2, 3)), (0, 0): ((0, 2), (1, 3)),
+               (0, 1): ((0, 3), (1, 2))}
+
+
+def rotation_crossings(vertex_rotations) -> Set[Tuple[int, int]]:
+    """The (first, second) edge id pairs that cross in a good drawing of
+    K_n with these rotations, from the rotations alone: the slow path of
+    `Drawing.crossed_edges`.  For every 4-set a < b < c < d, beta_v is 1
+    when v's rotation, restricted to the other three and read from the
+    least of them, lists them in ascending order; the parity of the four
+    betas is even in every good drawing, and `K4_CROSSING` names the pair
+    that crosses, if any, from the betas of a, b and c."""
+    n = len(vertex_rotations)
+    eid = edge_ids(n)
+    pairs = set()
+    for quad in itertools.combinations(range(n), 4):
+        beta = []
+        for v in quad:
+            others = [w for w in quad if w != v]
+            restricted = [w for w in vertex_rotations[v] if w in others]
+            start = restricted.index(others[0])
+            beta.append(int(restricted[start:] + restricted[:start] == others))
+        if sum(beta) % 2:
+            raise ValueError(f"no good drawing has the rotations of 4-set {quad}")
+        crossing = K4_CROSSING[beta[0] ^ beta[1], beta[0] ^ beta[2]]
+        if crossing:
+            (i, j), (k, m) = crossing
+            pairs.add((eid[quad[i]][quad[j]], eid[quad[k]][quad[m]]))
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # triangle flips
 # ---------------------------------------------------------------------------
@@ -716,18 +748,26 @@ def fraction_segment_arrangement(points) -> Arrangement:
                 raise DegenerateInput("concurrent", (edges[eid], k1, k2))
         edge_paths.append(tuple(k for _, k in hits))
 
-    bits = []
-    for ea, eb in crossings:
-        (a, b), (c, d) = edges[ea], edges[eb]
-        bits.append("+" if (pts[b] - pts[a]).cross(pts[d] - pts[c]) > 0 else "-")
-
     vertex_orders = []
     for u in range(n):
         dirs = [(pts[w] - pts[u], w) for w in range(n) if w != u]
         dirs.sort(key=cmp_to_key(lambda p, q: _fraction_direction_cmp(p[0], q[0])))
         vertex_orders.append(tuple(w for _, w in dirs))
-    return Arrangement(tuple(crossings), tuple(edge_paths), tuple(bits),
-                       tuple(vertex_orders))
+    return Arrangement(tuple(crossings), tuple(edge_paths), tuple(vertex_orders))
+
+
+def fraction_orientation_bits(points) -> Tuple[str, ...]:
+    """The orientation bit of every crossing of `fraction_segment_arrangement`,
+    from geometry alone: '+' when the turn from the first segment ab to the
+    second cd is counterclockwise, (b - a) x (d - c) > 0 in `Fraction`s.
+    The library derives its bits from the rotations instead."""
+    pts = list(points)
+    edges = list(itertools.combinations(range(len(pts)), 2))
+    bits = []
+    for ea, eb in fraction_segment_arrangement(pts).crossings:
+        (a, b), (c, d) = edges[ea], edges[eb]
+        bits.append("+" if (pts[b] - pts[a]).cross(pts[d] - pts[c]) > 0 else "-")
+    return tuple(bits)
 
 
 def fraction_unbounded_reference(points) -> Tuple[int, int]:

@@ -17,6 +17,7 @@ from kncross.drawing import (
     build_drawing,
     edge_ids,
     edge_list,
+    orientation_bits,
     rotation_key,
     subdrawing,
 )
@@ -46,6 +47,7 @@ from conftest import (
     reference_deletion_view,
     reference_rotation_key,
     regenerate_subdrawing,
+    rotation_crossings,
     shuffled_twopage_spec,
     vertex_mask,
     view_classes,
@@ -398,6 +400,60 @@ def test_k4_census_crossed_equals_crossing_count(small_corpus):
         planar, crossed = loop_k4_census(drawing)
         assert crossed == drawing.crossings
         assert planar + crossed == comb(drawing.n, 4)
+
+
+def test_k4_rotation_systems_fix_crossing_and_bit():
+    # Kyncl's theorem on K_4: of its 16 rotation systems exactly the 8
+    # even ones are realizable, each by exactly one of the 7 crossing
+    # choices; the rule and the oracle read that choice off the rotations
+    edges = edge_list(4)
+    choices = [(None, None)] + [((e, f), bit) for e, f in itertools.combinations(edges, 2)
+                                if not set(e) & set(f) for bit in "+-"]
+    assert len(choices) == 7
+    realizable = 0
+    for flips in itertools.product((0, 1), repeat=4):
+        rotations = []
+        for v, flip in enumerate(flips):
+            others = [w for w in range(4) if w != v]
+            rotations.append(tuple(others[::-1] if flip else others))
+        built = []
+        for pair, bit in choices:
+            paths = _k4_paths({edge: [0] for edge in pair or ()})
+            bits = [bit] if bit else []
+            try:
+                built.append((build_drawing(4, paths, bits, rotations, (0, 1)), paths))
+            except ValueError:
+                pass
+        assert len(built) == (sum(flips) % 2 == 0), flips
+        for drawing, paths in built:
+            realizable += 1
+            assert orientation_bits(4, paths, rotations) == drawing.orientation_bits
+            assert rotation_crossings(rotations) == set(
+                zip(drawing.crossed_edges[::2], drawing.crossed_edges[1::2]))
+    assert realizable == 8
+
+
+@pytest.fixture(scope="module")
+def rule_corpus(small_corpus):
+    drawings = [drawing for _name, _n, drawing in small_corpus]
+    drawings += [gen_cylindrical(13), gen_cylindrical(16)]
+    drawings += [gen_random_points(14, seed) for seed in range(1, 7)]  # analyze's maps
+    return drawings + [parse(serialize(drawing, "map")) for drawing in drawings]
+
+
+def test_orientation_bits_derived_from_rotations(rule_corpus):
+    for drawing in rule_corpus:
+        paths = dict(zip(drawing.edges, drawing.edge_paths))
+        assert (orientation_bits(drawing.n, paths, drawing.vertex_rotations)
+                == drawing.orientation_bits)
+
+
+def test_rotation_crossings_match_crossed_edges(rule_corpus):
+    certify = [gen_random_points(12, seed) for seed in (502, 505, 511, 567, 629)]
+    for drawing in rule_corpus + certify:
+        crossed = drawing.crossed_edges
+        assert rotation_crossings(drawing.vertex_rotations) == set(zip(crossed[::2],
+                                                                       crossed[1::2]))
 
 
 def test_faces_named_by_darts(small_corpus):

@@ -28,6 +28,7 @@ from kncross.planarize import DegenerateInput
 
 from conftest import (
     assert_view_matches_replanarization,
+    fraction_orientation_bits,
     fraction_segment_arrangement,
     fraction_validate_points,
     goodness_violations,
@@ -257,6 +258,7 @@ def test_arrangement_key_matches_drawing_key():
                                               for x, y in points)
             assert ((len(arr.crossings), rotation_key(arr.vertex_orders))
                     == (d.crossings, rotation_key(d.vertex_rotations)))
+            assert d.orientation_bits == fraction_orientation_bits(d.geometry.points)
 
 
 def test_random_arrangement_skips_rejected_draws(monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import kncross.io
 from kncross.cli import _INPUT_ERRORS, _violation, main
 from kncross.drawing import (
+    NotGoodDrawing,
     PointsGeometry,
     TwoPageGeometry,
 )
@@ -198,28 +199,82 @@ def test_parse_errors():
         parse(bad_edge)
 
 
+def _flipped_bits(n):
+    """(line number, crossing id, map) for every `x` line of the cylindrical
+    K_n map, the map having that one line's bit flipped."""
+    lines = serialize(gen_cylindrical(n), "map").decode().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("x "):
+            flipped = line[:-1] + ("-" if line.endswith("+") else "+")
+            yield i + 1, int(line.split()[1]), "\n".join(
+                lines[:i] + [flipped] + lines[i + 1:]) + "\n"
+
+
 def _corrupted_bits():
-    blob = serialize(gen_cylindrical(6), "map").decode()
-    for k in range(3):
-        old = f"x {k} : "
-        line_start = blob.index(old)
-        bit = blob[line_start + len(old)]
-        flipped = "-" if bit == "+" else "+"
-        yield blob[:line_start + len(old)] + flipped + blob[line_start + len(old) + 1:]
+    return [text for _, k, text in _flipped_bits(6) if k < 3]
 
 
 def test_corrupted_orientation_bit_rejected():
-    # the orientation bits carry real information: corrupting one must
-    # break sphere embeddability for at least one crossing
-    broke = 0
-    for corrupted in _corrupted_bits():
-        try:
-            parse(corrupted)
-        except ValueError as exc:
-            if not re.search(MAP_REFUSALS["euler"], str(exc)):
-                raise
-            broke += 1
-    assert broke > 0
+    # the orientation bits carry real information: corrupting one breaks
+    # sphere embeddability, and the refusal names the flipped line
+    for no, k, corrupted in _flipped_bits(6):
+        if k < 3:
+            with pytest.raises(ParseError) as caught:
+                parse(corrupted)
+            assert caught.value.line == no
+            assert caught.value.reason.startswith(f"orientation of crossing {k} disagrees")
+
+
+def test_every_flipped_bit_named_at_its_line():
+    # each of the 36 crossings of cylindrical K_9, its bit flipped alone:
+    # the rotations contradict exactly that line, named with the four ends
+    # of the crossing's edges
+    original = parse(serialize(gen_cylindrical(9), "map"))
+    crossed = original.crossed_edges
+    flips = 0
+    for no, k, text in _flipped_bits(9):
+        ends = sorted(original.edges[crossed[2 * k]] + original.edges[crossed[2 * k + 1]])
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert str(caught.value) == (f"line {no}: orientation of crossing {k} disagrees "
+                                     f"with the rotations at {' '.join(map(str, ends))}")
+        flips += 1
+    assert flips == original.crossings == 36
+
+
+def test_swapped_rotation_blames_no_bit():
+    # two neighbours swapped in one rotation of cylindrical K_9: the
+    # rotations disagree with the paths, not only with a bit, so no `x` line
+    # is named and the face walk's refusal stands
+    lines = serialize(gen_cylindrical(9), "map").decode().splitlines()
+    swaps = 0
+    for i, line in enumerate(lines):
+        if line.startswith("rot "):
+            head, tail = line.split(" : ")
+            ws = tail.split()
+            for j in range(len(ws) - 1):
+                swapped = ws[:j] + [ws[j + 1], ws[j]] + ws[j + 2:]
+                text = "\n".join(lines[:i] + [f"{head} : {' '.join(swapped)}"]
+                                 + lines[i + 1:]) + "\n"
+                with pytest.raises(ValueError, match=MAP_REFUSALS["euler"]):
+                    parse(text)
+                swaps += 1
+    assert swaps == 9 * 7
+
+
+# K4 map in which edges 0-1 and 2-3 cross twice, and 0-3 crosses 1-2: a
+# coherent sphere map, not a good drawing, so the rotations need not fix
+# its bits (the K_4 rule reads '-' for crossing 1)
+DOUBLE_CROSS_K4 = (
+    "kncross v1\nformat map\nn 4\nc 3\n"
+    "rot 0 : 1 2 3\nrot 1 : 0 2 3\nrot 2 : 0 3 1\nrot 3 : 0 2 1\n"
+    "e 0 1 : 0 1\ne 0 2 :\ne 0 3 : 2\ne 1 2 : 2\ne 1 3 :\ne 2 3 : 0 1\n"
+    "x 0 : -\nx 1 : +\nx 2 : -\nref 0 2\n")
+
+
+def test_non_good_map_refused_as_not_good_not_by_its_bits():
+    with pytest.raises(NotGoodDrawing, match=r"double_cross of edges 0-1 and 2-3$"):
+        parse(DOUBLE_CROSS_K4)
 
 
 def test_mirror_image_map_embeds():

@@ -17,6 +17,7 @@ from kncross.planarize import (
 
 from conftest import (
     brute_force_crossing_count,
+    fraction_orientation_bits,
     fraction_segment_arrangement,
     fraction_unbounded_reference,
     fraction_validate_points,
@@ -113,6 +114,9 @@ def _assert_matches_fraction_path(pts):
     fast = _outcome(segment_arrangement, _reference_dart, pts)
     slow = _outcome(_fraction_arrangement, fraction_unbounded_reference, pts)
     assert fast == slow
+    if fast[0] == "ok":
+        # the bits derived from the rotations are the geometric turns
+        assert planarize_points(pts).orientation_bits == fraction_orientation_bits(pts)
     return fast[0] if fast[0] == "ok" else fast[1]
 
 
