@@ -34,8 +34,10 @@ closes, and the map of K_n is connected, so its dual is too.
 The orientation bits are redundant: the rotation system of a good
 drawing fixes its crossings (Kyncl 2011), so each bit is one lookup in
 the rotation at the least end of its crossing's four, the K_4 rule of
-`orientation_bits`.  Every generator derives its bits by that rule;
-`build_drawing` still takes them, and `parse` trusts a map's `x` lines.
+`orientation_bits`, which needs every crossing met by two passes of
+vertex-disjoint edges and refuses any other.  Every generator derives
+its bits by that rule; `build_drawing` still takes them, and `parse`
+trusts a map's `x` lines.
 
 succ and the per-dart tables live only during construction, and of
 the face walks only each face's first dart, to walk it again for the
@@ -397,11 +399,13 @@ def orientation_bits(
     """The orientation bit of every crossing of a good drawing of K_n, in
     crossing id order, from its paths and rotations alone.
 
-    `edge_paths` is `build_drawing`'s: every crossing is met by two passes
-    of vertex-disjoint edges, first edge ab < cd, so a is the least of the
-    four ends.  The bit is '+' exactly when these differ: b is the second
-    or the fourth smallest end, and a's rotation, read from the least of
-    b, c and d, lists the three in ascending order.
+    `edge_paths` is `build_drawing`'s, and every crossing id from 0 up to
+    the largest must be met by two passes of vertex-disjoint edges, or a
+    ValueError names the least that is not.  For a crossing of edges
+    ab < cd, a is then the least of the four ends, and the bit is '+'
+    exactly when these differ: b is the second or the fourth smallest end,
+    and a's rotation, read from the least of b, c and d, lists the three in
+    ascending order.
 
     Why it holds (Kyncl 2011): the four ends span a good drawing of K_4
     with at most one crossing, whose rotations and crossing are those of
@@ -418,7 +422,12 @@ def orientation_bits(
     where = [{w: i for i, w in enumerate(rot)} for rot in vertex_rotations]
     bits: List[str] = []
     for k in range(len(passes)):
-        (a, b), (c, d) = passes[k]
+        pair = passes.get(k, ())
+        # the pair is (a, b), (c, d) with a < b, c < d and a <= c, so a
+        # shared end is a == c or b in (c, d)
+        if len(pair) != 2 or pair[0][0] == pair[1][0] or pair[0][1] in pair[1]:
+            raise ValueError(f"crossing {k} is not met by two passes of vertex-disjoint edges")
+        (a, b), (c, d) = pair
         x, y, z = sorted((b, c, d))
         at = where[a]
         ascending = (at[x] < at[y]) + (at[y] < at[z]) + (at[z] < at[x]) == 2

@@ -5,11 +5,8 @@ Three line-based UTF-8 formats share the header ``kncross v1`` and a
 is the minimal information determining a spherical embedding: one
 counterclockwise rotation line per real vertex, the crossing ids along
 every edge path (from the smaller endpoint to the larger), one
-orientation bit per crossing, and a reference dart.  The bit is '+' when
-the rotation at the crossing reads (first edge forward, second edge
-forward, first edge backward, second edge backward) counterclockwise,
-"first" being the lexicographically smaller edge and "forward" its
-stored direction.  Reference faces and witness faces are named by a
+orientation bit per crossing, in `build_drawing`'s convention, and a
+reference dart.  Reference faces and witness faces are named by a
 directed pair ``u v``, read with `Drawing.face_left_of(u, v)` and
 written with `Drawing.face_dart`: the face to the left of the first dart
 of that edge leaving u.  A file that breaks its format is refused with
@@ -274,22 +271,16 @@ def _refuse_bad_id(n: int, c: int, body: List[Tuple[int, str]]) -> None:
     lines, so they are rescanned only on an error.  Within a line the
     checks run in `build_drawing`'s order: a revisit before the id range.
 
-    With every id in range, every crossing met by two passes of
-    vertex-disjoint edges and no two crossings of one pair of edges, the
-    rotations fix every orientation bit (`orientation_bits`): raise at the
-    first `x` line that disagrees.  A bit is blamed only where the
-    rotations agree with the paths on which edges cross, so a fault in a
-    rotation or a path keeps its own refusal.  They agree when, for the
-    ends q0 < q1 < q2 < q3 of every crossing of edges ab < cd, with beta_v
-    true when v's rotation lists the other three ascending, read from the
-    least, the betas have even parity and (beta_q0 != beta_q1, beta_q0 !=
-    beta_q2) is (1, 1), (0, 0) or (0, 1) as b is q1, q2 or q3: the K_4
-    table of good drawings.
+    Failing those, raise at the first `x` line whose bit differs from the
+    one the rotations fix (`orientation_bits`), but only when
+    `build_drawing` accepts the map with the rotations' bits: a line is
+    named exactly when changing bits alone makes the map a good drawing,
+    so a map with a rotation or path fault keeps the build's own refusal.
     """
-    rotations: Dict[int, List[int]] = {}
+    rotations: List[List[int]] = [[]] * n  # every rot line is in range and distinct
     paths: Dict[Tuple[int, int], List[int]] = {}
-    passes: Dict[int, List[Tuple[int, int]]] = {}
     orientations: List[Tuple[int, int, str]] = []
+    ref = (0, 1)  # a missing ref line is refused later; any dart judges the bits
     for no, line in body:
         kind, *tokens = line.replace(":", " ").split()
         if kind == "rot":
@@ -303,36 +294,28 @@ def _refuse_bad_id(n: int, c: int, body: List[Tuple[int, str]]) -> None:
             if len(set(crossings)) != len(crossings):
                 raise ParseError(no, f"edge {edge} visits a crossing twice")
             paths[edge] = crossings
-            for k in crossings:
-                passes.setdefault(k, []).append(edge)
         for k in crossings:
             if not 0 <= k < c:
                 raise ParseError(no, f"crossing id {k} out of range")
         if kind == "ref":
-            ru, rv = map(int, tokens)
+            ru, rv = ref = tuple(map(int, tokens))
             if ru == rv or not (0 <= ru < n and 0 <= rv < n):
                 raise ParseError(no, f"bad reference dart ({ru},{rv})")
         elif kind == "x":
             orientations.append((no, crossings[0], tokens[1]))
-    pairs = {tuple(sorted(edges)) for edges in passes.values()}
-    if (len(paths) < n * (n - 1) // 2 or len(pairs) < c
-            or any(len(pair) != 2 or set(pair[0]) & set(pair[1]) for pair in pairs)):
+    if len(paths) < n * (n - 1) // 2:
         return
-    where = [{w: i for i, w in enumerate(rotations[u])} for u in range(n)]
-    for (a, b), other in pairs:
-        quad = sorted((a, b) + other)
-        beta = []
-        for v in quad:
-            x, y, z = [w for w in quad if w != v]
-            at = where[v]
-            beta.append((at[x] < at[y]) + (at[y] < at[z]) + (at[z] < at[x]) == 2)
-        if (sum(beta) % 2 or (beta[0] != beta[1]) != (b == quad[1])
-                or (beta[0] != beta[2]) != (b != quad[2])):
-            return
-    bits = orientation_bits(n, paths, [rotations[u] for u in range(n)])
+    try:
+        bits = orientation_bits(n, paths, rotations)
+        drawing = build_drawing(n, paths, bits, rotations, ref)
+    except ValueError:
+        return
+    if drawing.crossings < c:  # an id no path names: no bit can fix it
+        return
     for no, k, bit in orientations:
         if bit != bits[k]:
-            ends = " ".join(map(str, sorted(passes[k][0] + passes[k][1])))
+            e, f = drawing.crossed_edges[2 * k:2 * k + 2]
+            ends = " ".join(map(str, sorted(drawing.edges[e] + drawing.edges[f])))
             raise ParseError(no, f"orientation of crossing {k} disagrees with "
                                  f"the rotations at {ends}")
 
@@ -593,10 +576,6 @@ def _svg_cylindrical(drawing: Drawing, geom: CylindricalGeometry) -> str:
         ang = 2 * pi * float(angles[vertex])
         return (r * cos(ang), r * sin(ang))
 
-    def invert(p: _XY) -> _XY:
-        s = 4.0 / (p[0] * p[0] + p[1] * p[1])
-        return (p[0] * s, p[1] * s)
-
     def lid_warp(circle: Sequence[int]):
         """The angle map of one lid, in turns: piecewise linear, from each
         vertex's lid point angle to its vertex angle (both run once around
@@ -620,11 +599,11 @@ def _svg_cylindrical(drawing: Drawing, geom: CylindricalGeometry) -> str:
 
     def on_lid(vertex: int, p: _XY) -> _XY:
         """Point p of the unit disc of vertex's lid, in the picture: its angle
-        warped, its radius kept; the outer lid is scaled by 2 and inverted."""
+        warped, its radius kept on the inner lid and r taken to 3 - r on the
+        outer one, which rings the outer rim."""
         ang = 2 * pi * warps[vertex](atan2(p[1], p[0]) / (2 * pi))
-        r = (2.0 if vertex in outer else 1.0) * hypot(*p)
-        q = (r * cos(ang), r * sin(ang))
-        return invert(q) if vertex in outer else q
+        r = 3.0 - hypot(*p) if vertex in outer else hypot(*p)
+        return (r * cos(ang), r * sin(ang))
 
     def spiral(u: int, v: int) -> Tuple[Fraction, Fraction]:
         """Side edge u-v as the angle of its outer end and its turn from

@@ -448,6 +448,20 @@ def test_orientation_bits_derived_from_rotations(rule_corpus):
                 == drawing.orientation_bits)
 
 
+@pytest.mark.parametrize("changes, k", [
+    ({(0, 1): [0], (0, 2): [0]}, 0),
+    ({(0, 2): [0]}, 0),
+    ({(0, 1): [0], (0, 2): [0], (2, 3): [0]}, 0),
+    ({(0, 2): [0], (1, 3): [0], (0, 3): [2], (1, 2): [2]}, 1),
+], ids=["adjacent", "met-once", "met-thrice", "id-gap"])
+def test_orientation_bits_refuses_a_crossing_without_two_disjoint_passes(changes, k):
+    # the rule reads the ends of two vertex-disjoint edges per crossing id
+    rotations = [tuple(w for w in range(4) if w != v) for v in range(4)]
+    with pytest.raises(ValueError) as caught:
+        orientation_bits(4, _k4_paths(changes), rotations)
+    assert str(caught.value) == f"crossing {k} is not met by two passes of vertex-disjoint edges"
+
+
 def test_rotation_crossings_match_crossed_edges(rule_corpus):
     certify = [gen_random_points(12, seed) for seed in (502, 505, 511, 567, 629)]
     for drawing in rule_corpus + certify:

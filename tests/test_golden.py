@@ -81,11 +81,11 @@ def test_serialized_bytes_pinned(gen, args, fmt, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
-# the SVG of a drawing, re-recorded when the lid chords became the map's
-# own straight chords between its lid points, warped to the vertex angles
+# the SVG of a drawing, re-recorded when the outer lid became a ring
+# between radii 2 and 3 of the picture instead of an inverted disc
 SVG_GOLDEN = {
-    12: "93b6420f9c4b74b4f9a4c4c5ba4bb84f5528fe538faa79db9a59cd9eabcf8e64",
-    16: "fcda511b5d3fff5a694233628c657dad2f170797da3a5b682c6da1d9b6b2a10d",
+    12: "76aaad065694b4568e0e16248768ffc5f60668d6f01d1a6cd252e8f746dcba27",
+    16: "aac3fe8ccff8df630df56ba5ac1d0f11a3766322a41ac988ff149a93f38e76fb",
 }
 
 
@@ -113,8 +113,8 @@ def _corpus_digest(drawings):
 
 
 # one sha256 over the SVG of the 184 drawings, re-recorded with the
-# cylindrical lid chords above
-SVG_CORPUS_DIGEST = "1c171af95c4692f78046ae6447c0f38df16fc72508b054cf3303974b17d52b38"
+# cylindrical outer lid above
+SVG_CORPUS_DIGEST = "aa0b49fbf89faba2b9ef26e008394cf4f3b142045c4c135814437099c8059a13"
 
 
 def test_svg_corpus_pinned():

@@ -262,6 +262,64 @@ def test_swapped_rotation_blames_no_bit():
     assert swaps == 9 * 7
 
 
+@pytest.mark.parametrize("edits, refusal", [
+    # rotation 0 permuted: the rotations' own bit does not build it either
+    ({"rot 0 : 1 3 4 2": "rot 0 : 1 3 2 4", "x 0 : +": "x 0 : -"}, "V-E+F = 6-12+4 != 2"),
+    # a second crossing that no path meets
+    ({"c 1": "c 2", "x 0 : +": "x 0 : -\nx 1 : +"}, "crossing 1 met by 0 edge passes, expected 2"),
+], ids=["rotation", "unmet-crossing"])
+def test_bit_and_other_fault_keeps_the_build_refusal(edits, refusal):
+    # cylindrical K_5 with its one bit flipped and another fault: changing
+    # bits alone cannot mend it, so no `x` line is named
+    lines = serialize(gen_cylindrical(5), "map").decode().splitlines()
+    assert set(edits) <= set(lines)
+    with pytest.raises(ValueError) as caught:
+        parse("".join(edits.get(line, line) + "\n" for line in lines))
+    assert (type(caught.value), str(caught.value)) == (ValueError, refusal)
+
+
+def test_swapped_path_names_a_bit_exactly_when_bits_alone_mend_it():
+    # cylindrical K_7 as it is and with each adjacent pair of crossings in
+    # an `e` line swapped, each with each `x` line flipped: the flipped line
+    # is named exactly when the map's paths build with its bits unflipped
+    # under the reference assembly, and otherwise the build's refusal stands
+    lines = serialize(gen_cylindrical(7), "map").decode().splitlines()
+    drawing = parse("\n".join(lines) + "\n")
+    ref = tuple(map(int, lines[-1].split()[1:]))
+    xs = [(i, int(line.split()[1])) for i, line in enumerate(lines) if line.startswith("x ")]
+    variants = [(lines, dict(zip(drawing.edges, drawing.edge_paths)))]
+    for i, line in enumerate(lines):
+        if line.startswith("e "):
+            head, tail = line.split(" :")
+            ks = tail.split()
+            for j in range(len(ks) - 1):
+                swapped = ks[:j] + [ks[j + 1], ks[j]] + ks[j + 2:]
+                paths = dict(variants[0][1])
+                paths[tuple(map(int, head.split()[1:]))] = tuple(map(int, swapped))
+                variants.append((lines[:i] + [f"{head} : {' '.join(swapped)}"] + lines[i + 1:],
+                                 paths))
+    named = 0
+    for text_lines, paths in variants:
+        try:
+            reference_build_drawing(7, paths, drawing.orientation_bits,
+                                    drawing.vertex_rotations, ref)
+            mendable = True
+        except ValueError:
+            mendable = False
+        for i, k in xs:
+            x = text_lines[i]
+            flipped = text_lines[:i] + [x[:-1] + ("-" if x.endswith("+") else "+")]
+            with pytest.raises(ValueError) as caught:
+                parse("\n".join(flipped + text_lines[i + 1:]) + "\n")
+            if mendable:
+                assert caught.value.line == i + 1
+                assert caught.value.reason.startswith(f"orientation of crossing {k} disagrees")
+                named += 1
+            else:
+                assert not isinstance(caught.value, ParseError), caught.value
+    assert (len(variants), len(xs), named) == (7, 9, 9)
+
+
 # K4 map in which edges 0-1 and 2-3 cross twice, and 0-3 crosses 1-2: a
 # coherent sphere map, not a good drawing, so the rotations need not fix
 # its bits (the K_4 rule reads '-' for crossing 1)
@@ -548,6 +606,18 @@ def test_svg_export():
         assert body.count("<circle") >= drawing.n
     cylinder = svg_document(targets[2])
     assert cylinder.count('stroke="#ccc"') >= 2   # the two guide circles
+
+
+def test_cylindrical_picture_stays_on_its_canvas():
+    # every edge sample, crossing mark and vertex dot lies on the canvas
+    for n in range(3, 25):
+        svg = svg_document(gen_cylindrical(n))
+        assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 700.000 700.000">')
+        points = [xy.split(",") for samples in re.findall(r'<polyline points="([^"]*)"', svg)
+                  for xy in samples.split()]
+        points += re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', svg)
+        off = [p for p in points if not all(0 <= float(z) <= 700 for z in p)]
+        assert not off, (n, off[:3])
 
 
 def _drawn_position(curve, mark):
