@@ -21,15 +21,19 @@ statement below follows this convention.  The map lives on the sphere:
 the unbounded face of a geometric input is an ordinary face, merely
 remembered as the reference.
 
-`build_drawing` checks its input and nothing those checks imply: every
-edge has a path, every crossing id is in range and met by two distinct
-edge passes, every vertex rotation is a permutation of the other
-vertices, every orientation bit is '+' or '-', V - E + F = 2, and the
-drawing is good; no other code checks goodness.  Each refusal is a
-`ValueError`, as is every refusal of input in the package; only a map
-that is not good gets its own class, `NotGoodDrawing`, which lists the
-violations.  The checks make succ a permutation, so every face walk
-closes, and the map of K_n is connected, so its dual is too.
+`build_drawing` checks its input and nothing those checks imply, in
+this order: every bit is '+' or '-' and every edge has a path; every
+vertex rotation is a permutation of the other vertices; each path, in
+edge order, visits no crossing twice, then has its ids in range; the
+reference is a dart; every crossing is met by two distinct edge passes;
+V - E + F = 2; the drawing is good (no other code checks goodness).
+Each refusal is a `ValueError`, as is every refusal of input in the
+package.  A rotation, path or reference refusal is a `MapError` whose
+`part`, ("rot", u), ("e", u, v) or ("ref",), lets `parse` name its
+line, and comes first; a map that is not good gets `NotGoodDrawing`,
+which lists the violations.  The checks make succ a permutation, so
+every face walk closes, and the map of K_n is connected, so its dual
+is too.
 
 The orientation bits are redundant: the rotation system of a good
 drawing fixes its crossings (Kyncl 2011), so each bit is one lookup in
@@ -84,6 +88,15 @@ import itertools
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .geom import Point
+
+
+class MapError(ValueError):
+    """A fault at one `part` of a map: ("e", u, v), the path of edge uv,
+    ("rot", u), the rotation at u, or ("ref",), the reference dart."""
+
+    def __init__(self, part: Tuple[object, ...], message: str):
+        super().__init__(message)
+        self.part = part
 
 
 class NotGoodDrawing(ValueError):
@@ -218,8 +231,9 @@ def build_drawing(
     is the lexicographically smaller edge.  `reference` is a directed
     pair (u, v): the reference face is to the left of the first dart of
     that edge leaving u.  Construction raises ValueError on any
-    inconsistency rather than producing a broken map, and NotGoodDrawing
-    on a coherent map whose drawing is not good.
+    inconsistency rather than producing a broken map, a MapError when a
+    rotation, a path or the reference is at fault, and NotGoodDrawing on
+    a coherent map whose drawing is not good.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -236,6 +250,16 @@ def build_drawing(
         paths.append(tuple(edge_paths[(u, v)]))
     if len(edge_paths) != len(edges):
         raise ValueError("unexpected extra edge paths")
+
+    if len(vertex_rotations) != n:
+        raise ValueError("need one rotation per vertex")
+    rotations: List[Tuple[int, ...]] = []
+    for u, rot in enumerate(vertex_rotations):
+        if sorted(rot) != [w for w in range(n) if w != u]:
+            raise MapError(("rot", u), f"rotation at {u} is not a "
+                                       f"permutation of the other vertices")
+        k = rot.index(0 if u else 1)  # from the least neighbour
+        rotations.append((*rot[k:], *rot[:k]))
 
     # One pass over the paths lays out the darts, per edge (forward,
     # backward) per segment, and records the edge of every dart and the
@@ -258,9 +282,9 @@ def build_drawing(
             if not 0 <= k < c or second[k] >= 0 or first[k] >= base:
                 # out of range, a third pass, or a second pass of this edge
                 if len(set(path)) != len(path):
-                    raise ValueError(f"edge {edges[eid]} visits a crossing twice")
+                    raise MapError(("e", u, v), f"edge {edges[eid]} visits a crossing twice")
                 if not 0 <= k < c:
-                    raise ValueError(f"crossing id {k} out of range")
+                    raise MapError(("e", u, v), f"crossing id {k} out of range")
                 crowded[k] = crowded.get(k, 2) + 1
             elif first[k] < 0:
                 first[k] = d
@@ -271,22 +295,15 @@ def build_drawing(
         dart_edge += [eid] * (d + 2 - base)
         out_dart[u][v] = base
         out_dart[v][u] = d + 1
+    ru, rv = reference  # before the counts, as the rotations: `parse` names its line
+    if ru == rv or not (0 <= ru < n and 0 <= rv < n):
+        raise MapError(("ref",), f"bad reference dart ({ru},{rv})")
     if crowded or -1 in second:
         for k in range(c):
             passes = crowded.get(k, 2) if second[k] >= 0 else int(first[k] >= 0)
             if passes != 2:
                 raise ValueError(
                     f"crossing {k} met by {passes} edge passes, expected 2")
-
-    if len(vertex_rotations) != n:
-        raise ValueError("need one rotation per vertex")
-    rotations: List[Tuple[int, ...]] = []
-    for u, rot in enumerate(vertex_rotations):
-        if sorted(rot) != [w for w in range(n) if w != u]:
-            raise ValueError(
-                f"rotation at {u} is not a permutation of the other vertices")
-        k = rot.index(0 if u else 1)  # from the least neighbour
-        rotations.append((*rot[k:], *rot[:k]))
 
     # The face walk successor succ[d] = rot_next[d] ^ 1, rot_next[d]
     # being the dart after d counterclockwise around its origin, straight
@@ -346,9 +363,6 @@ def build_drawing(
     if nodes - nedges + face_count != 2:
         raise ValueError(f"V-E+F = {nodes}-{nedges}+{face_count} != 2")
 
-    ru, rv = reference
-    if ru == rv or not (0 <= ru < n and 0 <= rv < n):
-        raise ValueError(f"bad reference dart ({ru},{rv})")
     reference_face = dart_face[out_dart[ru][rv]]
 
     # dual walk from face 0, re-walking each face from its first dart:

@@ -10,7 +10,8 @@ reference dart.  Reference faces and witness faces are named by a
 directed pair ``u v``, read with `Drawing.face_left_of(u, v)` and
 written with `Drawing.face_dart`: the face to the left of the first dart
 of that edge leaving u.  A file that breaks its format is refused with
-a `ParseError`, a `ValueError` that names the line.
+a `ParseError`, a `ValueError` that names the line; a map only where
+`build_drawing`, its one judge, blames one line (see `_parse_map`).
 
 Serialization is canonical (crossings renumbered by first appearance
 along lexicographic edges, rotations started at the smallest neighbor,
@@ -37,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .drawing import (
     CylindricalGeometry,
     Drawing,
+    MapError,
     PointsGeometry,
     TwoPageGeometry,
     build_drawing,
@@ -195,6 +197,11 @@ def _parse_twopage(n: int, body: List[Tuple[int, str]]) -> Drawing:
 
 
 def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
+    """The body of a map file: each line checked alone, then the counts,
+    then `build_drawing` judges the map.  A `MapError` is named at its
+    part's line, of several faults the part met first (in a canonical
+    file the first in file order); an `x` id out of range at its first
+    line; a bit by `_refuse_bad_bit`; any other refusal at no line."""
     c: Optional[int] = None
     rotations: Dict[int, Tuple[int, ...]] = {}
     paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
@@ -250,74 +257,52 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
     if len(rotations) != n or sorted(rotations) != list(range(n)):
         raise ParseError(last, "missing rotation lines")
     if len(bits) != c or sorted(bits) != list(range(c)):
-        _refuse_bad_id(n, c, body)
+        k = next((k for k in bits if not 0 <= k < c), None)  # in file order
+        if k is not None:
+            raise ParseError(_line_of(body, ("x", k)), f"crossing id {k} out of range")
         raise ParseError(last, "missing orientation lines")
     if ref is None:
         raise ParseError(last, "missing ref line")
     if len(paths) != n * (n - 1) // 2:  # the lines are in range and distinct
         raise ParseError(last, "missing edge lines")
+    rots = [rotations[u] for u in range(n)]
     try:
-        return build_drawing(
-            n, paths, [bits[k] for k in range(c)],
-            [rotations[u] for u in range(n)], ref)
+        return build_drawing(n, paths, [bits[k] for k in range(c)], rots, ref)
+    except MapError as exc:
+        raise ParseError(_line_of(body, exc.part), str(exc)) from None
     except ValueError:
-        _refuse_bad_id(n, c, body)
+        _refuse_bad_bit(n, paths, bits, rots, ref, body)
         raise
 
 
-def _refuse_bad_id(n: int, c: int, body: List[Tuple[int, str]]) -> None:
-    """Raise a ParseError at the first map line with an id `build_drawing`
-    refuses, or an edge path that names a crossing twice; c may follow the
-    lines, so they are rescanned only on an error.  Within a line the
-    checks run in `build_drawing`'s order: a revisit before the id range.
+def _line_of(body: List[Tuple[int, str]], part: Tuple[object, ...]) -> int:
+    """The number of the map line of `part`, a `MapError.part` or ("x", k):
+    the line of the part's kind whose leading ids are the part's."""
+    kind, *ids = part
+    return next(no for no, line in body if (parts := line.split())[0] == kind
+                and list(map(int, parts[1:len(part)])) == ids)
 
-    Failing those, raise at the first `x` line whose bit differs from the
-    one the rotations fix (`orientation_bits`), but only when
-    `build_drawing` accepts the map with the rotations' bits: a line is
-    named exactly when changing bits alone makes the map a good drawing,
-    so a map with a rotation or path fault keeps the build's own refusal.
-    """
-    rotations: List[List[int]] = [[]] * n  # every rot line is in range and distinct
-    paths: Dict[Tuple[int, int], List[int]] = {}
-    orientations: List[Tuple[int, int, str]] = []
-    ref = (0, 1)  # a missing ref line is refused later; any dart judges the bits
-    for no, line in body:
-        kind, *tokens = line.replace(":", " ").split()
-        if kind == "rot":
-            if sorted(map(int, tokens)) != list(range(n)):
-                raise ParseError(no, f"rotation at {int(tokens[0])} is not a "
-                                     f"permutation of the other vertices")
-            rotations[int(tokens[0])] = [int(w) for w in tokens[1:]]
-        crossings = [int(k) for k in {"x": tokens[:1], "e": tokens[2:]}.get(kind, ())]
-        if kind == "e":
-            edge = (int(tokens[0]), int(tokens[1]))
-            if len(set(crossings)) != len(crossings):
-                raise ParseError(no, f"edge {edge} visits a crossing twice")
-            paths[edge] = crossings
-        for k in crossings:
-            if not 0 <= k < c:
-                raise ParseError(no, f"crossing id {k} out of range")
-        if kind == "ref":
-            ru, rv = ref = tuple(map(int, tokens))
-            if ru == rv or not (0 <= ru < n and 0 <= rv < n):
-                raise ParseError(no, f"bad reference dart ({ru},{rv})")
-        elif kind == "x":
-            orientations.append((no, crossings[0], tokens[1]))
-    if len(paths) < n * (n - 1) // 2:
-        return
+
+def _refuse_bad_bit(n: int, paths: Dict[Tuple[int, int], Tuple[int, ...]],
+                    bits: Dict[int, str], rotations: List[Tuple[int, ...]],
+                    ref: Tuple[int, int], body: List[Tuple[int, str]]) -> None:
+    """Raise a ParseError at the first `x` line whose bit differs from the
+    one the rotations fix (`orientation_bits`), only when the map builds
+    with the rotations' bits, so exactly when changing bits alone makes it
+    a good drawing; a rotation or path fault keeps the build's refusal."""
     try:
-        bits = orientation_bits(n, paths, rotations)
-        drawing = build_drawing(n, paths, bits, rotations, ref)
+        fixed = orientation_bits(n, paths, rotations)
+        drawing = build_drawing(n, paths, fixed, rotations, ref)
     except ValueError:
         return
-    if drawing.crossings < c:  # an id no path names: no bit can fix it
+    if drawing.crossings < len(bits):  # an id no path names: no bit can fix it
         return
-    for no, k, bit in orientations:
-        if bit != bits[k]:
+    for k, bit in bits.items():  # in file order
+        if bit != fixed[k]:
             e, f = drawing.crossed_edges[2 * k:2 * k + 2]
             ends = " ".join(map(str, sorted(drawing.edges[e] + drawing.edges[f])))
-            raise ParseError(no, f"orientation of crossing {k} disagrees with "
-                                 f"the rotations at {ends}")
+            raise ParseError(_line_of(body, ("x", k)), f"orientation of crossing {k} "
+                                                       f"disagrees with the rotations at {ends}")
 
 
 # ---------------------------------------------------------------------------

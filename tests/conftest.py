@@ -18,6 +18,7 @@ from kncross.drawing import (
     Drawing,
     Geometry,
     GoodnessViolation,
+    MapError,
     NotGoodDrawing,
     PointsGeometry,
     TwoPageGeometry,
@@ -403,27 +404,32 @@ def reference_build_drawing(
     if len(edge_paths) != len(edges):
         raise ValueError("unexpected extra edge paths")
 
-    # each crossing must be an interior point of exactly two edges
-    usage: List[List[Tuple[int, int]]] = [[] for _ in range(c)]
-    for eid, path in enumerate(paths):
-        if len(set(path)) != len(path):
-            raise ValueError(
-                f"edge {edges[eid]} visits a crossing twice")
-        for pos, k in enumerate(path):
-            if not 0 <= k < c:
-                raise ValueError(f"crossing id {k} out of range")
-            usage[k].append((eid, pos))
-    for k, us in enumerate(usage):
-        if len(us) != 2:
-            raise ValueError(
-                f"crossing {k} met by {len(us)} edge passes, expected 2")
-
+    # rotations, then each path whole in edge order, then the reference
+    # dart, each refusal naming its part; only then the crossing counts
     if len(vertex_rotations) != n:
         raise ValueError("need one rotation per vertex")
     for u, rot in enumerate(vertex_rotations):
         if sorted(rot) != [w for w in range(n) if w != u]:
+            raise MapError(
+                ("rot", u), f"rotation at {u} is not a permutation of the other vertices")
+
+    # each crossing must be an interior point of exactly two edges
+    usage: List[List[Tuple[int, int]]] = [[] for _ in range(c)]
+    for eid, path in enumerate(paths):
+        if len(set(path)) != len(path):
+            raise MapError(
+                ("e", *edges[eid]), f"edge {edges[eid]} visits a crossing twice")
+        for pos, k in enumerate(path):
+            if not 0 <= k < c:
+                raise MapError(("e", *edges[eid]), f"crossing id {k} out of range")
+            usage[k].append((eid, pos))
+    ru, rv = reference
+    if ru == rv or not (0 <= ru < n and 0 <= rv < n):
+        raise MapError(("ref",), f"bad reference dart ({ru},{rv})")
+    for k, us in enumerate(usage):
+        if len(us) != 2:
             raise ValueError(
-                f"rotation at {u} is not a permutation of the other vertices")
+                f"crossing {k} met by {len(us)} edge passes, expected 2")
 
     # dart layout: per edge, (forward, backward) per segment
     dart_base: List[int] = []
@@ -497,9 +503,6 @@ def reference_build_drawing(
         raise ValueError(
             f"V-E+F = {nodes}-{nedges}+{len(face_darts)} != 2")
 
-    ru, rv = reference
-    if ru == rv or not (0 <= ru < n and 0 <= rv < n):
-        raise ValueError(f"bad reference dart ({ru},{rv})")
     reference_face = dart_face[first_dart(ru, rv)]
 
     dart_faces = tuple(

@@ -12,6 +12,7 @@ from kncross.drawing import (
     CylindricalGeometry,
     DeletionView,
     Drawing,
+    MapError,
     NotGoodDrawing,
     _goodness_violations,
     build_drawing,
@@ -136,6 +137,19 @@ def test_bad_crossing_degree():
 def test_edge_path_revisit_rejected():
     with pytest.raises(ValueError, match=r"^edge \(0, 2\) visits a crossing twice$"):
         build_drawing(*MALFORMED["revisit"])
+
+
+@pytest.mark.parametrize("case, part", [
+    ("revisit", ("e", 0, 2)), ("crossing-id", ("e", 0, 2)), ("id-then-revisit", ("e", 0, 2)),
+    ("rotation", ("rot", 2)), ("reference", ("ref",)),
+    ("degree", None), ("euler", None), ("double", None)])
+def test_map_errors_name_their_part(case, part):
+    # a path, rotation or reference refusal names the part of the map at
+    # fault; a crossing-pass, Euler or goodness refusal belongs to no one part
+    with pytest.raises(ValueError) as caught:
+        build_drawing(*MALFORMED[case])
+    assert isinstance(caught.value, MapError) == (part is not None)
+    assert getattr(caught.value, "part", None) == part
 
 
 def test_crossing_counts_by_family():

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 import kncross.io
 from kncross.cli import _INPUT_ERRORS, _violation, main
 from kncross.drawing import (
+    MapError,
     NotGoodDrawing,
     PointsGeometry,
     TwoPageGeometry,
+    build_drawing,
 )
 from kncross.generators import (gen_convex, gen_cylindrical, gen_random_points, gen_twopage,
                                 twopage_all_top)
@@ -108,6 +110,23 @@ def test_out_of_range_id_refused_at_its_line(lines, prefix, new, inserted, reaso
     with pytest.raises(ParseError) as caught:
         parse("\n".join(edited + lines[at + 1:]) + "\n")
     assert (caught.value.line, caught.value.reason) == (at + 1 + inserted, reason)
+
+
+@pytest.mark.parametrize("edits, line, reason", [
+    # the reference dart is judged before the Euler count
+    ({"ref 0 1": "ref 3 3", "e 0 5 : 2 3 4": "e 0 5 : 3 2 4"}, 42,
+     "bad reference dart (3,3)"),
+    # the rotations are judged before the crossing passes are counted
+    ({"rot 1 : 0 3 2 5 4 6": "rot 1 : 0 2 3 4 5 5", "e 0 5 : 2 3 4": "e 0 5 : 2 3"}, 6,
+     "rotation at 1 is not a permutation of the other vertices"),
+], ids=["ref-before-euler", "rot-before-passes"])
+def test_map_line_fault_named_before_a_count_refusal(edits, line, reason):
+    # cylindrical K_7 with a fault `build_drawing` blames on one line and a
+    # path fault only its counts find: the line is named
+    assert set(edits) <= set(MAP7)
+    with pytest.raises(ParseError) as caught:
+        parse("".join(edits.get(row, row) + "\n" for row in MAP7))
+    assert (caught.value.line, caught.value.reason) == (line, reason)
 
 
 @pytest.mark.parametrize("prefix, reason", [
@@ -403,8 +422,43 @@ def test_mutated_maps_refused_as_reference_build_refuses(monkeypatch):
     # the corpus reaches each of build_drawing's map refusals, which
     # `parse` may then name at a line
     refused = {kind for exc in raised for kind, message in MAP_REFUSALS.items()
-               if type(exc) is ValueError and re.search(message, str(exc))}
+               if type(exc) in (ValueError, MapError) and re.search(message, str(exc))}
     assert refused == set(MAP_REFUSALS)
+
+
+def assert_map_error_named(text):
+    """When `build_drawing` refuses the map in `text` with a `MapError`,
+    `parse` refuses it with that message at a line whose kind and leading
+    ids are the error's part; the part, or None."""
+    errors, refusal = [], None
+
+    def recording_build(*args):
+        try:
+            return build_drawing(*args)
+        except MapError as exc:
+            errors.append(exc)
+            raise
+
+    with mock.patch.object(kncross.io, "build_drawing", recording_build):
+        try:
+            parse(text)
+        except ValueError as exc:
+            refusal = exc
+    if errors:
+        (error,) = errors
+        assert isinstance(refusal, ParseError) and refusal.reason == str(error)
+        kind, *ids = text.splitlines()[refusal.line - 1].split()
+        assert [kind, *map(int, ids[:len(error.part) - 1])] == list(error.part)
+        return error.part
+    return None
+
+
+def test_mutated_map_errors_named_at_their_part():
+    # rotation and path faults among the single-line mutations are named at
+    # the line of the part `build_drawing` refuses (a mutated ref line is
+    # another good dart or no ref line)
+    parts = [assert_map_error_named(text) for text in _line_mutations()]
+    assert {part[0] for part in parts if part} == {"e", "rot"}
 
 
 # the convex K4 map, with a bad token in the middle of line 6 or line 13
@@ -729,6 +783,7 @@ def test_fuzzed_maps_refused_as_reference_build_refuses(lines, edits):
     outcome = build_outcome(parse, text)
     with mock.patch.object(kncross.io, "build_drawing", reference_build_drawing):
         assert build_outcome(parse, text) == outcome
+    assert_map_error_named(text)
     if len(outcome) == 3:
         assert issubclass(outcome[0], _INPUT_ERRORS), outcome
     else:
