@@ -2,8 +2,9 @@
 """File formats, witness certificates, and SVG rendering.
 
 Writes a small gallery into demos/out/: one drawing file per format, a
-witness certificate round-tripped through its verifier, and SVG pictures
-of the three geometric families.
+witness certificate round-tripped through its verifier, and an SVG picture
+of each drawing.  The cylindrical K_9 is drawn from the map file written
+here, which carries no coordinates: its picture is a layout of the map.
 """
 
 import pathlib
@@ -50,7 +51,7 @@ reloaded = parse_witness(blob, cylinder)
 print("witness round trip verifies:", bishell_witness_violation(cylinder, reloaded) is None)
 
 for name, drawing in (("k6_convex.svg", convex),
-                      ("k9_cylindrical.svg", cylinder),
+                      ("k9_cylindrical.svg", parse((out / "k9_cylindrical.map").read_bytes())),
                       ("k6_twopage.svg", book),
                       ("k7_random.svg", random7)):
     (out / name).write_text(svg_document(drawing), encoding="utf-8")

@@ -24,7 +24,7 @@ from .generators import (
     gen_twopage,
     twopage_all_top,
 )
-from .io import parse, parse_witness, serialize, serialize_witness, svg_document, write_all
+from .io import parse, parse_witness, serialize, serialize_witness, svg_document, write_file
 from .kedges import (
     crossings_from_cumulative,
     crossings_from_k_edges,
@@ -118,7 +118,7 @@ def _check(args) -> int:
         raise WitnessInvalid(violation)
     blob = serialize_witness(drawing, witness)
     if args.witness_out:
-        write_all([(args.witness_out, blob)])
+        write_file(args.witness_out, blob)
     sys.stdout.write(blob.decode())
     return 0
 
@@ -137,8 +137,6 @@ def _verify(args) -> int:
 
 def _generate(args) -> int:
     n = args.n
-    if args.svg:
-        _refuse_same_file(args.out, args.svg, "-o and --svg")
     if args.family == "convex":
         drawing, fmt = gen_convex(n), "points"
     elif args.family == "cylindrical":
@@ -147,11 +145,7 @@ def _generate(args) -> int:
         drawing, fmt = gen_random_points(n, args.seed), "points"
     else:
         drawing, fmt = gen_twopage(twopage_all_top(n)), "twopage"
-    # both files are built before either is written, and written together
-    outputs = [(args.out, serialize(drawing, fmt))]
-    if args.svg:
-        outputs.append((args.svg, svg_document(drawing).encode("utf-8")))
-    write_all(outputs)
+    write_file(args.out, serialize(drawing, fmt))
     print(f"cr={drawing.crossings} H={hill_number(drawing.n)}")
     return 0
 
@@ -179,7 +173,7 @@ def _hunt(args) -> int:
         if key[0] == hill:
             found.append(seed)
     if args.out and found:
-        write_all([(args.out, serialize(gen_random_points(n, found[0]), "points"))])
+        write_file(args.out, serialize(gen_random_points(n, found[0]), "points"))
     print(f"trials={args.trials} distinct={len(seen)} matches={len(found)}")
     for seed in found:
         print(f"  seed={seed} cr={hill}")
@@ -189,7 +183,7 @@ def _hunt(args) -> int:
 def _export_svg(args) -> int:
     _refuse_same_file(args.out, args.file, "-o and the drawing")
     drawing = _load(args.file)
-    write_all([(args.out, svg_document(drawing).encode("utf-8"))])
+    write_file(args.out, svg_document(drawing).encode("utf-8"))
     print(f"wrote {args.out}")
     return 0
 
@@ -226,9 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--svg", default=None,
-                   help="also render the generated drawing (before any "
-                        "geometry is lost to the map format)")
     p.set_defaults(func=_generate)
 
     p = sub.add_parser("hunt", help="exploratory random search, never exhaustive "
@@ -240,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_hunt)
 
-    p = sub.add_parser("export-svg", help="render a geometric drawing")
+    p = sub.add_parser("export-svg", help="render any drawing file as SVG")
     p.add_argument("file")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=_export_svg)

@@ -17,12 +17,14 @@ Serialization is canonical (crossings renumbered by first appearance
 along lexicographic edges, rotations started at the smallest neighbor,
 reduced rationals printed as p/q), so equal maps produce equal bytes.
 
-Files are written through `write_all`: a temporary file per target,
-renamed over it only once every write has succeeded, so a failed write
-leaves an existing file unchanged.
+Files are written through `write_file`: a temporary file beside the
+target, renamed over it only once the write has succeeded, so a failed
+write leaves an existing file unchanged.
 
-SVG pictures have one writer, `_picture`; each family gives it only its
-edge samples, crossing marks, vertex positions and backdrop.
+Every drawing has a picture, and SVG pictures have one writer,
+`_picture`.  Point sets and two-page books draw their own geometry; any
+other drawing, a map file's among them, is drawn from its map alone, as
+a Tutte layout of its planarization (`_svg_map`).
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from __future__ import annotations
 import errno
 import os
 import re
-from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
-from math import atan2, cos, hypot, pi, sin, sqrt
+from math import cos, fsum, pi, sin, sqrt
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .drawing import (
-    CylindricalGeometry,
     Drawing,
     MapError,
     PointsGeometry,
@@ -44,9 +46,9 @@ from .drawing import (
     build_drawing,
     orientation_bits,
 )
-from .geom import Point, circle_point, proper_intersection
+from .geom import Point, proper_intersection
 from .planarize import planarize_points
-from .generators import TwoPageSpec, gen_twopage, _side_crossing, _wrap_half
+from .generators import TwoPageSpec, gen_twopage
 from .shelling import BishellWitness, ShellWitness
 
 MAGIC = "kncross v1"
@@ -335,21 +337,27 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
         out = [MAGIC, "format map", f"n {drawing.n}", f"c {drawing.crossings}"]
         for u, rot in enumerate(drawing.vertex_rotations):
             out.append(f"rot {u} : " + " ".join(str(w) for w in rot))
-        renum: Dict[int, int] = {}
-        for eid, _ in enumerate(drawing.edges):
-            for k in drawing.edge_paths[eid]:
-                if k not in renum:
-                    renum[k] = len(renum)
+        renum = _file_order(drawing)
         for eid, (u, v) in enumerate(drawing.edges):
             ids = " ".join(str(renum[k]) for k in drawing.edge_paths[eid])
             out.append(f"e {u} {v} :" + (" " + ids if ids else ""))
-        for old, new in sorted(renum.items(), key=lambda kv: kv[1]):
+        for old, new in renum.items():
             out.append(f"x {new} : {drawing.orientation_bits[old]}")
         ru, rv = drawing.face_dart(drawing.reference_face)
         out.append(f"ref {ru} {rv}")
         return ("\n".join(out) + "\n").encode()
 
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _file_order(drawing: Drawing) -> Dict[int, int]:
+    """The number a map file gives each crossing id: the crossings in order
+    of first appearance along the edges, in edge order, as the dict runs."""
+    renum: Dict[int, int] = {}
+    for path in drawing.edge_paths:
+        for k in path:
+            renum.setdefault(k, len(renum))
+    return renum
 
 
 # ---------------------------------------------------------------------------
@@ -468,48 +476,38 @@ def _transform(points: Sequence[_XY], size: float = 600.0, margin: float = 40.0)
 
 
 def svg_document(drawing: Drawing) -> str:
-    """The SVG text of a drawing with geometric provenance.
-
-    Map-format drawings carry no coordinates and are rejected.
-    """
+    """The SVG text of any drawing: its points or its two-page book where it
+    has them, otherwise a layout of its map (`_svg_map`)."""
     geom = drawing.geometry
     if isinstance(geom, PointsGeometry):
         return _svg_points(drawing, geom)
     if isinstance(geom, TwoPageGeometry):
         return _svg_twopage(drawing, geom)
-    if isinstance(geom, CylindricalGeometry):
-        return _svg_cylindrical(drawing, geom)
-    raise ValueError("map-format drawings carry no coordinates")
+    return _svg_map(drawing)
 
 
-def write_all(outputs: List[Tuple[str, bytes]]) -> None:
-    """Write every (path, data) pair or none.
+def write_file(path: str, data: bytes) -> None:
+    """Write `data` to `path`, or leave an existing file unchanged.
 
-    Each data goes to a temporary file in its target's directory, and the
-    temporaries replace the targets only once every write has succeeded;
-    on a failure they are removed, and every existing file is unchanged.
+    The data goes to a temporary file in the target's directory, which
+    replaces the target only once the write has succeeded and is removed
+    on a failure.  Errors name `path`, not the temporary.
     """
-    temps: List[str] = []
-    replaced = 0
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        for path, data in outputs:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            head, tail = os.path.split(path)
-            temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-            try:
-                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            except OSError as exc:  # name the file asked for, not the temporary
-                raise OSError(exc.errno, exc.strerror, path) from None
-            temps.append(temp)
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-        for temp, (path, _) in zip(temps, outputs):
-            os.replace(temp, path)
-            replaced += 1
-    finally:
-        for temp in temps[replaced:]:
-            os.remove(temp)
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def _svg_points(drawing: Drawing, geom: PointsGeometry) -> str:
@@ -550,78 +548,76 @@ def _svg_twopage(drawing: Drawing, geom: TwoPageGeometry) -> str:
     return _picture(700, [spine], curves, marks, [to((x, 0)) for x in pos])
 
 
-def _svg_cylindrical(drawing: Drawing, geom: CylindricalGeometry) -> str:
-    angles = geom.angles
-    outer = set(geom.outer)
-    lid = [circle_point(u) for u in geom.lid_params]  # the map's lid points
-    lid_xy = [(float(p.x), float(p.y)) for p in lid]
+def _dot(a: Sequence[complex], b: Sequence[complex]) -> float:
+    """The real part of the sum of conj(a_i) b_i, rounded once by `fsum`
+    (`sum` rounds floats one way before Python 3.12 and another after)."""
+    return fsum([c.real for c in map(mul, map(complex.conjugate, a), b)])
 
-    def at(vertex: int) -> _XY:
-        r = 2.0 if vertex in outer else 1.0
-        ang = 2 * pi * float(angles[vertex])
-        return (r * cos(ang), r * sin(ang))
 
-    def lid_warp(circle: Sequence[int]):
-        """The angle map of one lid, in turns: piecewise linear, from each
-        vertex's lid point angle to its vertex angle (both run once around
-        counterclockwise)."""
-        lid_turns = [atan2(lid_xy[v][1], lid_xy[v][0]) / (2 * pi) for v in circle]
-        a0, b0 = lid_turns[0], float(angles[circle[0]])
-        xs = [(a - a0) % 1 for a in lid_turns] + [1.0]
-        ys = [(float(angles[v]) - b0) % 1 for v in circle] + [1.0]
+def _svg_map(drawing: Drawing) -> str:
+    """A Tutte barycentric layout of the planarization (Tutte, "How to
+    draw a graph", Proc. LMS 1963), which needs nothing but the map.
 
-        def warp(turn: float) -> float:
-            x = (turn - a0) % 1
-            k = bisect_right(xs, x, 0, len(circle)) - 1
-            return b0 + ys[k] + (x - xs[k]) * (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+    The nodes are the vertices, then the crossings in file order
+    (`_file_order`), so a drawing and its map file give the same bytes.
+    The face with the most darts, the least id on ties, is the outer
+    face.  Its boundary, walked with the face on the left of each dart,
+    goes clockwise round a regular polygon, so each vertex's segments
+    read its rotation counterclockwise.  Every other node sits at the
+    mean of its neighbours: conjugate gradients, preconditioned by the
+    node degrees, until the largest residual is at most 1e-10.
+    """
+    n = drawing.n
+    node = {k: n + new for k, new in _file_order(drawing).items()}
+    paths = [(u, *map(node.__getitem__, path), v)
+             for (u, v), path in zip(drawing.edges, drawing.edge_paths)]
+    darts = Counter(f for faces in drawing.dart_faces for f in faces)
+    outer = max(range(drawing.face_count), key=darts.__getitem__)
+    nbrs: List[List[int]] = [[] for _ in range(n + len(node))]
+    after: Dict[int, int] = {}  # the next node round the outer face
+    for path, faces in zip(paths, drawing.dart_faces):
+        for i, (a, b) in enumerate(zip(path, path[1:])):
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+            if faces[2 * i] == outer:
+                after[a] = b
+            if faces[2 * i + 1] == outer:
+                after[b] = a
+    # removing one node leaves the planarization of K_n connected, so each
+    # face is bounded by a cycle and `after` walks it once round
+    ring = [min(after)]
+    while after[ring[-1]] != ring[0]:
+        ring.append(after[ring[-1]])
+    pos = [0j] * len(nbrs)
+    for i, a in enumerate(ring):  # clockwise from the top
+        angle = pi / 2 - 2 * pi * i / len(ring)
+        pos[a] = complex(cos(angle), sin(angle))
+    on_ring = set(ring)
+    free = [() if a in on_ring else nb for a, nb in enumerate(nbrs)]
 
-        return warp
+    def laplacian(v: List[complex]) -> List[complex]:
+        """Per node off the ring, its degree times its v less its
+        neighbours' v; 0 on the ring."""
+        out = []
+        for va, nb in zip(v, free):
+            acc = len(nb) * va
+            for b in nb:
+                acc -= v[b]
+            out.append(acc)
+        return out
 
-    warps = {}
-    for circle in (geom.outer, geom.inner):
-        if circle:  # empty only when `_assemble_cylindrical` got no angles for it
-            warps.update(dict.fromkeys(circle, lid_warp(circle)))
-
-    def on_lid(vertex: int, p: _XY) -> _XY:
-        """Point p of the unit disc of vertex's lid, in the picture: its angle
-        warped, its radius kept on the inner lid and r taken to 3 - r on the
-        outer one, which rings the outer rim."""
-        ang = 2 * pi * warps[vertex](atan2(p[1], p[0]) / (2 * pi))
-        r = 3.0 - hypot(*p) if vertex in outer else hypot(*p)
-        return (r * cos(ang), r * sin(ang))
-
-    def spiral(u: int, v: int) -> Tuple[Fraction, Fraction]:
-        """Side edge u-v as the angle of its outer end and its turn from
-        there to its inner end."""
-        o, i = (u, v) if u in outer else (v, u)
-        return angles[o], _wrap_half(angles[i] - angles[o])
-
-    def side(angle: Fraction, turn: Fraction, t: float) -> _XY:
-        """The point at parameter t of a side edge, from its outer end (t = 0,
-        radius 2) to its inner end (t = 1, radius 1)."""
-        ang = 2 * pi * (float(angle) + float(turn) * t)
-        return ((2.0 - t) * cos(ang), (2.0 - t) * sin(ang))
-
-    to = _transform([(-3.2, -3.2), (3.2, 3.2)], size=700)
-    rims = [_circle(to((0.0, 0.0)), abs(to((r, 0.0))[0] - to((0.0, 0.0))[0]),
-                    'fill="none" stroke="#ccc" stroke-width="0.8"') for r in (1.0, 2.0)]
-    curves = []
-    for (u, v) in drawing.edges:
-        if (u in outer) == (v in outer):  # a lid chord: the map's straight chord, warped
-            (x0, y0), (x1, y1) = lid_xy[u], lid_xy[v]
-            curves.append([to(on_lid(u, (x0 + (x1 - x0) * k / 32, y0 + (y1 - y0) * k / 32)))
-                           for k in range(33)])
-        else:
-            angle, turn = spiral(u, v)
-            curves.append([to(side(angle, turn, k / 32)) for k in range(33)])
-    marks = []
-    for e1, e2 in zip(drawing.crossed_edges[::2], drawing.crossed_edges[1::2]):
-        (u1, v1), (u2, v2) = drawing.edges[e1], drawing.edges[e2]
-        if (u1 in outer) != (v1 in outer):  # side/side: exact parameter from the angles
-            (a1, turn1), (a2, turn2) = spiral(u1, v1), spiral(u2, v2)
-            t = float(_side_crossing(a1 - a2, turn1 - turn2))
-            marks.append(to(side(a1, turn1, t)))
-        else:  # two chords of one lid, crossing where the map's chords cross
-            hit = proper_intersection(lid[u1], lid[v1], lid[u2], lid[v2])
-            marks.append(to(on_lid(u1, (float(hit.x), float(hit.y)))))
-    return _picture(700, rims, curves, marks, [to(at(v)) for v in range(drawing.n)])
+    weight = [1 / len(nb) for nb in nbrs]
+    r = [-x for x in laplacian(pos)]
+    p = z = list(map(mul, r, weight))
+    rz = _dot(r, z)
+    while max(map(abs, r)) > 1e-10:
+        q = laplacian(p)
+        alpha = rz / _dot(p, q)
+        pos = [x + alpha * y for x, y in zip(pos, p)]
+        r = [x - alpha * y for x, y in zip(r, q)]
+        z = list(map(mul, r, weight))
+        rz, previous = _dot(r, z), rz
+        p = [x + rz / previous * y for x, y in zip(z, p)]
+    to = _transform([(-1.0, -1.0), (1.0, 1.0)], size=700)
+    xy = [to((x.real, x.imag)) for x in pos]
+    return _picture(700, [], [[xy[a] for a in path] for path in paths], xy[n:], xy[:n])

@@ -13,7 +13,8 @@ import pytest
 from kncross import planarize
 from kncross.cli import main
 from kncross.drawing import build_drawing
-from kncross.generators import TwoPageSpec, gen_convex, gen_random_points, gen_twopage
+from kncross.generators import (TwoPageSpec, gen_convex, gen_cylindrical, gen_random_points,
+                                gen_twopage, twopage_all_top)
 from kncross.io import serialize, svg_document
 
 from conftest import vertex_faces
@@ -306,7 +307,8 @@ sys.exit(main(sys.argv[1:]))
     ["check", "k6.pts", "--mode", "bishell", "--witness-out", "out"],
     ["hunt", "--n", "7", "--trials", "14", "--seed", "100", "-o", "out"],
     ["export-svg", "k6.pts", "-o", "out"],
-], ids=["check-witness-out", "hunt-out", "export-svg-out"])
+    ["generate", "convex", "--n", "6", "-o", "out"],
+], ids=["check-witness-out", "hunt-out", "export-svg-out", "generate-out"])
 def test_failed_write_keeps_existing_file(tmp_path, argv):
     (tmp_path / "k6.pts").write_bytes(serialize(gen_convex(6), "points"))
     old = b"an earlier file of more than sixteen bytes\n"
@@ -352,12 +354,31 @@ def test_export_svg_cli(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
-def test_export_svg_map_format_exit_2(tmp_path, capsys):
-    drawing = tmp_path / "k6.map"
-    run(capsys, "generate", "cylindrical", "--n", "6", "-o", str(drawing))
-    code, _, err = run(capsys, "export-svg", str(drawing), "-o",
-                       str(tmp_path / "k6.svg"))
-    assert code == 2
+def test_export_svg_renders_a_map_file(tmp_path, capsys):
+    # the map file of a point set has no coordinates; it is drawn from its
+    # map, which numbers the crossings as the file does
+    drawing = gen_random_points(8, 1)
+    path, svg = tmp_path / "k8.map", tmp_path / "k8.svg"
+    path.write_bytes(serialize(drawing, "map"))
+    code, stdout, err = run(capsys, "export-svg", str(path), "-o", str(svg))
+    assert (code, stdout, err) == (0, f"wrote {svg}\n", "")
+    assert svg.read_bytes() == svg_document(drawing._replace(geometry=None)).encode("utf-8")
+
+
+@pytest.mark.parametrize("family, generate", [
+    ("convex", gen_convex),
+    ("cylindrical", gen_cylindrical),
+    ("twopage", lambda n: gen_twopage(twopage_all_top(n))),
+    ("random", lambda n: gen_random_points(n, 0)),
+])
+def test_export_svg_of_a_generated_file_draws_the_generated_drawing(tmp_path, capsys,
+                                                                    family, generate):
+    # what `generate` writes keeps what its picture needs
+    path, svg = tmp_path / "d", tmp_path / "d.svg"
+    for n in (3, 8):
+        assert run(capsys, "generate", family, "--n", str(n), "-o", str(path))[0] == 0
+        assert run(capsys, "export-svg", str(path), "-o", str(svg))[0] == 0
+        assert svg.read_bytes() == svg_document(generate(n)).encode("utf-8"), n
 
 
 def test_export_svg_renders_a_written_twopage_file(tmp_path, capsys):
@@ -375,64 +396,6 @@ def test_export_svg_renders_a_written_twopage_file(tmp_path, capsys):
     assert (code, stdout, err) == (0, f"wrote {svg}\n", "")
     assert svg.read_bytes() == svg_document(gen_twopage(spec)).encode("utf-8")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mine.2p", "mine.svg"]
-
-
-def test_generate_with_svg_option(tmp_path, capsys):
-    drawing = tmp_path / "k6.map"
-    svg = tmp_path / "k6.svg"
-    code, _, _ = run(capsys, "generate", "cylindrical", "--n", "6",
-                     "-o", str(drawing), "--svg", str(svg))
-    assert code == 0
-    assert svg.read_text().startswith("<svg")
-
-
-def test_generate_unwritable_svg_exit_2_leaves_no_file(tmp_path, capsys):
-    drawing = tmp_path / "k6.pts"
-    code, stdout, err = run(capsys, "generate", "convex", "--n", "6", "-o", str(drawing),
-                            "--svg", str(tmp_path / "missing" / "k6.svg"))
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith("error: ")
-    assert not drawing.exists()
-
-
-@pytest.mark.parametrize("svg", ["missing/k6.svg", "sub"])
-def test_generate_failed_svg_keeps_existing_out_unchanged(tmp_path, capsys,
-                                                          monkeypatch, svg):
-    # a directory that does not exist, or an --svg that is a directory
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "sub").mkdir()
-    old = b"kncross v1\nan earlier file\n"
-    (tmp_path / "k6.pts").write_bytes(old)
-    code, stdout, err = run(capsys, "generate", "convex", "--n", "6",
-                            "-o", "k6.pts", "--svg", svg)
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith("error: ") and repr(svg) in err
-    assert (tmp_path / "k6.pts").read_bytes() == old
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["k6.pts", "sub"]
-    assert list((tmp_path / "sub").iterdir()) == []
-
-
-@pytest.mark.parametrize("out, svg", [
-    ("a.pts", "a.pts"),
-    ("a.pts", "./a.pts"),
-    ("sub/../a.pts", "a.pts"),
-    ("a.pts", "link.pts"),
-])
-def test_generate_same_out_and_svg_exit_2(tmp_path, capsys, monkeypatch, out, svg):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "sub").mkdir()
-    old = b"kncross v1\nan earlier file\n"
-    (tmp_path / "a.pts").write_bytes(old)
-    (tmp_path / "link.pts").symlink_to("a.pts")
-    code, stdout, err = run(capsys, "generate", "convex", "--n", "6",
-                            "-o", out, "--svg", svg)
-    assert code == 2
-    assert stdout == ""
-    assert "same file" in err
-    assert (tmp_path / "a.pts").read_bytes() == old
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pts", "link.pts", "sub"]
 
 
 @pytest.mark.parametrize("spelling", ["d.pts", "./d.pts", "sub/../d.pts", "link.pts"])
@@ -461,13 +424,10 @@ def test_generate_replaces_existing_files_without_leftovers(tmp_path, capsys,
                                                             monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "k6.pts").write_bytes(b"old\n")
-    (tmp_path / "k6.svg").write_bytes(b"old\n")
-    code, _, _ = run(capsys, "generate", "convex", "--n", "6",
-                     "-o", "k6.pts", "--svg", "k6.svg")
+    code, _, _ = run(capsys, "generate", "convex", "--n", "6", "-o", "k6.pts")
     assert code == 0
     assert (tmp_path / "k6.pts").read_bytes().startswith(b"kncross v1\nformat points\n")
-    assert (tmp_path / "k6.svg").read_text().startswith("<svg")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["k6.pts", "k6.svg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k6.pts"]
 
 
 @pytest.mark.parametrize("mode, extra, search", [

@@ -120,4 +120,4 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
                 assert out == comment.strip()[len("prints "):] + "\n"
                 printed += 1
             calls += 1
-    assert (calls, printed) == (9, 1)
+    assert (calls, printed) == (10, 2)
