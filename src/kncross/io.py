@@ -1,7 +1,9 @@
 """Drawing and witness files, plus SVG export.
 
 Three line-based UTF-8 formats share the header ``kncross v1`` and a
-``format points|twopage|map`` tag; '#' starts a comment.  The map format
+``format points|twopage|map`` tag.  Every reader takes a file's lines
+from `_lines`: a byte-order mark is ignored, '#' starts a comment and a
+line is its tokens, split at any run of whitespace.  The map format
 is the minimal information determining a spherical embedding: one
 counterclockwise rotation line per real vertex, the crossing ids along
 every edge path (from the smaller endpoint to the larger), one
@@ -68,19 +70,20 @@ class ParseError(ValueError):
 
 
 def _lines(data: Union[bytes, str], magic: str,
-           truncated: str) -> List[Tuple[int, str]]:
-    """The numbered non-blank lines of a file, comments stripped; the first
-    must be `magic`, and fewer than three lines are refused as `truncated`."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+           truncated: str) -> List[Tuple[int, List[str]]]:
+    """The one text layer of every reader: the number and the tokens of each
+    line that has any, comments stripped, a UTF-8 byte-order mark ignored.
+    The first must read `magic`; fewer than three are refused as `truncated`."""
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((no, line))
-    if not out or out[0][1] != magic:
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            out.append((no, tokens))
+    if not out or " ".join(out[0][1]) != magic:
         raise ParseError(out[0][0] if out else 1, f"expected {magic!r}")
     if len(out) < 3:
-        raise ParseError(1, truncated)
+        raise ParseError(out[0][0], truncated)
     return out
 
 
@@ -134,29 +137,24 @@ def _frac_str(value: Fraction) -> str:
 def parse(data: Union[bytes, str]) -> Drawing:
     """Parse any of the three drawing formats into a validated Drawing."""
     lines = _lines(data, MAGIC, "truncated header")
-    fmt_no, fmt_line = lines[1]
-    parts = fmt_line.split()
-    if len(parts) != 2 or parts[0] != "format":
+    (fmt_no, fmt), (no, count) = lines[1:3]
+    if len(fmt) != 2 or fmt[0] != "format":
         raise ParseError(fmt_no, "expected 'format points|twopage|map'")
-    fmt = parts[1]
-    no, n_line = lines[2]
-    nparts = n_line.split()
-    if len(nparts) != 2 or nparts[0] != "n":
+    if len(count) != 2 or count[0] != "n":
         raise ParseError(no, "expected 'n <int>'")
-    n = _int(nparts[1], no)
+    n = _int(count[1], no)
     if n < 0:
         raise ParseError(no, f"negative vertex count {n}")
     parse_body = {"points": _parse_points, "twopage": _parse_twopage,
-                  "map": _parse_map}.get(fmt)
+                  "map": _parse_map}.get(fmt[1])
     if parse_body is None:
-        raise ParseError(fmt_no, f"unknown format {fmt!r}")
+        raise ParseError(fmt_no, f"unknown format {fmt[1]!r}")
     return parse_body(n, lines[3:])
 
 
-def _parse_points(n: int, body: List[Tuple[int, str]]) -> Drawing:
+def _parse_points(n: int, body: List[Tuple[int, List[str]]]) -> Drawing:
     points: Dict[int, Point] = {}
-    for no, line in body:
-        parts = line.split()
+    for no, parts in body:
         if len(parts) != 4 or parts[0] != "v":
             raise ParseError(no, "expected 'v <id> <p/q> <p/q>'")
         vid = _int(parts[1], no)
@@ -168,11 +166,10 @@ def _parse_points(n: int, body: List[Tuple[int, str]]) -> Drawing:
     return planarize_points([points[i] for i in range(n)])
 
 
-def _parse_twopage(n: int, body: List[Tuple[int, str]]) -> Drawing:
+def _parse_twopage(n: int, body: List[Tuple[int, List[str]]]) -> Drawing:
     order: Optional[Tuple[int, ...]] = None
     pages: Dict[Tuple[int, int], str] = {}
-    for no, line in body:
-        parts = line.split()
+    for no, parts in body:
         if parts[0] == "order":
             if order is not None:
                 raise ParseError(no, "duplicate order line")
@@ -190,7 +187,7 @@ def _parse_twopage(n: int, body: List[Tuple[int, str]]) -> Drawing:
                 raise ParseError(no, f"bad or repeated edge {u} {v}")
             pages[key] = parts[3]
         else:
-            raise ParseError(no, f"unexpected line {line!r}")
+            raise ParseError(no, f"unexpected line {' '.join(parts)!r}")
     if order is None:
         raise ParseError(body[0][0] if body else 4, "order line missing or invalid")
     if len(pages) != n * (n - 1) // 2:
@@ -198,7 +195,7 @@ def _parse_twopage(n: int, body: List[Tuple[int, str]]) -> Drawing:
     return gen_twopage(TwoPageSpec(order=order, pages=pages))
 
 
-def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
+def _parse_map(n: int, body: List[Tuple[int, List[str]]]) -> Drawing:
     """The body of a map file: each line checked alone, then the counts,
     then `build_drawing` judges the map.  A `MapError` is named at its
     part's line, of several faults the part met first (in a canonical
@@ -209,8 +206,7 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
     paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     bits: Dict[int, str] = {}
     ref: Optional[Tuple[int, int]] = None
-    for no, line in body:
-        parts = line.split()
+    for no, parts in body:
         # orientation lines first: they are most of a map's lines
         if parts[0] == "x":
             if len(parts) != 4 or parts[2] != ":" or parts[3] not in ("+", "-"):
@@ -250,7 +246,7 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
                 raise ParseError(no, "bad ref line")
             ref = (_int(parts[1], no), _int(parts[2], no))
         else:
-            raise ParseError(no, f"unexpected line {line!r}")
+            raise ParseError(no, f"unexpected line {' '.join(parts)!r}")
     last = body[-1][0] if body else 4
     if c is None:
         raise ParseError(last, "missing crossing count")
@@ -258,7 +254,8 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
     # size a list
     if len(rotations) != n or sorted(rotations) != list(range(n)):
         raise ParseError(last, "missing rotation lines")
-    if len(bits) != c or sorted(bits) != list(range(c)):
+    ids = sorted(bits)  # the x lines' ints: one object per crossing id
+    if len(bits) != c or ids != list(range(c)):
         k = next((k for k in bits if not 0 <= k < c), None)  # in file order
         if k is not None:
             raise ParseError(_line_of(body, ("x", k)), f"crossing id {k} out of range")
@@ -269,25 +266,28 @@ def _parse_map(n: int, body: List[Tuple[int, str]]) -> Drawing:
         raise ParseError(last, "missing edge lines")
     rots = [rotations[u] for u in range(n)]
     try:
-        return build_drawing(n, paths, [bits[k] for k in range(c)], rots, ref)
+        drawing = build_drawing(n, paths, [bits[k] for k in ids], rots, ref)
     except MapError as exc:
         raise ParseError(_line_of(body, exc.part), str(exc)) from None
     except ValueError:
         _refuse_bad_bit(n, paths, bits, rots, ref, body)
         raise
+    # shared only now that every path id is checked: ids[-1] would read -1 as c-1
+    return drawing._replace(edge_paths=tuple(tuple(map(ids.__getitem__, path))
+                                             for path in drawing.edge_paths))
 
 
-def _line_of(body: List[Tuple[int, str]], part: Tuple[object, ...]) -> int:
+def _line_of(body: List[Tuple[int, List[str]]], part: Tuple[object, ...]) -> int:
     """The number of the map line of `part`, a `MapError.part` or ("x", k):
     the line of the part's kind whose leading ids are the part's."""
     kind, *ids = part
-    return next(no for no, line in body if (parts := line.split())[0] == kind
-                and list(map(int, parts[1:len(part)])) == ids)
+    return next(no for no, parts in body
+                if parts[0] == kind and list(map(int, parts[1:len(part)])) == ids)
 
 
 def _refuse_bad_bit(n: int, paths: Dict[Tuple[int, int], Tuple[int, ...]],
                     bits: Dict[int, str], rotations: List[Tuple[int, ...]],
-                    ref: Tuple[int, int], body: List[Tuple[int, str]]) -> None:
+                    ref: Tuple[int, int], body: List[Tuple[int, List[str]]]) -> None:
     """Raise a ParseError at the first `x` line whose bit differs from the
     one the rotations fix (`orientation_bits`), only when the map builds
     with the rotations' bits, so exactly when changing bits alone makes it
@@ -369,11 +369,10 @@ def parse_witness(data: Union[bytes, str],
                   drawing: Drawing) -> Union[ShellWitness, BishellWitness]:
     """Parse a witness certificate; the face is resolved on `drawing`."""
     lines = _lines(data, WITNESS_MAGIC, "truncated witness")
-    no, kind = lines[1]
+    kind = " ".join(lines[1][1])
     if kind not in ("shell", "bishell"):
-        raise ParseError(no, f"unknown witness kind {kind!r}")
-    no, face_line = lines[2]
-    parts = face_line.split()
+        raise ParseError(lines[1][0], f"unknown witness kind {kind!r}")
+    no, parts = lines[2]
     if len(parts) != 3 or parts[0] != "face":
         raise ParseError(no, "expected 'face <u> <v>'")
     fu, fv = _int(parts[1], no), _int(parts[2], no)
@@ -383,10 +382,9 @@ def parse_witness(data: Union[bytes, str],
         raise ParseError(no, str(exc)) from None
 
     seqs: Dict[str, Tuple[int, ...]] = {}
-    for no, line in lines[3:]:
-        parts = line.split()
+    for no, parts in lines[3:]:
         if len(parts) < 2 or parts[0] not in ("v:", "a:", "b:"):
-            raise ParseError(no, f"unexpected line {line!r}")
+            raise ParseError(no, f"unexpected line {' '.join(parts)!r}")
         key = parts[0][0]
         if key in seqs:
             raise ParseError(no, f"duplicate {parts[0]} line")

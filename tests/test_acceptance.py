@@ -7,6 +7,7 @@ lines.
 
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +227,11 @@ def test_criterion_12_out_of_scope_documented():
     # figure drawings (no image data), the uniqueness claim for the
     # non-bishellable optimal K9, and the K11 census counts.  These are
     # covered by the property suites above and by the exploratory `hunt`
-    # command, which never claims exhaustiveness.
+    # command, which never claims exhaustiveness.  README's Scope says so.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    scope = " ".join(readme.split("\n## Scope\n", 1)[1].split("\n## ", 1)[0].split())
+    for phrase in ("Not reproduced", "figure drawings", "uniqueness", "optimal K_9",
+                   "census of the K_11 drawings", "`hunt`", "never claims exhaustiveness"):
+        assert phrase in scope, phrase
     _report(12, time.time() - start, 1.0,
             "out-of-scope items documented; property suites cover the rest")

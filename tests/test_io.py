@@ -1,11 +1,13 @@
 import contextlib
 import io
 import itertools
+import random
 import re
 import time
 from datetime import timedelta
 from fractions import Fraction
 from math import atan2, hypot
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -604,6 +606,69 @@ def test_comments_and_blank_lines_ignored():
     assert parse(noisy).crossings == d.crossings
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("drawing, fmt", [
+    (gen_convex(5), "points"), (gen_twopage(twopage_all_top(5)), "twopage"),
+    (gen_cylindrical(7), "map")], ids=["points", "twopage", "map"])
+def test_byte_order_mark_ignored(drawing, fmt):
+    # a file saved with a UTF-8 byte-order mark reads as the file without it;
+    # the writers emit none
+    blob = serialize(drawing, fmt)
+    assert not blob.startswith(BOM)
+    assert parse(BOM + blob) == parse(blob)
+    witness = serialize_witness(drawing, check_bishellable(drawing))
+    assert not witness.startswith(BOM)
+    assert parse_witness(BOM + witness, drawing) == parse_witness(witness, drawing)
+
+
+def test_byte_order_mark_ignored_by_the_cli(tmp_path, capsys):
+    # `analyze` on a cylindrical K_4 map saved with a byte-order mark
+    blob = serialize(gen_cylindrical(4), "map")
+    outputs = []
+    for name, data in (("plain.map", blob), ("bom.map", BOM + blob)):
+        (tmp_path / name).write_bytes(data)
+        assert main(["analyze", str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+def test_a_quoted_line_is_its_tokens_joined_by_single_spaces():
+    for text, line, reason in [
+            ("kncross v1\nformat map\nn 4\n  foo \t bar\t# baz\n", 4,
+             "unexpected line 'foo bar'"),
+            ("kncross v1\nformat twopage\nn 4\nv\t0  1\n", 4, "unexpected line 'v 0 1'")]:
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert (caught.value.line, caught.value.reason) == (line, reason)
+    d = gen_convex(6)
+    for text, line, reason in [
+            ("kncross-witness v1\n\tshell   twice\nface 0 1\n", 2,
+             "unknown witness kind 'shell twice'"),
+            ("kncross-witness v1\nshell\nface 0 1\nv:\t\n", 4, "unexpected line 'v:'")]:
+        with pytest.raises(ParseError) as caught:
+            parse_witness(text, d)
+        assert (caught.value.line, caught.value.reason) == (line, reason)
+
+
+def test_magic_line_tokens_split_at_any_whitespace():
+    text = serialize(gen_convex(4), "points").decode()
+    assert parse(text.replace("kncross v1", " kncross \t v1\t", 1)) == parse(text)
+    with pytest.raises(ParseError) as caught:
+        parse(text.replace("kncross v1", "kncrossv1", 1))
+    assert (caught.value.line, caught.value.reason) == (1, "expected 'kncross v1'")
+
+
+def test_parsed_map_holds_one_int_per_crossing_id():
+    # as in the generated map, both passes of a crossing share one int object
+    generated = gen_random_points(14, 1)
+    for drawing in (generated, parse(serialize(generated, "map"))):
+        ids = [k for path in drawing.edge_paths for k in path]
+        assert len(ids) == 2 * drawing.crossings == 1428
+        assert len({id(k) for k in ids}) == drawing.crossings
+
+
 def test_witness_round_trip_shell():
     d = gen_convex(8)
     witness = check_s_shellable(d, 4)
@@ -633,14 +698,20 @@ def test_witness_example_format():
     assert witness.face == d.face_left_of(0, 1)
 
 
+# witness files the convex K_6 refuses: a repeated vertex, no b: line, and
+# a drawing file's header
+WITNESS_REFUSALS = [
+    "kncross-witness v1\nshell\nface 0 1\nv: 1 1 2\n",
+    "kncross-witness v1\nbishell\nface 0 1\na: 0 1\n",
+    "kncross v1\nshell\nface 0 1\nv: 1\n",
+]
+
+
 def test_witness_parse_errors():
     d = gen_convex(6)
-    with pytest.raises(ParseError):
-        parse_witness("kncross-witness v1\nshell\nface 0 1\nv: 1 1 2\n", d)
-    with pytest.raises(ParseError):
-        parse_witness("kncross-witness v1\nbishell\nface 0 1\na: 0 1\n", d)
-    with pytest.raises(ParseError):
-        parse_witness("kncross v1\nshell\nface 0 1\nv: 1\n", d)
+    for text in WITNESS_REFUSALS:
+        with pytest.raises(ParseError):
+            parse_witness(text, d)
 
 
 def test_face_without_a_dart_refused():
@@ -950,3 +1021,78 @@ def test_fuzzed_witness_files_refused_or_judged(witness_drawing_files, base, edi
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["verify", str(drawing_path), "--witness", str(witness_path)])
     assert code == expected
+
+
+# ---------------------------------------------------------------------------
+# one tokenizer: whitespace runs, comments and blank lines change nothing
+# ---------------------------------------------------------------------------
+
+DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
+
+
+def _respaced(text, rng):
+    """`text` with random runs of spaces and tabs around its tokens, trailing
+    comments, and blank and comment lines between its lines; and the new
+    number of each of its lines."""
+    def gap(least):
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(least, 3)))
+
+    out, moved = [], {}
+    for no, line in enumerate(text.splitlines(), start=1):
+        while rng.random() < 0.2:
+            out.append(gap(0) + rng.choice(["", "#", "# kncross v1", "#\tx 0 : +"]))
+        tokens = line.split()
+        out.append(gap(0) + "".join(token + gap(1) for token in tokens[:-1]) + tokens[-1]
+                   + gap(0) + rng.choice(["", "", "#", "# e 0 1 : 2"]))
+        moved[no] = len(out)
+    return "\n".join(out) + "\n", moved
+
+
+def _read(read, text, moved=None):
+    """What `read` makes of `text`: the type and value of what it returns,
+    or the refusal, a `ParseError`'s line taken through `moved`."""
+    try:
+        value = read(text)
+    except ParseError as exc:
+        return ParseError, moved[exc.line] if moved else exc.line, exc.reason
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def _assert_respacing_reads_the_same(read, texts, seed):
+    rng = random.Random(seed)
+    for text in texts:
+        noisy, moved = _respaced(text, rng)
+        assert _read(read, noisy) == _read(read, text, moved), noisy
+
+
+def test_respaced_files_read_the_same(small_corpus):
+    # every drawing and witness file of the demos, and the map of every
+    # small_corpus drawing, each respaced five times
+    drawings = [path.read_text() for path in sorted(DEMO_OUT.iterdir())
+                if path.suffix in (".map", ".points", ".2p")]
+    drawings += [serialize(d, "map").decode() for _name, _n, d in small_corpus]
+    for seed in range(5):
+        _assert_respacing_reads_the_same(parse, drawings, seed)
+    k9 = parse((DEMO_OUT / "k9_cylindrical.map").read_bytes())
+    for seed in range(5):
+        _assert_respacing_reads_the_same(lambda text: parse_witness(text, k9),
+                                         [(DEMO_OUT / "k9.witness").read_text()], seed)
+        for name, lines in WITNESS_BASES:
+            drawing = WITNESS_DRAWINGS[name][0]
+            _assert_respacing_reads_the_same(lambda text: parse_witness(text, drawing),
+                                             ["\n".join(lines)], seed)
+
+
+def test_respaced_refusals_keep_their_line():
+    # the refusals built above, respaced: the same reason at the moved line
+    maps = (_line_mutations() + _corrupted_bits() + [text for text, _ in BAD_TOKENS]
+            + [text for text, _, _ in NEGATIVE_COUNTS] + HOSTILE_COUNTS
+            + [text.format(spell(value)) for text, _, value in INTEGER_SITES.values()
+               for spell in OTHER_INTEGER_SPELLINGS.values()])
+    assert sum(_read(parse, text)[0] is ParseError for text in maps) > len(maps) * 3 // 4
+    _assert_respacing_reads_the_same(parse, maps, 0)
+    convex6 = gen_convex(6)
+    _assert_respacing_reads_the_same(lambda text: parse_witness(text, convex6),
+                                     WITNESS_REFUSALS, 0)
