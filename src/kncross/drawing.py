@@ -22,26 +22,24 @@ the unbounded face of a geometric input is an ordinary face, merely
 remembered as the reference.
 
 `build_drawing` checks its input and nothing those checks imply, in
-this order: every bit is '+' or '-' and every edge has a path; every
-vertex rotation is a permutation of the other vertices; each path, in
-edge order, visits no crossing twice, then has its ids in range; the
-reference is a dart; every crossing is met by two distinct edge passes;
-V - E + F = 2; the drawing is good (no other code checks goodness).
-Each refusal is a `ValueError`, as is every refusal of input in the
-package.  A rotation, path or reference refusal is a `MapError` whose
-`part`, ("rot", u), ("e", u, v) or ("ref",), lets `parse` name its
-line, and comes first; a map that is not good gets `NotGoodDrawing`,
-which lists the violations.  The checks make succ a permutation, so
-every face walk closes, and the map of K_n is connected, so its dual
-is too.
+this order: the crossing count is not negative and every edge has a
+path; every vertex rotation is a permutation of the other vertices;
+each path, in edge order, visits no crossing twice, then has its ids in
+range; the reference is a dart; every crossing is met by two distinct
+edge passes; the drawing is good (no other code checks goodness); V - E
++ F = 2.  Each refusal is a `ValueError`, as is every refusal of input
+in the package.  A rotation, path or reference refusal is a `MapError`
+whose `part`, ("rot", u), ("e", u, v) or ("ref",), lets `parse` name
+its line, and comes first; a map that is not good gets
+`NotGoodDrawing`, which lists the violations.  The checks make succ a
+permutation, so every face walk closes, and the map of K_n is
+connected, so its dual is too.
 
-The orientation bits are redundant: the rotation system of a good
-drawing fixes its crossings (Kyncl 2011), so each bit is one lookup in
-the rotation at the least end of its crossing's four, the K_4 rule of
-`orientation_bits`, which needs every crossing met by two passes of
-vertex-disjoint edges and refuses any other.  Every generator derives
-its bits by that rule; `build_drawing` still takes them, and `parse`
-trusts a map's `x` lines.
+A map is its paths, rotations and reference: the rotation system of a
+good drawing fixes its crossings (Kyncl 2011), so `build_drawing`
+derives each crossing's orientation bit from the rotation at the least
+of its four ends (the K_4 rule in its docstring) and no caller passes
+one.  A map file's `x` lines are checked against the derived bits.
 
 succ and the per-dart tables live only during construction, and of
 the face walks only each face's first dart, to walk it again for the
@@ -77,8 +75,8 @@ affect faces).  A dart to a deleted vertex lies in a class some dart to
 a survivor also lies in, so the corner mask masked by the survivors is
 the incidence; a view grown from a parent runs only its new vertices'
 unions, and reads halve the paths of its table in place.  When a caller
-needs the map of D - X itself, `subdrawing` restricts the paths, bits
-and rotations of D and takes its reference face from a view.
+needs the map of D - X itself, `subdrawing` restricts the paths and
+rotations of D and takes its reference face from a view.
 """
 
 from __future__ import annotations
@@ -217,31 +215,45 @@ def edge_ids(n: int) -> Tuple[Tuple[int, ...], ...]:
 def build_drawing(
     n: int,
     edge_paths: Mapping[Tuple[int, int], Sequence[int]],
-    crossing_orientations: Sequence[str],
+    crossings: int,
     vertex_rotations: Sequence[Sequence[int]],
     reference: Tuple[int, int],
     geometry: Optional[Geometry] = None,
 ) -> Drawing:
-    """Assemble and validate a Drawing from its map description.
+    """Assemble and validate a Drawing from its paths and rotations.
 
-    `edge_paths` maps every pair u<v to the crossing ids met on the way
-    from u to v; `crossing_orientations[k]` is '+' when the rotation at
-    crossing k reads (first edge forward, second edge forward, first
-    edge backward, second edge backward) counterclockwise, where "first"
-    is the lexicographically smaller edge.  `reference` is a directed
-    pair (u, v): the reference face is to the left of the first dart of
-    that edge leaving u.  Construction raises ValueError on any
+    `edge_paths` maps every pair u<v to the crossing ids, 0 up to
+    `crossings` - 1, met on the way from u to v.  `reference` is a
+    directed pair (u, v): the reference face is to the left of the first
+    dart of that edge leaving u.  Construction raises ValueError on any
     inconsistency rather than producing a broken map, a MapError when a
     rotation, a path or the reference is at fault, and NotGoodDrawing on
-    a coherent map whose drawing is not good.
+    a map whose drawing is not good.
+
+    The orientation bit of crossing k is '+' when the rotation at the
+    crossing reads (first edge forward, second edge forward, first edge
+    backward, second edge backward) counterclockwise, where "first" is
+    the lexicographically smaller edge.  It is derived, by the K_4 rule:
+    for a crossing of edges ab < cd, a < b and c < d, the drawing being
+    good, a is the least of the four ends, and the bit is '+' exactly
+    when the rotation at a reads b, d, c counterclockwise.
+
+    Why it holds (Kyncl 2011): the four ends span a good drawing of K_4
+    whose rotations and whose crossing of ab and cd are those of the
+    whole drawing restricted to them; a good drawing of K_4 has no other
+    crossing.  Its planarization is the wheel with the crossing as hub
+    and rim a, c, b, d, which is 3-connected, so it embeds in the sphere
+    in one way up to a mirror image (Whitney).  In one image the crossing
+    reads b, d, a, c counterclockwise, the bit is '+', and a reads its
+    dart towards the crossing, on ab, then d, then c; the mirror image
+    reverses both.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if crossings < 0:
+        raise ValueError(f"negative crossing count {crossings}")
     edges = edge_list(n)
-    c = len(crossing_orientations)
-    for bit in crossing_orientations:
-        if bit not in ("+", "-"):
-            raise ValueError(f"bad orientation bit {bit!r}")
+    c = crossings
 
     paths: List[Tuple[int, ...]] = []
     for (u, v) in edges:
@@ -305,6 +317,15 @@ def build_drawing(
                 raise ValueError(
                     f"crossing {k} met by {passes} edge passes, expected 2")
 
+    # Goodness, before any bit: the K_4 rule reads two vertex-disjoint
+    # edges per crossing.  A pair of edges crossed twice shows in the set
+    # of pairs, an adjacent pair in the loop below; the full listing is
+    # made only to refuse.
+    crossed = [dart_edge[d] for pair in zip(first, second) for d in pair]
+    pairs = list(zip(crossed[::2], crossed[1::2]))
+    if len(set(pairs)) != c:
+        raise NotGoodDrawing(_goodness_violations(edges, pairs))
+
     # The face walk successor succ[d] = rot_next[d] ^ 1, rot_next[d]
     # being the dart after d counterclockwise around its origin, straight
     # from the vertex rotations and the crossings; d and succ[d] have one
@@ -316,26 +337,35 @@ def build_drawing(
     # every face.
     total = len(dart_edge)
     succ = [0] * total
-    for row, rot in zip(out_dart, rotations):
+    place = [[0] * n for _ in range(n)]  # place[u][w]: w's index in u's rotation
+    for row, at, rot in zip(out_dart, place, rotations):
         prev = row[rot[-1]]
-        for w in rot:
+        for i, w in enumerate(rot):
             d = row[w]
             succ[prev] = d ^ 1
             prev = d
-    for e, f, bit in zip(first, second, crossing_orientations):
+            at[w] = i
+    bits: List[str] = []
+    for e, f, (g, h) in zip(first, second, pairs):
+        (a, b), (x, y) = edges[g], edges[h]
+        if a == x or b == x or b == y:  # a <= x < y: the edges share an end
+            raise NotGoodDrawing(_goodness_violations(edges, pairs))
         # Crossing k ends segment p of an edge and starts segment p+1, so
         # the darts leaving it are e + 2 (forward along p+1) and e + 1
         # (backward along p), e being the forward dart of segment p and
         # e + 3 and e their twins.  Counterclockwise they read (e + 2,
         # f + 2, e + 1, f + 1) on '+' and (e + 2, f + 1, e + 1, f + 2) on
         # '-', and succ takes each to the twin of the next.  e is the first
-        # pass, so on the first edge: the paths are read in edge order.
-        if bit == "+":
+        # pass, so on the first edge ab: the paths are read in edge order.
+        at = place[a]
+        if (at[b] < at[y]) + (at[y] < at[x]) + (at[x] < at[b]) == 2:  # a reads b, y, x
+            bits.append("+")
             succ[e + 2] = f + 3
             succ[f + 2] = e
             succ[e + 1] = f
             succ[f + 1] = e + 3
         else:
+            bits.append("-")
             succ[e + 2] = f
             succ[f + 1] = e
             succ[e + 1] = f + 3
@@ -383,12 +413,12 @@ def build_drawing(
             if d == d0:
                 break
 
-    drawing = Drawing(
+    return Drawing(
         n=n,
         edges=edges,
         edge_paths=tuple(paths),
-        crossed_edges=tuple(dart_edge[d] for pair in zip(first, second) for d in pair),
-        orientation_bits=tuple(crossing_orientations),
+        crossed_edges=tuple(crossed),
+        orientation_bits=tuple(bits),
         vertex_rotations=tuple(rotations),
         dart_count=total,
         face_count=face_count,
@@ -398,55 +428,6 @@ def build_drawing(
         face_parity=tuple(parity),
         geometry=geometry,
     )
-    violations = _goodness_violations(
-        edges, zip(drawing.crossed_edges[::2], drawing.crossed_edges[1::2]))
-    if violations:
-        raise NotGoodDrawing(violations)
-    return drawing
-
-
-def orientation_bits(
-    n: int,
-    edge_paths: Mapping[Tuple[int, int], Sequence[int]],
-    vertex_rotations: Sequence[Sequence[int]],
-) -> Tuple[str, ...]:
-    """The orientation bit of every crossing of a good drawing of K_n, in
-    crossing id order, from its paths and rotations alone.
-
-    `edge_paths` is `build_drawing`'s, and every crossing id from 0 up to
-    the largest must be met by two passes of vertex-disjoint edges, or a
-    ValueError names the least that is not.  For a crossing of edges
-    ab < cd, a is then the least of the four ends, and the bit is '+'
-    exactly when these differ: b is the second or the fourth smallest end,
-    and a's rotation, read from the least of b, c and d, lists the three in
-    ascending order.
-
-    Why it holds (Kyncl 2011): the four ends span a good drawing of K_4
-    with at most one crossing, whose rotations and crossing are those of
-    the whole drawing restricted to them.  Of the 16 rotation systems of
-    K_4, exactly the 8 in which an even number of the four vertices list
-    their neighbours ascending, read from the least, are realizable, each
-    in exactly one way; the pair of edges that crosses picks b, and the
-    rotation at a then fixes the bit, as the rule reads it.
-    """
-    passes: Dict[int, List[Tuple[int, int]]] = {}
-    for edge in edge_list(n):
-        for k in edge_paths[edge]:
-            passes.setdefault(k, []).append(edge)
-    where = [{w: i for i, w in enumerate(rot)} for rot in vertex_rotations]
-    bits: List[str] = []
-    for k in range(len(passes)):
-        pair = passes.get(k, ())
-        # the pair is (a, b), (c, d) with a < b, c < d and a <= c, so a
-        # shared end is a == c or b in (c, d)
-        if len(pair) != 2 or pair[0][0] == pair[1][0] or pair[0][1] in pair[1]:
-            raise ValueError(f"crossing {k} is not met by two passes of vertex-disjoint edges")
-        (a, b), (c, d) = pair
-        x, y, z = sorted((b, c, d))
-        at = where[a]
-        ascending = (at[x] < at[y]) + (at[y] < at[z]) + (at[z] < at[x]) == 2
-        bits.append("+" if ascending != (b != y) else "-")
-    return tuple(bits)
 
 
 def _goodness_violations(edges: Sequence[Tuple[int, int]],
@@ -597,12 +578,13 @@ def subdrawing(drawing: Drawing, alive: int) -> Drawing:
     """The drawing on the vertices of the bitmask `alive`, from the map alone.
 
     The survivors are relabelled in ascending order, which keeps every
-    crossing's first and second edge and every path's direction, so each
-    crossing of two surviving edges keeps its orientation bit; rotations
-    are restricted.  The reference face is the class of the old one once
-    the other vertices are deleted, named by the least surviving dart
-    whose left face lies in it, and refused when no surviving dart has it
-    on its left.  `build_drawing` checks the result, which has no geometry.
+    crossing's first and second edge and every path's direction.  Paths
+    and rotations are restricted; a restricted rotation keeps the order
+    of its survivors, so each kept crossing keeps its orientation bit.
+    The reference face is the class of the old one once the other
+    vertices are deleted, named by the least surviving dart whose left
+    face lies in it, and refused when no surviving dart has it on its
+    left.  `build_drawing` checks the result, which has no geometry.
     """
     n = drawing.n
     if alive >> n:  # also true of every negative mask
@@ -620,12 +602,11 @@ def subdrawing(drawing: Drawing, alive: int) -> Drawing:
              for (u, v), path, on in zip(drawing.edges, drawing.edge_paths, live) if on}
     rotations = [[new[w] for w in drawing.vertex_rotations[u] if alive >> w & 1]
                  for u in keep]
-    bits = [drawing.orientation_bits[k] for k in kept]
     view = DeletionView(drawing, (1 << n) - 1 ^ alive)
     target = view.class_of(drawing.reference_face)
     for u, w in itertools.permutations(keep, 2):
         if view.class_of(drawing.face_left_of(u, w)) == target:
-            return build_drawing(len(keep), paths, bits, rotations, (new[u], new[w]))
+            return build_drawing(len(keep), paths, len(kept), rotations, (new[u], new[w]))
     raise ValueError(f"reference face {drawing.reference_face} touches no alive "
                      f"vertex once the others are deleted")
 

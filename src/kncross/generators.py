@@ -39,7 +39,6 @@ from .drawing import (
     TwoPageGeometry,
     build_drawing,
     edge_list,
-    orientation_bits,
 )
 from .geom import circle_point, point
 from .planarize import (
@@ -246,8 +245,8 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
         pages=tuple(zip(edges, pages)),
         positions=tuple(positions),
     )
-    return build_drawing(n, paths, orientation_bits(n, paths, rotations), rotations,
-                         (v0, rotations[v0][tops - 1]), geometry=geometry)
+    return build_drawing(n, paths, k, rotations, (v0, rotations[v0][tops - 1]),
+                         geometry=geometry)
 
 
 def twopage_all_top(n: int) -> TwoPageSpec:
@@ -397,6 +396,5 @@ def _assemble_cylindrical(
         angles=tuple(angles),
         lid_params=tuple(outer_params) + tuple(inner_params),
     )
-    return build_drawing(n, paths, orientation_bits(n, paths, rotations), rotations,
-                         (0, 1), geometry=geometry)
+    return build_drawing(n, paths, crossings, rotations, (0, 1), geometry=geometry)
 

@@ -2,18 +2,21 @@
 
 Three line-based UTF-8 formats share the header ``kncross v1`` and a
 ``format points|twopage|map`` tag.  Every reader takes a file's lines
-from `_lines`: a byte-order mark is ignored, '#' starts a comment and a
-line is its tokens, split at any run of whitespace.  The map format
-is the minimal information determining a spherical embedding: one
+from `_lines`: a leading byte-order mark is ignored, in bytes or text,
+'#' starts a comment and a line is its tokens, split at any run of
+whitespace.  The map format holds a spherical embedding: one
 counterclockwise rotation line per real vertex, the crossing ids along
 every edge path (from the smaller endpoint to the larger), one
 orientation bit per crossing, in `build_drawing`'s convention, and a
-reference dart.  Reference faces and witness faces are named by a
-directed pair ``u v``, read with `Drawing.face_left_of(u, v)` and
-written with `Drawing.face_dart`: the face to the left of the first dart
-of that edge leaving u.  A file that breaks its format is refused with
-a `ParseError`, a `ValueError` that names the line; a map only where
-`build_drawing`, its one judge, blames one line (see `_parse_map`).
+reference dart.  The bits are redundant, as `build_drawing` derives
+them from the rotations; the format keeps them, and a bit that is not
+the derived one is refused at its line.  Reference faces and witness
+faces are named by a directed pair ``u v``, read with
+`Drawing.face_left_of(u, v)` and written with `Drawing.face_dart`: the
+face to the left of the first dart of that edge leaving u.  A file that
+breaks its format is refused with a `ParseError`, a `ValueError` that
+names the line; a map only where `build_drawing`, its one judge, blames
+one line (see `_parse_map`).
 
 Serialization is canonical (crossings renumbered by first appearance
 along lexicographic edges, rotations started at the smallest neighbor,
@@ -46,7 +49,6 @@ from .drawing import (
     PointsGeometry,
     TwoPageGeometry,
     build_drawing,
-    orientation_bits,
 )
 from .geom import Point, proper_intersection
 from .planarize import planarize_points
@@ -72,9 +74,9 @@ class ParseError(ValueError):
 def _lines(data: Union[bytes, str], magic: str,
            truncated: str) -> List[Tuple[int, List[str]]]:
     """The one text layer of every reader: the number and the tokens of each
-    line that has any, comments stripped, a UTF-8 byte-order mark ignored.
+    line that has any, comments stripped, a leading byte-order mark ignored.
     The first must read `magic`; fewer than three are refused as `truncated`."""
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    text = (data.decode() if isinstance(data, bytes) else data).removeprefix("\ufeff")
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
@@ -149,10 +151,10 @@ def parse(data: Union[bytes, str]) -> Drawing:
                   "map": _parse_map}.get(fmt[1])
     if parse_body is None:
         raise ParseError(fmt_no, f"unknown format {fmt[1]!r}")
-    return parse_body(n, lines[3:])
+    return parse_body(n, no, lines[3:])
 
 
-def _parse_points(n: int, body: List[Tuple[int, List[str]]]) -> Drawing:
+def _parse_points(n: int, n_line: int, body: List[Tuple[int, List[str]]]) -> Drawing:
     points: Dict[int, Point] = {}
     for no, parts in body:
         if len(parts) != 4 or parts[0] != "v":
@@ -162,11 +164,11 @@ def _parse_points(n: int, body: List[Tuple[int, List[str]]]) -> Drawing:
             raise ParseError(no, f"bad or repeated vertex id {vid}")
         points[vid] = Point(_fraction(parts[2], no), _fraction(parts[3], no))
     if len(points) != n:
-        raise ParseError(body[-1][0] if body else 4, "missing vertex lines")
+        raise ParseError(body[-1][0] if body else n_line, "missing vertex lines")
     return planarize_points([points[i] for i in range(n)])
 
 
-def _parse_twopage(n: int, body: List[Tuple[int, List[str]]]) -> Drawing:
+def _parse_twopage(n: int, n_line: int, body: List[Tuple[int, List[str]]]) -> Drawing:
     order: Optional[Tuple[int, ...]] = None
     pages: Dict[Tuple[int, int], str] = {}
     for no, parts in body:
@@ -189,18 +191,20 @@ def _parse_twopage(n: int, body: List[Tuple[int, List[str]]]) -> Drawing:
         else:
             raise ParseError(no, f"unexpected line {' '.join(parts)!r}")
     if order is None:
-        raise ParseError(body[0][0] if body else 4, "order line missing or invalid")
+        raise ParseError(body[0][0] if body else n_line, "order line missing or invalid")
     if len(pages) != n * (n - 1) // 2:
-        raise ParseError(body[-1][0] if body else 4, "missing edge lines")
+        raise ParseError(body[-1][0], "missing edge lines")
     return gen_twopage(TwoPageSpec(order=order, pages=pages))
 
 
-def _parse_map(n: int, body: List[Tuple[int, List[str]]]) -> Drawing:
+def _parse_map(n: int, n_line: int, body: List[Tuple[int, List[str]]]) -> Drawing:
     """The body of a map file: each line checked alone, then the counts,
-    then `build_drawing` judges the map.  A `MapError` is named at its
-    part's line, of several faults the part met first (in a canonical
-    file the first in file order); an `x` id out of range at its first
-    line; a bit by `_refuse_bad_bit`; any other refusal at no line."""
+    then `build_drawing` judges the map, which derives every bit.  A
+    `MapError` is named at its part's line, of several faults the part
+    met first (in a canonical file the first in file order); an `x` id
+    out of range at its first line; any other refusal of the build at no
+    line.  A map that builds is refused at its first `x` line, in file
+    order, whose bit is not the derived one."""
     c: Optional[int] = None
     rotations: Dict[int, Tuple[int, ...]] = {}
     paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
@@ -247,7 +251,7 @@ def _parse_map(n: int, body: List[Tuple[int, List[str]]]) -> Drawing:
             ref = (_int(parts[1], no), _int(parts[2], no))
         else:
             raise ParseError(no, f"unexpected line {' '.join(parts)!r}")
-    last = body[-1][0] if body else 4
+    last = body[-1][0] if body else n_line
     if c is None:
         raise ParseError(last, "missing crossing count")
     # counts first: a header count far beyond the file's lines must not
@@ -264,14 +268,17 @@ def _parse_map(n: int, body: List[Tuple[int, List[str]]]) -> Drawing:
         raise ParseError(last, "missing ref line")
     if len(paths) != n * (n - 1) // 2:  # the lines are in range and distinct
         raise ParseError(last, "missing edge lines")
-    rots = [rotations[u] for u in range(n)]
     try:
-        drawing = build_drawing(n, paths, [bits[k] for k in ids], rots, ref)
+        drawing = build_drawing(n, paths, c, [rotations[u] for u in range(n)], ref)
     except MapError as exc:
         raise ParseError(_line_of(body, exc.part), str(exc)) from None
-    except ValueError:
-        _refuse_bad_bit(n, paths, bits, rots, ref, body)
-        raise
+    derived = drawing.orientation_bits
+    for k, bit in bits.items():  # in file order
+        if bit != derived[k]:
+            e, f = drawing.crossed_edges[2 * k:2 * k + 2]
+            ends = " ".join(map(str, sorted(drawing.edges[e] + drawing.edges[f])))
+            raise ParseError(_line_of(body, ("x", k)), f"orientation of crossing {k} "
+                                                       f"disagrees with the rotations at {ends}")
     # shared only now that every path id is checked: ids[-1] would read -1 as c-1
     return drawing._replace(edge_paths=tuple(tuple(map(ids.__getitem__, path))
                                              for path in drawing.edge_paths))
@@ -283,28 +290,6 @@ def _line_of(body: List[Tuple[int, List[str]]], part: Tuple[object, ...]) -> int
     kind, *ids = part
     return next(no for no, parts in body
                 if parts[0] == kind and list(map(int, parts[1:len(part)])) == ids)
-
-
-def _refuse_bad_bit(n: int, paths: Dict[Tuple[int, int], Tuple[int, ...]],
-                    bits: Dict[int, str], rotations: List[Tuple[int, ...]],
-                    ref: Tuple[int, int], body: List[Tuple[int, List[str]]]) -> None:
-    """Raise a ParseError at the first `x` line whose bit differs from the
-    one the rotations fix (`orientation_bits`), only when the map builds
-    with the rotations' bits, so exactly when changing bits alone makes it
-    a good drawing; a rotation or path fault keeps the build's refusal."""
-    try:
-        fixed = orientation_bits(n, paths, rotations)
-        drawing = build_drawing(n, paths, fixed, rotations, ref)
-    except ValueError:
-        return
-    if drawing.crossings < len(bits):  # an id no path names: no bit can fix it
-        return
-    for k, bit in bits.items():  # in file order
-        if bit != fixed[k]:
-            e, f = drawing.crossed_edges[2 * k:2 * k + 2]
-            ends = " ".join(map(str, sorted(drawing.edges[e] + drawing.edges[f])))
-            raise ParseError(_line_of(body, ("x", k)), f"orientation of crossing {k} "
-                                                       f"disagrees with the rotations at {ends}")
 
 
 # ---------------------------------------------------------------------------

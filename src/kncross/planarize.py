@@ -59,7 +59,7 @@ import itertools
 from math import lcm
 from typing import Any, List, NamedTuple, Sequence, Tuple
 
-from .drawing import Drawing, PointsGeometry, build_drawing, edge_ids, edge_list, orientation_bits
+from .drawing import Drawing, PointsGeometry, build_drawing, edge_ids, edge_list
 from .geom import Point
 
 IntPoint = Tuple[int, int]
@@ -228,7 +228,7 @@ def planarize_arrangement(points: Sequence[Point], arr: Arrangement) -> Drawing:
     return build_drawing(
         n=n,
         edge_paths=paths,
-        crossing_orientations=orientation_bits(n, paths, arr.vertex_orders),
+        crossings=len(arr.crossings),
         vertex_rotations=arr.vertex_orders,
         reference=(top, arr.vertex_orders[top][-1]),
         geometry=PointsGeometry(points=pts),

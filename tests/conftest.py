@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb
+from types import SimpleNamespace
 from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
@@ -54,7 +55,7 @@ def planar_k4() -> Drawing:
     """
     paths = {e: [] for e in itertools.combinations(range(4), 2)}
     rotations = [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1)]
-    return build_drawing(4, paths, [], rotations, reference=(1, 0))
+    return build_drawing(4, paths, 0, rotations, reference=(1, 0))
 
 
 @pytest.fixture(scope="session")
@@ -377,24 +378,24 @@ def reference_deletion_view(base: Drawing,
 def reference_build_drawing(
     n: int,
     edge_paths: Mapping[Tuple[int, int], Sequence[int]],
-    crossing_orientations: Sequence[str],
+    crossings: int,
     vertex_rotations: Sequence[Sequence[int]],
     reference: Tuple[int, int],
     geometry: Optional[Geometry] = None,
 ) -> Drawing:
     """`build_drawing` with per-dart closures, a sorted edge pair per
-    crossing and the face orbits kept as tuples: the slow path of the
-    out-dart table.  Raises what `build_drawing` raises, with the same
-    messages, and keeps each rotation from its least neighbour, as
-    `build_drawing` does.  Its own table of the face left of every first
-    dart is asserted equal to `face_left_of`, which reads `dart_faces`."""
+    crossing, restricted rotations for the bits and the face orbits kept
+    as tuples: the slow path of the out-dart table and the K_4 rule.
+    Raises what `build_drawing` raises, with the same messages, and keeps
+    each rotation from its least neighbour, as `build_drawing` does.  Its
+    own table of the face left of every first dart is asserted equal to
+    `face_left_of`, which reads `dart_faces`."""
     if n < 3:
         raise ValueError("need n >= 3")
+    if crossings < 0:
+        raise ValueError(f"negative crossing count {crossings}")
     edges = list(itertools.combinations(range(n), 2))
-    c = len(crossing_orientations)
-    for bit in crossing_orientations:
-        if bit not in ("+", "-"):
-            raise ValueError(f"bad orientation bit {bit!r}")
+    c = crossings
 
     paths: List[Tuple[int, ...]] = []
     for (u, v) in edges:
@@ -431,6 +432,14 @@ def reference_build_drawing(
             raise ValueError(
                 f"crossing {k} met by {len(us)} edge passes, expected 2")
 
+    # goodness before the bits, which the K_4 rule reads off two disjoint edges
+    crossed_edges = tuple(
+        e for us in usage for e in (min(us[0][0], us[1][0]), max(us[0][0], us[1][0])))
+    violations = goodness_violations(SimpleNamespace(edges=edges, crossed_edges=crossed_edges))
+    if violations:
+        raise NotGoodDrawing(violations)
+    bits = rotation_bits(edges, crossed_edges, vertex_rotations)
+
     # dart layout: per edge, (forward, backward) per segment
     dart_base: List[int] = []
     total = 0
@@ -466,7 +475,7 @@ def reference_build_drawing(
         e_bwd = fwd(e1, p1) + 1
         f_fwd = fwd(e2, p2 + 1)
         f_bwd = fwd(e2, p2) + 1
-        if crossing_orientations[k] == "+":
+        if bits[k] == "+":
             cycle = (e_fwd, f_fwd, e_bwd, f_bwd)
         else:
             cycle = (e_fwd, f_bwd, e_bwd, f_fwd)
@@ -514,8 +523,6 @@ def reference_build_drawing(
         tuple(dart_face[first_dart(u, w)] if w != u else -1 for w in range(n))
         for u in range(n)
     )
-    crossed_edges = tuple(
-        e for us in usage for e in (min(us[0][0], us[1][0]), max(us[0][0], us[1][0])))
 
     # dual walk from face 0: stepping across a segment of edge e flips bit
     # e.  The darts of a face's orbit have it on their right, so each leads
@@ -540,7 +547,7 @@ def reference_build_drawing(
         edges=tuple(edges),
         edge_paths=tuple(paths),
         crossed_edges=crossed_edges,
-        orientation_bits=tuple(crossing_orientations),
+        orientation_bits=tuple(bits),
         vertex_rotations=tuple(_canon(r) for r in vertex_rotations),
         dart_count=total,
         face_count=len(face_darts),
@@ -551,10 +558,26 @@ def reference_build_drawing(
     )
     assert all(out_left[u][w] == drawing.face_left_of(u, w)
                for u, w in itertools.permutations(range(n), 2))
-    violations = goodness_violations(drawing)
-    if violations:
-        raise NotGoodDrawing(violations)
     return drawing
+
+
+def rotation_bits(edges, crossed_edges, vertex_rotations) -> Tuple[str, ...]:
+    """The orientation bit of every crossing of a good drawing from its
+    rotations: the slow path of the K_4 rule in `build_drawing`.  For a
+    crossing of edges ab < cd, the rotation at a, the least end, is
+    restricted to b, c and d and read from the least of them, as
+    `rotation_crossings` restricts, and the bit is '+' exactly when these
+    differ: the three read ascending, and b is the second or the fourth
+    smallest of the four ends."""
+    bits = []
+    for e1, e2 in zip(crossed_edges[::2], crossed_edges[1::2]):
+        (a, b), (c, d) = edges[e1], edges[e2]
+        others = sorted((b, c, d))
+        restricted = [w for w in vertex_rotations[a] if w in others]
+        start = restricted.index(others[0])
+        ascending = restricted[start:] + restricted[:start] == others
+        bits.append("+" if ascending != (b != others[1]) else "-")
+    return tuple(bits)
 
 
 def goodness_violations(drawing: Drawing) -> Tuple[GoodnessViolation, ...]:
@@ -674,8 +697,9 @@ def flip_triangle(drawing: Drawing, triangle: FrozenSet[int]) -> Drawing:
     across the crossing of the other two (a Reidemeister III move): on
     each of the three paths the triangle's two crossings are adjacent and
     trade places, and every orientation bit stays.  `build_drawing`
-    rebuilds the map without geometry; the same crossings bound a face of
-    the result, so flipping them again restores the map."""
+    rebuilds the map without geometry, deriving the bits anew; the same
+    crossings bound a face of the result, so flipping them again restores
+    the map."""
     paths = {}
     for edge, path in zip(drawing.edges, drawing.edge_paths):
         spots = [i for i, k in enumerate(path) if k in triangle]
@@ -685,8 +709,7 @@ def flip_triangle(drawing: Drawing, triangle: FrozenSet[int]) -> Drawing:
             assert j == i + 1, "a side of the triangle is not one segment"
             path[i], path[j] = path[j], path[i]
         paths[edge] = path
-    return build_drawing(drawing.n, paths, drawing.orientation_bits,
-                         drawing.vertex_rotations,
+    return build_drawing(drawing.n, paths, drawing.crossings, drawing.vertex_rotations,
                          drawing.face_dart(drawing.reference_face))
 
 

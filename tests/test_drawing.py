@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-import re
 from math import comb
 from types import SimpleNamespace
 
@@ -18,7 +17,6 @@ from kncross.drawing import (
     build_drawing,
     edge_ids,
     edge_list,
-    orientation_bits,
     rotation_key,
     subdrawing,
 )
@@ -48,6 +46,7 @@ from conftest import (
     reference_deletion_view,
     reference_rotation_key,
     regenerate_subdrawing,
+    rotation_bits,
     rotation_crossings,
     shuffled_twopage_spec,
     vertex_mask,
@@ -81,46 +80,44 @@ def _k4_paths(changes=()):
     return paths
 
 
-# build_drawing arguments (n, paths, bits, rotations, reference) of maps
-# that construction refuses
+# build_drawing arguments (n, paths, crossings, rotations, reference) of
+# maps that construction refuses
 MALFORMED = {
     # two neighbors swapped in one rotation: the map no longer embeds in the sphere
-    "euler": (4, _k4_paths(), [], [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 1, 0)], (1, 0)),
+    "euler": (4, _k4_paths(), 0, [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 1, 0)], (1, 0)),
     # crossing 0 met by only one edge
-    "degree": (4, _k4_paths({(0, 2): [0]}), ["+"], K4_ROTATIONS, (1, 0)),
-    "revisit": (4, _k4_paths({(0, 2): [0, 0]}), ["+"], K4_ROTATIONS, (1, 0)),
+    "degree": (4, _k4_paths({(0, 2): [0]}), 1, K4_ROTATIONS, (1, 0)),
+    "revisit": (4, _k4_paths({(0, 2): [0, 0]}), 1, K4_ROTATIONS, (1, 0)),
     # K3 with edges (0,1) and (1,2) crossing once; rotations at degree-2
-    # vertices are forced, so only the crossing bit is free
-    "adjacent+": (3, {(0, 1): [0], (0, 2): [], (1, 2): [0]}, ["+"],
-                  [(1, 2), (0, 2), (0, 1)], (0, 1)),
-    "adjacent-": (3, {(0, 1): [0], (0, 2): [], (1, 2): [0]}, ["-"],
-                  [(1, 2), (0, 2), (0, 1)], (0, 1)),
+    # vertices are forced
+    "adjacent": (3, {(0, 1): [0], (0, 2): [], (1, 2): [0]}, 1,
+                 [(1, 2), (0, 2), (0, 1)], (0, 1)),
     # 0=(0,0), 1=(0,4), 2=(3,1), 3=(3,3); all edges straight except (0,1),
     # which heads right, crosses (2,3) twice (out and back), then crosses
     # (0,3) once on its way up to vertex 1
     "double": (4, _k4_paths({(0, 1): [0, 1, 2], (2, 3): [0, 1], (0, 3): [2]}),
-               ["+", "-", "-"], [(2, 1, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2)], (2, 0)),
-    "bad-bit": (4, _k4_paths(), ["*"], K4_ROTATIONS, (1, 0)),
+               3, [(2, 1, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2)], (2, 0)),
+    "negative-crossings": (4, _k4_paths(), -1, K4_ROTATIONS, (1, 0)),
     "missing-path": (4, {e: [] for e in itertools.combinations(range(4), 2)
-                         if e != (1, 3)}, [], K4_ROTATIONS, (1, 0)),
-    "crossing-id": (4, _k4_paths({(0, 2): [3]}), ["+"], K4_ROTATIONS, (1, 0)),
-    "rotation": (4, _k4_paths(), [], [(1, 3, 2), (2, 3, 0), (0, 3, 3), (2, 0, 1)], (1, 0)),
-    "reference": (4, _k4_paths(), [], K4_ROTATIONS, (1, 1)),
+                         if e != (1, 3)}, 0, K4_ROTATIONS, (1, 0)),
+    "crossing-id": (4, _k4_paths({(0, 2): [3]}), 1, K4_ROTATIONS, (1, 0)),
+    "rotation": (4, _k4_paths(), 0, [(1, 3, 2), (2, 3, 0), (0, 3, 3), (2, 0, 1)], (1, 0)),
+    "reference": (4, _k4_paths(), 0, K4_ROTATIONS, (1, 1)),
     # crossing 1 met by three passes, crossing 0 by one: the least is named
     "degree-least": (4, _k4_paths({(0, 1): [1], (0, 2): [1], (1, 3): [1], (2, 3): [0]}),
-                     ["+", "+"], K4_ROTATIONS, (1, 0)),
+                     2, K4_ROTATIONS, (1, 0)),
     # crossing 0 met by three passes, crossing 1 by one
     "degree-crowded": (4, _k4_paths({(0, 1): [0], (0, 2): [0], (1, 3): [0], (2, 3): [1]}),
-                       ["+", "+"], K4_ROTATIONS, (1, 0)),
+                       2, K4_ROTATIONS, (1, 0)),
     # a third pass of crossing 0, then an id out of range on a later edge
     "crowded-then-id": (4, _k4_paths({(0, 1): [0], (0, 2): [0], (0, 3): [0], (1, 2): [5]}),
-                        ["+"], K4_ROTATIONS, (1, 0)),
+                        1, K4_ROTATIONS, (1, 0)),
     # an id out of range before the revisit on the same edge
-    "id-then-revisit": (4, _k4_paths({(0, 2): [3, 0, 0]}), ["+"], K4_ROTATIONS, (1, 0)),
+    "id-then-revisit": (4, _k4_paths({(0, 2): [3, 0, 0]}), 1, K4_ROTATIONS, (1, 0)),
     # a path for a pair that is not an edge of K_4
-    "extra-path": (4, _k4_paths({(0, 4): []}), [], K4_ROTATIONS, (1, 0)),
-    "rotation-count": (4, _k4_paths(), [], K4_ROTATIONS[:3], (1, 0)),
-    "small-n": (2, {(0, 1): []}, [], [(1,), (0,)], (0, 1)),
+    "extra-path": (4, _k4_paths({(0, 4): []}), 0, K4_ROTATIONS, (1, 0)),
+    "rotation-count": (4, _k4_paths(), 0, K4_ROTATIONS[:3], (1, 0)),
+    "small-n": (2, {(0, 1): []}, 0, [(1,), (0,)], (0, 1)),
 }
 
 
@@ -159,18 +156,19 @@ def test_crossing_counts_by_family():
 
 
 def test_adjacent_cross_detected():
-    # one orientation embeds in the sphere; that map is refused as not good
+    # refused before any bit is derived: the K_4 rule needs disjoint edges
     with pytest.raises(NotGoodDrawing) as caught:
-        for bit in "+-":
-            try:
-                build_drawing(*MALFORMED["adjacent" + bit])
-            except ValueError as exc:
-                if not re.search(MAP_REFUSALS["euler"], str(exc)):
-                    raise
+        build_drawing(*MALFORMED["adjacent"])
     violations = caught.value.violations
     assert violations
     assert any(v.kind == "adjacent_cross" for v in violations)
     assert "adjacent_cross" in str(caught.value)
+
+
+def test_negative_crossing_count_refused():
+    with pytest.raises(ValueError) as caught:
+        build_drawing(*MALFORMED["negative-crossings"])
+    assert (type(caught.value), str(caught.value)) == (ValueError, "negative crossing count -1")
 
 
 def test_double_cross_detected():
@@ -247,8 +245,14 @@ def test_subdrawing_matches_regenerated_oracle(small_corpus):
     for drawing in drawings:
         n = drawing.n
         assert serialize(subdrawing(drawing, (1 << n) - 1), "map") == serialize(drawing, "map")
+        crossed = drawing.crossed_edges
         for alive in _alive_masks(rng, n, 16):
             sub = subdrawing(drawing, alive)
+            # the derived bits restrict the parent's
+            live = [alive >> u & alive >> v & 1 for u, v in drawing.edges]
+            assert sub.orientation_bits == tuple(
+                bit for bit, e, f in zip(drawing.orientation_bits, crossed[::2], crossed[1::2])
+                if live[e] and live[f])
             oracle, _ = regenerate_subdrawing(
                 drawing, {v for v in range(n) if alive >> v & 1})
             if isinstance(drawing.geometry, CylindricalGeometry):
@@ -283,7 +287,10 @@ def test_deletion_views_of_map_only_drawings(small_corpus):
     for drawing in starts:
         for _step in range(4):
             triangles = crossing_triangles(drawing)
-            drawing = flip_triangle(drawing, triangles[rng.below(len(triangles))])
+            flipped = flip_triangle(drawing, triangles[rng.below(len(triangles))])
+            # the derived bits are the ones the move keeps, as it claims
+            assert flipped.orientation_bits == drawing.orientation_bits
+            drawing = flipped
             drawings.append(drawing)
     checked = 0
     for drawing in drawings:
@@ -418,12 +425,13 @@ def test_k4_census_crossed_equals_crossing_count(small_corpus):
 
 def test_k4_rotation_systems_fix_crossing_and_bit():
     # Kyncl's theorem on K_4: of its 16 rotation systems exactly the 8
-    # even ones are realizable, each by exactly one of the 7 crossing
-    # choices; the rule and the oracle read that choice off the rotations
+    # even ones are realizable, each by exactly one of the 4 crossing
+    # choices with the bit the rule derives, which a wrong rule would
+    # make fail; the oracles read the same choice and bit off the rotations
     edges = edge_list(4)
-    choices = [(None, None)] + [((e, f), bit) for e, f in itertools.combinations(edges, 2)
-                                if not set(e) & set(f) for bit in "+-"]
-    assert len(choices) == 7
+    choices = [()] + [(e, f) for e, f in itertools.combinations(edges, 2)
+                      if not set(e) & set(f)]
+    assert len(choices) == 4
     realizable = 0
     for flips in itertools.product((0, 1), repeat=4):
         rotations = []
@@ -431,17 +439,15 @@ def test_k4_rotation_systems_fix_crossing_and_bit():
             others = [w for w in range(4) if w != v]
             rotations.append(tuple(others[::-1] if flip else others))
         built = []
-        for pair, bit in choices:
-            paths = _k4_paths({edge: [0] for edge in pair or ()})
-            bits = [bit] if bit else []
-            try:
-                built.append((build_drawing(4, paths, bits, rotations, (0, 1)), paths))
-            except ValueError:
-                pass
+        for pair in choices:
+            args = (4, _k4_paths({edge: [0] for edge in pair}), len(pair) // 2, rotations, (0, 1))
+            outcome = build_outcome(build_drawing, *args)
+            assert outcome == build_outcome(reference_build_drawing, *args)
+            if not isinstance(outcome[0], type):
+                built.append(build_drawing(*args))
         assert len(built) == (sum(flips) % 2 == 0), flips
-        for drawing, paths in built:
+        for drawing in built:
             realizable += 1
-            assert orientation_bits(4, paths, rotations) == drawing.orientation_bits
             assert rotation_crossings(rotations) == set(
                 zip(drawing.crossed_edges[::2], drawing.crossed_edges[1::2]))
     assert realizable == 8
@@ -456,24 +462,27 @@ def rule_corpus(small_corpus):
 
 
 def test_orientation_bits_derived_from_rotations(rule_corpus):
+    # the build's bits are the oracle's, each read off a restricted rotation
     for drawing in rule_corpus:
-        paths = dict(zip(drawing.edges, drawing.edge_paths))
-        assert (orientation_bits(drawing.n, paths, drawing.vertex_rotations)
+        assert (rotation_bits(drawing.edges, drawing.crossed_edges, drawing.vertex_rotations)
                 == drawing.orientation_bits)
 
 
-@pytest.mark.parametrize("changes, k", [
-    ({(0, 1): [0], (0, 2): [0]}, 0),
-    ({(0, 2): [0]}, 0),
-    ({(0, 1): [0], (0, 2): [0], (2, 3): [0]}, 0),
-    ({(0, 2): [0], (1, 3): [0], (0, 3): [2], (1, 2): [2]}, 1),
+@pytest.mark.parametrize("changes, crossings, refusal", [
+    ({(0, 1): [0], (0, 2): [0]}, 1, "not a good drawing: adjacent_cross of edges 0-1 and 0-2"),
+    ({(0, 2): [0]}, 1, "crossing 0 met by 1 edge passes, expected 2"),
+    ({(0, 1): [0], (0, 2): [0], (2, 3): [0]}, 1, "crossing 0 met by 3 edge passes, expected 2"),
+    ({(0, 2): [0], (1, 3): [0], (0, 3): [2], (1, 2): [2]}, 3,
+     "crossing 1 met by 0 edge passes, expected 2"),
 ], ids=["adjacent", "met-once", "met-thrice", "id-gap"])
-def test_orientation_bits_refuses_a_crossing_without_two_disjoint_passes(changes, k):
-    # the rule reads the ends of two vertex-disjoint edges per crossing id
+def test_orientation_bits_refuses_a_crossing_without_two_disjoint_passes(changes, crossings,
+                                                                         refusal):
+    # the rule reads the ends of two vertex-disjoint edges per crossing id,
+    # so `build_drawing` refuses any other crossing before it derives a bit
     rotations = [tuple(w for w in range(4) if w != v) for v in range(4)]
     with pytest.raises(ValueError) as caught:
-        orientation_bits(4, _k4_paths(changes), rotations)
-    assert str(caught.value) == f"crossing {k} is not met by two passes of vertex-disjoint edges"
+        build_drawing(4, _k4_paths(changes), crossings, rotations, (0, 1))
+    assert str(caught.value) == refusal
 
 
 def test_rotation_crossings_match_crossed_edges(rule_corpus):
@@ -512,7 +521,7 @@ def test_faces_named_by_darts(small_corpus):
 def map_arguments(drawing):
     """build_drawing arguments that describe `drawing`."""
     paths = {edge: drawing.edge_paths[eid] for eid, edge in enumerate(drawing.edges)}
-    return (drawing.n, paths, drawing.orientation_bits, drawing.vertex_rotations,
+    return (drawing.n, paths, drawing.crossings, drawing.vertex_rotations,
             drawing.face_dart(drawing.reference_face), drawing.geometry)
 
 
@@ -573,11 +582,11 @@ def test_rotations_are_stored_from_their_least_neighbour(small_corpus):
     drawings += [gen_twopage(twopage_all_top(n)) for n in range(4, 10)]
     for drawing in drawings:
         assert all(row[0] == min(row) for row in drawing.vertex_rotations)
-        n, paths, bits, rotations, ref, geometry = map_arguments(drawing)
+        n, paths, crossings, rotations, ref, geometry = map_arguments(drawing)
         built = build_outcome(lambda: drawing)
         for shift in range(1, n - 1):
             shifted = [list(row[shift:] + row[:shift]) for row in rotations]
-            assert build_outcome(build_drawing, n, paths, bits, shifted, ref, geometry) == built
+            assert build_outcome(build_drawing, n, paths, crossings, shifted, ref, geometry) == built
 
 
 def test_edges_are_one_tuple_per_n_indexed_by_edge_ids(oracle_corpus, tmp_path):

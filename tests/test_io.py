@@ -285,14 +285,15 @@ def test_swapped_rotation_blames_no_bit():
 
 
 @pytest.mark.parametrize("edits, refusal", [
-    # rotation 0 permuted: the rotations' own bit does not build it either
-    ({"rot 0 : 1 3 4 2": "rot 0 : 1 3 2 4", "x 0 : +": "x 0 : -"}, "V-E+F = 6-12+4 != 2"),
+    # rotation 0 permuted: the map with the rotations' own bit breaks
+    # Euler's formula, and that refusal is reported
+    ({"rot 0 : 1 3 4 2": "rot 0 : 1 3 2 4", "x 0 : +": "x 0 : -"}, "V-E+F = 6-12+6 != 2"),
     # a second crossing that no path meets
     ({"c 1": "c 2", "x 0 : +": "x 0 : -\nx 1 : +"}, "crossing 1 met by 0 edge passes, expected 2"),
 ], ids=["rotation", "unmet-crossing"])
 def test_bit_and_other_fault_keeps_the_build_refusal(edits, refusal):
-    # cylindrical K_5 with its one bit flipped and another fault: changing
-    # bits alone cannot mend it, so no `x` line is named
+    # cylindrical K_5 with its one bit flipped and another fault: the map
+    # built with the derived bits is refused, so no `x` line is named
     lines = serialize(gen_cylindrical(5), "map").decode().splitlines()
     assert set(edits) <= set(lines)
     with pytest.raises(ValueError) as caught:
@@ -323,8 +324,7 @@ def test_swapped_path_names_a_bit_exactly_when_bits_alone_mend_it():
     named = 0
     for text_lines, paths in variants:
         try:
-            reference_build_drawing(7, paths, drawing.orientation_bits,
-                                    drawing.vertex_rotations, ref)
+            reference_build_drawing(7, paths, drawing.crossings, drawing.vertex_rotations, ref)
             mendable = True
         except ValueError:
             mendable = False
@@ -409,8 +409,13 @@ def _line_mutations():
 
 def test_mutated_maps_refused_as_reference_build_refuses(monkeypatch):
     # every mutated or corrupted map reaches the same outcome, down to the
-    # exception class and message, through either map assembly
-    texts = _line_mutations() + list(_corrupted_bits())
+    # exception class and message, through either map assembly; a flipped
+    # bit is judged after the build, so a swapped rotation stands in for
+    # the corrupted bits' Euler refusals
+    blob = serialize(gen_cylindrical(6), "map").decode()
+    swapped = blob.replace("rot 0 : 1 3 5 4 2", "rot 0 : 3 1 5 4 2")
+    assert swapped != blob
+    texts = _line_mutations() + list(_corrupted_bits()) + [swapped]
     build, raised = kncross.io.build_drawing, []
 
     def recording_build(*args):
@@ -613,14 +618,27 @@ BOM = b"\xef\xbb\xbf"
     (gen_convex(5), "points"), (gen_twopage(twopage_all_top(5)), "twopage"),
     (gen_cylindrical(7), "map")], ids=["points", "twopage", "map"])
 def test_byte_order_mark_ignored(drawing, fmt):
-    # a file saved with a UTF-8 byte-order mark reads as the file without it;
-    # the writers emit none
+    # a file saved with a UTF-8 byte-order mark reads as the file without it,
+    # also once decoded to text with plain UTF-8; the writers emit none
     blob = serialize(drawing, fmt)
     assert not blob.startswith(BOM)
-    assert parse(BOM + blob) == parse(blob)
+    assert parse(BOM + blob) == parse((BOM + blob).decode()) == parse(blob)
     witness = serialize_witness(drawing, check_bishellable(drawing))
     assert not witness.startswith(BOM)
-    assert parse_witness(BOM + witness, drawing) == parse_witness(witness, drawing)
+    assert (parse_witness(BOM + witness, drawing) == parse_witness((BOM + witness).decode(), drawing)
+            == parse_witness(witness, drawing))
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ("# a\n\n# b\nkncross v1\nformat points\nn 3\n", "line 6: missing vertex lines"),
+    ("\n" * 6 + "kncross v1\nformat twopage\nn 3\n", "line 9: order line missing or invalid"),
+    ("kncross v1\nformat map\nn 4\n", "line 3: missing crossing count"),
+], ids=["points", "twopage", "map"])
+def test_empty_body_refused_at_the_n_line(text, refusal):
+    # a file that ends at its header is refused at the `n` line, a line it has
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert str(caught.value) == refusal
 
 
 def test_byte_order_mark_ignored_by_the_cli(tmp_path, capsys):
