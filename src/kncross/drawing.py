@@ -114,7 +114,9 @@ class NotGoodDrawing(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# geometry provenance carried by drawings that came from coordinates
+# geometry provenance: the coordinates of a points or two-page drawing,
+# which the pictures and the points and twopage formats read.  Every
+# other drawing, a tin can's included, is its map alone and has None.
 # ---------------------------------------------------------------------------
 
 
@@ -126,13 +128,6 @@ class TwoPageGeometry(NamedTuple):
     order: Tuple[int, ...]                       # spine order, left to right
     pages: Tuple[Tuple[Tuple[int, int], str], ...]  # ((u,v), "T"|"B") sorted
     positions: Tuple  # x coordinate per vertex id (Fractions)
-
-
-class CylindricalGeometry(NamedTuple):
-    outer: Tuple[int, ...]      # vertex ids on the outer circle, ccw
-    inner: Tuple[int, ...]      # vertex ids on the inner circle, ccw
-    angles: Tuple               # angle in turns per vertex id (Fractions)
-    lid_params: Tuple           # circle_point parameter per vertex id
 
 
 Geometry = object  # one of the provenance classes above, or None
@@ -184,6 +179,8 @@ class Drawing(NamedTuple):
     def face_dart(self, face: int) -> Tuple[int, int]:
         """The least dart (u, v) whose left face is `face`, the pair that
         names the face in files; a face no vertex touches has none."""
+        if not 0 <= face < self.face_count:
+            raise ValueError(f"face {face} out of range")
         for u, v in itertools.permutations(range(self.n), 2):
             if self.face_left_of(u, v) == face:
                 return (u, v)

@@ -14,7 +14,10 @@ Vertex angles, spine positions and disk coordinates carry small
 distinct rational perturbations; whenever a DegenerateInput survives (two
 coincident angles, a half-turn side edge, two crossings at one parameter
 as `planarize.crossing_path` refuses them, three concurrent chords) the
-whole construction retries with smaller perturbations.
+whole construction retries with smaller perturbations.  The tin can's
+angles and lid parameters are a function of (n, attempt),
+`_cylindrical_parameters`, written nowhere else; the drawing keeps none
+of them, so its geometry is None, as a parsed map's is.
 
 Random point sets are drawn in one seeded retry loop,
 `_random_arrangement`, which returns the integer points with their
@@ -34,7 +37,6 @@ from math import floor
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .drawing import (
-    CylindricalGeometry,
     Drawing,
     TwoPageGeometry,
     build_drawing,
@@ -285,6 +287,25 @@ def _side_crossing(d0: Fraction, slope: Fraction) -> Optional[Fraction]:
     return (level - d0) / slope
 
 
+def _cylindrical_parameters(n: int, attempt: int) -> Tuple[List[Fraction], ...]:
+    """The four lists `_assemble_cylindrical` takes for the tin can K_n at
+    retry `attempt`: outer and inner vertex angles, in turns, then outer
+    and inner lid parameters, for `circle_point`.
+
+    Perturbation multipliers are powers of 3: linear-in-index offsets
+    would keep angle differences translation invariant and preserve the
+    symmetric coincidences of the regular construction.
+    """
+    m_outer, m_inner = (n + 1) // 2, n // 2
+    eps = Fraction(1, 1000 * n ** 3 * 3 ** (n + 2) * 5 ** attempt)
+    lid_base = 10_000 * 3 ** attempt
+    lids = [Fraction(i) + Fraction((i + 1) ** 2, lid_base) for i in range(m_outer)]
+    return ([Fraction(i, m_outer) + 3 ** (i + 1) * eps for i in range(m_outer)],
+            [Fraction(2 * j + 1, 2 * m_inner) + 3 ** (m_outer + j + 1) * eps
+             for j in range(m_inner)],
+            lids, lids[:m_inner])
+
+
 def gen_cylindrical(n: int) -> Drawing:
     """Tin can drawing: ceil(n/2) outer and floor(n/2) inner vertices.
 
@@ -294,25 +315,9 @@ def gen_cylindrical(n: int) -> Drawing:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    m_outer = (n + 1) // 2
-    m_inner = n // 2
     for attempt in range(30):
-        # Perturbation multipliers are powers of 3: linear-in-index offsets
-        # would keep angle differences translation invariant and preserve
-        # the symmetric coincidences of the regular construction.
-        eps = Fraction(1, 1000 * n ** 3 * 3 ** (n + 2) * 5 ** attempt)
-        lid_base = 10_000 * 3 ** attempt
-        outer_angles = [Fraction(i, m_outer) + 3 ** (i + 1) * eps
-                        for i in range(m_outer)]
-        inner_angles = [Fraction(2 * j + 1, 2 * m_inner) + 3 ** (m_outer + j + 1) * eps
-                        for j in range(m_inner)]
-        outer_params = [Fraction(i) + Fraction((i + 1) ** 2, lid_base)
-                        for i in range(m_outer)]
-        inner_params = [Fraction(j) + Fraction((j + 1) ** 2, lid_base)
-                        for j in range(m_inner)]
         try:
-            return _assemble_cylindrical(
-                outer_angles, inner_angles, outer_params, inner_params)
+            return _assemble_cylindrical(*_cylindrical_parameters(n, attempt))
         except DegenerateInput:
             continue
     raise RuntimeError("could not resolve cylindrical degeneracies")
@@ -390,11 +395,5 @@ def _assemble_cylindrical(
         chords = [M + (j + d) % m for d in range(1, m)]
         rotations.append(tuple(sides + chords))
 
-    geometry = CylindricalGeometry(
-        outer=tuple(range(M)),
-        inner=tuple(range(M, n)),
-        angles=tuple(angles),
-        lid_params=tuple(outer_params) + tuple(inner_params),
-    )
-    return build_drawing(n, paths, crossings, rotations, (0, 1), geometry=geometry)
+    return build_drawing(n, paths, crossings, rotations, (0, 1))
 

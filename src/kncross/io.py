@@ -3,6 +3,7 @@
 Three line-based UTF-8 formats share the header ``kncross v1`` and a
 ``format points|twopage|map`` tag.  Every reader takes a file's lines
 from `_lines`: a leading byte-order mark is ignored, in bytes or text,
+a line ends only at a line feed, a carriage return or the two together,
 '#' starts a comment and a line is its tokens, split at any run of
 whitespace.  The map format holds a spherical embedding: one
 counterclockwise rotation line per real vertex, the crossing ids along
@@ -23,8 +24,8 @@ along lexicographic edges, rotations started at the smallest neighbor,
 reduced rationals printed as p/q), so equal maps produce equal bytes.
 
 Files are written through `write_file`: a temporary file beside the
-target, renamed over it only once the write has succeeded, so a failed
-write leaves an existing file unchanged.
+target, its symbolic links resolved, renamed over it only once the write
+has succeeded, so a failed write leaves an existing file unchanged.
 
 Every drawing has a picture, and SVG pictures have one writer,
 `_picture`.  Point sets and two-page books draw their own geometry; any
@@ -75,10 +76,13 @@ def _lines(data: Union[bytes, str], magic: str,
            truncated: str) -> List[Tuple[int, List[str]]]:
     """The one text layer of every reader: the number and the tokens of each
     line that has any, comments stripped, a leading byte-order mark ignored.
-    The first must read `magic`; fewer than three are refused as `truncated`."""
+    A line ends only at a line feed, a carriage return or the two together,
+    not at the other breaks `str.splitlines` knows.  The first must read
+    `magic`; fewer than three are refused as `truncated`."""
     text = (data.decode() if isinstance(data, bytes) else data).removeprefix("\ufeff")
     out = []
-    for no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for no, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             out.append((no, tokens))
@@ -472,13 +476,22 @@ def svg_document(drawing: Drawing) -> str:
 def write_file(path: str, data: bytes) -> None:
     """Write `data` to `path`, or leave an existing file unchanged.
 
-    The data goes to a temporary file in the target's directory, which
-    replaces the target only once the write has succeeded and is removed
-    on a failure.  Errors name `path`, not the temporary.
+    The target is `path` with its symbolic links resolved, so a link
+    stays a link.  The data goes to a temporary file in the target's
+    directory, which replaces the target only once the write has
+    succeeded and is removed on a failure.  Errors name `path`, not the
+    temporary.  An existing target that is not a regular file, such as a
+    FIFO or a device, is opened and written straight through, which is
+    not atomic; an error there names the target.
     """
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    head, tail = os.path.split(path)
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "wb") as fh:
+            fh.write(data)
+        return
+    head, tail = os.path.split(target)
     temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -487,7 +500,7 @@ def write_file(path: str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        os.replace(temp, path)
+        os.replace(temp, target)
     except BaseException:
         os.remove(temp)
         raise

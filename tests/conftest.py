@@ -14,7 +14,6 @@ from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence
 import pytest
 
 from kncross.drawing import (
-    CylindricalGeometry,
     DeletionView,
     Drawing,
     Geometry,
@@ -32,6 +31,7 @@ from kncross.generators import (
     TwoPageSpec,
     _assemble_cylindrical,
     _assemble_twopage,
+    _cylindrical_parameters,
     gen_convex,
     gen_cylindrical,
     gen_random_points,
@@ -75,7 +75,7 @@ def k4_crossed():
 
 @pytest.fixture(scope="session")
 def small_corpus():
-    """Mixed families with n <= 7, all with geometric provenance."""
+    """Mixed families with n <= 7, each one `regenerate_subdrawing` rebuilds."""
     drawings = []
     for n in range(4, 8):
         drawings.append(("convex", n, gen_convex(n)))
@@ -226,7 +226,11 @@ def regenerate_subdrawing(drawing: Drawing,
     """Fresh drawing of the subgraph on `survivors`, from the provenance.
 
     Returns the rebuilt drawing together with the old-to-new vertex
-    relabelling (order preserving).  Requires geometric provenance.
+    relabelling (order preserving).  Points and two-page drawings carry
+    their coordinates; a drawing without geometry is taken for a tin can
+    only when the generator's recipe, `_cylindrical_parameters(n, 0)`
+    assembled, gives back its map, and is rebuilt from that recipe
+    restricted to the survivors.  Any other drawing is refused.
     """
     geom = drawing.geometry
     keep = sorted(survivors)
@@ -247,15 +251,19 @@ def regenerate_subdrawing(drawing: Drawing,
         spec = TwoPageSpec(order=order, pages=pages)
         return _assemble_twopage(spec, positions), relabel
 
-    if isinstance(geom, CylindricalGeometry):
-        outer_keep = [v for v in geom.outer if v in survivors]
-        inner_keep = [v for v in geom.inner if v in survivors]
-        return _assemble_cylindrical(
-            [geom.angles[v] for v in outer_keep],
-            [geom.angles[v] for v in inner_keep],
-            [geom.lid_params[v] for v in outer_keep],
-            [geom.lid_params[v] for v in inner_keep],
-        ), relabel
+    if geom is None:
+        outer, inner, outer_lids, inner_lids = _cylindrical_parameters(drawing.n, 0)
+        tin_can = _assemble_cylindrical(outer, inner, outer_lids, inner_lids)
+        if tin_can._replace(reference_face=drawing.reference_face) == drawing:
+            # vertex ids: the outer circle's, then the inner circle's
+            outer_keep = [v for v in keep if v < len(outer)]
+            inner_keep = [v - len(outer) for v in keep if v >= len(outer)]
+            return _assemble_cylindrical(
+                [outer[i] for i in outer_keep],
+                [inner[j] for j in inner_keep],
+                [outer_lids[i] for i in outer_keep],
+                [inner_lids[j] for j in inner_keep],
+            ), relabel
 
     raise ValueError("drawing has no geometric provenance")
 

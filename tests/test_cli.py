@@ -2,8 +2,10 @@ import itertools
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -428,6 +430,42 @@ def test_generate_replaces_existing_files_without_leftovers(tmp_path, capsys,
     assert code == 0
     assert (tmp_path / "k6.pts").read_bytes().startswith(b"kncross v1\nformat points\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k6.pts"]
+
+
+@pytest.mark.parametrize("target", ["target.svg", "sub/target.svg"])
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "dangling"])
+def test_export_svg_writes_through_a_symlink(tmp_path, capsys, monkeypatch, target, exists):
+    # the link stays a link, and the file it names gets the picture, with
+    # the temporary beside that file and no leftover in either directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "k5.map").write_bytes(serialize(gen_cylindrical(5), "map"))
+    if exists:
+        (tmp_path / target).write_bytes(b"old\n")
+    (tmp_path / "link.svg").symlink_to(target)
+    code, stdout, err = run(capsys, "export-svg", "k5.map", "-o", "link.svg")
+    assert (code, stdout, err) == (0, "wrote link.svg\n", "")
+    assert (tmp_path / "link.svg").is_symlink()
+    assert (tmp_path / target).read_bytes() == svg_document(gen_cylindrical(5)).encode("utf-8")
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == sorted(
+        {"k5.map", "link.svg", "sub", target})
+
+
+def test_export_svg_writes_through_a_fifo(tmp_path, capsys, monkeypatch):
+    # a FIFO that a reader holds open is written, not replaced by a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k5.map").write_bytes(serialize(gen_cylindrical(5), "map"))
+    os.mkfifo("pipe.svg")
+    got = []
+    reader = threading.Thread(target=lambda: got.append((tmp_path / "pipe.svg").read_bytes()),
+                              daemon=True)
+    reader.start()
+    code, stdout, err = run(capsys, "export-svg", "k5.map", "-o", "pipe.svg")
+    reader.join(timeout=30)
+    assert (code, stdout, err) == (0, "wrote pipe.svg\n", "")
+    assert got == [svg_document(gen_cylindrical(5)).encode("utf-8")]
+    assert stat.S_ISFIFO(os.stat("pipe.svg").st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k5.map", "pipe.svg"]
 
 
 @pytest.mark.parametrize("mode, extra, search", [

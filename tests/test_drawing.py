@@ -8,7 +8,6 @@ import pytest
 
 from kncross import cli
 from kncross.drawing import (
-    CylindricalGeometry,
     DeletionView,
     Drawing,
     MapError,
@@ -255,7 +254,7 @@ def test_subdrawing_matches_regenerated_oracle(small_corpus):
                 if live[e] and live[f])
             oracle, _ = regenerate_subdrawing(
                 drawing, {v for v in range(n) if alive >> v & 1})
-            if isinstance(drawing.geometry, CylindricalGeometry):
+            if drawing.geometry is None:  # a tin can: the oracle replays its recipe
                 sub = sub.with_reference(
                     sub.face_left_of(*oracle.face_dart(oracle.reference_face)))
             assert sub.geometry is None

@@ -13,6 +13,7 @@ from kncross.generators import (
     TwoPageSpec,
     _assemble_cylindrical,
     _assemble_twopage,
+    _cylindrical_parameters,
     _random_arrangement,
     _wrap_half,
     gen_convex,
@@ -28,6 +29,8 @@ from kncross.planarize import DegenerateInput
 
 from conftest import (
     assert_view_matches_replanarization,
+    crossing_triangles,
+    flip_triangle,
     fraction_orientation_bits,
     fraction_segment_arrangement,
     fraction_validate_points,
@@ -299,6 +302,31 @@ def test_cylindrical_retries_only_degenerate_input(monkeypatch):
     with pytest.raises(NotGoodDrawing):
         gen_cylindrical(7)
     assert len(attempts) == 1
+
+
+def test_cylindrical_recipe_is_the_generator():
+    # the tin can keeps no parameters: its recipe at attempt 0 assembles it
+    for n in range(3, 31):
+        drawing = gen_cylindrical(n)
+        assert _assemble_cylindrical(*_cylindrical_parameters(n, 0)) == drawing
+        assert drawing.geometry is None
+
+
+def test_regenerate_subdrawing_refuses_a_map_that_is_not_the_tin_can():
+    # without geometry only a map equal to the recipe's is replayed: the
+    # parsed K_9 numbers its crossings in file order, and a flipped
+    # triangle moves crossings along three paths
+    tin_can = gen_cylindrical(9)
+    parsed = parse(serialize(tin_can, "map"))
+    assert parsed.edge_paths != tin_can.edge_paths
+    flipped = flip_triangle(tin_can, crossing_triangles(tin_can)[0])
+    survivors = set(range(9)) - {4}
+    assert regenerate_subdrawing(tin_can, survivors)[0].n == 8
+    for drawing in (parsed, flipped):
+        assert drawing.geometry is None
+        assert rotation_key(drawing.vertex_rotations) == rotation_key(tin_can.vertex_rotations)
+        with pytest.raises(ValueError, match="^drawing has no geometric provenance$"):
+            regenerate_subdrawing(drawing, survivors)
 
 
 def test_random_points_crossing_bounds():

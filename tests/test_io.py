@@ -740,6 +740,10 @@ def test_face_without_a_dart_refused():
         serialize(d.with_reference(4), "map")
     with pytest.raises(ValueError, match=r"^face 4 touches no vertex; cannot serialize$"):
         serialize_witness(d, ShellWitness(face=4, seq=(0, 1, 2)))
+    # it has 12 faces, 0..11
+    for face in (12, -1):
+        with pytest.raises(ValueError, match=rf"^face {face} out of range$"):
+            serialize_witness(d, ShellWitness(face=face, seq=(0, 1, 2)))
 
 
 def test_svg_export():
@@ -1048,22 +1052,33 @@ def test_fuzzed_witness_files_refused_or_judged(witness_drawing_files, base, edi
 DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
 
 
+# the line breaks of `str.splitlines` that do not end a line of a file
+NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def _respaced(text, rng):
     """`text` with random runs of spaces and tabs around its tokens, trailing
-    comments, and blank and comment lines between its lines; and the new
-    number of each of its lines."""
+    comments, some holding a character of NOT_LINE_ENDS before more words,
+    blank and comment lines between its lines, and its lines ended by one
+    of the three line ends; and the new number of each of its lines."""
     def gap(least):
         return "".join(rng.choice(" \t") for _ in range(rng.randint(least, 3)))
+
+    def not_an_end():
+        return rng.choice(NOT_LINE_ENDS)
 
     out, moved = [], {}
     for no, line in enumerate(text.splitlines(), start=1):
         while rng.random() < 0.2:
-            out.append(gap(0) + rng.choice(["", "#", "# kncross v1", "#\tx 0 : +"]))
+            out.append(gap(0) + rng.choice(["", "#", "# kncross v1", "#\tx 0 : +",
+                                            f"# a{not_an_end()}break"]))
         tokens = line.split()
         out.append(gap(0) + "".join(token + gap(1) for token in tokens[:-1]) + tokens[-1]
-                   + gap(0) + rng.choice(["", "", "#", "# e 0 1 : 2"]))
+                   + gap(0) + rng.choice(["", "", "#", "# e 0 1 : 2",
+                                          f"#{not_an_end()}e 0 1 : 2"]))
         moved[no] = len(out)
-    return "\n".join(out) + "\n", moved
+    end = rng.choice(["\n", "\r\n", "\r"])
+    return end.join(out) + end, moved
 
 
 def _read(read, text, moved=None):
@@ -1082,7 +1097,8 @@ def _assert_respacing_reads_the_same(read, texts, seed):
     rng = random.Random(seed)
     for text in texts:
         noisy, moved = _respaced(text, rng)
-        assert _read(read, noisy) == _read(read, text, moved), noisy
+        expected = _read(read, text, moved)
+        assert _read(read, noisy) == _read(read, noisy.encode()) == expected, noisy
 
 
 def test_respaced_files_read_the_same(small_corpus):
