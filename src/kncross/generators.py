@@ -10,20 +10,27 @@ angular difference passes through an integer number of turns, which
 happens at a rational parameter; each side edge takes the strictly
 shorter angular direction, so any pair crosses at most once.
 
-Vertex angles, spine positions and disk coordinates carry small
-distinct rational perturbations; whenever a DegenerateInput survives (two
-coincident angles, a half-turn side edge, two crossings at one parameter
-as `planarize.crossing_path` refuses them, three concurrent chords) the
-whole construction retries with smaller perturbations.  The tin can's
-angles and lid parameters are a function of (n, attempt),
-`_cylindrical_parameters`, written nowhere else; the drawing keeps none
-of them, so its geometry is None, as a parsed map's is.
+Every family is built by one retry loop, `_first_nondegenerate`: it
+hands attempt 0, 1, 2, ... to a function of the attempt and returns the
+first drawing that raises no DegenerateInput (two coincident angles, a
+half-turn side edge, two crossings at one parameter as
+`planarize.crossing_path` refuses them, three concurrent chords); any
+other refusal reaches the caller at once.  Circle parameters and spine
+positions are the integers nudged by `_nudged`, i + (i+1)^2/base, with a
+base that grows with the attempt: 10^4 * 3^a on the convex circle (plain
+integers at attempt 0) and the tin can's lids, 10^5 * 7^a on the spine.
+Convex drawings and two-page books get 40 attempts, the tin can 30.
+The tin can's angles and lid parameters are a function of
+(n, attempt), `_cylindrical_parameters`, written nowhere else; the
+drawing keeps none of them, so its geometry is None, as a parsed map's
+is.
 
-Random point sets are drawn in one seeded retry loop,
-`_random_arrangement`, which returns the integer points with their
-segment arrangement.  The arrangement already holds the crossing count
-and the rotation system, so `hunt` classifies a draw before any map is
-built.
+Random point sets go through the same loop, `_random_arrangement`, with
+no bound on the attempts: each attempt draws the next n points of one
+seeded stream, so a degenerate draw is skipped and the stream continues.
+It returns the integer points with their segment arrangement.  The
+arrangement already holds the crossing count and the rotation system, so
+`hunt` classifies a draw before any map is built.
 
 A subdrawing of any family comes from its map, by `drawing.subdrawing`;
 no construction is re-run on a subset of its coordinates.
@@ -34,7 +41,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import floor
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from .drawing import (
     Drawing,
@@ -81,6 +89,26 @@ class SplitMix64:
         return self.next() % bound
 
 
+_T = TypeVar("_T")
+
+
+def _first_nondegenerate(attempts: Iterable[int], assemble: Callable[[int], _T]) -> _T:
+    """`assemble(attempt)` for the first attempt that raises no
+    `DegenerateInput`; every other refusal reaches the caller at once."""
+    for attempt in attempts:
+        try:
+            return assemble(attempt)
+        except DegenerateInput:
+            continue
+    raise RuntimeError("every attempt met a degenerate configuration")
+
+
+def _nudged(count: int, base: int) -> List[Fraction]:
+    """i + (i+1)^2/base for i < count: each integer moved up by a small
+    rational of its own, so that no two gaps between them are equal."""
+    return [Fraction(i) + Fraction((i + 1) ** 2, base) for i in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # convex and random rectilinear drawings
 # ---------------------------------------------------------------------------
@@ -90,18 +118,12 @@ def gen_convex(n: int) -> Drawing:
     """Rectilinear drawing of K_n on n rational points in convex position."""
     if n < 3:
         raise ValueError("need n >= 3")
-    for attempt in range(40):
-        if attempt == 0:
-            params = [Fraction(i) for i in range(n)]
-        else:
-            base = 10_000 * 3 ** attempt
-            params = [Fraction(i) + Fraction((i + 1) ** 2, base) for i in range(n)]
-        points = [circle_point(u) for u in params]
-        try:
-            return planarize_points(points)
-        except DegenerateInput:
-            continue
-    raise RuntimeError("could not find a nondegenerate convex configuration")
+
+    def assemble(attempt: int) -> Drawing:
+        params = _nudged(n, 10_000 * 3 ** attempt) if attempt else range(n)
+        return planarize_points([circle_point(u) for u in params])
+
+    return _first_nondegenerate(range(40), assemble)
 
 
 _GRID = 1_000_000
@@ -119,12 +141,12 @@ def _random_arrangement(n: int, seed: int) -> Tuple[List[IntPoint], Arrangement]
     arrangement and builds a map only for the match it writes.
     """
     rng = SplitMix64(seed)
-    while True:
+
+    def draw(attempt: int) -> Tuple[List[IntPoint], Arrangement]:
         points = [(rng.below(_GRID), rng.below(_GRID)) for _ in range(n)]
-        try:
-            return points, integer_arrangement(points)
-        except DegenerateInput:
-            continue
+        return points, integer_arrangement(points)
+
+    return _first_nondegenerate(itertools.count(), draw)
 
 
 def gen_random_points(n: int, seed: int) -> Drawing:
@@ -177,16 +199,13 @@ def gen_twopage(spec: TwoPageSpec) -> Drawing:
     n = _validate_twopage(spec)
     if n < 3:
         raise ValueError("need n >= 3")
-    for attempt in range(40):
-        base = 100_000 * 7 ** attempt
-        positions = [Fraction(0)] * n
-        for slot, v in enumerate(spec.order):
-            positions[v] = Fraction(slot) + Fraction((slot + 1) ** 2, base)
-        try:
-            return _assemble_twopage(spec, positions)
-        except DegenerateInput:
-            continue
-    raise RuntimeError("could not resolve semicircle concurrences")
+
+    def assemble(attempt: int) -> Drawing:
+        # the position of slot s is vertex spec.order[s]'s
+        by_vertex = sorted(zip(spec.order, _nudged(n, 100_000 * 7 ** attempt)))
+        return _assemble_twopage(spec, [x for _, x in by_vertex])
+
+    return _first_nondegenerate(range(40), assemble)
 
 
 def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawing:
@@ -298,8 +317,7 @@ def _cylindrical_parameters(n: int, attempt: int) -> Tuple[List[Fraction], ...]:
     """
     m_outer, m_inner = (n + 1) // 2, n // 2
     eps = Fraction(1, 1000 * n ** 3 * 3 ** (n + 2) * 5 ** attempt)
-    lid_base = 10_000 * 3 ** attempt
-    lids = [Fraction(i) + Fraction((i + 1) ** 2, lid_base) for i in range(m_outer)]
+    lids = _nudged(m_outer, 10_000 * 3 ** attempt)
     return ([Fraction(i, m_outer) + 3 ** (i + 1) * eps for i in range(m_outer)],
             [Fraction(2 * j + 1, 2 * m_inner) + 3 ** (m_outer + j + 1) * eps
              for j in range(m_inner)],
@@ -315,12 +333,8 @@ def gen_cylindrical(n: int) -> Drawing:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    for attempt in range(30):
-        try:
-            return _assemble_cylindrical(*_cylindrical_parameters(n, attempt))
-        except DegenerateInput:
-            continue
-    raise RuntimeError("could not resolve cylindrical degeneracies")
+    return _first_nondegenerate(
+        range(30), lambda attempt: _assemble_cylindrical(*_cylindrical_parameters(n, attempt)))
 
 
 def _assemble_cylindrical(

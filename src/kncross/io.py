@@ -4,20 +4,20 @@ Three line-based UTF-8 formats share the header ``kncross v1`` and a
 ``format points|twopage|map`` tag.  Every reader takes a file's lines
 from `_lines`: a leading byte-order mark is ignored, in bytes or text,
 a line ends only at a line feed, a carriage return or the two together,
-'#' starts a comment and a line is its tokens, split at any run of
-whitespace.  The map format holds a spherical embedding: one
-counterclockwise rotation line per real vertex, the crossing ids along
-every edge path (from the smaller endpoint to the larger), one
-orientation bit per crossing, in `build_drawing`'s convention, and a
-reference dart.  The bits are redundant, as `build_drawing` derives
-them from the rotations; the format keeps them, and a bit that is not
-the derived one is refused at its line.  Reference faces and witness
-faces are named by a directed pair ``u v``, read with
-`Drawing.face_left_of(u, v)` and written with `Drawing.face_dart`: the
-face to the left of the first dart of that edge leaving u.  A file that
-breaks its format is refused with a `ParseError`, a `ValueError` that
-names the line; a map only where `build_drawing`, its one judge, blames
-one line (see `_parse_map`).
+a byte that is not UTF-8 is refused at its line, '#' starts a comment
+and a line is its tokens, split at any run of whitespace.  The map
+format holds a spherical embedding: one counterclockwise rotation line
+per real vertex, the crossing ids along every edge path (from the
+smaller endpoint to the larger), one orientation bit per crossing, in
+`build_drawing`'s convention, and a reference dart.  The bits are
+redundant, as `build_drawing` derives them from the rotations; the
+format keeps them, and a bit that is not the derived one is refused at
+its line.  Reference faces and witness faces are named by a directed
+pair ``u v``, read with `Drawing.face_left_of(u, v)` and written with
+`Drawing.face_dart`: the face to the left of the first dart of that edge
+leaving u.  A file that breaks its format is refused with a
+`ParseError`, a `ValueError` that names the line; a map only where
+`build_drawing`, its one judge, blames one line (see `_parse_map`).
 
 Serialization is canonical (crossings renumbered by first appearance
 along lexicographic edges, rotations started at the smallest neighbor,
@@ -30,7 +30,10 @@ has succeeded, so a failed write leaves an existing file unchanged.
 Every drawing has a picture, and SVG pictures have one writer,
 `_picture`.  Point sets and two-page books draw their own geometry; any
 other drawing, a map file's among them, is drawn from its map alone, as
-a Tutte layout of its planarization (`_svg_map`).
+a Tutte layout of its planarization (`_svg_map`).  Pictures are drawn in
+floats: a point set with a coordinate too large for a float, or whose
+span does not scale to the canvas as a finite float, is refused with a
+`ValueError`, where it would raise `OverflowError` or write `nan`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import os
 import re
 from collections import Counter
 from fractions import Fraction
-from math import cos, fsum, pi, sin, sqrt
+from math import cos, fsum, isfinite, pi, sin, sqrt
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -77,9 +80,15 @@ def _lines(data: Union[bytes, str], magic: str,
     """The one text layer of every reader: the number and the tokens of each
     line that has any, comments stripped, a leading byte-order mark ignored.
     A line ends only at a line feed, a carriage return or the two together,
-    not at the other breaks `str.splitlines` knows.  The first must read
-    `magic`; fewer than three are refused as `truncated`."""
-    text = (data.decode() if isinstance(data, bytes) else data).removeprefix("\ufeff")
+    not at the other breaks `str.splitlines` knows; bytes that are not
+    UTF-8 are refused at the line of the first bad byte, counted by the same
+    line ends.  The first must read `magic`; fewer than three are refused
+    as `truncated`."""
+    try:
+        text = (data.decode() if isinstance(data, bytes) else data).removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:  # bytes: 1 + the line ends before the bad byte
+        line = len(re.split(rb"\r\n|\r|\n", data[:exc.start]))
+        raise ParseError(line, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
     out = []
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for no, raw in enumerate(lines, start=1):
@@ -454,6 +463,8 @@ def _transform(points: Sequence[_XY], size: float = 600.0, margin: float = 40.0)
     ys = [p[1] for p in points]
     span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
     scale = (size - 2 * margin) / span
+    if not (isfinite(span) and isfinite(scale)):
+        raise ValueError(f"cannot draw: a picture spanning {span!r} has no finite float scale")
     x0, y1 = min(xs), max(ys)
 
     def to_screen(p: _XY) -> _XY:
@@ -464,7 +475,8 @@ def _transform(points: Sequence[_XY], size: float = 600.0, margin: float = 40.0)
 
 def svg_document(drawing: Drawing) -> str:
     """The SVG text of any drawing: its points or its two-page book where it
-    has them, otherwise a layout of its map (`_svg_map`)."""
+    has them, otherwise a layout of its map (`_svg_map`).  A `ValueError`
+    names a coordinate or a span that floats cannot draw."""
     geom = drawing.geometry
     if isinstance(geom, PointsGeometry):
         return _svg_points(drawing, geom)
@@ -507,7 +519,10 @@ def write_file(path: str, data: bytes) -> None:
 
 
 def _svg_points(drawing: Drawing, geom: PointsGeometry) -> str:
-    pts = [(float(p.x), float(p.y)) for p in geom.points]
+    try:
+        pts = [(float(p.x), float(p.y)) for p in geom.points]
+    except OverflowError:
+        raise ValueError("cannot draw: a vertex coordinate is too large for a float") from None
     to = _transform(pts)
     curves = [(to(pts[u]), to(pts[v])) for u, v in drawing.edges]
     marks = []

@@ -17,7 +17,7 @@ from kncross.cli import main
 from kncross.drawing import build_drawing
 from kncross.generators import (TwoPageSpec, gen_convex, gen_cylindrical, gen_random_points,
                                 gen_twopage, twopage_all_top)
-from kncross.io import serialize, svg_document
+from kncross.io import parse, serialize, svg_document
 
 from conftest import vertex_faces
 
@@ -354,6 +354,45 @@ def test_export_svg_cli(tmp_path, capsys):
     code, stdout, _ = run(capsys, "export-svg", str(drawing), "-o", str(svg))
     assert code == 0
     assert svg.read_text().startswith("<svg")
+
+
+def test_undecodable_byte_exits_2_at_its_line(tmp_path, capsys):
+    path = tmp_path / "k4.map"
+    path.write_bytes(b"kncross v1\nformat map\nn 4\n\xff\n")
+    code, stdout, err = run(capsys, "analyze", str(path))
+    assert (code, stdout) == (2, "")
+    assert err == "error: line 4: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def _points_file(*coords):
+    return "kncross v1\nformat points\nn 3\n" + "".join(
+        f"v {i} {x} {y}\n" for i, (x, y) in enumerate(coords))
+
+
+# valid point files whose picture floats cannot draw: a coordinate beyond
+# the largest float, a span beyond it, and a span too small to scale up
+UNDRAWABLE_POINTS = {
+    "huge": (_points_file((10 ** 400, 0), (1, 0), (0, 1)),
+             "cannot draw: a vertex coordinate is too large for a float"),
+    "wide": (_points_file((-10 ** 308, 0), (10 ** 308, 0), (0, 1)),
+             "cannot draw: a picture spanning inf has no finite float scale"),
+    "narrow": (_points_file((0, 0), (f"1/{10 ** 320}", 0), (0, f"1/{10 ** 320}")),
+               "cannot draw: a picture spanning 1e-320 has no finite float scale"),
+}
+
+
+@pytest.mark.parametrize("name", UNDRAWABLE_POINTS)
+def test_export_svg_refuses_a_picture_floats_cannot_draw(tmp_path, capsys, name):
+    text, reason = UNDRAWABLE_POINTS[name]
+    with pytest.raises(ValueError) as caught:
+        svg_document(parse(text))
+    assert str(caught.value) == reason
+    path, svg = tmp_path / "big.points", tmp_path / "big.svg"
+    path.write_text(text)
+    assert run(capsys, "analyze", str(path))[0] == 0
+    code, stdout, err = run(capsys, "export-svg", str(path), "-o", str(svg))
+    assert (code, stdout, err) == (2, "", f"error: {reason}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.points"]
 
 
 def test_export_svg_renders_a_map_file(tmp_path, capsys):

@@ -14,6 +14,7 @@ from kncross.generators import (
     _assemble_cylindrical,
     _assemble_twopage,
     _cylindrical_parameters,
+    _nudged,
     _random_arrangement,
     _wrap_half,
     gen_convex,
@@ -22,7 +23,7 @@ from kncross.generators import (
     gen_twopage,
     twopage_all_top,
 )
-from kncross.geom import Point
+from kncross.geom import Point, circle_point
 from kncross.kedges import hill_number, k_edge_vector
 from kncross.io import parse, serialize, svg_document
 from kncross.planarize import DegenerateInput
@@ -289,19 +290,71 @@ def test_random_arrangement_skips_rejected_draws(monkeypatch):
     assert sum(rejected.values()) > 3000
 
 
+# the families the one retry loop builds: the module function each attempt
+# calls, a build of K_7, its number of attempts and its arguments at attempt 1
+_SHUFFLED_7 = shuffled_twopage_spec(4)
+RETRIED_FAMILIES = {
+    "convex": ("planarize_points", lambda: gen_convex(7), 40,
+               ([circle_point(u) for u in _nudged(7, 30_000)],)),
+    "twopage": ("_assemble_twopage", lambda: gen_twopage(_SHUFFLED_7), 40,
+                (_SHUFFLED_7, [_nudged(7, 700_000)[_SHUFFLED_7.order.index(v)]
+                               for v in range(7)])),
+    "cylindrical": ("_assemble_cylindrical", lambda: gen_cylindrical(7), 30,
+                    _cylindrical_parameters(7, 1)),
+}
+
+
 def test_cylindrical_retries_only_degenerate_input(monkeypatch):
     # a perturbation resolves a degeneracy, not a defect of the
-    # construction: a non-good map reaches the caller from the first try
+    # construction: a non-good map reaches the caller from the first try,
+    # in the tin can and in every other family the retry loop builds
+    for name, build, _, _ in RETRIED_FAMILIES.values():
+        attempts = []
+
+        def not_good(*args):
+            attempts.append(args)
+            raise NotGoodDrawing((GoodnessViolation("double_cross", ((0, 1), (2, 3))),))
+
+        monkeypatch.setattr(generators, name, not_good)
+        with pytest.raises(NotGoodDrawing):
+            build()
+        assert len(attempts) == 1
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("family", RETRIED_FAMILIES)
+def test_a_degenerate_attempt_retries_with_the_next_nudge(monkeypatch, family):
+    name, build, _, second = RETRIED_FAMILIES[family]
+    assert _SHUFFLED_7.order != tuple(range(7))  # slots and vertices differ
+    real = getattr(generators, name)
     attempts = []
 
-    def not_good(*args):
+    def degenerate_once(*args):
         attempts.append(args)
-        raise NotGoodDrawing((GoodnessViolation("double_cross", ((0, 1), (2, 3))),))
+        if len(attempts) == 1:
+            raise DegenerateInput("concurrent", ())
+        return real(*args)
 
-    monkeypatch.setattr(generators, "_assemble_cylindrical", not_good)
-    with pytest.raises(NotGoodDrawing):
-        gen_cylindrical(7)
-    assert len(attempts) == 1
+    monkeypatch.setattr(generators, name, degenerate_once)
+    drawing = build()
+    assert len(attempts) == 2
+    assert attempts[1] == second
+    assert drawing == real(*second)
+
+
+@pytest.mark.parametrize("family", RETRIED_FAMILIES)
+def test_a_family_always_degenerate_gives_up_after_its_attempts(monkeypatch, family):
+    name, build, tries, _ = RETRIED_FAMILIES[family]
+    attempts = []
+
+    def degenerate(*args):
+        attempts.append(args)
+        raise DegenerateInput("concurrent", ())
+
+    monkeypatch.setattr(generators, name, degenerate)
+    with pytest.raises(RuntimeError, match="^every attempt met a degenerate configuration$"):
+        build()
+    assert len(attempts) == tries
 
 
 def test_cylindrical_recipe_is_the_generator():

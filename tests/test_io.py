@@ -641,6 +641,22 @@ def test_empty_body_refused_at_the_n_line(text, refusal):
     assert str(caught.value) == refusal
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("line", [1, 4])
+def test_undecodable_byte_refused_at_its_line(end, line):
+    # the line is counted by the line ends before the bad byte, the ends
+    # that split the decoded text
+    convex = gen_convex(5)
+    for head, read in ((["kncross v1", "format map", "n 4"], parse),
+                       (["kncross-witness v1", "shell", "face 0 1"],
+                        lambda data: parse_witness(data, convex))):
+        lines = [text.encode() for text in head] + [b"v: 0 1"]
+        lines[line - 1] += b" \xff"
+        with pytest.raises(ParseError) as caught:
+            read(end.join(lines) + end)
+        assert str(caught.value) == f"line {line}: byte 0xff is not UTF-8 (invalid start byte)"
+
+
 def test_byte_order_mark_ignored_by_the_cli(tmp_path, capsys):
     # `analyze` on a cylindrical K_4 map saved with a byte-order mark
     blob = serialize(gen_cylindrical(4), "map")
