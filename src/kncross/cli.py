@@ -166,7 +166,7 @@ def _hunt(args) -> int:
     for seed in range(args.seed, args.seed + args.trials):
         # the class is read off the arrangement; only a match for -o gets a map
         _, arr = _random_arrangement(n, seed)
-        key = (len(arr.crossings), rotation_key(arr.vertex_orders))
+        key = (arr.crossings, rotation_key(arr.vertex_orders))
         if key in seen:
             continue
         seen.add(key)

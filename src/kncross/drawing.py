@@ -22,8 +22,8 @@ the unbounded face of a geometric input is an ordinary face, merely
 remembered as the reference.
 
 `build_drawing` checks its input and nothing those checks imply, in
-this order: the crossing count is not negative and every edge has a
-path; every vertex rotation is a permutation of the other vertices;
+this order: the crossing count is not negative and there is one path
+per edge; every vertex rotation is a permutation of the other vertices;
 each path, in edge order, visits no crossing twice, then has its ids in
 range; the reference is a dart; every crossing is met by two distinct
 edge passes; the drawing is good (no other code checks goodness); V - E
@@ -40,6 +40,10 @@ good drawing fixes its crossings (Kyncl 2011), so `build_drawing`
 derives each crossing's orientation bit from the rotation at the least
 of its four ends (the K_4 rule in its docstring) and no caller passes
 one.  A map file's `x` lines are checked against the derived bits.
+The paths come as a Drawing stores them, one per edge in `edge_list(n)`
+order, so a drawing's own fields build it again:
+`build_drawing(d.n, d.edge_paths, d.crossings, d.vertex_rotations,
+d.face_dart(d.reference_face), d.geometry) == d`.
 
 succ and the per-dart tables live only during construction, and of
 the face walks only each face's first dart, to walk it again for the
@@ -83,7 +87,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .geom import Point
 
@@ -126,7 +130,7 @@ class PointsGeometry(NamedTuple):
 
 class TwoPageGeometry(NamedTuple):
     order: Tuple[int, ...]                       # spine order, left to right
-    pages: Tuple[Tuple[Tuple[int, int], str], ...]  # ((u,v), "T"|"B") sorted
+    pages: Tuple[str, ...]                       # "T" | "B" per edge, in edge order
     positions: Tuple  # x coordinate per vertex id (Fractions)
 
 
@@ -211,7 +215,7 @@ def edge_ids(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 def build_drawing(
     n: int,
-    edge_paths: Mapping[Tuple[int, int], Sequence[int]],
+    edge_paths: Sequence[Sequence[int]],
     crossings: int,
     vertex_rotations: Sequence[Sequence[int]],
     reference: Tuple[int, int],
@@ -219,10 +223,11 @@ def build_drawing(
 ) -> Drawing:
     """Assemble and validate a Drawing from its paths and rotations.
 
-    `edge_paths` maps every pair u<v to the crossing ids, 0 up to
-    `crossings` - 1, met on the way from u to v.  `reference` is a
-    directed pair (u, v): the reference face is to the left of the first
-    dart of that edge leaving u.  Construction raises ValueError on any
+    `edge_paths` holds, per edge uv of `edge_list(n)` in that order, the
+    crossing ids, 0 up to `crossings` - 1, met on the way from u to v;
+    any other number of paths is refused.  `reference` is a directed
+    pair (u, v): the reference face is to the left of the first dart of
+    that edge leaving u.  Construction raises ValueError on any
     inconsistency rather than producing a broken map, a MapError when a
     rotation, a path or the reference is at fault, and NotGoodDrawing on
     a map whose drawing is not good.
@@ -251,14 +256,9 @@ def build_drawing(
         raise ValueError(f"negative crossing count {crossings}")
     edges = edge_list(n)
     c = crossings
-
-    paths: List[Tuple[int, ...]] = []
-    for (u, v) in edges:
-        if (u, v) not in edge_paths:
-            raise ValueError(f"missing path for edge ({u},{v})")
-        paths.append(tuple(edge_paths[(u, v)]))
     if len(edge_paths) != len(edges):
-        raise ValueError("unexpected extra edge paths")
+        raise ValueError(f"need {len(edges)} edge paths, got {len(edge_paths)}")
+    paths = tuple(map(tuple, edge_paths))
 
     if len(vertex_rotations) != n:
         raise ValueError("need one rotation per vertex")
@@ -413,7 +413,7 @@ def build_drawing(
     return Drawing(
         n=n,
         edges=edges,
-        edge_paths=tuple(paths),
+        edge_paths=paths,
         crossed_edges=tuple(crossed),
         orientation_bits=tuple(bits),
         vertex_rotations=tuple(rotations),
@@ -595,8 +595,9 @@ def subdrawing(drawing: Drawing, alive: int) -> Drawing:
     kept = [k for k, (e, f) in enumerate(zip(crossed[::2], crossed[1::2]))
             if live[e] and live[f]]
     renum = {k: i for i, k in enumerate(kept)}
-    paths = {(new[u], new[v]): [renum[k] for k in path if k in renum]
-             for (u, v), path, on in zip(drawing.edges, drawing.edge_paths, live) if on}
+    # the kept edges keep their order, as relabelling keeps vertex order
+    paths = [[renum[k] for k in path if k in renum]
+             for path, on in zip(drawing.edge_paths, live) if on]
     rotations = [[new[w] for w in drawing.vertex_rotations[u] if alive >> w & 1]
                  for u in keep]
     view = DeletionView(drawing, (1 << n) - 1 ^ alive)

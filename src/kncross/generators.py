@@ -10,6 +10,13 @@ angular difference passes through an integer number of turns, which
 happens at a rational parameter; each side edge takes the strictly
 shorter angular direction, so any pair crosses at most once.
 
+Every family hands `build_drawing` one crossing path per edge in
+`edge_list(n)` order: point sets through their arrangement, the two-page
+book from its loop over the edges, and the tin can, which collects its
+paths region by region, orders them once at the call.  A two-page
+drawing keeps its spine order, the page of each edge in edge order and
+its spine positions as its geometry.
+
 Every family is built by one retry loop, `_first_nondegenerate`: it
 hands attempt 0, 1, 2, ... to a function of the attempt and returns the
 first drawing that raises no DegenerateInput (two coincident angles, a
@@ -217,7 +224,7 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
     """
     n = len(spec.order)
     edges = edge_list(n)
-    pages = [spec.pages[edge] for edge in edges]
+    pages = tuple([spec.pages[edge] for edge in edges])
     # an edge runs from u to v, right to left when u lies to the right
     backward = [positions[u] > positions[v] for u, v in edges]
     spans = [(positions[v], positions[u]) if back else (positions[u], positions[v])
@@ -236,10 +243,8 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
         per_edge[eb].append((x, k))
         k += 1
 
-    paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for edge, hits, back in zip(edges, per_edge, backward):
-        ordered = crossing_path(hits, edge)
-        paths[edge] = ordered[::-1] if back else ordered
+    paths = [crossing_path(hits, edge)[::-1 if back else 1]
+             for edge, hits, back in zip(edges, per_edge, backward)]
 
     # counterclockwise from the +x axis: top page to the right, then to
     # the left, each left to right; bottom page to the left, then to the
@@ -263,7 +268,7 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
     tops = sum(spec.page(v0, w) == "T" for w in rotations[v0])
     geometry = TwoPageGeometry(
         order=tuple(spec.order),
-        pages=tuple(zip(edges, pages)),
+        pages=pages,
         positions=tuple(positions),
     )
     return build_drawing(n, paths, k, rotations, (v0, rotations[v0][tops - 1]),
@@ -375,9 +380,10 @@ def _assemble_cylindrical(
     for first, params in ((M, inner_params), (0, outer_params)):
         arr = segment_arrangement([circle_point(u) for u in params])
         local_edges = itertools.combinations(range(first, first + len(params)), 2)
+        ids = list(range(crossings, crossings + arr.crossings))  # shared by both passes
         for edge, path in zip(local_edges, arr.edge_paths):
-            paths[edge] = [crossings + local_k for local_k in path]
-        crossings += len(arr.crossings)
+            paths[edge] = list(map(ids.__getitem__, path))
+        crossings += arr.crossings
 
     # annulus: side edge pairs crossing where the angular difference
     # passes through an integer
@@ -409,5 +415,5 @@ def _assemble_cylindrical(
         chords = [M + (j + d) % m for d in range(1, m)]
         rotations.append(tuple(sides + chords))
 
-    return build_drawing(n, paths, crossings, rotations, (0, 1))
+    return build_drawing(n, [paths[edge] for edge in edge_list(n)], crossings, rotations, (0, 1))
 

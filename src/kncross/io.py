@@ -15,9 +15,13 @@ format keeps them, and a bit that is not the derived one is refused at
 its line.  Reference faces and witness faces are named by a directed
 pair ``u v``, read with `Drawing.face_left_of(u, v)` and written with
 `Drawing.face_dart`: the face to the left of the first dart of that edge
-leaving u.  A file that breaks its format is refused with a
-`ParseError`, a `ValueError` that names the line; a map only where
-`build_drawing`, its one judge, blames one line (see `_parse_map`).
+leaving u.  A map file's `e` lines may come in any order; `_parse_map`
+hands `build_drawing` their paths once in edge order, the shape a
+`Drawing` stores.  A two-page file has one `e` line per edge, in edge
+order, from the page of each edge its geometry holds.  A file that
+breaks its format is refused with a `ParseError`, a `ValueError` that
+names the line; a map only where `build_drawing`, its one judge, blames
+one line (see `_parse_map`).
 
 Serialization is canonical (crossings renumbered by first appearance
 along lexicographic edges, rotations started at the smallest neighbor,
@@ -53,6 +57,7 @@ from .drawing import (
     PointsGeometry,
     TwoPageGeometry,
     build_drawing,
+    edge_list,
 )
 from .geom import Point, proper_intersection
 from .planarize import planarize_points
@@ -282,7 +287,8 @@ def _parse_map(n: int, n_line: int, body: List[Tuple[int, List[str]]]) -> Drawin
     if len(paths) != n * (n - 1) // 2:  # the lines are in range and distinct
         raise ParseError(last, "missing edge lines")
     try:
-        drawing = build_drawing(n, paths, c, [rotations[u] for u in range(n)], ref)
+        drawing = build_drawing(n, [paths[edge] for edge in edge_list(n)], c,
+                                [rotations[u] for u in range(n)], ref)
     except MapError as exc:
         raise ParseError(_line_of(body, exc.part), str(exc)) from None
     derived = drawing.orientation_bits
@@ -327,7 +333,7 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
             raise ValueError("drawing has no 2-page structure")
         out = [MAGIC, "format twopage", f"n {drawing.n}"]
         out.append("order " + " ".join(str(v) for v in geom.order))
-        for (u, v), page in geom.pages:
+        for (u, v), page in zip(drawing.edges, geom.pages):
             out.append(f"e {u} {v} {page}")
         return ("\n".join(out) + "\n").encode()
 
@@ -539,23 +545,19 @@ def _svg_twopage(drawing: Drawing, geom: TwoPageGeometry) -> str:
     rad = (hi - lo) / 2 or 1.0
     to = _transform([(lo - 1, -rad - 1), (hi + 1, rad + 1)], size=700)
     spine = _polyline([to((lo - 0.5, 0)), to((hi + 0.5, 0))], "#bbb", 0.8)
-    pages = dict(geom.pages)
+    spans = [sorted((pos[u], pos[v])) for u, v in drawing.edges]
+    signs = [1.0 if page == "T" else -1.0 for page in geom.pages]
     curves = []
-    for (u, v) in drawing.edges:
-        a, b = sorted((pos[u], pos[v]))
+    for (a, b), sign in zip(spans, signs):
         c, r = (a + b) / 2, (b - a) / 2
-        sign = 1.0 if pages[(u, v)] == "T" else -1.0
         curves.append([to((c + r * cos(pi * k / 32), sign * r * sin(pi * k / 32)))
                        for k in range(33)])
     marks = []
     for e1, e2 in zip(drawing.crossed_edges[::2], drawing.crossed_edges[1::2]):
-        (u1, v1), (u2, v2) = drawing.edges[e1], drawing.edges[e2]
-        l1, r1 = sorted((pos[u1], pos[v1]))
-        l2, r2 = sorted((pos[u2], pos[v2]))
+        (l1, r1), (l2, r2) = spans[e1], spans[e2]
         x = (l1 * r1 - l2 * r2) / ((l1 + r1) - (l2 + r2))
         y = sqrt(max(0.0, -(x - l1) * (x - r1)))
-        sign = 1.0 if pages[(u1, v1)] == "T" else -1.0
-        marks.append(to((x, sign * y)))
+        marks.append(to((x, signs[e1] * y)))
     return _picture(700, [spine], curves, marks, [to((x, 0)) for x in pos])
 
 

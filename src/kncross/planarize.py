@@ -47,10 +47,11 @@ has every other point strictly to the right of top->w.  That hull edge
 is never crossed, and the face to the left of top->w is unbounded.
 
 `planarize_points` is `segment_arrangement` followed by
-`planarize_arrangement`, which builds the map.  A caller that already
-holds a point set's arrangement (the random generator) passes it
-to `planarize_arrangement` with the `Fraction` points, and the segments
-are not intersected again.
+`planarize_arrangement`, which hands the arrangement's fields to
+`build_drawing` as they are and adds the reference dart.  A caller that
+already holds a point set's arrangement (the random generator) passes
+it to `planarize_arrangement` with the `Fraction` points, and the
+segments are not intersected again.
 """
 
 from __future__ import annotations
@@ -75,9 +76,12 @@ class DegenerateInput(ValueError):
 
 
 class Arrangement(NamedTuple):
-    """Raw intersection structure of all segments among a point set."""
+    """Raw intersection structure of all segments among a point set: the
+    crossing count, each edge's crossing ids in `edge_list(n)` order and
+    each vertex's neighbours counterclockwise, as `build_drawing` takes
+    them; which edges cross is what the built map derives."""
 
-    crossings: Tuple[Tuple[int, int], ...]          # (edge a, edge b), a<b
+    crossings: int                                  # the crossing count
     edge_paths: Tuple[Tuple[int, ...], ...]         # ordered crossing ids per edge
     vertex_orders: Tuple[Tuple[int, ...], ...]      # ccw neighbor order per vertex
 
@@ -149,7 +153,7 @@ def integer_arrangement(pts: Sequence[IntPoint]) -> Arrangement:
     # D*D for the floor keys (module docstring): |d1 x d2| <= 2*width*height
     t_scale = (2 * width * height) ** 2
 
-    crossings: List[Tuple[int, int]] = []
+    count = 0  # crossing ids by discovery
     per_edge: List[List[Tuple[int, int]]] = [[] for _ in edges]
     # the vertex-disjoint pairs ea < eb, in that order: the edges after
     # ab = edges[ea] with first endpoint above a start at ea + n - b
@@ -175,10 +179,9 @@ def integer_arrangement(pts: Sequence[IntPoint]) -> Arrangement:
                 tn, sn = cda, -abc
             else:
                 den, tn, sn = -den, -cda, abc
-            k = len(crossings)
-            crossings.append((ea, eb))
-            hits_a.append((tn * t_scale // den, k))
-            per_edge[eb].append((sn * t_scale // den, k))
+            hits_a.append((tn * t_scale // den, count))
+            per_edge[eb].append((sn * t_scale // den, count))
+            count += 1
 
     edge_paths = [crossing_path(hits, edge) for edge, hits in zip(edges, per_edge)]
 
@@ -201,7 +204,7 @@ def integer_arrangement(pts: Sequence[IntPoint]) -> Arrangement:
         vertex_orders.append(tuple([w for _, _, w in dirs]))
 
     return Arrangement(
-        crossings=tuple(crossings),
+        crossings=count,
         edge_paths=tuple(edge_paths),
         vertex_orders=tuple(vertex_orders),
     )
@@ -223,12 +226,11 @@ def planarize_arrangement(points: Sequence[Point], arr: Arrangement) -> Drawing:
     """
     pts = tuple(points)
     n = len(pts)
-    paths = dict(zip(edge_list(n), arr.edge_paths))
     top = max(range(n), key=lambda i: (pts[i].x, pts[i].y))
     return build_drawing(
         n=n,
-        edge_paths=paths,
-        crossings=len(arr.crossings),
+        edge_paths=arr.edge_paths,
+        crossings=arr.crossings,
         vertex_rotations=arr.vertex_orders,
         reference=(top, arr.vertex_orders[top][-1]),
         geometry=PointsGeometry(points=pts),

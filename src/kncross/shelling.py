@@ -310,7 +310,7 @@ def truncate_bishell(witness: BishellWitness) -> BishellWitness:
 def check_bishellable(drawing: Drawing, s: Optional[int] = None,
                       face: Optional[int] = None) -> Optional[BishellWitness]:
     """Exhaustive search for an order-s bishell witness, by default of
-    order floor(n/2) - 2.
+    order floor(n/2) - 2, which is refused as the default at n = 3.
 
     Scans all faces unless one is fixed, skipping those that fewer than
     two vertices touch: a_0 and b_0 are distinct and both incident with
@@ -323,6 +323,8 @@ def check_bishellable(drawing: Drawing, s: Optional[int] = None,
     """
     if s is None:
         s = drawing.n // 2 - 2
+        if s < 0:  # n = 3: the caller passed no order, so name the default
+            raise ValueError(f"default order s=floor(n/2)-2={s} out of range for n={drawing.n}")
     if not 0 <= s <= drawing.n - 2:
         raise ValueError(f"order s={s} out of range for n={drawing.n}")
     memo: Memo = {}

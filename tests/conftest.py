@@ -8,8 +8,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import comb
 from types import SimpleNamespace
-from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
@@ -53,9 +52,8 @@ def planar_k4() -> Drawing:
 
     Reference face: outer (left of the dart 1->0).
     """
-    paths = {e: [] for e in itertools.combinations(range(4), 2)}
     rotations = [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1)]
-    return build_drawing(4, paths, 0, rotations, reference=(1, 0))
+    return build_drawing(4, [()] * 6, 0, rotations, reference=(1, 0))
 
 
 @pytest.fixture(scope="session")
@@ -244,7 +242,7 @@ def regenerate_subdrawing(drawing: Drawing,
     if isinstance(geom, TwoPageGeometry):
         order = tuple(relabel[v] for v in geom.order if v in survivors)
         pages = {}
-        for (u, v), page in geom.pages:
+        for (u, v), page in zip(drawing.edges, geom.pages):
             if u in survivors and v in survivors:
                 pages[(relabel[u], relabel[v])] = page
         positions = [geom.positions[v] for v in keep]
@@ -385,7 +383,7 @@ def reference_deletion_view(base: Drawing,
 
 def reference_build_drawing(
     n: int,
-    edge_paths: Mapping[Tuple[int, int], Sequence[int]],
+    edge_paths: Sequence[Sequence[int]],
     crossings: int,
     vertex_rotations: Sequence[Sequence[int]],
     reference: Tuple[int, int],
@@ -405,13 +403,9 @@ def reference_build_drawing(
     edges = list(itertools.combinations(range(n), 2))
     c = crossings
 
-    paths: List[Tuple[int, ...]] = []
-    for (u, v) in edges:
-        if (u, v) not in edge_paths:
-            raise ValueError(f"missing path for edge ({u},{v})")
-        paths.append(tuple(edge_paths[(u, v)]))
     if len(edge_paths) != len(edges):
-        raise ValueError("unexpected extra edge paths")
+        raise ValueError(f"need {len(edges)} edge paths, got {len(edge_paths)}")
+    paths = [tuple(path) for path in edge_paths]
 
     # rotations, then each path whole in edge order, then the reference
     # dart, each refusal naming its part; only then the crossing counts
@@ -610,8 +604,7 @@ def goodness_violations(drawing: Drawing) -> Tuple[GoodnessViolation, ...]:
 MAP_REFUSALS = {
     "euler": r"^V-E\+F = \d+-\d+\+\d+ != 2$",
     "crossing degree": r"^crossing \d+ met by \d+ edge passes, expected 2$",
-    "path/rotation": (r"^(missing path for edge \(\d+,\d+\)"
-                      r"|unexpected extra edge paths"
+    "path/rotation": (r"^(need \d+ edge paths, got \d+"
                       r"|edge \(\d+, \d+\) visits a crossing twice"
                       r"|crossing id -?\d+ out of range"
                       r"|rotation at \d+ is not a permutation of the other vertices)$"),
@@ -708,15 +701,15 @@ def flip_triangle(drawing: Drawing, triangle: FrozenSet[int]) -> Drawing:
     rebuilds the map without geometry, deriving the bits anew; the same
     crossings bound a face of the result, so flipping them again restores
     the map."""
-    paths = {}
-    for edge, path in zip(drawing.edges, drawing.edge_paths):
+    paths = []
+    for path in drawing.edge_paths:
         spots = [i for i, k in enumerate(path) if k in triangle]
         path = list(path)
         if spots:
             i, j = spots
             assert j == i + 1, "a side of the triangle is not one segment"
             path[i], path[j] = path[j], path[i]
-        paths[edge] = path
+        paths.append(path)
     return build_drawing(drawing.n, paths, drawing.crossings, drawing.vertex_rotations,
                          drawing.face_dart(drawing.reference_face))
 
@@ -760,7 +753,7 @@ def fraction_segment_arrangement(points) -> Arrangement:
     pts = list(points)
     n = len(pts)
     edges = list(itertools.combinations(range(n), 2))
-    crossings = []
+    k = 0
     per_edge: List[List[Tuple[Fraction, int]]] = [[] for _ in edges]
     for ea, eb in itertools.combinations(range(len(edges)), 2):
         (a, b), (c, d) = edges[ea], edges[eb]
@@ -769,10 +762,9 @@ def fraction_segment_arrangement(points) -> Arrangement:
         hit = proper_intersection(pts[a], pts[b], pts[c], pts[d])
         if hit is None:
             continue
-        k = len(crossings)
-        crossings.append((ea, eb))
         per_edge[ea].append((_fraction_parameter(pts[a], pts[b], hit), k))
         per_edge[eb].append((_fraction_parameter(pts[c], pts[d], hit), k))
+        k += 1
 
     edge_paths = []
     for eid, hits in enumerate(per_edge):
@@ -787,7 +779,7 @@ def fraction_segment_arrangement(points) -> Arrangement:
         dirs = [(pts[w] - pts[u], w) for w in range(n) if w != u]
         dirs.sort(key=cmp_to_key(lambda p, q: _fraction_direction_cmp(p[0], q[0])))
         vertex_orders.append(tuple(w for _, w in dirs))
-    return Arrangement(tuple(crossings), tuple(edge_paths), tuple(vertex_orders))
+    return Arrangement(k, tuple(edge_paths), tuple(vertex_orders))
 
 
 def fraction_orientation_bits(points) -> Tuple[str, ...]:
@@ -797,8 +789,13 @@ def fraction_orientation_bits(points) -> Tuple[str, ...]:
     The library derives its bits from the rotations instead."""
     pts = list(points)
     edges = list(itertools.combinations(range(len(pts)), 2))
+    arr = fraction_segment_arrangement(pts)
+    passes: List[List[int]] = [[] for _ in range(arr.crossings)]
+    for eid, path in enumerate(arr.edge_paths):
+        for k in path:
+            passes[k].append(eid)  # the first edge first
     bits = []
-    for ea, eb in fraction_segment_arrangement(pts).crossings:
+    for ea, eb in passes:
         (a, b), (c, d) = edges[ea], edges[eb]
         bits.append("+" if (pts[b] - pts[a]).cross(pts[d] - pts[c]) > 0 else "-")
     return tuple(bits)

@@ -191,6 +191,14 @@ def test_check_s_out_of_range_exit_2(tmp_path, capsys, n, argv):
     assert "out of range" in err
 
 
+def test_check_bishell_k3_names_the_default_order(tmp_path, capsys):
+    drawing = tmp_path / "c3.map"
+    run(capsys, "generate", "cylindrical", "--n", "3", "-o", str(drawing))
+    code, stdout, err = run(capsys, "check", str(drawing), "--mode", "bishell")
+    assert (code, stdout) == (2, "")
+    assert err == "error: default order s=floor(n/2)-2=-1 out of range for n=3\n"
+
+
 def test_verify_rejects_bad_witness(tmp_path, capsys):
     drawing = tmp_path / "k6.pts"
     run(capsys, "generate", "convex", "--n", "6", "-o", str(drawing))

@@ -74,9 +74,9 @@ K4_ROTATIONS = [(1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1)]   # the planar K4's
 
 
 def _k4_paths(changes=()):
-    paths = {e: [] for e in itertools.combinations(range(4), 2)}
-    paths.update(changes)
-    return paths
+    """The K_4 paths in edge order: none crossed but the edges in `changes`."""
+    changes = dict(changes)
+    return [changes.get(edge, []) for edge in edge_list(4)]
 
 
 # build_drawing arguments (n, paths, crossings, rotations, reference) of
@@ -89,7 +89,7 @@ MALFORMED = {
     "revisit": (4, _k4_paths({(0, 2): [0, 0]}), 1, K4_ROTATIONS, (1, 0)),
     # K3 with edges (0,1) and (1,2) crossing once; rotations at degree-2
     # vertices are forced
-    "adjacent": (3, {(0, 1): [0], (0, 2): [], (1, 2): [0]}, 1,
+    "adjacent": (3, [[0], [], [0]], 1,
                  [(1, 2), (0, 2), (0, 1)], (0, 1)),
     # 0=(0,0), 1=(0,4), 2=(3,1), 3=(3,3); all edges straight except (0,1),
     # which heads right, crosses (2,3) twice (out and back), then crosses
@@ -97,8 +97,7 @@ MALFORMED = {
     "double": (4, _k4_paths({(0, 1): [0, 1, 2], (2, 3): [0, 1], (0, 3): [2]}),
                3, [(2, 1, 3), (2, 0, 3), (0, 1, 3), (1, 0, 2)], (2, 0)),
     "negative-crossings": (4, _k4_paths(), -1, K4_ROTATIONS, (1, 0)),
-    "missing-path": (4, {e: [] for e in itertools.combinations(range(4), 2)
-                         if e != (1, 3)}, 0, K4_ROTATIONS, (1, 0)),
+    "missing-path": (4, _k4_paths()[:5], 0, K4_ROTATIONS, (1, 0)),
     "crossing-id": (4, _k4_paths({(0, 2): [3]}), 1, K4_ROTATIONS, (1, 0)),
     "rotation": (4, _k4_paths(), 0, [(1, 3, 2), (2, 3, 0), (0, 3, 3), (2, 0, 1)], (1, 0)),
     "reference": (4, _k4_paths(), 0, K4_ROTATIONS, (1, 1)),
@@ -113,10 +112,10 @@ MALFORMED = {
                         1, K4_ROTATIONS, (1, 0)),
     # an id out of range before the revisit on the same edge
     "id-then-revisit": (4, _k4_paths({(0, 2): [3, 0, 0]}), 1, K4_ROTATIONS, (1, 0)),
-    # a path for a pair that is not an edge of K_4
-    "extra-path": (4, _k4_paths({(0, 4): []}), 0, K4_ROTATIONS, (1, 0)),
+    # a seventh path: K_4 has six edges
+    "extra-path": (4, _k4_paths() + [[]], 0, K4_ROTATIONS, (1, 0)),
     "rotation-count": (4, _k4_paths(), 0, K4_ROTATIONS[:3], (1, 0)),
-    "small-n": (2, {(0, 1): []}, 0, [(1,), (0,)], (0, 1)),
+    "small-n": (2, [[]], 0, [(1,), (0,)], (0, 1)),
 }
 
 
@@ -168,6 +167,15 @@ def test_negative_crossing_count_refused():
     with pytest.raises(ValueError) as caught:
         build_drawing(*MALFORMED["negative-crossings"])
     assert (type(caught.value), str(caught.value)) == (ValueError, "negative crossing count -1")
+
+
+@pytest.mark.parametrize("case, count", [("missing-path", 5), ("extra-path", 7)])
+def test_path_count_refused(case, count):
+    # one path per edge of K_4, in edge order: any other count is one refusal
+    with pytest.raises(ValueError) as caught:
+        build_drawing(*MALFORMED[case])
+    assert (type(caught.value), str(caught.value)) == (ValueError,
+                                                       f"need 6 edge paths, got {count}")
 
 
 def test_double_cross_detected():
@@ -518,9 +526,8 @@ def test_faces_named_by_darts(small_corpus):
 
 
 def map_arguments(drawing):
-    """build_drawing arguments that describe `drawing`."""
-    paths = {edge: drawing.edge_paths[eid] for eid, edge in enumerate(drawing.edges)}
-    return (drawing.n, paths, drawing.crossings, drawing.vertex_rotations,
+    """build_drawing arguments that describe `drawing`: its own fields."""
+    return (drawing.n, drawing.edge_paths, drawing.crossings, drawing.vertex_rotations,
             drawing.face_dart(drawing.reference_face), drawing.geometry)
 
 
@@ -549,6 +556,19 @@ def test_build_matches_reference_build_field_by_field(oracle_corpus):
         built = build_outcome(build_drawing, *args)
         assert built == build_outcome(reference_build_drawing, *args)
         assert built == build_outcome(lambda: drawing)
+
+
+def test_a_drawings_fields_are_its_build_arguments(small_corpus):
+    # the builder takes the paths as a drawing stores them, in edge order,
+    # so a drawing's own fields build it again, geometry included
+    tin_can = gen_cylindrical(24)
+    drawings = [drawing for _name, _n, drawing in small_corpus]
+    drawings += [tin_can, subdrawing(tin_can, (1 << 24) - 1 ^ vertex_mask((2, 13, 19)))]
+    drawings += [gen_random_points(12, seed) for seed in (502, 505, 511, 567, 629)]
+    drawings += [gen_random_points(14, seed) for seed in range(1, 7)]
+    for d in drawings:
+        assert build_drawing(d.n, d.edge_paths, d.crossings, d.vertex_rotations,
+                             d.face_dart(d.reference_face), d.geometry) == d
 
 
 def test_flat_tables_follow_the_dart_layout_and_the_paths(small_corpus):

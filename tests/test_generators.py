@@ -260,7 +260,7 @@ def test_arrangement_key_matches_drawing_key():
             d = gen_random_points(n, seed)
             assert d.geometry.points == tuple(Point(Fraction(x), Fraction(y))
                                               for x, y in points)
-            assert ((len(arr.crossings), rotation_key(arr.vertex_orders))
+            assert ((arr.crossings, rotation_key(arr.vertex_orders))
                     == (d.crossings, rotation_key(d.vertex_rotations)))
             assert d.orientation_bits == fraction_orientation_bits(d.geometry.points)
 

@@ -22,6 +22,7 @@ from kncross.drawing import (
     PointsGeometry,
     TwoPageGeometry,
     build_drawing,
+    edge_ids,
 )
 from kncross.generators import (gen_convex, gen_cylindrical, gen_random_points, gen_twopage,
                                 twopage_all_top)
@@ -310,15 +311,16 @@ def test_swapped_path_names_a_bit_exactly_when_bits_alone_mend_it():
     drawing = parse("\n".join(lines) + "\n")
     ref = tuple(map(int, lines[-1].split()[1:]))
     xs = [(i, int(line.split()[1])) for i, line in enumerate(lines) if line.startswith("x ")]
-    variants = [(lines, dict(zip(drawing.edges, drawing.edge_paths)))]
+    variants = [(lines, drawing.edge_paths)]
     for i, line in enumerate(lines):
         if line.startswith("e "):
             head, tail = line.split(" :")
             ks = tail.split()
             for j in range(len(ks) - 1):
                 swapped = ks[:j] + [ks[j + 1], ks[j]] + ks[j + 2:]
-                paths = dict(variants[0][1])
-                paths[tuple(map(int, head.split()[1:]))] = tuple(map(int, swapped))
+                u, v = map(int, head.split()[1:])
+                paths = list(drawing.edge_paths)
+                paths[edge_ids(7)[u][v]] = tuple(map(int, swapped))
                 variants.append((lines[:i] + [f"{head} : {' '.join(swapped)}"] + lines[i + 1:],
                                  paths))
     named = 0
@@ -695,12 +697,13 @@ def test_magic_line_tokens_split_at_any_whitespace():
 
 
 def test_parsed_map_holds_one_int_per_crossing_id():
-    # as in the generated map, both passes of a crossing share one int object
-    generated = gen_random_points(14, 1)
-    for drawing in (generated, parse(serialize(generated, "map"))):
-        ids = [k for path in drawing.edge_paths for k in path]
-        assert len(ids) == 2 * drawing.crossings == 1428
-        assert len({id(k) for k in ids}) == drawing.crossings
+    # as in the generated map, both passes of a crossing share one int
+    # object; the tin can's lid ids, past the small-int cache, too
+    for generated, crossings in ((gen_random_points(14, 1), 714), (gen_cylindrical(24), 3630)):
+        for drawing in (generated, parse(serialize(generated, "map"))):
+            ids = [k for path in drawing.edge_paths for k in path]
+            assert len(ids) == 2 * drawing.crossings == 2 * crossings
+            assert len({id(k) for k in ids}) == drawing.crossings
 
 
 def test_witness_round_trip_shell():

@@ -213,7 +213,8 @@ def test_near_tie_parameters_on_one_edge_match_fraction(q1, shift):
            for x, y in ((0, 0), (1, 0), (0, -1), (p1, q1 - 1), (p2, q2 - 1))]
     assert _assert_matches_fraction_path(pts) == "ok"
     arr = segment_arrangement(pts)
-    assert [arr.crossings[k] for k in arr.edge_paths[0]] == [(0, 7), (0, 8)]
+    d = planarize_points(pts)  # which edges cross is what the map derives
+    assert [d.crossed_edges[2 * k:2 * k + 2] for k in arr.edge_paths[0]] == [(0, 7), (0, 8)]
     assert arr.vertex_orders[2] == (1, 4, 3, 0)
 
 

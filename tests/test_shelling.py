@@ -133,7 +133,11 @@ def test_bad_caller_input_is_a_value_error():
         (check_bishellable, (d5, 1, faces), rf"^face {faces} out of range$"),
         (check_s_shellable, (d5, 3, faces), rf"^face {faces} out of range$"),
         (check_s_shellable, (d5, None, -1), r"^face -1 out of range$"),
-        (check_bishellable, (gen_convex(3),), r"^order s=-1 out of range for n=3$"),
+        # no order passed: the refusal names the default, not the caller's
+        (check_bishellable, (gen_convex(3),),
+         r"^default order s=floor\(n/2\)-2=-1 out of range for n=3$"),
+        (check_bishellable, (gen_cylindrical(3),),
+         r"^default order s=floor\(n/2\)-2=-1 out of range for n=3$"),
         (shell_witness_violation, (d5, ShellWitness(0, ())),
          r"^sequence length 0 out of range$"),
         (shell_witness_violation, (d5, ShellWitness(0, (0, 0))),
