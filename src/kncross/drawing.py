@@ -22,18 +22,18 @@ the unbounded face of a geometric input is an ordinary face, merely
 remembered as the reference.
 
 `build_drawing` checks its input and nothing those checks imply, in
-this order: the crossing count is not negative and there is one path
-per edge; every vertex rotation is a permutation of the other vertices;
-each path, in edge order, visits no crossing twice, then has its ids in
-range; the reference is a dart; every crossing is met by two distinct
-edge passes; the drawing is good (no other code checks goodness); V - E
-+ F = 2.  Each refusal is a `ValueError`, as is every refusal of input
-in the package.  A rotation, path or reference refusal is a `MapError`
-whose `part`, ("rot", u), ("e", u, v) or ("ref",), lets `parse` name
-its line, and comes first; a map that is not good gets
-`NotGoodDrawing`, which lists the violations.  The checks make succ a
-permutation, so every face walk closes, and the map of K_n is
-connected, so its dual is too.
+this order: the crossing count is not negative, the paths are not a
+mapping and there is one path per edge; every vertex rotation is a
+permutation of the other vertices; each path, in edge order, visits no
+crossing twice, then has its ids in range; the reference is a dart;
+every crossing is met by two distinct edge passes; the drawing is good
+(no other code checks goodness); V - E + F = 2.  Each refusal is a
+`ValueError`, as is every refusal of input in the package.  A rotation,
+path or reference refusal is a `MapError` whose `part`, ("rot", u),
+("e", u, v) or ("ref",), lets `parse` name its line, and comes first; a
+map that is not good gets `NotGoodDrawing`, which lists the violations.
+The checks make succ a permutation, so every face walk closes, and the
+map of K_n is connected, so its dual is too.
 
 A map is its paths, rotations and reference: the rotation system of a
 good drawing fixes its crossings (Kyncl 2011), so `build_drawing`
@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .geom import Point
 
@@ -225,9 +225,9 @@ def build_drawing(
 
     `edge_paths` holds, per edge uv of `edge_list(n)` in that order, the
     crossing ids, 0 up to `crossings` - 1, met on the way from u to v;
-    any other number of paths is refused.  `reference` is a directed
-    pair (u, v): the reference face is to the left of the first dart of
-    that edge leaving u.  Construction raises ValueError on any
+    a mapping, or any other number of paths, is refused.  `reference` is
+    a directed pair (u, v): the reference face is to the left of the
+    first dart of that edge leaving u.  Construction raises ValueError on any
     inconsistency rather than producing a broken map, a MapError when a
     rotation, a path or the reference is at fault, and NotGoodDrawing on
     a map whose drawing is not good.
@@ -254,6 +254,8 @@ def build_drawing(
         raise ValueError("need n >= 3")
     if crossings < 0:
         raise ValueError(f"negative crossing count {crossings}")
+    if isinstance(edge_paths, Mapping):
+        raise ValueError("edge_paths is a mapping; need one path per edge in edge_list(n) order")
     edges = edge_list(n)
     c = crossings
     if len(edge_paths) != len(edges):

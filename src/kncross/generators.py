@@ -13,9 +13,12 @@ shorter angular direction, so any pair crosses at most once.
 Every family hands `build_drawing` one crossing path per edge in
 `edge_list(n)` order: point sets through their arrangement, the two-page
 book from its loop over the edges, and the tin can, which collects its
-paths region by region, orders them once at the call.  A two-page
-drawing keeps its spine order, the page of each edge in edge order and
-its spine positions as its geometry.
+paths region by region, orders them once at the call.  A `TwoPageSpec`
+holds its spine order and the page of each edge in edge order, and a
+two-page drawing keeps those two and its spine positions as its
+geometry, so `gen_twopage(TwoPageSpec(g.order, g.pages))` rebuilds a
+book from its geometry g.  Its reference face, the unbounded one, is
+named by one rule, `_book_reference`, which `io.serialize` reads too.
 
 Every family is built by one retry loop, `_first_nondegenerate`: it
 hands attempt 0, 1, 2, ... to a function of the attempt and returns the
@@ -55,6 +58,7 @@ from .drawing import (
     Drawing,
     TwoPageGeometry,
     build_drawing,
+    edge_ids,
     edge_list,
 )
 from .geom import circle_point, point
@@ -174,23 +178,8 @@ def gen_random_points(n: int, seed: int) -> Drawing:
 
 
 class TwoPageSpec(NamedTuple):
-    order: Tuple[int, ...]                      # spine order, left to right
-    pages: Mapping[Tuple[int, int], str]        # (u,v) u<v -> "T" | "B"
-
-    def page(self, u: int, v: int) -> str:
-        return self.pages[(u, v) if u < v else (v, u)]
-
-
-def _validate_twopage(spec: TwoPageSpec) -> int:
-    n = len(spec.order)
-    if sorted(spec.order) != list(range(n)):
-        raise ValueError("spine order must be a permutation of 0..n-1")
-    if spec.pages.keys() != set(itertools.combinations(range(n), 2)):
-        raise ValueError("pages must assign every edge (u, v), u < v, exactly once")
-    for v in spec.pages.values():
-        if v not in ("T", "B"):
-            raise ValueError(f"bad page {v!r}")
-    return n
+    order: Tuple[int, ...]      # spine order, left to right
+    pages: Tuple[str, ...]      # "T" | "B" per edge, in edge order
 
 
 def gen_twopage(spec: TwoPageSpec) -> Drawing:
@@ -203,7 +192,16 @@ def gen_twopage(spec: TwoPageSpec) -> Drawing:
     rational offsets so that no three semicircles are concurrent; the
     offsets never change the spine order, hence never the crossing set.
     """
-    n = _validate_twopage(spec)
+    n = len(spec.order)
+    if sorted(spec.order) != list(range(n)):
+        raise ValueError("spine order must be a permutation of 0..n-1")
+    if isinstance(spec.pages, Mapping):
+        raise ValueError("pages is a mapping; need one page per edge in edge_list(n) order")
+    if len(spec.pages) != n * (n - 1) // 2:
+        raise ValueError(f"need {n * (n - 1) // 2} pages, got {len(spec.pages)}")
+    for page in spec.pages:
+        if page not in ("T", "B"):
+            raise ValueError(f"bad page {page!r}")
     if n < 3:
         raise ValueError("need n >= 3")
 
@@ -215,6 +213,16 @@ def gen_twopage(spec: TwoPageSpec) -> Drawing:
     return _first_nondegenerate(range(40), assemble)
 
 
+def _book_reference(order: Sequence[int], pages: Sequence[str]) -> Tuple[int, int]:
+    """The dart of a book's reference face, the unbounded one: from the
+    leftmost vertex to its rightmost top-page neighbour or, when it has
+    none, to its leftmost bottom-page neighbour.  `_assemble_twopage`
+    builds with it and `io.serialize` writes a twopage file only of a
+    drawing referenced by it."""
+    ids = edge_ids(len(order))[order[0]]
+    return order[0], next((w for w in order[:0:-1] if pages[ids[w]] == "T"), order[1])
+
+
 def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawing:
     """The semicircle map of `spec` with vertex v at spine abscissa positions[v].
 
@@ -224,7 +232,6 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
     """
     n = len(spec.order)
     edges = edge_list(n)
-    pages = tuple([spec.pages[edge] for edge in edges])
     # an edge runs from u to v, right to left when u lies to the right
     backward = [positions[u] > positions[v] for u, v in edges]
     spans = [(positions[v], positions[u]) if back else (positions[u], positions[v])
@@ -233,7 +240,7 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
     k = 0
     per_edge: List[List[Tuple[Fraction, int]]] = [[] for _ in edges]
     for ea, eb in itertools.combinations(range(len(edges)), 2):
-        if pages[ea] != pages[eb]:
+        if spec.pages[ea] != spec.pages[eb]:
             continue
         (l1, r1), (l2, r2) = spans[ea], spans[eb]
         if not (l1 < l2 < r1 < r2 or l2 < l1 < r2 < r1):
@@ -250,35 +257,30 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
     # the left, each left to right; bottom page to the left, then to the
     # right, each right to left
     rotations: List[Tuple[int, ...]] = []
-    for v, x_v in enumerate(positions):
+    for v, (x_v, ids) in enumerate(zip(positions, edge_ids(n))):
         keyed = []
         for w, x in enumerate(positions):
             if w == v:
                 continue
-            if spec.page(v, w) == "T":
+            if spec.pages[ids[w]] == "T":
                 keyed.append((0 if x > x_v else 1, x, w))
             else:
                 keyed.append((2 if x < x_v else 3, -x, w))
         keyed.sort()
         rotations.append(tuple([w for _, _, w in keyed]))
 
-    # the leftmost vertex's last top-page neighbour (its last neighbour
-    # when it has none) bounds the outer face
-    v0 = spec.order[0]
-    tops = sum(spec.page(v0, w) == "T" for w in rotations[v0])
     geometry = TwoPageGeometry(
         order=tuple(spec.order),
-        pages=pages,
+        pages=tuple(spec.pages),
         positions=tuple(positions),
     )
-    return build_drawing(n, paths, k, rotations, (v0, rotations[v0][tops - 1]),
+    return build_drawing(n, paths, k, rotations, _book_reference(spec.order, spec.pages),
                          geometry=geometry)
 
 
 def twopage_all_top(n: int) -> TwoPageSpec:
     """Every edge on the top page with the identity spine order."""
-    pages = {e: "T" for e in itertools.combinations(range(n), 2)}
-    return TwoPageSpec(order=tuple(range(n)), pages=pages)
+    return TwoPageSpec(order=tuple(range(n)), pages=("T",) * (n * (n - 1) // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,17 @@ pair ``u v``, read with `Drawing.face_left_of(u, v)` and written with
 `Drawing.face_dart`: the face to the left of the first dart of that edge
 leaving u.  A map file's `e` lines may come in any order; `_parse_map`
 hands `build_drawing` their paths once in edge order, the shape a
-`Drawing` stores.  A two-page file has one `e` line per edge, in edge
-order, from the page of each edge its geometry holds.  A file that
-breaks its format is refused with a `ParseError`, a `ValueError` that
-names the line; a map only where `build_drawing`, its one judge, blames
-one line (see `_parse_map`).
+`Drawing` stores.  A two-page file is written with one `e` line per
+edge, in edge order, from the page of each edge its geometry holds;
+read, its `e` lines too may come in any order, either way round, and
+`_parse_twopage` hands `gen_twopage` their pages once in edge order, the
+shape a `TwoPageSpec` holds.  Points and twopage files hold only the
+unbounded reference face: `serialize` refuses a drawing referenced by
+another face, found by the rule its builder uses
+(`planarize._points_reference`, `generators._book_reference`), and
+points to the map format.  A file that breaks its format is refused with
+a `ParseError`, a `ValueError` that names the line; a map only where
+`build_drawing`, its one judge, blames one line (see `_parse_map`).
 
 Serialization is canonical (crossings renumbered by first appearance
 along lexicographic edges, rotations started at the smallest neighbor,
@@ -60,8 +66,8 @@ from .drawing import (
     edge_list,
 )
 from .geom import Point, proper_intersection
-from .planarize import planarize_points
-from .generators import TwoPageSpec, gen_twopage
+from .planarize import _points_reference, planarize_points
+from .generators import TwoPageSpec, _book_reference, gen_twopage
 from .shelling import BishellWitness, ShellWitness
 
 MAGIC = "kncross v1"
@@ -210,9 +216,11 @@ def _parse_twopage(n: int, n_line: int, body: List[Tuple[int, List[str]]]) -> Dr
             raise ParseError(no, f"unexpected line {' '.join(parts)!r}")
     if order is None:
         raise ParseError(body[0][0] if body else n_line, "order line missing or invalid")
+    # the count first: a header count far beyond the file's lines must not
+    # size a list
     if len(pages) != n * (n - 1) // 2:
         raise ParseError(body[-1][0], "missing edge lines")
-    return gen_twopage(TwoPageSpec(order=order, pages=pages))
+    return gen_twopage(TwoPageSpec(order=order, pages=tuple([pages[e] for e in edge_list(n)])))
 
 
 def _parse_map(n: int, n_line: int, body: List[Tuple[int, List[str]]]) -> Drawing:
@@ -322,6 +330,7 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
         geom = drawing.geometry
         if not isinstance(geom, PointsGeometry):
             raise ValueError("drawing has no point coordinates")
+        _check_unbounded_reference(drawing, _points_reference(geom.points), fmt)
         out = [MAGIC, "format points", f"n {drawing.n}"]
         for i, p in enumerate(geom.points):
             out.append(f"v {i} {_frac_str(p.x)} {_frac_str(p.y)}")
@@ -331,6 +340,7 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
         geom = drawing.geometry
         if not isinstance(geom, TwoPageGeometry):
             raise ValueError("drawing has no 2-page structure")
+        _check_unbounded_reference(drawing, _book_reference(geom.order, geom.pages), fmt)
         out = [MAGIC, "format twopage", f"n {drawing.n}"]
         out.append("order " + " ".join(str(v) for v in geom.order))
         for (u, v), page in zip(drawing.edges, geom.pages):
@@ -352,6 +362,15 @@ def serialize(drawing: Drawing, fmt: str) -> bytes:
         return ("\n".join(out) + "\n").encode()
 
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _check_unbounded_reference(drawing: Drawing, dart: Tuple[int, int], fmt: str) -> None:
+    """Refuse to write a `fmt` file, which holds only the unbounded
+    reference face, the face left of `dart`, of a drawing referenced by
+    another face."""
+    if drawing.reference_face != drawing.face_left_of(*dart):
+        raise ValueError(f"the {fmt} format holds only the unbounded reference face, "
+                         f"not face {drawing.reference_face}; write a map file")
 
 
 def _file_order(drawing: Drawing) -> Dict[int, int]:

@@ -40,11 +40,14 @@ points themselves are only stored, as the drawing's geometry; no `geom`
 predicate runs here.
 
 The reference face of a planarized drawing is the unbounded face, named
-by a dart read off the arrangement.  Seen from the lexicographically
+by one rule, `_points_reference`, which `planarize_arrangement` builds
+with and `io.serialize` checks before it writes a points file (the
+format holds no other reference face).  Seen from the lexicographically
 largest point `top`, every other point lies at an angle in (90, 270]
-degrees, so the last neighbor w in the counterclockwise order at `top`
-has every other point strictly to the right of top->w.  That hull edge
-is never crossed, and the face to the left of top->w is unbounded.
+degrees, a range narrower than a half turn, so one pass finds the
+neighbor w with every other point strictly to the right of top->w.
+That hull edge is never crossed, and the face to the left of top->w is
+unbounded.
 
 `planarize_points` is `segment_arrangement` followed by
 `planarize_arrangement`, which hands the arrangement's fields to
@@ -221,18 +224,28 @@ def planarize_points(points: Sequence[Point]) -> Drawing:
 def planarize_arrangement(points: Sequence[Point], arr: Arrangement) -> Drawing:
     """The map of `points` from their already computed `segment_arrangement`.
 
-    The reference face is the unbounded one, read off the arrangement
-    (see the module docstring).
+    The reference face is the unbounded one, `_points_reference`.
     """
     pts = tuple(points)
-    n = len(pts)
-    top = max(range(n), key=lambda i: (pts[i].x, pts[i].y))
     return build_drawing(
-        n=n,
+        n=len(pts),
         edge_paths=arr.edge_paths,
         crossings=arr.crossings,
         vertex_rotations=arr.vertex_orders,
-        reference=(top, arr.vertex_orders[top][-1]),
+        reference=_points_reference(pts),
         geometry=PointsGeometry(points=pts),
     )
+
+
+def _points_reference(points: Sequence[Point]) -> Tuple[int, int]:
+    """The dart top->w of a point set's unbounded face: `top` the
+    lexicographically largest point, w its neighbor with every other
+    point strictly to the right of top->w (see the module docstring)."""
+    top = max(range(len(points)), key=points.__getitem__)
+    o = points[top]
+    w = 1 if top == 0 else 0
+    for p, at in enumerate(points):
+        if p != top and (points[w] - o).cross(at - o) > 0:
+            w = p  # `at` lies left of top->w: turn towards it
+    return top, w
 

@@ -23,6 +23,7 @@ from kncross.drawing import (
     TwoPageGeometry,
     build_drawing,
     edge_ids,
+    edge_list,
     subdrawing,
 )
 from kncross.generators import (
@@ -80,8 +81,7 @@ def small_corpus():
         drawings.append(("cylindrical", n, gen_cylindrical(n)))
     for n in (4, 5, 6):
         drawings.append(("twopage", n, gen_twopage(twopage_all_top(n))))
-    pages = {e: ("T" if sum(e) % 2 else "B")
-             for e in itertools.combinations(range(6), 2)}
+    pages = tuple(["T" if sum(e) % 2 else "B" for e in edge_list(6)])
     drawings.append(("twopage-mixed", 6, gen_twopage(TwoPageSpec(tuple(range(6)), pages))))
     for n, seed in ((5, 11), (6, 5), (7, 3)):
         drawings.append(("random", n, gen_random_points(n, seed)))
@@ -98,12 +98,12 @@ def shuffled_twopage_spec(seed: int) -> TwoPageSpec:
     for i in range(n - 1, 0, -1):
         j = rng.below(i + 1)
         order[i], order[j] = order[j], order[i]
-    pages = {e: "TB"[rng.below(2)] for e in itertools.combinations(range(n), 2)}
+    pages = ["TB"[rng.below(2)] for _ in edge_list(n)]
     if seed % 5 == 0:
-        for e in pages:
-            if order[0] in e:
+        for e, edge in enumerate(edge_list(n)):
+            if order[0] in edge:
                 pages[e] = "B"
-    return TwoPageSpec(tuple(order), pages)
+    return TwoPageSpec(tuple(order), tuple(pages))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +241,8 @@ def regenerate_subdrawing(drawing: Drawing,
 
     if isinstance(geom, TwoPageGeometry):
         order = tuple(relabel[v] for v in geom.order if v in survivors)
-        pages = {}
-        for (u, v), page in zip(drawing.edges, geom.pages):
-            if u in survivors and v in survivors:
-                pages[(relabel[u], relabel[v])] = page
+        pages = tuple([page for (u, v), page in zip(drawing.edges, geom.pages)
+                       if u in survivors and v in survivors])
         positions = [geom.positions[v] for v in keep]
         spec = TwoPageSpec(order=order, pages=pages)
         return _assemble_twopage(spec, positions), relabel

@@ -434,7 +434,7 @@ def test_export_svg_renders_a_written_twopage_file(tmp_path, capsys):
     # a page assignment of one's own is a twopage file, in any line order
     # and with comments, and export-svg renders it
     pages = {(u, v): "TB"[(u * v + u) % 2] for u, v in itertools.combinations(range(7), 2)}
-    spec = TwoPageSpec(order=(3, 0, 6, 1, 5, 2, 4), pages=pages)
+    spec = TwoPageSpec(order=(3, 0, 6, 1, 5, 2, 4), pages=tuple(pages.values()))
     lines = [f"e {v} {u} {page}" if u % 2 else f"e {u} {v} {page}"
              for (u, v), page in pages.items()]
     random.Random(35).shuffle(lines)

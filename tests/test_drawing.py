@@ -12,6 +12,7 @@ from kncross.drawing import (
     Drawing,
     MapError,
     NotGoodDrawing,
+    TwoPageGeometry,
     _goodness_violations,
     build_drawing,
     edge_ids,
@@ -21,6 +22,7 @@ from kncross.drawing import (
 )
 from kncross.generators import (
     SplitMix64,
+    TwoPageSpec,
     gen_convex,
     gen_cylindrical,
     gen_random_points,
@@ -566,9 +568,36 @@ def test_a_drawings_fields_are_its_build_arguments(small_corpus):
     drawings += [tin_can, subdrawing(tin_can, (1 << 24) - 1 ^ vertex_mask((2, 13, 19)))]
     drawings += [gen_random_points(12, seed) for seed in (502, 505, 511, 567, 629)]
     drawings += [gen_random_points(14, seed) for seed in range(1, 7)]
+    drawings += [gen_twopage(twopage_all_top(n)) for n in range(3, 11)]
+    drawings += [gen_twopage(shuffled_twopage_spec(seed)) for seed in range(200)]
+    books = 0
     for d in drawings:
         assert build_drawing(d.n, d.edge_paths, d.crossings, d.vertex_rotations,
                              d.face_dart(d.reference_face), d.geometry) == d
+        # a book's geometry holds its spec: a page per edge, in edge order
+        if isinstance(d.geometry, TwoPageGeometry):
+            assert gen_twopage(TwoPageSpec(d.geometry.order, d.geometry.pages)) == d
+            assert parse(serialize(d, "twopage")) == d
+            books += 1
+    assert books == 4 + 8 + 200
+
+
+@pytest.mark.parametrize("drawing", [gen_convex(6), gen_cylindrical(3)],
+                         ids=["convex-6", "tin-can-3"])
+def test_path_mapping_refused_by_name(drawing):
+    # the paths come in edge order, not keyed by edge: a mapping is refused
+    # as one, after the n and crossing-count checks, before the path count
+    keyed = dict(zip(drawing.edges, drawing.edge_paths))
+    rest = (drawing.vertex_rotations, drawing.face_dart(drawing.reference_face))
+    refusal = "edge_paths is a mapping; need one path per edge in edge_list(n) order"
+    for paths in (keyed, dict(list(keyed.items())[1:])):
+        with pytest.raises(ValueError) as caught:
+            build_drawing(drawing.n, paths, drawing.crossings, *rest)
+        assert (type(caught.value), str(caught.value)) == (ValueError, refusal)
+    with pytest.raises(ValueError, match=r"^negative crossing count -1$"):
+        build_drawing(drawing.n, keyed, -1, *rest)
+    with pytest.raises(ValueError, match=r"^need n >= 3$"):
+        build_drawing(2, keyed, drawing.crossings, *rest)
 
 
 def test_flat_tables_follow_the_dart_layout_and_the_paths(small_corpus):

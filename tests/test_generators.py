@@ -135,14 +135,13 @@ def test_twopage_all_top_matches_convex():
 
 
 def test_twopage_page_split():
-    pages = {e: "T" for e in itertools.combinations(range(4), 2)}
-    pages[(1, 3)] = "B"
-    assert gen_twopage(TwoPageSpec((0, 1, 2, 3), pages)).crossings == 0
+    pages = ["T"] * 6
+    pages[edge_ids(4)[1][3]] = "B"
+    assert gen_twopage(TwoPageSpec((0, 1, 2, 3), tuple(pages))).crossings == 0
 
 
 def test_twopage_spine_order_matters():
-    pages = {e: "T" for e in itertools.combinations(range(4), 2)}
-    d = gen_twopage(TwoPageSpec((0, 2, 1, 3), pages))
+    d = gen_twopage(TwoPageSpec((0, 2, 1, 3), ("T",) * 6))
     # intervals on the spine decide crossings: now (0,1) x (2,3) interleave
     assert d.crossings == 1
     e01 = edge_ids(4)[0][1]
@@ -164,8 +163,8 @@ def test_shuffled_twopage_specs_match_identity_spine():
         spec = shuffled_twopage_spec(seed)
         d = gen_twopage(spec)
         slot = {v: i for i, v in enumerate(spec.order)}
-        pages = {tuple(sorted((slot[u], slot[v]))): page
-                 for (u, v), page in spec.pages.items()}
+        ids = edge_ids(d.n)
+        pages = tuple([spec.pages[ids[spec.order[a]][spec.order[b]]] for a, b in d.edges])
         identity = gen_twopage(TwoPageSpec(tuple(range(d.n)), pages))
         assert d.crossings == identity.crossings
         assert d.face_count == identity.face_count
@@ -178,18 +177,18 @@ def test_shuffled_twopage_specs_match_identity_spine():
         digest.update(svg_document(d).encode("utf-8"))
         right_to_left += any(path and slot[u] > slot[v]
                              for (u, v), path in zip(d.edges, d.edge_paths))
-        bottom_first += all(spec.page(spec.order[0], w) == "B"
-                            for w in range(d.n) if w != spec.order[0])
+        bottom_first += all(spec.pages[ids[spec.order[0]][w]] == "B"
+                            for w in spec.order[1:])
     assert (right_to_left, bottom_first) == (148, 54)
     assert digest.hexdigest() == SHUFFLED_TWOPAGE_DIGEST
 
 
 def _concurrent_twopage_spec() -> TwoPageSpec:
     # [3,8], [2,6], [0,5] are concurrent at (4,2) on integer positions
-    pages = {e: "B" for e in itertools.combinations(range(9), 2)}
-    for e in ((3, 8), (2, 6), (0, 5)):
-        pages[e] = "T"
-    return TwoPageSpec(tuple(range(9)), pages)
+    pages = ["B"] * comb(9, 2)
+    for u, v in ((3, 8), (2, 6), (0, 5)):
+        pages[edge_ids(9)[u][v]] = "T"
+    return TwoPageSpec(tuple(range(9)), tuple(pages))
 
 
 def test_twopage_concurrency_resolved():
@@ -228,20 +227,22 @@ def test_cylindrical_degeneracies_refused():
 
 
 def test_twopage_invalid_specs():
-    with pytest.raises(ValueError):
-        gen_twopage(TwoPageSpec((0, 1, 1), {}))
-    pages = {e: "T" for e in itertools.combinations(range(4), 2)}
-    del pages[(0, 1)]
-    with pytest.raises(ValueError):
-        gen_twopage(TwoPageSpec((0, 1, 2, 3), pages))
-    # every key is an edge (u, v) with u < v: a reversed key, or a doubled
-    # one whose twopage file would list the edge twice, is refused
-    pages[(1, 0)] = "T"
-    with pytest.raises(ValueError):
-        gen_twopage(TwoPageSpec((0, 1, 2, 3), pages))
-    pages[(0, 1)] = "B"
-    with pytest.raises(ValueError):
-        gen_twopage(TwoPageSpec((0, 1, 2, 3), pages))
+    # in this order: the spine, a mapping (the shape of old, a page per key
+    # (u, v)), the page count, each page, then n >= 3
+    for spec, reason in [
+        (TwoPageSpec((0, 1, 1), ("X",)), "spine order must be a permutation of 0..n-1"),
+        (TwoPageSpec((0, 1, 2, 3), dict.fromkeys(itertools.combinations(range(4), 2), "T")),
+         "pages is a mapping; need one page per edge in edge_list(n) order"),
+        (TwoPageSpec((0, 1, 2, 3), ("T",) * 5), "need 6 pages, got 5"),
+        (TwoPageSpec((0, 1, 2, 3), ("T",) * 7), "need 6 pages, got 7"),
+        (TwoPageSpec((0, 1, 2, 3), ("X",) * 5), "need 6 pages, got 5"),
+        (TwoPageSpec((0, 1, 2, 3), ("T", "B", "t", "T", "B", "T")), "bad page 't'"),
+        (TwoPageSpec((0, 1), ("X",)), "bad page 'X'"),
+        (TwoPageSpec((1, 0), ("B",)), "need n >= 3"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            gen_twopage(spec)
+        assert (type(caught.value), str(caught.value)) == (ValueError, reason)
 
 
 def test_random_points_deterministic():

@@ -35,6 +35,7 @@ from kncross.io import (
     svg_document,
 )
 from kncross.kedges import k_edge_vector
+from kncross.planarize import segment_arrangement
 from kncross.shelling import (
     BishellWitness,
     ShellWitness,
@@ -44,7 +45,8 @@ from kncross.shelling import (
     shell_witness_violation,
 )
 
-from conftest import MAP_REFUSALS, build_outcome, reference_build_drawing, regenerate_subdrawing
+from conftest import (MAP_REFUSALS, build_outcome, reference_build_drawing, regenerate_subdrawing,
+                      shuffled_twopage_spec)
 from test_cli import ADJACENT_CROSS_K4, PLANAR_K4_MAP
 
 
@@ -194,6 +196,33 @@ def test_geometry_required_for_points_format():
     # a map file has no coordinates, but it has a picture: its map's
     reparsed = parse(serialize(d, "map"))
     assert svg_document(reparsed) == svg_document(d)
+
+
+def test_points_and_twopage_files_hold_only_the_unbounded_face():
+    # neither format has a ref line, so a drawing referenced by another
+    # face is refused, where its file would parse back referenced by the
+    # unbounded one; the builder and the writer read one rule per format
+    points = [gen_convex(5)] + [gen_random_points(n, seed) for n in range(3, 12) for seed in (1, 2)]
+    for d in points:  # the rule of old: the last neighbour ccw at the top point
+        top = max(range(d.n), key=d.geometry.points.__getitem__)
+        arr = segment_arrangement(d.geometry.points)
+        assert d.face_left_of(top, arr.vertex_orders[top][-1]) == d.reference_face
+    books = [gen_twopage(twopage_all_top(5))]
+    books += [gen_twopage(shuffled_twopage_spec(seed)) for seed in range(0, 60, 3)]
+    for drawing, fmt in [(d, "points") for d in points] + [(d, "twopage") for d in books]:
+        for face in range(drawing.face_count):
+            moved = drawing.with_reference(face)
+            if face == drawing.reference_face:
+                assert parse(serialize(moved, fmt)) == drawing
+                continue
+            with pytest.raises(ValueError) as caught:
+                serialize(moved, fmt)
+            assert str(caught.value) == (f"the {fmt} format holds only the unbounded "
+                                         f"reference face, not face {face}; write a map file")
+    # the case that parsed back with reference 0: convex K_5 referenced by face 3
+    assert gen_convex(5).reference_face == 0
+    with pytest.raises(ValueError, match=r"not face 3; write a map file$"):
+        serialize(gen_convex(5).with_reference(3), "points")
 
 
 def test_unknown_format_refused_at_format_line(tmp_path, capsys):
