@@ -19,12 +19,11 @@ from kncross import (
 
 n, trials = 6, 60
 histogram = Counter()
-distinct = {}  # (crossings, canonical rotation key) -> first seed
+distinct = {}  # canonical rotation key -> first seed; the key fixes the crossings
 for seed in range(trials):
     drawing = gen_random_points(n, seed)
     histogram[drawing.crossings] += 1
-    key = (drawing.crossings, rotation_key(drawing.vertex_rotations))
-    distinct.setdefault(key, seed)
+    distinct.setdefault(rotation_key(drawing.vertex_rotations), seed)
 
 print(f"{trials} seeded random drawings of K{n} (H({n}) = {hill_number(n)})")
 for crossings in sorted(histogram):

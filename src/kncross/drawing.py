@@ -22,10 +22,12 @@ the unbounded face of a geometric input is an ordinary face, merely
 remembered as the reference.
 
 `build_drawing` checks its input and nothing those checks imply, in
-this order: the crossing count is not negative, the paths are not a
-mapping and there is one path per edge; every vertex rotation is a
-permutation of the other vertices; each path, in edge order, visits no
-crossing twice, then has its ids in range; the reference is a dart;
+this order: the crossing count is an int and not negative, the paths
+are not a mapping and there is one path per edge; every vertex rotation
+is a permutation of the other vertices, ints all; each path, in edge
+order, visits no crossing twice, then has its ids in range, and an id
+that is not an int is refused where it is met; the reference is a dart
+of two ints;
 every crossing is met by two distinct edge passes; the drawing is good
 (no other code checks goodness); V - E + F = 2.  Each refusal is a
 `ValueError`, as is every refusal of input in the package.  A rotation,
@@ -168,8 +170,7 @@ class Drawing(NamedTuple):
         return len(self.orientation_bits)
 
     def with_reference(self, face: int) -> "Drawing":
-        if not 0 <= face < self.face_count:
-            raise ValueError(f"face {face} out of range")
+        _check_face(self, face)
         return self._replace(reference_face=face)
 
     def face_left_of(self, u: int, v: int) -> int:
@@ -183,12 +184,17 @@ class Drawing(NamedTuple):
     def face_dart(self, face: int) -> Tuple[int, int]:
         """The least dart (u, v) whose left face is `face`, the pair that
         names the face in files; a face no vertex touches has none."""
-        if not 0 <= face < self.face_count:
-            raise ValueError(f"face {face} out of range")
+        _check_face(self, face)
         for u, v in itertools.permutations(range(self.n), 2):
             if self.face_left_of(u, v) == face:
                 return (u, v)
         raise ValueError(f"face {face} touches no vertex; cannot serialize")
+
+
+def _check_face(drawing: Drawing, face: int) -> None:
+    """Refuse `face` unless it is an int that names a face of `drawing`."""
+    if not (isinstance(face, int) and 0 <= face < drawing.face_count):
+        raise ValueError(f"face {face} out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +258,8 @@ def build_drawing(
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if not isinstance(crossings, int):
+        raise ValueError(f"crossing count {crossings!r} is not an int")
     if crossings < 0:
         raise ValueError(f"negative crossing count {crossings}")
     if isinstance(edge_paths, Mapping):
@@ -266,7 +274,8 @@ def build_drawing(
         raise ValueError("need one rotation per vertex")
     rotations: List[Tuple[int, ...]] = []
     for u, rot in enumerate(vertex_rotations):
-        if sorted(rot) != [w for w in range(n) if w != u]:
+        if (not all(isinstance(w, int) for w in rot)
+                or sorted(rot) != [w for w in range(n) if w != u]):
             raise MapError(("rot", u), f"rotation at {u} is not a "
                                        f"permutation of the other vertices")
         k = rot.index(0 if u else 1)  # from the least neighbour
@@ -287,27 +296,31 @@ def build_drawing(
     first = [-1] * c
     second = [-1] * c
     crowded: Dict[int, int] = {}  # passes of a crossing met more than twice
-    for eid, ((u, v), path) in enumerate(zip(edges, paths)):
-        base = d = len(dart_edge)
-        for k in path:
-            if not 0 <= k < c or second[k] >= 0 or first[k] >= base:
-                # out of range, a third pass, or a second pass of this edge
-                if len(set(path)) != len(path):
-                    raise MapError(("e", u, v), f"edge {edges[eid]} visits a crossing twice")
-                if not 0 <= k < c:
-                    raise MapError(("e", u, v), f"crossing id {k} out of range")
-                crowded[k] = crowded.get(k, 2) + 1
-            elif first[k] < 0:
-                first[k] = d
-            else:
-                second[k] = d
-            d += 2
-        dart_base.append(base)
-        dart_edge += [eid] * (d + 2 - base)
-        out_dart[u][v] = base
-        out_dart[v][u] = d + 1
+    try:  # an id that is not an int fails its comparison or its indexing
+        for eid, ((u, v), path) in enumerate(zip(edges, paths)):
+            base = d = len(dart_edge)
+            for k in path:
+                if not 0 <= k < c or second[k] >= 0 or first[k] >= base:
+                    # out of range, a third pass, or a second pass of this edge
+                    if len(set(path)) != len(path):
+                        raise MapError(("e", u, v), f"edge {edges[eid]} visits a crossing twice")
+                    if not 0 <= k < c:
+                        raise MapError(("e", u, v), f"crossing id {k} out of range")
+                    crowded[k] = crowded.get(k, 2) + 1
+                elif first[k] < 0:
+                    first[k] = d
+                else:
+                    second[k] = d
+                d += 2
+            dart_base.append(base)
+            dart_edge += [eid] * (d + 2 - base)
+            out_dart[u][v] = base
+            out_dart[v][u] = d + 1
+    except TypeError:
+        raise MapError(("e", u, v), f"crossing id {k!r} is not an int") from None
     ru, rv = reference  # before the counts, as the rotations: `parse` names its line
-    if ru == rv or not (0 <= ru < n and 0 <= rv < n):
+    if (not (isinstance(ru, int) and isinstance(rv, int))
+            or ru == rv or not (0 <= ru < n and 0 <= rv < n)):
         raise MapError(("ref",), f"bad reference dart ({ru},{rv})")
     if crowded or -1 in second:
         for k in range(c):

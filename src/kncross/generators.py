@@ -12,12 +12,13 @@ shorter angular direction, so any pair crosses at most once.
 
 Every family hands `build_drawing` one crossing path per edge in
 `edge_list(n)` order: point sets through their arrangement, the two-page
-book from its loop over the edges, and the tin can, which collects its
-paths region by region, orders them once at the call.  A `TwoPageSpec`
-holds its spine order and the page of each edge in edge order, and a
-two-page drawing keeps those two and its spine positions as its
-geometry, so `gen_twopage(TwoPageSpec(g.order, g.pages))` rebuilds a
-book from its geometry g.  Its reference face, the unbounded one, is
+book from its loop over the edges, and the tin can, which writes each
+region's paths, lid chords and side edges, at their edge ids.  No
+family keys a table by vertex pair.  A `TwoPageSpec` holds its spine
+order and the page of each edge in edge order, and a two-page drawing
+keeps those two and its spine positions as its geometry, so
+`gen_twopage(TwoPageSpec(g.order, g.pages))` rebuilds a book from its
+geometry g.  Its reference face, the unbounded one, is
 named by one rule, `_book_reference`, which `io.serialize` reads too.
 
 Every family is built by one retry loop, `_first_nondegenerate`: it
@@ -51,8 +52,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import floor
-from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, TypeVar)
+from typing import (Callable, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from .drawing import (
     Drawing,
@@ -193,7 +194,7 @@ def gen_twopage(spec: TwoPageSpec) -> Drawing:
     offsets never change the spine order, hence never the crossing set.
     """
     n = len(spec.order)
-    if sorted(spec.order) != list(range(n)):
+    if not all(isinstance(v, int) for v in spec.order) or sorted(spec.order) != list(range(n)):
         raise ValueError("spine order must be a permutation of 0..n-1")
     if isinstance(spec.pages, Mapping):
         raise ValueError("pages is a mapping; need one page per edge in edge_list(n) order")
@@ -367,13 +368,11 @@ def _assemble_cylindrical(
 
     # side edges: (outer i, inner j), parametrized from the outer circle
     # (t=0, r=2) to the inner circle (t=1, r=1); theta(t) = A_i + delta*t
-    delta: Dict[Tuple[int, int], Fraction] = {}
-    for i in range(M):
-        for j in range(m):
-            delta[(i, j)] = _wrap_half(inner_angles[j] - outer_angles[i])
+    delta = [[_wrap_half(b - a) for b in inner_angles] for a in outer_angles]
 
+    eids = edge_ids(n)
     crossings = 0
-    paths: Dict[Tuple[int, int], Sequence[int]] = {}
+    paths: List[Sequence[int]] = [()] * (n * (n - 1) // 2)  # each written once below
 
     # lid arrangements (exact coordinates on the circles).  Inner lid:
     # local vertex j is global M + j, orientation kept.  Outer lid:
@@ -383,39 +382,37 @@ def _assemble_cylindrical(
         arr = segment_arrangement([circle_point(u) for u in params])
         local_edges = itertools.combinations(range(first, first + len(params)), 2)
         ids = list(range(crossings, crossings + arr.crossings))  # shared by both passes
-        for edge, path in zip(local_edges, arr.edge_paths):
-            paths[edge] = list(map(ids.__getitem__, path))
+        for (u, v), path in zip(local_edges, arr.edge_paths):
+            paths[eids[u][v]] = list(map(ids.__getitem__, path))
         crossings += arr.crossings
 
     # annulus: side edge pairs crossing where the angular difference
     # passes through an integer
     side_edges = [(i, j) for i in range(M) for j in range(m)]
-    per_side: Dict[Tuple[int, int], List[Tuple[Fraction, int]]] = {
-        se: [] for se in side_edges}
-    for (i1, j1), (i2, j2) in itertools.combinations(side_edges, 2):
+    per_side: List[List[Tuple[Fraction, int]]] = [[] for _ in side_edges]
+    for (a, (i1, j1)), (b, (i2, j2)) in itertools.combinations(enumerate(side_edges), 2):
         if i1 == i2 or j1 == j2:
             continue
-        t = _side_crossing(outer_angles[i1] - outer_angles[i2],
-                           delta[(i1, j1)] - delta[(i2, j2)])
+        t = _side_crossing(outer_angles[i1] - outer_angles[i2], delta[i1][j1] - delta[i2][j2])
         if t is None:
             continue
-        per_side[(i1, j1)].append((t, crossings))
-        per_side[(i2, j2)].append((t, crossings))
+        per_side[a].append((t, crossings))
+        per_side[b].append((t, crossings))
         crossings += 1
-    for (i, j), hits in per_side.items():
-        paths[(i, M + j)] = crossing_path(hits, (i, M + j))
+    for (i, j), hits in zip(side_edges, per_side):
+        paths[eids[i][M + j]] = crossing_path(hits, (i, M + j))
 
     # rotations: the chords at a vertex follow the circle, clockwise from
     # an outer vertex (its lid is mirrored), counterclockwise from an inner one
     rotations: List[Tuple[int, ...]] = []
     for i in range(M):
         chords = [(i - d) % M for d in range(1, M)]
-        sides = sorted(range(m), key=lambda j: delta[(i, j)], reverse=True)
+        sides = sorted(range(m), key=delta[i].__getitem__, reverse=True)
         rotations.append(tuple(chords + [M + j for j in sides]))
     for j in range(m):
-        sides = sorted(range(M), key=lambda i: delta[(i, j)], reverse=True)
+        sides = sorted(range(M), key=lambda i: delta[i][j], reverse=True)
         chords = [M + (j + d) % m for d in range(1, m)]
         rotations.append(tuple(sides + chords))
 
-    return build_drawing(n, [paths[edge] for edge in edge_list(n)], crossings, rotations, (0, 1))
+    return build_drawing(n, paths, crossings, rotations, (0, 1))
 

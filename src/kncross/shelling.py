@@ -113,7 +113,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .drawing import DeletionView, Drawing
+from .drawing import DeletionView, Drawing, _check_face
 from .kedges import k_value
 
 
@@ -193,16 +193,11 @@ def _view(drawing: Drawing, deleted: int, memo: Memo) -> DeletionView:
     return view
 
 
-def _check_witness_face(drawing: Drawing, face: int) -> None:
-    if not 0 <= face < drawing.face_count:
-        raise ValueError(f"face {face} out of range")
-
-
 def _search_faces(drawing: Drawing, face: Optional[int]) -> Sequence[int]:
     """Every face, or only the caller's `face`, checked once."""
     if face is None:
         return range(drawing.face_count)
-    _check_witness_face(drawing, face)
+    _check_face(drawing, face)
     return (face,)
 
 
@@ -237,7 +232,7 @@ def shell_witness_violation(drawing: Drawing, witness: ShellWitness,
     if not 1 <= s <= drawing.n:
         raise ValueError(f"sequence length {s} out of range")
     _check_seq(drawing, seq, "v-sequence")
-    _check_witness_face(drawing, witness.face)
+    _check_face(drawing, witness.face)
     if memo is None:
         memo = {}
     for r, t in itertools.combinations(range(1, s + 1), 2):
@@ -258,7 +253,7 @@ def bishell_witness_violation(drawing: Drawing, witness: BishellWitness,
         raise ValueError("a- and b-sequences must have equal length >= 1")
     _check_seq(drawing, a, "a-sequence")
     _check_seq(drawing, b, "b-sequence")
-    _check_witness_face(drawing, witness.face)
+    _check_face(drawing, witness.face)
     s = len(a) - 1
     if memo is None:
         memo = {}

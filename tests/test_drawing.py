@@ -600,6 +600,41 @@ def test_path_mapping_refused_by_name(drawing):
         build_drawing(2, keyed, drawing.crossings, *rest)
 
 
+def _floats(value):
+    """`value`, an int or nested sequences of ints, with every int a float."""
+    return float(value) if isinstance(value, int) else tuple(map(_floats, value))
+
+
+@pytest.mark.parametrize("at, part, refusal", [
+    (3, ("rot", 0), "rotation at 0 is not a permutation of the other vertices"),
+    (1, ("e", 0, 2), "crossing id 1.0 is not an int"),
+    (4, ("ref",), "bad reference dart (0.0,4.0)"),
+    (2, None, "crossing count 5.0 is not an int"),
+], ids=["rotations", "paths", "reference", "count"])
+def test_an_id_that_is_not_an_int_is_refused_by_part(at, part, refusal):
+    # 0.0 == 0 passes a permutation or range check, then fails to index a
+    # list: each part is refused as a ValueError that names it, and a
+    # rotation, path or reference as a MapError at its part
+    d = gen_convex(5)
+    args = [d.n, d.edge_paths, d.crossings, d.vertex_rotations,
+            d.face_dart(d.reference_face)]
+    args[at] = _floats(args[at])
+    with pytest.raises(ValueError) as caught:
+        build_drawing(*args)
+    assert str(caught.value) == refusal
+    assert (type(caught.value), getattr(caught.value, "part", None)) == (
+        (ValueError, None) if part is None else (MapError, part))
+
+
+@pytest.mark.parametrize("method", ["with_reference", "face_dart"])
+def test_a_drawings_face_that_is_not_an_int_is_refused(method):
+    # as out of range: 1.0 would pass the range check and name face 1
+    d6 = gen_convex(6)
+    with pytest.raises(ValueError) as caught:
+        getattr(d6, method)(1.0)
+    assert (type(caught.value), str(caught.value)) == (ValueError, "face 1.0 out of range")
+
+
 def test_flat_tables_follow_the_dart_layout_and_the_paths(small_corpus):
     # per edge, the left face of each dart; per crossing, the edges of its
     # first and second pass, the paths read in edge order

@@ -245,6 +245,15 @@ def test_twopage_invalid_specs():
         assert (type(caught.value), str(caught.value)) == (ValueError, reason)
 
 
+def test_twopage_spine_that_is_not_ints_is_refused():
+    # 0.0 == 0 passes the permutation check alone; a spine of floats would
+    # then index the edge-id table
+    with pytest.raises(ValueError) as caught:
+        gen_twopage(TwoPageSpec((0.0, 1.0, 2.0, 3.0), ("T",) * 6))
+    assert (type(caught.value), str(caught.value)) == (
+        ValueError, "spine order must be a permutation of 0..n-1")
+
+
 def test_random_points_deterministic():
     a = gen_random_points(5, 1)
     b = gen_random_points(5, 1)

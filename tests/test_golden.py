@@ -81,6 +81,18 @@ def test_serialized_bytes_pinned(gen, args, fmt, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+# one sha256 over the map files of the tin cans K_3..K_24, recorded
+# before the tin can built its map in edge order
+CYLINDRICAL_MAPS_DIGEST = "7ea88cb84d0ab9547e8ff64a24a7e9f8b91a5b5e8c3e331d237862fceb7bdd96"
+
+
+def test_cylindrical_map_bytes_pinned_through_24():
+    digest = hashlib.sha256()
+    for n in range(3, 25):
+        digest.update(serialize(gen_cylindrical(n), "map"))
+    assert digest.hexdigest() == CYLINDRICAL_MAPS_DIGEST
+
+
 # the SVG of a drawing, re-recorded when cylindrical drawings came to be
 # drawn as a Tutte layout of their map; the same under Python 3.11 and 3.13
 SVG_GOLDEN = {

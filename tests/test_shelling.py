@@ -112,6 +112,21 @@ def test_malformed_witnesses_raise():
                 search(face)
 
 
+@pytest.mark.parametrize("check", [
+    lambda d, face: check_s_shellable(d, 3, face=face),
+    lambda d, face: check_bishellable(d, 1, face=face),
+    lambda d, face: shell_witness_violation(d, ShellWitness(face, (0, 1))),
+    lambda d, face: bishell_witness_violation(d, BishellWitness(face, (0,), (1,))),
+], ids=["shell-search", "bishell-search", "shell-witness", "bishell-witness"])
+def test_a_face_that_is_not_an_int_is_refused(check):
+    # 1.0 == 1 would pass a range check alone; one check in `drawing`
+    # refuses it as every face out of range is refused
+    d5 = gen_convex(5)
+    with pytest.raises(ValueError) as caught:
+        check(d5, 1.0)
+    assert (type(caught.value), str(caught.value)) == (ValueError, "face 1.0 out of range")
+
+
 def test_bad_caller_input_is_a_value_error():
     # every public search, verifier and witness transformation refuses bad
     # input with a plain ValueError; WitnessInvalid is only the CLI's
