@@ -22,9 +22,10 @@ the unbounded face of a geometric input is an ordinary face, merely
 remembered as the reference.
 
 `build_drawing` checks its input and nothing those checks imply, in
-this order: the crossing count is an int and not negative, the paths
-are not a mapping and there is one path per edge; every vertex rotation
-is a permutation of the other vertices, ints all; each path, in edge
+this order: n is an int of at least 3, the crossing count is an int
+and not negative, the paths are not a mapping and there is one path
+per edge; every vertex rotation is a permutation of the other
+vertices, ints all; each path, in edge
 order, visits no crossing twice, then has its ids in range, and an id
 that is not an int is refused where it is met; the reference is a dart
 of two ints;
@@ -175,11 +176,14 @@ class Drawing(NamedTuple):
 
     def face_left_of(self, u: int, v: int) -> int:
         """The face left of the first dart u->v."""
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"bad face dart ({u},{v})")
-        # the forward dart of uv's first segment, or the backward of its last
-        faces = self.dart_faces[edge_ids(self.n)[u][v]]
-        return faces[0] if u < v else faces[-1]
+        try:  # a vertex that is not an int fails its comparison or its indexing
+            if u != v and 0 <= u < self.n and 0 <= v < self.n:
+                # the forward dart of uv's first segment, or the backward of its last
+                faces = self.dart_faces[edge_ids(self.n)[u][v]]
+                return faces[0] if u < v else faces[-1]
+        except TypeError:
+            pass
+        raise ValueError(f"bad face dart ({u},{v})")
 
     def face_dart(self, face: int) -> Tuple[int, int]:
         """The least dart (u, v) whose left face is `face`, the pair that
@@ -189,6 +193,14 @@ class Drawing(NamedTuple):
             if self.face_left_of(u, v) == face:
                 return (u, v)
         raise ValueError(f"face {face} touches no vertex; cannot serialize")
+
+
+def _check_n(n: int, least: int = 3) -> None:
+    """Refuse `n` unless it is an int of at least `least`."""
+    if not isinstance(n, int):
+        raise ValueError(f"n={n!r} is not an int")
+    if n < least:
+        raise ValueError(f"need n >= {least}")
 
 
 def _check_face(drawing: Drawing, face: int) -> None:
@@ -256,8 +268,7 @@ def build_drawing(
     dart towards the crossing, on ab, then d, then c; the mirror image
     reverses both.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_n(n)
     if not isinstance(crossings, int):
         raise ValueError(f"crossing count {crossings!r} is not an int")
     if crossings < 0:
@@ -520,9 +531,12 @@ class DeletionView:
     def __init__(self, base: Drawing, deleted: int,
                  parent: Optional[DeletionView] = None):
         n = base.n
-        if deleted >> n:  # also true of every negative mask
-            raise ValueError(
-                f"deleted mask {deleted:#x} has a vertex outside 0..{n - 1}")
+        try:  # a mask that is not an int fails the shift
+            if deleted >> n:  # also true of every negative mask
+                raise ValueError(
+                    f"deleted mask {deleted:#x} has a vertex outside 0..{n - 1}")
+        except TypeError:
+            raise ValueError(f"deleted mask {deleted!r} is not an int") from None
         if parent is None:
             gone = 0
             root = list(range(base.face_count))
@@ -593,12 +607,18 @@ def subdrawing(drawing: Drawing, alive: int) -> Drawing:
     crossing's first and second edge and every path's direction.  Paths
     and rotations are restricted; a restricted rotation keeps the order
     of its survivors, so each kept crossing keeps its orientation bit.
+    `build_drawing` checks the result, which has no geometry.
+
     The reference face is the class of the old one once the other
-    vertices are deleted, named by the least surviving dart whose left
-    face lies in it, and refused when no surviving dart has it on its
-    left.  `build_drawing` checks the result, which has no geometry.
+    vertices are deleted, a face of the result.  A face of the result
+    has a segment of a kept edge on its boundary, so some dart of a kept
+    edge has a face of that class on its left: old segment i of the edge
+    lies in new segment j, j counting the kept crossings before it, and
+    the new dart on the same side has the reference on its left.
     """
     n = drawing.n
+    if not isinstance(alive, int):
+        raise ValueError(f"alive mask {alive!r} is not an int")
     if alive >> n:  # also true of every negative mask
         raise ValueError(f"alive mask {alive:#x} has a vertex outside 0..{n - 1}")
     keep = [v for v in range(n) if alive >> v & 1]
@@ -615,13 +635,16 @@ def subdrawing(drawing: Drawing, alive: int) -> Drawing:
              for path, on in zip(drawing.edge_paths, live) if on]
     rotations = [[new[w] for w in drawing.vertex_rotations[u] if alive >> w & 1]
                  for u in keep]
+    sub = build_drawing(len(keep), paths, len(kept), rotations, (0, 1))
     view = DeletionView(drawing, (1 << n) - 1 ^ alive)
     target = view.class_of(drawing.reference_face)
-    for u, w in itertools.permutations(keep, 2):
-        if view.class_of(drawing.face_left_of(u, w)) == target:
-            return build_drawing(len(keep), paths, len(kept), rotations, (new[u], new[w]))
-    raise ValueError(f"reference face {drawing.reference_face} touches no alive "
-                     f"vertex once the others are deleted")
+    for path, faces, row in zip(itertools.compress(drawing.edge_paths, live),
+                                itertools.compress(drawing.dart_faces, live), sub.dart_faces):
+        for d, face in enumerate(faces):
+            if view.class_of(face) == target:  # dart d runs along segment d // 2
+                j = sum(k in renum for k in path[:d // 2])
+                return sub._replace(reference_face=row[2 * j + d % 2])
+    raise AssertionError("no kept dart borders the reference class")
 
 
 # ---------------------------------------------------------------------------

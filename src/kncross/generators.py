@@ -58,6 +58,7 @@ from typing import (Callable, Iterable, List, Mapping, NamedTuple, Optional, Seq
 from .drawing import (
     Drawing,
     TwoPageGeometry,
+    _check_n,
     build_drawing,
     edge_ids,
     edge_list,
@@ -128,8 +129,7 @@ def _nudged(count: int, base: int) -> List[Fraction]:
 
 def gen_convex(n: int) -> Drawing:
     """Rectilinear drawing of K_n on n rational points in convex position."""
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_n(n)
 
     def assemble(attempt: int) -> Drawing:
         params = _nudged(n, 10_000 * 3 ** attempt) if attempt else range(n)
@@ -167,8 +167,9 @@ def gen_random_points(n: int, seed: int) -> Drawing:
     The points are those of `_random_arrangement`, so the result is a
     pure function of (n, seed).
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_n(n)
+    if not isinstance(seed, int):
+        raise ValueError(f"seed {seed!r} is not an int")
     points, arr = _random_arrangement(n, seed)
     return planarize_arrangement([point(x, y) for x, y in points], arr)
 
@@ -203,8 +204,7 @@ def gen_twopage(spec: TwoPageSpec) -> Drawing:
     for page in spec.pages:
         if page not in ("T", "B"):
             raise ValueError(f"bad page {page!r}")
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_n(n)
 
     def assemble(attempt: int) -> Drawing:
         # the position of slot s is vertex spec.order[s]'s
@@ -339,8 +339,7 @@ def gen_cylindrical(n: int) -> Drawing:
     follow, also counterclockwise.  The reference face is the outer rim
     face between outer vertices 0 and 1.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_n(n)
     return _first_nondegenerate(
         range(30), lambda attempt: _assemble_cylindrical(*_cylindrical_parameters(n, attempt)))
 

@@ -28,6 +28,10 @@ another face, found by the rule its builder uses
 points to the map format.  A file that breaks its format is refused with
 a `ParseError`, a `ValueError` that names the line; a map only where
 `build_drawing`, its one judge, blames one line (see `_parse_map`).
+A witness file is judged the same way: `parse_witness` reads its lines
+and the face, and the verifier that replays the witness is its one
+judge, which refuses a repeated vertex, a vertex out of range and
+unequal `a:` and `b:` sequences.
 
 Serialization is canonical (crossings renumbered by first appearance
 along lexicographic edges, rotations started at the smallest neighbor,
@@ -390,7 +394,15 @@ def _file_order(drawing: Drawing) -> Dict[int, int]:
 
 def parse_witness(data: Union[bytes, str],
                   drawing: Drawing) -> Union[ShellWitness, BishellWitness]:
-    """Parse a witness certificate; the face is resolved on `drawing`."""
+    """Read a witness certificate; the face is resolved on `drawing`.
+
+    The reader refuses, at its line, what breaks the format: the header,
+    the kind, the face dart, a line other than `v:`, `a:` or `b:` with
+    its integers, a repeated line, or the lines its kind lacks.  It
+    reads the sequences and does not judge them: a repeated vertex, a
+    vertex out of range and `a:` and `b:` of unequal length are refused
+    by the verifier (`shelling.shell_witness_violation`,
+    `bishell_witness_violation`), as `build_drawing` judges a map."""
     lines = _lines(data, WITNESS_MAGIC, "truncated witness")
     kind = " ".join(lines[1][1])
     if kind not in ("shell", "bishell"):
@@ -411,13 +423,7 @@ def parse_witness(data: Union[bytes, str],
         key = parts[0][0]
         if key in seqs:
             raise ParseError(no, f"duplicate {parts[0]} line")
-        seq = _ints(parts[1:], no)
-        if len(set(seq)) != len(seq):
-            raise ParseError(no, f"duplicate vertex in {parts[0]} sequence")
-        for v in seq:
-            if not 0 <= v < drawing.n:
-                raise ParseError(no, f"vertex {v} out of range")
-        seqs[key] = seq
+        seqs[key] = _ints(parts[1:], no)
 
     if kind == "shell":
         if set(seqs) != {"v"}:
@@ -425,8 +431,6 @@ def parse_witness(data: Union[bytes, str],
         return ShellWitness(face=face, seq=seqs["v"])
     if set(seqs) != {"a", "b"}:
         raise ParseError(lines[-1][0], "bishell witness needs a: and b: lines")
-    if len(seqs["a"]) != len(seqs["b"]):
-        raise ParseError(lines[-1][0], "a: and b: must have equal length")
     return BishellWitness(face=face, a_seq=seqs["a"], b_seq=seqs["b"])
 
 

@@ -28,7 +28,7 @@ from itertools import accumulate
 from math import comb
 from typing import Optional, Tuple
 
-from .drawing import Drawing, edge_ids
+from .drawing import Drawing, _check_n, edge_ids
 
 
 def right_mask(drawing: Drawing, u: int, v: int) -> int:
@@ -62,6 +62,8 @@ def k_value(drawing: Drawing, edge: Tuple[int, int],
     u, v = edge
     if alive is None:
         alive = (1 << drawing.n) - 1
+    elif not isinstance(alive, int):
+        raise ValueError(f"alive mask {alive!r} is not an int")
     elif alive >> drawing.n:  # also true of every negative mask
         raise ValueError(f"alive mask {alive:#x} out of range")
     mask = right_mask(drawing, u, v)  # refuses a bad u or v first
@@ -90,8 +92,7 @@ def cumulative_sums(vector: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int
 
 def hill_number(n: int) -> int:
     """Conjectured crossing number of K_n (exact integer)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_n(n, 1)
     return (n // 2) * ((n - 1) // 2) * ((n - 2) // 2) * ((n - 3) // 2) // 4
 
 

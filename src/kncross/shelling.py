@@ -212,10 +212,13 @@ def _touched_faces(drawing: Drawing, faces: Sequence[int], memo: Memo) -> List[i
 
 
 def _check_seq(drawing: Drawing, seq: Sequence[int], what: str) -> None:
+    """The one check of a witness sequence, read from a file or passed by
+    a caller: no vertex repeated, each an int in 0..n-1, checked before
+    any `1 << v` is computed."""
     if len(set(seq)) != len(seq):
         raise ValueError(f"duplicate vertex in {what}")
     for v in seq:
-        if not 0 <= v < drawing.n:
+        if not (isinstance(v, int) and 0 <= v < drawing.n):
             raise ValueError(f"vertex {v} out of range in {what}")
 
 
@@ -320,7 +323,7 @@ def check_bishellable(drawing: Drawing, s: Optional[int] = None,
         s = drawing.n // 2 - 2
         if s < 0:  # n = 3: the caller passed no order, so name the default
             raise ValueError(f"default order s=floor(n/2)-2={s} out of range for n={drawing.n}")
-    if not 0 <= s <= drawing.n - 2:
+    if not (isinstance(s, int) and 0 <= s <= drawing.n - 2):
         raise ValueError(f"order s={s} out of range for n={drawing.n}")
     memo: Memo = {}
     for f in _touched_faces(drawing, _search_faces(drawing, face), memo):
@@ -387,7 +390,7 @@ def check_s_shellable(drawing: Drawing, s: Optional[int] = None,
     Sequence positions are assigned outside-in (v_1, v_s, v_2, v_{s-1},
     ...), each from the candidates its peel leaves (`_shell_at_face`).
     """
-    if s is not None and not 1 <= s <= drawing.n:
+    if s is not None and not (isinstance(s, int) and 1 <= s <= drawing.n):
         raise ValueError(f"s={s} out of range for n={drawing.n}")
     lengths = range(drawing.n // 2, drawing.n + 1) if s is None else (s,)
     return _shell_search(drawing, lengths, face, {})

@@ -266,14 +266,12 @@ def regenerate_subdrawing(drawing: Drawing,
 
 def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
     """Face classes of a deletion view vs the faces of `subdrawing`, face
-    by face.  The reference plays no part in the classes, so the
-    subdrawing is taken with the reference at the least surviving dart,
-    which it never refuses."""
+    by face; the subdrawing's reference is the face of the class of the
+    old one."""
     survivors = set(range(drawing.n)) - set(deleted)
     keep = sorted(survivors)
     relabel = {old: new for new, old in enumerate(keep)}
-    sub = subdrawing(drawing.with_reference(drawing.face_left_of(keep[0], keep[1])),
-                     vertex_mask(survivors))
+    sub = subdrawing(drawing, vertex_mask(survivors))
     classes = view_classes(drawing, DeletionView(drawing, vertex_mask(deleted)))
 
     class_to_face = {}
@@ -314,6 +312,7 @@ def assert_view_matches_replanarization(drawing: Drawing, deleted: set) -> None:
     assert len(set(class_to_face.values())) == len(class_to_face), "classes merged"
     assert faces_seen == set(range(sub.face_count))
     assert len(set(classes)) == sub.face_count
+    assert sub.reference_face == class_to_face[classes[drawing.reference_face]]
 
 
 # ---------------------------------------------------------------------------

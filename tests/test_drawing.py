@@ -281,9 +281,19 @@ def test_subdrawing_refusals():
     for alive in (1 << 5 | 0b111, -1, -8):
         with pytest.raises(ValueError, match="outside 0..4"):
             subdrawing(d5, alive)
-    # the central pentagon of the convex K_5 touches no vertex
-    with pytest.raises(ValueError, match="reference face 4 touches no alive vertex"):
-        subdrawing(d5.with_reference(4), 0b11111)
+    with pytest.raises(ValueError) as caught:
+        subdrawing(d5, 7.0)
+    assert (type(caught.value), str(caught.value)) == (ValueError, "alive mask 7.0 is not an int")
+
+
+def test_subdrawing_keeps_a_reference_no_vertex_touches():
+    # face 4 of convex K_5 is its central pentagon, which no vertex
+    # touches; deleting vertex 3 of convex K_6 leaves convex K_5, in which
+    # the class of face 4 is that pentagon
+    d5 = gen_convex(5)
+    assert subdrawing(d5.with_reference(4), 0b11111) == d5._replace(geometry=None).with_reference(4)
+    assert subdrawing(gen_convex(6).with_reference(4), 0b110111) == d5._replace(
+        geometry=None).with_reference(4)
 
 
 def test_deletion_views_of_map_only_drawings(small_corpus):
@@ -517,9 +527,11 @@ def test_faces_named_by_darts(small_corpus):
         for u, v in darts:
             assert drawing.face_dart(drawing.face_left_of(u, v)) <= (u, v)
     d = gen_convex(5)
-    for u, v in ((0, 0), (0, 5), (-1, 2)):
-        with pytest.raises(ValueError, match=rf"^bad face dart \({u},{v}\)$"):
+    # 0.0 == 0 passes the range check, then fails to index the edge table
+    for u, v in ((0, 0), (0, 5), (-1, 2), (0.0, 1.0), (0, 1.5)):
+        with pytest.raises(ValueError) as caught:
             d.face_left_of(u, v)
+        assert (type(caught.value), str(caught.value)) == (ValueError, f"bad face dart ({u},{v})")
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +622,8 @@ def _floats(value):
     (1, ("e", 0, 2), "crossing id 1.0 is not an int"),
     (4, ("ref",), "bad reference dart (0.0,4.0)"),
     (2, None, "crossing count 5.0 is not an int"),
-], ids=["rotations", "paths", "reference", "count"])
+    (0, None, "n=5.0 is not an int"),
+], ids=["rotations", "paths", "reference", "count", "n"])
 def test_an_id_that_is_not_an_int_is_refused_by_part(at, part, refusal):
     # 0.0 == 0 passes a permutation or range check, then fails to index a
     # list: each part is refused as a ValueError that names it, and a

@@ -254,6 +254,19 @@ def test_twopage_spine_that_is_not_ints_is_refused():
         ValueError, "spine order must be a permutation of 0..n-1")
 
 
+@pytest.mark.parametrize("make, args, refusal", [
+    (gen_convex, (5.0,), "n=5.0 is not an int"),
+    (gen_cylindrical, (5.0,), "n=5.0 is not an int"),
+    (gen_random_points, (5.0, 1), "n=5.0 is not an int"),
+    (gen_random_points, (5, 1.5), "seed 1.5 is not an int"),
+], ids=["convex", "cylindrical", "random-n", "random-seed"])
+def test_a_family_refuses_an_n_or_seed_that_is_not_an_int(make, args, refusal):
+    # a float n or seed is a ValueError, not a TypeError from deep inside
+    with pytest.raises(ValueError) as caught:
+        make(*args)
+    assert (type(caught.value), str(caught.value)) == (ValueError, refusal)
+
+
 def test_random_points_deterministic():
     a = gen_random_points(5, 1)
     b = gen_random_points(5, 1)

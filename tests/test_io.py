@@ -764,10 +764,9 @@ def test_witness_example_format():
     assert witness.face == d.face_left_of(0, 1)
 
 
-# witness files the convex K_6 refuses: a repeated vertex, no b: line, and
-# a drawing file's header
+# witness files the reader refuses on the convex K_6: no b: line, and a
+# drawing file's header
 WITNESS_REFUSALS = [
-    "kncross-witness v1\nshell\nface 0 1\nv: 1 1 2\n",
     "kncross-witness v1\nbishell\nface 0 1\na: 0 1\n",
     "kncross v1\nshell\nface 0 1\nv: 1\n",
 ]
@@ -778,6 +777,28 @@ def test_witness_parse_errors():
     for text in WITNESS_REFUSALS:
         with pytest.raises(ParseError):
             parse_witness(text, d)
+
+
+@pytest.mark.parametrize("body, witness, refusal", [
+    ("shell\nface 0 1\nv: 1 1 2", ShellWitness(0, (1, 1, 2)), "duplicate vertex in v-sequence"),
+    ("bishell\nface 0 1\na: 0 1\nb: 3", BishellWitness(0, (0, 1), (3,)),
+     "a- and b-sequences must have equal length >= 1"),
+    ("shell\nface 0 1\nv: 1 99 2", ShellWitness(0, (1, 99, 2)),
+     "vertex 99 out of range in v-sequence"),
+    (f"shell\nface 0 1\nv: 1 {10 ** 100}", ShellWitness(0, (1, 10 ** 100)),
+     f"vertex {10 ** 100} out of range in v-sequence"),
+], ids=["repeated", "unequal", "out-of-range", "huge"])
+def test_witness_sequences_judged_by_the_verifier(tmp_path, capsys, body, witness, refusal):
+    # the reader reads the sequences; the verifier, their one judge,
+    # refuses them, and `verify` exits 2 with its message
+    d = gen_convex(6)
+    text = "kncross-witness v1\n" + body + "\n"
+    assert parse_witness(text, d) == witness._replace(face=d.face_left_of(0, 1))
+    drawing_path, witness_path = tmp_path / "k6.points", tmp_path / "k6.wit"
+    drawing_path.write_bytes(serialize(d, "points"))
+    witness_path.write_text(text)
+    assert main(["verify", str(drawing_path), "--witness", str(witness_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
 
 def test_face_without_a_dart_refused():

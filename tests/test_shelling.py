@@ -148,6 +148,11 @@ def test_bad_caller_input_is_a_value_error():
         (check_bishellable, (d5, 1, faces), rf"^face {faces} out of range$"),
         (check_s_shellable, (d5, 3, faces), rf"^face {faces} out of range$"),
         (check_s_shellable, (d5, None, -1), r"^face -1 out of range$"),
+        # a float equal to an int would pass the range check
+        (check_bishellable, (d5, 1.0), rf"^order s=1.0 out of range for n={n}$"),
+        (check_s_shellable, (d5, 3.0), rf"^s=3.0 out of range for n={n}$"),
+        (shell_witness_violation, (d5, ShellWitness(0, (0.0, 1.0))),
+         r"^vertex 0.0 out of range in v-sequence$"),
         # no order passed: the refusal names the default, not the caller's
         (check_bishellable, (gen_convex(3),),
          r"^default order s=floor\(n/2\)-2=-1 out of range for n=3$"),
@@ -168,6 +173,8 @@ def test_bad_caller_input_is_a_value_error():
              r"^vertex 5 out of range in a-sequence$"),
             (verify, (d5, BishellWitness(0, (0, 1), (2, 2))),
              r"^duplicate vertex in b-sequence$"),
+            (verify, (d5, BishellWitness(0, (0.0,), (1.0,))),
+             r"^vertex 0.0 out of range in a-sequence$"),
         ]
     for call, args, message in refusals:
         with pytest.raises(ValueError, match=message) as caught:
@@ -504,6 +511,9 @@ def test_deletion_view_refuses_bad_masks():
     for mask in (1 << d.n, 1 << d.n | 0b101, -1):
         with pytest.raises(ValueError):
             DeletionView(d, mask)
+    with pytest.raises(ValueError) as caught:
+        DeletionView(d, 1.0)
+    assert (type(caught.value), str(caught.value)) == (ValueError, "deleted mask 1.0 is not an int")
     # a parent must delete a subset of the view's vertices
     with pytest.raises(ValueError):
         DeletionView(d, 0b011, DeletionView(d, 0b100))
