@@ -281,6 +281,7 @@ def _assemble_twopage(spec: TwoPageSpec, positions: Sequence[Fraction]) -> Drawi
 
 def twopage_all_top(n: int) -> TwoPageSpec:
     """Every edge on the top page with the identity spine order."""
+    _check_n(n)
     return TwoPageSpec(order=tuple(range(n)), pages=("T",) * (n * (n - 1) // 2))
 
 
@@ -302,10 +303,9 @@ def _side_crossing(d0: Fraction, slope: Fraction) -> Optional[Fraction]:
 
     Their angular difference runs from d0 at t=0 linearly to d0 + slope
     at t=1; they cross where it passes through an integer, which happens
-    at most once since |slope| < 1.
+    at most once since |slope| < 1.  A slope of 0 gives lo == hi >=
+    floor(hi), so it returns None before dividing.
     """
-    if slope == 0:
-        return None
     d1 = d0 + slope
     lo, hi = (d0, d1) if d0 < d1 else (d1, d0)
     level = floor(hi)

@@ -97,6 +97,7 @@ def hill_number(n: int) -> int:
 
 
 def _check_length(n: int, vector: Tuple[int, ...]) -> None:
+    _check_n(n, 1)
     if len(vector) != n // 2:
         raise ValueError(f"a k-edge vector of K_{n} has {n // 2} entries, "
                          f"not {len(vector)}")
@@ -129,6 +130,6 @@ def double_cumulative_bound_holds(n: int, vector: Tuple[int, ...], k: int) -> bo
     """Whether E_{<=<=k} >= 3*C(k+3,3), the bound bishellability forces,
     for the K_n drawing whose k-edge vector is `vector`."""
     _check_length(n, vector)
-    if not 0 <= k <= n // 2 - 2:
+    if not (isinstance(k, int) and 0 <= k <= n // 2 - 2):
         raise ValueError(f"k={k} out of range for n={n}")
     return cumulative_sums(vector)[1][k] >= 3 * comb(k + 3, 3)

@@ -56,26 +56,42 @@ W is a b-sequence, and greedy B is complete.  Whether a witness runs
 through A_i thus depends only on the set A_i, so the walk searches over
 prefix sets and tests none twice at a face.
 
-Both searches visit only the faces that two vertices touch with nothing
-deleted, read off the view of the empty set.  A bishell witness of any
-order has a_0 != b_0 (condition (3) at i = j = 0), and both are peeled
-with nothing deleted; pair (1, s) of a shell witness of length s >= 2
-deletes nothing and needs v_1 != v_s incident.  Length 1 has no pair,
-so every face has the 1-shell witness (0,) and keeps its search.
+Both searches start from the view of the empty set.  A bishell witness
+of any order has a_0 != b_0 (condition (3) at i = j = 0), and both are
+peeled with nothing deleted, so the bishell search visits only the faces
+that two vertices touch.  Pair (1, s) of a shell witness of length
+s >= 2 deletes nothing and needs v_1 != v_s incident, so the shell
+search starts from the pairs of vertices that some face touches.
+Length 1 has no pair, so every face has the 1-shell witness (0,), and
+the search returns it at the first face searched.
 
 None of this drops a witness or reorders the a-sequences, so the
 witnesses and refusals are those of the exhaustive search.
 
-The same monotonicity reduces the pairs of a shell witness to two
-peels: v_1..v_s is one exactly when v_1..v_{s-1} peels from the front
-(v_r is incident once v_1..v_{r-1} are deleted) and v_s..v_2 peels from
-the back (v_t is incident once v_{t+1}..v_s are deleted).  Pair (r,t)
+Pair lemma.  Once v_1 and v_s are placed at a face f, the rest of the
+shell search depends only on the pair.  Deleting a vertex removes the
+first segment of each of its edges, so all its corners merge into one
+class.  Every deleted set the search reads contains v_1 or v_s: the
+front part and every prefix contain v_1, and the back part and every
+suffix contain v_s.  Both vertices touch f, so the class the search
+reads is that vertex's corner class, which is the same at every face
+both touch; with fewer than two survivors every mask is 0.  So the
+search lists each pair v_1 < v_s at the first face, in face order, that
+touches both, and searches it once per length, in the order of that
+listing (`_shell_search`).  A pair refuted at one face is refuted at
+every face both touch, so the witness found is the one a search of
+every face in turn finds first.
+
+Monotonicity also reduces the pairs of a shell witness to two peels:
+v_1..v_s is one exactly when v_1..v_{s-1} peels from the front (v_r is
+incident once v_1..v_{r-1} are deleted) and v_s..v_2 peels from the
+back (v_t is incident once v_{t+1}..v_s are deleted).  Pair (r,t)
 deletes a superset of what pairs (r,s) and (1,t) delete, and v_r and v_t
 survive it, so both stay incident.  Equivalently, `shell_to_bishell` of
 the sequence meets bishell conditions (1) and (2).  The shell search
 fills positions outside-in (v_1, v_s, v_2, v_{s-1}, ...) and narrows
 each position's candidates by the peel whose deleted vertices are
-placed (`_shell_at_face`).  The peels left pending are checked once
+placed (`_shell_at_pair`).  The peels left pending are checked once
 the sequence is complete.  A pending front position's back peel
 deletes a superset of the back part placed before the last step, whose
 incident mask the last step holds; a pending back position's front
@@ -201,25 +217,15 @@ def _search_faces(drawing: Drawing, face: Optional[int]) -> Sequence[int]:
     return (face,)
 
 
-def _touched_faces(drawing: Drawing, faces: Sequence[int], memo: Memo) -> List[int]:
-    """The faces of `faces` that two vertices touch with nothing deleted:
-    the only ones with a bishell witness, or a shell witness of length
-    s >= 2 (module docstring)."""
-    # with nothing deleted every face is its own class, and every vertex
-    # survives: the corner mask of f is its incident mask
-    corners = _view(drawing, 0, memo).corners
-    return [f for f in faces if corners[f] & corners[f] - 1]
-
-
 def _check_seq(drawing: Drawing, seq: Sequence[int], what: str) -> None:
     """The one check of a witness sequence, read from a file or passed by
-    a caller: no vertex repeated, each an int in 0..n-1, checked before
-    any `1 << v` is computed."""
-    if len(set(seq)) != len(seq):
-        raise ValueError(f"duplicate vertex in {what}")
+    a caller: each vertex an int in 0..n-1, checked before any vertex is
+    hashed or any `1 << v` is computed, then no vertex repeated."""
     for v in seq:
         if not (isinstance(v, int) and 0 <= v < drawing.n):
             raise ValueError(f"vertex {v} out of range in {what}")
+    if len(set(seq)) != len(seq):
+        raise ValueError(f"duplicate vertex in {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +332,9 @@ def check_bishellable(drawing: Drawing, s: Optional[int] = None,
     if not (isinstance(s, int) and 0 <= s <= drawing.n - 2):
         raise ValueError(f"order s={s} out of range for n={drawing.n}")
     memo: Memo = {}
-    for f in _touched_faces(drawing, _search_faces(drawing, face), memo):
-        found = _bishell_at_face(drawing, s, f, memo)
+    corners = _view(drawing, 0, memo).corners   # incident masks, as in _shell_search
+    for f in _search_faces(drawing, face):
+        found = _bishell_at_face(drawing, s, f, memo) if corners[f] & corners[f] - 1 else None
         if found is not None:
             return found
     return None
@@ -388,7 +395,8 @@ def check_s_shellable(drawing: Drawing, s: Optional[int] = None,
     views shared across s.
 
     Sequence positions are assigned outside-in (v_1, v_s, v_2, v_{s-1},
-    ...), each from the candidates its peel leaves (`_shell_at_face`).
+    ...), each from the candidates its peel leaves, and each pair
+    (v_1, v_s) is searched once (`_shell_search`).
     """
     if s is not None and not (isinstance(s, int) and 1 <= s <= drawing.n):
         raise ValueError(f"s={s} out of range for n={drawing.n}")
@@ -398,38 +406,47 @@ def check_s_shellable(drawing: Drawing, s: Optional[int] = None,
 
 def _shell_search(drawing: Drawing, lengths: Sequence[int], face: Optional[int],
                   memo: Memo) -> Optional[ShellWitness]:
-    """First witness over `lengths`, then faces.  A length s >= 2 visits
-    only the faces two vertices touch, since pair (1, s) deletes nothing
-    and needs v_1 != v_s incident; length 1 has no pair and visits every
-    face."""
+    """First witness over `lengths`, then pairs (v_1, v_s).  Pair (1, s)
+    deletes nothing and needs v_1 != v_s incident, so a length s >= 2
+    searches each pair v_1 < v_s that a face of the search touches, once,
+    at the first such face in face order (the pair lemma in the module
+    docstring).  Length 1 has no pair: its witness (0,) is at the first
+    face searched."""
     faces = _search_faces(drawing, face)
-    touched = _touched_faces(drawing, faces, memo)
+    # with nothing deleted every face is its own class, and every vertex
+    # survives: the corner mask of f is its incident mask
+    corners = _view(drawing, 0, memo).corners
+    pairs: Dict[Tuple[int, int], int] = {}    # (v_1, v_s) -> first face both touch
+    for f in faces:
+        for pair in itertools.combinations(_bits(corners[f]), 2):
+            pairs.setdefault(pair, f)
     for s in lengths:
-        for f in faces if s == 1 else touched:
-            found = _shell_at_face(drawing, s, f, memo)
+        if s == 1:
+            return ShellWitness(face=faces[0], seq=(0,))
+        for pair, f in pairs.items():
+            found = _shell_at_pair(drawing, s, f, pair, memo)
             if found is not None:
                 return found
     return None
 
 
-def _shell_at_face(drawing: Drawing, s: int, face: int,
+def _shell_at_pair(drawing: Drawing, s: int, face: int, pair: Tuple[int, int],
                    memo: Memo) -> Optional[ShellWitness]:
-    """First s-shell witness at `face`: v_1..v_{s-1} peels from the front
-    and v_s..v_2 from the back.
+    """First s-shell witness at `face` with (v_1, v_s) = `pair`, two
+    vertices `face` touches: v_1..v_{s-1} peels from the front and
+    v_s..v_2 from the back.
 
-    Positions are filled outside-in, front and back in turn (v_1, v_s,
-    v_2, v_{s-1}, ...), candidates ascending.  Before a position is
-    filled from the front its prefix is placed, and before it is filled
-    from the back its suffix, so that peel narrows its candidates to one
-    incident mask; at the last step both sides are placed.  The other
-    peels are checked once the sequence is complete, innermost first:
-    first against the mask the last step read for the other end, and
-    only when that fails on a view of the whole suffix or prefix (module
-    docstring).  Each deleted set's mask is read once per face.
+    The other positions are filled outside-in, front and back in turn
+    (v_2, v_{s-1}, v_3, ...), candidates ascending.  Before a position
+    is filled from the front its prefix is placed, and before it is
+    filled from the back its suffix, so that peel narrows its candidates
+    to one incident mask; at the last step both sides are placed.  The
+    other peels are checked once the sequence is complete, innermost
+    first: first against the mask the last step read for the other end,
+    and only when that fails on a view of the whole suffix or prefix
+    (module docstring).  Each deleted set's mask is read once per pair.
     """
-    if s == 1:      # no pair to check: every face has the witness (0,)
-        return ShellWitness(face=face, seq=(0,))
-    seq = [0] * s
+    seq = [pair[0]] + [0] * (s - 2) + [pair[1]]
     order = [step // 2 if step % 2 == 0 else s - 1 - step // 2 for step in range(s)]
     masks: Dict[int, int] = {}    # deleted bitmask -> incident mask at face
 
@@ -459,16 +476,11 @@ def _shell_at_face(drawing: Drawing, s: int, face: int,
     def fill(step: int, front: int, back: int) -> bool:
         # front, back: the vertices placed from either end, as bitmasks
         pos = order[step]
-        candidates = ~(front | back) & ((1 << drawing.n) - 1)
-        if step == 1:
-            # v_s > v_1: a witness reversed is a witness, and the first one
-            # in fill order (v_1, v_s, ...) is never the larger of the two
-            candidates &= -2 << seq[0]
-        candidates &= incident(front if step % 2 == 0 else back)
+        candidates = incident(front if step % 2 == 0 else back) & ~(front | back)
         last = step == s - 1
-        if last and step >= 2 and candidates:
-            # the last step's other peel (v_s, step 1, has none): its part
-            # is the one the previous step grew, so it is read only if needed
+        if last and candidates:
+            # the last step's other peel: its part is the one the previous
+            # step grew, so it is read only if needed
             candidates &= incident(back if step % 2 == 0 else front)
         while candidates:
             low = candidates & -candidates
@@ -482,7 +494,9 @@ def _shell_at_face(drawing: Drawing, s: int, face: int,
                 return True
         return False
 
-    return ShellWitness(face=face, seq=tuple(seq)) if fill(0, 0, 0) else None
+    # v_1 and v_s are steps 0 and 1, so a pair is a 2-shell witness
+    found = s == 2 or fill(2, 1 << seq[0], 1 << seq[-1])
+    return ShellWitness(face=face, seq=tuple(seq)) if found else None
 
 
 # ---------------------------------------------------------------------------

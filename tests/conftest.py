@@ -88,6 +88,18 @@ def small_corpus():
     return drawings
 
 
+@pytest.fixture(scope="session")
+def oracle_corpus(small_corpus):
+    """The small corpus, random K_7..K_14, convex K_4..K_12, tin can
+    K_5..K_11 and the all-top book K_9."""
+    drawings = [drawing for _name, _n, drawing in small_corpus]
+    drawings += [gen_random_points(n, n) for n in range(7, 15)]
+    drawings += [gen_convex(n) for n in range(4, 13)]
+    drawings += [gen_cylindrical(n) for n in range(5, 12)]
+    drawings.append(gen_twopage(twopage_all_top(9)))
+    return drawings
+
+
 def shuffled_twopage_spec(seed: int) -> TwoPageSpec:
     """A spec on 3..9 vertices with a shuffled spine and random pages; at
     every fifth seed each edge of the first spine vertex is on the bottom

@@ -545,16 +545,6 @@ def map_arguments(drawing):
             drawing.face_dart(drawing.reference_face), drawing.geometry)
 
 
-@pytest.fixture(scope="module")
-def oracle_corpus(small_corpus):
-    drawings = [drawing for _name, _n, drawing in small_corpus]
-    drawings += [gen_random_points(n, n) for n in range(7, 15)]
-    drawings += [gen_convex(n) for n in range(4, 13)]
-    drawings += [gen_cylindrical(n) for n in range(5, 12)]
-    drawings.append(gen_twopage(twopage_all_top(9)))
-    return drawings
-
-
 def test_build_matches_reference_build_field_by_field(oracle_corpus):
     kept = set(Drawing._fields)
     assert {"edges", "edge_paths", "crossed_edges", "dart_count",

@@ -259,7 +259,8 @@ def test_twopage_spine_that_is_not_ints_is_refused():
     (gen_cylindrical, (5.0,), "n=5.0 is not an int"),
     (gen_random_points, (5.0, 1), "n=5.0 is not an int"),
     (gen_random_points, (5, 1.5), "seed 1.5 is not an int"),
-], ids=["convex", "cylindrical", "random-n", "random-seed"])
+    (twopage_all_top, (5.0,), "n=5.0 is not an int"),
+], ids=["convex", "cylindrical", "random-n", "random-seed", "twopage-all-top"])
 def test_a_family_refuses_an_n_or_seed_that_is_not_an_int(make, args, refusal):
     # a float n or seed is a ValueError, not a TypeError from deep inside
     with pytest.raises(ValueError) as caught:

@@ -33,6 +33,7 @@ from kncross.io import (
     serialize,
     serialize_witness,
     svg_document,
+    write_file,
 )
 from kncross.kedges import k_edge_vector
 from kncross.planarize import segment_arrangement
@@ -249,6 +250,46 @@ def test_parse_errors():
                 b"e 1 0 :\ne 0 2 :\ne 1 2 :\nref 0 1\n")
     with pytest.raises(ParseError):
         parse(bad_edge)
+
+
+@pytest.mark.parametrize("read, refusal", [
+    (lambda: parse(b"kncross v1\nformat map\n"), "line 1: truncated header"),
+    (lambda: parse_witness(b"kncross-witness v1\nshell\n", gen_convex(6)),
+     "line 1: truncated witness"),
+], ids=["drawing", "witness"])
+def test_a_file_of_two_lines_is_truncated(read, refusal):
+    # the header is right, but no file of either kind is complete in two
+    # lines; the refusal names the first
+    with pytest.raises(ParseError) as caught:
+        read()
+    assert str(caught.value) == refusal
+
+
+@pytest.mark.parametrize("drawing, fmt, refusal", [
+    (gen_cylindrical(5), "twopage", "drawing has no 2-page structure"),
+    (gen_convex(5), "svg", "unknown format 'svg'"),
+], ids=["no-book", "unknown"])
+def test_serialize_refuses_a_format_the_drawing_cannot_take(drawing, fmt, refusal):
+    with pytest.raises(ValueError) as caught:
+        serialize(drawing, fmt)
+    assert (type(caught.value), str(caught.value)) == (ValueError, refusal)
+
+
+def test_write_file_refuses_a_directory(tmp_path):
+    with pytest.raises(IsADirectoryError) as caught:
+        write_file(str(tmp_path), b"data\n")
+    assert caught.value.filename == str(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_file_leaves_no_temporary_and_the_target_unchanged(tmp_path):
+    # str data fails the binary write after the temporary file is made
+    target = tmp_path / "out"
+    target.write_bytes(b"old\n")
+    with pytest.raises(TypeError):
+        write_file(str(target), "new\n")
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def _flipped_bits(n):

@@ -25,10 +25,17 @@ def test_hill_number_table():
     for n, value in table.items():
         assert hill_number(n) == value
     assert hill_number(3) == 0 and hill_number(4) == 0
-    # n = 5.0 would pass the range check and give 1.0
-    for n, refusal in ((0, "need n >= 1"), (5.0, "n=5.0 is not an int")):
+    # n = 5.0 would pass the range check and give 1.0; the identities
+    # would reach a TypeError from comb or from indexing by k
+    v5 = k_edge_vector(gen_convex(5))
+    for call, args, refusal in (
+            (hill_number, (0,), "need n >= 1"),
+            (hill_number, (5.0,), "n=5.0 is not an int"),
+            (crossings_from_k_edges, (5.0, v5), "n=5.0 is not an int"),
+            (crossings_from_cumulative, (5.0, v5), "n=5.0 is not an int"),
+            (double_cumulative_bound_holds, (5, v5, 0.0), "k=0.0 out of range for n=5")):
         with pytest.raises(ValueError) as caught:
-            hill_number(n)
+            call(*args)
         assert (type(caught.value), str(caught.value)) == (ValueError, refusal)
 
 

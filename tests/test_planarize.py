@@ -42,6 +42,12 @@ def test_pentagon_counts():
     assert d.face_count == 12
 
 
+def test_two_points_are_refused():
+    with pytest.raises(ValueError) as caught:
+        planarize_points([point(0, 0), point(1, 0)])
+    assert (type(caught.value), str(caught.value)) == (ValueError, "need at least 3 points")
+
+
 def test_degeneracies_rejected():
     with pytest.raises(DegenerateInput) as err:
         segment_arrangement([point(0, 0), point(1, 1), point(0, 0)])

@@ -162,6 +162,12 @@ def test_bad_caller_input_is_a_value_error():
          r"^sequence length 0 out of range$"),
         (shell_witness_violation, (d5, ShellWitness(0, (0, 0))),
          r"^duplicate vertex in v-sequence$"),
+        # each vertex is checked before any is hashed, so a list is out of
+        # range, and a bad vertex is named before a repeated one
+        (shell_witness_violation, (d5, ShellWitness(0, ([0], [1]))),
+         r"^vertex \[0\] out of range in v-sequence$"),
+        (shell_witness_violation, (d5, ShellWitness(0, (1, 1, 7))),
+         r"^vertex 7 out of range in v-sequence$"),
         (shell_witness_violation, (d5, ShellWitness(faces, (0, 1))),
          rf"^face {faces} out of range$"),
     ]
@@ -175,6 +181,8 @@ def test_bad_caller_input_is_a_value_error():
              r"^duplicate vertex in b-sequence$"),
             (verify, (d5, BishellWitness(0, (0.0,), (1.0,))),
              r"^vertex 0.0 out of range in a-sequence$"),
+            (verify, (d5, BishellWitness(0, (0,), ([1],))),
+             r"^vertex \[1\] out of range in b-sequence$"),
         ]
     for call, args, message in refusals:
         with pytest.raises(ValueError, match=message) as caught:
@@ -690,6 +698,55 @@ def test_six_shell_refusals_build_pinned_view_counts():
         assert shelling._shell_search(gen_random_points(12, seed), (6,), None, memo) is None
         counts.append(len(memo))
     assert counts == [60, 94, 78, 66, 47]
+
+
+def test_shell_search_runs_each_pair_once(monkeypatch):
+    # the six-shell refusals of the certify inputs search each pair
+    # (v_1, v_s) that a face touches once; a search of every face in turn
+    # starts 24, 27, 28, 22 and 19 (face, pair) searches
+    searched = []
+
+    def spy(drawing, s, face, pair, memo):
+        searched.append(pair)
+        return search_pair(drawing, s, face, pair, memo)
+
+    search_pair = shelling._shell_at_pair
+    monkeypatch.setattr(shelling, "_shell_at_pair", spy)
+    counts = []
+    for seed in CERTIFY_SEEDS:
+        searched.clear()
+        assert check_s_shellable(gen_random_points(12, seed), 6) is None
+        assert len(set(searched)) == len(searched)
+        counts.append(len(searched))
+    assert counts == [13, 16, 15, 12, 12]
+
+
+def test_a_deleted_vertex_reads_one_class_at_every_face_it_touches(small_corpus):
+    # the pair lemma: deleting v merges all its corners, so every set that
+    # deletes v reads one class, and one incident mask, at the faces v
+    # touches with nothing deleted
+    for _name, n, d in small_corpus:
+        nothing = DeletionView(d, 0)
+        for v in range(n):
+            touched = [f for f in range(d.face_count) if nothing.incident_mask(f) >> v & 1]
+            assert touched
+            for w in range(n):   # w == v: the view of {v}
+                view = DeletionView(d, 1 << v | 1 << w)
+                assert len({view.class_of(f) for f in touched}) == 1, (v, w)
+                assert len({view.incident_mask(f) for f in touched}) == 1, (v, w)
+
+
+def test_shell_search_by_pairs_matches_the_search_of_each_face(oracle_corpus):
+    # the per-face search is the slow path: the first witness in face
+    # order, at every length, and over the default lengths
+    for d in oracle_corpus + [gen_random_points(12, seed) for seed in CERTIFY_SEEDS]:
+        firsts = [None]
+        for s in range(1, d.n + 1):
+            at_faces = (check_s_shellable(d, s, face=f) for f in range(d.face_count))
+            firsts.append(next(filter(None, at_faces), None))
+            assert check_s_shellable(d, s) == firsts[s], (d.n, s)
+        default = next(filter(None, firsts[d.n // 2:]), None)
+        assert check_s_shellable(d) == default
 
 
 # views built by the shell search for s = 2..n, then by check_s_shellable(d),
