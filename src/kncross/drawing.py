@@ -38,6 +38,14 @@ map that is not good gets `NotGoodDrawing`, which lists the violations.
 The checks make succ a permutation, so every face walk closes, and the
 map of K_n is connected, so its dual is too.
 
+An n, a face, a dart, a permutation and a vertex bitmask each have one
+judge, here, which every module that checks one calls: `_check_n`,
+`_check_face`, `_is_dart` (a reference dart, or a dart that names a
+face), `_is_permutation` (a vertex rotation, a spine order) and
+`_check_mask` (the bitmask of a `DeletionView`, `subdrawing` or
+`kedges.k_value`, refused by its name: `alive mask 7.0 is not an int`,
+`deleted mask 0x40 has a vertex outside 0..5`).
+
 A map is its paths, rotations and reference: the rotation system of a
 good drawing fixes its crossings (Kyncl 2011), so `build_drawing`
 derives each crossing's orientation bit from the rotation at the least
@@ -176,14 +184,11 @@ class Drawing(NamedTuple):
 
     def face_left_of(self, u: int, v: int) -> int:
         """The face left of the first dart u->v."""
-        try:  # a vertex that is not an int fails its comparison or its indexing
-            if u != v and 0 <= u < self.n and 0 <= v < self.n:
-                # the forward dart of uv's first segment, or the backward of its last
-                faces = self.dart_faces[edge_ids(self.n)[u][v]]
-                return faces[0] if u < v else faces[-1]
-        except TypeError:
-            pass
-        raise ValueError(f"bad face dart ({u},{v})")
+        if not _is_dart(self.n, u, v):
+            raise ValueError(f"bad face dart ({u},{v})")
+        # the forward dart of uv's first segment, or the backward of its last
+        faces = self.dart_faces[edge_ids(self.n)[u][v]]
+        return faces[0] if u < v else faces[-1]
 
     def face_dart(self, face: int) -> Tuple[int, int]:
         """The least dart (u, v) whose left face is `face`, the pair that
@@ -207,6 +212,25 @@ def _check_face(drawing: Drawing, face: int) -> None:
     """Refuse `face` unless it is an int that names a face of `drawing`."""
     if not (isinstance(face, int) and 0 <= face < drawing.face_count):
         raise ValueError(f"face {face} out of range")
+
+
+def _check_mask(n: int, mask: int, what: str) -> None:
+    """Refuse the vertex bitmask `mask`, named `what`, unless it is an int
+    whose vertices are all in 0..n-1."""
+    if not isinstance(mask, int):
+        raise ValueError(f"{what} mask {mask!r} is not an int")
+    if mask >> n:  # also true of every negative mask
+        raise ValueError(f"{what} mask {mask:#x} has a vertex outside 0..{n - 1}")
+
+
+def _is_dart(n: int, u: int, v: int) -> bool:
+    """Whether u and v are two distinct ints in 0..n-1."""
+    return isinstance(u, int) and isinstance(v, int) and u != v and 0 <= u < n and 0 <= v < n
+
+
+def _is_permutation(seq: Sequence[int], values: Iterable[int]) -> bool:
+    """Whether `seq` holds the ints `values`, each once."""
+    return all(isinstance(w, int) for w in seq) and sorted(seq) == sorted(values)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +309,7 @@ def build_drawing(
         raise ValueError("need one rotation per vertex")
     rotations: List[Tuple[int, ...]] = []
     for u, rot in enumerate(vertex_rotations):
-        if (not all(isinstance(w, int) for w in rot)
-                or sorted(rot) != [w for w in range(n) if w != u]):
+        if not _is_permutation(rot, (w for w in range(n) if w != u)):
             raise MapError(("rot", u), f"rotation at {u} is not a "
                                        f"permutation of the other vertices")
         k = rot.index(0 if u else 1)  # from the least neighbour
@@ -330,8 +353,7 @@ def build_drawing(
     except TypeError:
         raise MapError(("e", u, v), f"crossing id {k!r} is not an int") from None
     ru, rv = reference  # before the counts, as the rotations: `parse` names its line
-    if (not (isinstance(ru, int) and isinstance(rv, int))
-            or ru == rv or not (0 <= ru < n and 0 <= rv < n)):
+    if not _is_dart(n, ru, rv):
         raise MapError(("ref",), f"bad reference dart ({ru},{rv})")
     if crowded or -1 in second:
         for k in range(c):
@@ -531,12 +553,7 @@ class DeletionView:
     def __init__(self, base: Drawing, deleted: int,
                  parent: Optional[DeletionView] = None):
         n = base.n
-        try:  # a mask that is not an int fails the shift
-            if deleted >> n:  # also true of every negative mask
-                raise ValueError(
-                    f"deleted mask {deleted:#x} has a vertex outside 0..{n - 1}")
-        except TypeError:
-            raise ValueError(f"deleted mask {deleted!r} is not an int") from None
+        _check_mask(n, deleted, "deleted")
         if parent is None:
             gone = 0
             root = list(range(base.face_count))
@@ -617,10 +634,7 @@ def subdrawing(drawing: Drawing, alive: int) -> Drawing:
     the new dart on the same side has the reference on its left.
     """
     n = drawing.n
-    if not isinstance(alive, int):
-        raise ValueError(f"alive mask {alive!r} is not an int")
-    if alive >> n:  # also true of every negative mask
-        raise ValueError(f"alive mask {alive:#x} has a vertex outside 0..{n - 1}")
+    _check_mask(n, alive, "alive")
     keep = [v for v in range(n) if alive >> v & 1]
     if len(keep) < 3:
         raise ValueError(f"need at least 3 alive vertices, got {len(keep)}")

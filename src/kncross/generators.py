@@ -59,6 +59,7 @@ from .drawing import (
     Drawing,
     TwoPageGeometry,
     _check_n,
+    _is_permutation,
     build_drawing,
     edge_ids,
     edge_list,
@@ -195,7 +196,7 @@ def gen_twopage(spec: TwoPageSpec) -> Drawing:
     offsets never change the spine order, hence never the crossing set.
     """
     n = len(spec.order)
-    if not all(isinstance(v, int) for v in spec.order) or sorted(spec.order) != list(range(n)):
+    if not _is_permutation(spec.order, range(n)):
         raise ValueError("spine order must be a permutation of 0..n-1")
     if isinstance(spec.pages, Mapping):
         raise ValueError("pages is a mapping; need one page per edge in edge_list(n) order")

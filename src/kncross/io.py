@@ -66,6 +66,7 @@ from .drawing import (
     MapError,
     PointsGeometry,
     TwoPageGeometry,
+    _is_permutation,
     build_drawing,
     edge_list,
 )
@@ -204,7 +205,7 @@ def _parse_twopage(n: int, n_line: int, body: List[Tuple[int, List[str]]]) -> Dr
             if order is not None:
                 raise ParseError(no, "duplicate order line")
             order = _ints(parts[1:], no)
-            if len(order) != n or sorted(order) != list(range(n)):
+            if len(order) != n or not _is_permutation(order, range(n)):
                 raise ParseError(no, "order line missing or invalid")
         elif parts[0] == "e":
             if len(parts) != 4 or parts[3] not in ("T", "B"):
@@ -286,7 +287,7 @@ def _parse_map(n: int, n_line: int, body: List[Tuple[int, List[str]]]) -> Drawin
         raise ParseError(last, "missing crossing count")
     # counts first: a header count far beyond the file's lines must not
     # size a list
-    if len(rotations) != n or sorted(rotations) != list(range(n)):
+    if len(rotations) != n:  # the lines are in range and distinct
         raise ParseError(last, "missing rotation lines")
     ids = sorted(bits)  # the x lines' ints: one object per crossing id
     if len(bits) != c or ids != list(range(c)):

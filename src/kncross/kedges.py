@@ -16,8 +16,9 @@ number, so each label is three bit tests.  `k_value` counts the R bits
 within a vertex bitmask, and `k_edge_vector` is a histogram of the
 counts, the tuple E_0 .. E_{floor(n/2)-1}; the identities below are
 functions of n and that tuple alone, and each refuses a tuple that does
-not have floor(n/2) entries.  Goodness, which the argument
-assumes, is checked when the drawing is built.  Vectors are always
+not have floor(n/2) entries.  They and `cumulative_sums` refuse an
+entry that is not a count, an int of at least 0.  Goodness, which the
+argument assumes, is checked when the drawing is built.  Vectors are always
 taken relative to the stored reference face; use Drawing.with_reference
 to re-reference.
 """
@@ -28,7 +29,7 @@ from itertools import accumulate
 from math import comb
 from typing import Optional, Tuple
 
-from .drawing import Drawing, _check_n, edge_ids
+from .drawing import Drawing, _check_mask, _check_n, edge_ids
 
 
 def right_mask(drawing: Drawing, u: int, v: int) -> int:
@@ -62,10 +63,7 @@ def k_value(drawing: Drawing, edge: Tuple[int, int],
     u, v = edge
     if alive is None:
         alive = (1 << drawing.n) - 1
-    elif not isinstance(alive, int):
-        raise ValueError(f"alive mask {alive!r} is not an int")
-    elif alive >> drawing.n:  # also true of every negative mask
-        raise ValueError(f"alive mask {alive:#x} out of range")
+    _check_mask(drawing.n, alive, "alive")
     mask = right_mask(drawing, u, v)  # refuses a bad u or v first
     if not alive >> u & alive >> v & 1:
         raise ValueError(f"edge ({u},{v}) is not in the subdrawing on {alive:#x}")
@@ -86,6 +84,7 @@ def k_edge_vector(drawing: Drawing) -> Tuple[int, ...]:
 
 def cumulative_sums(vector: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The pair (E_{<=k}, E_{<=<=k}) of running sums of a k-edge vector."""
+    _check_entries(vector)
     single = tuple(accumulate(vector))
     return single, tuple(accumulate(single))
 
@@ -96,11 +95,19 @@ def hill_number(n: int) -> int:
     return (n // 2) * ((n - 1) // 2) * ((n - 2) // 2) * ((n - 3) // 2) // 4
 
 
+def _check_entries(vector: Tuple[int, ...]) -> None:
+    """Refuse a k-edge vector with an entry that is not a count, an int >= 0."""
+    for entry in vector:
+        if not (isinstance(entry, int) and entry >= 0):
+            raise ValueError(f"k-edge vector entry {entry!r} is not an int >= 0")
+
+
 def _check_length(n: int, vector: Tuple[int, ...]) -> None:
     _check_n(n, 1)
     if len(vector) != n // 2:
         raise ValueError(f"a k-edge vector of K_{n} has {n // 2} entries, "
                          f"not {len(vector)}")
+    _check_entries(vector)
 
 
 def crossings_from_k_edges(n: int, vector: Tuple[int, ...]) -> int:

@@ -292,7 +292,7 @@ def shell_to_bishell(witness: ShellWitness) -> BishellWitness:
     s = len(seq)
     if s < 2:
         raise ValueError("need a shell witness of length >= 2")
-    a = seq[:s - 1]
+    a = tuple(seq[:s - 1])
     b = tuple(seq[s - 1 - i] for i in range(s - 1))
     return BishellWitness(face=witness.face, a_seq=a, b_seq=b)
 

@@ -278,9 +278,11 @@ def test_subdrawing_refusals():
     for alive in (0, 0b11, 0b10100):
         with pytest.raises(ValueError, match="need at least 3 alive vertices"):
             subdrawing(d5, alive)
-    for alive in (1 << 5 | 0b111, -1, -8):
-        with pytest.raises(ValueError, match="outside 0..4"):
+    for alive, shown in ((1 << 5, "0x20"), (1 << 5 | 0b111, "0x27"), (-1, "-0x1"), (-8, "-0x8")):
+        with pytest.raises(ValueError) as caught:
             subdrawing(d5, alive)
+        assert (type(caught.value), str(caught.value)) == (
+            ValueError, f"alive mask {shown} has a vertex outside 0..4")
     with pytest.raises(ValueError) as caught:
         subdrawing(d5, 7.0)
     assert (type(caught.value), str(caught.value)) == (ValueError, "alive mask 7.0 is not an int")

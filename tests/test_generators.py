@@ -247,11 +247,12 @@ def test_twopage_invalid_specs():
 
 def test_twopage_spine_that_is_not_ints_is_refused():
     # 0.0 == 0 passes the permutation check alone; a spine of floats would
-    # then index the edge-id table
-    with pytest.raises(ValueError) as caught:
-        gen_twopage(TwoPageSpec((0.0, 1.0, 2.0, 3.0), ("T",) * 6))
-    assert (type(caught.value), str(caught.value)) == (
-        ValueError, "spine order must be a permutation of 0..n-1")
+    # then index the edge-id table.  A repeated vertex is no permutation.
+    for order in ((0.0, 1.0, 2.0, 3.0), (0, 1, 1, 3)):
+        with pytest.raises(ValueError) as caught:
+            gen_twopage(TwoPageSpec(order, ("T",) * 6))
+        assert (type(caught.value), str(caught.value)) == (
+            ValueError, "spine order must be a permutation of 0..n-1")
 
 
 @pytest.mark.parametrize("make, args, refusal", [

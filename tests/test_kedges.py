@@ -33,7 +33,13 @@ def test_hill_number_table():
             (hill_number, (5.0,), "n=5.0 is not an int"),
             (crossings_from_k_edges, (5.0, v5), "n=5.0 is not an int"),
             (crossings_from_cumulative, (5.0, v5), "n=5.0 is not an int"),
-            (double_cumulative_bound_holds, (5, v5, 0.0), "k=0.0 out of range for n=5")):
+            (double_cumulative_bound_holds, (5, v5, 0.0), "k=0.0 out of range for n=5"),
+            # an entry that is not a count, an int >= 0
+            (crossings_from_k_edges, (5, (-3, 2)), "k-edge vector entry -3 is not an int >= 0"),
+            (crossings_from_k_edges, (5, ("a", "b")), "k-edge vector entry 'a' is not an int >= 0"),
+            (cumulative_sums, ((1.5, 2),), "k-edge vector entry 1.5 is not an int >= 0"),
+            (double_cumulative_bound_holds, (6, (1.5, 2, 3), 0),
+             "k-edge vector entry 1.5 is not an int >= 0")):
         with pytest.raises(ValueError) as caught:
             call(*args)
         assert (type(caught.value), str(caught.value)) == (ValueError, refusal)
@@ -121,9 +127,11 @@ def test_side_oracle_refuses_bad_vertices():
     for u, v in ((0, 0), (0, 5), (-1, 2)):
         with pytest.raises(ValueError):
             right_mask(d, u, v)
-    for alive in (1 << 5, -1):
-        with pytest.raises(ValueError):
+    for alive, shown in ((1 << 5, "0x20"), (-1, "-0x1")):
+        with pytest.raises(ValueError) as caught:
             k_value(d, (0, 1), alive)
+        assert (type(caught.value), str(caught.value)) == (
+            ValueError, f"alive mask {shown} has a vertex outside 0..4")
     with pytest.raises(ValueError) as caught:
         k_value(d, (0, 1), 7.0)
     assert (type(caught.value), str(caught.value)) == (ValueError, "alive mask 7.0 is not an int")

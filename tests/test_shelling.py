@@ -206,6 +206,11 @@ def test_shell_to_bishell_rule():
     assert bishell.b_seq == (3, 2, 1)
     assert bishell_witness_violation(d6, bishell) is None
 
+    # a list sequence gives the witness of its tuple, hashable
+    listed = shell_to_bishell(ShellWitness(d6.reference_face, [0, 1, 2, 3]))
+    assert listed == bishell and hash(listed) == hash(bishell)
+    assert type(listed.a_seq) is type(listed.b_seq) is tuple
+
     degenerate = shell_to_bishell(ShellWitness(d6.reference_face, (0, 1)))
     assert degenerate.order == 0
     assert degenerate.a_seq == (0,) and degenerate.b_seq == (1,)
@@ -516,9 +521,11 @@ def test_incidence_mask_empty_with_one_survivor():
 
 def test_deletion_view_refuses_bad_masks():
     d = gen_convex(6)
-    for mask in (1 << d.n, 1 << d.n | 0b101, -1):
-        with pytest.raises(ValueError):
+    for mask, shown in ((1 << d.n, "0x40"), (1 << d.n | 0b101, "0x45"), (-1, "-0x1")):
+        with pytest.raises(ValueError) as caught:
             DeletionView(d, mask)
+        assert (type(caught.value), str(caught.value)) == (
+            ValueError, f"deleted mask {shown} has a vertex outside 0..5")
     with pytest.raises(ValueError) as caught:
         DeletionView(d, 1.0)
     assert (type(caught.value), str(caught.value)) == (ValueError, "deleted mask 1.0 is not an int")
